@@ -328,22 +328,31 @@ def tartar_pair_table(flux: FluxSpec, tol: float) -> np.ndarray:
 
 
 def _invert_increasing(lattice: TableLattice, values: np.ndarray,
-                       target: float, tol: float = 1e-10) -> tuple[float, bool]:
-    """Bisection inverse of a monotone table interpolant; clamps outside."""
-    lo, hi = lattice.lo, lattice.hi
+                       targets: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, int]:
+    """Bisection inverse of a monotone table interpolant at every target.
+
+    Each target is bisected until its own bracket is at most ``tol`` wide.
+    Targets outside the table range are clamped to the interval ends; the
+    count returned is of those beyond the range by more than 1e-15.
+    """
     vlo, vhi = float(values[0]), float(values[-1])
-    if target <= vlo:
-        return lo, target < vlo - 1e-15
-    if target >= vhi:
-        return hi, target > vhi + 1e-15
-    a, b = lo, hi
-    while b - a > tol:
+    below = targets <= vlo
+    above = ~below & (targets >= vhi)
+    a = np.full(targets.shape, lattice.lo)
+    b = np.full(targets.shape, lattice.hi)
+    active = ~(below | above) & (b - a > tol)
+    while active.any():
         mid = 0.5 * (a + b)
-        if float(tables.interp(lattice, values, mid)) < target:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b), False
+        lower = tables.interp(lattice, values, mid) < targets
+        a = np.where(active & lower, mid, a)
+        b = np.where(active & ~lower, mid, b)
+        active &= b - a > tol
+    c = 0.5 * (a + b)
+    c[below] = lattice.lo
+    c[above] = lattice.hi
+    clamped = (np.count_nonzero(targets[below] < vlo - 1e-15)
+               + np.count_nonzero(targets[above] > vhi + 1e-15))
+    return c, int(clamped)
 
 
 def choose_c(f11_bar: np.ndarray, quad: CompensatedQuad) -> tuple[np.ndarray, int]:
@@ -357,14 +366,8 @@ def choose_c(f11_bar: np.ndarray, quad: CompensatedQuad) -> tuple[np.ndarray, in
     dF = np.diff(quad.F11)
     if np.min(dF) < 0 or float(quad.F11[-1] - quad.F11[0]) <= 0:
         raise ValueError("F11 must be strictly increasing on I to pick c")
-    flat = f11_bar.ravel()
-    out = np.empty_like(flat)
-    clamped = 0
-    for i, tgt in enumerate(flat):
-        c, was_clamped = _invert_increasing(quad.lattice, quad.F11, float(tgt))
-        out[i] = c
-        clamped += int(was_clamped)
-    return out.reshape(f11_bar.shape), clamped
+    c, clamped = _invert_increasing(quad.lattice, quad.F11, f11_bar.ravel())
+    return c.reshape(f11_bar.shape), clamped
 
 
 def attach_c_field(quad: CompensatedQuad, finest: FieldTrajectory,

@@ -1,9 +1,14 @@
 """Hot finite-volume update kernels.
 
 Each kernel exists twice: a vectorized pure-numpy implementation and, when
-numba is importable, an ``@njit`` twin compiled from explicit loops.  Both
-paths use the same scalar arithmetic (same interpolation formula, same
-operation order), so their outputs agree bit for bit; tests assert that.
+numba is importable, an ``@njit`` twin compiled from explicit loops.  The
+numpy kernels locate each distinct state array on the table lattice once
+(``tables.locate``) and read every table from that location
+(``tables.lookup``); the loop twins interpolate each table value by value.
+Both paths use the same scalar arithmetic (same interpolation formula, same
+operation order), so their outputs agree bit for bit; tests assert that
+against the loop twins run as plain Python, and against numba where it
+imports.
 
 Backend selection: numba when available, unless ``VISCLAB_DISABLE_NUMBA`` is
 set.  ``benchmarks/bench_kernels.py`` times the two paths against each other.
@@ -15,6 +20,8 @@ import math
 import os
 
 import numpy as np
+
+from .tables import locate, lookup
 
 try:
     from numba import njit
@@ -37,91 +44,89 @@ def active_backend() -> str:
 
 # ---------------------------------------------------------------------------
 # numpy implementations
+#
+# Every table passed to one kernel lies on the same lattice (``lo``, ``inv``
+# and the node count), so one location of a state array serves them all.
 
 
-def _interp_np(tab, lo, inv, u):
-    s = (u - lo) * inv
-    k = np.clip(np.floor(s), 0.0, tab.shape[0] - 2.0)
-    ki = k.astype(np.int64)
-    frac = s - k
-    return tab[ki] + frac * (tab[ki + 1] - tab[ki])
+def _viscous_flux(ext, loc, left, right, lo, inv, top, eop, eom, btab, eh):
+    """conv(ul, ur) - eh * B((ul + ur) / 2) * (ur - ul) on every face.
+
+    The faces lie between ``ul = ext[left]`` and ``ur = ext[right]``; ``loc``
+    locates ``ext``.
+    """
+    ul, ur = ext[left], ext[right]
+    flux = lookup(eop, loc)[left]
+    flux += lookup(eom, loc)[right]
+    mid = ul + ur
+    mid *= 0.5
+    bm = lookup(btab, locate(lo, inv, top, mid))
+    bm *= eh
+    bm *= np.subtract(ur, ul, out=mid)
+    flux -= bm
+    return flux
 
 
 def visc_step_1d_numpy(u, dt, h, eps, lo, inv, eop, eom, btab, out):
     """One forward-Euler step of the viscous balance, zero ghost cells."""
-    n = u.shape[0]
-    ext = np.empty(n + 2)
-    ext[0] = 0.0
-    ext[-1] = 0.0
+    ext = np.zeros(u.shape[0] + 2)
     ext[1:-1] = u
-    ul = ext[:-1]
-    ur = ext[1:]
-    epsh = eps / h
-    lam = dt / h
-    conv = _interp_np(eop, lo, inv, ul) + _interp_np(eom, lo, inv, ur)
-    bm = _interp_np(btab, lo, inv, 0.5 * (ul + ur))
-    flux = conv - epsh * bm * (ur - ul)
-    out[:] = u - lam * (flux[1:] - flux[:-1])
+    top = btab.shape[0] - 2.0
+    flux = _viscous_flux(ext, locate(lo, inv, top, ext), np.s_[:-1],
+                         np.s_[1:], lo, inv, top, eop, eom, btab, eps / h)
+    d = flux[1:] - flux[:-1]
+    d *= dt / h
+    np.subtract(u, d, out=out)
     return out
 
 
 def visc_step_2d_numpy(u, dt, hx, hy, eps, lo, inv,
                        eopx, eomx, eopy, eomy, btab, out):
     nx, ny = u.shape
-    lamx = dt / hx
-    lamy = dt / hy
-    ehx = eps / hx
-    ehy = eps / hy
-    ex = np.zeros((nx + 2, ny))
-    ex[1:-1] = u
-    al, ar = ex[:-1], ex[1:]
-    fx = (_interp_np(eopx, lo, inv, al) + _interp_np(eomx, lo, inv, ar)
-          - ehx * _interp_np(btab, lo, inv, 0.5 * (al + ar)) * (ar - al))
-    ey = np.zeros((nx, ny + 2))
-    ey[:, 1:-1] = u
-    bl, br = ey[:, :-1], ey[:, 1:]
-    fy = (_interp_np(eopy, lo, inv, bl) + _interp_np(eomy, lo, inv, br)
-          - ehy * _interp_np(btab, lo, inv, 0.5 * (bl + br)) * (br - bl))
-    out[:] = (u - lamx * (fx[1:, :] - fx[:-1, :])) - lamy * (fy[:, 1:] - fy[:, :-1])
+    ext = np.zeros((nx + 2, ny + 2))
+    ext[1:-1, 1:-1] = u
+    top = btab.shape[0] - 2.0
+    loc = locate(lo, inv, top, ext)
+    fx = _viscous_flux(ext, loc, np.s_[:-1, 1:-1], np.s_[1:, 1:-1],
+                       lo, inv, top, eopx, eomx, btab, eps / hx)
+    fy = _viscous_flux(ext, loc, np.s_[1:-1, :-1], np.s_[1:-1, 1:],
+                       lo, inv, top, eopy, eomy, btab, eps / hy)
+    dx = fx[1:, :] - fx[:-1, :]
+    dx *= dt / hx
+    dy = fy[:, 1:] - fy[:, :-1]
+    dy *= dt / hy
+    np.subtract(u, dx, out=dx)
+    np.subtract(dx, dy, out=out)
     return out
 
 
-def _godunov_face_np(ul, ur, lo, inv, ftab, crit_y, crit_f):
-    fl = _interp_np(ftab, lo, inv, ul)
-    fr = _interp_np(ftab, lo, inv, ur)
+def godunov_step_1d_numpy(u, dt, h, lo, inv, ftab, crit_y, crit_f, out):
+    """Conservative Godunov step along axis 0, zero ghost cells.
+
+    On a 2-D state each column is updated as an independent 1-D problem.
+    """
+    ext = np.zeros((u.shape[0] + 2,) + u.shape[1:])
+    ext[1:-1] = u
+    f = lookup(ftab, locate(lo, inv, ftab.shape[0] - 2.0, ext))
+    ul, ur = ext[:-1], ext[1:]
+    fl, fr = f[:-1], f[1:]
     gmin = np.minimum(fl, fr)
     gmax = np.maximum(fl, fr)
     for cy, cf in zip(crit_y, crit_f):
         gmin = np.where((ul < cy) & (cy < ur), np.minimum(gmin, cf), gmin)
         gmax = np.where((ur < cy) & (cy < ul), np.maximum(gmax, cf), gmax)
-    return np.where(ul <= ur, gmin, gmax)
-
-
-def godunov_step_1d_numpy(u, dt, h, lo, inv, ftab, crit_y, crit_f, out):
-    n = u.shape[0]
-    ext = np.empty(n + 2)
-    ext[0] = 0.0
-    ext[-1] = 0.0
-    ext[1:-1] = u
-    flux = _godunov_face_np(ext[:-1], ext[1:], lo, inv, ftab, crit_y, crit_f)
-    out[:] = u - (dt / h) * (flux[1:] - flux[:-1])
+    flux = np.where(ul <= ur, gmin, gmax)
+    d = flux[1:] - flux[:-1]
+    d *= dt / h
+    np.subtract(u, d, out=out)
     return out
 
 
 def godunov_sweep_2d_numpy(u, dt, h, axis, lo, inv, ftab, crit_y, crit_f, out):
     """One conservative Godunov sweep along ``axis`` of a 2-D state."""
     if axis == 0:
-        nx, ny = u.shape
-        ext = np.zeros((nx + 2, ny))
-        ext[1:-1] = u
-        flux = _godunov_face_np(ext[:-1], ext[1:], lo, inv, ftab, crit_y, crit_f)
-        out[:] = u - (dt / h) * (flux[1:, :] - flux[:-1, :])
-    else:
-        nx, ny = u.shape
-        ext = np.zeros((nx, ny + 2))
-        ext[:, 1:-1] = u
-        flux = _godunov_face_np(ext[:, :-1], ext[:, 1:], lo, inv, ftab, crit_y, crit_f)
-        out[:] = u - (dt / h) * (flux[:, 1:] - flux[:, :-1])
+        return godunov_step_1d_numpy(u, dt, h, lo, inv, ftab, crit_y, crit_f, out)
+    godunov_step_1d_numpy(u.T, dt, h, lo, inv, ftab, crit_y, crit_f, out.T)
     return out
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .domain import Field, Grid
 
@@ -134,5 +133,7 @@ def mollify(data: InitialData, kernel: MollifierKernel) -> Field:
     if grid.dim == 1:
         out = np.convolve(u, kernel.weights, mode="same")
     else:
+        # imported here: scipy.signal takes about 0.6 s to load and only 2-D uses it
+        from scipy.signal import convolve2d
         out = convolve2d(u, kernel.weights, mode="same", boundary="fill")
     return Field(grid, out)

@@ -41,20 +41,43 @@ class TableLattice:
         return np.linspace(self.lo, self.hi, self.n)
 
 
+def locate(lo: float, inv: float, top: float, u: np.ndarray):
+    """Table panel of each value of ``u``: ``(k, frac)``.
+
+    ``k`` is the panel's first node and ``top`` the last such index
+    (nodes - 2); values outside [lo, hi] fall in the end panels.  One location
+    serves every table on the same lattice, so callers locate a state once
+    and ``lookup`` many tables.
+    """
+    s = (u - lo) * inv
+    k = np.floor(s)
+    # np.clip, spelled as its two ufuncs: its wrapper dominates on small arrays
+    np.minimum(np.maximum(k, 0.0, out=k), top, out=k)
+    np.subtract(s, k, out=s)
+    return k.astype(np.int64), s
+
+
+def lookup(tab: np.ndarray, loc) -> np.ndarray:
+    """``t0 + frac * (t1 - t0)`` at a location from ``locate``."""
+    k, frac = loc
+    t0 = tab.take(k)
+    d = tab[1:].take(k)
+    np.subtract(d, t0, out=d)
+    np.multiply(frac, d, out=d)
+    np.add(t0, d, out=d)
+    return d
+
+
 def interp(lattice: TableLattice, values: np.ndarray, u) -> np.ndarray:
     """Piecewise-linear table lookup; clamps to the end panels outside [lo, hi].
 
-    Uses the same arithmetic as the compiled kernels so both paths agree
-    bit for bit.
+    Uses the same arithmetic as the kernels so all paths agree bit for bit.
     """
     u = np.asarray(u, dtype=np.float64)
-    s = (u - lattice.lo) * lattice.inv_spacing
-    k = np.clip(np.floor(s), 0.0, lattice.n - 2.0)
-    ki = k.astype(np.int64)
-    frac = s - k
-    out = values[ki] + frac * (values[ki + 1] - values[ki])
-    if out.ndim == 0:
-        return float(out)
+    out = lookup(values, locate(lattice.lo, lattice.inv_spacing,
+                                lattice.n - 2.0, np.atleast_1d(u)))
+    if u.ndim == 0:
+        return float(out[0])
     return out
 
 

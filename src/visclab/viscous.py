@@ -74,31 +74,31 @@ class SchemeState:
     max_abs_seen: float = 0.0
 
 
-def _euler_apply(u: np.ndarray, dt: float, grid: Grid, flux: FluxSpec,
-                 visc: ViscositySpec, eps: float, backend=None) -> np.ndarray:
-    out = np.empty_like(u)
+def _make_advance(grid: Grid, flux: FluxSpec, visc: ViscositySpec, eps: float,
+                  integrator: str, backend=None):
+    """The member's update ``advance(u, dt) -> new u``, set up once per march."""
     lat = flux.lattice
+    tabs = flux.tables
     if grid.dim == 1:
-        k = kernels.get_kernel("visc_step_1d", backend)
-        k(u, dt, grid.spacing[0], eps, lat.lo, lat.inv_spacing,
-          flux.tables[0].eo_plus, flux.tables[0].eo_minus, visc.table, out)
+        kernel = kernels.get_kernel("visc_step_1d", backend)
+        args = (grid.spacing[0], eps, lat.lo, lat.inv_spacing,
+                tabs[0].eo_plus, tabs[0].eo_minus, visc.table)
     else:
-        k = kernels.get_kernel("visc_step_2d", backend)
-        k(u, dt, grid.spacing[0], grid.spacing[1], eps, lat.lo, lat.inv_spacing,
-          flux.tables[0].eo_plus, flux.tables[0].eo_minus,
-          flux.tables[1].eo_plus, flux.tables[1].eo_minus, visc.table, out)
-    return out
+        kernel = kernels.get_kernel("visc_step_2d", backend)
+        hx, hy = grid.spacing
+        args = (hx, hy, eps, lat.lo, lat.inv_spacing,
+                tabs[0].eo_plus, tabs[0].eo_minus,
+                tabs[1].eo_plus, tabs[1].eo_minus, visc.table)
 
+    def euler(u, dt):
+        out = np.empty_like(u)
+        kernel(u, dt, *args, out)
+        return out
 
-def _advance(u: np.ndarray, dt: float, grid: Grid, flux: FluxSpec,
-             visc: ViscositySpec, eps: float, integrator: str,
-             backend=None) -> np.ndarray:
     if integrator == "euler":
-        return _euler_apply(u, dt, grid, flux, visc, eps, backend)
+        return euler
     if integrator == "heun":
-        u1 = _euler_apply(u, dt, grid, flux, visc, eps, backend)
-        u2 = _euler_apply(u1, dt, grid, flux, visc, eps, backend)
-        return 0.5 * (u + u2)
+        return lambda u, dt: 0.5 * (u + euler(euler(u, dt), dt))
     raise ValueError(f"unknown integrator {integrator!r}")
 
 
@@ -106,8 +106,8 @@ def step(state: SchemeState, flux: FluxSpec, visc: ViscositySpec,
          integrator: str = "euler", backend=None) -> SchemeState:
     """One explicit update; fails hard if the new state breaks the sup bound."""
     grid = state.field.grid
-    unew = _advance(state.field.values, state.dt, grid, flux, visc, state.eps,
-                    integrator, backend)
+    advance = _make_advance(grid, flux, visc, state.eps, integrator, backend)
+    unew = advance(state.field.values, state.dt)
     m = float(np.max(np.abs(unew)))
     if m > state.sup_bound + MAX_PRINCIPLE_HARD:
         raise StepError(
@@ -128,18 +128,20 @@ def integrate(grid: Grid, u0: np.ndarray, flux: FluxSpec, visc: ViscositySpec,
     if sup_bound is None:
         sup_bound = float(np.max(np.abs(u)))
     dt_base = stable_dt(grid, flux, visc, eps, cfl)
+    advance = _make_advance(grid, flux, visc, eps, integrator, backend)
     times = np.asarray(snapshot_times, dtype=np.float64)
     snaps = [u.copy()]
     t = 0.0
     steps = 0
     max_seen = float(np.max(np.abs(u)))
-    for target in times[1:]:
+    # Python floats: numpy scalars would slow every step of the loop
+    for target in times[1:].tolist():
         while t < target - 1e-13 * max(1.0, target):
             dt = min(dt_base, target - t)
-            u = _advance(u, dt, grid, flux, visc, eps, integrator, backend)
+            u = advance(u, dt)
             t += dt
             steps += 1
-            m = float(np.max(np.abs(u)))
+            m = float(np.abs(u).max())
             if m > sup_bound + MAX_PRINCIPLE_HARD:
                 raise StepError(
                     f"discrete maximum principle violated: |u| = {m} > "
@@ -147,7 +149,7 @@ def integrate(grid: Grid, u0: np.ndarray, flux: FluxSpec, visc: ViscositySpec,
                     step=steps, time=t)
             if m > max_seen:
                 max_seen = m
-        t = float(target)
+        t = target
         snaps.append(u.copy())
     return FieldTrajectory(grid, times, np.stack(snaps), epsilon=eps,
                            dt=dt_base, steps_taken=steps,

@@ -310,8 +310,11 @@ def test_choose_c_inverse(flux2d):
     targets = np.linspace(-0.3, 0.3, 7) ** 3 / 3.0
     cs, _ = choose_c(targets, quad)
     assert np.all(np.diff(cs) > 0)
-    _, clamp2 = choose_c(np.array([10.0]), quad)
-    assert clamp2 == 1
+    c2, clamp2 = choose_c(np.array([-10.0, 0.0, 10.0]), quad)
+    assert c2[0] == quad.lattice.lo
+    assert c2[1] == pytest.approx(0.0, abs=1e-5)
+    assert c2[2] == quad.lattice.hi
+    assert clamp2 == 2
 
 
 def test_compensated_D_constant_field(flux2d):

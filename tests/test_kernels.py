@@ -11,6 +11,22 @@ from visclab.domain import make_flux, make_viscosity
 needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA,
                                  reason="numba not installed")
 
+# The numpy kernels are checked bit for bit against the explicit-loop twins,
+# run un-jitted as plain Python, and against their numba builds where numba
+# imports.
+LOOPS = {
+    "visc_step_1d": kernels._visc_step_1d_loops,
+    "visc_step_2d": kernels._visc_step_2d_loops,
+    "godunov_step_1d": kernels._godunov_step_1d_loops,
+    "godunov_sweep_2d": kernels._godunov_sweep_2d_loops,
+}
+TWINS = [pytest.param("loops", id="loops"),
+         pytest.param("numba", id="numba", marks=needs_numba)]
+
+
+def twin(kind, name):
+    return LOOPS[name] if kind == "loops" else kernels.KERNELS["numba"][name]
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -20,8 +36,8 @@ def setup():
     return flux, visc, rng
 
 
-@needs_numba
-def test_visc_1d_backends_bit_identical(setup):
+@pytest.mark.parametrize("kind", TWINS)
+def test_visc_1d_backends_bit_identical(setup, kind):
     flux, visc, rng = setup
     lat = flux.lattice
     u = rng.uniform(-0.99, 0.99, 200)
@@ -30,12 +46,12 @@ def test_visc_1d_backends_bit_identical(setup):
     a = np.empty_like(u)
     b = np.empty_like(u)
     kernels.visc_step_1d_numpy(u, *args, a)
-    kernels.visc_step_1d_numba(u, *args, b)
+    twin(kind, "visc_step_1d")(u, *args, b)
     assert np.array_equal(a, b)
 
 
-@needs_numba
-def test_visc_2d_backends_bit_identical(setup):
+@pytest.mark.parametrize("kind", TWINS)
+def test_visc_2d_backends_bit_identical(setup, kind):
     flux, visc, rng = setup
     lat = flux.lattice
     u = rng.uniform(-0.99, 0.99, (24, 40))
@@ -46,12 +62,12 @@ def test_visc_2d_backends_bit_identical(setup):
     a = np.empty_like(u)
     b = np.empty_like(u)
     kernels.visc_step_2d_numpy(u, *args, a)
-    kernels.visc_step_2d_numba(u, *args, b)
+    twin(kind, "visc_step_2d")(u, *args, b)
     assert np.array_equal(a, b)
 
 
-@needs_numba
-def test_godunov_backends_bit_identical(setup):
+@pytest.mark.parametrize("kind", TWINS)
+def test_godunov_backends_bit_identical(setup, kind):
     flux, visc, rng = setup
     lat = flux.lattice
     tab = flux.tables[0]
@@ -61,7 +77,7 @@ def test_godunov_backends_bit_identical(setup):
     a = np.empty_like(u)
     b = np.empty_like(u)
     kernels.godunov_step_1d_numpy(u, *args, a)
-    kernels.godunov_step_1d_numba(u, *args, b)
+    twin(kind, "godunov_step_1d")(u, *args, b)
     assert np.array_equal(a, b)
     u2 = rng.uniform(-0.99, 0.99, (20, 30))
     for axis, h in ((0, 1 / 20), (1, 1 / 30)):
@@ -70,7 +86,7 @@ def test_godunov_backends_bit_identical(setup):
         kernels.godunov_sweep_2d_numpy(u2, 0.1 * h, h, axis, lat.lo,
                                        lat.inv_spacing, tab.f, tab.crit_y,
                                        tab.crit_f, a2)
-        kernels.godunov_sweep_2d_numba(u2, 0.1 * h, h, axis, lat.lo,
+        twin(kind, "godunov_sweep_2d")(u2, 0.1 * h, h, axis, lat.lo,
                                        lat.inv_spacing, tab.f, tab.crit_y,
                                        tab.crit_f, b2)
         assert np.array_equal(a2, b2)
@@ -89,6 +105,7 @@ def test_interp_clamps_at_table_ends(setup):
     flux, _, _ = setup
     lat = flux.lattice
     tab = flux.tables[0].f
-    from visclab.kernels import _interp_np
-    v = _interp_np(tab, lat.lo, lat.inv_spacing, np.array([lat.hi]))
+    from visclab.tables import locate, lookup
+    loc = locate(lat.lo, lat.inv_spacing, tab.shape[0] - 2.0, np.array([lat.hi]))
+    v = lookup(tab, loc)
     assert float(v[0]) == pytest.approx(tab[-1], abs=1e-15)

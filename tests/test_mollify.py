@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -107,3 +110,11 @@ def test_2d_mollify_sup_and_support():
     out = mollify(data, make_kernel(0.1, g.spacing))
     assert np.max(np.abs(out.values)) <= 1.0 + 1e-12
     assert out.values[0, :].max() == 0.0 and out.values[:, 0].max() == 0.0
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # only the 2-D branch of mollify needs scipy.signal, which is slow to load
+    code = "import sys, visclab.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
