@@ -11,8 +11,8 @@ from .mollify import InitialData, MollifierKernel, kernel_mass, make_kernel, \
     make_initial_data, mollify
 from .norms import SpaceTimeField, h_minus_one_norm, lp_norm, measure_norm, \
     total_variation
-from .viscous import SchemeState, StepError, convective_face_flux, \
-    diffusive_face_flux, integrate, stable_dt, step
+from .viscous import StepError, convective_face_flux, diffusive_face_flux, \
+    integrate, stable_dt
 from .reference import godunov_face_flux, riemann_exact, solve_reference
 from .convergence import ConvergenceReport, RateFit, fit_rate, l1_distance
 from .compactness import (EntropyProductionSplit, YoungHistogramSet,

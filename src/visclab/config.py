@@ -13,6 +13,8 @@ import hashlib
 import io
 from dataclasses import dataclass, field
 
+from .domain import FLUX_PRESETS, VISCOSITY_PRESETS
+
 __all__ = ["ScenarioConfig", "ConfigError", "build_scenario", "render_config",
            "config_hash", "DEFAULT_CFL", "DEFAULT_TOL"]
 
@@ -128,9 +130,14 @@ def build_scenario(config_text: str) -> ScenarioConfig:
         flux_names = flux_names * 2
     if len(flux_names) != dim:
         raise ConfigError("flux.preset needs one preset per axis")
+    for name in flux_names:
+        if name not in FLUX_PRESETS:
+            raise ConfigError(f"unknown flux.preset {name!r}")
     flux_a = parser.getfloat("flux", "a", fallback=1.0)
 
     visc_name = parser.get("viscosity", "preset", fallback="constant")
+    if visc_name not in VISCOSITY_PRESETS:
+        raise ConfigError(f"unknown viscosity.preset {visc_name!r}")
     visc_b = parser.getfloat("viscosity", "b", fallback=1.0)
     visc_r = parser.getfloat("viscosity", "r", fallback=1.0)
 
@@ -179,6 +186,12 @@ def build_scenario(config_text: str) -> ScenarioConfig:
     kr_delta = parser.getfloat("scheme", "kruzkov_delta", fallback=1e-3)
     yw_cells = parser.getint("scheme", "young_window_cells", fallback=8)
     yw_snaps = parser.getint("scheme", "young_window_snaps", fallback=13)
+    if yw_cells <= 0 or any(c % yw_cells for c in cells):
+        raise ConfigError(f"scheme.young_window_cells = {yw_cells} must divide "
+                          f"grid.cells {','.join(map(str, cells))}")
+    if yw_snaps <= 0 or (snapshots + 1) % yw_snaps:
+        raise ConfigError(f"scheme.young_window_snaps = {yw_snaps} must divide "
+                          f"scheme.snapshots + 1 = {snapshots + 1}")
     y_bins = parser.getint("scheme", "young_bins", fallback=64)
     ww_cells = parser.getint("scheme", "weak_window_cells", fallback=8)
     ww_snaps = parser.getint("scheme", "weak_window_snaps", fallback=8)

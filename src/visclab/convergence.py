@@ -49,13 +49,7 @@ class ConvergenceReport:
     epsilons: tuple[float, ...]
     errors_vs_reference: tuple[float, ...]
     cauchy_pairs: tuple[tuple[float, float], ...]  # (eps_k, d(u_k, u_{k+1}))
-    reference_fit: RateFit | None
     cauchy_fit: RateFit | None
-
-    @property
-    def strictly_decreasing(self) -> bool:
-        e = self.errors_vs_reference
-        return all(b < a for a, b in zip(e, e[1:]))
 
 
 def build_convergence_report(trajs: list[FieldTrajectory],
@@ -64,6 +58,5 @@ def build_convergence_report(trajs: list[FieldTrajectory],
     errors = tuple(l1_distance(t, reference) for t in trajs)
     cauchy = tuple((trajs[k].epsilon, l1_distance(trajs[k], trajs[k + 1]))
                    for k in range(len(trajs) - 1))
-    ref_fit = fit_rate(list(zip(eps, errors))) if len(eps) >= 3 else None
     cauchy_fit = fit_rate(list(cauchy)) if len(cauchy) >= 3 else None
-    return ConvergenceReport(eps, errors, cauchy, ref_fit, cauchy_fit)
+    return ConvergenceReport(eps, errors, cauchy, cauchy_fit)

@@ -169,13 +169,14 @@ def _check_range(u: float, lattice: TableLattice) -> None:
             f"state {u} outside invariant interval [{lattice.lo}, {lattice.hi}]")
 
 
-def _flux_component(name: str, params: dict) -> FluxComponent:
+def _flux_component(name: str, params: dict, sup: float) -> FluxComponent:
+    """Preset ``name``; ``lipschitz`` bounds |f'| on [-sup, sup]."""
     if name == "burgers":
         return FluxComponent("burgers",
                              lambda u: 0.5 * u * u,
                              lambda u: np.asarray(u, dtype=np.float64) + 0.0,
                              lambda u: np.ones_like(np.asarray(u, dtype=np.float64)),
-                             lipschitz=0.0)  # filled from interval below
+                             lipschitz=sup)
     if name == "linear":
         a = float(params.get("a", 1.0))
         return FluxComponent("linear",
@@ -190,7 +191,7 @@ def _flux_component(name: str, params: dict) -> FluxComponent:
         return FluxComponent("arctan", f,
                              lambda u: np.arctan(np.asarray(u, dtype=np.float64)),
                              lambda u: 1.0 / (1.0 + np.asarray(u, dtype=np.float64) ** 2),
-                             lipschitz=0.0)
+                             lipschitz=float(np.arctan(sup)))
     raise ValueError(f"unknown flux preset {name!r}")
 
 
@@ -209,12 +210,7 @@ def make_flux(names: tuple[str, ...] | list[str], interval: tuple[float, float],
     tabs = []
     sup = max(abs(lo), abs(hi))
     for name in names:
-        comp = _flux_component(name, params)
-        if comp.name == "burgers":
-            comp = FluxComponent(comp.name, comp.f, comp.fp, comp.fpp, lipschitz=sup)
-        elif comp.name == "arctan":
-            comp = FluxComponent(comp.name, comp.f, comp.fp, comp.fpp,
-                                 lipschitz=float(np.arctan(sup)))
+        comp = _flux_component(name, params, sup)
         fvals = tables.sample_table(comp.f, lattice)
         f0 = float(np.asarray(comp.f(0.0)))
         eo_plus = f0 + tables.monotone_envelope(

@@ -127,26 +127,48 @@ def _weak_window(cfg: ScenarioConfig) -> tuple[int, ...]:
     return (cfg.weak_window_snaps,) + (cfg.weak_window_cells,) * cfg.dim
 
 
-def _attach_d2(cfg: ScenarioConfig, specs: RuntimeSpecs,
-               members: list[MemberDiagnostics], trajs) -> None:
-    if cfg.dim != 2 or not trajs:
-        return
-    quad = build_compensated_quad(specs.flux, cfg.quadrature_tol)
-    quad = attach_c_field(quad, trajs[-1], _weak_window(cfg))
-    for m, traj in zip(members, trajs):
-        dfield = compensated_D_field(traj, quad)
-        m.d_mean = float(np.mean(dfield.values))
-        m.d_min = float(np.min(dfield.values))
+def assess(cfg: ScenarioConfig, specs: RuntimeSpecs,
+           members: list[MemberDiagnostics], trajs: list[FieldTrajectory],
+           reference: FieldTrajectory | None):
+    """Ladder-wide diagnostics and the estimate table, shared by run, verify
+    and plotdata.
 
+    ``members`` are the per-member diagnostics of ``trajs``, in ladder order;
+    each gains its 2-D compensated quadratic and its W1 distance to the
+    reference.  Returns the convergence report (None without a reference)
+    and the estimate rows.
+    """
+    if cfg.dim == 2 and trajs:
+        quad = build_compensated_quad(specs.flux, cfg.quadrature_tol)
+        quad = attach_c_field(quad, trajs[-1], _weak_window(cfg))
+        for m, traj in zip(members, trajs):
+            dfield = compensated_D_field(traj, quad)
+            m.d_mean = float(np.mean(dfield.values))
+            m.d_min = float(np.min(dfield.values))
+    conv = None
+    if reference is not None:
+        ref_hset = _young_histograms(cfg, specs, reference)
+        for m in members:
+            m.young_w1 = young_w1_distance(m.young, ref_hset)
+        if trajs:
+            conv = build_convergence_report(trajs, reference)
 
-def _attach_young_w1(cfg: ScenarioConfig, specs: RuntimeSpecs,
-                     members: list[MemberDiagnostics], reference) -> None:
-    """Fill each member's W1 distance to the reference's value histograms."""
-    if reference is None:
-        return
-    ref_hset = _young_histograms(cfg, specs, reference)
-    for m in members:
-        m.young_w1 = young_w1_distance(m.young, ref_hset)
+    rate_fits = {}
+    if len(members) >= 3:
+        for pair in specs.pairs:
+            pts = [(m.eps, m.entropy[pair.name][0]) for m in members]
+            rate_fits[pair.name] = fit_rate(pts)
+        rate_fits["__ut__"] = fit_rate([(m.eps, m.ut_l1) for m in members])
+
+    times = snapshot_times(cfg.time_horizon, cfg.snapshots)
+    dc_compact, dc_violation = synthetic_divcurl(specs.grid, times,
+                                                 _weak_window(cfg))
+    etapp_sup = {p.name: p.etapp_sup for p in specs.pairs}
+    rows = evaluate_estimates(cfg, members, conv, specs.sup_bound,
+                              specs.visc.lower_bound, specs.visc.upper_bound,
+                              specs.grid.volume, etapp_sup,
+                              dc_compact, dc_violation, rate_fits)
+    return conv, rows
 
 
 def run_ladder(cfg: ScenarioConfig, outdir: str | Path | None = None,
@@ -237,29 +259,7 @@ def run_ladder(cfg: ScenarioConfig, outdir: str | Path | None = None,
         failures += 1
 
     ladder_trajs = [trajs[e] for e in cfg.ladder if e in trajs]
-    _attach_d2(cfg, specs, members, ladder_trajs)
-    _attach_young_w1(cfg, specs, members, reference)
-
-    conv = None
-    if reference is not None and ladder_trajs:
-        conv = build_convergence_report(ladder_trajs, reference)
-
-    rate_fits = {}
-    if len(members) >= 3:
-        for pair in specs.pairs:
-            pts = [(m.eps, m.entropy[pair.name][0]) for m in members]
-            rate_fits[pair.name] = fit_rate(pts)
-        rate_fits["__ut__"] = fit_rate([(m.eps, m.ut_l1) for m in members])
-
-    times = snapshot_times(cfg.time_horizon, cfg.snapshots)
-    dc_compact, dc_violation = synthetic_divcurl(specs.grid, times,
-                                                 _weak_window(cfg))
-
-    etapp_sup = {p.name: p.etapp_sup for p in specs.pairs}
-    rows = evaluate_estimates(cfg, members, conv, specs.sup_bound,
-                              specs.visc.lower_bound, specs.visc.upper_bound,
-                              specs.grid.volume, etapp_sup,
-                              dc_compact, dc_violation, rate_fits)
+    conv, rows = assess(cfg, specs, members, ladder_trajs, reference)
 
     _write_reports(outdir, cfg, members, conv, rows, files)
 
@@ -350,23 +350,7 @@ def verify_run(outdir: str | Path) -> tuple[list[EstimateRow], int, str]:
     outdir = Path(outdir)
     manifest, cfg, specs, trajs, reference = _load_run(outdir)
     members = [member_diagnostics(cfg, specs, t) for t in trajs]
-    _attach_d2(cfg, specs, members, trajs)
-    _attach_young_w1(cfg, specs, members, reference)
-    conv = build_convergence_report(trajs, reference) if (reference is not None
-                                                          and trajs) else None
-    rate_fits = {}
-    if len(members) >= 3:
-        for pair in specs.pairs:
-            rate_fits[pair.name] = fit_rate(
-                [(m.eps, m.entropy[pair.name][0]) for m in members])
-        rate_fits["__ut__"] = fit_rate([(m.eps, m.ut_l1) for m in members])
-    times = snapshot_times(cfg.time_horizon, cfg.snapshots)
-    dc_c, dc_v = synthetic_divcurl(specs.grid, times, _weak_window(cfg))
-    etapp_sup = {p.name: p.etapp_sup for p in specs.pairs}
-    rows = evaluate_estimates(cfg, members, conv, specs.sup_bound,
-                              specs.visc.lower_bound, specs.visc.upper_bound,
-                              specs.grid.volume, etapp_sup, dc_c, dc_v,
-                              rate_fits)
+    _conv, rows = assess(cfg, specs, members, trajs, reference)
     verdicts = overall_verdicts(rows)
     stored = manifest.get("estimates", {})
     mismatch = [k for k, v in verdicts.items() if stored.get(k) != v]
@@ -408,10 +392,7 @@ def emit_plotdata(outdir: str | Path, profile_times=None) -> list[Path]:
     io.write_csv(plotdir / "profiles.csv", header, prof_rows)
 
     members = [member_diagnostics(cfg, specs, t) for t in trajs]
-    _attach_d2(cfg, specs, members, trajs)
-    _attach_young_w1(cfg, specs, members, reference)
-    conv = build_convergence_report(trajs, reference) if (reference is not None
-                                                          and trajs) else None
+    conv, _rows = assess(cfg, specs, members, trajs, reference)
     metric_rows = []
     for idx, m in enumerate(members):
         vals = {}

@@ -18,10 +18,6 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-def trajectory_dirname(eps_label: str) -> str:
-    return f"eps_{eps_label}" if eps_label != "0" else "reference"
-
-
 def save_trajectory(dirpath: Path, traj: FieldTrajectory) -> list[str]:
     """One binary file per snapshot plus a CSV index (time, file, min, max)."""
     dirpath.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dst, idst
 
-from .domain import Field, FieldTrajectory, Grid
+from .domain import Field, Grid
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,6 @@ class SpaceTimeField:
             raise ValueError("space-time field has non-finite entries")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_trajectory(cls, traj: FieldTrajectory) -> "SpaceTimeField":
-        return cls(traj.grid, traj.times, traj.values)
 
     def time_weights(self) -> np.ndarray:
         """Trapezoid weights over the snapshot times (they sum to T)."""

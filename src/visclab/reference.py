@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels, tables
 from .domain import FieldTrajectory, FluxSpec, Grid, ViscositySpec, _check_range
-from .viscous import StepError, stable_dt
+from .viscous import march, stable_dt
 
 
 def godunov_face_flux(uL: float, uR: float, flux: FluxSpec, axis: int = 0) -> float:
@@ -46,52 +46,37 @@ def solve_reference(grid: Grid, flux: FluxSpec, visc: ViscositySpec,
                     u0: np.ndarray, cfl: float, snapshot_times: np.ndarray,
                     backend=None) -> FieldTrajectory:
     """Entropy-solution candidate on the same snapshot lattice, epsilon = 0."""
-    u = np.array(u0, dtype=np.float64)
-    dt_base = stable_dt(grid, flux, visc, eps=0.0, cfl=cfl)
     lat = flux.lattice
-    times = np.asarray(snapshot_times, dtype=np.float64)
-    snaps = [u.copy()]
-    t = 0.0
-    steps = 0
-    sup0 = float(np.max(np.abs(u)))
-    max_seen = sup0
     if grid.dim == 1:
         k1 = kernels.get_kernel("godunov_step_1d", backend)
         tab = flux.tables[0]
         h = grid.spacing[0]
+
+        def advance(u, dt):
+            out = np.empty_like(u)
+            k1(u, dt, h, lat.lo, lat.inv_spacing, tab.f, tab.crit_y,
+               tab.crit_f, out)
+            return out
     else:
         k2 = kernels.get_kernel("godunov_sweep_2d", backend)
-    for target in times[1:]:
-        while t < target - 1e-13 * max(1.0, target):
-            dt = min(dt_base, target - t)
+        tx, ty = flux.tables[0], flux.tables[1]
+        hx, hy = grid.spacing
+
+        def advance(u, dt):
+            # Strang: half sweep in x, full sweep in y, half sweep in x
             out = np.empty_like(u)
-            if grid.dim == 1:
-                k1(u, dt, h, lat.lo, lat.inv_spacing, tab.f, tab.crit_y,
-                   tab.crit_f, out)
-                u = out
-            else:
-                # Strang: half sweep in x, full sweep in y, half sweep in x
-                tx, ty = flux.tables[0], flux.tables[1]
-                hx, hy = grid.spacing
-                k2(u, 0.5 * dt, hx, 0, lat.lo, lat.inv_spacing, tx.f,
-                   tx.crit_y, tx.crit_f, out)
-                u2 = np.empty_like(u)
-                k2(out, dt, hy, 1, lat.lo, lat.inv_spacing, ty.f,
-                   ty.crit_y, ty.crit_f, u2)
-                k2(u2, 0.5 * dt, hx, 0, lat.lo, lat.inv_spacing, tx.f,
-                   tx.crit_y, tx.crit_f, out)
-                u = out
-            t += dt
-            steps += 1
-            m = float(np.max(np.abs(u)))
-            if m > sup0 + 1e-8:
-                raise StepError("reference scheme broke the maximum principle",
-                                step=steps, time=t)
-            max_seen = max(max_seen, m)
-        t = float(target)
-        snaps.append(u.copy())
-    return FieldTrajectory(grid, times, np.stack(snaps), epsilon=0.0,
-                           dt=dt_base, steps_taken=steps, max_abs_seen=max_seen)
+            k2(u, 0.5 * dt, hx, 0, lat.lo, lat.inv_spacing, tx.f,
+               tx.crit_y, tx.crit_f, out)
+            u2 = np.empty_like(u)
+            k2(out, dt, hy, 1, lat.lo, lat.inv_spacing, ty.f,
+               ty.crit_y, ty.crit_f, u2)
+            k2(u2, 0.5 * dt, hx, 0, lat.lo, lat.inv_spacing, tx.f,
+               tx.crit_y, tx.crit_f, out)
+            return out
+
+    return march(grid, u0, snapshot_times, advance,
+                 stable_dt(grid, flux, visc, eps=0.0, cfl=cfl), 0.0,
+                 float(np.max(np.abs(u0))))
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,10 @@ value of zero for both fluxes (homogeneous Dirichlet).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from . import kernels, tables
-from .domain import (Field, FieldTrajectory, FluxSpec, Grid, ViscositySpec,
-                     _check_range)
+from .domain import FieldTrajectory, FluxSpec, Grid, ViscositySpec, _check_range
 
 MAX_PRINCIPLE_HARD = 1e-8
 
@@ -63,17 +60,6 @@ def diffusive_face_flux(uL: float, uR: float, visc: ViscositySpec, eps: float,
     return eps * bm * (uR - uL) / h
 
 
-@dataclass(frozen=True)
-class SchemeState:
-    field: Field
-    time: float
-    dt: float
-    eps: float
-    sup_bound: float
-    steps_taken: int = 0
-    max_abs_seen: float = 0.0
-
-
 def _make_advance(grid: Grid, flux: FluxSpec, visc: ViscositySpec, eps: float,
                   integrator: str, backend=None):
     """The member's update ``advance(u, dt) -> new u``, set up once per march."""
@@ -102,34 +88,12 @@ def _make_advance(grid: Grid, flux: FluxSpec, visc: ViscositySpec, eps: float,
     raise ValueError(f"unknown integrator {integrator!r}")
 
 
-def step(state: SchemeState, flux: FluxSpec, visc: ViscositySpec,
-         integrator: str = "euler", backend=None) -> SchemeState:
-    """One explicit update; fails hard if the new state breaks the sup bound."""
-    grid = state.field.grid
-    advance = _make_advance(grid, flux, visc, state.eps, integrator, backend)
-    unew = advance(state.field.values, state.dt)
-    m = float(np.max(np.abs(unew)))
-    if m > state.sup_bound + MAX_PRINCIPLE_HARD:
-        raise StepError(
-            f"discrete maximum principle violated: |u| = {m} > "
-            f"{state.sup_bound} at t = {state.time + state.dt}",
-            step=state.steps_taken + 1, time=state.time + state.dt)
-    return replace(state, field=Field(grid, unew), time=state.time + state.dt,
-                   steps_taken=state.steps_taken + 1,
-                   max_abs_seen=max(state.max_abs_seen, m))
-
-
-def integrate(grid: Grid, u0: np.ndarray, flux: FluxSpec, visc: ViscositySpec,
-              eps: float, cfl: float, snapshot_times: np.ndarray,
-              integrator: str = "euler", sup_bound: float | None = None,
-              backend=None) -> FieldTrajectory:
-    """March to the horizon, landing exactly on each snapshot time."""
+def march(grid: Grid, u0: np.ndarray, times: np.ndarray, advance,
+          dt_base: float, eps: float, sup_bound: float) -> FieldTrajectory:
+    """Apply ``advance(u, dt)`` in steps of at most ``dt_base``, landing
+    exactly on each snapshot time; fails hard once |u| exceeds ``sup_bound``."""
     u = np.array(u0, dtype=np.float64)
-    if sup_bound is None:
-        sup_bound = float(np.max(np.abs(u)))
-    dt_base = stable_dt(grid, flux, visc, eps, cfl)
-    advance = _make_advance(grid, flux, visc, eps, integrator, backend)
-    times = np.asarray(snapshot_times, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
     snaps = [u.copy()]
     t = 0.0
     steps = 0
@@ -154,6 +118,18 @@ def integrate(grid: Grid, u0: np.ndarray, flux: FluxSpec, visc: ViscositySpec,
     return FieldTrajectory(grid, times, np.stack(snaps), epsilon=eps,
                            dt=dt_base, steps_taken=steps,
                            max_abs_seen=max_seen)
+
+
+def integrate(grid: Grid, u0: np.ndarray, flux: FluxSpec, visc: ViscositySpec,
+              eps: float, cfl: float, snapshot_times: np.ndarray,
+              integrator: str = "euler", sup_bound: float | None = None,
+              backend=None) -> FieldTrajectory:
+    """March to the horizon, landing exactly on each snapshot time."""
+    if sup_bound is None:
+        sup_bound = float(np.max(np.abs(u0)))
+    return march(grid, u0, snapshot_times,
+                 _make_advance(grid, flux, visc, eps, integrator, backend),
+                 stable_dt(grid, flux, visc, eps, cfl), eps, sup_bound)
 
 
 def snapshot_times(time_horizon: float, intervals: int) -> np.ndarray:

@@ -12,6 +12,8 @@ preset = burgers
 preset = bump
 [ladder]
 epsilons = 0.1,0.05
+[scheme]
+young_window_cells = 2
 [output]
 directory = runs/x
 """
@@ -50,7 +52,7 @@ def test_missing_key_named():
 
 
 def test_cfl_range():
-    bad = MINIMAL + "[scheme]\ncfl = 1.5\n"
+    bad = MINIMAL.replace("[scheme]", "[scheme]\ncfl = 1.5")
     with pytest.raises(ConfigError, match="cfl"):
         build_scenario(bad)
 
@@ -74,3 +76,28 @@ def test_2d_broadcasting():
     assert cfg.cells == (16, 16)
     assert cfg.flux_names == ("burgers", "burgers")
     assert cfg.init_center == (0.5, 0.5)
+
+
+def test_young_window_snaps_must_divide_snapshots():
+    # default 64 snapshots: 65 snapshot times, which 7 does not divide
+    bad = MINIMAL.replace("[scheme]", "[scheme]\nyoung_window_snaps = 7")
+    with pytest.raises(ConfigError, match="young_window_snaps"):
+        build_scenario(bad)
+
+
+def test_young_window_cells_must_divide_cells():
+    bad = MINIMAL.replace("young_window_cells = 2", "young_window_cells = 8")
+    with pytest.raises(ConfigError, match="young_window_cells"):
+        build_scenario(bad)
+
+
+def test_unknown_flux_preset_rejected():
+    bad = MINIMAL.replace("preset = burgers", "preset = burgerz")
+    with pytest.raises(ConfigError, match="flux.preset"):
+        build_scenario(bad)
+
+
+def test_unknown_viscosity_preset_rejected():
+    bad = MINIMAL.replace("[ladder]", "[viscosity]\npreset = honey\n[ladder]")
+    with pytest.raises(ConfigError, match="viscosity.preset"):
+        build_scenario(bad)

@@ -1,4 +1,7 @@
 import csv
+import importlib.util
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -178,3 +181,54 @@ def test_cli_bad_config(tmp_path, capsys):
     assert cli_main(["run", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "rejected" in err or "missing" in err
+
+
+def test_cli_bad_young_window_rejected_before_solving(tmp_path, capsys):
+    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
+                       young_window_snaps=5, young_window_cells=6)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(cfg.raw_text.replace("young_window_snaps = 5",
+                                        "young_window_snaps = 3"))
+    out = tmp_path / "never"
+    assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 2
+    assert "config rejected" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _load_probe():
+    """The benchmark's tracing probe, imported from its file, unmodified."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "probe.py"
+    spec = importlib.util.spec_from_file_location("perfbench_probe", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_trace_probe_sees_every_layer(tmp_path):
+    # the traced benchmark rebinds harness globals; a harness that stops
+    # calling through them would leave these counters at zero
+    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
+                       young_window_snaps=5, young_window_cells=6)
+    cfgfile = tmp_path / "scenario.cfg"
+    cfgfile.write_text(cfg.raw_text)
+    spans = tmp_path / "spans.json"
+    code = _load_probe().trace_probe(
+        str(spans), ["run", "--config", str(cfgfile), "--out",
+                     str(tmp_path / "run")])
+    assert code in (0, 1)
+    traced = json.loads(spans.read_text())
+    assert traced["restored"] is True
+    assert traced["counters"].get("viscous.steps", 0) > 0
+    assert traced["counters"].get("reference.steps", 0) > 0
+
+
+def test_plotdata_metrics_match_run_diagnostics(run2d):
+    _cfg, result = run2d
+    emit_plotdata(result.outdir)
+    plotted = {(r["epsilon"], r["metric"]): r["value"]
+               for r in read_csv(result.outdir / "plot" / "metrics.csv")}
+    diag = read_csv(result.outdir / "diagnostics.csv")
+    assert diag
+    for r in diag:
+        assert plotted[(r["epsilon"], "D_mean")] == r["D_mean"]
+        assert plotted[(r["epsilon"], "dirac_metric")] == r["dirac_metric"]

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from visclab.convergence import fit_rate
-from visclab.domain import Field, Grid, make_flux, make_viscosity
-from visclab.viscous import (SchemeState, StepError, convective_face_flux,
-                             diffusive_face_flux, integrate, snapshot_times,
-                             stable_dt, step)
+from visclab.domain import Grid, make_flux, make_viscosity
+from visclab.viscous import (StepError, _make_advance, convective_face_flux,
+                             diffusive_face_flux, integrate, march,
+                             snapshot_times, stable_dt)
 
 
 def specs_1d(flux_name="burgers", interval=(-1.0, 1.0), a=1.0, visc="constant",
@@ -75,43 +75,45 @@ def test_diffusive_flux_values():
 
 # --- stepping ---------------------------------------------------------------
 
+def _step_grid(g, f, v, eps, steps=1):
+    """``g`` with its horizon cut to ``steps`` stable steps, and that step."""
+    dt = stable_dt(g, f, v, eps, 0.4)
+    return Grid(g.cells, g.lo, g.hi, steps * dt), dt
+
+
 def test_zero_state_is_fixed_point():
-    g = Grid((64,), (0.0,), (1.0,), 1.0)
     f, v = specs_1d()
-    st = SchemeState(Field(g, np.zeros(64)), 0.0, stable_dt(g, f, v, 0.1, 0.4),
-                     0.1, sup_bound=0.0)
-    out = step(st, f, v)
-    assert np.all(out.field.values == 0.0)
+    g, dt = _step_grid(Grid((64,), (0.0,), (1.0,), 1.0), f, v, 0.1)
+    out = integrate(g, np.zeros(64), f, v, 0.1, 0.4, np.array([0.0, dt]),
+                    sup_bound=0.0)
+    assert np.all(out.values[-1] == 0.0)
     assert out.steps_taken == 1
 
 
 def test_step_mass_balance_telescopes():
     # interior flux differences cancel; mass change equals boundary fluxes
-    g = Grid((128,), (0.0,), (1.0,), 1.0)
-    h = g.spacing[0]
     f, v = specs_1d()
+    g, dt = _step_grid(Grid((128,), (0.0,), (1.0,), 1.0), f, v, 0.05)
+    h = g.spacing[0]
     x = g.centers(0)
     u = np.where(np.abs(x - 0.5) < 0.2, (1 - ((x - 0.5) / 0.2) ** 2) ** 3, 0.0)
-    dt = stable_dt(g, f, v, 0.05, 0.4)
-    st = SchemeState(Field(g, u), 0.0, dt, 0.05, sup_bound=1.0)
-    out = step(st, f, v)
-    mass_change = (out.field.values.sum() - u.sum()) * h
+    out = integrate(g, u, f, v, 0.05, 0.4, np.array([0.0, dt]), sup_bound=1.0)
+    assert out.steps_taken == 1
+    mass_change = (out.values[-1].sum() - u.sum()) * h
     f_left = convective_face_flux(0.0, u[0], f) - diffusive_face_flux(0.0, u[0], v, 0.05, h)
     f_right = convective_face_flux(u[-1], 0.0, f) - diffusive_face_flux(u[-1], 0.0, v, 0.05, h)
     assert mass_change == pytest.approx(-dt * (f_right - f_left), abs=1e-12)
 
 
 def test_max_principle_hard_failure():
-    g = Grid((64,), (0.0,), (1.0,), 1.0)
+    g = Grid((64,), (0.0,), (1.0,), 2.5)
     f, v = specs_1d()
     x = g.centers(0)
     u = np.sin(np.pi * x)
     # grossly unstable step must trip the failure
-    st = SchemeState(Field(g, u), 0.0, 0.05, 0.5, sup_bound=1.0)
+    advance = _make_advance(g, f, v, 0.5, "euler")
     with pytest.raises(StepError, match="maximum principle"):
-        st2 = st
-        for _ in range(50):
-            st2 = step(st2, f, v)
+        march(g, u, snapshot_times(2.5, 50), advance, 0.05, 0.5, 1.0)
 
 
 def test_heat_decay_oracle():
@@ -195,16 +197,17 @@ def test_advection_diffusion_order():
 
 
 def test_heun_average_identity():
-    g = Grid((64,), (0.0,), (1.0,), 1.0)
     f, v = specs_1d()
+    g, dt = _step_grid(Grid((64,), (0.0,), (1.0,), 1.0), f, v, 0.05)
     u = _bump_on(g, 0.2)
-    dt = stable_dt(g, f, v, 0.05, 0.4)
-    st = SchemeState(Field(g, u), 0.0, dt, 0.05, sup_bound=1.0)
-    e1 = step(st, f, v, integrator="euler")
-    e2 = step(e1, f, v, integrator="euler")
-    heun = step(st, f, v, integrator="heun")
-    assert np.allclose(heun.field.values,
-                       0.5 * (u + e2.field.values), atol=1e-15)
+    # two Euler steps against one Heun step of the same length
+    e2 = integrate(g, u, f, v, 0.05, 0.4, np.array([0.0, dt, 2.0 * dt]),
+                   integrator="euler", sup_bound=1.0)
+    heun = integrate(g, u, f, v, 0.05, 0.4, np.array([0.0, dt]),
+                     integrator="heun", sup_bound=1.0)
+    assert e2.steps_taken == 2 and heun.steps_taken == 1
+    assert np.allclose(heun.values[-1],
+                       0.5 * (u + e2.values[-1]), atol=1e-15)
     assert heun.max_abs_seen <= 1.0 + 1e-12
 
 
