@@ -195,6 +195,11 @@ def build_scenario(config_text: str) -> ScenarioConfig:
     y_bins = parser.getint("scheme", "young_bins", fallback=64)
     ww_cells = parser.getint("scheme", "weak_window_cells", fallback=8)
     ww_snaps = parser.getint("scheme", "weak_window_snaps", fallback=8)
+    # weak windows may be ragged at the far edge, but never empty
+    for key, value in (("young_bins", y_bins), ("weak_window_cells", ww_cells),
+                       ("weak_window_snaps", ww_snaps)):
+        if value < 1:
+            raise ConfigError(f"scheme.{key} = {value} must be at least 1")
 
     outdir = _require(parser, "output", "directory")
 

@@ -10,6 +10,15 @@ operation order), so their outputs agree bit for bit; tests assert that
 against the loop twins run as plain Python, and against numba where it
 imports.
 
+Workspace convention: every kernel takes ``(..., out, work)``.  ``work`` comes
+from ``workspace(name, shape)``, built once per march for the state shape and
+passed unchanged on every call.  It holds the zero-bordered copy of the state
+(only its interior is written, so the ghost cells stay 0) and the buffers its
+location is written to, so a numpy step allocates neither: at 128x128,
+allocating them on every call makes the heap hand their pages back and fault
+them in again each step.  The result still goes to the caller's ``out``.  The
+loop twins accept ``work`` and ignore it.
+
 Backend selection: numba when available, unless ``VISCLAB_DISABLE_NUMBA`` is
 set.  ``benchmarks/bench_kernels.py`` times the two paths against each other.
 """
@@ -18,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +50,42 @@ def numba_enabled() -> bool:
 
 def active_backend() -> str:
     return "numba" if numba_enabled() else "numpy"
+
+
+# ---------------------------------------------------------------------------
+# per-march workspace
+
+
+class Padded(NamedTuple):
+    """A zero-bordered copy of the state and the buffers of its location.
+
+    Kernels write only the interior of ``ext``, so its border stays 0 (the
+    ghost cells); ``loc`` is the ``out`` of ``tables.locate`` for ``ext``.
+    """
+
+    ext: np.ndarray
+    loc: tuple
+
+
+def _padded(shape) -> Padded:
+    return Padded(np.zeros(shape), (np.empty(shape, np.int64),
+                                    np.empty(shape), np.empty(shape)))
+
+
+def workspace(name: str, shape) -> Padded | tuple:
+    """The trailing ``work`` argument of kernel ``name`` for states of ``shape``.
+
+    Build it once per march; every call on a state of that shape reuses it.
+    """
+    if name in ("visc_step_1d", "visc_step_2d"):
+        return _padded(tuple(n + 2 for n in shape))
+    if name == "godunov_step_1d":
+        return _padded((shape[0] + 2,) + shape[1:])
+    if name == "godunov_sweep_2d":
+        # the y sweep runs the axis-0 step on transposed views
+        nx, ny = shape
+        return _padded((nx + 2, ny)), _padded((ny + 2, nx))
+    raise KeyError(f"unknown kernel {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -67,12 +113,12 @@ def _viscous_flux(ext, loc, left, right, lo, inv, top, eop, eom, btab, eh):
     return flux
 
 
-def visc_step_1d_numpy(u, dt, h, eps, lo, inv, eop, eom, btab, out):
+def visc_step_1d_numpy(u, dt, h, eps, lo, inv, eop, eom, btab, out, work):
     """One forward-Euler step of the viscous balance, zero ghost cells."""
-    ext = np.zeros(u.shape[0] + 2)
+    ext = work.ext
     ext[1:-1] = u
     top = btab.shape[0] - 2.0
-    flux = _viscous_flux(ext, locate(lo, inv, top, ext), np.s_[:-1],
+    flux = _viscous_flux(ext, locate(lo, inv, top, ext, work.loc), np.s_[:-1],
                          np.s_[1:], lo, inv, top, eop, eom, btab, eps / h)
     d = flux[1:] - flux[:-1]
     d *= dt / h
@@ -81,12 +127,11 @@ def visc_step_1d_numpy(u, dt, h, eps, lo, inv, eop, eom, btab, out):
 
 
 def visc_step_2d_numpy(u, dt, hx, hy, eps, lo, inv,
-                       eopx, eomx, eopy, eomy, btab, out):
-    nx, ny = u.shape
-    ext = np.zeros((nx + 2, ny + 2))
+                       eopx, eomx, eopy, eomy, btab, out, work):
+    ext = work.ext
     ext[1:-1, 1:-1] = u
     top = btab.shape[0] - 2.0
-    loc = locate(lo, inv, top, ext)
+    loc = locate(lo, inv, top, ext, work.loc)
     fx = _viscous_flux(ext, loc, np.s_[:-1, 1:-1], np.s_[1:, 1:-1],
                        lo, inv, top, eopx, eomx, btab, eps / hx)
     fy = _viscous_flux(ext, loc, np.s_[1:-1, :-1], np.s_[1:-1, 1:],
@@ -100,14 +145,14 @@ def visc_step_2d_numpy(u, dt, hx, hy, eps, lo, inv,
     return out
 
 
-def godunov_step_1d_numpy(u, dt, h, lo, inv, ftab, crit_y, crit_f, out):
+def godunov_step_1d_numpy(u, dt, h, lo, inv, ftab, crit_y, crit_f, out, work):
     """Conservative Godunov step along axis 0, zero ghost cells.
 
     On a 2-D state each column is updated as an independent 1-D problem.
     """
-    ext = np.zeros((u.shape[0] + 2,) + u.shape[1:])
+    ext = work.ext
     ext[1:-1] = u
-    f = lookup(ftab, locate(lo, inv, ftab.shape[0] - 2.0, ext))
+    f = lookup(ftab, locate(lo, inv, ftab.shape[0] - 2.0, ext, work.loc))
     ul, ur = ext[:-1], ext[1:]
     fl, fr = f[:-1], f[1:]
     gmin = np.minimum(fl, fr)
@@ -122,16 +167,19 @@ def godunov_step_1d_numpy(u, dt, h, lo, inv, ftab, crit_y, crit_f, out):
     return out
 
 
-def godunov_sweep_2d_numpy(u, dt, h, axis, lo, inv, ftab, crit_y, crit_f, out):
+def godunov_sweep_2d_numpy(u, dt, h, axis, lo, inv, ftab, crit_y, crit_f,
+                           out, work):
     """One conservative Godunov sweep along ``axis`` of a 2-D state."""
     if axis == 0:
-        return godunov_step_1d_numpy(u, dt, h, lo, inv, ftab, crit_y, crit_f, out)
-    godunov_step_1d_numpy(u.T, dt, h, lo, inv, ftab, crit_y, crit_f, out.T)
+        return godunov_step_1d_numpy(u, dt, h, lo, inv, ftab, crit_y, crit_f,
+                                     out, work[0])
+    godunov_step_1d_numpy(u.T, dt, h, lo, inv, ftab, crit_y, crit_f, out.T,
+                          work[1])
     return out
 
 
 # ---------------------------------------------------------------------------
-# loop twins (numba-compiled when available)
+# loop twins (numba-compiled when available); they take ``work`` and ignore it
 
 
 def _interp_scalar(tab, lo, inv, u):
@@ -146,7 +194,7 @@ def _interp_scalar(tab, lo, inv, u):
     return tab[ki] + frac * (tab[ki + 1] - tab[ki])
 
 
-def _visc_step_1d_loops(u, dt, h, eps, lo, inv, eop, eom, btab, out):
+def _visc_step_1d_loops(u, dt, h, eps, lo, inv, eop, eom, btab, out, work):
     n = u.shape[0]
     epsh = eps / h
     lam = dt / h
@@ -164,7 +212,7 @@ def _visc_step_1d_loops(u, dt, h, eps, lo, inv, eop, eom, btab, out):
 
 
 def _visc_step_2d_loops(u, dt, hx, hy, eps, lo, inv,
-                        eopx, eomx, eopy, eomy, btab, out):
+                        eopx, eomx, eopy, eomy, btab, out, work):
     nx, ny = u.shape
     lamx = dt / hx
     lamy = dt / hy
@@ -217,7 +265,7 @@ def _godunov_face_scalar(ul, ur, lo, inv, ftab, crit_y, crit_f):
     return g
 
 
-def _godunov_step_1d_loops(u, dt, h, lo, inv, ftab, crit_y, crit_f, out):
+def _godunov_step_1d_loops(u, dt, h, lo, inv, ftab, crit_y, crit_f, out, work):
     n = u.shape[0]
     lam = dt / h
     fprev = 0.0
@@ -231,7 +279,8 @@ def _godunov_step_1d_loops(u, dt, h, lo, inv, ftab, crit_y, crit_f, out):
     return out
 
 
-def _godunov_sweep_2d_loops(u, dt, h, axis, lo, inv, ftab, crit_y, crit_f, out):
+def _godunov_sweep_2d_loops(u, dt, h, axis, lo, inv, ftab, crit_y, crit_f,
+                            out, work):
     nx, ny = u.shape
     lam = dt / h
     if axis == 0:

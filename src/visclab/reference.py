@@ -49,16 +49,18 @@ def solve_reference(grid: Grid, flux: FluxSpec, visc: ViscositySpec,
     lat = flux.lattice
     if grid.dim == 1:
         k1 = kernels.get_kernel("godunov_step_1d", backend)
+        work = kernels.workspace("godunov_step_1d", grid.cells)
         tab = flux.tables[0]
         h = grid.spacing[0]
 
         def advance(u, dt):
             out = np.empty_like(u)
             k1(u, dt, h, lat.lo, lat.inv_spacing, tab.f, tab.crit_y,
-               tab.crit_f, out)
+               tab.crit_f, out, work)
             return out
     else:
         k2 = kernels.get_kernel("godunov_sweep_2d", backend)
+        work = kernels.workspace("godunov_sweep_2d", grid.cells)
         tx, ty = flux.tables[0], flux.tables[1]
         hx, hy = grid.spacing
 
@@ -66,12 +68,12 @@ def solve_reference(grid: Grid, flux: FluxSpec, visc: ViscositySpec,
             # Strang: half sweep in x, full sweep in y, half sweep in x
             out = np.empty_like(u)
             k2(u, 0.5 * dt, hx, 0, lat.lo, lat.inv_spacing, tx.f,
-               tx.crit_y, tx.crit_f, out)
+               tx.crit_y, tx.crit_f, out, work)
             u2 = np.empty_like(u)
             k2(out, dt, hy, 1, lat.lo, lat.inv_spacing, ty.f,
-               ty.crit_y, ty.crit_f, u2)
+               ty.crit_y, ty.crit_f, u2, work)
             k2(u2, 0.5 * dt, hx, 0, lat.lo, lat.inv_spacing, tx.f,
-               tx.crit_y, tx.crit_f, out)
+               tx.crit_y, tx.crit_f, out, work)
             return out
 
     return march(grid, u0, snapshot_times, advance,

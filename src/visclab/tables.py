@@ -41,20 +41,27 @@ class TableLattice:
         return np.linspace(self.lo, self.hi, self.n)
 
 
-def locate(lo: float, inv: float, top: float, u: np.ndarray):
+def locate(lo: float, inv: float, top: float, u: np.ndarray, out=None):
     """Table panel of each value of ``u``: ``(k, frac)``.
 
     ``k`` is the panel's first node and ``top`` the last such index
     (nodes - 2); values outside [lo, hi] fall in the end panels.  One location
     serves every table on the same lattice, so callers locate a state once
-    and ``lookup`` many tables.
+    and ``lookup`` many tables.  ``out``, when given, is ``(k, frac, scratch)``
+    of ``u``'s shape (int64, float64, float64) and receives the result;
+    ``scratch`` holds the float panel index.
     """
-    s = (u - lo) * inv
-    k = np.floor(s)
+    k, s, kf = (None, None, None) if out is None else out
+    s = np.subtract(u, lo, out=s)
+    s *= inv
+    kf = np.floor(s, out=kf)
     # np.clip, spelled as its two ufuncs: its wrapper dominates on small arrays
-    np.minimum(np.maximum(k, 0.0, out=k), top, out=k)
-    np.subtract(s, k, out=s)
-    return k.astype(np.int64), s
+    np.minimum(np.maximum(kf, 0.0, out=kf), top, out=kf)
+    s -= kf
+    if k is None:
+        return kf.astype(np.int64), s
+    k[...] = kf
+    return k, s
 
 
 def lookup(tab: np.ndarray, loc) -> np.ndarray:

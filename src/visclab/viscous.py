@@ -62,23 +62,26 @@ def diffusive_face_flux(uL: float, uR: float, visc: ViscositySpec, eps: float,
 
 def _make_advance(grid: Grid, flux: FluxSpec, visc: ViscositySpec, eps: float,
                   integrator: str, backend=None):
-    """The member's update ``advance(u, dt) -> new u``, set up once per march."""
+    """The member's update ``advance(u, dt) -> new u``, set up once per march
+    together with the kernel's workspace."""
     lat = flux.lattice
     tabs = flux.tables
     if grid.dim == 1:
-        kernel = kernels.get_kernel("visc_step_1d", backend)
+        name = "visc_step_1d"
         args = (grid.spacing[0], eps, lat.lo, lat.inv_spacing,
                 tabs[0].eo_plus, tabs[0].eo_minus, visc.table)
     else:
-        kernel = kernels.get_kernel("visc_step_2d", backend)
+        name = "visc_step_2d"
         hx, hy = grid.spacing
         args = (hx, hy, eps, lat.lo, lat.inv_spacing,
                 tabs[0].eo_plus, tabs[0].eo_minus,
                 tabs[1].eo_plus, tabs[1].eo_minus, visc.table)
+    kernel = kernels.get_kernel(name, backend)
+    work = kernels.workspace(name, grid.cells)
 
     def euler(u, dt):
         out = np.empty_like(u)
-        kernel(u, dt, *args, out)
+        kernel(u, dt, *args, out, work)
         return out
 
     if integrator == "euler":
@@ -106,7 +109,8 @@ def march(grid: Grid, u0: np.ndarray, times: np.ndarray, advance,
             t += dt
             steps += 1
             m = float(np.abs(u).max())
-            if m > sup_bound + MAX_PRINCIPLE_HARD:
+            # written so that a NaN maximum fails too
+            if not m <= sup_bound + MAX_PRINCIPLE_HARD:
                 raise StepError(
                     f"discrete maximum principle violated: |u| = {m} > "
                     f"{sup_bound} at step {steps}, t = {t}",

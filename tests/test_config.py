@@ -101,3 +101,12 @@ def test_unknown_viscosity_preset_rejected():
     bad = MINIMAL.replace("[ladder]", "[viscosity]\npreset = honey\n[ladder]")
     with pytest.raises(ConfigError, match="viscosity.preset"):
         build_scenario(bad)
+
+
+@pytest.mark.parametrize("key, value", [("weak_window_cells", 0),
+                                        ("weak_window_snaps", -1),
+                                        ("young_bins", 0)])
+def test_window_and_bin_counts_must_be_positive(key, value):
+    bad = MINIMAL.replace("[scheme]", f"[scheme]\n{key} = {value}")
+    with pytest.raises(ConfigError, match=key):
+        build_scenario(bad)

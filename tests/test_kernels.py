@@ -45,8 +45,9 @@ def test_visc_1d_backends_bit_identical(setup, kind):
             flux.tables[0].eo_plus, flux.tables[0].eo_minus, visc.table)
     a = np.empty_like(u)
     b = np.empty_like(u)
-    kernels.visc_step_1d_numpy(u, *args, a)
-    twin(kind, "visc_step_1d")(u, *args, b)
+    work = kernels.workspace("visc_step_1d", u.shape)
+    kernels.visc_step_1d_numpy(u, *args, a, work)
+    twin(kind, "visc_step_1d")(u, *args, b, work)
     assert np.array_equal(a, b)
 
 
@@ -61,8 +62,9 @@ def test_visc_2d_backends_bit_identical(setup, kind):
             flux.tables[1].eo_plus, flux.tables[1].eo_minus, visc.table)
     a = np.empty_like(u)
     b = np.empty_like(u)
-    kernels.visc_step_2d_numpy(u, *args, a)
-    twin(kind, "visc_step_2d")(u, *args, b)
+    work = kernels.workspace("visc_step_2d", u.shape)
+    kernels.visc_step_2d_numpy(u, *args, a, work)
+    twin(kind, "visc_step_2d")(u, *args, b, work)
     assert np.array_equal(a, b)
 
 
@@ -76,20 +78,85 @@ def test_godunov_backends_bit_identical(setup, kind):
             tab.crit_f)
     a = np.empty_like(u)
     b = np.empty_like(u)
-    kernels.godunov_step_1d_numpy(u, *args, a)
-    twin(kind, "godunov_step_1d")(u, *args, b)
+    work = kernels.workspace("godunov_step_1d", u.shape)
+    kernels.godunov_step_1d_numpy(u, *args, a, work)
+    twin(kind, "godunov_step_1d")(u, *args, b, work)
     assert np.array_equal(a, b)
     u2 = rng.uniform(-0.99, 0.99, (20, 30))
+    work = kernels.workspace("godunov_sweep_2d", u2.shape)
     for axis, h in ((0, 1 / 20), (1, 1 / 30)):
         a2 = np.empty_like(u2)
         b2 = np.empty_like(u2)
         kernels.godunov_sweep_2d_numpy(u2, 0.1 * h, h, axis, lat.lo,
                                        lat.inv_spacing, tab.f, tab.crit_y,
-                                       tab.crit_f, a2)
+                                       tab.crit_f, a2, work)
         twin(kind, "godunov_sweep_2d")(u2, 0.1 * h, h, axis, lat.lo,
                                        lat.inv_spacing, tab.f, tab.crit_y,
-                                       tab.crit_f, b2)
+                                       tab.crit_f, b2, work)
         assert np.array_equal(a2, b2)
+
+
+def _oracle_args(flux, visc, name, shape):
+    """Arguments between the state and ``out``, as in the oracle cases above."""
+    lat = flux.lattice
+    t0, t1 = flux.tables[0], flux.tables[1]
+    h = 1 / shape[-1]
+    if name == "visc_step_1d":
+        return (h * h, h, 0.05, lat.lo, lat.inv_spacing, t0.eo_plus,
+                t0.eo_minus, visc.table)
+    if name == "visc_step_2d":
+        return (0.1 * h * h, h, h, 0.03, lat.lo, lat.inv_spacing, t0.eo_plus,
+                t0.eo_minus, t1.eo_plus, t1.eo_minus, visc.table)
+    return (0.2 * h, h, lat.lo, lat.inv_spacing, t0.f, t0.crit_y, t0.crit_f)
+
+
+def _step(fn, flux, visc, name, u, work):
+    """One call of kernel ``fn``; the 2-D Godunov sweep runs x then y."""
+    args = _oracle_args(flux, visc, name, u.shape)
+    if name != "godunov_sweep_2d":
+        out = np.empty_like(u)
+        fn(u, *args, out, work)
+        return out
+    dt, h, rest = args[0], args[1], args[2:]
+    mid, out = np.empty_like(u), np.empty_like(u)
+    fn(u, dt, h, 0, *rest, mid, work)
+    fn(mid, dt, h, 1, *rest, out, work)
+    return out
+
+
+@pytest.mark.parametrize("kind", TWINS)
+@pytest.mark.parametrize("name", list(LOOPS))
+def test_reused_workspace_holds_no_stale_state(setup, kind, name):
+    """One workspace, reused over states in either order, gives what a fresh
+    one and the loop twin give, and its ghost border stays 0."""
+    flux, visc, _ = setup
+    shape = (300,) if name.endswith("1d") else (24, 40)
+    rng = np.random.default_rng(7)
+    # a and b vanish near the boundary, like the solvers' states; c does not
+    inner = tuple(slice(2, -2) for _ in shape)
+    a, b = np.zeros(shape), np.zeros(shape)
+    a[inner] = rng.uniform(-0.99, 0.99, a[inner].shape)
+    b[inner] = rng.uniform(-0.5, 0.9, b[inner].shape)
+    c = rng.uniform(-0.99, 0.99, shape)
+    states = {"a": a, "b": b, "c": c}
+    numpy_fn = kernels.KERNELS["numpy"][name]
+    expect = {}
+    for key, u in states.items():
+        expect[key] = _step(twin(kind, name), flux, visc, name, u,
+                            kernels.workspace(name, shape))
+        fresh = _step(numpy_fn, flux, visc, name, u,
+                      kernels.workspace(name, shape))
+        assert np.array_equal(fresh, expect[key])
+    for order in ("abc", "bac"):
+        work = kernels.workspace(name, shape)
+        for key in order:
+            got = _step(numpy_fn, flux, visc, name, states[key], work)
+            assert np.array_equal(got, expect[key]), (order, key)
+        # the viscous kernels pad every axis, the Godunov step axis 0
+        axes = range(len(shape)) if name.startswith("visc") else (0,)
+        for pad in (work if name == "godunov_sweep_2d" else (work,)):
+            for ax in axes:
+                assert not pad.ext.take([0, -1], axis=ax).any()
 
 
 def test_env_flag_forces_numpy():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from visclab.tables import (TableLattice, adaptive_panel_integrals,
-                            critical_nodes, cumulative_table, interp,
+                            critical_nodes, cumulative_table, interp, locate,
                             monotone_envelope)
 
 
@@ -55,3 +55,18 @@ def test_critical_nodes_burgers():
     assert 1 <= crit_y.size <= 2
     assert np.all(np.abs(crit_y) < 1e-3)
     assert np.all(crit_f < 1e-6)
+
+
+def test_locate_into_buffers_matches_allocating():
+    # in range, on nodes, at both ends and outside: the end panels extrapolate
+    lat = TableLattice(-1.0, 1.0, 64)
+    u = np.array([[-1.5, -1.0, -0.3], [0.0, 0.7, 1.0], [1.2, 0.999, 3.0]])
+    top = lat.n - 2.0
+    k, frac = locate(lat.lo, lat.inv_spacing, top, u)
+    buf = (np.full(u.shape, -7, np.int64), np.full(u.shape, np.nan),
+           np.full(u.shape, np.nan))
+    kb, fb = locate(lat.lo, lat.inv_spacing, top, u, out=buf)
+    assert kb is buf[0] and fb is buf[1]
+    assert k.dtype == kb.dtype == np.int64
+    assert np.array_equal(k, kb) and np.array_equal(frac, fb)
+    assert k.min() == 0 and k.max() == top

@@ -116,6 +116,21 @@ def test_max_principle_hard_failure():
         march(g, u, snapshot_times(2.5, 50), advance, 0.05, 0.5, 1.0)
 
 
+def test_max_principle_guard_rejects_nan():
+    # a NaN maximum compares False with the bound; the guard must still fail
+    g = Grid((16,), (0.0,), (1.0,), 1.0)
+    u = np.zeros(16)
+
+    def advance(u, dt):
+        out = u.copy()
+        out[3] = np.nan
+        return out
+
+    with pytest.raises(StepError, match="maximum principle") as info:
+        march(g, u, snapshot_times(1.0, 10), advance, 0.1, 0.1, 1.0)
+    assert info.value.step == 1
+
+
 def test_heat_decay_oracle():
     # f = 0, B = 1: closed-form decay exp(-eps pi^2 t) of the sine mode
     n, eps, T = 200, 0.1, 1.0
