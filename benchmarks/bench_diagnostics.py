@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Time and transient memory of each diagnostic instrument on a stored run.
+
+Each run directory given (written by ``visclab run``, for example of
+scenarios/burgers1d.cfg and scenarios/burgers2d.cfg) is loaded the way
+``visclab verify`` loads it.  Every instrument then runs once untraced, for
+its wall time, and once under ``tracemalloc``, for the peak of memory it
+allocates above what was live before the call.  The peak is printed in MB and
+in copies of one space-time field (snapshots x cells x 8 bytes), which is the
+unit the per-snapshot blocking of ``compactness`` is judged in.
+
+Per-pair instruments run on the finest member and print the slowest pair's
+time and the largest pair's peak; ``member_diagnostics`` runs on the finest
+member; ``assess`` runs on the whole ladder and the reference.
+
+Usage: PYTHONPATH=src python benchmarks/bench_diagnostics.py RUNDIR [RUNDIR ...]
+"""
+
+import argparse
+import time
+import tracemalloc
+from pathlib import Path
+
+from visclab import harness
+from visclab.compactness import (attach_c_field, build_compensated_quad,
+                                 compensated_D_field, decompose_production,
+                                 time_derivative_l1)
+
+MB = 1024.0 * 1024.0
+
+
+def measure(fn):
+    """(seconds of one untraced call, traced peak in bytes of another)."""
+    t0 = time.perf_counter()
+    fn()
+    seconds = time.perf_counter() - t0
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return seconds, peak
+
+
+def instruments(cfg, specs, trajs, reference):
+    """``(name, [calls])``; a row reports the slowest call and largest peak."""
+    finest = trajs[-1]
+    rows = [("decompose_production",
+             [lambda p=p: decompose_production(finest, p, specs.visc,
+                                               finest.epsilon)
+              for p in specs.pairs]),
+            ("time_derivative_l1", [lambda: time_derivative_l1(finest)]),
+            ("young_histograms",
+             [lambda: harness._young_histograms(cfg, specs, finest)])]
+    if cfg.dim == 2:
+        bare = build_compensated_quad(specs.flux, cfg.quadrature_tol)
+        window = harness._weak_window(cfg)
+        quad = attach_c_field(bare, finest, window)
+        rows.append(("attach_c_field",
+                     [lambda: attach_c_field(bare, finest, window)]))
+        rows.append(("compensated_D_field",
+                     [lambda: compensated_D_field(finest, quad)]))
+    rows.append(("member_diagnostics",
+                 [lambda: harness.member_diagnostics(cfg, specs, finest)]))
+    members = [harness.member_diagnostics(cfg, specs, t) for t in trajs]
+    rows.append(("assess",
+                 [lambda: harness.assess(cfg, specs, members, trajs,
+                                         reference)]))
+    return rows
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("rundirs", nargs="+", type=Path)
+    args = ap.parse_args()
+    for rundir in args.rundirs:
+        _manifest, cfg, specs, trajs, reference = harness._load_run(rundir)
+        field = trajs[-1].values.nbytes
+        print(f"{rundir}: {len(trajs)} members, field "
+              f"{'x'.join(map(str, trajs[-1].values.shape))} = "
+              f"{field / MB:.2f} MB")
+        print(f"  {'instrument':<22} {'calls':>5} {'s (max)':>9} "
+              f"{'peak MB':>9} {'fields':>7}")
+        for name, calls in instruments(cfg, specs, trajs, reference):
+            results = [measure(fn) for fn in calls]
+            seconds = max(s for s, _p in results)
+            peak = max(p for _s, p in results)
+            print(f"  {name:<22} {len(calls):>5} {seconds:>9.4f} "
+                  f"{peak / MB:>9.2f} {peak / field:>7.2f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -24,6 +24,28 @@ from .tables import TableLattice
 
 
 # ---------------------------------------------------------------------------
+# snapshot blocks
+
+
+# Per-snapshot work (elementwise maps and stencils inside one snapshot) runs
+# on blocks of whole snapshots of about this many bytes, written into
+# preallocated full-size outputs, so only one block's temporaries are live at
+# a time.  Reductions and transforms still run on the full arrays, so every
+# value is the one a single block gives.  At 256 KB a block's dozen or so
+# temporaries stay small enough for the heap to reuse their pages, where 1 MB
+# blocks had them faulted in afresh (verify of the 2-D scenario: about 100k
+# against 225k minor faults), and a 65 x 400 1-D field is still one block.
+BLOCK_BYTES = 1 << 18
+
+
+def _snapshot_blocks(values: np.ndarray) -> list[slice]:
+    """Consecutive slices of whole snapshots, each about BLOCK_BYTES."""
+    n = values.shape[0]
+    per = max(1, BLOCK_BYTES // max(1, values[0].nbytes))
+    return [slice(a, min(a + per, n)) for a in range(0, n, per)]
+
+
+# ---------------------------------------------------------------------------
 # entropy production
 
 
@@ -91,14 +113,26 @@ def decompose_production(traj: FieldTrajectory, pair: EntropyPair,
         raise ValueError("the split is defined for positive viscosity")
     grid = traj.grid
     u = traj.values
-    eta_u = np.asarray(pair.eta(u), dtype=np.float64)
     eta_ghost = float(np.asarray(pair.eta(0.0)))
     A = np.zeros_like(u)
     M = np.zeros_like(u)
+    for blk in _snapshot_blocks(u):
+        _split_block(u[blk], pair, visc, eps, grid.spacing, eta_ghost,
+                     A[blk], M[blk])
+    fa = SpaceTimeField(grid, traj.times, A)
+    fm = SpaceTimeField(grid, traj.times, M)
+    return EntropyProductionSplit(eps, fa, fm, h_minus_one_norm(fa),
+                                  measure_norm(fm))
+
+
+def _split_block(u: np.ndarray, pair: EntropyPair, visc: ViscositySpec,
+                 eps: float, spacing, eta_ghost: float, A: np.ndarray,
+                 M: np.ndarray) -> None:
+    """A and M of the snapshots ``u``, accumulated into the zeroed ``A``, ``M``."""
+    eta_u = np.asarray(pair.eta(u), dtype=np.float64)
     b_of_u = np.asarray(visc.B(u), dtype=np.float64)
     etapp_u = np.asarray(pair.etapp(u), dtype=np.float64)
-    for axis in range(grid.dim):
-        h = grid.spacing[axis]
+    for axis, h in enumerate(spacing):
         ax = axis + 1
         ext_shape = list(u.shape)
         ext_shape[ax] += 2
@@ -122,11 +156,9 @@ def decompose_production(traj: FieldTrajectory, pair: EntropyPair,
         A += eps * (face[tuple(fh)] - face[tuple(fl)]) / h
         gc = _centered_space(u, ax, h, 0.0)
         M += b_of_u * gc * gc
-    M = -eps * M * etapp_u
-    fa = SpaceTimeField(grid, traj.times, A)
-    fm = SpaceTimeField(grid, traj.times, M)
-    return EntropyProductionSplit(eps, fa, fm, h_minus_one_norm(fa),
-                                  measure_norm(fm))
+    # the factors of -eps M eta''(u) in the order that product evaluates them
+    M *= -eps
+    M *= etapp_u
 
 
 def time_derivative_l1(traj: FieldTrajectory) -> float:
@@ -373,7 +405,10 @@ def choose_c(f11_bar: np.ndarray, quad: CompensatedQuad) -> tuple[np.ndarray, in
 def attach_c_field(quad: CompensatedQuad, finest: FieldTrajectory,
                    window: tuple[int, ...]) -> CompensatedQuad:
     """Fix the comparison field c from coarse-window averages of the finest member."""
-    f11_u = tables.interp(quad.lattice, quad.F11, finest.values)
+    u = finest.values
+    f11_u = np.empty_like(u)
+    for blk in _snapshot_blocks(u):
+        f11_u[blk] = tables.interp(quad.lattice, quad.F11, u[blk])
     f11_bar = _block_means(f11_u, window)
     c_field, clamped = choose_c(f11_bar, quad)
     return CompensatedQuad(quad.lattice, quad.F11, quad.F12, quad.F22,
@@ -389,11 +424,23 @@ def compensated_D_field(traj: FieldTrajectory, quad: CompensatedQuad) -> SpaceTi
         raise ValueError("attach_c_field must run before evaluating D")
     lat = quad.lattice
     u = traj.values
-    c = _block_expand(quad.c_field, quad.window, u.shape)
-    d11 = tables.interp(lat, quad.F11, u) - tables.interp(lat, quad.F11, c)
-    d22 = tables.interp(lat, quad.F22, u) - tables.interp(lat, quad.F22, c)
-    d12 = tables.interp(lat, quad.F12, u) - tables.interp(lat, quad.F12, c)
-    return SpaceTimeField(traj.grid, traj.times, d11 * d22 - d12 * d12)
+    # F(c) on the coarse time lattice, expanded in space only; the snapshot
+    # t of u lies in coarse time window t // w
+    w = quad.window[0]
+    coarse = (quad.c_field.shape[0],) + u.shape[1:]
+    c = _block_expand(quad.c_field, (1,) + quad.window[1:], coarse)
+    f11_c = tables.interp(lat, quad.F11, c)
+    f22_c = tables.interp(lat, quad.F22, c)
+    f12_c = tables.interp(lat, quad.F12, c)
+    D = np.empty_like(u)
+    for blk in _snapshot_blocks(u):
+        ub = u[blk]
+        rows = np.arange(blk.start, blk.stop) // w
+        d11 = tables.interp(lat, quad.F11, ub) - f11_c[rows]
+        d22 = tables.interp(lat, quad.F22, ub) - f22_c[rows]
+        d12 = tables.interp(lat, quad.F12, ub) - f12_c[rows]
+        np.subtract(d11 * d22, d12 * d12, out=D[blk])
+    return SpaceTimeField(traj.grid, traj.times, D)
 
 
 def compensated_D(traj: FieldTrajectory, quad: CompensatedQuad) -> float:

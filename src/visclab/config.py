@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field
 
 from .domain import FLUX_PRESETS, VISCOSITY_PRESETS
@@ -83,8 +84,25 @@ class ScenarioConfig:
         return min(margins)
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
+def _float(text: str, key: str) -> float:
+    """One finite real; ``key`` names it in the error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{key} = {text.strip()!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} = {text.strip()!r} must be finite")
+    return value
+
+
+def _floats(text: str, key: str) -> tuple[float, ...]:
+    return tuple(_float(tok, key) for tok in text.split(",") if tok.strip() != "")
+
+
+def _getfloat(parser, section, key, fallback: float) -> float:
+    if not parser.has_option(section, key):
+        return fallback
+    return _float(parser.get(section, key), f"{section}.{key}")
 
 
 def _require(parser, section, key):
@@ -103,7 +121,8 @@ def build_scenario(config_text: str) -> ScenarioConfig:
     dim = parser.getint("grid", "dimension", fallback=1)
     if dim not in (1, 2):
         raise ConfigError("grid.dimension must be 1 or 2")
-    cells = tuple(int(v) for v in _floats(_require(parser, "grid", "cells")))
+    cells = tuple(int(v) for v in _floats(_require(parser, "grid", "cells"),
+                                           "grid.cells"))
     if len(cells) == 1 and dim == 2:
         cells = cells * 2
     if len(cells) != dim or any(c <= 0 for c in cells):
@@ -116,12 +135,13 @@ def build_scenario(config_text: str) -> ScenarioConfig:
         raise ConfigError("grid.extent must give one lo,hi pair per axis")
     lo, hi = [], []
     for p in pieces:
-        vals = _floats(p)
+        vals = _floats(p, "grid.extent")
         if len(vals) != 2 or vals[1] <= vals[0]:
             raise ConfigError("grid.extent pairs must be lo,hi with lo < hi")
         lo.append(vals[0])
         hi.append(vals[1])
-    time_horizon = float(_require(parser, "grid", "time_horizon"))
+    time_horizon = _float(_require(parser, "grid", "time_horizon"),
+                          "grid.time_horizon")
     if time_horizon <= 0:
         raise ConfigError("grid.time_horizon must be positive")
 
@@ -133,28 +153,29 @@ def build_scenario(config_text: str) -> ScenarioConfig:
     for name in flux_names:
         if name not in FLUX_PRESETS:
             raise ConfigError(f"unknown flux.preset {name!r}")
-    flux_a = parser.getfloat("flux", "a", fallback=1.0)
+    flux_a = _getfloat(parser, "flux", "a", 1.0)
 
     visc_name = parser.get("viscosity", "preset", fallback="constant")
     if visc_name not in VISCOSITY_PRESETS:
         raise ConfigError(f"unknown viscosity.preset {visc_name!r}")
-    visc_b = parser.getfloat("viscosity", "b", fallback=1.0)
-    visc_r = parser.getfloat("viscosity", "r", fallback=1.0)
+    visc_b = _getfloat(parser, "viscosity", "b", 1.0)
+    visc_r = _getfloat(parser, "viscosity", "r", 1.0)
 
     init_name = _require(parser, "initial", "preset")
-    center = _floats(parser.get("initial", "center", fallback="0.5"))
+    center = _floats(parser.get("initial", "center", fallback="0.5"),
+                     "initial.center")
     if len(center) == 1 and dim == 2:
         center = center * 2
     if len(center) != dim:
         raise ConfigError("initial.center needs one value per axis")
-    init_width = parser.getfloat("initial", "width", fallback=0.25)
-    init_amp = parser.getfloat("initial", "amplitude", fallback=1.0)
-    init_amp2 = parser.getfloat("initial", "amplitude2", fallback=-init_amp)
-    init_sep = parser.getfloat("initial", "separation", fallback=2.0 * init_width)
+    init_width = _getfloat(parser, "initial", "width", 0.25)
+    init_amp = _getfloat(parser, "initial", "amplitude", 1.0)
+    init_amp2 = _getfloat(parser, "initial", "amplitude2", -init_amp)
+    init_sep = _getfloat(parser, "initial", "separation", 2.0 * init_width)
     if init_width <= 0:
         raise ConfigError("initial.width must be positive")
 
-    ladder = _floats(_require(parser, "ladder", "epsilons"))
+    ladder = _floats(_require(parser, "ladder", "epsilons"), "ladder.epsilons")
     if len(ladder) == 0 or any(e <= 0 for e in ladder):
         raise ConfigError("ladder.epsilons must be positive")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
@@ -163,17 +184,17 @@ def build_scenario(config_text: str) -> ScenarioConfig:
     if width_txt.strip() == "match":
         widths = ladder
     else:
-        widths = _floats(width_txt)
+        widths = _floats(width_txt, "ladder.mollifier_width")
         if len(widths) == 1:
             widths = widths * len(ladder)
         if len(widths) != len(ladder) or any(w <= 0 for w in widths):
             raise ConfigError("ladder.mollifier_width must be 'match', one "
                               "positive value, or one per epsilon")
 
-    cfl = parser.getfloat("scheme", "cfl", fallback=DEFAULT_CFL)
+    cfl = _getfloat(parser, "scheme", "cfl", DEFAULT_CFL)
     if not 0.0 < cfl < 1.0:
         raise ConfigError("scheme.cfl must lie in (0, 1)")
-    tol = parser.getfloat("scheme", "quadrature_tol", fallback=DEFAULT_TOL)
+    tol = _getfloat(parser, "scheme", "quadrature_tol", DEFAULT_TOL)
     if tol <= 0:
         raise ConfigError("scheme.quadrature_tol must be positive")
     integrator = parser.get("scheme", "integrator", fallback="euler")
@@ -183,7 +204,7 @@ def build_scenario(config_text: str) -> ScenarioConfig:
     if snapshots < 2:
         raise ConfigError("scheme.snapshots must be at least 2")
     kr_count = parser.getint("scheme", "kruzkov_count", fallback=5)
-    kr_delta = parser.getfloat("scheme", "kruzkov_delta", fallback=1e-3)
+    kr_delta = _getfloat(parser, "scheme", "kruzkov_delta", 1e-3)
     yw_cells = parser.getint("scheme", "young_window_cells", fallback=8)
     yw_snaps = parser.getint("scheme", "young_window_snaps", fallback=13)
     if yw_cells <= 0 or any(c % yw_cells for c in cells):

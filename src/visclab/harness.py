@@ -89,6 +89,8 @@ def member_diagnostics(cfg: ScenarioConfig, specs: RuntimeSpecs,
     for pair in specs.pairs:
         split = decompose_production(traj, pair, specs.visc, traj.epsilon)
         m.entropy[pair.name] = (split.h1_norm_A, split.measure_norm_M)
+        # keep the norms only: this pair's A and M go before the next pair's
+        del split
     m.ut_l1 = time_derivative_l1(traj)
     m.young = _young_histograms(cfg, specs, traj)
     m.dirac = dirac_concentration(m.young)
@@ -106,13 +108,16 @@ def member_diagnostics(cfg: ScenarioConfig, specs: RuntimeSpecs,
     return m
 
 
-def _member_worker(args):
-    config_text, eps, width, backend = args
-    cfg = build_scenario(config_text)
-    specs = build_runtime(cfg)
+def _solve_and_diagnose(cfg: ScenarioConfig, specs: RuntimeSpecs, eps: float,
+                        width: float, backend):
     traj = solve_member(cfg, specs, eps, width, backend)
-    diag = member_diagnostics(cfg, specs, traj)
-    return eps, traj, diag
+    return eps, traj, member_diagnostics(cfg, specs, traj)
+
+
+def _member_worker(args):
+    """One member in a pool process, which builds its own runtime."""
+    cfg, eps, width, backend = args
+    return _solve_and_diagnose(cfg, build_runtime(cfg), eps, width, backend)
 
 
 @dataclass
@@ -145,6 +150,7 @@ def assess(cfg: ScenarioConfig, specs: RuntimeSpecs,
             dfield = compensated_D_field(traj, quad)
             m.d_mean = float(np.mean(dfield.values))
             m.d_min = float(np.min(dfield.values))
+            del dfield
     conv = None
     if reference is not None:
         ref_hset = _young_histograms(cfg, specs, reference)
@@ -208,11 +214,11 @@ def run_ladder(cfg: ScenarioConfig, outdir: str | Path | None = None,
     members: list[MemberDiagnostics] = []
     trajs: dict[float, FieldTrajectory] = {}
     failures = 0
-    tasks = [(raw, eps, width, backend)
-             for eps, width in zip(cfg.ladder, cfg.mollifier_widths)]
+    rungs = list(zip(cfg.ladder, cfg.mollifier_widths))
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(_member_worker, t): t[1] for t in tasks}
+            futures = {pool.submit(_member_worker, (cfg, eps, width, backend)):
+                       eps for eps, width in rungs}
             results = {}
             for fut in concurrent.futures.as_completed(futures):
                 eps = futures[fut]
@@ -220,15 +226,16 @@ def run_ladder(cfg: ScenarioConfig, outdir: str | Path | None = None,
                     results[eps] = fut.result()
                 except Exception as exc:
                     results[eps] = exc
-        ordered = [(eps, results[eps]) for eps, _w in
-                   zip(cfg.ladder, cfg.mollifier_widths)]
+        ordered = [(eps, results[eps]) for eps, _w in rungs]
     else:
+        # in process, the members share this run's runtime
         ordered = []
-        for t in tasks:
+        for eps, width in rungs:
             try:
-                ordered.append((t[1], _member_worker(t)))
+                ordered.append((eps, _solve_and_diagnose(cfg, specs, eps, width,
+                                                         backend)))
             except Exception as exc:
-                ordered.append((t[1], exc))
+                ordered.append((eps, exc))
 
     for eps, res in ordered:
         name = f"solve eps={eps_label(eps)}"

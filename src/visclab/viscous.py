@@ -100,7 +100,11 @@ def march(grid: Grid, u0: np.ndarray, times: np.ndarray, advance,
     snaps = [u.copy()]
     t = 0.0
     steps = 0
+    limit = sup_bound + MAX_PRINCIPLE_HARD
     max_seen = float(np.max(np.abs(u)))
+    # written so that a NaN maximum fails too, the initial state's included
+    if not max_seen <= limit:
+        raise _violation(max_seen, sup_bound, steps, t)
     # Python floats: numpy scalars would slow every step of the loop
     for target in times[1:].tolist():
         while t < target - 1e-13 * max(1.0, target):
@@ -109,12 +113,8 @@ def march(grid: Grid, u0: np.ndarray, times: np.ndarray, advance,
             t += dt
             steps += 1
             m = float(np.abs(u).max())
-            # written so that a NaN maximum fails too
-            if not m <= sup_bound + MAX_PRINCIPLE_HARD:
-                raise StepError(
-                    f"discrete maximum principle violated: |u| = {m} > "
-                    f"{sup_bound} at step {steps}, t = {t}",
-                    step=steps, time=t)
+            if not m <= limit:
+                raise _violation(m, sup_bound, steps, t)
             if m > max_seen:
                 max_seen = m
         t = target
@@ -122,6 +122,11 @@ def march(grid: Grid, u0: np.ndarray, times: np.ndarray, advance,
     return FieldTrajectory(grid, times, np.stack(snaps), epsilon=eps,
                            dt=dt_base, steps_taken=steps,
                            max_abs_seen=max_seen)
+
+
+def _violation(m: float, sup_bound: float, step: int, t: float) -> StepError:
+    return StepError(f"discrete maximum principle violated: |u| = {m} > "
+                     f"{sup_bound} at step {step}, t = {t}", step=step, time=t)
 
 
 def integrate(grid: Grid, u0: np.ndarray, flux: FluxSpec, visc: ViscositySpec,

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from visclab import compactness
 from visclab.compactness import (attach_c_field, build_compensated_quad,
                                  choose_c, compensated_D, compensated_D_field,
                                  decompose_production, dirac_concentration,
@@ -332,3 +334,54 @@ def test_compensated_D_requires_2d(flux2d):
     quad = build_compensated_quad(flux2d, 1e-10)
     with pytest.raises(ValueError, match="d = 2"):
         compensated_D_field(traj, quad)
+
+
+# --- snapshot blocking -----------------------------------------------------------
+
+def _random_traj(nt, nx, ny, seed):
+    rng = np.random.default_rng(seed)
+    return make_traj(0.8 * np.sin(rng.uniform(0.0, 6.0, (nt, nx, ny))), T=0.5)
+
+
+@pytest.mark.parametrize("snaps_per_block", [1, 3])
+@pytest.mark.parametrize("entropy", ["square", "kruzkov"])
+def test_blocked_instruments_bit_identical(monkeypatch, flux2d, entropy,
+                                           snaps_per_block):
+    # ragged blocks (11 snapshots) and ragged c-field windows on both axes
+    traj = _random_traj(11, 24, 20, seed=4)
+    pair = make_entropy_pair(entropy, flux2d, 1e-8, k=0.2, delta=1e-3)
+    visc = make_viscosity("quadratic", (-1.0, 1.0))
+    quad = build_compensated_quad(flux2d, 1e-10)
+
+    def outputs():
+        split = decompose_production(traj, pair, visc, 0.05)
+        q = attach_c_field(quad, traj, (3, 5, 6))
+        return (split.divergence_part.values, split.dissipation_part.values,
+                np.array([split.h1_norm_A, split.measure_norm_M]),
+                q.f11_bar, q.c_field, compensated_D_field(traj, q).values)
+
+    monkeypatch.setattr(compactness, "BLOCK_BYTES", traj.values.nbytes)
+    assert len(compactness._snapshot_blocks(traj.values)) == 1
+    whole = outputs()
+    monkeypatch.setattr(compactness, "BLOCK_BYTES",
+                        snaps_per_block * traj.values[0].nbytes)
+    assert len(compactness._snapshot_blocks(traj.values)) == \
+        -(-11 // snaps_per_block)
+    blocked = outputs()
+    for a, b in zip(whole, blocked):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_split_transient_peak_is_a_few_fields(flux2d):
+    # unblocked, the split holds about 12 copies of the field at once
+    traj = _random_traj(33, 64, 64, seed=5)
+    pair = make_entropy_pair("kruzkov", flux2d, 1e-8, k=0.2, delta=1e-3)
+    visc = make_viscosity("quadratic", (-1.0, 1.0))
+    decompose_production(traj, pair, visc, 0.05)  # transform set-up
+    tracemalloc.start()
+    try:
+        decompose_production(traj, pair, visc, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * traj.values.nbytes

@@ -1,3 +1,6 @@
+import configparser
+import io
+
 import pytest
 
 from visclab.config import ConfigError, build_scenario, config_hash, render_config
@@ -110,3 +113,31 @@ def test_window_and_bin_counts_must_be_positive(key, value):
     bad = MINIMAL.replace("[scheme]", f"[scheme]\n{key} = {value}")
     with pytest.raises(ConfigError, match=key):
         build_scenario(bad)
+
+
+def with_key(section, key, value):
+    """MINIMAL with ``[section] key = value`` set, the section added if absent."""
+    parser = configparser.ConfigParser()
+    parser.read_string(MINIMAL)
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser.set(section, key, value)
+    buf = io.StringIO()
+    parser.write(buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("section, key", [
+    ("grid", "time_horizon"), ("grid", "extent"), ("grid", "cells"),
+    ("flux", "a"), ("viscosity", "b"), ("viscosity", "r"),
+    ("initial", "center"), ("initial", "width"), ("initial", "amplitude"),
+    ("initial", "amplitude2"), ("initial", "separation"),
+    ("ladder", "epsilons"), ("ladder", "mollifier_width"),
+    ("scheme", "cfl"), ("scheme", "quadrature_tol"),
+    ("scheme", "kruzkov_delta")])
+@pytest.mark.parametrize("value, reason", [("nan", "must be finite"),
+                                           ("inf", "must be finite"),
+                                           ("abc", "is not a number")])
+def test_real_keys_must_be_finite_numbers(section, key, value, reason):
+    with pytest.raises(ConfigError, match=rf"{section}\.{key} = '{value}' {reason}"):
+        build_scenario(with_key(section, key, value))

@@ -208,6 +208,19 @@ def test_cli_zero_weak_window_rejected_before_solving(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_nan_amplitude_rejected_before_solving(tmp_path, capsys):
+    # before it was rejected, this config made a run directory and failed
+    # in the first solve
+    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
+                       young_window_snaps=5, young_window_cells=6)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(cfg.raw_text.replace("amplitude = 1.0", "amplitude = nan"))
+    out = tmp_path / "never"
+    assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 2
+    assert "config rejected" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _load_probe():
     """The benchmark's tracing probe, imported from its file, unmodified."""
     path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "probe.py"

@@ -131,6 +131,19 @@ def test_max_principle_guard_rejects_nan():
     assert info.value.step == 1
 
 
+def test_max_principle_guard_rejects_nan_initial_state():
+    # the guard sees u0 before the first step; without it the NaN reaches
+    # the table lookup and fails there with an IndexError
+    g = Grid((16,), (0.0,), (1.0,), 1.0)
+    f, v = specs_1d()
+    u0 = np.zeros(16)
+    u0[5] = np.nan
+    with pytest.raises(StepError, match="maximum principle") as info:
+        integrate(g, u0, f, v, 0.1, 0.4, snapshot_times(1.0, 10),
+                  sup_bound=1.0)
+    assert info.value.step == 0
+
+
 def test_heat_decay_oracle():
     # f = 0, B = 1: closed-form decay exp(-eps pi^2 t) of the sine mode
     n, eps, T = 200, 0.1, 1.0
