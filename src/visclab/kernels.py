@@ -16,8 +16,19 @@ passed unchanged on every call.  It holds the zero-bordered copy of the state
 (only its interior is written, so the ghost cells stay 0) and the buffers its
 location is written to, so a numpy step allocates neither: at 128x128,
 allocating them on every call makes the heap hand their pages back and fault
-them in again each step.  The result still goes to the caller's ``out``.  The
-loop twins accept ``work`` and ignore it.
+them in again each step.  The viscous workspace also holds, per axis, face
+buffers for the face midpoints and their location.  The result still goes to
+the caller's ``out``.  The loop twins accept ``work`` and ignore it.
+
+Flat viscosity table: ``workspace(name, shape, btab)`` judges the B table once
+per march; when every node equals node 0 (``B == b``, the semilinear case) it
+records that table, and a numpy viscous kernel handed that same object
+(``btab is work.flat``) multiplies ``ur - ul`` by the scalar ``b * eps / h``
+instead of locating the face midpoints and reading B there.  That is exact:
+the lookup gives ``t0 + frac * (t1 - t0) = b + frac * 0 = b`` for every finite
+``frac``, so the old face term ``(b * eps / h) * (ur - ul)`` and the new
+``(ur - ul) * (b * eps / h)`` are the same IEEE product.  Any other table,
+including one handed to a workspace judged for a flat one, takes the lookup.
 
 Backend selection: numba when available, unless ``VISCLAB_DISABLE_NUMBA`` is
 set.  ``benchmarks/bench_kernels.py`` times the two paths against each other.
@@ -67,18 +78,43 @@ class Padded(NamedTuple):
     loc: tuple
 
 
+class ViscWork(NamedTuple):
+    """``Padded`` plus, per axis, ``(mid, loc)`` buffers of that axis's faces,
+    and the B table judged flat (or None)."""
+
+    ext: np.ndarray
+    loc: tuple
+    faces: tuple
+    flat: np.ndarray | None
+
+
+def _loc_out(shape) -> tuple:
+    return np.empty(shape, np.int64), np.empty(shape), np.empty(shape)
+
+
 def _padded(shape) -> Padded:
-    return Padded(np.zeros(shape), (np.empty(shape, np.int64),
-                                    np.empty(shape), np.empty(shape)))
+    return Padded(np.zeros(shape), _loc_out(shape))
 
 
-def workspace(name: str, shape) -> Padded | tuple:
+def _visc_work(shape, btab) -> ViscWork:
+    pad = _padded(tuple(n + 2 for n in shape))
+    faces = []
+    for ax in range(len(shape)):
+        face = tuple(n + (i == ax) for i, n in enumerate(shape))
+        faces.append((np.empty(face), _loc_out(face)))
+    flat = btab if btab is not None and (btab == btab[0]).all() else None
+    return ViscWork(pad.ext, pad.loc, tuple(faces), flat)
+
+
+def workspace(name: str, shape, btab=None) -> Padded | ViscWork | tuple:
     """The trailing ``work`` argument of kernel ``name`` for states of ``shape``.
 
     Build it once per march; every call on a state of that shape reuses it.
+    ``btab`` is the B table a viscous kernel will be handed; if it is flat,
+    calls with that table skip the B lookup.
     """
     if name in ("visc_step_1d", "visc_step_2d"):
-        return _padded(tuple(n + 2 for n in shape))
+        return _visc_work(shape, btab)
     if name == "godunov_step_1d":
         return _padded((shape[0] + 2,) + shape[1:])
     if name == "godunov_sweep_2d":
@@ -95,18 +131,26 @@ def workspace(name: str, shape) -> Padded | tuple:
 # and the node count), so one location of a state array serves them all.
 
 
-def _viscous_flux(ext, loc, left, right, lo, inv, top, eop, eom, btab, eh):
+def _viscous_flux(ext, loc, left, right, face, lo, inv, top, eop, eom,
+                  btab, eh, flat):
     """conv(ul, ur) - eh * B((ul + ur) / 2) * (ur - ul) on every face.
 
     The faces lie between ``ul = ext[left]`` and ``ur = ext[right]``; ``loc``
-    locates ``ext``.
+    locates ``ext`` and ``face = (mid, loc)`` holds face-shaped buffers.  If
+    ``flat``, B is the constant ``btab[0]``.
     """
     ul, ur = ext[left], ext[right]
     flux = lookup(eop, loc)[left]
     flux += lookup(eom, loc)[right]
-    mid = ul + ur
+    mid, mloc = face
+    if flat:
+        du = np.subtract(ur, ul, out=mid)
+        du *= float(btab[0]) * eh
+        flux -= du
+        return flux
+    np.add(ul, ur, out=mid)
     mid *= 0.5
-    bm = lookup(btab, locate(lo, inv, top, mid))
+    bm = lookup(btab, locate(lo, inv, top, mid, mloc))
     bm *= eh
     bm *= np.subtract(ur, ul, out=mid)
     flux -= bm
@@ -119,7 +163,8 @@ def visc_step_1d_numpy(u, dt, h, eps, lo, inv, eop, eom, btab, out, work):
     ext[1:-1] = u
     top = btab.shape[0] - 2.0
     flux = _viscous_flux(ext, locate(lo, inv, top, ext, work.loc), np.s_[:-1],
-                         np.s_[1:], lo, inv, top, eop, eom, btab, eps / h)
+                         np.s_[1:], work.faces[0], lo, inv, top, eop, eom,
+                         btab, eps / h, btab is work.flat)
     d = flux[1:] - flux[:-1]
     d *= dt / h
     np.subtract(u, d, out=out)
@@ -132,10 +177,13 @@ def visc_step_2d_numpy(u, dt, hx, hy, eps, lo, inv,
     ext[1:-1, 1:-1] = u
     top = btab.shape[0] - 2.0
     loc = locate(lo, inv, top, ext, work.loc)
+    flat = btab is work.flat
     fx = _viscous_flux(ext, loc, np.s_[:-1, 1:-1], np.s_[1:, 1:-1],
-                       lo, inv, top, eopx, eomx, btab, eps / hx)
+                       work.faces[0], lo, inv, top, eopx, eomx, btab,
+                       eps / hx, flat)
     fy = _viscous_flux(ext, loc, np.s_[1:-1, :-1], np.s_[1:-1, 1:],
-                       lo, inv, top, eopy, eomy, btab, eps / hy)
+                       work.faces[1], lo, inv, top, eopy, eomy, btab,
+                       eps / hy, flat)
     dx = fx[1:, :] - fx[:-1, :]
     dx *= dt / hx
     dy = fy[:, 1:] - fy[:, :-1]

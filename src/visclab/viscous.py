@@ -63,7 +63,8 @@ def diffusive_face_flux(uL: float, uR: float, visc: ViscositySpec, eps: float,
 def _make_advance(grid: Grid, flux: FluxSpec, visc: ViscositySpec, eps: float,
                   integrator: str, backend=None):
     """The member's update ``advance(u, dt) -> new u``, set up once per march
-    together with the kernel's workspace."""
+    together with the kernel's workspace, which judges once whether the B
+    table is flat (then every step reads B as one scalar)."""
     lat = flux.lattice
     tabs = flux.tables
     if grid.dim == 1:
@@ -77,7 +78,7 @@ def _make_advance(grid: Grid, flux: FluxSpec, visc: ViscositySpec, eps: float,
                 tabs[0].eo_plus, tabs[0].eo_minus,
                 tabs[1].eo_plus, tabs[1].eo_minus, visc.table)
     kernel = kernels.get_kernel(name, backend)
-    work = kernels.workspace(name, grid.cells)
+    work = kernels.workspace(name, grid.cells, visc.table)
 
     def euler(u, dt):
         out = np.empty_like(u)

@@ -142,6 +142,36 @@ def test_parallel_jobs_match_serial(tmp_path):
             (tmp_path / "parallel" / name).read_bytes()
 
 
+def _quadratic_config():
+    """A non-flat B table, so the march reads B at every face midpoint; the
+    shipped scenarios and the other run-level tests take the flat-table path."""
+    return small_config(viscosity="quadratic", cells=60, snapshots=4,
+                        epsilons="0.1,0.05", young_window_snaps=5,
+                        young_window_cells=6)
+
+
+def _same_outputs(a, b, members=("eps_0.1", "eps_0.05")):
+    for name in ("diagnostics.csv", "convergence.csv", "estimates.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    for member in members:
+        assert (a / member / "index.csv").read_bytes() == \
+            (b / member / "index.csv").read_bytes(), member
+
+
+def test_determinism_byte_identical_quadratic_viscosity(tmp_path):
+    cfg = _quadratic_config()
+    run_ladder(cfg, outdir=tmp_path / "first")
+    run_ladder(cfg, outdir=tmp_path / "again")
+    _same_outputs(tmp_path / "first", tmp_path / "again")
+
+
+def test_parallel_jobs_match_serial_quadratic_viscosity(tmp_path):
+    cfg = _quadratic_config()
+    run_ladder(cfg, outdir=tmp_path / "serial", jobs=1)
+    run_ladder(cfg, outdir=tmp_path / "parallel", jobs=2)
+    _same_outputs(tmp_path / "serial", tmp_path / "parallel")
+
+
 def test_zero_data_trivially_passes(tmp_path):
     cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
                        young_window_snaps=5, young_window_cells=6)

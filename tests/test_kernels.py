@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,19 @@ def setup():
     return flux, visc, rng
 
 
+@pytest.fixture(scope="module")
+def flat_tables():
+    """A flat B table (scalar path) and a copy with one node changed (lookup
+    path), on the lattice of ``setup``."""
+    flat = make_viscosity("constant", (-1.0, 1.0), {"b": 0.7}).table
+    kinked = flat.copy()
+    kinked[flat.shape[0] // 2] += 0.25
+    return {"constant": flat, "kinked": kinked}
+
+
+FLAT_TABLES = ["constant", "kinked"]
+
+
 @pytest.mark.parametrize("kind", TWINS)
 def test_visc_1d_backends_bit_identical(setup, kind):
     flux, visc, rng = setup
@@ -45,7 +59,7 @@ def test_visc_1d_backends_bit_identical(setup, kind):
             flux.tables[0].eo_plus, flux.tables[0].eo_minus, visc.table)
     a = np.empty_like(u)
     b = np.empty_like(u)
-    work = kernels.workspace("visc_step_1d", u.shape)
+    work = kernels.workspace("visc_step_1d", u.shape, visc.table)
     kernels.visc_step_1d_numpy(u, *args, a, work)
     twin(kind, "visc_step_1d")(u, *args, b, work)
     assert np.array_equal(a, b)
@@ -62,7 +76,7 @@ def test_visc_2d_backends_bit_identical(setup, kind):
             flux.tables[1].eo_plus, flux.tables[1].eo_minus, visc.table)
     a = np.empty_like(u)
     b = np.empty_like(u)
-    work = kernels.workspace("visc_step_2d", u.shape)
+    work = kernels.workspace("visc_step_2d", u.shape, visc.table)
     kernels.visc_step_2d_numpy(u, *args, a, work)
     twin(kind, "visc_step_2d")(u, *args, b, work)
     assert np.array_equal(a, b)
@@ -96,23 +110,24 @@ def test_godunov_backends_bit_identical(setup, kind):
         assert np.array_equal(a2, b2)
 
 
-def _oracle_args(flux, visc, name, shape):
-    """Arguments between the state and ``out``, as in the oracle cases above."""
+def _oracle_args(flux, btab, name, shape):
+    """Arguments between the state and ``out``, as in the oracle cases above;
+    ``btab`` is the B table of the viscous kernels."""
     lat = flux.lattice
     t0, t1 = flux.tables[0], flux.tables[1]
     h = 1 / shape[-1]
     if name == "visc_step_1d":
         return (h * h, h, 0.05, lat.lo, lat.inv_spacing, t0.eo_plus,
-                t0.eo_minus, visc.table)
+                t0.eo_minus, btab)
     if name == "visc_step_2d":
         return (0.1 * h * h, h, h, 0.03, lat.lo, lat.inv_spacing, t0.eo_plus,
-                t0.eo_minus, t1.eo_plus, t1.eo_minus, visc.table)
+                t0.eo_minus, t1.eo_plus, t1.eo_minus, btab)
     return (0.2 * h, h, lat.lo, lat.inv_spacing, t0.f, t0.crit_y, t0.crit_f)
 
 
-def _step(fn, flux, visc, name, u, work):
+def _step(fn, flux, btab, name, u, work):
     """One call of kernel ``fn``; the 2-D Godunov sweep runs x then y."""
-    args = _oracle_args(flux, visc, name, u.shape)
+    args = _oracle_args(flux, btab, name, u.shape)
     if name != "godunov_sweep_2d":
         out = np.empty_like(u)
         fn(u, *args, out, work)
@@ -124,13 +139,14 @@ def _step(fn, flux, visc, name, u, work):
     return out
 
 
-@pytest.mark.parametrize("kind", TWINS)
-@pytest.mark.parametrize("name", list(LOOPS))
-def test_reused_workspace_holds_no_stale_state(setup, kind, name):
+def _shape(name):
+    return (300,) if name.endswith("1d") else (24, 40)
+
+
+def _check_reuse(kind, name, flux, btab):
     """One workspace, reused over states in either order, gives what a fresh
     one and the loop twin give, and its ghost border stays 0."""
-    flux, visc, _ = setup
-    shape = (300,) if name.endswith("1d") else (24, 40)
+    shape = _shape(name)
     rng = np.random.default_rng(7)
     # a and b vanish near the boundary, like the solvers' states; c does not
     inner = tuple(slice(2, -2) for _ in shape)
@@ -142,21 +158,97 @@ def test_reused_workspace_holds_no_stale_state(setup, kind, name):
     numpy_fn = kernels.KERNELS["numpy"][name]
     expect = {}
     for key, u in states.items():
-        expect[key] = _step(twin(kind, name), flux, visc, name, u,
-                            kernels.workspace(name, shape))
-        fresh = _step(numpy_fn, flux, visc, name, u,
-                      kernels.workspace(name, shape))
+        expect[key] = _step(twin(kind, name), flux, btab, name, u,
+                            kernels.workspace(name, shape, btab))
+        fresh = _step(numpy_fn, flux, btab, name, u,
+                      kernels.workspace(name, shape, btab))
         assert np.array_equal(fresh, expect[key])
     for order in ("abc", "bac"):
-        work = kernels.workspace(name, shape)
+        work = kernels.workspace(name, shape, btab)
         for key in order:
-            got = _step(numpy_fn, flux, visc, name, states[key], work)
+            got = _step(numpy_fn, flux, btab, name, states[key], work)
             assert np.array_equal(got, expect[key]), (order, key)
         # the viscous kernels pad every axis, the Godunov step axis 0
         axes = range(len(shape)) if name.startswith("visc") else (0,)
         for pad in (work if name == "godunov_sweep_2d" else (work,)):
             for ax in axes:
                 assert not pad.ext.take([0, -1], axis=ax).any()
+
+
+@pytest.mark.parametrize("kind", TWINS)
+@pytest.mark.parametrize("name", list(LOOPS))
+def test_reused_workspace_holds_no_stale_state(setup, kind, name):
+    flux, visc, _ = setup
+    _check_reuse(kind, name, flux, visc.table)
+
+
+VISC = ["visc_step_1d", "visc_step_2d"]
+
+
+@pytest.mark.parametrize("kind", TWINS)
+@pytest.mark.parametrize("name", VISC)
+@pytest.mark.parametrize("table", FLAT_TABLES)
+def test_reused_workspace_holds_no_stale_state_flat_tables(
+        setup, flat_tables, table, name, kind):
+    flux, _, _ = setup
+    _check_reuse(kind, name, flux, flat_tables[table])
+
+
+@pytest.mark.parametrize("kind", TWINS)
+@pytest.mark.parametrize("name", VISC)
+@pytest.mark.parametrize("table", FLAT_TABLES)
+def test_visc_backends_bit_identical_flat_tables(setup, flat_tables, table,
+                                                 name, kind):
+    """A flat table takes the scalar path, one changed node the lookup; both
+    match the loop twins, which interpolate the table at every face."""
+    flux, _, rng = setup
+    btab = flat_tables[table]
+    u = rng.uniform(-0.99, 0.99, _shape(name))
+    work = kernels.workspace(name, u.shape, btab)
+    assert work.flat is (btab if table == "constant" else None)
+    a = _step(kernels.KERNELS["numpy"][name], flux, btab, name, u, work)
+    b = _step(twin(kind, name), flux, btab, name, u, work)
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", TWINS)
+@pytest.mark.parametrize("name", VISC)
+def test_flat_workspace_handed_another_table_looks_it_up(
+        setup, flat_tables, name, kind):
+    """The scalar path is keyed on the table object the workspace judged flat:
+    handed any other table, the kernel reads that table."""
+    flux, visc, rng = setup
+    u = rng.uniform(-0.99, 0.99, _shape(name))
+    work = kernels.workspace(name, u.shape, flat_tables["constant"])
+    numpy_fn = kernels.KERNELS["numpy"][name]
+    for btab in (visc.table, flat_tables["kinked"],
+                 flat_tables["constant"] + 0.5):
+        got = _step(numpy_fn, flux, btab, name, u, work)
+        expect = _step(twin(kind, name), flux, btab, name, u, work)
+        assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("name, bound", [("visc_step_1d", 4.0),
+                                         ("visc_step_2d", 6.0)])
+def test_visc_step_table_path_allocation_peak(setup, name, bound):
+    """On the lookup path the face midpoints and their location go to the
+    workspace: the transient peak of a step stays within ``bound`` state
+    sizes (allocating them per call gave 6.4 in 1-D and 7.1 in 2-D)."""
+    flux, visc, rng = setup
+    shape = (400,) if name == "visc_step_1d" else (128, 128)
+    u = rng.uniform(-0.99, 0.99, shape)
+    work = kernels.workspace(name, shape, visc.table)
+    fn = kernels.KERNELS["numpy"][name]
+    args = _oracle_args(flux, visc.table, name, shape)
+    out = np.empty_like(u)
+    fn(u, *args, out, work)
+    tracemalloc.start()
+    try:
+        fn(u, *args, out, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * u.nbytes, peak / u.nbytes
 
 
 def test_env_flag_forces_numpy():
