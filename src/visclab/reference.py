@@ -49,8 +49,8 @@ def solve_reference(grid: Grid, flux: FluxSpec, visc: ViscositySpec,
     lat = flux.lattice
     if grid.dim == 1:
         k1 = kernels.get_kernel("godunov_step_1d", backend)
-        work = kernels.workspace("godunov_step_1d", grid.cells)
         tab = flux.tables[0]
+        work = kernels.workspace("godunov_step_1d", grid.cells, (tab.f,))
         h = grid.spacing[0]
 
         def advance(u, dt):
@@ -60,8 +60,8 @@ def solve_reference(grid: Grid, flux: FluxSpec, visc: ViscositySpec,
             return out
     else:
         k2 = kernels.get_kernel("godunov_sweep_2d", backend)
-        work = kernels.workspace("godunov_sweep_2d", grid.cells)
         tx, ty = flux.tables[0], flux.tables[1]
+        work = kernels.workspace("godunov_sweep_2d", grid.cells, (tx.f, ty.f))
         hx, hy = grid.spacing
 
         def advance(u, dt):

@@ -49,30 +49,38 @@ def locate(lo: float, inv: float, top: float, u: np.ndarray, out=None):
     serves every table on the same lattice, so callers locate a state once
     and ``lookup`` many tables.  ``out``, when given, is ``(k, frac, scratch)``
     of ``u``'s shape (int64, float64, float64) and receives the result;
-    ``scratch`` holds the float panel index.
+    ``scratch`` holds the clipped float panel index.
     """
     k, s, kf = (None, None, None) if out is None else out
     s = np.subtract(u, lo, out=s)
     s *= inv
-    kf = np.floor(s, out=kf)
-    # np.clip, spelled as its two ufuncs: its wrapper dominates on small arrays
-    np.minimum(np.maximum(kf, 0.0, out=kf), top, out=kf)
-    s -= kf
+    # clip, then truncate: for every finite value the same k as flooring and
+    # then clipping.  np.clip, spelled as its two ufuncs: its wrapper
+    # dominates on small arrays
+    kf = np.maximum(s, 0.0, out=kf)
+    np.minimum(kf, top, out=kf)
     if k is None:
-        return kf.astype(np.int64), s
-    k[...] = kf
+        k = kf.astype(np.int64)
+    else:
+        k[...] = kf
+    s -= k
     return k, s
 
 
-def lookup(tab: np.ndarray, loc) -> np.ndarray:
-    """``t0 + frac * (t1 - t0)`` at a location from ``locate``."""
+def slopes(tab: np.ndarray) -> np.ndarray:
+    """``tab[k + 1] - tab[k]`` of each panel ``k``: tabulated once, the same
+    subtraction ``lookup`` would otherwise make on every read."""
+    return tab[1:] - tab[:-1]
+
+
+def lookup(tab: np.ndarray, slope: np.ndarray, loc) -> np.ndarray:
+    """``slope[k] * frac + tab[k]``, i.e. ``t0 + frac * (t1 - t0)``, at a
+    location from ``locate``; ``slope`` is ``slopes(tab)``."""
     k, frac = loc
-    t0 = tab.take(k)
-    d = tab[1:].take(k)
-    np.subtract(d, t0, out=d)
-    np.multiply(frac, d, out=d)
-    np.add(t0, d, out=d)
-    return d
+    out = slope.take(k)
+    out *= frac
+    out += tab.take(k)
+    return out
 
 
 def interp(lattice: TableLattice, values: np.ndarray, u) -> np.ndarray:
@@ -81,8 +89,9 @@ def interp(lattice: TableLattice, values: np.ndarray, u) -> np.ndarray:
     Uses the same arithmetic as the kernels so all paths agree bit for bit.
     """
     u = np.asarray(u, dtype=np.float64)
-    out = lookup(values, locate(lattice.lo, lattice.inv_spacing,
-                                lattice.n - 2.0, np.atleast_1d(u)))
+    out = lookup(values, slopes(values),
+                 locate(lattice.lo, lattice.inv_spacing, lattice.n - 2.0,
+                        np.atleast_1d(u)))
     if u.ndim == 0:
         return float(out[0])
     return out

@@ -63,22 +63,17 @@ def diffusive_face_flux(uL: float, uR: float, visc: ViscositySpec, eps: float,
 def _make_advance(grid: Grid, flux: FluxSpec, visc: ViscositySpec, eps: float,
                   integrator: str, backend=None):
     """The member's update ``advance(u, dt) -> new u``, set up once per march
-    together with the kernel's workspace, which judges once whether the B
-    table is flat (then every step reads B as one scalar)."""
+    together with the kernel's step plan, which tabulates the slopes of the
+    tables and judges once whether the B table is flat (then every step
+    reads B as one scalar)."""
     lat = flux.lattice
     tabs = flux.tables
-    if grid.dim == 1:
-        name = "visc_step_1d"
-        args = (grid.spacing[0], eps, lat.lo, lat.inv_spacing,
-                tabs[0].eo_plus, tabs[0].eo_minus, visc.table)
-    else:
-        name = "visc_step_2d"
-        hx, hy = grid.spacing
-        args = (hx, hy, eps, lat.lo, lat.inv_spacing,
-                tabs[0].eo_plus, tabs[0].eo_minus,
-                tabs[1].eo_plus, tabs[1].eo_minus, visc.table)
+    eo = tuple(t for tab in tabs[:grid.dim] for t in (tab.eo_plus,
+                                                      tab.eo_minus))
+    name = f"visc_step_{grid.dim}d"
+    args = grid.spacing + (eps, lat.lo, lat.inv_spacing) + eo + (visc.table,)
     kernel = kernels.get_kernel(name, backend)
-    work = kernels.workspace(name, grid.cells, visc.table)
+    work = kernels.workspace(name, grid.cells, eo + (visc.table,))
 
     def euler(u, dt):
         out = np.empty_like(u)
@@ -113,7 +108,7 @@ def march(grid: Grid, u0: np.ndarray, times: np.ndarray, advance,
             u = advance(u, dt)
             t += dt
             steps += 1
-            m = float(np.abs(u).max())
+            m = float(np.maximum.reduce(np.abs(u), axis=None))
             if not m <= limit:
                 raise _violation(m, sup_bound, steps, t)
             if m > max_seen:

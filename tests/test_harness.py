@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import json
 import pathlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -274,8 +275,14 @@ def test_benchmark_trace_probe_sees_every_layer(tmp_path):
     assert code in (0, 1)
     traced = json.loads(spans.read_text())
     assert traced["restored"] is True
-    assert traced["counters"].get("viscous.steps", 0) > 0
-    assert traced["counters"].get("reference.steps", 0) > 0
+    counters = traced["counters"]
+    assert counters.get("viscous.steps", 0) > 0
+    assert counters.get("reference.steps", 0) > 0
+    # one kernel call per explicit step, each looked up through KERNELS (the
+    # scenario integrates with euler)
+    calls = Counter(span[0] for span in traced["spans"])
+    assert calls["kernels.visc_step_1d"] == counters["viscous.steps"]
+    assert calls["kernels.godunov_step_1d"] == counters["reference.steps"]
 
 
 def test_plotdata_metrics_match_run_diagnostics(run2d):

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ def test_visc_1d_backends_bit_identical(setup, kind):
             flux.tables[0].eo_plus, flux.tables[0].eo_minus, visc.table)
     a = np.empty_like(u)
     b = np.empty_like(u)
-    work = kernels.workspace("visc_step_1d", u.shape, visc.table)
+    work = kernels.workspace("visc_step_1d", u.shape, args[-3:])
     kernels.visc_step_1d_numpy(u, *args, a, work)
     twin(kind, "visc_step_1d")(u, *args, b, work)
     assert np.array_equal(a, b)
@@ -76,7 +77,7 @@ def test_visc_2d_backends_bit_identical(setup, kind):
             flux.tables[1].eo_plus, flux.tables[1].eo_minus, visc.table)
     a = np.empty_like(u)
     b = np.empty_like(u)
-    work = kernels.workspace("visc_step_2d", u.shape, visc.table)
+    work = kernels.workspace("visc_step_2d", u.shape, args[-5:])
     kernels.visc_step_2d_numpy(u, *args, a, work)
     twin(kind, "visc_step_2d")(u, *args, b, work)
     assert np.array_equal(a, b)
@@ -92,12 +93,12 @@ def test_godunov_backends_bit_identical(setup, kind):
             tab.crit_f)
     a = np.empty_like(u)
     b = np.empty_like(u)
-    work = kernels.workspace("godunov_step_1d", u.shape)
+    work = kernels.workspace("godunov_step_1d", u.shape, (tab.f,))
     kernels.godunov_step_1d_numpy(u, *args, a, work)
     twin(kind, "godunov_step_1d")(u, *args, b, work)
     assert np.array_equal(a, b)
     u2 = rng.uniform(-0.99, 0.99, (20, 30))
-    work = kernels.workspace("godunov_sweep_2d", u2.shape)
+    work = kernels.workspace("godunov_sweep_2d", u2.shape, (tab.f, tab.f))
     for axis, h in ((0, 1 / 20), (1, 1 / 30)):
         a2 = np.empty_like(u2)
         b2 = np.empty_like(u2)
@@ -123,6 +124,17 @@ def _oracle_args(flux, btab, name, shape):
         return (0.1 * h * h, h, h, 0.03, lat.lo, lat.inv_spacing, t0.eo_plus,
                 t0.eo_minus, t1.eo_plus, t1.eo_minus, btab)
     return (0.2 * h, h, lat.lo, lat.inv_spacing, t0.f, t0.crit_y, t0.crit_f)
+
+
+def _work(flux, btab, name, shape):
+    """The step plan for the tables ``_oracle_args`` hands kernel ``name``."""
+    t0, t1 = flux.tables[0], flux.tables[1]
+    tables = {"visc_step_1d": (t0.eo_plus, t0.eo_minus, btab),
+              "visc_step_2d": (t0.eo_plus, t0.eo_minus, t1.eo_plus,
+                               t1.eo_minus, btab),
+              "godunov_step_1d": (t0.f,),
+              "godunov_sweep_2d": (t0.f, t0.f)}[name]
+    return kernels.workspace(name, shape, tables)
 
 
 def _step(fn, flux, btab, name, u, work):
@@ -159,12 +171,12 @@ def _check_reuse(kind, name, flux, btab):
     expect = {}
     for key, u in states.items():
         expect[key] = _step(twin(kind, name), flux, btab, name, u,
-                            kernels.workspace(name, shape, btab))
+                            _work(flux, btab, name, shape))
         fresh = _step(numpy_fn, flux, btab, name, u,
-                      kernels.workspace(name, shape, btab))
+                      _work(flux, btab, name, shape))
         assert np.array_equal(fresh, expect[key])
     for order in ("abc", "bac"):
-        work = kernels.workspace(name, shape, btab)
+        work = _work(flux, btab, name, shape)
         for key in order:
             got = _step(numpy_fn, flux, btab, name, states[key], work)
             assert np.array_equal(got, expect[key]), (order, key)
@@ -204,8 +216,8 @@ def test_visc_backends_bit_identical_flat_tables(setup, flat_tables, table,
     flux, _, rng = setup
     btab = flat_tables[table]
     u = rng.uniform(-0.99, 0.99, _shape(name))
-    work = kernels.workspace(name, u.shape, btab)
-    assert work.flat is (btab if table == "constant" else None)
+    work = _work(flux, btab, name, u.shape)
+    assert work.b == (float(btab[0]) if table == "constant" else None)
     a = _step(kernels.KERNELS["numpy"][name], flux, btab, name, u, work)
     b = _step(twin(kind, name), flux, btab, name, u, work)
     assert np.array_equal(a, b)
@@ -215,31 +227,42 @@ def test_visc_backends_bit_identical_flat_tables(setup, flat_tables, table,
 @pytest.mark.parametrize("name", VISC)
 def test_flat_workspace_handed_another_table_looks_it_up(
         setup, flat_tables, name, kind):
-    """The scalar path is keyed on the table object the workspace judged flat:
-    handed any other table, the kernel reads that table."""
+    """The plan's slopes and its scalar B path are keyed on the table objects
+    it was built for: handed any other table, B or Engquist-Osher, the kernel
+    reads the table it was handed."""
     flux, visc, rng = setup
     u = rng.uniform(-0.99, 0.99, _shape(name))
-    work = kernels.workspace(name, u.shape, flat_tables["constant"])
+    flat = flat_tables["constant"]
+    work = _work(flux, flat, name, u.shape)
     numpy_fn = kernels.KERNELS["numpy"][name]
-    for btab in (visc.table, flat_tables["kinked"],
-                 flat_tables["constant"] + 0.5):
-        got = _step(numpy_fn, flux, btab, name, u, work)
-        expect = _step(twin(kind, name), flux, btab, name, u, work)
+    t0, t1 = flux.tables[0], flux.tables[1]
+    shifted = replace(t0, eo_plus=t0.eo_plus + 0.125)
+    cases = [(flux, btab) for btab in (visc.table, flat_tables["kinked"],
+                                       flat + 0.5)]
+    cases += [(replace(flux, tables=(t1, t0)), flat),
+              (replace(flux, tables=(shifted, t1)), flat)]
+    for fx, btab in cases:
+        got = _step(numpy_fn, fx, btab, name, u, work)
+        expect = _step(twin(kind, name), fx, btab, name, u, work)
         assert np.array_equal(got, expect)
 
 
-@pytest.mark.parametrize("name, bound", [("visc_step_1d", 4.0),
-                                         ("visc_step_2d", 6.0)])
-def test_visc_step_table_path_allocation_peak(setup, name, bound):
-    """On the lookup path the face midpoints and their location go to the
-    workspace: the transient peak of a step stays within ``bound`` state
-    sizes (allocating them per call gave 6.4 in 1-D and 7.1 in 2-D)."""
+@pytest.mark.parametrize("table", ["gaussian", "constant"])
+@pytest.mark.parametrize("name", VISC)
+def test_visc_step_table_path_allocation_peak(setup, flat_tables, name,
+                                              table):
+    """A step writes only into its plan and ``out``: on the B lookup path
+    (gaussian) and on the flat-B path alike, its transient peak stays within
+    1.5 state sizes (allocating the table reads and the face location per
+    call gave 6.4 in 1-D and 7.1 in 2-D, the workspace of face buffers 3.3
+    and 5.1)."""
     flux, visc, rng = setup
+    btab = visc.table if table == "gaussian" else flat_tables["constant"]
     shape = (400,) if name == "visc_step_1d" else (128, 128)
     u = rng.uniform(-0.99, 0.99, shape)
-    work = kernels.workspace(name, shape, visc.table)
+    work = _work(flux, btab, name, shape)
     fn = kernels.KERNELS["numpy"][name]
-    args = _oracle_args(flux, visc.table, name, shape)
+    args = _oracle_args(flux, btab, name, shape)
     out = np.empty_like(u)
     fn(u, *args, out, work)
     tracemalloc.start()
@@ -248,7 +271,7 @@ def test_visc_step_table_path_allocation_peak(setup, name, bound):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound * u.nbytes, peak / u.nbytes
+    assert peak <= 1.5 * u.nbytes, peak / u.nbytes
 
 
 def test_env_flag_forces_numpy():
@@ -264,7 +287,7 @@ def test_interp_clamps_at_table_ends(setup):
     flux, _, _ = setup
     lat = flux.lattice
     tab = flux.tables[0].f
-    from visclab.tables import locate, lookup
+    from visclab.tables import locate, lookup, slopes
     loc = locate(lat.lo, lat.inv_spacing, tab.shape[0] - 2.0, np.array([lat.hi]))
-    v = lookup(tab, loc)
+    v = lookup(tab, slopes(tab), loc)
     assert float(v[0]) == pytest.approx(tab[-1], abs=1e-15)

@@ -3,7 +3,7 @@ import pytest
 
 from visclab.tables import (TableLattice, adaptive_panel_integrals,
                             critical_nodes, cumulative_table, interp, locate,
-                            monotone_envelope)
+                            lookup, monotone_envelope, slopes)
 
 
 def test_cumulative_matches_cubic():
@@ -70,3 +70,26 @@ def test_locate_into_buffers_matches_allocating():
     assert k.dtype == kb.dtype == np.int64
     assert np.array_equal(k, kb) and np.array_equal(frac, fb)
     assert k.min() == 0 and k.max() == top
+
+
+def test_lookup_slopes_bit_identical():
+    # in range, outside [lo, hi] (the end panels extrapolate) and on every
+    # node; locating into buffers and allocating give the same reads
+    lat = TableLattice(-1.0, 1.0, 64)
+    rng = np.random.default_rng(5)
+    tab = np.cumsum(rng.normal(size=lat.n))
+    u = np.concatenate([rng.uniform(-1.0, 1.0, 200), lat.nodes(),
+                        [-3.0, -1.0 - 1e-9, 1.0 + 1e-9, 2.5]])
+    top = lat.n - 2.0
+    s = (u - lat.lo) * lat.inv_spacing
+    kf = np.minimum(np.maximum(np.floor(s), 0.0), top)
+    ki = kf.astype(np.int64)
+    expect = tab[ki] + (s - kf) * (tab[ki + 1] - tab[ki])
+    for out in (None, (np.empty(u.shape, np.int64), np.empty(u.shape),
+                       np.empty(u.shape))):
+        k, frac = locate(lat.lo, lat.inv_spacing, top, u, out=out)
+        # clipping before truncating gives floor-then-clip's panel and fraction
+        assert np.array_equal(k, ki)
+        assert np.array_equal(frac.view(np.int64), (s - kf).view(np.int64))
+        got = lookup(tab, slopes(tab), (k, frac))
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
