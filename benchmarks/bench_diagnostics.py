@@ -13,6 +13,10 @@ Per-pair instruments run on the finest member and print the slowest pair's
 time and the largest pair's peak; ``member_diagnostics`` runs on the finest
 member; ``assess`` runs on the whole ladder and the reference.
 
+A last table times ``mollify`` of the run's initial data with the kernel of
+each mollifier width of the ladder: the best of 5 calls in ms, and the traced
+peak in MB and in copies of one state (cells x 8 bytes).
+
 Usage: PYTHONPATH=src python benchmarks/bench_diagnostics.py RUNDIR [RUNDIR ...]
 """
 
@@ -25,6 +29,7 @@ from visclab import harness
 from visclab.compactness import (attach_c_field, build_compensated_quad,
                                  compensated_D_field, decompose_production,
                                  time_derivative_l1)
+from visclab.mollify import make_kernel, mollify
 
 MB = 1024.0 * 1024.0
 
@@ -70,6 +75,19 @@ def instruments(cfg, specs, trajs, reference):
     return rows
 
 
+def mollify_rows(cfg, specs):
+    """``(kernel shape, best ms, largest peak)`` per mollifier width."""
+    rows = []
+    for width in sorted(set(cfg.mollifier_widths), reverse=True):
+        kernel = make_kernel(width, specs.grid.spacing)
+        results = [measure(lambda: mollify(specs.init_data, kernel))
+                   for _ in range(5)]
+        rows.append(("x".join(map(str, kernel.weights.shape)),
+                     1e3 * min(s for s, _p in results),
+                     max(p for _s, p in results)))
+    return rows
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("rundirs", nargs="+", type=Path)
@@ -88,6 +106,12 @@ def main():
             peak = max(p for _s, p in results)
             print(f"  {name:<22} {len(calls):>5} {seconds:>9.4f} "
                   f"{peak / MB:>9.2f} {peak / field:>7.2f}")
+        state = specs.init_data.field.values.nbytes
+        print(f"  {'mollify kernel':<22} {'ms':>15} {'peak MB':>9} "
+              f"{'states':>7}")
+        for shape, ms, peak in mollify_rows(cfg, specs):
+            print(f"  {shape:<22} {ms:>15.2f} {peak / MB:>9.2f} "
+                  f"{peak / state:>7.2f}")
 
 
 if __name__ == "__main__":

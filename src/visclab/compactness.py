@@ -208,27 +208,36 @@ def young_histograms(traj: FieldTrajectory, interval: tuple[float, float],
     if v.min() < lo - BIN_SLACK or v.max() > hi + BIN_SLACK:
         raise ValueError("values fall outside the invariant interval; the "
                          "empirical measures require the maximum principle")
-    v = np.clip(v, lo, hi)
-    # reshape into blocks: (T, t, X, x[, Y, y]) then flatten block contents
-    if grid.dim == 1:
-        nx = grid.cells[0]
-        blocks = v.reshape(nt // window_snaps, window_snaps,
-                           nx // window_cells, window_cells)
-        blocks = blocks.transpose(0, 2, 1, 3).reshape(-1, window_snaps * window_cells)
-    else:
-        nx, ny = grid.cells
-        blocks = v.reshape(nt // window_snaps, window_snaps,
-                           nx // window_cells, window_cells,
-                           ny // window_cells, window_cells)
-        blocks = blocks.transpose(0, 2, 4, 1, 3, 5).reshape(
-            -1, window_snaps * window_cells * window_cells)
     edges = np.linspace(lo, hi, bins + 1)
     width = edges[1] - edges[0]
-    idx = np.minimum(((blocks - lo) / width).astype(np.int64), bins - 1)
-    probs = np.zeros((blocks.shape[0], bins))
-    rows = np.repeat(np.arange(blocks.shape[0]), blocks.shape[1])
-    np.add.at(probs, (rows, idx.ravel()), 1.0)
-    probs /= blocks.shape[1]
+    # One coarse time window at a time: clip its snapshots straight into the
+    # window-major layout (X[, Y], t, x[, y]), bin them in place, and count
+    # every window's bins with one bincount of row * bins + bin index.  The
+    # counts are integers, so the histograms are those of the whole field.
+    coarse = [n // window_cells for n in grid.cells]
+    split = [window_snaps] + [m for c in coarse for m in (c, window_cells)]
+    order = (1, 0, 2) if grid.dim == 1 else (1, 3, 0, 2, 4)
+    rows = int(np.prod(coarse))
+    size = window_snaps * window_cells ** grid.dim
+    # probs first: it outlives the window buffers, and allocated below them
+    # it lets the heap hand their pages back (allocated after them it held
+    # the 2-D verify's peak RSS about 2 MB higher)
+    probs = np.empty((nt // window_snaps * rows, bins))
+    scaled = np.empty((rows, size))
+    idx = np.empty((rows, size), dtype=np.int64)
+    row_offsets = (np.arange(rows) * bins)[:, None]
+    for w in range(nt // window_snaps):
+        win = v[w * window_snaps:(w + 1) * window_snaps]
+        np.clip(win.reshape(split).transpose(order), lo, hi,
+                out=scaled.reshape(coarse + split[::2]))
+        scaled -= lo
+        scaled /= width
+        np.copyto(idx, scaled, casting="unsafe")
+        np.minimum(idx, bins - 1, out=idx)
+        idx += row_offsets
+        probs[w * rows:(w + 1) * rows] = np.bincount(
+            idx.ravel(), minlength=rows * bins).reshape(rows, bins)
+    probs /= size
     centers = 0.5 * (edges[:-1] + edges[1:])
     means = probs @ centers
     variances = probs @ centers**2 - means**2

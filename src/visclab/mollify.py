@@ -5,6 +5,20 @@ normalized so its discrete integral is exactly one.  Because the kernel is
 required to be narrower than the distance from the data support to the
 boundary, the convolution never needs a boundary extension rule and the sup
 and total-variation bounds hold without correction terms.
+
+The 2-D convolution is numpy only and gives the same doubles as
+``scipy.signal.convolve2d(u, w, mode="same", boundary="fill")``, so the 2-D
+data of earlier runs are reproduced byte for byte without loading
+``scipy.signal``.  That needs scipy's summation order, not just its terms.
+With ``P`` the data zero-padded by ``kh//2`` rows and ``kw//2`` columns on
+each side, output cell ``(m, n)`` sums the products
+``t[j, k] = w[j, k] * P[m + kh-1-j, n + kw-1-k]``: kernel rows ``j`` in
+ascending order, and within a row the columns in groups of four, each group
+summed on its own as ``((t[k] + t[k+1]) + t[k+2]) + t[k+3]`` before it is added
+to the running sum, then the last ``kw % 4`` terms one at a time.  That
+grouping is how scipy's compiled multiply-add of one kernel row
+(``DOUBLE_onemultadd`` in ``scipy/signal/_sigtools``, scipy 1.17.1) adds its
+products; a plain term-by-term sum differs from it in the last bits.
 """
 
 from __future__ import annotations
@@ -133,7 +147,34 @@ def mollify(data: InitialData, kernel: MollifierKernel) -> Field:
     if grid.dim == 1:
         out = np.convolve(u, kernel.weights, mode="same")
     else:
-        # imported here: scipy.signal takes about 0.6 s to load and only 2-D uses it
-        from scipy.signal import convolve2d
-        out = convolve2d(u, kernel.weights, mode="same", boundary="fill")
+        out = _convolve_same_2d(u, kernel.weights)
     return Field(grid, out)
+
+
+def _convolve_same_2d(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Zero-filled 'same' convolution of ``u`` with ``w`` in scipy's order
+    (module docstring): one whole-array product per kernel term."""
+    M, N = u.shape
+    kh, kw = w.shape
+    P = np.zeros((M + 2 * (kh // 2), N + 2 * (kw // 2)))
+    P[kh // 2:kh // 2 + M, kw // 2:kw // 2 + N] = u
+    total = np.zeros((M, N))
+    group = np.empty((M, N))
+    term = np.empty((M, N))
+
+    def product(j, k, out):
+        r, c = kh - 1 - j, kw - 1 - k
+        np.multiply(w[j, k], P[r:r + M, c:c + N], out=out)
+
+    grouped = kw - kw % 4
+    for j in range(kh):
+        for k in range(0, grouped, 4):
+            product(j, k, group)
+            for q in range(k + 1, k + 4):
+                product(j, q, term)
+                group += term
+            total += group
+        for k in range(grouped, kw):
+            product(j, k, term)
+            total += term
+    return total

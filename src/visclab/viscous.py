@@ -75,8 +75,12 @@ def _make_advance(grid: Grid, flux: FluxSpec, visc: ViscositySpec, eps: float,
     kernel = kernels.get_kernel(name, backend)
     work = kernels.workspace(name, grid.cells, eo + (visc.table,))
 
+    # two output buffers per march, taken in turn: a step never writes into
+    # the state it reads, and march keeps only copies of the states it stores
+    outs = (np.empty(grid.cells), np.empty(grid.cells))
+
     def euler(u, dt):
-        out = np.empty_like(u)
+        out = outs[0] if u is not outs[0] else outs[1]
         kernel(u, dt, *args, out, work)
         return out
 
@@ -97,7 +101,8 @@ def march(grid: Grid, u0: np.ndarray, times: np.ndarray, advance,
     t = 0.0
     steps = 0
     limit = sup_bound + MAX_PRINCIPLE_HARD
-    max_seen = float(np.max(np.abs(u)))
+    absu = np.empty_like(u)  # the guard's |u|, written in place every step
+    max_seen = float(np.maximum.reduce(np.abs(u, out=absu), axis=None))
     # written so that a NaN maximum fails too, the initial state's included
     if not max_seen <= limit:
         raise _violation(max_seen, sup_bound, steps, t)
@@ -108,7 +113,7 @@ def march(grid: Grid, u0: np.ndarray, times: np.ndarray, advance,
             u = advance(u, dt)
             t += dt
             steps += 1
-            m = float(np.maximum.reduce(np.abs(u), axis=None))
+            m = float(np.maximum.reduce(np.abs(u, out=absu), axis=None))
             if not m <= limit:
                 raise _violation(m, sup_bound, steps, t)
             if m > max_seen:

@@ -385,3 +385,55 @@ def test_split_transient_peak_is_a_few_fields(flux2d):
     finally:
         tracemalloc.stop()
     assert peak <= 6 * traj.values.nbytes
+
+
+def _young_whole_field(traj, lo, hi, window_cells, window_snaps, bins):
+    """The histograms binned and counted over the whole field at once."""
+    nt = traj.num_snapshots
+    v = np.clip(traj.values, lo, hi)
+    split = [nt // window_snaps, window_snaps]
+    for n in traj.grid.cells:
+        split += [n // window_cells, window_cells]
+    order = (0, 2, 1, 3) if traj.grid.dim == 1 else (0, 2, 4, 1, 3, 5)
+    blocks = v.reshape(split).transpose(order).reshape(
+        -1, window_snaps * window_cells ** traj.grid.dim)
+    edges = np.linspace(lo, hi, bins + 1)
+    width = edges[1] - edges[0]
+    idx = np.minimum(((blocks - lo) / width).astype(np.int64), bins - 1)
+    probs = np.zeros((blocks.shape[0], bins))
+    rows = np.repeat(np.arange(blocks.shape[0]), blocks.shape[1])
+    np.add.at(probs, (rows, idx.ravel()), 1.0)
+    probs /= blocks.shape[1]
+    return probs
+
+
+@pytest.mark.parametrize("shape,cells,snaps", [((12, 40), 8, 4),
+                                               ((9, 24, 16), 8, 3)])
+def test_young_windowed_counts_match_whole_field(shape, cells, snaps):
+    # values on bin edges, on both ends of I and inside the slack beyond them
+    rng = np.random.default_rng(7)
+    vals = rng.uniform(-1.0, 1.0, shape)
+    flat = vals.reshape(-1)
+    flat[:40] = np.linspace(-1.0, 1.0, 41)[:40]
+    flat[40:44] = (-1.0 - 5e-9, 1.0 + 5e-9, -1.0, 1.0)
+    traj = make_traj(vals)
+    hs = young_histograms(traj, (-1.0, 1.0), cells, snaps, 20)
+    probs = _young_whole_field(traj, -1.0, 1.0, cells, snaps, 20)
+    centers = hs.bin_centers
+    means = probs @ centers
+    assert hs.probabilities.tobytes() == probs.tobytes()
+    assert hs.means.tobytes() == means.tobytes()
+    assert hs.variances.tobytes() == (probs @ centers**2 - means**2).tobytes()
+
+
+def test_young_transient_peak_below_two_fields():
+    # whole-field binning holds about four copies of the field at once
+    traj = _random_traj(33, 64, 64, seed=6)
+    young_histograms(traj, (-1.0, 1.0), 8, 11, 64)
+    tracemalloc.start()
+    try:
+        young_histograms(traj, (-1.0, 1.0), 8, 11, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * traj.values.nbytes

@@ -3,11 +3,12 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.signal import convolve2d
 
 from visclab.convergence import fit_rate
 from visclab.domain import Grid
-from visclab.mollify import (kernel_mass, make_initial_data, make_kernel,
-                             mollify)
+from visclab.mollify import (_convolve_same_2d, kernel_mass, make_initial_data,
+                             make_kernel, mollify)
 from visclab.norms import total_variation
 
 
@@ -112,9 +113,53 @@ def test_2d_mollify_sup_and_support():
     assert out.values[0, :].max() == 0.0 and out.values[:, 0].max() == 0.0
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    # only the 2-D branch of mollify needs scipy.signal, which is slow to load
-    code = "import sys, visclab.cli; print('scipy.signal' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code],
+def _scipy_same(u, w):
+    return convolve2d(u, w, mode="same", boundary="fill")
+
+
+# widths of 12.8, 6.4, 3.2, 1.6 and 1 cells: kernels of 25, 13, 7, 3 and 1
+# cells a side, the first three those of the 2-D scenario's ladder
+@pytest.mark.parametrize("width", [0.1, 0.05, 0.025, 0.0125, 0.0078125])
+def test_2d_mollify_bytes_equal_convolve2d(width):
+    g = Grid((128, 128), (0.0, 0.0), (1.0, 1.0), 1.0)
+    kernel = make_kernel(width, g.spacing)
+    for center in ((0.5, 0.5), (0.42, 0.55), (0.37, 0.61)):
+        data = make_initial_data(g, "bump", center, 0.25, 1.0)
+        out = mollify(data, kernel).values
+        assert out.tobytes() == _scipy_same(data.field.values,
+                                            kernel.weights).tobytes()
+    rough = np.random.default_rng(1).standard_normal((128, 128))
+    assert (_convolve_same_2d(rough, kernel.weights).tobytes()
+            == _scipy_same(rough, kernel.weights).tobytes())
+
+
+@pytest.mark.parametrize("shape", [(5, 9), (1, 7), (11, 1), (3, 3)])
+def test_convolve_same_2d_bytes_equal_on_signed_data(shape):
+    # signed terms cancel, so a change of summation order shows in the
+    # last bits; 1 x 7 and 11 x 1 also take the one-row and one-column paths
+    rng = np.random.default_rng(sum(shape))
+    u = rng.standard_normal((37, 29))
+    w = rng.standard_normal(shape)
+    assert _convolve_same_2d(u, w).tobytes() == _scipy_same(u, w).tobytes()
+
+
+def _loads_scipy_signal(code):
+    """Whether running ``code`` in a fresh interpreter imports scipy.signal."""
+    probe = code + "\nimport sys; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # no module of visclab imports scipy.signal, which is slow to load
+    assert not _loads_scipy_signal("import visclab.cli")
+
+
+def test_2d_mollify_leaves_scipy_signal_unloaded():
+    assert not _loads_scipy_signal(
+        "from visclab.domain import Grid\n"
+        "from visclab.mollify import make_initial_data, make_kernel, mollify\n"
+        "g = Grid((32, 32), (0.0, 0.0), (1.0, 1.0), 1.0)\n"
+        "d = make_initial_data(g, 'bump', (0.5, 0.5), 0.25, 1.0)\n"
+        "mollify(d, make_kernel(0.1, g.spacing))")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from visclab import kernels
 from visclab.convergence import fit_rate
 from visclab.domain import Grid, make_flux, make_viscosity
 from visclab.viscous import (StepError, _make_advance, convective_face_flux,
@@ -142,6 +143,72 @@ def test_max_principle_guard_rejects_nan_initial_state():
         integrate(g, u0, f, v, 0.1, 0.4, snapshot_times(1.0, 10),
                   sup_bound=1.0)
     assert info.value.step == 0
+
+
+# --- output buffers ------------------------------------------------------------
+
+def _buffer_case(dim, visc):
+    """A grid, specs, a bump on it and a stable dt, in 1-D or 2-D."""
+    if dim == 1:
+        g = Grid((64,), (0.0,), (1.0,), 0.05)
+        f = make_flux(("burgers",), (-1.0, 1.0), 1e-8)
+        r2 = ((g.centers(0) - 0.5) / 0.25) ** 2
+    else:
+        g = Grid((24, 20), (0.0, 0.0), (1.0, 1.0), 0.05)
+        f = make_flux(("burgers", "linear"), (-1.0, 1.0), 1e-8, {"a": 1.0})
+        x, y = g.meshgrid()
+        r2 = ((x - 0.5) / 0.25) ** 2 + ((y - 0.45) / 0.25) ** 2
+    v = make_viscosity(visc, (-1.0, 1.0))
+    u0 = np.where(r2 < 1.0, (1.0 - np.minimum(r2, 1.0)) ** 3, 0.0)
+    return g, f, v, u0, stable_dt(g, f, v, 0.05, 0.4)
+
+
+def _fresh_advance(g, f, v, eps, integrator):
+    """The member update with a new output array on every kernel call."""
+    eo = tuple(t for tab in f.tables[:g.dim] for t in (tab.eo_plus,
+                                                       tab.eo_minus))
+    name = f"visc_step_{g.dim}d"
+    args = g.spacing + (eps, f.lattice.lo, f.lattice.inv_spacing) + eo + (v.table,)
+    kernel = kernels.get_kernel(name)
+    work = kernels.workspace(name, g.cells, eo + (v.table,))
+
+    def euler(u, dt):
+        out = np.empty_like(u)
+        kernel(u, dt, *args, out, work)
+        return out
+
+    if integrator == "euler":
+        return euler
+    return lambda u, dt: 0.5 * (u + euler(euler(u, dt), dt))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("integrator", ["euler", "heun"])
+def test_advance_never_writes_into_its_input(dim, integrator):
+    g, f, v, u, dt = _buffer_case(dim, "constant")
+    advance = _make_advance(g, f, v, 0.05, integrator)
+    for _ in range(5):
+        before = u.copy()
+        new = advance(u, dt)
+        assert not np.shares_memory(new, u)
+        assert u.tobytes() == before.tobytes()
+        u = new
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("integrator", ["euler", "heun"])
+@pytest.mark.parametrize("visc", ["constant", "quadratic"])
+def test_trajectory_equals_fresh_array_stepping(dim, integrator, visc):
+    # the reused output buffers and guard buffer change no byte of a march
+    g, f, v, u0, dt = _buffer_case(dim, visc)
+    times = snapshot_times(g.time_horizon, 5)
+    got = march(g, u0, times, _make_advance(g, f, v, 0.05, integrator),
+                dt, 0.05, 1.0)
+    want = march(g, u0, times, _fresh_advance(g, f, v, 0.05, integrator),
+                 dt, 0.05, 1.0)
+    assert got.steps_taken == want.steps_taken > 5
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.max_abs_seen == want.max_abs_seen
 
 
 def test_heat_decay_oracle():
