@@ -1,4 +1,7 @@
+import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -6,6 +9,16 @@ from visclab.config import build_scenario
 from visclab.harness import run_ladder
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def scipy_modules_loaded(code):
+    """The ``scipy*`` modules loaded after running ``code`` in a fresh
+    interpreter, sorted."""
+    probe = (code + "\nimport sys\n"
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", probe],
+                         capture_output=True, text=True, check=True)
+    return ast.literal_eval(out.stdout.strip().splitlines()[-1])
 
 
 def small_config(**overrides):

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import small_config
+from conftest import SCENARIOS, scipy_modules_loaded, small_config
 from visclab.cli import main as cli_main
 from visclab.harness import emit_plotdata, run_ladder, verify_run
 from visclab.io import CorruptSnapshotError
@@ -250,6 +250,35 @@ def test_cli_nan_amplitude_rejected_before_solving(tmp_path, capsys):
     assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 2
     assert "config rejected" in capsys.readouterr().err
     assert not out.exists()
+
+
+def tiny_2d_text():
+    """The shipped 2-D scenario on a 16 x 16 grid, 11 snapshots, 2 members."""
+    text = (SCENARIOS / "burgers2d.cfg").read_text()
+    for old, new in (("cells = 128,128", "cells = 16,16"),
+                     ("time_horizon = 0.25", "time_horizon = 0.05"),
+                     ("epsilons = 0.1,0.05,0.025", "epsilons = 0.1,0.05"),
+                     ("snapshots = 32", "snapshots = 10"),
+                     ("young_bins = 64", "young_bins = 16"),
+                     ("weak_window_snaps = 8", "weak_window_snaps = 4")):
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+def test_cli_run_and_verify_load_no_scipy(tmp_path):
+    # scipy is a test dependency only: no command may load any scipy module
+    one = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
+                       young_window_snaps=5, young_window_cells=6).raw_text
+    cli = "from visclab.cli import main\nmain({!r})"
+    for name, text in (("one", one), ("two", tiny_2d_text())):
+        cfgfile = tmp_path / f"{name}.cfg"
+        cfgfile.write_text(text)
+        argv = ["run", "--config", str(cfgfile), "--out", str(tmp_path / name)]
+        assert scipy_modules_loaded(cli.format(argv)) == []
+        assert (tmp_path / name / "estimates.csv").exists()
+    assert scipy_modules_loaded(cli.format(["verify",
+                                            str(tmp_path / "two")])) == []
 
 
 def _load_probe():

@@ -1,10 +1,8 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from scipy.signal import convolve2d
 
+from conftest import scipy_modules_loaded
 from visclab.convergence import fit_rate
 from visclab.domain import Grid
 from visclab.mollify import (_convolve_same_2d, kernel_mass, make_initial_data,
@@ -143,23 +141,16 @@ def test_convolve_same_2d_bytes_equal_on_signed_data(shape):
     assert _convolve_same_2d(u, w).tobytes() == _scipy_same(u, w).tobytes()
 
 
-def _loads_scipy_signal(code):
-    """Whether running ``code`` in a fresh interpreter imports scipy.signal."""
-    probe = code + "\nimport sys; print('scipy.signal' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe],
-                         capture_output=True, text=True, check=True)
-    return out.stdout.strip() == "True"
-
-
 def test_cli_import_leaves_scipy_signal_unloaded():
-    # no module of visclab imports scipy.signal, which is slow to load
-    assert not _loads_scipy_signal("import visclab.cli")
+    # no module of visclab imports scipy.signal (or any other scipy module),
+    # which is slow to load
+    assert scipy_modules_loaded("import visclab.cli") == []
 
 
 def test_2d_mollify_leaves_scipy_signal_unloaded():
-    assert not _loads_scipy_signal(
+    assert scipy_modules_loaded(
         "from visclab.domain import Grid\n"
         "from visclab.mollify import make_initial_data, make_kernel, mollify\n"
         "g = Grid((32, 32), (0.0, 0.0), (1.0, 1.0), 1.0)\n"
         "d = make_initial_data(g, 'bump', (0.5, 0.5), 0.25, 1.0)\n"
-        "mollify(d, make_kernel(0.1, g.spacing))")
+        "mollify(d, make_kernel(0.1, g.spacing))") == []
