@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the hot update kernels: numba against the pure-numpy fallback.
+"""Time the hot update kernels, the numpy step of each.
 
 The kernels run on the shipped scenarios (400 cells in 1-D, 128x128 in 2-D):
 their tables and the mollified initial state of the largest-eps member, set
@@ -101,35 +101,28 @@ def main():
     ap.add_argument("--rounds", type=int, default=5)
     args = ap.parse_args()
 
-    backends = ["numpy"]
-    if kernels.HAVE_NUMBA:
-        backends.append("numba")
-    else:
-        print("numba not importable; timing the numpy path only")
-
     cases = []
     for scenario in ("burgers1d.cfg", "burgers2d.cfg"):
         for kname, preset, u, call, tabs in scenario_calls(scenario):
             work = kernels.workspace(kname, u.shape, tabs)
-            for b in backends:
-                fn = kernels.KERNELS[b][kname]
-                fn(u, *call, np.empty_like(u), work)  # JIT compile, first touch
-                cases.append((kname, preset, b, u, call, work, fn))
+            fn = kernels.get_kernel(kname)
+            fn(u, *call, np.empty_like(u), work)  # first touch
+            cases.append((kname, preset, u, call, work, fn))
     samples = [[] for _ in cases]
     for _ in range(args.rounds):
         for case, got in zip(cases, samples):
-            _k, _p, _b, u, call, work, fn = case
+            _k, _p, u, call, work, fn = case
             got.append(bench(fn, u, call, work, args.steps))
 
-    print(f"{'kernel':<18} {'B':<9} {'backend':<8} {'cells':>8} "
+    print(f"{'kernel':<18} {'B':<9} {'cells':>8} "
           f"{'median (us)':>12} {'IQR (us)':>9} {'faults/step':>12} "
           f"{'peak (states)':>14}")
-    for (kname, preset, b, u, call, work, fn), got in zip(cases, samples):
+    for (kname, preset, u, call, work, fn), got in zip(cases, samples):
         us = np.array([t for t, _ in got]) * 1e6
         q1, med, q3 = np.percentile(us, [25, 50, 75])
         faults = float(np.median([f for _, f in got]))
         cells = "x".join(map(str, u.shape))
-        print(f"{kname:<18} {preset:<9} {b:<8} {cells:>8} {med:12.1f} "
+        print(f"{kname:<18} {preset:<9} {cells:>8} {med:12.1f} "
               f"{q3 - q1:9.1f} {faults:12.1f} "
               f"{peak_states(fn, u, call, work):14.2f}")
 

@@ -27,7 +27,7 @@ def _cmd_run(args) -> int:
         return 2
     try:
         result = run_ladder(cfg, outdir=args.out, jobs=args.jobs,
-                            overwrite=args.overwrite, backend=args.backend)
+                            overwrite=args.overwrite)
     except Exception as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
@@ -81,7 +81,6 @@ def main(argv=None) -> int:
                        help="ladder members to solve concurrently")
     p_run.add_argument("--overwrite", action="store_true",
                        help="replace an existing run of a different config")
-    p_run.add_argument("--backend", choices=["numpy", "numba"], default=None)
     p_run.set_defaults(fn=_cmd_run)
 
     p_ver = sub.add_parser("verify", help="re-evaluate pass flags from a run directory")

@@ -68,13 +68,13 @@ def build_runtime(cfg: ScenarioConfig) -> RuntimeSpecs:
 
 
 def solve_member(cfg: ScenarioConfig, specs: RuntimeSpecs, eps: float,
-                 width: float, backend=None) -> FieldTrajectory:
+                 width: float) -> FieldTrajectory:
     kern = make_kernel(width, specs.grid.spacing)
     u0eps = mollify(specs.init_data, kern)
     times = snapshot_times(cfg.time_horizon, cfg.snapshots)
     return integrate(specs.grid, u0eps.values, specs.flux, specs.visc, eps,
                      cfg.cfl, times, cfg.integrator,
-                     sup_bound=specs.sup_bound, backend=backend)
+                     sup_bound=specs.sup_bound)
 
 
 def _young_histograms(cfg: ScenarioConfig, specs: RuntimeSpecs,
@@ -108,16 +108,37 @@ def member_diagnostics(cfg: ScenarioConfig, specs: RuntimeSpecs,
     return m
 
 
+def _stage(name: str, exc: Exception | None = None) -> dict:
+    """A manifest stage: ok, or failed with the error it raised."""
+    if exc is None:
+        return {"name": name, "status": "ok"}
+    return {"name": name, "status": "failed", "error": str(exc)}
+
+
 def _solve_and_diagnose(cfg: ScenarioConfig, specs: RuntimeSpecs, eps: float,
-                        width: float, backend):
-    traj = solve_member(cfg, specs, eps, width, backend)
-    return eps, traj, member_diagnostics(cfg, specs, traj)
+                        width: float):
+    """Solve one member, then diagnose it, each as a stage of its own.
+
+    Returns ``(member, stages)``: ``member`` is ``(traj, diag)``, or None
+    when either stage failed; a failed solve leaves no diagnose stage.
+    """
+    label = eps_label(eps)
+    solve, diagnose = f"solve eps={label}", f"diagnose eps={label}"
+    try:
+        traj = solve_member(cfg, specs, eps, width)
+    except Exception as exc:
+        return None, [_stage(solve, exc)]
+    try:
+        diag = member_diagnostics(cfg, specs, traj)
+    except Exception as exc:
+        return None, [_stage(solve), _stage(diagnose, exc)]
+    return (traj, diag), [_stage(solve), _stage(diagnose)]
 
 
 def _member_worker(args):
     """One member in a pool process, which builds its own runtime."""
-    cfg, eps, width, backend = args
-    return _solve_and_diagnose(cfg, build_runtime(cfg), eps, width, backend)
+    cfg, eps, width = args
+    return _solve_and_diagnose(cfg, build_runtime(cfg), eps, width)
 
 
 @dataclass
@@ -178,8 +199,7 @@ def assess(cfg: ScenarioConfig, specs: RuntimeSpecs,
 
 
 def run_ladder(cfg: ScenarioConfig, outdir: str | Path | None = None,
-               jobs: int = 1, overwrite: bool = False,
-               backend: str | None = None) -> RunResult:
+               jobs: int = 1, overwrite: bool = False) -> RunResult:
     """Full pipeline: mollify, solve the ladder, solve the reference, run all
     diagnostics, evaluate the estimates, and persist everything."""
     outdir = Path(outdir if outdir is not None else cfg.outdir)
@@ -217,7 +237,7 @@ def run_ladder(cfg: ScenarioConfig, outdir: str | Path | None = None,
     rungs = list(zip(cfg.ladder, cfg.mollifier_widths))
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(_member_worker, (cfg, eps, width, backend)):
+            futures = {pool.submit(_member_worker, (cfg, eps, width)):
                        eps for eps, width in rungs}
             results = {}
             for fut in concurrent.futures.as_completed(futures):
@@ -225,44 +245,37 @@ def run_ladder(cfg: ScenarioConfig, outdir: str | Path | None = None,
                 try:
                     results[eps] = fut.result()
                 except Exception as exc:
-                    results[eps] = exc
+                    # the worker itself failed: set-up, pickling or a crash
+                    results[eps] = (None, [
+                        _stage(f"solve eps={eps_label(eps)}", exc)])
         ordered = [(eps, results[eps]) for eps, _w in rungs]
     else:
         # in process, the members share this run's runtime
-        ordered = []
-        for eps, width in rungs:
-            try:
-                ordered.append((eps, _solve_and_diagnose(cfg, specs, eps, width,
-                                                         backend)))
-            except Exception as exc:
-                ordered.append((eps, exc))
+        ordered = [(eps, _solve_and_diagnose(cfg, specs, eps, width))
+                   for eps, width in rungs]
 
-    for eps, res in ordered:
-        name = f"solve eps={eps_label(eps)}"
-        if isinstance(res, Exception):
-            stages.append({"name": name, "status": "failed", "error": str(res)})
+    for eps, (member, member_stages) in ordered:
+        stages.extend(member_stages)
+        if member is None:
             failures += 1
             continue
-        _eps, traj, diag = res
+        traj, diag = member
         trajs[eps] = traj
         members.append(diag)
         files.extend(str(Path(p).relative_to(outdir)) for p in
                      io.save_trajectory(outdir / f"eps_{eps_label(eps)}", traj))
-        stages.append({"name": name, "status": "ok"})
 
     reference = None
     try:
         u0ref = specs.init_data.field.values
         reference = solve_reference(specs.grid, specs.flux, specs.visc, u0ref,
                                     cfg.cfl,
-                                    snapshot_times(cfg.time_horizon, cfg.snapshots),
-                                    backend=backend)
+                                    snapshot_times(cfg.time_horizon, cfg.snapshots))
         files.extend(str(Path(p).relative_to(outdir)) for p in
                      io.save_trajectory(outdir / "reference", reference))
-        stages.append({"name": "solve reference", "status": "ok"})
+        stages.append(_stage("solve reference"))
     except Exception as exc:
-        stages.append({"name": "solve reference", "status": "failed",
-                       "error": str(exc)})
+        stages.append(_stage("solve reference", exc))
         failures += 1
 
     ladder_trajs = [trajs[e] for e in cfg.ladder if e in trajs]
@@ -275,7 +288,7 @@ def run_ladder(cfg: ScenarioConfig, outdir: str | Path | None = None,
     manifest = {
         "tool": "visclab",
         "version": __version__,
-        "backend": backend or kernels.active_backend(),
+        "backend": kernels.active_backend(),
         "config_sha256": digest,
         "config_text": raw,
         "started": started,

@@ -1,29 +1,25 @@
 """Hot finite-volume update kernels.
 
-Each kernel exists twice: a vectorized pure-numpy implementation and, when
-numba is importable, an ``@njit`` twin compiled from explicit loops.  The
-numpy kernels locate each distinct state array on the table lattice once
-(``tables.locate``) and read every table from that location
-(``tables.lookup``); the loop twins interpolate each table value by value.
-Both paths use the same scalar arithmetic (same interpolation formula, same
-operation order), so their outputs agree bit for bit; tests assert that
-against the loop twins run as plain Python, and against numba where it
-imports.
+Each kernel is vectorized numpy.  It locates each distinct state array on
+the table lattice once (``tables.locate``) and reads every table from that
+location (``tables.lookup``).  The tests check every kernel bit for bit
+against an explicit-loop twin in ``tests/oracles.py``, which interpolates
+each table value by value with the same scalar arithmetic (same
+interpolation formula, same operation order).
 
 Step plan convention: every kernel takes ``(..., out, work)``.  ``work`` is
 the kernel's step plan, built by ``workspace(name, shape, tables)`` once per
 march for the state shape and the tables the kernel will be handed, and
-passed unchanged on every call.  It holds every buffer a numpy step writes
+passed unchanged on every call.  It holds every buffer a step writes
 (the zero-bordered copy of the state, whose ghost cells stay 0 because only
 its interior is written; the location of the state and of the face
 midpoints; the table reads; the face fluxes and the cell differences), every
 view the step reads (the interior of the state, the state and the table
 reads on either side of each face, the fluxes after and before each cell),
 the scalars derived once per march, and the slope table ``tab[1:] -
-tab[:-1]`` of each of its tables.  So a numpy step is one fixed sequence of
+tab[:-1]`` of each of its tables.  So a step is one fixed sequence of
 ufunc calls with ``out=`` into the plan: it allocates nothing and slices
-nothing.  A plan holds only arrays, tuples, floats and None; the loop twins
-accept ``work`` and ignore it.
+nothing.  A plan holds only arrays, tuples, floats and None.
 
 Reading a table: ``locate`` clips the float panel index to ``[0, nodes - 2]``
 and truncates it, the same ``k`` and ``frac`` as flooring and then clipping
@@ -41,43 +37,29 @@ builds a plan for the tables it was handed, so it still reads those.
 
 Flat viscosity table: the plan judges the B table once per march; when every
 node equals node 0 (``B == b``, the semilinear case) it records ``b``, and a
-numpy viscous step multiplies ``ur - ul`` by the scalar ``b * eps / h``
+viscous step multiplies ``ur - ul`` by the scalar ``b * eps / h``
 instead of locating the face midpoints and reading B there.  That is exact:
 the lookup gives ``t0 + frac * (t1 - t0) = b + frac * 0 = b`` for every
 finite ``frac``, so the old face term ``(b * eps / h) * (ur - ul)`` and the
 new ``(ur - ul) * (b * eps / h)`` are the same IEEE product.
 
-Backend selection: numba when available, unless ``VISCLAB_DISABLE_NUMBA`` is
-set.  ``benchmarks/bench_kernels.py`` times the two paths against each other.
+``benchmarks/bench_kernels.py`` times the kernels.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from typing import NamedTuple
 
 import numpy as np
 
 from .tables import slopes
 
-try:
-    from numba import njit
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - numba missing entirely
-    HAVE_NUMBA = False
-
-ENV_FLAG = "VISCLAB_DISABLE_NUMBA"
-
-
-def numba_enabled() -> bool:
-    if not HAVE_NUMBA:
-        return False
-    return os.environ.get(ENV_FLAG, "").lower() not in ("1", "true", "yes")
+HAVE_NUMBA = False  # perfbench's set-up probe records it
 
 
 def active_backend() -> str:
-    return "numba" if numba_enabled() else "numpy"
+    """The kernel implementation every run uses, recorded in the manifest."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -400,148 +382,8 @@ def godunov_sweep_2d_numpy(u, dt, h, axis, lo, inv, ftab, crit_y, crit_f,
     return out
 
 
-# ---------------------------------------------------------------------------
-# loop twins (numba-compiled when available); they take ``work`` and ignore it
-
-
-def _interp_scalar(tab, lo, inv, u):
-    s = (u - lo) * inv
-    k = math.floor(s)
-    if k < 0.0:
-        k = 0.0
-    elif k > tab.shape[0] - 2.0:
-        k = tab.shape[0] - 2.0
-    ki = np.int64(k)
-    frac = s - k
-    return tab[ki] + frac * (tab[ki + 1] - tab[ki])
-
-
-def _visc_step_1d_loops(u, dt, h, eps, lo, inv, eop, eom, btab, out, work):
-    n = u.shape[0]
-    epsh = eps / h
-    lam = dt / h
-    fprev = 0.0
-    for i in range(n + 1):
-        ul = u[i - 1] if i > 0 else 0.0
-        ur = u[i] if i < n else 0.0
-        conv = _interp_scalar(eop, lo, inv, ul) + _interp_scalar(eom, lo, inv, ur)
-        bm = _interp_scalar(btab, lo, inv, 0.5 * (ul + ur))
-        f = conv - epsh * bm * (ur - ul)
-        if i > 0:
-            out[i - 1] = u[i - 1] - lam * (f - fprev)
-        fprev = f
-    return out
-
-
-def _visc_step_2d_loops(u, dt, hx, hy, eps, lo, inv,
-                        eopx, eomx, eopy, eomy, btab, out, work):
-    nx, ny = u.shape
-    lamx = dt / hx
-    lamy = dt / hy
-    ehx = eps / hx
-    ehy = eps / hy
-    for j in range(ny):
-        fprev = 0.0
-        for i in range(nx + 1):
-            ul = u[i - 1, j] if i > 0 else 0.0
-            ur = u[i, j] if i < nx else 0.0
-            conv = _interp_scalar(eopx, lo, inv, ul) + _interp_scalar(eomx, lo, inv, ur)
-            bm = _interp_scalar(btab, lo, inv, 0.5 * (ul + ur))
-            f = conv - ehx * bm * (ur - ul)
-            if i > 0:
-                out[i - 1, j] = u[i - 1, j] - lamx * (f - fprev)
-            fprev = f
-    for i in range(nx):
-        fprev = 0.0
-        for j in range(ny + 1):
-            ul = u[i, j - 1] if j > 0 else 0.0
-            ur = u[i, j] if j < ny else 0.0
-            conv = _interp_scalar(eopy, lo, inv, ul) + _interp_scalar(eomy, lo, inv, ur)
-            bm = _interp_scalar(btab, lo, inv, 0.5 * (ul + ur))
-            f = conv - ehy * bm * (ur - ul)
-            if j > 0:
-                out[i, j - 1] = out[i, j - 1] - lamy * (f - fprev)
-            fprev = f
-    return out
-
-
-def _godunov_face_scalar(ul, ur, lo, inv, ftab, crit_y, crit_f):
-    fl = _interp_scalar(ftab, lo, inv, ul)
-    fr = _interp_scalar(ftab, lo, inv, ur)
-    if ul <= ur:
-        g = min(fl, fr)
-        for c in range(crit_y.shape[0]):
-            cy = crit_y[c]
-            if ul < cy and cy < ur:
-                cf = crit_f[c]
-                if cf < g:
-                    g = cf
-        return g
-    g = max(fl, fr)
-    for c in range(crit_y.shape[0]):
-        cy = crit_y[c]
-        if ur < cy and cy < ul:
-            cf = crit_f[c]
-            if cf > g:
-                g = cf
-    return g
-
-
-def _godunov_step_1d_loops(u, dt, h, lo, inv, ftab, crit_y, crit_f, out, work):
-    n = u.shape[0]
-    lam = dt / h
-    fprev = 0.0
-    for i in range(n + 1):
-        ul = u[i - 1] if i > 0 else 0.0
-        ur = u[i] if i < n else 0.0
-        f = _godunov_face_scalar(ul, ur, lo, inv, ftab, crit_y, crit_f)
-        if i > 0:
-            out[i - 1] = u[i - 1] - lam * (f - fprev)
-        fprev = f
-    return out
-
-
-def _godunov_sweep_2d_loops(u, dt, h, axis, lo, inv, ftab, crit_y, crit_f,
-                            out, work):
-    nx, ny = u.shape
-    lam = dt / h
-    if axis == 0:
-        for j in range(ny):
-            fprev = 0.0
-            for i in range(nx + 1):
-                ul = u[i - 1, j] if i > 0 else 0.0
-                ur = u[i, j] if i < nx else 0.0
-                f = _godunov_face_scalar(ul, ur, lo, inv, ftab, crit_y, crit_f)
-                if i > 0:
-                    out[i - 1, j] = u[i - 1, j] - lam * (f - fprev)
-                fprev = f
-    else:
-        for i in range(nx):
-            fprev = 0.0
-            for j in range(ny + 1):
-                ul = u[i, j - 1] if j > 0 else 0.0
-                ur = u[i, j] if j < ny else 0.0
-                f = _godunov_face_scalar(ul, ur, lo, inv, ftab, crit_y, crit_f)
-                if j > 0:
-                    out[i, j - 1] = u[i, j - 1] - lam * (f - fprev)
-                fprev = f
-    return out
-
-
-if HAVE_NUMBA:
-    _interp_scalar = njit(cache=True)(_interp_scalar)
-    visc_step_1d_numba = njit(cache=True)(_visc_step_1d_loops)
-    visc_step_2d_numba = njit(cache=True)(_visc_step_2d_loops)
-    _godunov_face_scalar = njit(cache=True)(_godunov_face_scalar)
-    godunov_step_1d_numba = njit(cache=True)(_godunov_step_1d_loops)
-    godunov_sweep_2d_numba = njit(cache=True)(_godunov_sweep_2d_loops)
-else:  # pragma: no cover
-    visc_step_1d_numba = None
-    visc_step_2d_numba = None
-    godunov_step_1d_numba = None
-    godunov_sweep_2d_numba = None
-
-
+# keyed by ``active_backend()``; ``get_kernel`` looks a kernel up when a
+# march is set up, so a rebound entry is the one that runs
 KERNELS = {
     "numpy": {
         "visc_step_1d": visc_step_1d_numpy,
@@ -549,20 +391,8 @@ KERNELS = {
         "godunov_step_1d": godunov_step_1d_numpy,
         "godunov_sweep_2d": godunov_sweep_2d_numpy,
     },
-    "numba": {
-        "visc_step_1d": visc_step_1d_numba,
-        "visc_step_2d": visc_step_2d_numba,
-        "godunov_step_1d": godunov_step_1d_numba,
-        "godunov_sweep_2d": godunov_sweep_2d_numba,
-    },
 }
 
 
-def get_kernel(name: str, backend: str | None = None):
-    b = backend or active_backend()
-    if b == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not installed")
-    fn = KERNELS[b][name]
-    if fn is None:  # pragma: no cover
-        raise RuntimeError(f"kernel {name} unavailable for backend {b}")
-    return fn
+def get_kernel(name: str):
+    return KERNELS["numpy"][name]

@@ -43,12 +43,12 @@ def godunov_face_flux(uL: float, uR: float, flux: FluxSpec, axis: int = 0) -> fl
 
 
 def solve_reference(grid: Grid, flux: FluxSpec, visc: ViscositySpec,
-                    u0: np.ndarray, cfl: float, snapshot_times: np.ndarray,
-                    backend=None) -> FieldTrajectory:
+                    u0: np.ndarray, cfl: float,
+                    snapshot_times: np.ndarray) -> FieldTrajectory:
     """Entropy-solution candidate on the same snapshot lattice, epsilon = 0."""
     lat = flux.lattice
     if grid.dim == 1:
-        k1 = kernels.get_kernel("godunov_step_1d", backend)
+        k1 = kernels.get_kernel("godunov_step_1d")
         tab = flux.tables[0]
         work = kernels.workspace("godunov_step_1d", grid.cells, (tab.f,))
         h = grid.spacing[0]
@@ -59,7 +59,7 @@ def solve_reference(grid: Grid, flux: FluxSpec, visc: ViscositySpec,
                tab.crit_f, out, work)
             return out
     else:
-        k2 = kernels.get_kernel("godunov_sweep_2d", backend)
+        k2 = kernels.get_kernel("godunov_sweep_2d")
         tx, ty = flux.tables[0], flux.tables[1]
         work = kernels.workspace("godunov_sweep_2d", grid.cells, (tx.f, ty.f))
         hx, hy = grid.spacing
@@ -140,21 +140,3 @@ def riemann_exact(uL: float, uR: float, flux: FluxSpec, axis: int = 0) -> Rieman
     return _ConvexRiemann(uL, uR, "rarefaction", (fp(uL), fp(uR)),
                           fp=fp, fp_inv=inv)
 
-
-def shock_position(field_values: np.ndarray, grid: Grid, level: float) -> float:
-    """Rightmost downward crossing of ``level`` in a 1-D profile.
-
-    Robust against an upstream boundary fan: the shock is the last place the
-    profile falls through the level.
-    """
-    u = field_values
-    x = grid.centers(0)
-    above = np.nonzero(u >= level)[0]
-    if above.size == 0:
-        return float(x[0])
-    i = int(above[-1])
-    if i == u.shape[0] - 1:
-        return float(x[-1])
-    u0, u1 = u[i], u[i + 1]
-    frac = (u0 - level) / (u0 - u1) if u0 != u1 else 0.5
-    return float(x[i] + frac * (x[i + 1] - x[i]))

@@ -86,7 +86,9 @@ def lookup(tab: np.ndarray, slope: np.ndarray, loc) -> np.ndarray:
 def interp(lattice: TableLattice, values: np.ndarray, u) -> np.ndarray:
     """Piecewise-linear table lookup; clamps to the end panels outside [lo, hi].
 
-    Uses the same arithmetic as the kernels so all paths agree bit for bit.
+    The same ``locate``/``lookup`` arithmetic as the kernels in ``kernels``
+    and the loop twins in ``tests/oracles.py``, so all three agree bit for
+    bit.
     """
     u = np.asarray(u, dtype=np.float64)
     out = lookup(values, slopes(values),

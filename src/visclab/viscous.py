@@ -61,7 +61,7 @@ def diffusive_face_flux(uL: float, uR: float, visc: ViscositySpec, eps: float,
 
 
 def _make_advance(grid: Grid, flux: FluxSpec, visc: ViscositySpec, eps: float,
-                  integrator: str, backend=None):
+                  integrator: str):
     """The member's update ``advance(u, dt) -> new u``, set up once per march
     together with the kernel's step plan, which tabulates the slopes of the
     tables and judges once whether the B table is flat (then every step
@@ -72,7 +72,7 @@ def _make_advance(grid: Grid, flux: FluxSpec, visc: ViscositySpec, eps: float,
                                                       tab.eo_minus))
     name = f"visc_step_{grid.dim}d"
     args = grid.spacing + (eps, lat.lo, lat.inv_spacing) + eo + (visc.table,)
-    kernel = kernels.get_kernel(name, backend)
+    kernel = kernels.get_kernel(name)
     work = kernels.workspace(name, grid.cells, eo + (visc.table,))
 
     # two output buffers per march, taken in turn: a step never writes into
@@ -132,13 +132,13 @@ def _violation(m: float, sup_bound: float, step: int, t: float) -> StepError:
 
 def integrate(grid: Grid, u0: np.ndarray, flux: FluxSpec, visc: ViscositySpec,
               eps: float, cfl: float, snapshot_times: np.ndarray,
-              integrator: str = "euler", sup_bound: float | None = None,
-              backend=None) -> FieldTrajectory:
+              integrator: str = "euler",
+              sup_bound: float | None = None) -> FieldTrajectory:
     """March to the horizon, landing exactly on each snapshot time."""
     if sup_bound is None:
         sup_bound = float(np.max(np.abs(u0)))
     return march(grid, u0, snapshot_times,
-                 _make_advance(grid, flux, visc, eps, integrator, backend),
+                 _make_advance(grid, flux, visc, eps, integrator),
                  stable_dt(grid, flux, visc, eps, cfl), eps, sup_bound)
 
 

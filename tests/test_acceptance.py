@@ -10,11 +10,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import shock_position
 from visclab.domain import Grid, make_flux, make_viscosity
 from visclab.mollify import make_initial_data, make_kernel, mollify
 from visclab.convergence import fit_rate
 from visclab.norms import dirichlet_dual_norm, total_variation
-from visclab.reference import shock_position, solve_reference
+from visclab.reference import solve_reference
 from visclab.viscous import integrate, snapshot_times
 
 
@@ -125,6 +126,27 @@ def test_c09_d2_quadratic(run2d):
     assert report(9, "compensated quadratic (d=2)", ok,
                   "mean D: " + " > ".join(f"{r.lhs:.3e}" for r in decreases)
                   + f", pointwise min >= {-floor.lhs:.1e}")
+
+
+def test_c09_2d_known_reds(run2d):
+    # The shipped 2-D run fails exactly the six h1_decay slope rows (square
+    # 0.055, Kruzkov 0.29-0.33 against >= 0.4) and the ut_l1 slope (-0.109
+    # against >= -0.1); every other row passes.  Thresholds stay as stated.
+    cfg, result = run2d
+    failing = {(r.estimate, r.detail): r.lhs for r in result.rows
+               if not r.passed}
+    slopes = {(r.estimate, r.detail) for r in rows_for(result, "h1_decay")
+              if r.detail.endswith(" slope")}
+    assert len(slopes) == 6  # square + 5 kruzkov entropies
+    reason = ("the 2-D ladder is diffusion-dominated: no member forms a shock "
+              "(each member's steepest u_x only decays, while the Godunov "
+              "reference steepens to about -50), so the divergence part and "
+              "u_t decay at pre-asymptotic rates; failing rows: "
+              + ", ".join(f"{e} {d} = {v:.4g}"
+                          for (e, d), v in sorted(failing.items())))
+    assert set(failing) == slopes | {("ut_l1", "slope")}, reason
+    assert result.exit_code == 1, reason
+    report(9, "2-D reds pinned (h1_decay, ut_l1)", True, reason)
 
 
 # --- criterion 10: solver oracles --------------------------------------------

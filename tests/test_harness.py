@@ -1,13 +1,17 @@
+import ast
 import csv
 import importlib.util
 import json
 import pathlib
+import sys
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import SCENARIOS, scipy_modules_loaded, small_config
+from visclab import harness
 from visclab.cli import main as cli_main
 from visclab.harness import emit_plotdata, run_ladder, verify_run
 from visclab.io import CorruptSnapshotError
@@ -143,6 +147,42 @@ def test_parallel_jobs_match_serial(tmp_path):
             (tmp_path / "parallel" / name).read_bytes()
 
 
+def test_failed_diagnostics_blamed_on_diagnose_stage(tmp_path, monkeypatch):
+    # an instrument error is recorded against the member's diagnose stage,
+    # not its solve; the member stays out of the assessment and the run
+    # exits 2
+    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
+                       young_window_snaps=5, young_window_cells=6)
+    diagnose = harness.member_diagnostics
+
+    def broken_for_finest(cfg, specs, traj):
+        if traj.epsilon == 0.05:
+            raise FloatingPointError("instrument failed")
+        return diagnose(cfg, specs, traj)
+
+    monkeypatch.setattr(harness, "member_diagnostics", broken_for_finest)
+    result = run_ladder(cfg, outdir=tmp_path / "run", jobs=1)
+    stages = {s["name"]: s for s in result.manifest["stages"]}
+    assert [s["name"] for s in result.manifest["stages"]] == [
+        "solve eps=0.1", "diagnose eps=0.1", "solve eps=0.05",
+        "diagnose eps=0.05", "solve reference"]
+    assert stages["solve eps=0.05"]["status"] == "ok"
+    assert stages["diagnose eps=0.05"] == {"name": "diagnose eps=0.05",
+                                           "status": "failed",
+                                           "error": "instrument failed"}
+    assert all(stages[n]["status"] == "ok" for n in
+               ("solve eps=0.1", "diagnose eps=0.1", "solve reference"))
+    assert result.exit_code == 2
+    assert not any(f.startswith("eps_0.05/") for f in result.manifest["files"])
+    assert {r["epsilon"] for r in read_csv(result.outdir / "diagnostics.csv")} \
+        == {"0.1"}
+    # a pool worker runs the same function and returns the same stages
+    member, worker_stages = harness._member_worker((cfg, 0.05, 0.02))
+    assert member is None
+    assert worker_stages == [stages["solve eps=0.05"],
+                             stages["diagnose eps=0.05"]]
+
+
 def _quadratic_config():
     """A non-flat B table, so the march reads B at every face midpoint; the
     shipped scenarios and the other run-level tests take the flat-table path."""
@@ -204,6 +244,16 @@ def test_cli_presets_and_run(tmp_path, capsys):
     assert "max_principle" in out
     assert cli_main(["verify", str(tmp_path / "cli_run")]) == code
     assert cli_main(["plotdata", str(tmp_path / "cli_run")]) == 0
+
+
+def test_cli_has_no_backend_option(tmp_path):
+    cfgfile = tmp_path / "scenario.cfg"
+    cfgfile.write_text(small_config().raw_text)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--config", str(cfgfile), "--out",
+                  str(tmp_path / "run"), "--backend", "numpy"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_bad_config(tmp_path, capsys):
@@ -281,6 +331,26 @@ def test_cli_run_and_verify_load_no_scipy(tmp_path):
                                             str(tmp_path / "two")])) == []
 
 
+def test_package_imports_only_stdlib_numpy_and_itself():
+    # numpy is the one runtime dependency in pyproject.toml: every import in
+    # the package, those inside functions included, names the standard
+    # library, numpy or visclab itself
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "visclab"
+    allowed = set(sys.stdlib_module_names) | {"numpy", "visclab"}
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] not in allowed]
+    assert not offenders
+
+
 def _load_probe():
     """The benchmark's tracing probe, imported from its file, unmodified."""
     path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "probe.py"
@@ -312,6 +382,20 @@ def test_benchmark_trace_probe_sees_every_layer(tmp_path):
     calls = Counter(span[0] for span in traced["spans"])
     assert calls["kernels.visc_step_1d"] == counters["viscous.steps"]
     assert calls["kernels.godunov_step_1d"] == counters["reference.steps"]
+
+
+def test_benchmark_setup_probe_records_numpy_kernels(tiny_run, tmp_path,
+                                                   capsys):
+    cfg, result = tiny_run
+    cfgfile = tmp_path / "scenario.cfg"
+    cfgfile.write_text(cfg.raw_text)
+    _load_probe().setup_probe(time.monotonic_ns(), str(cfgfile))
+    line = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert line["backend"] == "numpy"
+    assert line["numba_importable"] is False
+    assert line["setup_s"] > 0
+    manifest = json.loads((result.outdir / "manifest.json").read_text())
+    assert manifest["backend"] == "numpy"
 
 
 def test_plotdata_metrics_match_run_diagnostics(run2d):

@@ -1,33 +1,21 @@
-import os
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from oracles import LOOPS
 from visclab import kernels
 from visclab.domain import make_flux, make_viscosity
 
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA,
-                                 reason="numba not installed")
-
-# The numpy kernels are checked bit for bit against the explicit-loop twins,
-# run un-jitted as plain Python, and against their numba builds where numba
-# imports.
-LOOPS = {
-    "visc_step_1d": kernels._visc_step_1d_loops,
-    "visc_step_2d": kernels._visc_step_2d_loops,
-    "godunov_step_1d": kernels._godunov_step_1d_loops,
-    "godunov_sweep_2d": kernels._godunov_sweep_2d_loops,
-}
-TWINS = [pytest.param("loops", id="loops"),
-         pytest.param("numba", id="numba", marks=needs_numba)]
+# The numpy kernels are checked bit for bit against the explicit-loop twins
+# of ``oracles``; ``kind`` names the oracle and keeps the ``-loops`` test ids.
+ORACLES = {"loops": LOOPS}
+TWINS = list(ORACLES)
 
 
 def twin(kind, name):
-    return LOOPS[name] if kind == "loops" else kernels.KERNELS["numba"][name]
+    return ORACLES[kind][name]
 
 
 @pytest.fixture(scope="module")
@@ -272,15 +260,6 @@ def test_visc_step_table_path_allocation_peak(setup, flat_tables, name,
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * u.nbytes, peak / u.nbytes
-
-
-def test_env_flag_forces_numpy():
-    code = ("import visclab.kernels as k; "
-            "print(k.active_backend())")
-    env = dict(os.environ, VISCLAB_DISABLE_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
 
 
 def test_interp_clamps_at_table_ends(setup):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import shock_position
 from visclab.domain import Grid, make_flux, make_viscosity
-from visclab.reference import (godunov_face_flux, riemann_exact,
-                               shock_position, solve_reference)
+from visclab.reference import godunov_face_flux, riemann_exact, solve_reference
 from visclab.viscous import snapshot_times
 
 
