@@ -3,12 +3,14 @@
 
 The kernels run on the shipped scenarios (400 cells in 1-D, 128x128 in 2-D):
 their tables and the mollified initial state of the largest-eps member, set
-up through the same calls a run makes, with one step plan built up front as a
-march does (the viscous one from the B table, so a flat table takes the
-scalar path) and a fresh ``out`` per call as the solvers allocate it.  Each
-scenario's viscous kernel is timed twice: with its own constant B (``B``
-column ``constant``) and with a gaussian B on the same lattice, which reads
-the table at every face midpoint.
+up through the same calls a run makes, with one step plan built up front by
+``visc_plan`` or ``godunov_plan`` as a march does (the viscous one from the B
+table, so a flat table takes the scalar path) and a fresh ``out`` per call as
+the solvers allocate it.  ``visc_step`` runs under its per-dimension names,
+the Godunov step as ``godunov_step_1d`` and as the x sweep of
+``godunov_sweep_2d``.  Each scenario's viscous kernel is timed twice: with
+its own constant B (``B`` column ``constant``) and with a gaussian B on the
+same lattice, which reads the table at every face midpoint.
 
 Each of ``--rounds`` rounds times every row for ``--steps`` calls, the rows
 taken in turn so that drift of the machine's speed reaches all of them; the
@@ -41,54 +43,46 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def scenario_calls(name):
-    """``(kernel name, B preset, state, arguments between the state and out,
-    tables of the step plan)`` rows."""
+    """``(kernel name, B preset, state, dt, step plan)`` rows."""
     cfg = build_scenario((SCENARIOS / name).read_text())
     specs = build_runtime(cfg)
     grid, flux = specs.grid, specs.flux
     u = mollify(specs.init_data, make_kernel(cfg.mollifier_widths[0],
                                              grid.spacing)).values
     eps = cfg.ladder[0]
-    dt0 = stable_dt(grid, flux, specs.visc, 0.0, cfg.cfl)
-    lat, tabs = flux.lattice, flux.tables[:grid.dim]
-    table = (lat.lo, lat.inv_spacing)
-    eo = tuple(t for tab in tabs for t in (tab.eo_plus, tab.eo_minus))
+    lat = flux.lattice
     gauss = make_viscosity("gaussian", (lat.lo, lat.hi), {"r": 1.0})
     rows = []
     for visc in (specs.visc, gauss):
-        dt = stable_dt(grid, flux, visc, eps, cfg.cfl)
-        call = (dt,) + grid.spacing + (eps,) + table + eo + (visc.table,)
-        rows.append((f"visc_step_{grid.dim}d", visc.name, u, call,
-                     eo + (visc.table,)))
-    f = tabs[0]
-    if grid.dim == 1:
-        rows.append(("godunov_step_1d", "-", u, (dt0, grid.spacing[0]) + table
-                     + (f.f, f.crit_y, f.crit_f), (f.f,)))
-    else:
-        rows.append(("godunov_sweep_2d", "-", u, (dt0, grid.spacing[0], 0)
-                     + table + (f.f, f.crit_y, f.crit_f),
-                     tuple(t.f for t in tabs)))
+        rows.append((f"visc_step_{grid.dim}d", visc.name, u,
+                     stable_dt(grid, flux, visc, eps, cfg.cfl),
+                     kernels.visc_plan(grid.cells, grid.spacing, eps, lat,
+                                       flux.tables, visc.table)))
+    dt0 = stable_dt(grid, flux, specs.visc, 0.0, cfg.cfl)
+    kname = "godunov_step_1d" if grid.dim == 1 else "godunov_sweep_2d"
+    rows.append((kname, "-", u, dt0, kernels.godunov_plan(
+        grid.cells, grid.spacing[0], lat, flux.tables[0])))
     return rows
 
 
-def bench(fn, u, args, work, steps):
+def bench(fn, u, dt, plan, steps):
     """(seconds, minor page faults) per step."""
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
     for _ in range(steps):
-        fn(u, *args, np.empty_like(u), work)
+        fn(u, dt, np.empty_like(u), plan)
     elapsed = time.perf_counter() - t0
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     return elapsed / steps, faults / steps
 
 
-def peak_states(fn, u, args, work):
+def peak_states(fn, u, dt, plan):
     """tracemalloc peak of one call into a preallocated ``out``, in state
     sizes."""
     out = np.empty_like(u)
     tracemalloc.start()
     try:
-        fn(u, *args, out, work)
+        fn(u, dt, out, plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -103,29 +97,27 @@ def main():
 
     cases = []
     for scenario in ("burgers1d.cfg", "burgers2d.cfg"):
-        for kname, preset, u, call, tabs in scenario_calls(scenario):
-            work = kernels.workspace(kname, u.shape, tabs)
+        for kname, preset, u, dt, plan in scenario_calls(scenario):
             fn = kernels.get_kernel(kname)
-            fn(u, *call, np.empty_like(u), work)  # first touch
-            cases.append((kname, preset, u, call, work, fn))
+            fn(u, dt, np.empty_like(u), plan)  # first touch
+            cases.append((kname, preset, u, dt, plan, fn))
     samples = [[] for _ in cases]
     for _ in range(args.rounds):
         for case, got in zip(cases, samples):
-            _k, _p, u, call, work, fn = case
-            got.append(bench(fn, u, call, work, args.steps))
+            _k, _p, u, dt, plan, fn = case
+            got.append(bench(fn, u, dt, plan, args.steps))
 
     print(f"{'kernel':<18} {'B':<9} {'cells':>8} "
           f"{'median (us)':>12} {'IQR (us)':>9} {'faults/step':>12} "
           f"{'peak (states)':>14}")
-    for (kname, preset, u, call, work, fn), got in zip(cases, samples):
+    for (kname, preset, u, dt, plan, fn), got in zip(cases, samples):
         us = np.array([t for t, _ in got]) * 1e6
         q1, med, q3 = np.percentile(us, [25, 50, 75])
         faults = float(np.median([f for _, f in got]))
         cells = "x".join(map(str, u.shape))
         print(f"{kname:<18} {preset:<9} {cells:>8} {med:12.1f} "
               f"{q3 - q1:9.1f} {faults:12.1f} "
-              f"{peak_states(fn, u, call, work):14.2f}")
-
+              f"{peak_states(fn, u, dt, plan):14.2f}")
 
 if __name__ == "__main__":
     main()

@@ -14,6 +14,14 @@ from .report import format_table
 DATA_PRESETS = ("bump", "box", "twobump")
 
 
+def _jobs(text: str) -> int:
+    """``--jobs``: a whole number of at least 1."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a whole number of at least 1, got {text!r}")
+    return int(text)
+
+
 def _cmd_run(args) -> int:
     try:
         text = Path(args.config).read_text()
@@ -77,7 +85,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None,
                        help="override the configured output directory")
-    p_run.add_argument("--jobs", type=int, default=1,
+    p_run.add_argument("--jobs", type=_jobs, default=1,
                        help="ladder members to solve concurrently")
     p_run.add_argument("--overwrite", action="store_true",
                        help="replace an existing run of a different config")

@@ -58,20 +58,29 @@ def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def _along(ndim: int, axis: int, lo, hi) -> tuple:
+    """Index of ``lo:hi`` along ``axis`` and of everything on the others."""
+    sl = [slice(None)] * ndim
+    sl[axis] = slice(lo, hi)
+    return tuple(sl)
+
+
+def _pad(values: np.ndarray, axis: int, ghost: float) -> np.ndarray:
+    """``values`` with a ghost cell of value ``ghost`` at either end of
+    ``axis``."""
+    ext_shape = list(values.shape)
+    ext_shape[axis] += 2
+    ext = np.full(ext_shape, ghost, dtype=np.float64)
+    ext[_along(values.ndim, axis, 1, -1)] = values
+    return ext
+
+
 def _centered_space(values: np.ndarray, axis: int, h: float,
                     boundary_value: float) -> np.ndarray:
     """(v_{i+1} - v_{i-1}) / 2h with Dirichlet ghost values outside."""
-    ext_shape = list(values.shape)
-    ext_shape[axis] += 2
-    ext = np.full(ext_shape, boundary_value, dtype=np.float64)
-    sl = [slice(None)] * values.ndim
-    sl[axis] = slice(1, -1)
-    ext[tuple(sl)] = values
-    up = [slice(None)] * values.ndim
-    up[axis] = slice(2, None)
-    dn = [slice(None)] * values.ndim
-    dn[axis] = slice(0, -2)
-    return (ext[tuple(up)] - ext[tuple(dn)]) / (2.0 * h)
+    ext = _pad(values, axis, boundary_value)
+    return (ext[_along(values.ndim, axis, 2, None)]
+            - ext[_along(values.ndim, axis, None, -2)]) / (2.0 * h)
 
 
 def entropy_production_total(traj: FieldTrajectory, pair: EntropyPair) -> SpaceTimeField:
@@ -134,26 +143,15 @@ def _split_block(u: np.ndarray, pair: EntropyPair, visc: ViscositySpec,
     etapp_u = np.asarray(pair.etapp(u), dtype=np.float64)
     for axis, h in enumerate(spacing):
         ax = axis + 1
-        ext_shape = list(u.shape)
-        ext_shape[ax] += 2
-        u_ext = np.zeros(ext_shape)
-        sl = [slice(None)] * u.ndim
-        sl[ax] = slice(1, -1)
-        u_ext[tuple(sl)] = u
-        eta_ext = np.full(ext_shape, eta_ghost)
-        eta_ext[tuple(sl)] = eta_u
-        lo_sl = [slice(None)] * u.ndim
-        lo_sl[ax] = slice(0, -1)
-        hi_sl = [slice(None)] * u.ndim
-        hi_sl[ax] = slice(1, None)
-        ul, ur = u_ext[tuple(lo_sl)], u_ext[tuple(hi_sl)]
-        el, er = eta_ext[tuple(lo_sl)], eta_ext[tuple(hi_sl)]
+        u_ext = _pad(u, ax, 0.0)
+        eta_ext = _pad(eta_u, ax, eta_ghost)
+        # the left and right side of each face; of a face array, the faces
+        # before and after each cell
+        lo, hi = _along(u.ndim, ax, None, -1), _along(u.ndim, ax, 1, None)
+        ul, ur = u_ext[lo], u_ext[hi]
+        el, er = eta_ext[lo], eta_ext[hi]
         face = np.asarray(visc.B(0.5 * (ul + ur)), dtype=np.float64) * (er - el) / h
-        fl = [slice(None)] * u.ndim
-        fl[ax] = slice(0, -1)
-        fh = [slice(None)] * u.ndim
-        fh[ax] = slice(1, None)
-        A += eps * (face[tuple(fh)] - face[tuple(fl)]) / h
+        A += eps * (face[hi] - face[lo]) / h
         gc = _centered_space(u, ax, h, 0.0)
         M += b_of_u * gc * gc
     # the factors of -eps M eta''(u) in the order that product evaluates them

@@ -201,7 +201,13 @@ def assess(cfg: ScenarioConfig, specs: RuntimeSpecs,
 def run_ladder(cfg: ScenarioConfig, outdir: str | Path | None = None,
                jobs: int = 1, overwrite: bool = False) -> RunResult:
     """Full pipeline: mollify, solve the ladder, solve the reference, run all
-    diagnostics, evaluate the estimates, and persist everything."""
+    diagnostics, evaluate the estimates, and persist everything.
+
+    ``jobs`` members are solved at once, each in a process of its own when
+    it is above 1; it must be at least 1.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     outdir = Path(outdir if outdir is not None else cfg.outdir)
     raw = cfg.raw_text or render_config(cfg)
     digest = config_hash(raw)
@@ -366,7 +372,13 @@ def _load_run(outdir: Path):
 
 def verify_run(outdir: str | Path) -> tuple[list[EstimateRow], int, str]:
     """Re-evaluate all pass flags from persisted data; trajectories are
-    loaded, never re-solved."""
+    loaded, never re-solved.
+
+    Exits 2 when the verdicts differ from the manifest's, or when the
+    manifest records a stage that did not finish ok: the saved data then
+    lack what that stage should have produced, so the run fails as a whole
+    whatever the remaining members show.
+    """
     outdir = Path(outdir)
     manifest, cfg, specs, trajs, reference = _load_run(outdir)
     members = [member_diagnostics(cfg, specs, t) for t in trajs]
@@ -374,9 +386,14 @@ def verify_run(outdir: str | Path) -> tuple[list[EstimateRow], int, str]:
     verdicts = overall_verdicts(rows)
     stored = manifest.get("estimates", {})
     mismatch = [k for k, v in verdicts.items() if stored.get(k) != v]
+    failed = [s["name"] for s in manifest.get("stages", [])
+              if s.get("status") != "ok"]
     table = format_table(rows)
     if mismatch:
         table += "\nverdict mismatch vs manifest: " + ", ".join(sorted(mismatch))
+    if failed:
+        table += "\nstages that failed in the run: " + ", ".join(failed)
+    if mismatch or failed:
         return rows, 2, table
     return rows, (0 if all(verdicts.values()) else 1), table
 

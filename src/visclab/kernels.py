@@ -1,47 +1,44 @@
-"""Hot finite-volume update kernels.
+"""Hot finite-volume update kernels, one per scheme.
 
-Each kernel is vectorized numpy.  It locates each distinct state array on
-the table lattice once (``tables.locate``) and reads every table from that
-location (``tables.lookup``).  The tests check every kernel bit for bit
-against an explicit-loop twin in ``tests/oracles.py``, which interpolates
-each table value by value with the same scalar arithmetic (same
-interpolation formula, same operation order).
+``visc_step(u, dt, out, plan)`` is the explicit viscous step in one or two
+dimensions: it runs the same face update along each axis of its plan.
+``godunov_step(u, dt, out, plan)`` is the Godunov step along axis 0, and
+``godunov_sweep_2d`` runs it along either axis of a 2-D state.  Each kernel
+is vectorized numpy.  The tests check every kernel bit for bit against an
+explicit-loop twin in ``tests/oracles.py``, which interpolates each table
+value by value with the same scalar arithmetic (same interpolation formula,
+same operation order).
 
-Step plan convention: every kernel takes ``(..., out, work)``.  ``work`` is
-the kernel's step plan, built by ``workspace(name, shape, tables)`` once per
-march for the state shape and the tables the kernel will be handed, and
-passed unchanged on every call.  It holds every buffer a step writes
-(the zero-bordered copy of the state, whose ghost cells stay 0 because only
-its interior is written; the location of the state and of the face
-midpoints; the table reads; the face fluxes and the cell differences), every
-view the step reads (the interior of the state, the state and the table
-reads on either side of each face, the fluxes after and before each cell),
-the scalars derived once per march, and the slope table ``tab[1:] -
-tab[:-1]`` of each of its tables.  So a step is one fixed sequence of
-ufunc calls with ``out=`` into the plan: it allocates nothing and slices
-nothing.  A plan holds only arrays, tuples, floats and None.
+Step plans: a kernel's ``plan`` is built once per march by ``visc_plan`` or
+``godunov_plan`` and passed unchanged on every call.  The plan is the only
+place that holds a step's tables and constants: the tables and their slope
+tables ``tab[1:] - tab[:-1]``, the lattice (``lo``, ``inv`` and the last
+panel ``top``), the spacing ``h``, ``eps / h``, the flat-B product ``b * eps
+/ h`` and the Godunov flux's critical nodes.  A kernel takes no table
+argument, so it reads only the tables its plan was built for.  The plan also
+holds every buffer a step writes (the zero-bordered copy of the state, whose
+ghost cells stay 0 because only its interior is written; the location of the
+state and of the face midpoints; the table reads; the face fluxes and the
+cell differences) and every view the step reads (the interior of the state,
+the state and the table reads on either side of each face, the fluxes after
+and before each cell).  So a step is one fixed sequence of ufunc calls with
+``out=`` into the plan: it allocates nothing and slices nothing.  A plan
+holds only arrays, tuples, numbers and None.
 
-Reading a table: ``locate`` clips the float panel index to ``[0, nodes - 2]``
-and truncates it, the same ``k`` and ``frac`` as flooring and then clipping
-for every finite value, and each read is ``slope[k] * frac + tab[k]``
-(``tables.lookup``), the same doubles as ``t0 + frac * (t1 - t0)``: the
-slope is the same subtraction of the same two nodes, made once per march
-instead of on every read.  The gathers use ``take(k, out=buf,
-mode="clip")``: ``k`` is already in range, and with the default
-``mode="raise"`` numpy gathers into a buffer of its own before copying to
-``out``.
-
-The plan's slopes and its flat-B scalar belong to the table objects it was
-built for; a kernel handed any other table (an ``is`` check per table)
-builds a plan for the tables it was handed, so it still reads those.
+Reading a table: every table of a plan lies on the same lattice, so one
+``tables.locate`` of a state array serves them all, and each read is
+``tables.lookup`` from that location, ``slope[k] * frac + tab[k]``: the same
+doubles as ``t0 + frac * (t1 - t0)``, since the slope is the same
+subtraction of the same two nodes, made once per march instead of on every
+read.
 
 Flat viscosity table: the plan judges the B table once per march; when every
-node equals node 0 (``B == b``, the semilinear case) it records ``b``, and a
-viscous step multiplies ``ur - ul`` by the scalar ``b * eps / h``
+node equals node 0 (``B == b``, the semilinear case) it records ``b * eps /
+h`` of each axis, and a viscous step multiplies ``ur - ul`` by that scalar
 instead of locating the face midpoints and reading B there.  That is exact:
 the lookup gives ``t0 + frac * (t1 - t0) = b + frac * 0 = b`` for every
-finite ``frac``, so the old face term ``(b * eps / h) * (ur - ul)`` and the
-new ``(ur - ul) * (b * eps / h)`` are the same IEEE product.
+finite ``frac``, so the loop twins' face term ``(eps / h * b) * (ur - ul)``
+and the kernel's ``(ur - ul) * (b * eps / h)`` are the same IEEE product.
 
 ``benchmarks/bench_kernels.py`` times the kernels.
 """
@@ -52,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tables import slopes
+from . import tables
 
 HAVE_NUMBA = False  # perfbench's set-up probe records it
 
@@ -67,21 +64,27 @@ def active_backend() -> str:
 
 
 def _location(shape) -> tuple:
-    """``(k, frac, clipped)``: the buffers of one array's table location."""
+    """``(k, frac, scratch)``: the ``out`` of ``tables.locate`` for an array
+    of ``shape``."""
     return np.empty(shape, np.int64), np.empty(shape), np.empty(shape)
 
 
 class Axis(NamedTuple):
     """The faces of one axis of a viscous step.
 
-    ``eop``/``eom`` are that axis's Engquist-Osher tables and ``*_slope``
-    their slopes.  ``ul``/``ur`` view the padded state and ``pl``/``qr`` the
-    ``eop``/``eom`` reads on the left and right of each face.  ``flux`` and
-    ``mid`` are face buffers, ``fr``/``fl`` view ``flux`` after and before
-    each cell, and ``diff`` receives their difference.  ``bread`` is the face
-    midpoints' location and two buffers of the B read; None when B is flat.
+    ``h`` is the spacing, ``eh`` is ``eps / h`` and ``beh`` is ``b * eps /
+    h`` for a flat B table, else None.  ``eop``/``eom`` are that axis's
+    Engquist-Osher tables and ``*_slope`` their slopes.  ``ul``/``ur`` view
+    the padded state and ``pl``/``qr`` the ``eop``/``eom`` reads on the left
+    and right of each face.  ``flux`` and ``mid`` are face buffers,
+    ``fr``/``fl`` view ``flux`` after and before each cell, and ``diff``
+    receives their difference.  ``bread`` is the face midpoints' location and
+    the two buffers of the B read; None when B is flat.
     """
 
+    h: float
+    eh: float
+    beh: float | None
     eop: np.ndarray
     eom: np.ndarray
     eop_slope: np.ndarray
@@ -99,47 +102,55 @@ class Axis(NamedTuple):
 
 
 class ViscPlan(NamedTuple):
-    """Step plan of a viscous kernel.
+    """Step plan of ``visc_step``.
 
     ``ext`` is the zero-bordered state and ``inner`` its interior, the only
     part a step writes, so the ghost cells stay 0.  ``loc`` is the location
     of ``ext``; ``p``, ``q`` and ``scratch`` receive the table reads there,
-    one axis after the other.  ``b`` is the value of a flat ``btab``, else
-    None and ``b_slope`` holds its slopes.
+    one axis after the other.  ``b_slope`` holds the slopes of ``btab``;
+    None when it is flat.
     """
 
+    lo: float
+    inv: float
+    top: float
     ext: np.ndarray
     inner: np.ndarray
     loc: tuple
     p: np.ndarray
     q: np.ndarray
     scratch: np.ndarray
-    top: float
     axes: tuple
     btab: np.ndarray
-    b: float | None
     b_slope: np.ndarray | None
 
 
 class GodunovPlan(NamedTuple):
-    """Step plan of the axis-0 Godunov step.
+    """Step plan of ``godunov_step`` along axis 0 of a state, or of
+    ``godunov_sweep_2d`` along ``axis``.
 
-    ``ext``, ``inner`` and ``loc`` as in ``ViscPlan``; ``f`` receives the
-    ``ftab`` read (``scratch`` its second gather), ``ul``/``ur`` and
-    ``fl``/``fr`` view ``ext`` and ``f`` on either side of each face.
-    ``gmin``/``gmax`` are the face candidates, ``gmax`` finally the flux,
-    with ``gr``/``gl`` its views after and before each cell; ``pick`` and
-    ``pick2`` are face masks and ``cand`` a face buffer.
+    ``crit`` holds the ``(crit_y, crit_f)`` pairs of ``ftab``.  ``ext``,
+    ``inner`` and ``loc`` as in ``ViscPlan``; ``f`` receives the ``ftab``
+    read (``scratch`` its second gather), ``ul``/``ur`` and ``fl``/``fr``
+    view ``ext`` and ``f`` on either side of each face.  ``gmin``/``gmax``
+    are the face candidates, ``gmax`` finally the flux, with ``gr``/``gl``
+    its views after and before each cell; ``pick`` and ``pick2`` are face
+    masks and ``cand`` a face buffer.
     """
 
+    lo: float
+    inv: float
+    top: float
+    h: float
+    axis: int
     ftab: np.ndarray
     f_slope: np.ndarray
+    crit: tuple
     ext: np.ndarray
     inner: np.ndarray
     loc: tuple
     f: np.ndarray
     scratch: np.ndarray
-    top: float
     ul: np.ndarray
     ur: np.ndarray
     fl: np.ndarray
@@ -159,204 +170,112 @@ def _sides(ax: int, ndim: int, lo, hi, inner):
     return tuple(slice(lo, hi) if i == ax else inner for i in range(ndim))
 
 
-def _visc_plan(shape, eo, btab) -> ViscPlan:
-    """``eo`` holds ``(eo_plus, eo_minus)`` of each axis."""
+def visc_plan(shape, spacing, eps: float, lattice, flux_tables,
+              btab) -> ViscPlan:
+    """The step plan of ``visc_step`` for states of ``shape``.
+
+    Axis ``ax`` has spacing ``spacing[ax]`` and reads the Engquist-Osher
+    tables of ``flux_tables[ax]`` (a ``domain.FluxTables``); ``btab`` is the
+    B table, and every table lies on ``lattice``.
+    """
     ndim = len(shape)
     ext = np.zeros(tuple(n + 2 for n in shape))
     interior = slice(1, -1)
     p, q = np.empty(ext.shape), np.empty(ext.shape)
     flat = bool((btab == btab[0]).all())
     axes = []
-    for ax, (eop, eom) in enumerate(eo):
+    for ax, (h, tab) in enumerate(zip(spacing, flux_tables)):
         left = _sides(ax, ndim, None, -1, interior)
         right = _sides(ax, ndim, 1, None, interior)
         face = ext[left].shape
         flux = np.empty(face)
-        bread = None if flat else _location(face) + (np.empty(face),
-                                                     np.empty(face))
-        axes.append(Axis(eop, eom, slopes(eop), slopes(eom), ext[left],
-                         ext[right], p[left], q[right], flux, np.empty(face),
-                         flux[_sides(ax, ndim, 1, None, slice(None))],
-                         flux[_sides(ax, ndim, None, -1, slice(None))],
-                         np.empty(shape), bread))
-    return ViscPlan(ext, ext[(interior,) * ndim], _location(ext.shape), p, q,
-                    np.empty(ext.shape), btab.shape[0] - 2.0, tuple(axes),
-                    btab, float(btab[0]) if flat else None,
-                    None if flat else slopes(btab))
+        eh = eps / h
+        axes.append(Axis(
+            h, eh, float(btab[0]) * eh if flat else None, tab.eo_plus,
+            tab.eo_minus, tables.slopes(tab.eo_plus),
+            tables.slopes(tab.eo_minus), ext[left], ext[right], p[left],
+            q[right], flux, np.empty(face),
+            flux[_sides(ax, ndim, 1, None, slice(None))],
+            flux[_sides(ax, ndim, None, -1, slice(None))], np.empty(shape),
+            None if flat else (_location(face), np.empty(face),
+                               np.empty(face))))
+    return ViscPlan(lattice.lo, lattice.inv_spacing, lattice.n - 2.0, ext,
+                    ext[(interior,) * ndim], _location(ext.shape), p, q,
+                    np.empty(ext.shape), tuple(axes), btab,
+                    None if flat else tables.slopes(btab))
 
 
-def _godunov_plan(shape, ftab) -> GodunovPlan:
-    ext = np.zeros((shape[0] + 2,) + tuple(shape[1:]))
+def godunov_plan(shape, h: float, lattice, flux_table,
+                 axis: int = 0) -> GodunovPlan:
+    """The step plan of the Godunov step along ``axis`` of states of
+    ``shape``, with spacing ``h`` and the flux table ``flux_table`` (a
+    ``domain.FluxTables``) on ``lattice``.  Along axis 1 the step runs on
+    the transposed state, so the plan is built for the transposed shape."""
+    shape = tuple(shape[::-1]) if axis == 1 else tuple(shape)
+    ext = np.zeros((shape[0] + 2,) + shape[1:])
     f = np.empty(ext.shape)
-    face = (shape[0] + 1,) + tuple(shape[1:])
+    face = (shape[0] + 1,) + shape[1:]
     gmax = np.empty(face)
-    return GodunovPlan(ftab, slopes(ftab), ext, ext[1:-1],
-                       _location(ext.shape), f, np.empty(ext.shape),
-                       ftab.shape[0] - 2.0, ext[:-1], ext[1:], f[:-1], f[1:],
-                       np.empty(face), gmax, np.empty(face),
-                       np.empty(face, bool), np.empty(face, bool), gmax[1:],
-                       gmax[:-1], np.empty(shape))
-
-
-def workspace(name: str, shape, tables) -> ViscPlan | GodunovPlan | tuple:
-    """The step plan of kernel ``name`` for states of ``shape``: its trailing
-    ``work`` argument.
-
-    ``tables`` are the tables the kernel will be handed, in its argument
-    order: ``(eo_plus, eo_minus, btab)`` in 1-D and ``(eo_plus_x, eo_minus_x,
-    eo_plus_y, eo_minus_y, btab)`` in 2-D for the viscous kernels, ``(f,)``
-    for the Godunov step and ``(f_x, f_y)`` for the 2-D sweep.  Build it once
-    per march; every call on a state of that shape reuses it.
-    """
-    if name == "visc_step_1d":
-        eop, eom, btab = tables
-        return _visc_plan(shape, ((eop, eom),), btab)
-    if name == "visc_step_2d":
-        eopx, eomx, eopy, eomy, btab = tables
-        return _visc_plan(shape, ((eopx, eomx), (eopy, eomy)), btab)
-    if name == "godunov_step_1d":
-        return _godunov_plan(shape, tables[0])
-    if name == "godunov_sweep_2d":
-        # the y sweep runs the axis-0 step on transposed views
-        nx, ny = shape
-        return _godunov_plan((nx, ny), tables[0]), _godunov_plan((ny, nx),
-                                                                 tables[1])
-    raise KeyError(f"unknown kernel {name!r}")
+    ftab = flux_table.f
+    return GodunovPlan(
+        lattice.lo, lattice.inv_spacing, lattice.n - 2.0, h, axis, ftab,
+        tables.slopes(ftab), tuple(zip(flux_table.crit_y, flux_table.crit_f)),
+        ext, ext[1:-1], _location(ext.shape), f, np.empty(ext.shape),
+        ext[:-1], ext[1:], f[:-1], f[1:], np.empty(face), gmax,
+        np.empty(face), np.empty(face, bool), np.empty(face, bool), gmax[1:],
+        gmax[:-1], np.empty(shape))
 
 
 # ---------------------------------------------------------------------------
-# numpy implementations
-#
-# Every table passed to one kernel lies on the same lattice (``lo``, ``inv``
-# and the node count), so one location of a state array serves them all.
-# Each location is ``tables.locate`` and each read ``tables.lookup``, spelled
-# out as in-place ufunc calls on the plan's buffers.
+# kernels
 
 
-def visc_step_1d_numpy(u, dt, h, eps, lo, inv, eop, eom, btab, out, work):
-    """One forward-Euler step of the viscous balance, zero ghost cells."""
-    a = work.axes[0]
-    if eop is not a.eop or eom is not a.eom or btab is not work.btab:
-        work = _visc_plan(u.shape, ((eop, eom),), btab)
-        a = work.axes[0]
-    k, frac, kf = work.loc
-    p, q, s = work.p, work.q, work.scratch
-    work.inner[...] = u
-    np.subtract(work.ext, lo, out=frac)
-    frac *= inv
-    np.maximum(frac, 0.0, out=kf)
-    np.minimum(kf, work.top, out=kf)
-    k[...] = kf
-    frac -= k
-    a.eop_slope.take(k, out=p, mode="clip")
-    p *= frac
-    p += eop.take(k, out=s, mode="clip")
-    a.eom_slope.take(k, out=q, mode="clip")
-    q *= frac
-    q += eom.take(k, out=s, mode="clip")
-    flux = np.add(a.pl, a.qr, out=a.flux)
-    eh = eps / h
-    if work.b is not None:
-        du = np.subtract(a.ur, a.ul, out=a.mid)
-        du *= work.b * eh
-        flux -= du
-    else:
-        mid = np.add(a.ul, a.ur, out=a.mid)
-        mid *= 0.5
-        mk, mfrac, mkf, bm, bs = a.bread
-        np.subtract(mid, lo, out=mfrac)
-        mfrac *= inv
-        np.maximum(mfrac, 0.0, out=mkf)
-        np.minimum(mkf, work.top, out=mkf)
-        mk[...] = mkf
-        mfrac -= mk
-        work.b_slope.take(mk, out=bm, mode="clip")
-        bm *= mfrac
-        bm += btab.take(mk, out=bs, mode="clip")
-        bm *= eh
-        bm *= np.subtract(a.ur, a.ul, out=mid)
-        flux -= bm
-    d = np.subtract(a.fr, a.fl, out=a.diff)
-    d *= dt / h
-    np.subtract(u, d, out=out)
-    return out
-
-
-def visc_step_2d_numpy(u, dt, hx, hy, eps, lo, inv,
-                       eopx, eomx, eopy, eomy, btab, out, work):
-    ax, ay = work.axes
-    if (eopx is not ax.eop or eomx is not ax.eom or eopy is not ay.eop
-            or eomy is not ay.eom or btab is not work.btab):
-        work = _visc_plan(u.shape, ((eopx, eomx), (eopy, eomy)), btab)
-    k, frac, kf = work.loc
-    p, q, s = work.p, work.q, work.scratch
-    work.inner[...] = u
-    np.subtract(work.ext, lo, out=frac)
-    frac *= inv
-    np.maximum(frac, 0.0, out=kf)
-    np.minimum(kf, work.top, out=kf)
-    k[...] = kf
-    frac -= k
-    for a, h in zip(work.axes, (hx, hy)):
-        a.eop_slope.take(k, out=p, mode="clip")
-        p *= frac
-        p += a.eop.take(k, out=s, mode="clip")
-        a.eom_slope.take(k, out=q, mode="clip")
-        q *= frac
-        q += a.eom.take(k, out=s, mode="clip")
+def visc_step(u, dt, out, plan: ViscPlan):
+    """One forward-Euler step of the viscous balance, zero ghost cells:
+    ``out = u - diff_x``, then ``out -= diff_y`` in 2-D."""
+    plan.inner[...] = u
+    loc = tables.locate(plan.lo, plan.inv, plan.top, plan.ext, out=plan.loc)
+    src = u
+    for a in plan.axes:
+        tables.lookup(a.eop, a.eop_slope, loc, out=plan.p,
+                      scratch=plan.scratch)
+        tables.lookup(a.eom, a.eom_slope, loc, out=plan.q,
+                      scratch=plan.scratch)
         flux = np.add(a.pl, a.qr, out=a.flux)
-        eh = eps / h
-        if work.b is not None:
+        if a.bread is None:
             du = np.subtract(a.ur, a.ul, out=a.mid)
-            du *= work.b * eh
+            du *= a.beh
             flux -= du
         else:
             mid = np.add(a.ul, a.ur, out=a.mid)
             mid *= 0.5
-            mk, mfrac, mkf, bm, bs = a.bread
-            np.subtract(mid, lo, out=mfrac)
-            mfrac *= inv
-            np.maximum(mfrac, 0.0, out=mkf)
-            np.minimum(mkf, work.top, out=mkf)
-            mk[...] = mkf
-            mfrac -= mk
-            work.b_slope.take(mk, out=bm, mode="clip")
-            bm *= mfrac
-            bm += btab.take(mk, out=bs, mode="clip")
-            bm *= eh
+            mloc, bm, bs = a.bread
+            tables.lookup(plan.btab, plan.b_slope,
+                          tables.locate(plan.lo, plan.inv, plan.top, mid,
+                                        out=mloc), out=bm, scratch=bs)
+            bm *= a.eh
             bm *= np.subtract(a.ur, a.ul, out=mid)
             flux -= bm
         d = np.subtract(a.fr, a.fl, out=a.diff)
-        d *= dt / h
-    dx, dy = work.axes[0].diff, work.axes[1].diff
-    np.subtract(u, dx, out=dx)
-    np.subtract(dx, dy, out=out)
+        d *= dt / a.h
+        src = np.subtract(src, d, out=out)
     return out
 
 
-def godunov_step_1d_numpy(u, dt, h, lo, inv, ftab, crit_y, crit_f, out, work):
+def godunov_step(u, dt, out, plan: GodunovPlan):
     """Conservative Godunov step along axis 0, zero ghost cells.
 
     On a 2-D state each column is updated as an independent 1-D problem.
     """
-    if ftab is not work.ftab:
-        work = _godunov_plan(u.shape, ftab)
-    k, frac, kf = work.loc
-    f, ul, ur, gmin, gmax = work.f, work.ul, work.ur, work.gmin, work.gmax
-    cand, pick, pick2 = work.cand, work.pick, work.pick2
-    work.inner[...] = u
-    np.subtract(work.ext, lo, out=frac)
-    frac *= inv
-    np.maximum(frac, 0.0, out=kf)
-    np.minimum(kf, work.top, out=kf)
-    k[...] = kf
-    frac -= k
-    work.f_slope.take(k, out=f, mode="clip")
-    f *= frac
-    f += ftab.take(k, out=work.scratch, mode="clip")
-    np.minimum(work.fl, work.fr, out=gmin)
-    np.maximum(work.fl, work.fr, out=gmax)
-    for cy, cf in zip(crit_y, crit_f):
+    ul, ur, gmin, gmax = plan.ul, plan.ur, plan.gmin, plan.gmax
+    cand, pick, pick2 = plan.cand, plan.pick, plan.pick2
+    plan.inner[...] = u
+    loc = tables.locate(plan.lo, plan.inv, plan.top, plan.ext, out=plan.loc)
+    tables.lookup(plan.ftab, plan.f_slope, loc, out=plan.f,
+                  scratch=plan.scratch)
+    np.minimum(plan.fl, plan.fr, out=gmin)
+    np.maximum(plan.fl, plan.fr, out=gmax)
+    for cy, cf in plan.crit:
         np.less(ul, cy, out=pick)
         pick &= np.less(cy, ur, out=pick2)
         np.copyto(gmin, np.minimum(gmin, cf, out=cand), where=pick)
@@ -365,31 +284,29 @@ def godunov_step_1d_numpy(u, dt, h, lo, inv, ftab, crit_y, crit_f, out, work):
         np.copyto(gmax, np.maximum(gmax, cf, out=cand), where=pick)
     # the flux: gmin where ul <= ur, else gmax
     np.copyto(gmax, gmin, where=np.less_equal(ul, ur, out=pick))
-    d = np.subtract(work.gr, work.gl, out=work.diff)
-    d *= dt / h
+    d = np.subtract(plan.gr, plan.gl, out=plan.diff)
+    d *= dt / plan.h
     np.subtract(u, d, out=out)
     return out
 
 
-def godunov_sweep_2d_numpy(u, dt, h, axis, lo, inv, ftab, crit_y, crit_f,
-                           out, work):
-    """One conservative Godunov sweep along ``axis`` of a 2-D state."""
-    if axis == 0:
-        return godunov_step_1d_numpy(u, dt, h, lo, inv, ftab, crit_y, crit_f,
-                                     out, work[0])
-    godunov_step_1d_numpy(u.T, dt, h, lo, inv, ftab, crit_y, crit_f, out.T,
-                          work[1])
+def godunov_sweep_2d(u, dt, out, plan: GodunovPlan):
+    """One conservative Godunov sweep of a 2-D state along ``plan.axis``."""
+    if plan.axis == 0:
+        return godunov_step(u, dt, out, plan)
+    godunov_step(u.T, dt, out.T, plan)
     return out
 
 
 # keyed by ``active_backend()``; ``get_kernel`` looks a kernel up when a
-# march is set up, so a rebound entry is the one that runs
+# march is set up, so a rebound entry is the one that runs.  Both viscous
+# names map to ``visc_step``, so each dimension keeps a name of its own
 KERNELS = {
     "numpy": {
-        "visc_step_1d": visc_step_1d_numpy,
-        "visc_step_2d": visc_step_2d_numpy,
-        "godunov_step_1d": godunov_step_1d_numpy,
-        "godunov_sweep_2d": godunov_sweep_2d_numpy,
+        "visc_step_1d": visc_step,
+        "visc_step_2d": visc_step,
+        "godunov_step_1d": godunov_step,
+        "godunov_sweep_2d": godunov_sweep_2d,
     },
 }
 

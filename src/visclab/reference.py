@@ -49,32 +49,23 @@ def solve_reference(grid: Grid, flux: FluxSpec, visc: ViscositySpec,
     lat = flux.lattice
     if grid.dim == 1:
         k1 = kernels.get_kernel("godunov_step_1d")
-        tab = flux.tables[0]
-        work = kernels.workspace("godunov_step_1d", grid.cells, (tab.f,))
-        h = grid.spacing[0]
+        plan = kernels.godunov_plan(grid.cells, grid.spacing[0], lat,
+                                    flux.tables[0])
 
         def advance(u, dt):
-            out = np.empty_like(u)
-            k1(u, dt, h, lat.lo, lat.inv_spacing, tab.f, tab.crit_y,
-               tab.crit_f, out, work)
-            return out
+            return k1(u, dt, np.empty_like(u), plan)
     else:
         k2 = kernels.get_kernel("godunov_sweep_2d")
-        tx, ty = flux.tables[0], flux.tables[1]
-        work = kernels.workspace("godunov_sweep_2d", grid.cells, (tx.f, ty.f))
         hx, hy = grid.spacing
+        px = kernels.godunov_plan(grid.cells, hx, lat, flux.tables[0])
+        py = kernels.godunov_plan(grid.cells, hy, lat, flux.tables[1], axis=1)
 
         def advance(u, dt):
             # Strang: half sweep in x, full sweep in y, half sweep in x
             out = np.empty_like(u)
-            k2(u, 0.5 * dt, hx, 0, lat.lo, lat.inv_spacing, tx.f,
-               tx.crit_y, tx.crit_f, out, work)
-            u2 = np.empty_like(u)
-            k2(out, dt, hy, 1, lat.lo, lat.inv_spacing, ty.f,
-               ty.crit_y, ty.crit_f, u2, work)
-            k2(u2, 0.5 * dt, hx, 0, lat.lo, lat.inv_spacing, tx.f,
-               tx.crit_y, tx.crit_f, out, work)
-            return out
+            k2(u, 0.5 * dt, out, px)
+            u2 = k2(out, dt, np.empty_like(u), py)
+            return k2(u2, 0.5 * dt, out, px)
 
     return march(grid, u0, snapshot_times, advance,
                  stable_dt(grid, flux, visc, eps=0.0, cfl=cfl), 0.0,

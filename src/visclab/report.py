@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compactness import YoungHistogramSet, div_curl_test
+from .compactness import YoungHistogramSet, _centered_space, div_curl_test
 from .convergence import ConvergenceReport
 from .domain import FieldTrajectory
 from .norms import SpaceTimeField
@@ -76,19 +76,7 @@ def grad_energy_lhs(traj: FieldTrajectory) -> float:
     cell = grid.cell_volume
     total = 0.0
     for axis in range(grid.dim):
-        h = grid.spacing[axis]
-        ax = axis + 1
-        ext_shape = list(traj.values.shape)
-        ext_shape[ax] += 2
-        ext = np.zeros(ext_shape)
-        sl = [slice(None)] * traj.values.ndim
-        sl[ax] = slice(1, -1)
-        ext[tuple(sl)] = traj.values
-        up = [slice(None)] * traj.values.ndim
-        up[ax] = slice(2, None)
-        dn = [slice(None)] * traj.values.ndim
-        dn[ax] = slice(0, -2)
-        g = (ext[tuple(up)] - ext[tuple(dn)]) / (2.0 * h)
+        g = _centered_space(traj.values, axis + 1, grid.spacing[axis], 0.0)
         per_snap = np.sum(g * g, axis=tuple(range(1, g.ndim))) * cell
         total += float(np.sum(per_snap * w))
     return traj.epsilon * total

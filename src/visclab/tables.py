@@ -73,13 +73,21 @@ def slopes(tab: np.ndarray) -> np.ndarray:
     return tab[1:] - tab[:-1]
 
 
-def lookup(tab: np.ndarray, slope: np.ndarray, loc) -> np.ndarray:
+def lookup(tab: np.ndarray, slope: np.ndarray, loc, out=None,
+           scratch=None) -> np.ndarray:
     """``slope[k] * frac + tab[k]``, i.e. ``t0 + frac * (t1 - t0)``, at a
-    location from ``locate``; ``slope`` is ``slopes(tab)``."""
+    location from ``locate``; ``slope`` is ``slopes(tab)``.
+
+    ``out`` and ``scratch``, when given, are float64 buffers of the
+    location's shape: ``out`` receives the result and ``scratch`` the
+    ``tab[k]`` gather.  The gathers use ``mode="clip"``: ``k`` is already in
+    range, and with the default ``mode="raise"`` numpy gathers into a buffer
+    of its own before copying to ``out``.
+    """
     k, frac = loc
-    out = slope.take(k)
+    out = slope.take(k, out=out, mode="clip")
     out *= frac
-    out += tab.take(k)
+    out += tab.take(k, out=scratch, mode="clip")
     return out
 
 

@@ -66,23 +66,16 @@ def _make_advance(grid: Grid, flux: FluxSpec, visc: ViscositySpec, eps: float,
     together with the kernel's step plan, which tabulates the slopes of the
     tables and judges once whether the B table is flat (then every step
     reads B as one scalar)."""
-    lat = flux.lattice
-    tabs = flux.tables
-    eo = tuple(t for tab in tabs[:grid.dim] for t in (tab.eo_plus,
-                                                      tab.eo_minus))
-    name = f"visc_step_{grid.dim}d"
-    args = grid.spacing + (eps, lat.lo, lat.inv_spacing) + eo + (visc.table,)
-    kernel = kernels.get_kernel(name)
-    work = kernels.workspace(name, grid.cells, eo + (visc.table,))
+    kernel = kernels.get_kernel(f"visc_step_{grid.dim}d")
+    plan = kernels.visc_plan(grid.cells, grid.spacing, eps, flux.lattice,
+                             flux.tables, visc.table)
 
     # two output buffers per march, taken in turn: a step never writes into
     # the state it reads, and march keeps only copies of the states it stores
     outs = (np.empty(grid.cells), np.empty(grid.cells))
 
     def euler(u, dt):
-        out = outs[0] if u is not outs[0] else outs[1]
-        kernel(u, dt, *args, out, work)
-        return out
+        return kernel(u, dt, outs[0] if u is not outs[0] else outs[1], plan)
 
     if integrator == "euler":
         return euler

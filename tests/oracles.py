@@ -5,8 +5,9 @@ The loop twins update one face at a time and interpolate each table value
 by value (``_interp_scalar``: floor, clip, ``t0 + frac * (t1 - t0)``), the
 scalar arithmetic of ``tables.locate``/``tables.lookup`` in the same
 operation order, so the numpy kernels in ``visclab.kernels`` must match
-them bit for bit.  They take the kernels' trailing ``work`` argument and
-ignore it.  Imported by the tests as ``oracles``, like ``conftest``.
+them bit for bit.  They take the tables as arguments, and a trailing
+``work`` argument that they ignore.  Imported by the tests as ``oracles``,
+like ``conftest``.
 """
 
 from __future__ import annotations

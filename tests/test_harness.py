@@ -147,10 +147,9 @@ def test_parallel_jobs_match_serial(tmp_path):
             (tmp_path / "parallel" / name).read_bytes()
 
 
-def test_failed_diagnostics_blamed_on_diagnose_stage(tmp_path, monkeypatch):
-    # an instrument error is recorded against the member's diagnose stage,
-    # not its solve; the member stays out of the assessment and the run
-    # exits 2
+def _broken_diagnostics_run(tmp_path, monkeypatch):
+    """A two-member run whose eps = 0.05 diagnostics raise: ``(cfg,
+    result)``; ``harness.member_diagnostics`` stays patched."""
     cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
                        young_window_snaps=5, young_window_cells=6)
     diagnose = harness.member_diagnostics
@@ -161,7 +160,14 @@ def test_failed_diagnostics_blamed_on_diagnose_stage(tmp_path, monkeypatch):
         return diagnose(cfg, specs, traj)
 
     monkeypatch.setattr(harness, "member_diagnostics", broken_for_finest)
-    result = run_ladder(cfg, outdir=tmp_path / "run", jobs=1)
+    return cfg, run_ladder(cfg, outdir=tmp_path / "run", jobs=1)
+
+
+def test_failed_diagnostics_blamed_on_diagnose_stage(tmp_path, monkeypatch):
+    # an instrument error is recorded against the member's diagnose stage,
+    # not its solve; the member stays out of the assessment and the run
+    # exits 2
+    cfg, result = _broken_diagnostics_run(tmp_path, monkeypatch)
     stages = {s["name"]: s for s in result.manifest["stages"]}
     assert [s["name"] for s in result.manifest["stages"]] == [
         "solve eps=0.1", "diagnose eps=0.1", "solve eps=0.05",
@@ -181,6 +187,33 @@ def test_failed_diagnostics_blamed_on_diagnose_stage(tmp_path, monkeypatch):
     assert member is None
     assert worker_stages == [stages["solve eps=0.05"],
                              stages["diagnose eps=0.05"]]
+
+
+def test_verify_fails_run_with_failed_stage(tmp_path, monkeypatch):
+    # the run exits 2 on its failed diagnose stage, so verify of its
+    # directory does too, though the member it saved reassesses cleanly
+    _cfg, result = _broken_diagnostics_run(tmp_path, monkeypatch)
+    monkeypatch.undo()
+    assert result.exit_code == 2
+    _rows, code, table = verify_run(result.outdir)
+    assert code == 2
+    assert "verdict mismatch" not in table
+    assert table.splitlines()[-1] == \
+        "stages that failed in the run: diagnose eps=0.05"
+
+
+def test_jobs_below_one_rejected_before_compute(tmp_path):
+    cfgfile = tmp_path / "scenario.cfg"
+    cfg = small_config()
+    cfgfile.write_text(cfg.raw_text)
+    for jobs in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--config", str(cfgfile), "--out",
+                      str(tmp_path / "run"), "--jobs", jobs])
+        assert exc.value.code == 2
+        with pytest.raises(ValueError, match="jobs"):
+            run_ladder(cfg, outdir=tmp_path / "run", jobs=int(jobs))
+        assert not (tmp_path / "run").exists()
 
 
 def _quadratic_config():

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,14 +7,11 @@ from oracles import LOOPS
 from visclab import kernels
 from visclab.domain import make_flux, make_viscosity
 
-# The numpy kernels are checked bit for bit against the explicit-loop twins
-# of ``oracles``; ``kind`` names the oracle and keeps the ``-loops`` test ids.
-ORACLES = {"loops": LOOPS}
-TWINS = list(ORACLES)
-
-
-def twin(kind, name):
-    return ORACLES[kind][name]
+# The kernels are checked bit for bit against the explicit-loop twins of
+# ``oracles``, called with their own signatures and handed the tables each
+# kernel's plan is built from.  The one-valued ``oracle`` parameter is that
+# table of twins; its ``loops`` id keeps the test ids stable.
+ORACLE = pytest.mark.parametrize("oracle", [LOOPS], ids=["loops"])
 
 
 @pytest.fixture(scope="module")
@@ -39,114 +35,112 @@ def flat_tables():
 FLAT_TABLES = ["constant", "kinked"]
 
 
-@pytest.mark.parametrize("kind", TWINS)
-def test_visc_1d_backends_bit_identical(setup, kind):
+def _lattice(flux):
+    return flux.lattice.lo, flux.lattice.inv_spacing
+
+
+@ORACLE
+def test_visc_1d_backends_bit_identical(setup, oracle):
     flux, visc, rng = setup
-    lat = flux.lattice
+    t0 = flux.tables[0]
     u = rng.uniform(-0.99, 0.99, 200)
-    args = (0.4 * (1 / 200) ** 2 / 0.4, 1 / 200, 0.05, lat.lo, lat.inv_spacing,
-            flux.tables[0].eo_plus, flux.tables[0].eo_minus, visc.table)
-    a = np.empty_like(u)
-    b = np.empty_like(u)
-    work = kernels.workspace("visc_step_1d", u.shape, args[-3:])
-    kernels.visc_step_1d_numpy(u, *args, a, work)
-    twin(kind, "visc_step_1d")(u, *args, b, work)
+    dt, h, eps = 0.4 * (1 / 200) ** 2 / 0.4, 1 / 200, 0.05
+    plan = kernels.visc_plan(u.shape, (h,), eps, flux.lattice, flux.tables,
+                             visc.table)
+    a = kernels.visc_step(u, dt, np.empty_like(u), plan)
+    b = oracle["visc_step_1d"](u, dt, h, eps, *_lattice(flux), t0.eo_plus,
+                               t0.eo_minus, visc.table, np.empty_like(u),
+                               None)
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("kind", TWINS)
-def test_visc_2d_backends_bit_identical(setup, kind):
+@ORACLE
+def test_visc_2d_backends_bit_identical(setup, oracle):
     flux, visc, rng = setup
-    lat = flux.lattice
+    t0, t1 = flux.tables
     u = rng.uniform(-0.99, 0.99, (24, 40))
-    h = 1 / 40
-    args = (0.1 * h * h, h, h, 0.03, lat.lo, lat.inv_spacing,
-            flux.tables[0].eo_plus, flux.tables[0].eo_minus,
-            flux.tables[1].eo_plus, flux.tables[1].eo_minus, visc.table)
-    a = np.empty_like(u)
-    b = np.empty_like(u)
-    work = kernels.workspace("visc_step_2d", u.shape, args[-5:])
-    kernels.visc_step_2d_numpy(u, *args, a, work)
-    twin(kind, "visc_step_2d")(u, *args, b, work)
+    hx, hy = 1 / 24, 1 / 40
+    dt, eps = 0.1 * hy * hy, 0.03
+    plan = kernels.visc_plan(u.shape, (hx, hy), eps, flux.lattice,
+                             flux.tables, visc.table)
+    a = kernels.visc_step(u, dt, np.empty_like(u), plan)
+    b = oracle["visc_step_2d"](u, dt, hx, hy, eps, *_lattice(flux),
+                               t0.eo_plus, t0.eo_minus, t1.eo_plus,
+                               t1.eo_minus, visc.table, np.empty_like(u),
+                               None)
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("kind", TWINS)
-def test_godunov_backends_bit_identical(setup, kind):
+@ORACLE
+def test_godunov_backends_bit_identical(setup, oracle):
     flux, visc, rng = setup
-    lat = flux.lattice
     tab = flux.tables[0]
+    f = (tab.f, tab.crit_y, tab.crit_f)
     u = rng.uniform(-0.99, 0.99, 300)
-    args = (0.2 / 300, 1 / 300, lat.lo, lat.inv_spacing, tab.f, tab.crit_y,
-            tab.crit_f)
-    a = np.empty_like(u)
-    b = np.empty_like(u)
-    work = kernels.workspace("godunov_step_1d", u.shape, (tab.f,))
-    kernels.godunov_step_1d_numpy(u, *args, a, work)
-    twin(kind, "godunov_step_1d")(u, *args, b, work)
+    dt, h = 0.2 / 300, 1 / 300
+    plan = kernels.godunov_plan(u.shape, h, flux.lattice, tab)
+    a = kernels.godunov_step(u, dt, np.empty_like(u), plan)
+    b = oracle["godunov_step_1d"](u, dt, h, *_lattice(flux), *f,
+                                  np.empty_like(u), None)
     assert np.array_equal(a, b)
     u2 = rng.uniform(-0.99, 0.99, (20, 30))
-    work = kernels.workspace("godunov_sweep_2d", u2.shape, (tab.f, tab.f))
     for axis, h in ((0, 1 / 20), (1, 1 / 30)):
-        a2 = np.empty_like(u2)
-        b2 = np.empty_like(u2)
-        kernels.godunov_sweep_2d_numpy(u2, 0.1 * h, h, axis, lat.lo,
-                                       lat.inv_spacing, tab.f, tab.crit_y,
-                                       tab.crit_f, a2, work)
-        twin(kind, "godunov_sweep_2d")(u2, 0.1 * h, h, axis, lat.lo,
-                                       lat.inv_spacing, tab.f, tab.crit_y,
-                                       tab.crit_f, b2, work)
+        plan = kernels.godunov_plan(u2.shape, h, flux.lattice, tab, axis)
+        a2 = kernels.godunov_sweep_2d(u2, 0.1 * h, np.empty_like(u2), plan)
+        b2 = oracle["godunov_sweep_2d"](u2, 0.1 * h, h, axis,
+                                        *_lattice(flux), *f,
+                                        np.empty_like(u2), None)
         assert np.array_equal(a2, b2)
 
 
-def _oracle_args(flux, btab, name, shape):
-    """Arguments between the state and ``out``, as in the oracle cases above;
-    ``btab`` is the B table of the viscous kernels."""
+def _case(oracle, name, flux, btab, shape):
+    """Kernel ``name`` on states of ``shape``: ``(new_plan, step, expect)``.
+
+    ``new_plan()`` builds a step plan, ``step(u, plan)`` runs the kernel on
+    it and ``expect(u)`` runs the loop twin, handed the tables the plan is
+    built from (``btab`` is the B table of the viscous kernel).  The 2-D
+    Godunov sweep runs x then y, on a pair of plans.
+    """
     lat = flux.lattice
-    t0, t1 = flux.tables[0], flux.tables[1]
+    t0, t1 = flux.tables
     h = 1 / shape[-1]
-    if name == "visc_step_1d":
-        return (h * h, h, 0.05, lat.lo, lat.inv_spacing, t0.eo_plus,
-                t0.eo_minus, btab)
-    if name == "visc_step_2d":
-        return (0.1 * h * h, h, h, 0.03, lat.lo, lat.inv_spacing, t0.eo_plus,
-                t0.eo_minus, t1.eo_plus, t1.eo_minus, btab)
-    return (0.2 * h, h, lat.lo, lat.inv_spacing, t0.f, t0.crit_y, t0.crit_f)
+    twin, kernel, new = oracle[name], kernels.get_kernel(name), np.empty_like
+    if name.startswith("visc"):
+        dim = len(shape)
+        dt, eps = (h * h, 0.05) if dim == 1 else (0.1 * h * h, 0.03)
+        spacing = (h,) * dim
+        eo = (t0.eo_plus, t0.eo_minus, t1.eo_plus, t1.eo_minus)[:2 * dim]
+        return (lambda: kernels.visc_plan(shape, spacing, eps, lat,
+                                          flux.tables, btab),
+                lambda u, plan: kernel(u, dt, new(u), plan),
+                lambda u: twin(u, dt, *spacing, eps, *_lattice(flux), *eo,
+                               btab, new(u), None))
+    dt, f = 0.2 * h, (t0.f, t0.crit_y, t0.crit_f)
+    if name == "godunov_step_1d":
+        return (lambda: kernels.godunov_plan(shape, h, lat, t0),
+                lambda u, plan: kernel(u, dt, new(u), plan),
+                lambda u: twin(u, dt, h, *_lattice(flux), *f, new(u), None))
 
+    def expect(u):
+        mid = twin(u, dt, h, 0, *_lattice(flux), *f, new(u), None)
+        return twin(mid, dt, h, 1, *_lattice(flux), *f, new(u), None)
 
-def _work(flux, btab, name, shape):
-    """The step plan for the tables ``_oracle_args`` hands kernel ``name``."""
-    t0, t1 = flux.tables[0], flux.tables[1]
-    tables = {"visc_step_1d": (t0.eo_plus, t0.eo_minus, btab),
-              "visc_step_2d": (t0.eo_plus, t0.eo_minus, t1.eo_plus,
-                               t1.eo_minus, btab),
-              "godunov_step_1d": (t0.f,),
-              "godunov_sweep_2d": (t0.f, t0.f)}[name]
-    return kernels.workspace(name, shape, tables)
-
-
-def _step(fn, flux, btab, name, u, work):
-    """One call of kernel ``fn``; the 2-D Godunov sweep runs x then y."""
-    args = _oracle_args(flux, btab, name, u.shape)
-    if name != "godunov_sweep_2d":
-        out = np.empty_like(u)
-        fn(u, *args, out, work)
-        return out
-    dt, h, rest = args[0], args[1], args[2:]
-    mid, out = np.empty_like(u), np.empty_like(u)
-    fn(u, dt, h, 0, *rest, mid, work)
-    fn(mid, dt, h, 1, *rest, out, work)
-    return out
+    return (lambda: tuple(kernels.godunov_plan(shape, h, lat, t0, axis)
+                          for axis in (0, 1)),
+            lambda u, plans: kernel(kernel(u, dt, new(u), plans[0]), dt,
+                                    new(u), plans[1]),
+            expect)
 
 
 def _shape(name):
     return (300,) if name.endswith("1d") else (24, 40)
 
 
-def _check_reuse(kind, name, flux, btab):
-    """One workspace, reused over states in either order, gives what a fresh
-    one and the loop twin give, and its ghost border stays 0."""
+def _check_reuse(oracle, name, flux, btab):
+    """One plan, reused over states in either order, gives what a fresh one
+    and the loop twin give, and its ghost border stays 0."""
     shape = _shape(name)
+    new_plan, step, expect = _case(oracle, name, flux, btab, shape)
     rng = np.random.default_rng(7)
     # a and b vanish near the boundary, like the solvers' states; c does not
     inner = tuple(slice(2, -2) for _ in shape)
@@ -155,84 +149,58 @@ def _check_reuse(kind, name, flux, btab):
     b[inner] = rng.uniform(-0.5, 0.9, b[inner].shape)
     c = rng.uniform(-0.99, 0.99, shape)
     states = {"a": a, "b": b, "c": c}
-    numpy_fn = kernels.KERNELS["numpy"][name]
-    expect = {}
+    want = {key: expect(u) for key, u in states.items()}
     for key, u in states.items():
-        expect[key] = _step(twin(kind, name), flux, btab, name, u,
-                            _work(flux, btab, name, shape))
-        fresh = _step(numpy_fn, flux, btab, name, u,
-                      _work(flux, btab, name, shape))
-        assert np.array_equal(fresh, expect[key])
+        assert np.array_equal(step(u, new_plan()), want[key])
     for order in ("abc", "bac"):
-        work = _work(flux, btab, name, shape)
+        plan = new_plan()
         for key in order:
-            got = _step(numpy_fn, flux, btab, name, states[key], work)
-            assert np.array_equal(got, expect[key]), (order, key)
-        # the viscous kernels pad every axis, the Godunov step axis 0
+            got = step(states[key], plan)
+            assert np.array_equal(got, want[key]), (order, key)
+        # the viscous kernel pads every axis, the Godunov step axis 0
         axes = range(len(shape)) if name.startswith("visc") else (0,)
-        for pad in (work if name == "godunov_sweep_2d" else (work,)):
+        for pad in (plan if name == "godunov_sweep_2d" else (plan,)):
             for ax in axes:
                 assert not pad.ext.take([0, -1], axis=ax).any()
 
 
-@pytest.mark.parametrize("kind", TWINS)
+@ORACLE
 @pytest.mark.parametrize("name", list(LOOPS))
-def test_reused_workspace_holds_no_stale_state(setup, kind, name):
+def test_reused_workspace_holds_no_stale_state(setup, oracle, name):
     flux, visc, _ = setup
-    _check_reuse(kind, name, flux, visc.table)
+    _check_reuse(oracle, name, flux, visc.table)
 
 
 VISC = ["visc_step_1d", "visc_step_2d"]
 
 
-@pytest.mark.parametrize("kind", TWINS)
+@ORACLE
 @pytest.mark.parametrize("name", VISC)
 @pytest.mark.parametrize("table", FLAT_TABLES)
 def test_reused_workspace_holds_no_stale_state_flat_tables(
-        setup, flat_tables, table, name, kind):
+        setup, flat_tables, table, name, oracle):
     flux, _, _ = setup
-    _check_reuse(kind, name, flux, flat_tables[table])
+    _check_reuse(oracle, name, flux, flat_tables[table])
 
 
-@pytest.mark.parametrize("kind", TWINS)
+@ORACLE
 @pytest.mark.parametrize("name", VISC)
 @pytest.mark.parametrize("table", FLAT_TABLES)
 def test_visc_backends_bit_identical_flat_tables(setup, flat_tables, table,
-                                                 name, kind):
+                                                 name, oracle):
     """A flat table takes the scalar path, one changed node the lookup; both
     match the loop twins, which interpolate the table at every face."""
     flux, _, rng = setup
     btab = flat_tables[table]
     u = rng.uniform(-0.99, 0.99, _shape(name))
-    work = _work(flux, btab, name, u.shape)
-    assert work.b == (float(btab[0]) if table == "constant" else None)
-    a = _step(kernels.KERNELS["numpy"][name], flux, btab, name, u, work)
-    b = _step(twin(kind, name), flux, btab, name, u, work)
-    assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("kind", TWINS)
-@pytest.mark.parametrize("name", VISC)
-def test_flat_workspace_handed_another_table_looks_it_up(
-        setup, flat_tables, name, kind):
-    """The plan's slopes and its scalar B path are keyed on the table objects
-    it was built for: handed any other table, B or Engquist-Osher, the kernel
-    reads the table it was handed."""
-    flux, visc, rng = setup
-    u = rng.uniform(-0.99, 0.99, _shape(name))
-    flat = flat_tables["constant"]
-    work = _work(flux, flat, name, u.shape)
-    numpy_fn = kernels.KERNELS["numpy"][name]
-    t0, t1 = flux.tables[0], flux.tables[1]
-    shifted = replace(t0, eo_plus=t0.eo_plus + 0.125)
-    cases = [(flux, btab) for btab in (visc.table, flat_tables["kinked"],
-                                       flat + 0.5)]
-    cases += [(replace(flux, tables=(t1, t0)), flat),
-              (replace(flux, tables=(shifted, t1)), flat)]
-    for fx, btab in cases:
-        got = _step(numpy_fn, fx, btab, name, u, work)
-        expect = _step(twin(kind, name), fx, btab, name, u, work)
-        assert np.array_equal(got, expect)
+    new_plan, step, expect = _case(oracle, name, flux, btab, u.shape)
+    plan = new_plan()
+    flat = table == "constant"
+    assert (plan.b_slope is None) == flat
+    for a in plan.axes:
+        assert a.beh == (float(btab[0]) * a.eh if flat else None)
+        assert (a.bread is None) == flat
+    assert np.array_equal(step(u, plan), expect(u))
 
 
 @pytest.mark.parametrize("table", ["gaussian", "constant"])
@@ -248,14 +216,15 @@ def test_visc_step_table_path_allocation_peak(setup, flat_tables, name,
     btab = visc.table if table == "gaussian" else flat_tables["constant"]
     shape = (400,) if name == "visc_step_1d" else (128, 128)
     u = rng.uniform(-0.99, 0.99, shape)
-    work = _work(flux, btab, name, shape)
-    fn = kernels.KERNELS["numpy"][name]
-    args = _oracle_args(flux, btab, name, shape)
+    h = 1 / shape[-1]
+    plan = kernels.visc_plan(shape, (h,) * len(shape), 0.05, flux.lattice,
+                             flux.tables, btab)
+    fn = kernels.get_kernel(name)
     out = np.empty_like(u)
-    fn(u, *args, out, work)
+    fn(u, 0.1 * h * h, out, plan)
     tracemalloc.start()
     try:
-        fn(u, *args, out, work)
+        fn(u, 0.1 * h * h, out, plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -165,17 +165,12 @@ def _buffer_case(dim, visc):
 
 def _fresh_advance(g, f, v, eps, integrator):
     """The member update with a new output array on every kernel call."""
-    eo = tuple(t for tab in f.tables[:g.dim] for t in (tab.eo_plus,
-                                                       tab.eo_minus))
-    name = f"visc_step_{g.dim}d"
-    args = g.spacing + (eps, f.lattice.lo, f.lattice.inv_spacing) + eo + (v.table,)
-    kernel = kernels.get_kernel(name)
-    work = kernels.workspace(name, g.cells, eo + (v.table,))
+    kernel = kernels.get_kernel(f"visc_step_{g.dim}d")
+    plan = kernels.visc_plan(g.cells, g.spacing, eps, f.lattice, f.tables,
+                             v.table)
 
     def euler(u, dt):
-        out = np.empty_like(u)
-        kernel(u, dt, *args, out, work)
-        return out
+        return kernel(u, dt, np.empty_like(u), plan)
 
     if integrator == "euler":
         return euler
