@@ -4,16 +4,15 @@ scalar conservation laws on bounded domains."""
 __version__ = "0.1.0"
 
 from .domain import (EntropyPair, Field, FieldTrajectory, FluxSpec, Grid,
-                     OutOfRangeError, ViscositySpec, flux_eval,
-                     make_entropy_pair, make_flux, make_viscosity)
+                     ViscositySpec, make_entropy_pair, make_flux,
+                     make_viscosity)
 from .config import ScenarioConfig, build_scenario, render_config
 from .mollify import InitialData, MollifierKernel, kernel_mass, make_kernel, \
     make_initial_data, mollify
 from .norms import SpaceTimeField, h_minus_one_norm, lp_norm, measure_norm, \
     total_variation
-from .viscous import StepError, convective_face_flux, diffusive_face_flux, \
-    integrate, stable_dt
-from .reference import godunov_face_flux, riemann_exact, solve_reference
+from .viscous import StepError, integrate, stable_dt
+from .reference import riemann_exact, solve_reference
 from .convergence import ConvergenceReport, RateFit, fit_rate, l1_distance
 from .compactness import (EntropyProductionSplit, YoungHistogramSet,
                           compensated_D, decompose_production,

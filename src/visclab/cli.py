@@ -9,9 +9,8 @@ from pathlib import Path
 from .config import ConfigError, build_scenario
 from .domain import FLUX_PRESETS, VISCOSITY_PRESETS
 from .harness import emit_plotdata, run_ladder, verify_run
+from .mollify import DATA_PRESETS
 from .report import format_table
-
-DATA_PRESETS = ("bump", "box", "twobump")
 
 
 def _jobs(text: str) -> int:

@@ -348,22 +348,22 @@ class CompensatedQuad:
     clamp_count: int = 0
 
 
+def tartar_pair_table(flux: FluxSpec, tol: float) -> np.ndarray:
+    """g(lambda) = integral of (f1')^2: the 1-D companion flux to f itself,
+    and the ``F11`` table of the compensated quadratic."""
+    c1 = flux.components[0]
+    return tables.cumulative_table(lambda s: np.asarray(c1.fp(s)) ** 2,
+                                   flux.lattice, tol)
+
+
 def build_compensated_quad(flux: FluxSpec, tol: float) -> CompensatedQuad:
-    if flux.dim == 1:
-        c1 = c2 = flux.components[0]
-    else:
-        c1, c2 = flux.components[0], flux.components[1]
+    # in 1-D the second component is the first
+    c1, c2 = flux.components[0], flux.components[-1]
     lat = flux.lattice
-    F11 = tables.cumulative_table(lambda s: np.asarray(c1.fp(s)) ** 2, lat, tol)
     F12 = tables.cumulative_table(
         lambda s: np.asarray(c1.fp(s)) * np.asarray(c2.fp(s)), lat, tol)
     F22 = tables.cumulative_table(lambda s: np.asarray(c2.fp(s)) ** 2, lat, tol)
-    return CompensatedQuad(lat, F11, F12, F22)
-
-
-def tartar_pair_table(flux: FluxSpec, tol: float) -> np.ndarray:
-    """g(lambda) = integral of (f')^2: the 1-D companion flux to f itself."""
-    return build_compensated_quad(flux, tol).F11
+    return CompensatedQuad(lat, tartar_pair_table(flux, tol), F12, F22)
 
 
 def _invert_increasing(lattice: TableLattice, values: np.ndarray,

@@ -14,6 +14,7 @@ import io
 import math
 from dataclasses import dataclass, field
 
+from . import mollify
 from .domain import FLUX_PRESETS, VISCOSITY_PRESETS
 
 __all__ = ["ScenarioConfig", "ConfigError", "build_scenario", "render_config",
@@ -70,18 +71,9 @@ class ScenarioConfig:
     @property
     def support_margin(self) -> float:
         """Distance from the initial-data support to the domain boundary."""
-        r = self.init_width
-        margins = []
-        for j in range(self.dim):
-            c = self.init_center[j]
-            lo_edge = c - r
-            hi_edge = c + r
-            if self.init_name == "twobump" and j == 0:
-                lo_edge = c - self.init_separation - r
-                hi_edge = c + self.init_separation + r
-            margins.append(lo_edge - self.extent_lo[j])
-            margins.append(self.extent_hi[j] - hi_edge)
-        return min(margins)
+        return mollify.support_margin(self.init_name, self.init_center,
+                                      self.init_width, self.init_separation,
+                                      self.extent_lo, self.extent_hi)
 
 
 def _float(text: str, key: str) -> float:
@@ -95,14 +87,22 @@ def _float(text: str, key: str) -> float:
     return value
 
 
-def _floats(text: str, key: str) -> tuple[float, ...]:
-    return tuple(_float(tok, key) for tok in text.split(",") if tok.strip() != "")
+def _int(text: str, key: str) -> int:
+    """One whole number; ``key`` names it in the error."""
+    value = _float(text, key)
+    if value != int(value):
+        raise ConfigError(f"{key} = {text.strip()!r} is not a whole number")
+    return int(value)
 
 
-def _getfloat(parser, section, key, fallback: float) -> float:
+def _numbers(text: str, key: str, parse=_float) -> tuple:
+    return tuple(parse(tok, key) for tok in text.split(",") if tok.strip() != "")
+
+
+def _get(parser, section, key, fallback, parse=_float):
     if not parser.has_option(section, key):
         return fallback
-    return _float(parser.get(section, key), f"{section}.{key}")
+    return parse(parser.get(section, key), f"{section}.{key}")
 
 
 def _require(parser, section, key):
@@ -118,11 +118,10 @@ def build_scenario(config_text: str) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config does not parse: {exc}") from exc
 
-    dim = parser.getint("grid", "dimension", fallback=1)
+    dim = _get(parser, "grid", "dimension", 1, _int)
     if dim not in (1, 2):
         raise ConfigError("grid.dimension must be 1 or 2")
-    cells = tuple(int(v) for v in _floats(_require(parser, "grid", "cells"),
-                                           "grid.cells"))
+    cells = _numbers(_require(parser, "grid", "cells"), "grid.cells", _int)
     if len(cells) == 1 and dim == 2:
         cells = cells * 2
     if len(cells) != dim or any(c <= 0 for c in cells):
@@ -135,7 +134,7 @@ def build_scenario(config_text: str) -> ScenarioConfig:
         raise ConfigError("grid.extent must give one lo,hi pair per axis")
     lo, hi = [], []
     for p in pieces:
-        vals = _floats(p, "grid.extent")
+        vals = _numbers(p, "grid.extent")
         if len(vals) != 2 or vals[1] <= vals[0]:
             raise ConfigError("grid.extent pairs must be lo,hi with lo < hi")
         lo.append(vals[0])
@@ -153,29 +152,35 @@ def build_scenario(config_text: str) -> ScenarioConfig:
     for name in flux_names:
         if name not in FLUX_PRESETS:
             raise ConfigError(f"unknown flux.preset {name!r}")
-    flux_a = _getfloat(parser, "flux", "a", 1.0)
+    flux_a = _get(parser, "flux", "a", 1.0)
 
     visc_name = parser.get("viscosity", "preset", fallback="constant")
     if visc_name not in VISCOSITY_PRESETS:
         raise ConfigError(f"unknown viscosity.preset {visc_name!r}")
-    visc_b = _getfloat(parser, "viscosity", "b", 1.0)
-    visc_r = _getfloat(parser, "viscosity", "r", 1.0)
+    visc_b = _get(parser, "viscosity", "b", 1.0)
+    visc_r = _get(parser, "viscosity", "r", 1.0)
+    if visc_name == "constant" and visc_b <= 0:
+        raise ConfigError("viscosity.b must be positive under preset = constant")
+    if visc_name == "gaussian" and visc_r <= 0:
+        raise ConfigError("viscosity.r must be positive under preset = gaussian")
 
     init_name = _require(parser, "initial", "preset")
-    center = _floats(parser.get("initial", "center", fallback="0.5"),
-                     "initial.center")
+    if init_name not in mollify.DATA_PRESETS:
+        raise ConfigError(f"unknown initial.preset {init_name!r}")
+    center = _numbers(parser.get("initial", "center", fallback="0.5"),
+                      "initial.center")
     if len(center) == 1 and dim == 2:
         center = center * 2
     if len(center) != dim:
         raise ConfigError("initial.center needs one value per axis")
-    init_width = _getfloat(parser, "initial", "width", 0.25)
-    init_amp = _getfloat(parser, "initial", "amplitude", 1.0)
-    init_amp2 = _getfloat(parser, "initial", "amplitude2", -init_amp)
-    init_sep = _getfloat(parser, "initial", "separation", 2.0 * init_width)
+    init_width = _get(parser, "initial", "width", 0.25)
+    init_amp = _get(parser, "initial", "amplitude", 1.0)
+    init_amp2 = _get(parser, "initial", "amplitude2", -init_amp)
+    init_sep = _get(parser, "initial", "separation", 2.0 * init_width)
     if init_width <= 0:
         raise ConfigError("initial.width must be positive")
 
-    ladder = _floats(_require(parser, "ladder", "epsilons"), "ladder.epsilons")
+    ladder = _numbers(_require(parser, "ladder", "epsilons"), "ladder.epsilons")
     if len(ladder) == 0 or any(e <= 0 for e in ladder):
         raise ConfigError("ladder.epsilons must be positive")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
@@ -184,38 +189,42 @@ def build_scenario(config_text: str) -> ScenarioConfig:
     if width_txt.strip() == "match":
         widths = ladder
     else:
-        widths = _floats(width_txt, "ladder.mollifier_width")
+        widths = _numbers(width_txt, "ladder.mollifier_width")
         if len(widths) == 1:
             widths = widths * len(ladder)
         if len(widths) != len(ladder) or any(w <= 0 for w in widths):
             raise ConfigError("ladder.mollifier_width must be 'match', one "
                               "positive value, or one per epsilon")
 
-    cfl = _getfloat(parser, "scheme", "cfl", DEFAULT_CFL)
+    cfl = _get(parser, "scheme", "cfl", DEFAULT_CFL)
     if not 0.0 < cfl < 1.0:
         raise ConfigError("scheme.cfl must lie in (0, 1)")
-    tol = _getfloat(parser, "scheme", "quadrature_tol", DEFAULT_TOL)
+    tol = _get(parser, "scheme", "quadrature_tol", DEFAULT_TOL)
     if tol <= 0:
         raise ConfigError("scheme.quadrature_tol must be positive")
     integrator = parser.get("scheme", "integrator", fallback="euler")
     if integrator not in ("euler", "heun"):
         raise ConfigError("scheme.integrator must be euler or heun")
-    snapshots = parser.getint("scheme", "snapshots", fallback=64)
+    snapshots = _get(parser, "scheme", "snapshots", 64, _int)
     if snapshots < 2:
         raise ConfigError("scheme.snapshots must be at least 2")
-    kr_count = parser.getint("scheme", "kruzkov_count", fallback=5)
-    kr_delta = _getfloat(parser, "scheme", "kruzkov_delta", 1e-3)
-    yw_cells = parser.getint("scheme", "young_window_cells", fallback=8)
-    yw_snaps = parser.getint("scheme", "young_window_snaps", fallback=13)
+    kr_count = _get(parser, "scheme", "kruzkov_count", 5, _int)
+    if kr_count < 0:
+        raise ConfigError(f"scheme.kruzkov_count = {kr_count} must be at least 0")
+    kr_delta = _get(parser, "scheme", "kruzkov_delta", 1e-3)
+    if kr_delta <= 0:
+        raise ConfigError("scheme.kruzkov_delta must be positive")
+    yw_cells = _get(parser, "scheme", "young_window_cells", 8, _int)
+    yw_snaps = _get(parser, "scheme", "young_window_snaps", 13, _int)
     if yw_cells <= 0 or any(c % yw_cells for c in cells):
         raise ConfigError(f"scheme.young_window_cells = {yw_cells} must divide "
                           f"grid.cells {','.join(map(str, cells))}")
     if yw_snaps <= 0 or (snapshots + 1) % yw_snaps:
         raise ConfigError(f"scheme.young_window_snaps = {yw_snaps} must divide "
                           f"scheme.snapshots + 1 = {snapshots + 1}")
-    y_bins = parser.getint("scheme", "young_bins", fallback=64)
-    ww_cells = parser.getint("scheme", "weak_window_cells", fallback=8)
-    ww_snaps = parser.getint("scheme", "weak_window_snaps", fallback=8)
+    y_bins = _get(parser, "scheme", "young_bins", 64, _int)
+    ww_cells = _get(parser, "scheme", "weak_window_cells", 8, _int)
+    ww_snaps = _get(parser, "scheme", "weak_window_snaps", 8, _int)
     # weak windows may be ragged at the far edge, but never empty
     for key, value in (("young_bins", y_bins), ("weak_window_cells", ww_cells),
                        ("weak_window_snaps", ww_snaps)):
@@ -248,8 +257,6 @@ def build_scenario(config_text: str) -> ScenarioConfig:
             f"initial-data support margin {margin:g} (from initial.center/"
             f"initial.width) must exceed the largest mollifier width {wmax:g} "
             f"(key: ladder.mollifier_width)")
-    if cfg.init_name not in ("bump", "box", "twobump"):
-        raise ConfigError(f"unknown initial.preset {cfg.init_name!r}")
     return cfg
 
 

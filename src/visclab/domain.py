@@ -16,13 +16,6 @@ from . import tables
 from .tables import TableLattice, TABLE_NODES
 
 
-class OutOfRangeError(ValueError):
-    """State left the invariant interval; signals a maximum-principle violation."""
-
-
-RANGE_SLACK = 1e-8
-
-
 # ---------------------------------------------------------------------------
 # grid and fields
 
@@ -121,9 +114,6 @@ class FieldTrajectory:
     def num_snapshots(self) -> int:
         return self.times.size
 
-    def snapshot(self, k: int) -> Field:
-        return Field(self.grid, self.values[k])
-
 
 # ---------------------------------------------------------------------------
 # flux
@@ -161,12 +151,6 @@ class FluxSpec:
     @property
     def interval(self) -> tuple[float, float]:
         return (self.lattice.lo, self.lattice.hi)
-
-
-def _check_range(u: float, lattice: TableLattice) -> None:
-    if u < lattice.lo - RANGE_SLACK or u > lattice.hi + RANGE_SLACK:
-        raise OutOfRangeError(
-            f"state {u} outside invariant interval [{lattice.lo}, {lattice.hi}]")
 
 
 def _flux_component(name: str, params: dict, sup: float) -> FluxComponent:
@@ -227,16 +211,6 @@ def make_flux(names: tuple[str, ...] | list[str], interval: tuple[float, float],
     return FluxSpec(tuple(comps), lattice, tuple(tabs), lipschitz)
 
 
-def flux_eval(spec: FluxSpec, axis: int, u: float) -> tuple[float, float, float]:
-    """Axis-j flux and its first two derivatives at a state inside I."""
-    if axis >= spec.dim:
-        raise ValueError(f"axis {axis} out of range for {spec.dim}-component flux")
-    _check_range(float(u), spec.lattice)
-    c = spec.components[axis]
-    return (float(np.asarray(c.f(u))), float(np.asarray(c.fp(u))),
-            float(np.asarray(c.fpp(u))))
-
-
 # ---------------------------------------------------------------------------
 # viscosity
 
@@ -245,7 +219,6 @@ def flux_eval(spec: FluxSpec, axis: int, u: float) -> tuple[float, float, float]
 class ViscositySpec:
     name: str
     B: object
-    Bp: object
     lower_bound: float
     upper_bound: float
     lattice: TableLattice
@@ -266,25 +239,19 @@ def make_viscosity(name: str, interval: tuple[float, float],
         if b <= 0:
             raise ValueError("constant viscosity must be positive")
         B = lambda u: np.full_like(np.asarray(u, dtype=np.float64), b)
-        Bp = lambda u: np.zeros_like(np.asarray(u, dtype=np.float64))
-        spec = ViscositySpec("constant", B, Bp, b, b, lattice)
+        spec = ViscositySpec("constant", B, b, b, lattice)
     elif name == "quadratic":
         # 1 + u^2 with the argument truncated to I so B stays bounded globally
         def B(u, m=m):
             c = np.clip(np.asarray(u, dtype=np.float64), -m, m)
             return 1.0 + c * c
-        def Bp(u, m=m):
-            uu = np.asarray(u, dtype=np.float64)
-            return np.where(np.abs(uu) <= m, 2.0 * uu, 0.0)
-        spec = ViscositySpec("quadratic", B, Bp, 1.0, 1.0 + m * m, lattice)
+        spec = ViscositySpec("quadratic", B, 1.0, 1.0 + m * m, lattice)
     elif name == "gaussian":
         r = float(params.get("r", 1.0))
         if r <= 0:
             raise ValueError("gaussian viscosity floor r must be positive")
         B = lambda u, r=r: r + np.exp(-np.asarray(u, dtype=np.float64) ** 2)
-        Bp = lambda u: -2.0 * np.asarray(u, dtype=np.float64) * np.exp(
-            -np.asarray(u, dtype=np.float64) ** 2)
-        spec = ViscositySpec("gaussian", B, Bp, r, r + 1.0, lattice)
+        spec = ViscositySpec("gaussian", B, r, r + 1.0, lattice)
     else:
         raise ValueError(f"unknown viscosity preset {name!r}")
     table = np.asarray(spec.B(lattice.nodes()), dtype=np.float64)
@@ -302,17 +269,12 @@ class EntropyPair:
 
     name: str
     eta: object
-    etap: object
     etapp: object
     lattice: TableLattice
     q: tuple[np.ndarray, ...]
-    quadrature_tol: float
     ode_residual: float
     ode_allowance: float
     etapp_sup: float
-
-    def q_eval(self, axis: int, u) -> np.ndarray:
-        return tables.interp(self.lattice, self.q[axis], u)
 
 
 def _entropy_functions(preset: str, params: dict):
@@ -366,9 +328,8 @@ def entropy_pair_from_functions(name: str, eta, etap, etapp, flux: FluxSpec,
         allow = tol + 0.5 * float(np.max(d2w)) if d2w.size else tol
         worst_res = max(worst_res, res)
         worst_allow = max(worst_allow, allow)
-    return EntropyPair(name, eta, etap, etapp, lattice, tuple(qs), tol,
-                       worst_res, worst_allow,
-                       etapp_sup=float(np.max(curv)))
+    return EntropyPair(name, eta, etapp, lattice, tuple(qs), worst_res,
+                       worst_allow, etapp_sup=float(np.max(curv)))
 
 
 def make_entropy_pair(preset: str, flux: FluxSpec, tol: float,

@@ -1,5 +1,9 @@
 """Regularization of compactly supported initial data by mollification.
 
+The initial-data presets are declared here, once: ``DATA_PRESETS`` names
+them and ``support_margin`` gives the distance from a preset's support to
+the boundary, which the config checks before any run.
+
 The kernel is the standard bump exp(-1/(1-|z|^2)) scaled to a given width and
 normalized so its discrete integral is exactly one.  Because the kernel is
 required to be narrower than the distance from the data support to the
@@ -28,6 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Field, Grid
+
+DATA_PRESETS = ("bump", "box", "twobump")
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,22 @@ class InitialData:
     tv: float
 
 
+def support_margin(name: str, center: tuple[float, ...], width: float,
+                   separation: float, lo: tuple[float, ...],
+                   hi: tuple[float, ...]) -> float:
+    """Distance from the support of data preset ``name`` to the boundary of
+    the box ``[lo, hi]``.  The support lies in the box of half-width
+    ``width`` around ``center``; for ``twobump`` that box reaches
+    ``separation`` further along axis 0 on either side."""
+    lo_edge = [c - width for c in center]
+    hi_edge = [c + width for c in center]
+    if name == "twobump":
+        lo_edge[0] = center[0] - separation - width
+        hi_edge[0] = center[0] + separation + width
+    return min(min(le - a for le, a in zip(lo_edge, lo)),
+               min(b - he for he, b in zip(hi_edge, hi)))
+
+
 def make_initial_data(grid: Grid, name: str, center: tuple[float, ...],
                       width: float, amplitude: float,
                       amplitude2: float = 0.0,
@@ -101,15 +123,11 @@ def make_initial_data(grid: Grid, name: str, center: tuple[float, ...],
     if name == "bump":
         rho = radial(center)
         vals = np.where(rho < 1.0, amplitude * (1.0 - np.minimum(rho, 1.0) ** 2) ** 3, 0.0)
-        lo_edge = [c - width for c in center]
-        hi_edge = [c + width for c in center]
     elif name == "box":
         inside = np.ones_like(mesh[0], dtype=bool)
         for x, cj in zip(mesh, center):
             inside &= np.abs(x - cj) <= width
         vals = np.where(inside, amplitude, 0.0)
-        lo_edge = [c - width for c in center]
-        hi_edge = [c + width for c in center]
     elif name == "twobump":
         c1 = (center[0] - separation,) + tuple(center[1:])
         c2 = (center[0] + separation,) + tuple(center[1:])
@@ -117,13 +135,10 @@ def make_initial_data(grid: Grid, name: str, center: tuple[float, ...],
         r2 = radial(c2)
         vals = (np.where(r1 < 1.0, amplitude * (1.0 - np.minimum(r1, 1.0) ** 2) ** 3, 0.0)
                 + np.where(r2 < 1.0, amplitude2 * (1.0 - np.minimum(r2, 1.0) ** 2) ** 3, 0.0))
-        lo_edge = [center[0] - separation - width] + [c - width for c in center[1:]]
-        hi_edge = [center[0] + separation + width] + [c + width for c in center[1:]]
     else:
         raise ValueError(f"unknown initial-data preset {name!r}")
 
-    margin = min(min(le - lo for le, lo in zip(lo_edge, grid.lo)),
-                 min(hi - he for he, hi in zip(hi_edge, grid.hi)))
+    margin = support_margin(name, center, width, separation, grid.lo, grid.hi)
     fld = Field(grid, vals)
     from .norms import total_variation
     return InitialData(fld, float(margin), fld.sup, total_variation(fld))

@@ -12,34 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, tables
-from .domain import FieldTrajectory, FluxSpec, Grid, ViscositySpec, _check_range
+from . import kernels
+from .domain import FieldTrajectory, FluxSpec, Grid, ViscositySpec
 from .viscous import march, stable_dt
-
-
-def godunov_face_flux(uL: float, uR: float, flux: FluxSpec, axis: int = 0) -> float:
-    """Exact-Riemann (Godunov) flux of the tabulated flux function.
-
-    min of f over [uL, uR] when uL <= uR, max over [uR, uL] otherwise; the
-    interior extremum candidates are the table nodes where f' changes sign.
-    """
-    _check_range(float(uL), flux.lattice)
-    _check_range(float(uR), flux.lattice)
-    tab = flux.tables[axis]
-    lat = flux.lattice
-    fl = float(tables.interp(lat, tab.f, uL))
-    fr = float(tables.interp(lat, tab.f, uR))
-    if uL <= uR:
-        g = min(fl, fr)
-        for cy, cf in zip(tab.crit_y, tab.crit_f):
-            if uL < cy < uR:
-                g = min(g, float(cf))
-        return g
-    g = max(fl, fr)
-    for cy, cf in zip(tab.crit_y, tab.crit_f):
-        if uR < cy < uL:
-            g = max(g, float(cf))
-    return g
 
 
 def solve_reference(grid: Grid, flux: FluxSpec, visc: ViscositySpec,

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernels, tables
-from .domain import FieldTrajectory, FluxSpec, Grid, ViscositySpec, _check_range
+from . import kernels
+from .domain import FieldTrajectory, FluxSpec, Grid, ViscositySpec
 
 MAX_PRINCIPLE_HARD = 1e-8
 
@@ -40,24 +40,6 @@ def stable_dt(grid: Grid, flux: FluxSpec, visc: ViscositySpec, eps: float,
     if not candidates:
         return cfl * grid.time_horizon
     return cfl * min(candidates)
-
-
-def convective_face_flux(uL: float, uR: float, flux: FluxSpec, axis: int = 0) -> float:
-    """Engquist-Osher flux from the tabulated one-sided integrals of f'."""
-    _check_range(float(uL), flux.lattice)
-    _check_range(float(uR), flux.lattice)
-    tab = flux.tables[axis]
-    return float(tables.interp(flux.lattice, tab.eo_plus, uL)
-                 + tables.interp(flux.lattice, tab.eo_minus, uR))
-
-
-def diffusive_face_flux(uL: float, uR: float, visc: ViscositySpec, eps: float,
-                        h: float) -> float:
-    """eps * B((uL+uR)/2) * (uR-uL)/h, the flux form of the viscous term."""
-    if h <= 0:
-        raise ValueError("spacing must be positive")
-    bm = float(np.asarray(visc.B(0.5 * (uL + uR))))
-    return eps * bm * (uR - uL) / h
 
 
 def _make_advance(grid: Grid, flux: FluxSpec, visc: ViscositySpec, eps: float,

@@ -6,7 +6,11 @@ by value (``_interp_scalar``: floor, clip, ``t0 + frac * (t1 - t0)``), the
 scalar arithmetic of ``tables.locate``/``tables.lookup`` in the same
 operation order, so the numpy kernels in ``visclab.kernels`` must match
 them bit for bit.  They take the tables as arguments, and a trailing
-``work`` argument that they ignore.  Imported by the tests as ``oracles``,
+``work`` argument that they ignore.  Each twin computes its face fluxes
+with one scalar face function, ``_visc_face_scalar`` or
+``_godunov_face_scalar``; the flux property tests (consistency,
+monotonicity, boundary mass balance) run on those two, so they test the
+face arithmetic the kernels run.  Imported by the tests as ``oracles``,
 like ``conftest``.
 """
 
@@ -31,6 +35,14 @@ def _interp_scalar(tab, lo, inv, u):
     return tab[ki] + frac * (tab[ki + 1] - tab[ki])
 
 
+def _visc_face_scalar(ul, ur, eh, lo, inv, eop, eom, btab):
+    """The viscous face flux: Engquist-Osher ``eop(ul) + eom(ur)`` minus
+    ``eh * B((ul + ur) / 2) * (ur - ul)``, with ``eh = eps / h``."""
+    conv = _interp_scalar(eop, lo, inv, ul) + _interp_scalar(eom, lo, inv, ur)
+    bm = _interp_scalar(btab, lo, inv, 0.5 * (ul + ur))
+    return conv - eh * bm * (ur - ul)
+
+
 def _visc_step_1d_loops(u, dt, h, eps, lo, inv, eop, eom, btab, out, work):
     n = u.shape[0]
     epsh = eps / h
@@ -39,9 +51,7 @@ def _visc_step_1d_loops(u, dt, h, eps, lo, inv, eop, eom, btab, out, work):
     for i in range(n + 1):
         ul = u[i - 1] if i > 0 else 0.0
         ur = u[i] if i < n else 0.0
-        conv = _interp_scalar(eop, lo, inv, ul) + _interp_scalar(eom, lo, inv, ur)
-        bm = _interp_scalar(btab, lo, inv, 0.5 * (ul + ur))
-        f = conv - epsh * bm * (ur - ul)
+        f = _visc_face_scalar(ul, ur, epsh, lo, inv, eop, eom, btab)
         if i > 0:
             out[i - 1] = u[i - 1] - lam * (f - fprev)
         fprev = f
@@ -60,9 +70,7 @@ def _visc_step_2d_loops(u, dt, hx, hy, eps, lo, inv,
         for i in range(nx + 1):
             ul = u[i - 1, j] if i > 0 else 0.0
             ur = u[i, j] if i < nx else 0.0
-            conv = _interp_scalar(eopx, lo, inv, ul) + _interp_scalar(eomx, lo, inv, ur)
-            bm = _interp_scalar(btab, lo, inv, 0.5 * (ul + ur))
-            f = conv - ehx * bm * (ur - ul)
+            f = _visc_face_scalar(ul, ur, ehx, lo, inv, eopx, eomx, btab)
             if i > 0:
                 out[i - 1, j] = u[i - 1, j] - lamx * (f - fprev)
             fprev = f
@@ -71,9 +79,7 @@ def _visc_step_2d_loops(u, dt, hx, hy, eps, lo, inv,
         for j in range(ny + 1):
             ul = u[i, j - 1] if j > 0 else 0.0
             ur = u[i, j] if j < ny else 0.0
-            conv = _interp_scalar(eopy, lo, inv, ul) + _interp_scalar(eomy, lo, inv, ur)
-            bm = _interp_scalar(btab, lo, inv, 0.5 * (ul + ur))
-            f = conv - ehy * bm * (ur - ul)
+            f = _visc_face_scalar(ul, ur, ehy, lo, inv, eopy, eomy, btab)
             if j > 0:
                 out[i, j - 1] = out[i, j - 1] - lamy * (f - fprev)
             fprev = f

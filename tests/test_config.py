@@ -115,10 +115,10 @@ def test_window_and_bin_counts_must_be_positive(key, value):
         build_scenario(bad)
 
 
-def with_key(section, key, value):
-    """MINIMAL with ``[section] key = value`` set, the section added if absent."""
+def with_key(section, key, value, base=MINIMAL):
+    """``base`` with ``[section] key = value`` set, the section added if absent."""
     parser = configparser.ConfigParser()
-    parser.read_string(MINIMAL)
+    parser.read_string(base)
     if not parser.has_section(section):
         parser.add_section(section)
     parser.set(section, key, value)
@@ -141,3 +141,44 @@ def with_key(section, key, value):
 def test_real_keys_must_be_finite_numbers(section, key, value, reason):
     with pytest.raises(ConfigError, match=rf"{section}\.{key} = '{value}' {reason}"):
         build_scenario(with_key(section, key, value))
+
+
+@pytest.mark.parametrize("section, key", [
+    ("grid", "dimension"), ("grid", "cells"), ("scheme", "snapshots"),
+    ("scheme", "kruzkov_count"), ("scheme", "young_window_cells"),
+    ("scheme", "young_window_snaps"), ("scheme", "young_bins"),
+    ("scheme", "weak_window_cells"), ("scheme", "weak_window_snaps")])
+@pytest.mark.parametrize("value, reason", [("abc", "is not a number"),
+                                           ("2.5", "is not a whole number")])
+def test_integer_keys_must_be_whole_numbers(section, key, value, reason):
+    # before, text ended in a bare ValueError and 2.5 was truncated to 2
+    with pytest.raises(ConfigError, match=rf"{section}\.{key} = '{value}' {reason}"):
+        build_scenario(with_key(section, key, value))
+
+
+@pytest.mark.parametrize("preset, section, key, value", [
+    ("constant", "viscosity", "b", "0"), ("constant", "viscosity", "b", "-1"),
+    ("gaussian", "viscosity", "r", "0"), ("gaussian", "viscosity", "r", "-0.5"),
+    ("constant", "scheme", "kruzkov_delta", "0"),
+    ("constant", "scheme", "kruzkov_count", "-1")])
+def test_runtime_bounds_rejected_by_config(preset, section, key, value):
+    # before, these passed the config and failed when the run was set up
+    text = with_key("viscosity", "preset", preset, with_key(section, key, value))
+    with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
+        build_scenario(text)
+
+
+def test_runtime_bounds_keep_what_runs():
+    assert build_scenario(with_key("scheme", "kruzkov_count", "0")).kruzkov_count == 0
+    # b is read only under preset = constant, r only under gaussian
+    gauss = with_key("viscosity", "preset", "gaussian",
+                     with_key("viscosity", "b", "-1"))
+    assert build_scenario(gauss).visc_b == -1.0
+
+
+def test_unknown_data_preset_rejected_first():
+    # center 0.2 with the default width 0.25 also reaches the boundary; the
+    # unknown preset is the error to report
+    bad = MINIMAL.replace("preset = bump", "preset = foo\ncenter = 0.2")
+    with pytest.raises(ConfigError, match="unknown initial.preset 'foo'"):
+        build_scenario(bad)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from visclab.domain import (Grid, OutOfRangeError, entropy_pair_from_functions,
-                            flux_eval, kruzkov_ladder, make_entropy_pair,
-                            make_flux, make_viscosity)
+from visclab import tables
+from visclab.domain import (Grid, entropy_pair_from_functions, kruzkov_ladder,
+                            make_entropy_pair, make_flux, make_viscosity)
 
 
 @pytest.fixture(scope="module")
@@ -17,40 +17,34 @@ def burgers1():
 
 
 def test_flux_eval_burgers(burgers2):
-    f, fp, fpp = flux_eval(burgers2, 0, 2.0)
-    assert (f, fp, fpp) == pytest.approx((2.0, 2.0, 1.0))
+    c = burgers2.components[0]
+    assert (c.f(2.0), c.fp(2.0), c.fpp(2.0)) == pytest.approx((2.0, 2.0, 1.0))
 
 
 def test_flux_eval_linear():
     spec = make_flux(("linear",), (-1.0, 1.0), 1e-8, {"a": 0.7})
-    f, fp, fpp = flux_eval(spec, 0, 0.3)
-    assert (f, fp, fpp) == pytest.approx((0.21, 0.7, 0.0))
+    c = spec.components[0]
+    assert (c.f(0.3), c.fp(0.3), c.fpp(0.3)) == pytest.approx((0.21, 0.7, 0.0))
     assert spec.lipschitz_bound == pytest.approx(0.7)
 
 
 def test_flux_eval_zero(burgers2):
-    assert flux_eval(burgers2, 0, 0.0) == pytest.approx((0.0, 0.0, 1.0))
-
-
-def test_flux_eval_out_of_range(burgers1):
-    with pytest.raises(OutOfRangeError):
-        flux_eval(burgers1, 0, 1.0 + 1e-6)
-    # inside the slack is fine
-    flux_eval(burgers1, 0, 1.0 + 1e-9)
+    c = burgers2.components[0]
+    assert (c.f(0.0), c.fp(0.0), c.fpp(0.0)) == pytest.approx((0.0, 0.0, 1.0))
 
 
 def test_arctan_flux_bounded_derivative():
     spec = make_flux(("arctan",), (-1.0, 1.0), 1e-8)
     assert spec.lipschitz_bound == pytest.approx(np.arctan(1.0))
-    f, fp, fpp = flux_eval(spec, 0, 0.5)
-    assert fp == pytest.approx(np.arctan(0.5))
+    assert spec.components[0].fp(0.5) == pytest.approx(np.arctan(0.5))
 
 
 def test_square_entropy_burgers_cubic(burgers1):
     pair = make_entropy_pair("square", burgers1, 1e-8)
     # independent oracle: integral of s * s from 0 to u is u^3 / 3
-    assert float(pair.q_eval(0, 1.0)) == pytest.approx(1.0 / 3.0, abs=1e-6)
-    assert float(pair.q_eval(0, 0.0)) == pytest.approx(0.0, abs=1e-6)
+    q = tables.interp(pair.lattice, pair.q[0], np.array([1.0, 0.0]))
+    assert q[0] == pytest.approx(1.0 / 3.0, abs=1e-6)
+    assert q[1] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_linear_entropy_gives_flux():
@@ -63,14 +57,16 @@ def test_linear_entropy_gives_flux():
     comp = spec.components[0]
     for u in (-0.8, -0.2, 0.4, 1.0):
         expect = float(np.asarray(comp.f(u))) - float(np.asarray(comp.f(0.0)))
-        assert float(pair.q_eval(0, u)) == pytest.approx(expect, abs=1e-6)
+        q = tables.interp(pair.lattice, pair.q[0], u)
+        assert float(q) == pytest.approx(expect, abs=1e-6)
 
 
 def test_square_entropy_linear_flux():
     spec = make_flux(("linear",), (-1.0, 1.0), 1e-8, {"a": 2.0})
     pair = make_entropy_pair("square", spec, 1e-8)
     # integral of s * 2 from 0 to 1 is 1
-    assert float(pair.q_eval(0, 1.0)) == pytest.approx(1.0, abs=1e-6)
+    q = tables.interp(pair.lattice, pair.q[0], 1.0)
+    assert float(q) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_nonconvex_entropy_rejected(burgers1):

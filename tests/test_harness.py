@@ -335,6 +335,26 @@ def test_cli_nan_amplitude_rejected_before_solving(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("old, new", [
+    ("cells = 60", "cells = 60.9"), ("snapshots = 4", "snapshots = abc"),
+    ("\nb = 1.0", "\nb = 0"),
+    ("young_bins = 32", "young_bins = 32\nkruzkov_delta = 0"),
+    ("young_bins = 32", "young_bins = 32\nkruzkov_count = -1")])
+def test_cli_bad_count_or_bound_rejected_before_solving(tmp_path, capsys, old,
+                                                        new):
+    # before, 60.9 cells ran as 60 and `abc` ended in a traceback with exit 1;
+    # the bounds passed the config and failed in a run directory made for them
+    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
+                       young_window_snaps=5, young_window_cells=6)
+    assert old in cfg.raw_text
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(cfg.raw_text.replace(old, new))
+    out = tmp_path / "never"
+    assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 2
+    assert "config rejected" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def tiny_2d_text():
     """The shipped 2-D scenario on a 16 x 16 grid, 11 snapshots, 2 members."""
     text = (SCENARIOS / "burgers2d.cfg").read_text()

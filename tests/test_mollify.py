@@ -3,10 +3,11 @@ import pytest
 from scipy.signal import convolve2d
 
 from conftest import scipy_modules_loaded
+from visclab.config import build_scenario
 from visclab.convergence import fit_rate
 from visclab.domain import Grid
-from visclab.mollify import (_convolve_same_2d, kernel_mass, make_initial_data,
-                             make_kernel, mollify)
+from visclab.mollify import (DATA_PRESETS, _convolve_same_2d, kernel_mass,
+                             make_initial_data, make_kernel, mollify)
 from visclab.norms import total_variation
 
 
@@ -154,3 +155,23 @@ def test_2d_mollify_leaves_scipy_signal_unloaded():
         "g = Grid((32, 32), (0.0, 0.0), (1.0, 1.0), 1.0)\n"
         "d = make_initial_data(g, 'bump', (0.5, 0.5), 0.25, 1.0)\n"
         "mollify(d, make_kernel(0.1, g.spacing))") == []
+
+
+@pytest.mark.parametrize("preset", DATA_PRESETS)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_config_and_data_margins_agree(preset, dim):
+    # both read the support box of the one helper; twobump's reaches from
+    # 0.45 - 0.2 - 0.1 to 0.45 + 0.2 + 0.1 along x, the others' 0.35 to 0.55
+    text = (f"[grid]\ndimension = {dim}\ncells = 40\ntime_horizon = 0.1\n"
+            "[flux]\npreset = burgers\n[initial]\npreset = " + preset +
+            "\ncenter = 0.45\nwidth = 0.1\nseparation = 0.2\n"
+            "[ladder]\nepsilons = 0.05\n[scheme]\nyoung_window_cells = 4\n"
+            "[output]\ndirectory = runs/x\n")
+    cfg = build_scenario(text)
+    grid = Grid(cfg.cells, cfg.extent_lo, cfg.extent_hi, cfg.time_horizon)
+    data = make_initial_data(grid, preset, cfg.init_center, cfg.init_width,
+                             cfg.init_amplitude, cfg.init_amplitude2,
+                             cfg.init_separation)
+    assert data.support_margin == cfg.support_margin
+    assert cfg.support_margin == pytest.approx(0.15 if preset == "twobump"
+                                               else 0.35)
