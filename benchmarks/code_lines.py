@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Count the code lines of each module of a package.
+"""Count the code lines of each module in one or more directories.
 
 A code line is a line that holds at least one token other than a comment,
 a newline or an indentation change (``tokenize``), and that is not part of
 a docstring (``ast``: a string-constant expression that opens a module,
 class or function body).  Blank lines, comment lines and docstring lines do
-not count.  The table lists every module in name order, then the total.
+not count.  For each directory, in the order given, it prints the
+directory, then every module in name order, then the directory's total.
 
-Usage: python benchmarks/code_lines.py [DIR]   (default: src/visclab)
+Usage: python benchmarks/code_lines.py [DIR ...]   (default: src/visclab)
 """
 
 import argparse
@@ -44,15 +45,17 @@ def code_lines(path: Path) -> int:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("dir", nargs="?",
-                        default=str(Path(__file__).resolve().parent.parent
-                                    / "src" / "visclab"))
+    parser.add_argument("dirs", nargs="*", metavar="DIR",
+                        default=[str(Path(__file__).resolve().parent.parent
+                                     / "src" / "visclab")])
     args = parser.parse_args()
-    counts = {p.name: code_lines(p) for p in sorted(Path(args.dir).glob("*.py"))}
-    width = max(map(len, counts), default=5)
-    for name, n in counts.items():
-        print(f"{name:<{width}}  {n:5d}")
-    print(f"{'total':<{width}}  {sum(counts.values()):5d}")
+    for i, d in enumerate(args.dirs):
+        counts = {p.name: code_lines(p) for p in sorted(Path(d).glob("*.py"))}
+        width = max(map(len, counts), default=5)
+        print(("\n" if i else "") + f"{d}:")
+        for name, n in counts.items():
+            print(f"{name:<{width}}  {n:5d}")
+        print(f"{'total':<{width}}  {sum(counts.values()):5d}")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Diagnostics for the compactness program.
 
-Instruments: the entropy-production field and its split into a divergence
-part (measured in the negative-order norm) and a signed dissipation part
+Instruments: the split of the entropy production into a divergence part
+(measured in the negative-order norm) and a signed dissipation part
 (measured in the total-mass norm), the time-derivative bound, windowed value
 histograms standing in for the parametrized limit measures, a div-curl
 deviation test, and the two-dimensional compensated quadratic.
@@ -49,15 +49,6 @@ def _snapshot_blocks(values: np.ndarray) -> list[slice]:
 # entropy production
 
 
-def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
-    """Centered in the interior, one-sided at the first and last snapshots."""
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * dt)
-    out[0] = (values[1] - values[0]) / dt
-    out[-1] = (values[-1] - values[-2]) / dt
-    return out
-
-
 def _along(ndim: int, axis: int, lo, hi) -> tuple:
     """Index of ``lo:hi`` along ``axis`` and of everything on the others."""
     sl = [slice(None)] * ndim
@@ -81,24 +72,6 @@ def _centered_space(values: np.ndarray, axis: int, h: float,
     ext = _pad(values, axis, boundary_value)
     return (ext[_along(values.ndim, axis, 2, None)]
             - ext[_along(values.ndim, axis, None, -2)]) / (2.0 * h)
-
-
-def entropy_production_total(traj: FieldTrajectory, pair: EntropyPair) -> SpaceTimeField:
-    """Discrete field d/dt eta(u) + sum_j d/dx_j q_j(u) on the snapshot lattice."""
-    if traj.num_snapshots < 3:
-        raise ValueError("need at least 3 snapshots for the production field")
-    steps = np.diff(traj.times)
-    if not np.allclose(steps, steps[0], rtol=1e-8, atol=1e-14):
-        raise ValueError("snapshots must be uniform in time")
-    dt = float(steps[0])
-    grid = traj.grid
-    eta_u = np.asarray(pair.eta(traj.values), dtype=np.float64)
-    total = _time_derivative(eta_u, dt)
-    for axis in range(grid.dim):
-        q_u = tables.interp(pair.lattice, pair.q[axis], traj.values)
-        q_ghost = float(tables.interp(pair.lattice, pair.q[axis], 0.0))
-        total += _centered_space(q_u, axis + 1, grid.spacing[axis], q_ghost)
-    return SpaceTimeField(grid, traj.times, total)
 
 
 @dataclass(frozen=True)
@@ -285,18 +258,22 @@ def flux_identity_gap(hset: YoungHistogramSet, flux: FluxSpec,
 # div-curl deviation
 
 
+def _segments(n: int, w: int) -> list[tuple[int, int]]:
+    """Consecutive ``(start, stop)`` blocks of ``w`` along ``n``; a trailing
+    ragged block keeps what is left."""
+    stops = list(range(w, n + 1, w))
+    if not stops or stops[-1] != n:
+        stops.append(n)
+    return list(zip([0] + stops[:-1], stops))
+
+
 def _block_means(arr: np.ndarray, window: tuple[int, ...]) -> np.ndarray:
     """Mean over coarse blocks; trailing ragged blocks keep their own mean."""
     out = arr
     for axis, w in enumerate(window):
-        n = out.shape[axis]
-        stops = list(range(w, n + 1, w))
-        if not stops or stops[-1] != n:
-            stops.append(n)
-        starts = [0] + stops[:-1]
         segs = [out[(slice(None),) * axis + (slice(a, b),)].mean(axis=axis,
                                                                   keepdims=True)
-                for a, b in zip(starts, stops)]
+                for a, b in _segments(out.shape[axis], w)]
         out = np.concatenate(segs, axis=axis)
     return out
 
@@ -313,19 +290,22 @@ def _block_expand(coarse: np.ndarray, window: tuple[int, ...],
     return out
 
 
-def div_curl_test(G: tuple[SpaceTimeField, SpaceTimeField],
-                  H: tuple[SpaceTimeField, SpaceTimeField],
+def div_curl_test(G: tuple[np.ndarray, np.ndarray],
+                  H: tuple[np.ndarray, np.ndarray],
                   window: tuple[int, ...]) -> float:
     """max over coarse windows of |avg(G.H) - avg(G).avg(H)|."""
     g1, g2 = G
     h1, h2 = H
-    base = g1.values.shape
-    for f in (g2, h1, h2):
-        if f.values.shape != base:
-            raise ValueError("div-curl fields must share one lattice")
-    dot = g1.values * h1.values + g2.values * h2.values
-    avg_dot = _block_means(dot, window)
-    avg = lambda f: _block_means(f.values, window)
+    if any(f.shape != g1.shape for f in (g2, h1, h2)):
+        raise ValueError("div-curl fields must share one lattice")
+    # the time means of G.H one coarse time window at a time, so the product
+    # is never held whole: each is the mean _block_means takes of the whole
+    # product's slice, and a window of one snapshot passes them through
+    avg_dot = np.concatenate([
+        (g1[a:b] * h1[a:b] + g2[a:b] * h2[a:b]).mean(axis=0, keepdims=True)
+        for a, b in _segments(g1.shape[0], window[0])])
+    avg_dot = _block_means(avg_dot, (1,) + tuple(window[1:]))
+    avg = lambda f: _block_means(f, window)
     prod = avg(g1) * avg(h1) + avg(g2) * avg(h2)
     return float(np.max(np.abs(avg_dot - prod)))
 
@@ -449,7 +429,3 @@ def compensated_D_field(traj: FieldTrajectory, quad: CompensatedQuad) -> SpaceTi
         np.subtract(d11 * d22, d12 * d12, out=D[blk])
     return SpaceTimeField(traj.grid, traj.times, D)
 
-
-def compensated_D(traj: FieldTrajectory, quad: CompensatedQuad) -> float:
-    """Space-time average of D(u); Cauchy-Schwarz keeps it nonnegative."""
-    return float(np.mean(compensated_D_field(traj, quad).values))

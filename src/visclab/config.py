@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import mollify
-from .domain import FLUX_PRESETS, VISCOSITY_PRESETS
+from .domain import FLUX_PRESETS, VISCOSITY_PRESETS, Grid
 
 __all__ = ["ScenarioConfig", "ConfigError", "build_scenario", "render_config",
            "config_hash", "DEFAULT_CFL", "DEFAULT_TOL"]
@@ -195,6 +195,15 @@ def build_scenario(config_text: str) -> ScenarioConfig:
         if len(widths) != len(ladder) or any(w <= 0 for w in widths):
             raise ConfigError("ladder.mollifier_width must be 'match', one "
                               "positive value, or one per epsilon")
+    spacing = Grid(cells, tuple(lo), tuple(hi), time_horizon).spacing
+    narrow = [w for w in widths if mollify.within_one_cell(w, spacing)]
+    if narrow:
+        matched = (" (matched to ladder.epsilons)"
+                   if width_txt.strip() == "match" else "")
+        raise ConfigError(
+            f"ladder.mollifier_width {min(narrow):g}{matched} is at most one "
+            f"cell (spacing {max(spacing):g}); its kernel would have a single "
+            "node and leave the data unmollified")
 
     cfl = _get(parser, "scheme", "cfl", DEFAULT_CFL)
     if not 0.0 < cfl < 1.0:

@@ -76,10 +76,6 @@ class Field:
             raise ValueError("field contains non-finite values")
         object.__setattr__(self, "values", v)
 
-    @property
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
 
 @dataclass(frozen=True)
 class FieldTrajectory:
@@ -133,7 +129,6 @@ class FluxComponent:
     name: str
     f: object
     fp: object
-    fpp: object
     lipschitz: float
 
 
@@ -143,10 +138,6 @@ class FluxSpec:
     lattice: TableLattice
     tables: tuple[FluxTables, ...]
     lipschitz_bound: float
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -159,14 +150,12 @@ def _flux_component(name: str, params: dict, sup: float) -> FluxComponent:
         return FluxComponent("burgers",
                              lambda u: 0.5 * u * u,
                              lambda u: np.asarray(u, dtype=np.float64) + 0.0,
-                             lambda u: np.ones_like(np.asarray(u, dtype=np.float64)),
                              lipschitz=sup)
     if name == "linear":
         a = float(params.get("a", 1.0))
         return FluxComponent("linear",
                              lambda u, a=a: a * np.asarray(u, dtype=np.float64),
                              lambda u, a=a: np.full_like(np.asarray(u, dtype=np.float64), a),
-                             lambda u: np.zeros_like(np.asarray(u, dtype=np.float64)),
                              lipschitz=abs(a))
     if name == "arctan":
         def f(u):
@@ -174,7 +163,6 @@ def _flux_component(name: str, params: dict, sup: float) -> FluxComponent:
             return u * np.arctan(u) - 0.5 * np.log1p(u * u)
         return FluxComponent("arctan", f,
                              lambda u: np.arctan(np.asarray(u, dtype=np.float64)),
-                             lambda u: 1.0 / (1.0 + np.asarray(u, dtype=np.float64) ** 2),
                              lipschitz=float(np.arctan(sup)))
     raise ValueError(f"unknown flux preset {name!r}")
 

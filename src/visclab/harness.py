@@ -22,7 +22,6 @@ from .convergence import build_convergence_report, fit_rate
 from .domain import FieldTrajectory, Grid, kruzkov_ladder, make_entropy_pair, \
     make_flux, make_viscosity
 from .mollify import make_initial_data, make_kernel, mollify
-from .norms import SpaceTimeField
 from .report import (EstimateRow, MemberDiagnostics, evaluate_estimates,
                      format_table, grad_energy_lhs, overall_verdicts,
                      synthetic_divcurl)
@@ -99,10 +98,8 @@ def member_diagnostics(cfg: ScenarioConfig, specs: RuntimeSpecs,
         comp = specs.flux.components[0]
         f_u = np.asarray(comp.f(traj.values), dtype=np.float64)
         g_u = tables.interp(specs.flux.lattice, specs.tartar, traj.values)
-        mk = lambda v: SpaceTimeField(specs.grid, traj.times, v)
         window = (cfg.weak_window_snaps, cfg.weak_window_cells)
-        m.divcurl_dev = div_curl_test((mk(traj.values), mk(f_u)),
-                                      (mk(f_u), mk(g_u)), window)
+        m.divcurl_dev = div_curl_test((traj.values, f_u), (f_u, g_u), window)
     m.snapshot_sup = float(np.max(np.abs(traj.values)))
     m.energy = grad_energy_lhs(traj)
     return m
@@ -180,12 +177,12 @@ def assess(cfg: ScenarioConfig, specs: RuntimeSpecs,
         if trajs:
             conv = build_convergence_report(trajs, reference)
 
-    rate_fits = {}
+    rate_fits, ut_fit = {}, None
     if len(members) >= 3:
         for pair in specs.pairs:
             pts = [(m.eps, m.entropy[pair.name][0]) for m in members]
             rate_fits[pair.name] = fit_rate(pts)
-        rate_fits["__ut__"] = fit_rate([(m.eps, m.ut_l1) for m in members])
+        ut_fit = fit_rate([(m.eps, m.ut_l1) for m in members])
 
     times = snapshot_times(cfg.time_horizon, cfg.snapshots)
     dc_compact, dc_violation = synthetic_divcurl(specs.grid, times,
@@ -194,7 +191,7 @@ def assess(cfg: ScenarioConfig, specs: RuntimeSpecs,
     rows = evaluate_estimates(cfg, members, conv, specs.sup_bound,
                               specs.visc.lower_bound, specs.visc.upper_bound,
                               specs.grid.volume, etapp_sup,
-                              dc_compact, dc_violation, rate_fits)
+                              dc_compact, dc_violation, rate_fits, ut_fit)
     return conv, rows
 
 

@@ -2,7 +2,9 @@
 
 The initial-data presets are declared here, once: ``DATA_PRESETS`` names
 them and ``support_margin`` gives the distance from a preset's support to
-the boundary, which the config checks before any run.
+the boundary.  ``within_one_cell`` tells a mollifier width of at most one
+cell, whose kernel would have a single node.  The config checks both before
+any run.
 
 The kernel is the standard bump exp(-1/(1-|z|^2)) scaled to a given width and
 normalized so its discrete integral is exactly one.  Because the kernel is
@@ -42,12 +44,6 @@ class MollifierKernel:
     spacing: tuple[float, ...]
     weights: np.ndarray  # dimensionless, sums to 1
 
-    @property
-    def density(self) -> np.ndarray:
-        """Kernel as a density: weights / cell volume."""
-        vol = float(np.prod(self.spacing))
-        return self.weights / vol
-
 
 def _bump_profile(z2: np.ndarray) -> np.ndarray:
     out = np.zeros_like(z2)
@@ -56,41 +52,37 @@ def _bump_profile(z2: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kernel_radii(width: float, spacing: tuple[float, ...]) -> tuple[int, ...]:
+    """Per axis, the number of kernel nodes on either side of its centre:
+    those at offsets ``k h`` with ``0 < k h < width``."""
+    return tuple(int(np.ceil(width / h)) - 1 for h in spacing)
+
+
+def within_one_cell(width: float, spacing: tuple[float, ...]) -> bool:
+    """Whether a positive ``width`` is at most one cell on some axis.  The
+    kernel then has a single node along that axis and leaves the data
+    unmollified there, so ``make_kernel`` and the config reject it."""
+    return min(_kernel_radii(width, spacing)) == 0
+
+
 def make_kernel(width: float, spacing: tuple[float, ...]) -> MollifierKernel:
     if width <= 0:
         raise ValueError("mollifier width must be positive")
-    if len(spacing) == 1:
-        h = spacing[0]
-        k = max(int(np.ceil(width / h)) - 1, 0)
-        offs = np.arange(-k, k + 1) * h
-        z2 = (offs / width) ** 2
-        prof = _bump_profile(z2)
-    else:
-        hx, hy = spacing
-        kx = max(int(np.ceil(width / hx)) - 1, 0)
-        ky = max(int(np.ceil(width / hy)) - 1, 0)
-        ox = np.arange(-kx, kx + 1) * hx
-        oy = np.arange(-ky, ky + 1) * hy
-        z2 = (ox[:, None] / width) ** 2 + (oy[None, :] / width) ** 2
-        prof = _bump_profile(z2)
-    total = prof.sum()
-    if total <= 0:
-        raise ValueError("mollifier width is below one cell; kernel has no mass")
-    return MollifierKernel(width, tuple(spacing), prof / total)
-
-
-def kernel_mass(kernel: MollifierKernel) -> float:
-    """Discrete integral of the kernel density; 1 by construction."""
-    vol = float(np.prod(kernel.spacing))
-    return float(np.sum(kernel.density) * vol)
+    if within_one_cell(width, spacing):
+        raise ValueError(f"mollifier width {width:g} is at most one cell "
+                         f"(spacing {', '.join(f'{h:g}' for h in spacing)}); "
+                         "the kernel would have a single node")
+    offsets = [np.arange(-k, k + 1) * h
+               for k, h in zip(_kernel_radii(width, spacing), spacing)]
+    z2 = sum((o / width) ** 2 for o in np.meshgrid(*offsets, indexing="ij"))
+    prof = _bump_profile(z2)
+    return MollifierKernel(width, tuple(spacing), prof / prof.sum())
 
 
 @dataclass(frozen=True)
 class InitialData:
     field: Field
     support_margin: float
-    sup_norm: float
-    tv: float
 
 
 def support_margin(name: str, center: tuple[float, ...], width: float,
@@ -139,9 +131,7 @@ def make_initial_data(grid: Grid, name: str, center: tuple[float, ...],
         raise ValueError(f"unknown initial-data preset {name!r}")
 
     margin = support_margin(name, center, width, separation, grid.lo, grid.hi)
-    fld = Field(grid, vals)
-    from .norms import total_variation
-    return InitialData(fld, float(margin), fld.sup, total_variation(fld))
+    return InitialData(Field(grid, vals), float(margin))
 
 
 def mollify(data: InitialData, kernel: MollifierKernel) -> Field:

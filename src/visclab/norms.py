@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Field, Grid
+from .domain import Grid
 
 
 @dataclass(frozen=True)
@@ -58,35 +58,18 @@ class SpaceTimeField:
         return w
 
 
-def lp_norm(stf: SpaceTimeField, p) -> float:
-    """Riemann-sum norm with cell volumes; trapezoid weights in time."""
+def lp_norm(stf: SpaceTimeField) -> float:
+    """L1 norm: Riemann sum with cell volumes, trapezoid weights in time."""
     v = stf.values
-    if p == np.inf or p == "inf":
-        return float(np.max(np.abs(v)))
-    if p not in (1, 2):
-        raise ValueError("only p in {1, 2, inf} is supported")
     cell = stf.grid.cell_volume
     w = stf.time_weights()
-    per_snap = np.sum(np.abs(v) ** p, axis=tuple(range(1, v.ndim))) * cell
-    total = float(np.sum(per_snap * w))
-    return total if p == 1 else float(np.sqrt(total))
+    per_snap = np.sum(np.abs(v), axis=tuple(range(1, v.ndim))) * cell
+    return float(np.sum(per_snap * w))
 
 
 def measure_norm(stf: SpaceTimeField) -> float:
     """Total-mass surrogate: the L1 norm bounds the measure norm."""
-    return lp_norm(stf, 1)
-
-
-def total_variation(field: Field) -> float:
-    """Sum over axes of |one-sided differences| * cell volume / spacing."""
-    v = field.values
-    grid = field.grid
-    cell = grid.cell_volume
-    tv = 0.0
-    for axis in range(grid.dim):
-        d = np.abs(np.diff(v, axis=axis))
-        tv += float(np.sum(d)) * cell / grid.spacing[axis]
-    return tv
+    return lp_norm(stf)
 
 
 # ---------------------------------------------------------------------------

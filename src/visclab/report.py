@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compactness import YoungHistogramSet, _centered_space, div_curl_test
-from .convergence import ConvergenceReport
+from .convergence import ConvergenceReport, RateFit
 from .domain import FieldTrajectory
 from .norms import SpaceTimeField
 
@@ -105,9 +105,8 @@ def synthetic_divcurl(grid, times, window) -> tuple[float, float]:
     s = np.broadcast_to(
         s1.reshape((1, nx) + (1,) * (grid.dim - 1)), shape).copy()
     zero = np.zeros(shape)
-    mk = lambda v: SpaceTimeField(grid, times, v)
-    compact = div_curl_test((mk(s), mk(zero)), (mk(zero), mk(s)), window)
-    violation = div_curl_test((mk(s), mk(zero)), (mk(s), mk(zero)), window)
+    compact = div_curl_test((s, zero), (zero, s), window)
+    violation = div_curl_test((s, zero), (s, zero), window)
     return compact, violation
 
 
@@ -116,8 +115,13 @@ def evaluate_estimates(scenario, members: list[MemberDiagnostics],
                        sup0: float, r_floor: float, b_sup: float,
                        volume: float, etapp_sup: dict,
                        divcurl_compact: float, divcurl_violation: float,
-                       rate_fits: dict) -> list[EstimateRow]:
-    """Assemble the full estimate table for one run."""
+                       rate_fits: dict, ut_fit: RateFit | None) -> list[EstimateRow]:
+    """Assemble the full estimate table for one run.
+
+    ``rate_fits`` maps each entropy to the fit of its ``h1_norm_A`` over the
+    ladder, ``ut_fit`` is the fit of ``ut_l1``; both are absent (empty,
+    None) on a ladder too short to fit.
+    """
     rows: list[EstimateRow] = []
     dim = scenario.dim
 
@@ -131,8 +135,6 @@ def evaluate_estimates(scenario, members: list[MemberDiagnostics],
                m.energy, energy_rhs, "<=")
 
     for ent_id, fitres in rate_fits.items():
-        if ent_id == "__ut__":
-            continue
         _check(rows, "h1_decay", f"{ent_id} slope", "all",
                fitres.rate, H1_SLOPE_MIN, ">=")
         _check(rows, "h1_decay", f"{ent_id} residual", "all",
@@ -144,7 +146,6 @@ def evaluate_estimates(scenario, members: list[MemberDiagnostics],
                 * volume / (2.0 * r_floor)
             _check(rows, "measure_bound", ent_id, m.eps_label, mnorm, rhs, "<=")
 
-    ut_fit = rate_fits.get("__ut__")
     if ut_fit is not None:
         _check(rows, "ut_l1", "slope", "all", ut_fit.rate, UT_SLOPE_MIN, ">=")
 

@@ -1,5 +1,5 @@
-"""Test oracles: scalar re-implementations the tests compare the package
-against.
+"""Test oracles: scalar re-implementations and reference computations the
+tests compare the package against.
 
 The loop twins update one face at a time and interpolate each table value
 by value (``_interp_scalar``: floor, clip, ``t0 + frac * (t1 - t0)``), the
@@ -10,17 +10,27 @@ them bit for bit.  They take the tables as arguments, and a trailing
 with one scalar face function, ``_visc_face_scalar`` or
 ``_godunov_face_scalar``; the flux property tests (consistency,
 monotonicity, boundary mass balance) run on those two, so they test the
-face arithmetic the kernels run.  Imported by the tests as ``oracles``,
-like ``conftest``.
+face arithmetic the kernels run.
+
+Below them sit the oracles for what no command computes: the exact Riemann
+solution of a convex flux preset (``riemann_exact``), the whole entropy
+production ``d/dt eta(u) + div q(u)`` that the package's split A + M must
+approach (``entropy_production_total``), and the total variation of a
+field (``total_variation``).  Imported by the tests as ``oracles``, like
+``conftest``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from visclab.domain import Grid
+from visclab import tables
+from visclab.compactness import _centered_space
+from visclab.domain import EntropyPair, Field, FieldTrajectory, FluxSpec, Grid
+from visclab.norms import SpaceTimeField
 
 
 def _interp_scalar(tab, lo, inv, u):
@@ -174,3 +184,101 @@ def shock_position(field_values: np.ndarray, grid: Grid, level: float) -> float:
     u0, u1 = u[i], u[i + 1]
     frac = (u0 - level) / (u0 - u1) if u0 != u1 else 0.5
     return float(x[i] + frac * (x[i + 1] - x[i]))
+
+
+# ---------------------------------------------------------------------------
+# exact Riemann solutions
+
+
+@dataclass(frozen=True)
+class _ConvexRiemann:
+    uL: float
+    uR: float
+    wave: str               # shock | rarefaction | constant
+    speeds: tuple[float, ...]
+    fp: object = None
+    fp_inv: object = None
+
+    def __call__(self, xi: float) -> float:
+        if self.wave == "constant":
+            return self.uL
+        if self.wave == "shock":
+            return self.uL if xi < self.speeds[0] else self.uR
+        sL, sR = self.speeds
+        if xi <= sL:
+            return self.uL
+        if xi >= sR:
+            return self.uR
+        return float(self.fp_inv(xi))
+
+
+_FP_INVERSES = {
+    "burgers": lambda xi: xi,
+    "arctan": lambda xi: np.tan(xi),
+}
+
+
+def riemann_exact(uL: float, uR: float, flux: FluxSpec,
+                  axis: int = 0) -> _ConvexRiemann:
+    """Self-similar solution of the Riemann problem for a convex flux preset:
+    ``linear`` or one with an inverse of f' in ``_FP_INVERSES``."""
+    comp = flux.components[axis]
+    if comp.name != "linear" and comp.name not in _FP_INVERSES:
+        raise ValueError(f"flux preset {comp.name!r} is not known to be "
+                         "convex; exact Riemann solution unsupported")
+    if uL == uR:
+        return _ConvexRiemann(uL, uR, "constant", ())
+    f = lambda u: float(np.asarray(comp.f(u)))
+    fp = lambda u: float(np.asarray(comp.fp(u)))
+    if uL > uR:
+        s = (f(uL) - f(uR)) / (uL - uR)
+        return _ConvexRiemann(uL, uR, "shock", (s,))
+    if comp.name == "linear":
+        a = fp(0.0)
+        return _ConvexRiemann(uL, uR, "shock", (a,))
+    return _ConvexRiemann(uL, uR, "rarefaction", (fp(uL), fp(uR)),
+                          fp=fp, fp_inv=_FP_INVERSES[comp.name])
+
+
+# ---------------------------------------------------------------------------
+# entropy production and total variation
+
+
+def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
+    """Centered in the interior, one-sided at the first and last snapshots."""
+    out = np.empty_like(values)
+    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * dt)
+    out[0] = (values[1] - values[0]) / dt
+    out[-1] = (values[-1] - values[-2]) / dt
+    return out
+
+
+def entropy_production_total(traj: FieldTrajectory,
+                             pair: EntropyPair) -> SpaceTimeField:
+    """Discrete field d/dt eta(u) + sum_j d/dx_j q_j(u) on the snapshot lattice."""
+    if traj.num_snapshots < 3:
+        raise ValueError("need at least 3 snapshots for the production field")
+    steps = np.diff(traj.times)
+    if not np.allclose(steps, steps[0], rtol=1e-8, atol=1e-14):
+        raise ValueError("snapshots must be uniform in time")
+    dt = float(steps[0])
+    grid = traj.grid
+    eta_u = np.asarray(pair.eta(traj.values), dtype=np.float64)
+    total = _time_derivative(eta_u, dt)
+    for axis in range(grid.dim):
+        q_u = tables.interp(pair.lattice, pair.q[axis], traj.values)
+        q_ghost = float(tables.interp(pair.lattice, pair.q[axis], 0.0))
+        total += _centered_space(q_u, axis + 1, grid.spacing[axis], q_ghost)
+    return SpaceTimeField(grid, traj.times, total)
+
+
+def total_variation(field: Field) -> float:
+    """Sum over axes of |one-sided differences| * cell volume / spacing."""
+    v = field.values
+    grid = field.grid
+    cell = grid.cell_volume
+    tv = 0.0
+    for axis in range(grid.dim):
+        d = np.abs(np.diff(v, axis=axis))
+        tv += float(np.sum(d)) * cell / grid.spacing[axis]
+    return tv

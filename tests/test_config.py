@@ -73,8 +73,10 @@ def test_hash_changes_with_any_byte():
 
 
 def test_2d_broadcasting():
+    # on 16 cells a width of 0.05 is within one cell, hence the wider ladder
     text = MINIMAL.replace("[grid]", "[grid]\ndimension = 2").replace(
-        "cells = 50", "cells = 16")
+        "cells = 50", "cells = 16").replace("epsilons = 0.1,0.05",
+                                            "epsilons = 0.2,0.1")
     cfg = build_scenario(text)
     assert cfg.cells == (16, 16)
     assert cfg.flux_names == ("burgers", "burgers")
@@ -166,6 +168,18 @@ def test_runtime_bounds_rejected_by_config(preset, section, key, value):
     text = with_key("viscosity", "preset", preset, with_key(section, key, value))
     with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
         build_scenario(text)
+
+
+@pytest.mark.parametrize("key, value, matched", [
+    ("mollifier_width", "0.05,0.02", ""),
+    ("epsilons", "0.1,0.02", r" \(matched to ladder\.epsilons\)")],
+    ids=["given", "match"])
+def test_mollifier_width_within_one_cell_rejected(key, value, matched):
+    # 50 cells: h = 0.02, so a width of 0.02 gives a kernel of one node;
+    # before, that member ran with its data unmollified
+    with pytest.raises(ConfigError, match=rf"ladder\.mollifier_width 0\.02"
+                                          rf"{matched} is at most one cell"):
+        build_scenario(with_key("ladder", key, value))
 
 
 def test_runtime_bounds_keep_what_runs():

@@ -339,11 +339,13 @@ def test_cli_nan_amplitude_rejected_before_solving(tmp_path, capsys):
     ("cells = 60", "cells = 60.9"), ("snapshots = 4", "snapshots = abc"),
     ("\nb = 1.0", "\nb = 0"),
     ("young_bins = 32", "young_bins = 32\nkruzkov_delta = 0"),
-    ("young_bins = 32", "young_bins = 32\nkruzkov_count = -1")])
+    ("young_bins = 32", "young_bins = 32\nkruzkov_count = -1"),
+    ("mollifier_width = 0.02", "mollifier_width = 0.0125")])
 def test_cli_bad_count_or_bound_rejected_before_solving(tmp_path, capsys, old,
                                                         new):
     # before, 60.9 cells ran as 60 and `abc` ended in a traceback with exit 1;
-    # the bounds passed the config and failed in a run directory made for them
+    # the bounds passed the config and failed in a run directory made for them;
+    # a width of 0.0125 on 60 cells (a one-node kernel) ran unmollified
     cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
                        young_window_snaps=5, young_window_cells=6)
     assert old in cfg.raw_text
@@ -356,11 +358,12 @@ def test_cli_bad_count_or_bound_rejected_before_solving(tmp_path, capsys, old,
 
 
 def tiny_2d_text():
-    """The shipped 2-D scenario on a 16 x 16 grid, 11 snapshots, 2 members."""
+    """The shipped 2-D scenario on a 16 x 16 grid, 11 snapshots, 2 members
+    (0.2 and 0.1: a matched width of 0.05 would be within one cell)."""
     text = (SCENARIOS / "burgers2d.cfg").read_text()
     for old, new in (("cells = 128,128", "cells = 16,16"),
                      ("time_horizon = 0.25", "time_horizon = 0.05"),
-                     ("epsilons = 0.1,0.05,0.025", "epsilons = 0.1,0.05"),
+                     ("epsilons = 0.1,0.05,0.025", "epsilons = 0.2,0.1"),
                      ("snapshots = 32", "snapshots = 10"),
                      ("young_bins = 64", "young_bins = 16"),
                      ("weak_window_snaps = 8", "weak_window_snaps = 4")):

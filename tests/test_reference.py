@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import _godunov_face_scalar, shock_position
+from oracles import _godunov_face_scalar, riemann_exact, shock_position
 from visclab.domain import Grid, make_flux, make_viscosity
-from visclab.reference import riemann_exact, solve_reference
+from visclab.reference import solve_reference
 from visclab.viscous import snapshot_times
 
 
