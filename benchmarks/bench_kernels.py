@@ -5,12 +5,13 @@ The kernels run on the shipped scenarios (400 cells in 1-D, 128x128 in 2-D):
 their tables and the mollified initial state of the largest-eps member, set
 up through the same calls a run makes, with one step plan built up front by
 ``visc_plan`` or ``godunov_plan`` as a march does (the viscous one from the B
-table, so a flat table takes the scalar path) and a fresh ``out`` per call as
-the solvers allocate it.  ``visc_step`` runs under its per-dimension names,
-the Godunov step as ``godunov_step_1d`` and as the x sweep of
-``godunov_sweep_2d``.  Each scenario's viscous kernel is timed twice: with
-its own constant B (``B`` column ``constant``) and with a gaussian B on the
-same lattice, which reads the table at every face midpoint.
+table, so a flat table takes the scalar path) and two ``out`` buffers taken
+in turn, as ``viscous._make_advance`` hands them to the kernel.
+``visc_step`` runs under its per-dimension names, the Godunov step as
+``godunov_step_1d`` and as the x sweep of ``godunov_sweep_2d``.  Each
+scenario's viscous kernel is timed twice: with its own constant B (``B``
+column ``constant``) and with a gaussian B on the same lattice, which reads
+the table at every face midpoint.
 
 Each of ``--rounds`` rounds times every row for ``--steps`` calls, the rows
 taken in turn so that drift of the machine's speed reaches all of them; the
@@ -67,10 +68,11 @@ def scenario_calls(name):
 
 def bench(fn, u, dt, plan, steps):
     """(seconds, minor page faults) per step."""
+    outs = (np.empty_like(u), np.empty_like(u))
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
-    for _ in range(steps):
-        fn(u, dt, np.empty_like(u), plan)
+    for i in range(steps):
+        fn(u, dt, outs[i % 2], plan)
     elapsed = time.perf_counter() - t0
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     return elapsed / steps, faults / steps

@@ -40,6 +40,29 @@ the lookup gives ``t0 + frac * (t1 - t0) = b + frac * 0 = b`` for every
 finite ``frac``, so the loop twins' face term ``(eps / h * b) * (ur - ul)``
 and the kernel's ``(ur - ul) * (b * eps / h)`` are the same IEEE product.
 
+Flat strides: the viscous step runs each axis on the raveled zero-bordered
+state.  Axis ``ax`` is one flat offset ``s = ext.strides[ax] // 8``, and face
+``i`` lies between the cells ``i`` and ``i + s``, so the state, the table
+reads and the fluxes on either side of the faces are the 1-D slices ``[:n -
+s]`` and ``[s:]`` of whole buffers, and each op is one contiguous loop
+(views cut to the interior rows and columns would run it row by row, 128
+short loops on a 128x128 state).  The faces between two ghost cells, and in
+2-D the faces that wrap from the end of one row to the start of the next,
+are computed and never read: the cell differences fill a full-size buffer,
+and ``out = u - diff`` reads only its interior.  Each face and cell that is
+read gets the same ufuncs in the same order as the loop twins' arithmetic.
+
+Zero Engquist-Osher tables: the plan also judges each Engquist-Osher table
+once per march.  A table whose every node is +0.0 (f- of ``linear`` with a >
+0, as on the y axis of the 2-D scenario; f+ with a < 0) is never read: its
+read is the scalar 0.0, and the face flux is ``0.0 + qr`` or ``pl + 0.0``.
+That is exact: the lookup gives ``0.0 * frac + 0.0 = +0.0`` for every finite
+``frac`` (+0.0 + -0.0 is +0.0), the loop twins add that +0.0, and IEEE
+addition is commutative, signed zeros included.  A -0.0 node reads as -0.0
+below the lattice, so only +0.0 nodes count.  A value that is not finite
+gives a NaN ``frac``, but the march's guard stops at a non-finite state, so
+no step reads one.
+
 ``benchmarks/bench_kernels.py`` times the kernels.
 """
 
@@ -70,29 +93,31 @@ def _location(shape) -> tuple:
 
 
 class Axis(NamedTuple):
-    """The faces of one axis of a viscous step.
+    """The faces of one axis of a viscous step, as flat slices.
 
     ``h`` is the spacing, ``eh`` is ``eps / h`` and ``beh`` is ``b * eps /
     h`` for a flat B table, else None.  ``eop``/``eom`` are that axis's
-    Engquist-Osher tables and ``*_slope`` their slopes.  ``ul``/``ur`` view
-    the padded state and ``pl``/``qr`` the ``eop``/``eom`` reads on the left
-    and right of each face.  ``flux`` and ``mid`` are face buffers,
-    ``fr``/``fl`` view ``flux`` after and before each cell, and ``diff``
-    receives their difference.  ``bread`` is the face midpoints' location and
-    the two buffers of the B read; None when B is flat.
+    Engquist-Osher tables and ``*_slope`` their slopes; all four are None
+    for a table that is never read because every node is +0.0.  ``ul``/``ur``
+    view the raveled padded state and ``pl``/``qr`` the ``eop``/``eom`` reads
+    on the left and right of each face (the scalar 0.0 for a zero table).
+    ``flux`` and ``mid`` are face buffers, ``fr``/``fl`` view ``flux`` after
+    and before each cell, and ``diff`` views the part of the plan's cell
+    differences that receives ``fr - fl``.  ``bread`` is the face midpoints'
+    location and the two buffers of the B read; None when B is flat.
     """
 
     h: float
     eh: float
     beh: float | None
-    eop: np.ndarray
-    eom: np.ndarray
-    eop_slope: np.ndarray
-    eom_slope: np.ndarray
+    eop: np.ndarray | None
+    eom: np.ndarray | None
+    eop_slope: np.ndarray | None
+    eom_slope: np.ndarray | None
     ul: np.ndarray
     ur: np.ndarray
-    pl: np.ndarray
-    qr: np.ndarray
+    pl: np.ndarray | float
+    qr: np.ndarray | float
     flux: np.ndarray
     mid: np.ndarray
     fr: np.ndarray
@@ -104,22 +129,26 @@ class Axis(NamedTuple):
 class ViscPlan(NamedTuple):
     """Step plan of ``visc_step``.
 
-    ``ext`` is the zero-bordered state and ``inner`` its interior, the only
-    part a step writes, so the ghost cells stay 0.  ``loc`` is the location
-    of ``ext``; ``p``, ``q`` and ``scratch`` receive the table reads there,
-    one axis after the other.  ``b_slope`` holds the slopes of ``btab``;
-    None when it is flat.
+    ``ext`` is the zero-bordered state, ``flat`` the same buffer raveled and
+    ``inner`` its interior, the only part a step writes, so the ghost cells
+    stay 0.  ``loc`` is the location of ``flat``; ``p``, ``q`` and
+    ``scratch`` receive the table reads there, one axis after the other.
+    ``dint`` is the interior of the full-size cell differences that each
+    axis's ``diff`` writes in turn.  ``b_slope`` holds the slopes of
+    ``btab``; None when it is flat.
     """
 
     lo: float
     inv: float
     top: float
     ext: np.ndarray
+    flat: np.ndarray
     inner: np.ndarray
     loc: tuple
     p: np.ndarray
     q: np.ndarray
     scratch: np.ndarray
+    dint: np.ndarray
     axes: tuple
     btab: np.ndarray
     b_slope: np.ndarray | None
@@ -165,9 +194,9 @@ class GodunovPlan(NamedTuple):
     diff: np.ndarray
 
 
-def _sides(ax: int, ndim: int, lo, hi, inner):
-    """Index of ``lo:hi`` along ``ax`` and ``inner`` on every other axis."""
-    return tuple(slice(lo, hi) if i == ax else inner for i in range(ndim))
+def _is_zero(tab: np.ndarray) -> bool:
+    """Every node of ``tab`` is +0.0 (a -0.0 node does not count)."""
+    return not (tab.any() or np.signbit(tab).any())
 
 
 def visc_plan(shape, spacing, eps: float, lattice, flux_tables,
@@ -178,31 +207,36 @@ def visc_plan(shape, spacing, eps: float, lattice, flux_tables,
     tables of ``flux_tables[ax]`` (a ``domain.FluxTables``); ``btab`` is the
     B table, and every table lies on ``lattice``.
     """
-    ndim = len(shape)
     ext = np.zeros(tuple(n + 2 for n in shape))
-    interior = slice(1, -1)
-    p, q = np.empty(ext.shape), np.empty(ext.shape)
-    flat = bool((btab == btab[0]).all())
+    flat = ext.reshape(-1)
+    n = flat.size
+    p, q, diff = np.empty(n), np.empty(n), np.empty(n)
+    # face buffers, as long as the faces of a stride-1 axis; an axis of
+    # stride s uses the first n - s
+    flux, mid = np.empty(n - 1), np.empty(n - 1)
+    bflat = bool((btab == btab[0]).all())
+    bbuf = None if bflat else (*_location(n - 1), np.empty(n - 1),
+                               np.empty(n - 1))
     axes = []
     for ax, (h, tab) in enumerate(zip(spacing, flux_tables)):
-        left = _sides(ax, ndim, None, -1, interior)
-        right = _sides(ax, ndim, 1, None, interior)
-        face = ext[left].shape
-        flux = np.empty(face)
+        s = ext.strides[ax] // ext.itemsize
+        f = n - s  # face i lies between cells i and i + s
+        eop = None if _is_zero(tab.eo_plus) else tab.eo_plus
+        eom = None if _is_zero(tab.eo_minus) else tab.eo_minus
         eh = eps / h
         axes.append(Axis(
-            h, eh, float(btab[0]) * eh if flat else None, tab.eo_plus,
-            tab.eo_minus, tables.slopes(tab.eo_plus),
-            tables.slopes(tab.eo_minus), ext[left], ext[right], p[left],
-            q[right], flux, np.empty(face),
-            flux[_sides(ax, ndim, 1, None, slice(None))],
-            flux[_sides(ax, ndim, None, -1, slice(None))], np.empty(shape),
-            None if flat else (_location(face), np.empty(face),
-                               np.empty(face))))
+            h, eh, float(btab[0]) * eh if bflat else None, eop, eom,
+            None if eop is None else tables.slopes(eop),
+            None if eom is None else tables.slopes(eom), flat[:f], flat[s:],
+            0.0 if eop is None else p[:f], 0.0 if eom is None else q[s:],
+            flux[:f], mid[:f], flux[s:f], flux[:f - s], diff[s:f],
+            None if bflat else (tuple(b[:f] for b in bbuf[:3]),
+                                bbuf[3][:f], bbuf[4][:f])))
+    interior = (slice(1, -1),) * len(shape)
     return ViscPlan(lattice.lo, lattice.inv_spacing, lattice.n - 2.0, ext,
-                    ext[(interior,) * ndim], _location(ext.shape), p, q,
-                    np.empty(ext.shape), tuple(axes), btab,
-                    None if flat else tables.slopes(btab))
+                    flat, ext[interior], _location(n), p, q, np.empty(n),
+                    diff.reshape(ext.shape)[interior], tuple(axes), btab,
+                    None if bflat else tables.slopes(btab))
 
 
 def godunov_plan(shape, h: float, lattice, flux_table,
@@ -234,13 +268,15 @@ def visc_step(u, dt, out, plan: ViscPlan):
     """One forward-Euler step of the viscous balance, zero ghost cells:
     ``out = u - diff_x``, then ``out -= diff_y`` in 2-D."""
     plan.inner[...] = u
-    loc = tables.locate(plan.lo, plan.inv, plan.top, plan.ext, out=plan.loc)
+    loc = tables.locate(plan.lo, plan.inv, plan.top, plan.flat, out=plan.loc)
     src = u
     for a in plan.axes:
-        tables.lookup(a.eop, a.eop_slope, loc, out=plan.p,
-                      scratch=plan.scratch)
-        tables.lookup(a.eom, a.eom_slope, loc, out=plan.q,
-                      scratch=plan.scratch)
+        if a.eop is not None:
+            tables.lookup(a.eop, a.eop_slope, loc, out=plan.p,
+                          scratch=plan.scratch)
+        if a.eom is not None:
+            tables.lookup(a.eom, a.eom_slope, loc, out=plan.q,
+                          scratch=plan.scratch)
         flux = np.add(a.pl, a.qr, out=a.flux)
         if a.bread is None:
             du = np.subtract(a.ur, a.ul, out=a.mid)
@@ -258,7 +294,7 @@ def visc_step(u, dt, out, plan: ViscPlan):
             flux -= bm
         d = np.subtract(a.fr, a.fl, out=a.diff)
         d *= dt / a.h
-        src = np.subtract(src, d, out=out)
+        src = np.subtract(src, plan.dint, out=out)
     return out
 
 

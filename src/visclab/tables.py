@@ -50,20 +50,28 @@ def locate(lo: float, inv: float, top: float, u: np.ndarray, out=None):
     and ``lookup`` many tables.  ``out``, when given, is ``(k, frac, scratch)``
     of ``u``'s shape (int64, float64, float64) and receives the result;
     ``scratch`` holds the clipped float panel index.
+
+    With ``s = (u - lo) * inv``, the panel index is ``s`` clipped to [0,
+    top] and then truncated, which for every finite value is the same ``k``
+    as flooring and then clipping, and ``frac = s - k``.  The truncation
+    stays a double (``np.trunc``) and ``frac`` subtracts that double: a
+    whole number below 2**53 converts to float64 exactly, so these are the
+    doubles that subtracting the int64 ``k`` gives, without numpy's mixed
+    int64-float64 loop.
     """
     k, s, kf = (None, None, None) if out is None else out
     s = np.subtract(u, lo, out=s)
     s *= inv
-    # clip, then truncate: for every finite value the same k as flooring and
-    # then clipping.  np.clip, spelled as its two ufuncs: its wrapper
-    # dominates on small arrays
+    # np.clip, spelled as its two ufuncs: its wrapper dominates on small
+    # arrays
     kf = np.maximum(s, 0.0, out=kf)
     np.minimum(kf, top, out=kf)
+    np.trunc(kf, out=kf)
     if k is None:
         k = kf.astype(np.int64)
     else:
         k[...] = kf
-    s -= k
+    s -= kf
     return k, s
 
 
@@ -96,15 +104,11 @@ def interp(lattice: TableLattice, values: np.ndarray, u) -> np.ndarray:
 
     The same ``locate``/``lookup`` arithmetic as the kernels in ``kernels``
     and the loop twins in ``tests/oracles.py``, so all three agree bit for
-    bit.
+    bit.  A scalar ``u`` reads as an array of one value.
     """
-    u = np.asarray(u, dtype=np.float64)
-    out = lookup(values, slopes(values),
-                 locate(lattice.lo, lattice.inv_spacing, lattice.n - 2.0,
-                        np.atleast_1d(u)))
-    if u.ndim == 0:
-        return float(out[0])
-    return out
+    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    return lookup(values, slopes(values),
+                  locate(lattice.lo, lattice.inv_spacing, lattice.n - 2.0, u))
 
 
 def _gl_panel(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:

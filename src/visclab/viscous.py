@@ -107,11 +107,10 @@ def _violation(m: float, sup_bound: float, step: int, t: float) -> StepError:
 
 def integrate(grid: Grid, u0: np.ndarray, flux: FluxSpec, visc: ViscositySpec,
               eps: float, cfl: float, snapshot_times: np.ndarray,
-              integrator: str = "euler",
-              sup_bound: float | None = None) -> FieldTrajectory:
-    """March to the horizon, landing exactly on each snapshot time."""
-    if sup_bound is None:
-        sup_bound = float(np.max(np.abs(u0)))
+              integrator: str = "euler", *,
+              sup_bound: float) -> FieldTrajectory:
+    """March to the horizon, landing exactly on each snapshot time; fails
+    hard once |u| exceeds ``sup_bound``."""
     return march(grid, u0, snapshot_times,
                  _make_advance(grid, flux, visc, eps, integrator),
                  stable_dt(grid, flux, visc, eps, cfl), eps, sup_bound)

@@ -267,7 +267,7 @@ def entropy_production_total(traj: FieldTrajectory,
     total = _time_derivative(eta_u, dt)
     for axis in range(grid.dim):
         q_u = tables.interp(pair.lattice, pair.q[axis], traj.values)
-        q_ghost = float(tables.interp(pair.lattice, pair.q[axis], 0.0))
+        q_ghost = float(tables.interp(pair.lattice, pair.q[axis], 0.0)[0])
         total += _centered_space(q_u, axis + 1, grid.spacing[axis], q_ghost)
     return SpaceTimeField(grid, traj.times, total)
 

@@ -157,7 +157,7 @@ def test_c10a_heat_decay():
     f = make_flux(("linear",), (-1.0, 1.0), 1e-8, {"a": 0.0})
     v = make_viscosity("constant", (-1.0, 1.0))
     traj = integrate(g, np.sin(np.pi * g.centers(0)), f, v, eps, 0.4,
-                     snapshot_times(T, 4))
+                     snapshot_times(T, 4), sup_bound=1.0)
     expect = math.exp(-eps * math.pi**2 * T)
     rel = abs(traj.values[-1].max() - expect) / expect
     assert report(10, "heat-decay amplitude", rel < 0.02,
@@ -196,7 +196,8 @@ def test_c10d_diffusion_order():
         v = make_viscosity("constant", (-1.0, 1.0))
         x = g.centers(0)
         u0 = np.exp(-((x - c) ** 2) / (2 * sigma0**2))
-        traj = integrate(g, u0, f, v, eps, 0.4, snapshot_times(T, 2))
+        traj = integrate(g, u0, f, v, eps, 0.4, snapshot_times(T, 2),
+                         sup_bound=1.0)
         s2 = sigma0**2 + 2 * eps * T
         exact = sigma0 / math.sqrt(s2) * np.exp(-((x - c) ** 2) / (2 * s2))
         errs.append((1.0 / n, float(np.abs(traj.values[-1] - exact).max())))

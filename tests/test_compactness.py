@@ -103,7 +103,8 @@ def test_dissipation_part_nonpositive(entropy, burgers):
     g = Grid((64,), (0.0,), (1.0,), 0.2)
     x = g.centers(0)
     u0 = np.where(np.abs(x - 0.5) < 0.25, (1 - ((x - 0.5) / 0.25) ** 2) ** 3, 0.0)
-    traj = integrate(g, u0, burgers, visc, 0.05, 0.4, snapshot_times(0.2, 8))
+    traj = integrate(g, u0, burgers, visc, 0.05, 0.4, snapshot_times(0.2, 8),
+                     sup_bound=1.0)
     split = decompose_production(traj, pair, visc, 0.05)
     assert np.max(split.dissipation_part.values) <= 0.0
 
@@ -115,7 +116,8 @@ def test_measure_part_uniform_bound(burgers, bconst):
     u0 = np.where(np.abs(x - 0.5) < 0.25, (1 - ((x - 0.5) / 0.25) ** 2) ** 3, 0.0)
     bound = 1.05 * bconst.upper_bound * pair.etapp_sup * 1.0 / (2 * bconst.lower_bound)
     for eps in (0.1, 0.05, 0.025):
-        traj = integrate(g, u0, burgers, bconst, eps, 0.4, snapshot_times(0.2, 8))
+        traj = integrate(g, u0, burgers, bconst, eps, 0.4, snapshot_times(0.2, 8),
+                         sup_bound=1.0)
         split = decompose_production(traj, pair, bconst, eps)
         assert split.measure_norm_M <= bound
 
@@ -300,13 +302,13 @@ def test_compensated_tables_symbolic(flux2d):
     lat = quad.lattice
     # F11 = u^3/3, F12 = u^2/2, F22 = u for f1 = u^2/2, f2 = u
     for w in (-0.8, -0.2, 0.5, 1.0):
-        assert float(interp(lat, quad.F11, w)) == pytest.approx(w**3 / 3, abs=1e-6)
-        assert float(interp(lat, quad.F12, w)) == pytest.approx(w**2 / 2, abs=1e-6)
-        assert float(interp(lat, quad.F22, w)) == pytest.approx(w, abs=1e-6)
+        assert interp(lat, quad.F11, w)[0] == pytest.approx(w**3 / 3, abs=1e-6)
+        assert interp(lat, quad.F12, w)[0] == pytest.approx(w**2 / 2, abs=1e-6)
+        assert interp(lat, quad.F22, w)[0] == pytest.approx(w, abs=1e-6)
     # D(w=1, c=0) = (1/3)(1) - (1/2)^2 = 1/12
-    d = (float(interp(lat, quad.F11, 1.0)) - float(interp(lat, quad.F11, 0.0))) \
-        * (float(interp(lat, quad.F22, 1.0)) - float(interp(lat, quad.F22, 0.0))) \
-        - (float(interp(lat, quad.F12, 1.0)) - float(interp(lat, quad.F12, 0.0))) ** 2
+    d = (interp(lat, quad.F11, 1.0)[0] - interp(lat, quad.F11, 0.0)[0]) \
+        * (interp(lat, quad.F22, 1.0)[0] - interp(lat, quad.F22, 0.0)[0]) \
+        - (interp(lat, quad.F12, 1.0)[0] - interp(lat, quad.F12, 0.0)[0]) ** 2
     assert d == pytest.approx(1.0 / 12.0, abs=1e-5)
 
 

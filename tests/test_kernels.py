@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,6 +201,71 @@ def test_visc_backends_bit_identical_flat_tables(setup, flat_tables, table,
     for a in plan.axes:
         assert a.beh == (float(btab[0]) * a.eh if flat else None)
         assert (a.bread is None) == flat
+    assert np.array_equal(step(u, plan), expect(u))
+
+
+# ``f = a u`` has Engquist-Osher tables f+ = max(a, 0) u and f- = min(a, 0)
+# u: f- is +0.0 at every node when a > 0, f+ when a < 0, both when a = 0
+LINEAR_A = {"a>0": 0.7, "a<0": -0.7, "a=0": 0.0}
+ZERO_EO = {"a>0": {"eom"}, "a<0": {"eop"}, "a=0": {"eop", "eom"}}
+
+
+@pytest.fixture(scope="module")
+def linear_fluxes():
+    """Per sign of ``a``, a linear flux on the x axis or on the y axis, the
+    other axis Burgers; on the lattice of ``setup``."""
+    names = {0: ("linear", "burgers"), 1: ("burgers", "linear")}
+    return {(sign, axis): make_flux(names[axis], (-1.0, 1.0), 1e-8,
+                                    {"a": a})
+            for sign, a in LINEAR_A.items() for axis in names}
+
+
+@ORACLE
+@pytest.mark.parametrize("name, axis", [("visc_step_1d", 0),
+                                        ("visc_step_2d", 0),
+                                        ("visc_step_2d", 1)])
+@pytest.mark.parametrize("sign", list(LINEAR_A))
+def test_visc_zero_eo_tables_never_read(setup, linear_fluxes, sign, name,
+                                        axis, oracle):
+    """The plan skips exactly the zero Engquist-Osher tables, the linear
+    axis's, and reads each of them as the scalar 0.0; the step matches the
+    loop twins, which read those tables at every face, on fresh and on
+    reused plans."""
+    _, visc, rng = setup
+    flux = linear_fluxes[sign, axis]
+    u = rng.uniform(-0.99, 0.99, _shape(name))
+    new_plan, step, expect = _case(oracle, name, flux, visc.table, u.shape)
+    plan = new_plan()
+    for ax, a in enumerate(plan.axes):
+        zero = ZERO_EO[sign] if ax == axis else set()
+        for side, read in (("eop", a.pl), ("eom", a.qr)):
+            skipped = side in zero
+            assert (getattr(a, side) is None) == skipped
+            assert (getattr(a, f"{side}_slope") is None) == skipped
+            if skipped:
+                assert type(read) is float and read == 0.0
+            else:
+                assert read.shape == a.flux.shape
+    assert np.array_equal(step(u, plan), expect(u))
+    _check_reuse(oracle, name, flux, visc.table)
+
+
+@ORACLE
+@pytest.mark.parametrize("name", VISC)
+def test_visc_negative_zero_eo_table_is_read(setup, linear_fluxes, name,
+                                             oracle):
+    """Only +0.0 nodes make a zero table: an f- of -0.0 nodes reads as -0.0
+    below the lattice (``0.0 * frac + -0.0`` with ``frac < 0``), so the plan
+    reads it like any other table."""
+    _, visc, rng = setup
+    flux = linear_fluxes["a>0", 0]
+    t0 = flux.tables[0]
+    negzero = replace(t0, eo_minus=np.full_like(t0.eo_minus, -0.0))
+    flux = replace(flux, tables=(negzero,) + flux.tables[1:])
+    u = rng.uniform(-0.99, 0.99, _shape(name))
+    new_plan, step, expect = _case(oracle, name, flux, visc.table, u.shape)
+    plan = new_plan()
+    assert plan.axes[0].eom is negzero.eo_minus
     assert np.array_equal(step(u, plan), expect(u))
 
 

@@ -17,8 +17,8 @@ def test_cumulative_anchored_at_zero():
     # zero lies between nodes; the anchor integral must still make q(0) = 0
     lat = TableLattice(-1.0, 1.0, 4096)
     tab = cumulative_table(lambda s: np.cos(s), lat, 1e-10)
-    assert abs(float(interp(lat, tab, 0.0))) < 1e-7
-    assert abs(float(interp(lat, tab, 0.5)) - np.sin(0.5)) < 1e-7
+    assert abs(interp(lat, tab, 0.0)[0]) < 1e-7
+    assert abs(interp(lat, tab, 0.5)[0] - np.sin(0.5)) < 1e-7
 
 
 def test_adaptive_handles_kink():
@@ -35,8 +35,8 @@ def test_interp_exact_at_nodes_and_ends():
     vals = np.sin(lat.nodes())
     nodes = lat.nodes()
     for k in (0, 7, 16, 32):
-        assert float(interp(lat, vals, nodes[k])) == pytest.approx(vals[k], abs=1e-15)
-    assert float(interp(lat, vals, 2.0)) == pytest.approx(vals[-1], abs=1e-15)
+        assert interp(lat, vals, nodes[k])[0] == pytest.approx(vals[k], abs=1e-15)
+    assert interp(lat, vals, 2.0)[0] == pytest.approx(vals[-1], abs=1e-15)
 
 
 def test_monotone_envelope():
@@ -93,3 +93,37 @@ def test_lookup_slopes_bit_identical():
         assert np.array_equal(frac.view(np.int64), (s - kf).view(np.int64))
         got = lookup(tab, slopes(tab), (k, frac))
         assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
+def _locate_cast_and_subtract(lo, inv, top, u):
+    """``locate`` with the int64 panel index subtracted from the scaled
+    value, numpy's mixed int64-float64 loop, as it was written before the
+    truncation stayed a double."""
+    s = (u - lo) * inv
+    k = np.minimum(np.maximum(s, 0.0), top).astype(np.int64)
+    s -= k
+    return k, s
+
+
+@pytest.mark.parametrize("bounds", [(-1.0, 1.0), (-0.3, 1.7)])
+def test_locate_bytes_equal_cast_and_subtract(bounds):
+    # inside the lattice, on every node, at hi (the last panel, frac = 1),
+    # next to both ends and beyond them
+    lat = TableLattice(*bounds, 4096)
+    lo, hi = lat.lo, lat.hi
+    rng = np.random.default_rng(17)
+    u = np.concatenate([
+        rng.uniform(lo, hi, 2000), lat.nodes(),
+        [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+         np.nextafter(hi, -np.inf), lo - 1e-9, hi + 1e-9, -1e300, 1e300],
+        rng.uniform(lo - 3.0, lo, 50), rng.uniform(hi, hi + 3.0, 50)])
+    top = lat.n - 2.0
+    want_k, want_frac = _locate_cast_and_subtract(lo, lat.inv_spacing, top, u)
+    for out in (None, (np.empty(u.shape, np.int64), np.empty(u.shape),
+                       np.empty(u.shape))):
+        k, frac = locate(lo, lat.inv_spacing, top, u, out=out)
+        assert k.dtype == np.int64
+        assert k.tobytes() == want_k.tobytes()
+        assert frac.tobytes() == want_frac.tobytes()
+    at_hi = u == hi
+    assert (k[at_hi] == top).all() and (frac[at_hi] == 1.0).all()

@@ -226,7 +226,8 @@ def test_heat_decay_oracle():
     g = Grid((n,), (0.0,), (1.0,), T)
     f, v = specs_1d("linear", a=0.0)
     u0 = np.sin(np.pi * g.centers(0))
-    traj = integrate(g, u0, f, v, eps, 0.4, snapshot_times(T, 8))
+    traj = integrate(g, u0, f, v, eps, 0.4, snapshot_times(T, 8),
+                     sup_bound=1.0)
     expect = math.exp(-eps * math.pi**2 * T)
     got = traj.values[-1].max()
     assert abs(got - expect) / expect < 0.02
@@ -237,8 +238,10 @@ def test_determinism_bit_identical():
     f, v = specs_1d()
     x = g.centers(0)
     u0 = np.where(np.abs(x - 0.5) < 0.25, (1 - ((x - 0.5) / 0.25) ** 2) ** 3, 0.0)
-    t1 = integrate(g, u0, f, v, 0.05, 0.4, snapshot_times(0.2, 4))
-    t2 = integrate(g, u0, f, v, 0.05, 0.4, snapshot_times(0.2, 4))
+    t1 = integrate(g, u0, f, v, 0.05, 0.4, snapshot_times(0.2, 4),
+                   sup_bound=1.0)
+    t2 = integrate(g, u0, f, v, 0.05, 0.4, snapshot_times(0.2, 4),
+                   sup_bound=1.0)
     assert np.array_equal(t1.values, t2.values)
 
 
@@ -259,7 +262,8 @@ def test_self_convergence_under_refinement():
     for n in (100, 200, 400):
         g = Grid((n,), (0.0,), (1.0,), T)
         f, v = specs_1d()
-        traj = integrate(g, _bump_on(g), f, v, eps, 0.4, snapshot_times(T, 4))
+        traj = integrate(g, _bump_on(g), f, v, eps, 0.4, snapshot_times(T, 4),
+                         sup_bound=1.0)
         sols[n] = traj.values[-1]
     h = 1.0 / 100
     d2 = np.abs(sols[100] - _restrict(sols[200], 2)).sum() * h
@@ -276,7 +280,8 @@ def test_pure_diffusion_spatial_order():
         f, v = specs_1d("linear", a=0.0)
         x = g.centers(0)
         u0 = np.exp(-((x - c) ** 2) / (2 * sigma0**2))
-        traj = integrate(g, u0, f, v, eps, 0.4, snapshot_times(T, 2))
+        traj = integrate(g, u0, f, v, eps, 0.4, snapshot_times(T, 2),
+                         sup_bound=1.0)
         s2 = sigma0**2 + 2 * eps * T
         exact = sigma0 / math.sqrt(s2) * np.exp(-((x - c) ** 2) / (2 * s2))
         errs.append((1.0 / n, np.abs(traj.values[-1] - exact).max()))
@@ -292,7 +297,8 @@ def test_advection_diffusion_order():
         f, v = specs_1d("linear", a=a)
         x = g.centers(0)
         u0 = np.exp(-((x - c) ** 2) / (2 * sigma0**2))
-        traj = integrate(g, u0, f, v, eps, 0.4, snapshot_times(T, 2))
+        traj = integrate(g, u0, f, v, eps, 0.4, snapshot_times(T, 2),
+                         sup_bound=1.0)
         s2 = sigma0**2 + 2 * eps * T
         exact = sigma0 / math.sqrt(s2) * np.exp(-((x - c - a * T) ** 2) / (2 * s2))
         errs.append((1.0 / n, np.abs(traj.values[-1] - exact).max()))
@@ -326,7 +332,7 @@ def test_energy_bound_small_ladder():
         v = make_viscosity(visc_name, (-1.0, 1.0), {"b": 1.0})
         for eps in (0.1, 0.05):
             traj = integrate(g, _bump_on(g), f, v, eps, 0.4,
-                             snapshot_times(T, 8))
+                             snapshot_times(T, 8), sup_bound=1.0)
             bound = 1.05 * 1.0 * 1.0 / (2.0 * v.lower_bound)
             assert grad_energy_lhs(traj) <= bound
             assert traj.max_abs_seen <= 1.0 + 1e-10
@@ -337,8 +343,10 @@ def test_heun_integrates_heat_within_tolerance():
     g = Grid((n,), (0.0,), (1.0,), T)
     f, v = specs_1d("linear", a=0.0)
     u0 = np.sin(np.pi * g.centers(0))
-    te = integrate(g, u0, f, v, eps, 0.4, snapshot_times(T, 4), "euler")
-    th = integrate(g, u0, f, v, eps, 0.4, snapshot_times(T, 4), "heun")
+    te = integrate(g, u0, f, v, eps, 0.4, snapshot_times(T, 4), "euler",
+                   sup_bound=1.0)
+    th = integrate(g, u0, f, v, eps, 0.4, snapshot_times(T, 4), "heun",
+                   sup_bound=1.0)
     expect = math.exp(-eps * math.pi**2 * T)
     assert abs(th.values[-1].max() - expect) / expect < 0.02
     assert np.abs(te.values[-1] - th.values[-1]).max() < 5e-4
