@@ -7,11 +7,12 @@ up through the same calls a run makes, with one step plan built up front by
 ``visc_plan`` or ``godunov_plan`` as a march does (the viscous one from the B
 table, so a flat table takes the scalar path) and two ``out`` buffers taken
 in turn, as ``viscous._make_advance`` hands them to the kernel.
-``visc_step`` runs under its per-dimension names, the Godunov step as
-``godunov_step_1d`` and as the x sweep of ``godunov_sweep_2d``.  Each
-scenario's viscous kernel is timed twice: with its own constant B (``B``
-column ``constant``) and with a gaussian B on the same lattice, which reads
-the table at every face midpoint.
+``visc_step`` and ``godunov_step`` run under their per-dimension names, the
+Godunov step once along each axis of the state (column ``B/axis``: ``x``,
+and in 2-D also ``y``, the sweeps of a Strang step).  Each scenario's
+viscous kernel is timed twice: with its own constant B (column ``B/axis``:
+``constant``) and with a gaussian B on the same lattice, which reads the
+table at every face midpoint.
 
 Each of ``--rounds`` rounds times every row for ``--steps`` calls, the rows
 taken in turn so that drift of the machine's speed reaches all of them; the
@@ -44,7 +45,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def scenario_calls(name):
-    """``(kernel name, B preset, state, dt, step plan)`` rows."""
+    """``(kernel name, B preset or axis, state, dt, step plan)`` rows."""
     cfg = build_scenario((SCENARIOS / name).read_text())
     specs = build_runtime(cfg)
     grid, flux = specs.grid, specs.flux
@@ -61,8 +62,9 @@ def scenario_calls(name):
                                        flux.tables, visc.table)))
     dt0 = stable_dt(grid, flux, specs.visc, 0.0, cfg.cfl)
     kname = "godunov_step_1d" if grid.dim == 1 else "godunov_sweep_2d"
-    rows.append((kname, "-", u, dt0, kernels.godunov_plan(
-        grid.cells, grid.spacing[0], lat, flux.tables[0])))
+    for axis, (h, tab) in enumerate(zip(grid.spacing, flux.tables)):
+        rows.append((kname, "xy"[axis], u, dt0, kernels.godunov_plan(
+            grid.cells, h, lat, tab, axis)))
     return rows
 
 
@@ -109,7 +111,7 @@ def main():
             _k, _p, u, dt, plan, fn = case
             got.append(bench(fn, u, dt, plan, args.steps))
 
-    print(f"{'kernel':<18} {'B':<9} {'cells':>8} "
+    print(f"{'kernel':<18} {'B/axis':<9} {'cells':>8} "
           f"{'median (us)':>12} {'IQR (us)':>9} {'faults/step':>12} "
           f"{'peak (states)':>14}")
     for (kname, preset, u, dt, plan, fn), got in zip(cases, samples):

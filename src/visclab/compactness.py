@@ -185,9 +185,11 @@ def young_histograms(traj: FieldTrajectory, interval: tuple[float, float],
     # window-major layout (X[, Y], t, x[, y]), bin them in place, and count
     # every window's bins with one bincount of row * bins + bin index.  The
     # counts are integers, so the histograms are those of the whole field.
+    # ``split`` is (t, X, x[, Y, y]): the coarse axes are its odd axes, the
+    # cells within a window its even axes after t.
     coarse = [n // window_cells for n in grid.cells]
     split = [window_snaps] + [m for c in coarse for m in (c, window_cells)]
-    order = (1, 0, 2) if grid.dim == 1 else (1, 3, 0, 2, 4)
+    order = (*range(1, 2 * grid.dim, 2), 0, *range(2, 2 * grid.dim + 1, 2))
     rows = int(np.prod(coarse))
     size = window_snaps * window_cells ** grid.dim
     # probs first: it outlives the window buffers, and allocated below them

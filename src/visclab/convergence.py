@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import FieldTrajectory
-from .norms import SpaceTimeField, lp_norm
+from .norms import SpaceTimeField, measure_norm
 
 
 def l1_distance(a: FieldTrajectory, b: FieldTrajectory) -> float:
@@ -18,7 +18,7 @@ def l1_distance(a: FieldTrajectory, b: FieldTrajectory) -> float:
     if a.times.shape != b.times.shape or not np.array_equal(a.times, b.times):
         raise ValueError("trajectories have different snapshot times")
     diff = SpaceTimeField(a.grid, a.times, a.values - b.values)
-    return lp_norm(diff)
+    return measure_norm(diff)
 
 
 @dataclass(frozen=True)

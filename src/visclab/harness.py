@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import datetime
+import itertools
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,8 +73,7 @@ def solve_member(cfg: ScenarioConfig, specs: RuntimeSpecs, eps: float,
     u0eps = mollify(specs.init_data, kern)
     times = snapshot_times(cfg.time_horizon, cfg.snapshots)
     return integrate(specs.grid, u0eps.values, specs.flux, specs.visc, eps,
-                     cfg.cfl, times, cfg.integrator,
-                     sup_bound=specs.sup_bound)
+                     cfg.cfl, times, sup_bound=specs.sup_bound)
 
 
 def _young_histograms(cfg: ScenarioConfig, specs: RuntimeSpecs,
@@ -409,20 +409,13 @@ def emit_plotdata(outdir: str | Path, profile_times=None) -> list[Path]:
     for traj in trajs:
         for t in profile_times:
             k = int(np.argmin(np.abs(traj.times - t)))
-            snap = traj.values[k]
-            if grid.dim == 1:
-                for x, u in zip(grid.centers(0), snap):
-                    prof_rows.append((eps_label(traj.epsilon),
-                                      io.fmt(traj.times[k]), io.fmt(x), io.fmt(u)))
-            else:
-                xs, ys = grid.centers(0), grid.centers(1)
-                for i, x in enumerate(xs):
-                    for j, y in enumerate(ys):
-                        prof_rows.append((eps_label(traj.epsilon),
-                                          io.fmt(traj.times[k]), io.fmt(x),
-                                          io.fmt(y), io.fmt(snap[i, j])))
-    header = (["epsilon", "t", "x", "u"] if grid.dim == 1
-              else ["epsilon", "t", "x", "y", "u"])
+            # one row per cell, in C order: its center's coordinates, then u
+            cells = itertools.product(*(map(io.fmt, grid.centers(ax))
+                                        for ax in range(grid.dim)))
+            label = (eps_label(traj.epsilon), io.fmt(traj.times[k]))
+            for x, u in zip(cells, traj.values[k].ravel()):
+                prof_rows.append((*label, *x, io.fmt(u)))
+    header = ["epsilon", "t", *"xyz"[:grid.dim], "u"]
     io.write_csv(plotdir / "profiles.csv", header, prof_rows)
 
     members = [member_diagnostics(cfg, specs, t) for t in trajs]

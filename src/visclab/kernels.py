@@ -2,12 +2,12 @@
 
 ``visc_step(u, dt, out, plan)`` is the explicit viscous step in one or two
 dimensions: it runs the same face update along each axis of its plan.
-``godunov_step(u, dt, out, plan)`` is the Godunov step along axis 0, and
-``godunov_sweep_2d`` runs it along either axis of a 2-D state.  Each kernel
-is vectorized numpy.  The tests check every kernel bit for bit against an
-explicit-loop twin in ``tests/oracles.py``, which interpolates each table
-value by value with the same scalar arithmetic (same interpolation formula,
-same operation order).
+``godunov_step(u, dt, out, plan)`` is the Godunov step along the one axis
+its plan was built for, any axis of a state of any dimension; the reference
+composes the axes by Strang splitting.  Each kernel is vectorized numpy.
+The tests check every kernel bit for bit against an explicit-loop twin in
+``tests/oracles.py``, which interpolates each table value by value with the
+same scalar arithmetic (same interpolation formula, same operation order).
 
 Step plans: a kernel's ``plan`` is built once per march by ``visc_plan`` or
 ``godunov_plan`` and passed unchanged on every call.  The plan is the only
@@ -40,8 +40,9 @@ the lookup gives ``t0 + frac * (t1 - t0) = b + frac * 0 = b`` for every
 finite ``frac``, so the loop twins' face term ``(eps / h * b) * (ur - ul)``
 and the kernel's ``(ur - ul) * (b * eps / h)`` are the same IEEE product.
 
-Flat strides: the viscous step runs each axis on the raveled zero-bordered
-state.  Axis ``ax`` is one flat offset ``s = ext.strides[ax] // 8``, and face
+Flat strides: both kernels run each axis on the raveled zero-bordered state,
+which pads every axis with ghost cells (``_padded`` lays it out for both
+plans).  Axis ``ax`` is one flat offset ``s = ext.strides[ax] // 8``, and face
 ``i`` lies between the cells ``i`` and ``i + s``, so the state, the table
 reads and the fluxes on either side of the faces are the 1-D slices ``[:n -
 s]`` and ``[s:]`` of whole buffers, and each op is one contiguous loop
@@ -155,27 +156,27 @@ class ViscPlan(NamedTuple):
 
 
 class GodunovPlan(NamedTuple):
-    """Step plan of ``godunov_step`` along axis 0 of a state, or of
-    ``godunov_sweep_2d`` along ``axis``.
+    """Step plan of ``godunov_step`` along one axis of a state.
 
     ``crit`` holds the ``(crit_y, crit_f)`` pairs of ``ftab``.  ``ext``,
-    ``inner`` and ``loc`` as in ``ViscPlan``; ``f`` receives the ``ftab``
-    read (``scratch`` its second gather), ``ul``/``ur`` and ``fl``/``fr``
-    view ``ext`` and ``f`` on either side of each face.  ``gmin``/``gmax``
-    are the face candidates, ``gmax`` finally the flux, with ``gr``/``gl``
-    its views after and before each cell; ``pick`` and ``pick2`` are face
-    masks and ``cand`` a face buffer.
+    ``flat``, ``inner``, ``loc`` and ``dint`` as in ``ViscPlan``; ``f``
+    receives the ``ftab`` read of ``flat`` (``scratch`` its second gather),
+    ``ul``/``ur`` and ``fl``/``fr`` view ``flat`` and ``f`` on either side of
+    each face.  ``gmin``/``gmax`` are the face candidates, ``gmax`` finally
+    the flux, with ``gr``/``gl`` its views after and before each cell, and
+    ``diff`` the part of the cell differences that receives ``gr - gl``;
+    ``pick`` and ``pick2`` are face masks and ``cand`` a face buffer.
     """
 
     lo: float
     inv: float
     top: float
     h: float
-    axis: int
     ftab: np.ndarray
     f_slope: np.ndarray
     crit: tuple
     ext: np.ndarray
+    flat: np.ndarray
     inner: np.ndarray
     loc: tuple
     f: np.ndarray
@@ -192,6 +193,25 @@ class GodunovPlan(NamedTuple):
     gr: np.ndarray
     gl: np.ndarray
     diff: np.ndarray
+    dint: np.ndarray
+
+
+def _padded(shape) -> tuple:
+    """The zero-bordered state of a plan and its cell differences: ``(ext,
+    flat, inner, offsets, diff, dint)``.
+
+    ``ext`` pads every axis of ``shape`` with one ghost cell, ``flat`` is the
+    same buffer raveled and ``inner`` its interior; ``offsets[ax]`` is the
+    flat offset ``s`` of axis ``ax``, so face ``i`` of that axis lies between
+    the cells ``i`` and ``i + s`` of ``flat``.  ``diff`` is a buffer of
+    ``flat``'s size for the cell differences and ``dint`` its interior.
+    """
+    ext = np.zeros(tuple(n + 2 for n in shape))
+    diff = np.empty(ext.size)
+    interior = (slice(1, -1),) * len(shape)
+    return (ext, ext.reshape(-1), ext[interior],
+            tuple(st // ext.itemsize for st in ext.strides), diff,
+            diff.reshape(ext.shape)[interior])
 
 
 def _is_zero(tab: np.ndarray) -> bool:
@@ -207,10 +227,9 @@ def visc_plan(shape, spacing, eps: float, lattice, flux_tables,
     tables of ``flux_tables[ax]`` (a ``domain.FluxTables``); ``btab`` is the
     B table, and every table lies on ``lattice``.
     """
-    ext = np.zeros(tuple(n + 2 for n in shape))
-    flat = ext.reshape(-1)
+    ext, flat, inner, offsets, diff, dint = _padded(shape)
     n = flat.size
-    p, q, diff = np.empty(n), np.empty(n), np.empty(n)
+    p, q = np.empty(n), np.empty(n)
     # face buffers, as long as the faces of a stride-1 axis; an axis of
     # stride s uses the first n - s
     flux, mid = np.empty(n - 1), np.empty(n - 1)
@@ -218,8 +237,7 @@ def visc_plan(shape, spacing, eps: float, lattice, flux_tables,
     bbuf = None if bflat else (*_location(n - 1), np.empty(n - 1),
                                np.empty(n - 1))
     axes = []
-    for ax, (h, tab) in enumerate(zip(spacing, flux_tables)):
-        s = ext.strides[ax] // ext.itemsize
+    for s, h, tab in zip(offsets, spacing, flux_tables):
         f = n - s  # face i lies between cells i and i + s
         eop = None if _is_zero(tab.eo_plus) else tab.eo_plus
         eom = None if _is_zero(tab.eo_minus) else tab.eo_minus
@@ -232,32 +250,28 @@ def visc_plan(shape, spacing, eps: float, lattice, flux_tables,
             flux[:f], mid[:f], flux[s:f], flux[:f - s], diff[s:f],
             None if bflat else (tuple(b[:f] for b in bbuf[:3]),
                                 bbuf[3][:f], bbuf[4][:f])))
-    interior = (slice(1, -1),) * len(shape)
     return ViscPlan(lattice.lo, lattice.inv_spacing, lattice.n - 2.0, ext,
-                    flat, ext[interior], _location(n), p, q, np.empty(n),
-                    diff.reshape(ext.shape)[interior], tuple(axes), btab,
-                    None if bflat else tables.slopes(btab))
+                    flat, inner, _location(n), p, q, np.empty(n), dint,
+                    tuple(axes), btab, None if bflat else tables.slopes(btab))
 
 
 def godunov_plan(shape, h: float, lattice, flux_table,
-                 axis: int = 0) -> GodunovPlan:
+                 axis: int) -> GodunovPlan:
     """The step plan of the Godunov step along ``axis`` of states of
     ``shape``, with spacing ``h`` and the flux table ``flux_table`` (a
-    ``domain.FluxTables``) on ``lattice``.  Along axis 1 the step runs on
-    the transposed state, so the plan is built for the transposed shape."""
-    shape = tuple(shape[::-1]) if axis == 1 else tuple(shape)
-    ext = np.zeros((shape[0] + 2,) + shape[1:])
-    f = np.empty(ext.shape)
-    face = (shape[0] + 1,) + shape[1:]
+    ``domain.FluxTables``) on ``lattice``."""
+    ext, flat, inner, offsets, diff, dint = _padded(shape)
+    n, s = flat.size, offsets[axis]
+    f, face = np.empty(n), n - s  # face i lies between cells i and i + s
     gmax = np.empty(face)
     ftab = flux_table.f
     return GodunovPlan(
-        lattice.lo, lattice.inv_spacing, lattice.n - 2.0, h, axis, ftab,
+        lattice.lo, lattice.inv_spacing, lattice.n - 2.0, h, ftab,
         tables.slopes(ftab), tuple(zip(flux_table.crit_y, flux_table.crit_f)),
-        ext, ext[1:-1], _location(ext.shape), f, np.empty(ext.shape),
-        ext[:-1], ext[1:], f[:-1], f[1:], np.empty(face), gmax,
-        np.empty(face), np.empty(face, bool), np.empty(face, bool), gmax[1:],
-        gmax[:-1], np.empty(shape))
+        ext, flat, inner, _location(n), f, np.empty(n), flat[:face],
+        flat[s:], f[:face], f[s:], np.empty(face), gmax, np.empty(face),
+        np.empty(face, bool), np.empty(face, bool), gmax[s:], gmax[:face - s],
+        diff[s:face], dint)
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +313,13 @@ def visc_step(u, dt, out, plan: ViscPlan):
 
 
 def godunov_step(u, dt, out, plan: GodunovPlan):
-    """Conservative Godunov step along axis 0, zero ghost cells.
-
-    On a 2-D state each column is updated as an independent 1-D problem.
-    """
+    """Conservative Godunov step along the axis of its plan, zero ghost
+    cells: each line along that axis is updated as an independent 1-D
+    problem."""
     ul, ur, gmin, gmax = plan.ul, plan.ur, plan.gmin, plan.gmax
     cand, pick, pick2 = plan.cand, plan.pick, plan.pick2
     plan.inner[...] = u
-    loc = tables.locate(plan.lo, plan.inv, plan.top, plan.ext, out=plan.loc)
+    loc = tables.locate(plan.lo, plan.inv, plan.top, plan.flat, out=plan.loc)
     tables.lookup(plan.ftab, plan.f_slope, loc, out=plan.f,
                   scratch=plan.scratch)
     np.minimum(plan.fl, plan.fr, out=gmin)
@@ -322,27 +335,18 @@ def godunov_step(u, dt, out, plan: GodunovPlan):
     np.copyto(gmax, gmin, where=np.less_equal(ul, ur, out=pick))
     d = np.subtract(plan.gr, plan.gl, out=plan.diff)
     d *= dt / plan.h
-    np.subtract(u, d, out=out)
-    return out
-
-
-def godunov_sweep_2d(u, dt, out, plan: GodunovPlan):
-    """One conservative Godunov sweep of a 2-D state along ``plan.axis``."""
-    if plan.axis == 0:
-        return godunov_step(u, dt, out, plan)
-    godunov_step(u.T, dt, out.T, plan)
-    return out
+    return np.subtract(u, plan.dint, out=out)
 
 
 # keyed by ``active_backend()``; ``get_kernel`` looks a kernel up when a
-# march is set up, so a rebound entry is the one that runs.  Both viscous
-# names map to ``visc_step``, so each dimension keeps a name of its own
+# march is set up, so a rebound entry is the one that runs.  Each scheme's
+# names map to its one kernel, so each dimension keeps a name of its own
 KERNELS = {
     "numpy": {
         "visc_step_1d": visc_step,
         "visc_step_2d": visc_step,
         "godunov_step_1d": godunov_step,
-        "godunov_sweep_2d": godunov_sweep_2d,
+        "godunov_sweep_2d": godunov_step,
     },
 }
 

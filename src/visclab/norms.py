@@ -58,18 +58,14 @@ class SpaceTimeField:
         return w
 
 
-def lp_norm(stf: SpaceTimeField) -> float:
-    """L1 norm: Riemann sum with cell volumes, trapezoid weights in time."""
+def measure_norm(stf: SpaceTimeField) -> float:
+    """Space-time L1 norm: Riemann sum with cell volumes, trapezoid weights
+    in time.  As a total-mass surrogate it bounds the measure norm."""
     v = stf.values
     cell = stf.grid.cell_volume
     w = stf.time_weights()
     per_snap = np.sum(np.abs(v), axis=tuple(range(1, v.ndim))) * cell
     return float(np.sum(per_snap * w))
-
-
-def measure_norm(stf: SpaceTimeField) -> float:
-    """Total-mass surrogate: the L1 norm bounds the measure norm."""
-    return lp_norm(stf)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 The boundary condition feeds a ghost value of zero through the same monotone
 flux, the standard discrete realization of the boundary entropy condition on
-a bounded domain.  In two dimensions the scheme is Strang splitting of 1-D
-sweeps.
+a bounded domain.  In d dimensions a step is Strang splitting of the 1-D
+Godunov step over the grid's axes: half steps along axes 0..d-2, a full step
+along the last axis, then the half steps again in reverse order.  In 1-D
+that is one Godunov step, in 2-D a half step in x, a full step in y and a
+half step in x.
 """
 
 from __future__ import annotations
@@ -14,31 +17,25 @@ from . import kernels
 from .domain import FieldTrajectory, FluxSpec, Grid, ViscositySpec
 from .viscous import march, stable_dt
 
+# the name the step is looked up under, one per dimension
+KERNEL_NAMES = {1: "godunov_step_1d", 2: "godunov_sweep_2d"}
+
 
 def solve_reference(grid: Grid, flux: FluxSpec, visc: ViscositySpec,
                     u0: np.ndarray, cfl: float,
                     snapshot_times: np.ndarray) -> FieldTrajectory:
     """Entropy-solution candidate on the same snapshot lattice, epsilon = 0."""
-    lat = flux.lattice
-    if grid.dim == 1:
-        k1 = kernels.get_kernel("godunov_step_1d")
-        plan = kernels.godunov_plan(grid.cells, grid.spacing[0], lat,
-                                    flux.tables[0])
+    step = kernels.get_kernel(KERNEL_NAMES[grid.dim])
+    *halves, last = [
+        kernels.godunov_plan(grid.cells, h, flux.lattice, tab, axis)
+        for axis, (h, tab) in enumerate(zip(grid.spacing, flux.tables))]
+    plans = (*halves, last, *halves[::-1])
 
-        def advance(u, dt):
-            return k1(u, dt, np.empty_like(u), plan)
-    else:
-        k2 = kernels.get_kernel("godunov_sweep_2d")
-        hx, hy = grid.spacing
-        px = kernels.godunov_plan(grid.cells, hx, lat, flux.tables[0])
-        py = kernels.godunov_plan(grid.cells, hy, lat, flux.tables[1], axis=1)
-
-        def advance(u, dt):
-            # Strang: half sweep in x, full sweep in y, half sweep in x
-            out = np.empty_like(u)
-            k2(u, 0.5 * dt, out, px)
-            u2 = k2(out, dt, np.empty_like(u), py)
-            return k2(u2, 0.5 * dt, out, px)
+    def advance(u, dt):
+        half = 0.5 * dt
+        for plan in plans:
+            u = step(u, dt if plan is last else half, np.empty_like(u), plan)
+        return u
 
     return march(grid, u0, snapshot_times, advance,
                  stable_dt(grid, flux, visc, eps=0.0, cfl=cfl), 0.0,

@@ -42,12 +42,12 @@ def stable_dt(grid: Grid, flux: FluxSpec, visc: ViscositySpec, eps: float,
     return cfl * min(candidates)
 
 
-def _make_advance(grid: Grid, flux: FluxSpec, visc: ViscositySpec, eps: float,
-                  integrator: str):
-    """The member's update ``advance(u, dt) -> new u``, set up once per march
-    together with the kernel's step plan, which tabulates the slopes of the
-    tables and judges once whether the B table is flat (then every step
-    reads B as one scalar)."""
+def _make_advance(grid: Grid, flux: FluxSpec, visc: ViscositySpec,
+                  eps: float):
+    """The member's forward-Euler update ``advance(u, dt) -> new u``, set up
+    once per march together with the kernel's step plan, which tabulates the
+    slopes of the tables and judges once whether the B table is flat (then
+    every step reads B as one scalar)."""
     kernel = kernels.get_kernel(f"visc_step_{grid.dim}d")
     plan = kernels.visc_plan(grid.cells, grid.spacing, eps, flux.lattice,
                              flux.tables, visc.table)
@@ -59,11 +59,7 @@ def _make_advance(grid: Grid, flux: FluxSpec, visc: ViscositySpec, eps: float,
     def euler(u, dt):
         return kernel(u, dt, outs[0] if u is not outs[0] else outs[1], plan)
 
-    if integrator == "euler":
-        return euler
-    if integrator == "heun":
-        return lambda u, dt: 0.5 * (u + euler(euler(u, dt), dt))
-    raise ValueError(f"unknown integrator {integrator!r}")
+    return euler
 
 
 def march(grid: Grid, u0: np.ndarray, times: np.ndarray, advance,
@@ -106,13 +102,12 @@ def _violation(m: float, sup_bound: float, step: int, t: float) -> StepError:
 
 
 def integrate(grid: Grid, u0: np.ndarray, flux: FluxSpec, visc: ViscositySpec,
-              eps: float, cfl: float, snapshot_times: np.ndarray,
-              integrator: str = "euler", *,
+              eps: float, cfl: float, snapshot_times: np.ndarray, *,
               sup_bound: float) -> FieldTrajectory:
-    """March to the horizon, landing exactly on each snapshot time; fails
-    hard once |u| exceeds ``sup_bound``."""
+    """March to the horizon with forward Euler, landing exactly on each
+    snapshot time; fails hard once |u| exceeds ``sup_bound``."""
     return march(grid, u0, snapshot_times,
-                 _make_advance(grid, flux, visc, eps, integrator),
+                 _make_advance(grid, flux, visc, eps),
                  stable_dt(grid, flux, visc, eps, cfl), eps, sup_bound)
 
 

@@ -14,7 +14,7 @@ from visclab.compactness import (attach_c_field, build_compensated_quad,
                                  young_w1_distance)
 from visclab.domain import FieldTrajectory, Grid, make_entropy_pair, \
     make_flux, make_viscosity
-from visclab.norms import SpaceTimeField, lp_norm
+from visclab.norms import SpaceTimeField, measure_norm
 from visclab.tables import interp
 from visclab.viscous import integrate, snapshot_times
 
@@ -63,7 +63,7 @@ def test_production_vanishes_on_smooth_translation():
             r = (x - 0.3 - 0.5 * tk) / 0.15
             vals[k] = np.where(np.abs(r) < 1, (1 - np.minimum(np.abs(r), 1) ** 2) ** 3, 0.0)
         traj = FieldTrajectory(g, t, vals, 0.0, dt=0.4 / (nt - 1))
-        norms.append(lp_norm(entropy_production_total(traj, pair)))
+        norms.append(measure_norm(entropy_production_total(traj, pair)))
     assert norms[0] > norms[1] > norms[2]
 
 
@@ -84,7 +84,7 @@ def test_split_consistency_on_heat_oracle(bconst):
         split = decompose_production(traj, pair, bconst, eps)
         gap = SpaceTimeField(g, t, total.values - split.divergence_part.values
                              - split.dissipation_part.values)
-        gaps.append(lp_norm(gap))
+        gaps.append(measure_norm(gap))
     assert gaps[0] > gaps[1] > gaps[2]
 
 

@@ -162,9 +162,11 @@ def test_integer_keys_must_be_whole_numbers(section, key, value, reason):
     ("constant", "viscosity", "b", "0"), ("constant", "viscosity", "b", "-1"),
     ("gaussian", "viscosity", "r", "0"), ("gaussian", "viscosity", "r", "-0.5"),
     ("constant", "scheme", "kruzkov_delta", "0"),
-    ("constant", "scheme", "kruzkov_count", "-1")])
+    ("constant", "scheme", "kruzkov_count", "-1"),
+    ("constant", "scheme", "integrator", "heun")])
 def test_runtime_bounds_rejected_by_config(preset, section, key, value):
-    # before, these passed the config and failed when the run was set up
+    # before, the first six passed the config and failed when the run was set
+    # up; forward Euler is the one integrator
     text = with_key("viscosity", "preset", preset, with_key(section, key, value))
     with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
         build_scenario(text)

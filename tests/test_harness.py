@@ -440,6 +440,28 @@ def test_benchmark_trace_probe_sees_every_layer(tmp_path):
     assert calls["kernels.godunov_step_1d"] == counters["reference.steps"]
 
 
+def test_benchmark_trace_probe_counts_2d_kernels_by_name(tmp_path):
+    # the benchmark's per-layer kernel metrics are keyed by the KERNELS name
+    # each solver looks its step up under: the 2-D reference makes three
+    # Godunov sweeps per Strang step, the 2-D members one viscous step each
+    cfgfile = tmp_path / "scenario.cfg"
+    cfgfile.write_text(tiny_2d_text())
+    spans = tmp_path / "spans.json"
+    code = _load_probe().trace_probe(
+        str(spans), ["run", "--config", str(cfgfile), "--out",
+                     str(tmp_path / "run")])
+    assert code in (0, 1)
+    traced = json.loads(spans.read_text())
+    assert traced["restored"] is True
+    counters = traced["counters"]
+    calls = Counter(span[0] for span in traced["spans"])
+    assert counters["reference.steps"] > 0 and counters["viscous.steps"] > 0
+    assert calls["kernels.godunov_sweep_2d"] == 3 * counters["reference.steps"]
+    assert calls["kernels.visc_step_2d"] == counters["viscous.steps"]
+    assert calls["kernels.godunov_step_1d"] == 0
+    assert calls["kernels.visc_step_1d"] == 0
+
+
 def test_benchmark_setup_probe_records_numpy_kernels(tiny_run, tmp_path,
                                                    capsys):
     cfg, result = tiny_run

@@ -79,7 +79,7 @@ def test_godunov_backends_bit_identical(setup, oracle):
     f = (tab.f, tab.crit_y, tab.crit_f)
     u = rng.uniform(-0.99, 0.99, 300)
     dt, h = 0.2 / 300, 1 / 300
-    plan = kernels.godunov_plan(u.shape, h, flux.lattice, tab)
+    plan = kernels.godunov_plan(u.shape, h, flux.lattice, tab, 0)
     a = kernels.godunov_step(u, dt, np.empty_like(u), plan)
     b = oracle["godunov_step_1d"](u, dt, h, *_lattice(flux), *f,
                                   np.empty_like(u), None)
@@ -87,7 +87,7 @@ def test_godunov_backends_bit_identical(setup, oracle):
     u2 = rng.uniform(-0.99, 0.99, (20, 30))
     for axis, h in ((0, 1 / 20), (1, 1 / 30)):
         plan = kernels.godunov_plan(u2.shape, h, flux.lattice, tab, axis)
-        a2 = kernels.godunov_sweep_2d(u2, 0.1 * h, np.empty_like(u2), plan)
+        a2 = kernels.godunov_step(u2, 0.1 * h, np.empty_like(u2), plan)
         b2 = oracle["godunov_sweep_2d"](u2, 0.1 * h, h, axis,
                                         *_lattice(flux), *f,
                                         np.empty_like(u2), None)
@@ -118,7 +118,7 @@ def _case(oracle, name, flux, btab, shape):
                                btab, new(u), None))
     dt, f = 0.2 * h, (t0.f, t0.crit_y, t0.crit_f)
     if name == "godunov_step_1d":
-        return (lambda: kernels.godunov_plan(shape, h, lat, t0),
+        return (lambda: kernels.godunov_plan(shape, h, lat, t0, 0),
                 lambda u, plan: kernel(u, dt, new(u), plan),
                 lambda u: twin(u, dt, h, *_lattice(flux), *f, new(u), None))
 
@@ -158,10 +158,9 @@ def _check_reuse(oracle, name, flux, btab):
         for key in order:
             got = step(states[key], plan)
             assert np.array_equal(got, want[key]), (order, key)
-        # the viscous kernel pads every axis, the Godunov step axis 0
-        axes = range(len(shape)) if name.startswith("visc") else (0,)
+        # both kernels pad every axis
         for pad in (plan if name == "godunov_sweep_2d" else (plan,)):
-            for ax in axes:
+            for ax in range(len(shape)):
                 assert not pad.ext.take([0, -1], axis=ax).any()
 
 

@@ -9,7 +9,7 @@ from visclab import norms
 from visclab.domain import Field, Grid
 from visclab.mollify import make_initial_data, make_kernel, mollify
 from visclab.norms import (SpaceTimeField, dirichlet_dual_norm,
-                           h_minus_one_norm, lp_norm, measure_norm)
+                           h_minus_one_norm, measure_norm)
 
 
 def stf_unit_box(nt=65, nx=200, values=None):
@@ -23,13 +23,13 @@ def stf_unit_box(nt=65, nx=200, values=None):
 
 def test_lp_zero_field():
     s = stf_unit_box(values=np.zeros((65, 200)))
-    assert lp_norm(s) == 0.0
+    assert measure_norm(s) == 0.0
 
 
 def test_lp_constant_unit_box():
     s = stf_unit_box()
     # trapezoid weights in time make the unit box integrate to exactly one
-    assert lp_norm(s) == pytest.approx(1.0, rel=1e-13)
+    assert measure_norm(s) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_lp_sine():
@@ -38,14 +38,7 @@ def test_lp_sine():
     t = np.linspace(0, 1, 65)
     v = np.broadcast_to(np.sin(np.pi * g.centers(0)), (65, 200)).copy()
     s = SpaceTimeField(g, t, v)
-    assert lp_norm(s) == pytest.approx(2.0 / math.pi, rel=1e-4)
-
-
-def test_measure_norm_is_l1_alias():
-    rng = np.random.default_rng(3)
-    v = rng.normal(size=(9, 40))
-    s = stf_unit_box(9, 40, v)
-    assert measure_norm(s) == lp_norm(s)
+    assert measure_norm(s) == pytest.approx(2.0 / math.pi, rel=1e-4)
 
 
 def test_measure_norm_nonpositive_field():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import _godunov_face_scalar, riemann_exact, shock_position
+from oracles import (_godunov_face_scalar, _godunov_sweep_2d_loops,
+                     riemann_exact, shock_position)
 from visclab.domain import Grid, make_flux, make_viscosity
 from visclab.reference import solve_reference
-from visclab.viscous import snapshot_times
+from visclab.viscous import snapshot_times, stable_dt
 
 
 @pytest.fixture(scope="module")
@@ -121,3 +122,28 @@ def test_2d_strang_max_principle():
     u0 = np.where(r2 < 1, (1 - np.minimum(r2, 1)) ** 3, 0.0)
     traj = solve_reference(g, spec, v, u0, 0.4, snapshot_times(0.2, 4))
     assert traj.max_abs_seen <= u0.max() + 1e-12
+
+
+def test_2d_step_is_strang_x_half_y_full_x_half():
+    # Burgers along both axes, so the y sweep reads critical nodes too; the
+    # axes differ in length and spacing, so a swapped axis would show
+    dt = 0.01  # below the stable step (0.4 * 0.08 / sup|f'|), so one step
+    g = Grid((12, 10), (0.0, 0.0), (1.0, 0.8), dt)
+    spec = make_flux(("burgers", "burgers"), (-1.0, 1.0), 1e-8)
+    v = make_viscosity("constant", (-1.0, 1.0))
+    xx, yy = g.meshgrid()
+    r2 = ((xx - 0.45) ** 2 + (yy - 0.4) ** 2) / 0.3**2
+    u0 = np.where(r2 < 1, (1 - np.minimum(r2, 1)) ** 3, 0.0)
+    u0[3, 2] = -0.6  # a sign change, so some faces straddle the sonic point
+    traj = solve_reference(g, spec, v, u0, 0.4, np.array([0.0, dt]))
+    assert traj.steps_taken == 1 and stable_dt(g, spec, v, 0.0, 0.4) > dt
+
+    def sweep(u, tau, axis):
+        t = spec.tables[axis]
+        return _godunov_sweep_2d_loops(
+            u, tau, g.spacing[axis], axis, spec.lattice.lo,
+            spec.lattice.inv_spacing, t.f, t.crit_y, t.crit_f,
+            np.empty_like(u), None)
+
+    want = sweep(sweep(sweep(u0, 0.5 * dt, 0), dt, 1), 0.5 * dt, 0)
+    assert traj.values[1].tobytes() == want.tobytes()
