@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -21,10 +22,22 @@ def _jobs(text: str) -> int:
     return int(text)
 
 
+def _times(text: str) -> list[float]:
+    """``--times``: comma-separated finite reals."""
+    try:
+        times = [float(t) for t in text.split(",")]
+        if all(map(math.isfinite, times)):
+            return times
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be comma-separated finite reals, got {text!r}")
+
+
 def _cmd_run(args) -> int:
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
@@ -54,11 +67,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    times = None
-    if args.times:
-        times = [float(t) for t in args.times.split(",")]
     try:
-        paths = emit_plotdata(args.rundir, times)
+        paths = emit_plotdata(args.rundir, args.times)
     except Exception as exc:
         print(f"plotdata failed: {exc}", file=sys.stderr)
         return 2
@@ -96,8 +106,9 @@ def main(argv=None) -> int:
 
     p_plot = sub.add_parser("plotdata", help="emit long-format plotting CSVs")
     p_plot.add_argument("rundir")
-    p_plot.add_argument("--times", default=None,
-                        help="comma-separated profile times (default 0, T/2, T)")
+    p_plot.add_argument("--times", type=_times, default=None,
+                        help="comma-separated profile times (default 0, T/2, T);"
+                             " each picks the nearest stored snapshot")
     p_plot.set_defaults(fn=_cmd_plotdata)
 
     p_pre = sub.add_parser("presets", help="list flux/viscosity/data presets")

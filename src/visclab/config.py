@@ -1,9 +1,11 @@
 """Scenario configuration: parse, validate, render, hash.
 
-One INI-style text file describes a full experiment.  ``build_scenario`` turns
-the text into a validated ``ScenarioConfig`` with defaults filled in;
-``render_config`` writes the canonical resolved text back out, and
-``build_scenario(render_config(cfg))`` reproduces an identical config.
+One INI-style text file describes a full experiment.  Each key it may set is
+declared once, on the ``ScenarioConfig`` field its value fills: section, key,
+parser and default.  ``build_scenario`` reads every declared key, rejects any
+other, and checks the values; ``render_config`` writes the same keys back out
+as the canonical resolved text, and ``build_scenario(render_config(cfg))``
+reproduces an identical config.
 """
 
 from __future__ import annotations
@@ -12,54 +14,135 @@ import configparser
 import hashlib
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import mollify
 from .domain import FLUX_PRESETS, VISCOSITY_PRESETS, Grid
 
 __all__ = ["ScenarioConfig", "ConfigError", "build_scenario", "render_config",
-           "config_hash", "DEFAULT_CFL", "DEFAULT_TOL"]
-
-DEFAULT_CFL = 0.4
-DEFAULT_TOL = 1e-8
+           "config_hash"]
 
 
 class ConfigError(ValueError):
     pass
 
 
+# A parser reads ``parse(text, name, got)``: the key's text, its
+# ``section.key`` name for the error, and the values read before it.
+
+def _float(text: str, key: str, got=None) -> float:
+    """One finite real; ``key`` names it in the error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{key} = {text.strip()!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} = {text.strip()!r} must be finite")
+    return value
+
+
+def _int(text: str, key: str, got=None) -> int:
+    """One whole number; ``key`` names it in the error."""
+    value = _float(text, key)
+    if value != int(value):
+        raise ConfigError(f"{key} = {text.strip()!r} is not a whole number")
+    return int(value)
+
+
+def _text(text: str, key: str, got) -> str:
+    return text
+
+
+def _dimension(text: str, key: str, got) -> int:
+    dim = _int(text, key)
+    if dim not in (1, 2):
+        raise ConfigError("grid.dimension must be 1 or 2")
+    return dim
+
+
+def _list(parse):
+    """Comma-separated values read by ``parse``; empty items are skipped."""
+    def read(text: str, key: str, got=None) -> tuple:
+        return tuple(parse(tok, key) for tok in text.split(",")
+                     if tok.strip() != "")
+    return read
+
+
+_reals = _list(_float)
+
+
+def _names(text: str, key: str, got) -> tuple[str, ...]:
+    return tuple(t.strip() for t in text.split(","))
+
+
+def _pairs(text: str, key: str, got) -> tuple[tuple[float, ...], ...]:
+    """``lo,hi`` pairs separated by ``;``."""
+    return tuple(_reals(p, key) for p in text.split(";") if p.strip() != "")
+
+
+def _per_axis(parse):
+    """One value given for a per-axis key stands for every axis."""
+    def read(text: str, key: str, got) -> tuple:
+        values = parse(text, key, got)
+        return values * got["dim"] if len(values) == 1 else values
+    return read
+
+
+def _widths(text: str, key: str, got) -> tuple[float, ...]:
+    """``match`` hands over the ladder itself; one width stands for every
+    member."""
+    if text.strip() == "match":
+        return got["ladder"]
+    widths = _reals(text, key)
+    return widths * len(got["ladder"]) if len(widths) == 1 else widths
+
+
+def _key(section: str, key: str, parse, default=None):
+    """Declare that a field is read from ``[section] key`` by ``parse``.
+
+    ``default`` is the text read when the key is absent, a function of the
+    values read before it, or None for a required key."""
+    return field(metadata={"key": (section, key, parse, default)})
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    dim: int
-    cells: tuple[int, ...]
-    extent_lo: tuple[float, ...]
+    dim: int = _key("grid", "dimension", _dimension, "1")
+    cells: tuple[int, ...] = _key("grid", "cells", _per_axis(_list(_int)))
+    # grid.extent fills extent_lo and extent_hi
+    extent_lo: tuple[float, ...] = _key("grid", "extent", _per_axis(_pairs),
+                                        "0,1")
     extent_hi: tuple[float, ...]
-    time_horizon: float
-    flux_names: tuple[str, ...]
-    flux_a: float
-    visc_name: str
-    visc_b: float
-    visc_r: float
-    init_name: str
-    init_center: tuple[float, ...]
-    init_width: float
-    init_amplitude: float
-    init_amplitude2: float
-    init_separation: float
-    ladder: tuple[float, ...]
-    mollifier_widths: tuple[float, ...]
-    cfl: float
-    quadrature_tol: float
-    integrator: str
-    snapshots: int
-    kruzkov_count: int
-    kruzkov_delta: float
-    young_window_cells: int
-    young_window_snaps: int
-    young_bins: int
-    weak_window_cells: int
-    weak_window_snaps: int
-    outdir: str
+    time_horizon: float = _key("grid", "time_horizon", _float)
+    flux_names: tuple[str, ...] = _key("flux", "preset", _per_axis(_names))
+    flux_a: float = _key("flux", "a", _float, "1.0")
+    visc_name: str = _key("viscosity", "preset", _text, "constant")
+    visc_b: float = _key("viscosity", "b", _float, "1.0")
+    visc_r: float = _key("viscosity", "r", _float, "1.0")
+    init_name: str = _key("initial", "preset", _text)
+    init_center: tuple[float, ...] = _key("initial", "center",
+                                          _per_axis(_reals), "0.5")
+    init_width: float = _key("initial", "width", _float, "0.25")
+    init_amplitude: float = _key("initial", "amplitude", _float, "1.0")
+    init_amplitude2: float = _key("initial", "amplitude2", _float,
+                                  lambda got: -got["init_amplitude"])
+    init_separation: float = _key("initial", "separation", _float,
+                                  lambda got: 2.0 * got["init_width"])
+    ladder: tuple[float, ...] = _key("ladder", "epsilons", _reals)
+    mollifier_widths: tuple[float, ...] = _key("ladder", "mollifier_width",
+                                               _widths, "match")
+    cfl: float = _key("scheme", "cfl", _float, "0.4")
+    quadrature_tol: float = _key("scheme", "quadrature_tol", _float, "1e-8")
+    integrator: str = _key("scheme", "integrator", _text, "euler")
+    snapshots: int = _key("scheme", "snapshots", _int, "64")
+    kruzkov_count: int = _key("scheme", "kruzkov_count", _int, "5")
+    kruzkov_delta: float = _key("scheme", "kruzkov_delta", _float, "1e-3")
+    young_window_cells: int = _key("scheme", "young_window_cells", _int, "8")
+    young_window_snaps: int = _key("scheme", "young_window_snaps", _int, "13")
+    young_bins: int = _key("scheme", "young_bins", _int, "64")
+    weak_window_cells: int = _key("scheme", "weak_window_cells", _int, "8")
+    weak_window_snaps: int = _key("scheme", "weak_window_snaps", _int, "8")
+    outdir: str = _key("output", "directory", _text)
     raw_text: str = field(default="", compare=False, repr=False)
 
     @property
@@ -76,44 +159,10 @@ class ScenarioConfig:
                                       self.extent_lo, self.extent_hi)
 
 
-def _float(text: str, key: str) -> float:
-    """One finite real; ``key`` names it in the error."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"{key} = {text.strip()!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{key} = {text.strip()!r} must be finite")
-    return value
-
-
-def _int(text: str, key: str) -> int:
-    """One whole number; ``key`` names it in the error."""
-    value = _float(text, key)
-    if value != int(value):
-        raise ConfigError(f"{key} = {text.strip()!r} is not a whole number")
-    return int(value)
-
-
-def _numbers(text: str, key: str, parse=_float) -> tuple:
-    return tuple(parse(tok, key) for tok in text.split(",") if tok.strip() != "")
-
-
-def _get(parser, section, key, fallback, parse=_float):
-    if not parser.has_option(section, key):
-        return fallback
-    return parse(parser.get(section, key), f"{section}.{key}")
-
-
-def _require(parser, section, key):
-    if not parser.has_option(section, key):
-        raise ConfigError(f"missing required key [{section}] {key}")
-    return parser.get(section, key)
-
-
-def _per_axis(values, dim: int):
-    """One value given for a per-axis key stands for every axis."""
-    return values * dim if len(values) == 1 else values
+# (field, section, key, parse, default) of every key a scenario may set, in
+# the order of the fields and of the rendered file
+DECLARED = tuple((f.name, *f.metadata["key"]) for f in fields(ScenarioConfig)
+                 if "key" in f.metadata)
 
 
 def build_scenario(config_text: str) -> ScenarioConfig:
@@ -122,140 +171,98 @@ def build_scenario(config_text: str) -> ScenarioConfig:
         parser.read_string(config_text)
     except configparser.Error as exc:
         raise ConfigError(f"config does not parse: {exc}") from exc
+    known = {(section, key) for _, section, key, _, _ in DECLARED}
+    # [DEFAULT] comes first: once it is empty, a section lists only its own keys
+    for section in (parser.default_section, *parser.sections()):
+        for key in parser[section]:
+            if (section, key) not in known:
+                raise ConfigError(f"unknown key [{section}] {key}")
 
-    dim = _get(parser, "grid", "dimension", 1, _int)
-    if dim not in (1, 2):
-        raise ConfigError("grid.dimension must be 1 or 2")
-    cells = _per_axis(_numbers(_require(parser, "grid", "cells"), "grid.cells",
-                               _int), dim)
+    v = {}  # field -> value, read in declaration order
+    for name, section, key, parse, default in DECLARED:
+        given = parser.get(section, key, fallback=default)
+        if given is None:
+            raise ConfigError(f"missing required key [{section}] {key}")
+        v[name] = (given(v) if callable(given)
+                   else parse(given, f"{section}.{key}", v))
+
+    dim, cells, pairs = v["dim"], v["cells"], v["extent_lo"]
     if len(cells) != dim or any(c <= 0 for c in cells):
         raise ConfigError("grid.cells must list one positive count per axis")
-    extent_txt = parser.get("grid", "extent", fallback=";".join(["0,1"] * dim))
-    pieces = _per_axis([p for p in extent_txt.split(";") if p.strip() != ""],
-                       dim)
-    if len(pieces) != dim:
+    if len(pairs) != dim:
         raise ConfigError("grid.extent must give one lo,hi pair per axis")
-    lo, hi = [], []
-    for p in pieces:
-        vals = _numbers(p, "grid.extent")
-        if len(vals) != 2 or vals[1] <= vals[0]:
-            raise ConfigError("grid.extent pairs must be lo,hi with lo < hi")
-        lo.append(vals[0])
-        hi.append(vals[1])
-    time_horizon = _float(_require(parser, "grid", "time_horizon"),
-                          "grid.time_horizon")
-    if time_horizon <= 0:
+    if any(len(p) != 2 or p[1] <= p[0] for p in pairs):
+        raise ConfigError("grid.extent pairs must be lo,hi with lo < hi")
+    v["extent_lo"], v["extent_hi"] = zip(*pairs)
+    if v["time_horizon"] <= 0:
         raise ConfigError("grid.time_horizon must be positive")
 
-    flux_names = _per_axis(tuple(
-        t.strip() for t in _require(parser, "flux", "preset").split(",")), dim)
-    if len(flux_names) != dim:
+    if len(v["flux_names"]) != dim:
         raise ConfigError("flux.preset needs one preset per axis")
-    for name in flux_names:
+    for name in v["flux_names"]:
         if name not in FLUX_PRESETS:
             raise ConfigError(f"unknown flux.preset {name!r}")
-    flux_a = _get(parser, "flux", "a", 1.0)
 
-    visc_name = parser.get("viscosity", "preset", fallback="constant")
+    visc_name = v["visc_name"]
     if visc_name not in VISCOSITY_PRESETS:
         raise ConfigError(f"unknown viscosity.preset {visc_name!r}")
-    visc_b = _get(parser, "viscosity", "b", 1.0)
-    visc_r = _get(parser, "viscosity", "r", 1.0)
-    if visc_name == "constant" and visc_b <= 0:
+    if visc_name == "constant" and v["visc_b"] <= 0:
         raise ConfigError("viscosity.b must be positive under preset = constant")
-    if visc_name == "gaussian" and visc_r <= 0:
+    if visc_name == "gaussian" and v["visc_r"] <= 0:
         raise ConfigError("viscosity.r must be positive under preset = gaussian")
 
-    init_name = _require(parser, "initial", "preset")
-    if init_name not in mollify.DATA_PRESETS:
-        raise ConfigError(f"unknown initial.preset {init_name!r}")
-    center_txt = parser.get("initial", "center", fallback="0.5")
-    center = _per_axis(_numbers(center_txt, "initial.center"), dim)
-    if len(center) != dim:
+    if v["init_name"] not in mollify.DATA_PRESETS:
+        raise ConfigError(f"unknown initial.preset {v['init_name']!r}")
+    if len(v["init_center"]) != dim:
         raise ConfigError("initial.center needs one value per axis")
-    init_width = _get(parser, "initial", "width", 0.25)
-    init_amp = _get(parser, "initial", "amplitude", 1.0)
-    init_amp2 = _get(parser, "initial", "amplitude2", -init_amp)
-    init_sep = _get(parser, "initial", "separation", 2.0 * init_width)
-    if init_width <= 0:
+    if v["init_width"] <= 0:
         raise ConfigError("initial.width must be positive")
 
-    ladder = _numbers(_require(parser, "ladder", "epsilons"), "ladder.epsilons")
+    ladder, widths = v["ladder"], v["mollifier_widths"]
     if len(ladder) == 0 or any(e <= 0 for e in ladder):
         raise ConfigError("ladder.epsilons must be positive")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigError("epsilon ladder must be strictly decreasing")
-    width_txt = parser.get("ladder", "mollifier_width", fallback="match")
-    if width_txt.strip() == "match":
-        widths = ladder
-    else:
-        widths = _numbers(width_txt, "ladder.mollifier_width")
-        if len(widths) == 1:
-            widths = widths * len(ladder)
-        if len(widths) != len(ladder) or any(w <= 0 for w in widths):
-            raise ConfigError("ladder.mollifier_width must be 'match', one "
-                              "positive value, or one per epsilon")
-    spacing = Grid(cells, tuple(lo), tuple(hi), time_horizon).spacing
+    if len(widths) != len(ladder) or any(w <= 0 for w in widths):
+        raise ConfigError("ladder.mollifier_width must be 'match', one "
+                          "positive value, or one per epsilon")
+    spacing = Grid(cells, v["extent_lo"], v["extent_hi"],
+                   v["time_horizon"]).spacing
     narrow = [w for w in widths if mollify.within_one_cell(w, spacing)]
     if narrow:
-        matched = (" (matched to ladder.epsilons)"
-                   if width_txt.strip() == "match" else "")
+        matched = " (matched to ladder.epsilons)" if widths is ladder else ""
         raise ConfigError(
             f"ladder.mollifier_width {min(narrow):g}{matched} is at most one "
             f"cell (spacing {max(spacing):g}); its kernel would have a single "
             "node and leave the data unmollified")
 
-    cfl = _get(parser, "scheme", "cfl", DEFAULT_CFL)
-    if not 0.0 < cfl < 1.0:
+    if not 0.0 < v["cfl"] < 1.0:
         raise ConfigError("scheme.cfl must lie in (0, 1)")
-    tol = _get(parser, "scheme", "quadrature_tol", DEFAULT_TOL)
-    if tol <= 0:
+    if v["quadrature_tol"] <= 0:
         raise ConfigError("scheme.quadrature_tol must be positive")
-    integrator = parser.get("scheme", "integrator", fallback="euler")
-    if integrator != "euler":
+    if v["integrator"] != "euler":
         raise ConfigError("scheme.integrator must be euler")
-    snapshots = _get(parser, "scheme", "snapshots", 64, _int)
+    snapshots = v["snapshots"]
     if snapshots < 2:
         raise ConfigError("scheme.snapshots must be at least 2")
-    kr_count = _get(parser, "scheme", "kruzkov_count", 5, _int)
-    if kr_count < 0:
-        raise ConfigError(f"scheme.kruzkov_count = {kr_count} must be at least 0")
-    kr_delta = _get(parser, "scheme", "kruzkov_delta", 1e-3)
-    if kr_delta <= 0:
+    if v["kruzkov_count"] < 0:
+        raise ConfigError(f"scheme.kruzkov_count = {v['kruzkov_count']} "
+                          "must be at least 0")
+    if v["kruzkov_delta"] <= 0:
         raise ConfigError("scheme.kruzkov_delta must be positive")
-    yw_cells = _get(parser, "scheme", "young_window_cells", 8, _int)
-    yw_snaps = _get(parser, "scheme", "young_window_snaps", 13, _int)
+    yw_cells, yw_snaps = v["young_window_cells"], v["young_window_snaps"]
     if yw_cells <= 0 or any(c % yw_cells for c in cells):
         raise ConfigError(f"scheme.young_window_cells = {yw_cells} must divide "
                           f"grid.cells {','.join(map(str, cells))}")
     if yw_snaps <= 0 or (snapshots + 1) % yw_snaps:
         raise ConfigError(f"scheme.young_window_snaps = {yw_snaps} must divide "
                           f"scheme.snapshots + 1 = {snapshots + 1}")
-    y_bins = _get(parser, "scheme", "young_bins", 64, _int)
-    ww_cells = _get(parser, "scheme", "weak_window_cells", 8, _int)
-    ww_snaps = _get(parser, "scheme", "weak_window_snaps", 8, _int)
     # weak windows may be ragged at the far edge, but never empty
-    for key, value in (("young_bins", y_bins), ("weak_window_cells", ww_cells),
-                       ("weak_window_snaps", ww_snaps)):
-        if value < 1:
-            raise ConfigError(f"scheme.{key} = {value} must be at least 1")
+    for key in ("young_bins", "weak_window_cells", "weak_window_snaps"):
+        if v[key] < 1:
+            raise ConfigError(f"scheme.{key} = {v[key]} must be at least 1")
 
-    outdir = _require(parser, "output", "directory")
-
-    cfg = ScenarioConfig(
-        dim=dim, cells=cells, extent_lo=tuple(lo), extent_hi=tuple(hi),
-        time_horizon=time_horizon, flux_names=flux_names, flux_a=flux_a,
-        visc_name=visc_name, visc_b=visc_b, visc_r=visc_r,
-        init_name=init_name, init_center=tuple(center), init_width=init_width,
-        init_amplitude=init_amp, init_amplitude2=init_amp2,
-        init_separation=init_sep, ladder=tuple(ladder),
-        mollifier_widths=tuple(widths), cfl=cfl, quadrature_tol=tol,
-        integrator=integrator, snapshots=snapshots, kruzkov_count=kr_count,
-        kruzkov_delta=kr_delta, young_window_cells=yw_cells,
-        young_window_snaps=yw_snaps, young_bins=y_bins,
-        weak_window_cells=ww_cells, weak_window_snaps=ww_snaps,
-        outdir=outdir, raw_text=config_text)
-
+    cfg = ScenarioConfig(**v, raw_text=config_text)
     margin = cfg.support_margin
     if margin <= 0:
         raise ConfigError("initial data support reaches the boundary "
@@ -269,44 +276,27 @@ def build_scenario(config_text: str) -> ScenarioConfig:
     return cfg
 
 
+def _render(value) -> str:
+    """Strings as they are, numbers by ``repr``, tuples joined by ``,`` and
+    tuples of pairs by ``;``."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        sep = ";" if isinstance(value[0], tuple) else ","
+        return sep.join(_render(item) for item in value)
+    return repr(value)
+
+
 def render_config(cfg: ScenarioConfig) -> str:
     """Canonical resolved text; parsing it back reproduces the config."""
     parser = configparser.ConfigParser()
-    parser["grid"] = {
-        "dimension": str(cfg.dim),
-        "cells": ",".join(str(c) for c in cfg.cells),
-        "extent": ";".join(f"{a!r},{b!r}" for a, b in zip(cfg.extent_lo, cfg.extent_hi)),
-        "time_horizon": repr(cfg.time_horizon),
-    }
-    parser["flux"] = {"preset": ",".join(cfg.flux_names), "a": repr(cfg.flux_a)}
-    parser["viscosity"] = {"preset": cfg.visc_name, "b": repr(cfg.visc_b),
-                           "r": repr(cfg.visc_r)}
-    parser["initial"] = {
-        "preset": cfg.init_name,
-        "center": ",".join(repr(c) for c in cfg.init_center),
-        "width": repr(cfg.init_width),
-        "amplitude": repr(cfg.init_amplitude),
-        "amplitude2": repr(cfg.init_amplitude2),
-        "separation": repr(cfg.init_separation),
-    }
-    parser["ladder"] = {
-        "epsilons": ",".join(repr(e) for e in cfg.ladder),
-        "mollifier_width": ",".join(repr(w) for w in cfg.mollifier_widths),
-    }
-    parser["scheme"] = {
-        "cfl": repr(cfg.cfl),
-        "quadrature_tol": repr(cfg.quadrature_tol),
-        "integrator": cfg.integrator,
-        "snapshots": str(cfg.snapshots),
-        "kruzkov_count": str(cfg.kruzkov_count),
-        "kruzkov_delta": repr(cfg.kruzkov_delta),
-        "young_window_cells": str(cfg.young_window_cells),
-        "young_window_snaps": str(cfg.young_window_snaps),
-        "young_bins": str(cfg.young_bins),
-        "weak_window_cells": str(cfg.weak_window_cells),
-        "weak_window_snaps": str(cfg.weak_window_snaps),
-    }
-    parser["output"] = {"directory": cfg.outdir}
+    for name, section, key, _, _ in DECLARED:
+        value = getattr(cfg, name)
+        if name == "extent_lo":
+            value = tuple(zip(cfg.extent_lo, cfg.extent_hi))
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, _render(value))
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

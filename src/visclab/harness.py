@@ -29,8 +29,6 @@ from .report import (EstimateRow, MemberDiagnostics, evaluate_estimates,
 from .reference import solve_reference
 from .viscous import integrate, snapshot_times
 
-PROFILE_TIMES = 3
-
 
 @dataclass
 class RuntimeSpecs:
@@ -403,7 +401,7 @@ def emit_plotdata(outdir: str | Path, profile_times=None) -> list[Path]:
     plotdir.mkdir(exist_ok=True)
     if profile_times is None:
         T = cfg.time_horizon
-        profile_times = [0.0, 0.5 * T, T][:PROFILE_TIMES]
+        profile_times = [0.0, 0.5 * T, T]
     prof_rows = []
     grid = specs.grid
     for traj in trajs:

@@ -1,9 +1,12 @@
 import configparser
 import io
+import re
 
 import pytest
 
-from visclab.config import ConfigError, build_scenario, config_hash, render_config
+from conftest import SCENARIOS
+from visclab.config import (DECLARED, ConfigError, build_scenario, config_hash,
+                            render_config)
 
 MINIMAL = """
 [grid]
@@ -198,3 +201,77 @@ def test_unknown_data_preset_rejected_first():
     bad = MINIMAL.replace("preset = bump", "preset = foo\ncenter = 0.2")
     with pytest.raises(ConfigError, match="unknown initial.preset 'foo'"):
         build_scenario(bad)
+
+
+# config.resolved.cfg of burgers2d: per-axis tuples, extent pairs, matched widths
+BURGERS2D_RESOLVED = """\
+[grid]
+dimension = 2
+cells = 128,128
+extent = 0.0,1.0;0.0,1.0
+time_horizon = 0.25
+
+[flux]
+preset = burgers,linear
+a = 1.0
+
+[viscosity]
+preset = constant
+b = 1.0
+r = 1.0
+
+[initial]
+preset = bump
+center = 0.5,0.5
+width = 0.25
+amplitude = 1.0
+amplitude2 = -1.0
+separation = 0.5
+
+[ladder]
+epsilons = 0.1,0.05,0.025
+mollifier_width = 0.1,0.05,0.025
+
+[scheme]
+cfl = 0.3
+quadrature_tol = 1e-08
+integrator = euler
+snapshots = 32
+kruzkov_count = 5
+kruzkov_delta = 0.001
+young_window_cells = 8
+young_window_snaps = 11
+young_bins = 64
+weak_window_cells = 8
+weak_window_snaps = 8
+
+[output]
+directory = runs/burgers2d
+
+"""
+
+
+def test_render_pins_resolved_2d_scenario():
+    cfg = build_scenario((SCENARIOS / "burgers2d.cfg").read_text())
+    assert render_config(cfg) == BURGERS2D_RESOLVED
+
+
+@pytest.mark.parametrize("old, new, unknown", [
+    ("[scheme]", "[scheme]\nclf = 0.1", "[scheme] clf"),
+    ("[scheme]", "[schem]", "[schem] young_window_cells"),
+    ("[grid]", "[DEFAULT]\ncfl = 0.3\n[grid]", "[DEFAULT] cfl")],
+    ids=["key", "section", "default"])
+def test_unknown_key_rejected(old, new, unknown):
+    # before, a misspelt key or section ran with the defaults
+    with pytest.raises(ConfigError, match=rf"^unknown key {re.escape(unknown)}$"):
+        build_scenario(MINIMAL.replace(old, new))
+
+
+def test_readme_lists_every_declared_key():
+    readme = (SCENARIOS.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Configuration file")[1].split("```ini")[1]
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.read_string(block.split("```")[0])
+    listed = {(section, key) for section in parser.sections()
+              for key in parser[section]}
+    assert listed == {(section, key) for _, section, key, _, _ in DECLARED}

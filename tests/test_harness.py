@@ -340,7 +340,8 @@ def test_cli_nan_amplitude_rejected_before_solving(tmp_path, capsys):
     ("\nb = 1.0", "\nb = 0"),
     ("young_bins = 32", "young_bins = 32\nkruzkov_delta = 0"),
     ("young_bins = 32", "young_bins = 32\nkruzkov_count = -1"),
-    ("mollifier_width = 0.02", "mollifier_width = 0.0125")])
+    ("mollifier_width = 0.02", "mollifier_width = 0.0125"),
+    ("cfl = 0.4", "clf = 0.1"), ("[scheme]", "[schem]")])
 def test_cli_bad_count_or_bound_rejected_before_solving(tmp_path, capsys, old,
                                                         new):
     # before, 60.9 cells ran as 60 and `abc` ended in a traceback with exit 1;
@@ -355,6 +356,26 @@ def test_cli_bad_count_or_bound_rejected_before_solving(tmp_path, capsys, old,
     assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 2
     assert "config rejected" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_config_not_utf8_rejected(tmp_path, capsys):
+    # before, the UnicodeDecodeError ended in a traceback with exit 1
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfe" + small_config().raw_text.encode())
+    out = tmp_path / "never"
+    assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 2
+    assert "cannot read config: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("times", ["abc", "0.1,,0.2", "nan", "inf"])
+def test_cli_plotdata_rejects_bad_times(tmp_path, capsys, times):
+    # before, text ended in a ValueError traceback with exit 1 and nan wrote
+    # the t = 0 profile
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["plotdata", str(tmp_path / "run"), "--times", times])
+    assert exc.value.code == 2
+    assert "--times: must be comma-separated finite reals" in capsys.readouterr().err
 
 
 def tiny_2d_text():
