@@ -10,13 +10,14 @@ was live before the call.  The peak is printed in MB and in copies of one
 space-time field (snapshots x cells x 8 bytes), which is the unit the
 per-snapshot blocking of ``compactness`` is judged in.
 
-Per-pair instruments run on the finest member and print the slowest pair's
-time and the largest pair's peak; ``member_diagnostics`` runs on the finest
-member; ``assess`` runs on the whole ladder and the reference.
+The instruments run on the finest member (``decompose_production`` with all
+of its entropy pairs in one call, as ``member_diagnostics`` calls it), and
+``assess`` on the whole ladder and the reference.
 
 A second table times ``h_minus_one_norm`` alone on the divergence part ``A``
-of each entropy pair of the finest member: the best and the median of 20
-calls in ms, the minor faults per call over those calls, and one traced peak.
+of each entropy pair of the finest member, as ``decompose_production`` hands
+it over: the best and the median of 20 calls in ms, the minor faults per
+call over those calls, and one traced peak.
 
 A last table times ``mollify`` of the run's initial data with the kernel of
 each mollifier width of the ladder: the best of 5 calls in ms, and the traced
@@ -31,13 +32,13 @@ import statistics
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
-from visclab import harness
+from visclab import compactness, harness
 from visclab.compactness import (attach_c_field, build_compensated_quad,
                                  compensated_D_field, decompose_production,
                                  time_derivative_l1)
 from visclab.mollify import make_kernel, mollify
-from visclab.norms import h_minus_one_norm
 
 MB = 1024.0 * 1024.0
 
@@ -67,9 +68,8 @@ def instruments(cfg, specs, trajs, reference):
     """``(name, [calls])``; a row reports the slowest call and largest peak."""
     finest = trajs[-1]
     rows = [("decompose_production",
-             [lambda p=p: decompose_production(finest, p, specs.visc,
-                                               finest.epsilon)
-              for p in specs.pairs]),
+             [lambda: decompose_production(finest, specs.pairs, specs.visc,
+                                           finest.epsilon)]),
             ("time_derivative_l1", [lambda: time_derivative_l1(finest)]),
             ("young_histograms",
              [lambda: harness._young_histograms(cfg, specs, finest)])]
@@ -92,22 +92,31 @@ def instruments(cfg, specs, trajs, reference):
 
 def dual_norm_rows(specs, finest, calls=20):
     """``(pair, best ms, median ms, faults per call, peak)`` of
-    ``h_minus_one_norm`` on each pair's divergence part of ``finest``."""
+    ``h_minus_one_norm`` on each pair's divergence part of ``finest``.
+
+    The split reuses one A buffer across the pairs, so each pair's A is
+    timed when the split hands it to the norm, in pair order, with the
+    split's dual-norm buffers.
+    """
+    h_minus_one_norm = compactness.h_minus_one_norm
     rows = []
-    for pair in specs.pairs:
-        fa = decompose_production(finest, pair, specs.visc,
-                                  finest.epsilon).divergence_part
+
+    def timed(fa, work):
         seconds = []
         faults = minor_faults()
         for _ in range(calls):
             t0 = time.perf_counter()
-            h_minus_one_norm(fa)
+            h_minus_one_norm(fa, work)
             seconds.append(time.perf_counter() - t0)
         faults = (minor_faults() - faults) / calls
-        peak = measure(lambda: h_minus_one_norm(fa))[2]
-        rows.append((pair.name, 1e3 * min(seconds),
-                     1e3 * statistics.median(seconds), faults, peak))
-    return rows
+        peak = measure(lambda: h_minus_one_norm(fa, work))[2]
+        rows.append((1e3 * min(seconds), 1e3 * statistics.median(seconds),
+                     faults, peak))
+        return h_minus_one_norm(fa, work)
+
+    with mock.patch.object(compactness, "h_minus_one_norm", timed):
+        decompose_production(finest, specs.pairs, specs.visc, finest.epsilon)
+    return [(pair.name, *row) for pair, row in zip(specs.pairs, rows)]
 
 
 def mollify_rows(cfg, specs):
@@ -123,10 +132,10 @@ def mollify_rows(cfg, specs):
     return rows
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("rundirs", nargs="+", type=Path)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     for rundir in args.rundirs:
         _manifest, cfg, specs, trajs, reference = harness._load_run(rundir)
         field = trajs[-1].values.nbytes

@@ -13,7 +13,7 @@ from .norms import SpaceTimeField, h_minus_one_norm, measure_norm
 from .viscous import StepError, integrate, stable_dt
 from .reference import solve_reference
 from .convergence import ConvergenceReport, RateFit, fit_rate, l1_distance
-from .compactness import (EntropyProductionSplit, YoungHistogramSet,
-                          decompose_production, dirac_concentration,
-                          div_curl_test, time_derivative_l1, young_histograms)
+from .compactness import (YoungHistogramSet, decompose_production,
+                          dirac_concentration, div_curl_test,
+                          time_derivative_l1, young_histograms)
 from .harness import build_runtime, run_ladder, solve_member, verify_run

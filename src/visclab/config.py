@@ -166,7 +166,7 @@ DECLARED = tuple((f.name, *f.metadata["key"]) for f in fields(ScenarioConfig)
 
 
 def build_scenario(config_text: str) -> ScenarioConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(config_text)
     except configparser.Error as exc:
@@ -289,7 +289,7 @@ def _render(value) -> str:
 
 def render_config(cfg: ScenarioConfig) -> str:
     """Canonical resolved text; parsing it back reproduces the config."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for name, section, key, _, _ in DECLARED:
         value = getattr(cfg, name)
         if name == "extent_lo":

@@ -83,11 +83,9 @@ def _young_histograms(cfg: ScenarioConfig, specs: RuntimeSpecs,
 def member_diagnostics(cfg: ScenarioConfig, specs: RuntimeSpecs,
                        traj: FieldTrajectory) -> MemberDiagnostics:
     m = MemberDiagnostics(eps=traj.epsilon, eps_label=eps_label(traj.epsilon))
-    for pair in specs.pairs:
-        split = decompose_production(traj, pair, specs.visc, traj.epsilon)
-        m.entropy[pair.name] = (split.h1_norm_A, split.measure_norm_M)
-        # keep the norms only: this pair's A and M go before the next pair's
-        del split
+    splits = decompose_production(traj, specs.pairs, specs.visc, traj.epsilon)
+    for pair, norms in zip(specs.pairs, splits):
+        m.entropy[pair.name] = norms
     m.ut_l1 = time_derivative_l1(traj)
     m.young = _young_histograms(cfg, specs, traj)
     m.dirac = dirac_concentration(m.young)

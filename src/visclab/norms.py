@@ -61,11 +61,21 @@ class SpaceTimeField:
 def measure_norm(stf: SpaceTimeField) -> float:
     """Space-time L1 norm: Riemann sum with cell volumes, trapezoid weights
     in time.  As a total-mass surrogate it bounds the measure norm."""
-    v = stf.values
-    cell = stf.grid.cell_volume
-    w = stf.time_weights()
-    per_snap = np.sum(np.abs(v), axis=tuple(range(1, v.ndim))) * cell
-    return float(np.sum(per_snap * w))
+    return mass_of_snapshots(snapshot_l1(stf.values), stf.grid.cell_volume,
+                             stf.time_weights())
+
+
+def snapshot_l1(values: np.ndarray) -> np.ndarray:
+    """Sum of ``|values|`` over the cells of each snapshot.  A snapshot's sum
+    does not depend on the others in ``values``, so sums taken block by
+    block are those of the whole field (the split's oracle tests pin it)."""
+    return np.sum(np.abs(values), axis=tuple(range(1, values.ndim)))
+
+
+def mass_of_snapshots(sums: np.ndarray, cell_volume: float,
+                      weights: np.ndarray) -> float:
+    """The norm ``measure_norm`` gives from per-snapshot sums of ``|values|``."""
+    return float(np.sum(sums * cell_volume * weights))
 
 
 # ---------------------------------------------------------------------------
@@ -86,23 +96,51 @@ def _eigenvalues(n: int, h: float, kind: str) -> np.ndarray:
     raise ValueError(f"unknown axis kind {kind!r}")
 
 
-def _node_coefficients(x: np.ndarray, axis: int):
+class DualNormBuffers:
+    """The two real arrays that the dual norms of many arrays of one shape
+    write their coefficients and final quotient into, in turn.
+
+    Inside the entropy-production split, fresh arrays had every call fault
+    its pages in again (about 2,950 minor faults a call on the 2-D
+    scenario's 31 x 128 x 128 interior): freed together, they left a heap
+    top above glibc's trim threshold.
+    """
+
+    def __init__(self):
+        self._real = (np.empty(0), np.empty(0))
+
+    def out_for(self, x: np.ndarray) -> np.ndarray:
+        """A buffer of the shape of ``x`` that is not ``x``."""
+        a, b = self._real
+        if a.shape != x.shape:
+            a, b = self._real = np.empty(x.shape), np.empty(x.shape)
+        return b if x is a else a
+
+
+def _node_coefficients(x: np.ndarray, axis: int,
+                       work: DualNormBuffers | None = None):
     """Orthonormal DST-I along ``axis``: one product with the sine matrix.
 
     Node axes are time axes, a few dozen samples long, so the dense matrix is
     small.  Its arguments are reduced modulo 2(n+1) as integers, so every
     sine is evaluated on [0, 2 pi).  Returns the coefficients and their mode
-    numbers.
+    numbers; on axis 0 they are written into a buffer of ``work``, by the
+    product ``tensordot`` would form.
     """
     n = x.shape[axis]
     k = np.arange(1, n + 1)
     turns = np.outer(k, k) % (2 * (n + 1))
     sines = np.sqrt(2.0 / (n + 1)) * np.sin(turns * (np.pi / (n + 1)))
+    if work is not None and axis == 0:
+        coef = work.out_for(x)
+        np.dot(sines, x.reshape(n, -1), out=coef.reshape(n, -1))
+        return coef, k
     coef = np.moveaxis(np.tensordot(sines, x, axes=(1, axis)), 0, axis)
     return coef, k
 
 
-def _cell_coefficients(x: np.ndarray, axis: int):
+def _cell_coefficients(x: np.ndarray, axis: int,
+                       work: DualNormBuffers | None = None):
     """Orthonormal DST-II along ``axis`` by Makhoul's algorithm.
 
     The DST-II of ``x`` is the DCT-II of ``(-1)^j x_j`` in reverse order.
@@ -113,12 +151,13 @@ def _cell_coefficients(x: np.ndarray, axis: int):
     parts (modes n, n-1, ..., n - n//2), then the imaginary parts of bins
     1..(n-1)//2 (modes 1, 2, ...), and their mode numbers.  The coefficients
     overwrite the reordered sequence, so a call holds at most one real and
-    one complex array of the size of ``x`` besides ``x``.
+    one complex array of the size of ``x`` besides ``x``; with ``work`` the
+    real one is its buffer.
     """
     n = x.shape[axis]
     half = (n + 1) // 2
     bins = np.arange(n // 2 + 1)
-    v = np.empty_like(x)
+    v = np.empty_like(x) if work is None else work.out_for(x)
     xl, vl = np.moveaxis(x, axis, -1), np.moveaxis(v, axis, -1)
     vl[..., :half] = xl[..., 0::2]
     np.negative(xl[..., 1::2][..., ::-1], out=vl[..., half:])
@@ -133,36 +172,48 @@ def _cell_coefficients(x: np.ndarray, axis: int):
 _COEFFICIENTS = {"cell": _cell_coefficients, "node": _node_coefficients}
 
 
-def dirichlet_dual_norm(g: np.ndarray, spacings, kinds) -> float:
+def dirichlet_dual_norm(g: np.ndarray, spacings, kinds,
+                        work: DualNormBuffers | None = None) -> float:
     """Dual norm of ``g`` against the discrete H1_0 energy on a box lattice.
 
     ``kinds[j]`` is 'cell' for cell-centered axes (zero at the half-spacing
     face) or 'node' for node axes (zero one spacing beyond the end samples).
     Returns ``sqrt(cellvol * sum(ghat**2 / Lambda))`` over the orthonormal
-    sine coefficients ``ghat`` (see the module docstring).
+    sine coefficients ``ghat`` (see the module docstring).  The transforms
+    run in the buffers of ``work``, fresh ones when it is not given.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != len(spacings) or g.ndim != len(kinds):
         raise ValueError("spacings/kinds arity must match array rank")
     evs = [_eigenvalues(n, h, kind)
            for n, h, kind in zip(g.shape, spacings, kinds)]
-    coef, lam = g, 0.0
-    for axis, (ev, kind) in enumerate(zip(evs, kinds)):
-        coef, modes = _COEFFICIENTS[kind](coef, axis)
+    work = DualNormBuffers() if work is None else work
+    coef = g
+    for axis, kind in enumerate(kinds):
+        coef, modes = _COEFFICIENTS[kind](coef, axis, work)
         shape = [1] * g.ndim
         shape[axis] = -1
-        lam = lam + ev[modes - 1].reshape(shape)
-    np.divide(coef, lam, out=lam)
-    lam *= coef
-    return float(np.sqrt(lam.sum() * float(np.prod(spacings))))
+        evs[axis] = evs[axis][modes - 1].reshape(shape)
+    # Lambda summed over the axes in order, the last sum written into the
+    # buffer that does not hold the coefficients, where ghat**2 / Lambda
+    # is then formed as (ghat / Lambda) * ghat
+    lam = 0.0
+    for ev in evs[:-1]:
+        lam = lam + ev
+    q = np.add(lam, evs[-1], out=work.out_for(coef))
+    np.divide(coef, q, out=q)
+    q *= coef
+    return float(np.sqrt(q.sum() * float(np.prod(spacings))))
 
 
-def h_minus_one_norm(stf: SpaceTimeField) -> float:
+def h_minus_one_norm(stf: SpaceTimeField,
+                     work: DualNormBuffers | None = None) -> float:
     """Negative-order Sobolev norm of a space-time residual field.
 
     The first and last snapshots lie on the cylinder boundary, where the test
     functions vanish, so only interior time slices enter the norm; they are
     handed over as the ``(time, cells...)`` block they are stored as.
+    ``work`` lets the norms of many fields of one shape share their buffers.
     """
     if stf.times.size < 3:
         raise ValueError("need at least 3 snapshots for the space-time norm")
@@ -172,4 +223,4 @@ def h_minus_one_norm(stf: SpaceTimeField) -> float:
     dt = float(steps[0])
     spacings = (dt,) + tuple(stf.grid.spacing)
     kinds = ("node",) + ("cell",) * stf.grid.dim
-    return dirichlet_dual_norm(stf.values[1:-1], spacings, kinds)
+    return dirichlet_dual_norm(stf.values[1:-1], spacings, kinds, work)

@@ -15,8 +15,10 @@ face arithmetic the kernels run.
 Below them sit the oracles for what no command computes: the exact Riemann
 solution of a convex flux preset (``riemann_exact``), the whole entropy
 production ``d/dt eta(u) + div q(u)`` that the package's split A + M must
-approach (``entropy_production_total``), and the total variation of a
-field (``total_variation``).  Imported by the tests as ``oracles``, like
+approach (``entropy_production_total``), one pair's split with both parts
+held whole, whose norms the package's per-member split must match bit for
+bit (``split_production``), and the total variation of a field
+(``total_variation``).  Imported by the tests as ``oracles``, like
 ``conftest``.
 """
 
@@ -28,9 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from visclab import tables
-from visclab.compactness import _centered_space
-from visclab.domain import EntropyPair, Field, FieldTrajectory, FluxSpec, Grid
-from visclab.norms import SpaceTimeField
+from visclab.compactness import _along, _centered_space, _pad
+from visclab.domain import (EntropyPair, Field, FieldTrajectory, FluxSpec,
+                            Grid, ViscositySpec)
+from visclab.norms import SpaceTimeField, h_minus_one_norm, measure_norm
 
 
 def _interp_scalar(tab, lo, inv, u):
@@ -270,6 +273,51 @@ def entropy_production_total(traj: FieldTrajectory,
         q_ghost = float(tables.interp(pair.lattice, pair.q[axis], 0.0)[0])
         total += _centered_space(q_u, axis + 1, grid.spacing[axis], q_ghost)
     return SpaceTimeField(grid, traj.times, total)
+
+
+@dataclass(frozen=True)
+class EntropyProductionSplit:
+    eps: float
+    divergence_part: SpaceTimeField   # flux-form, vanishes in the dual norm
+    dissipation_part: SpaceTimeField  # signed, bounded in total mass
+    h1_norm_A: float
+    measure_norm_M: float
+
+
+def split_production(traj: FieldTrajectory, pair: EntropyPair,
+                     visc: ViscositySpec, eps: float) -> EntropyProductionSplit:
+    """One pair's split on the whole field, both parts held whole.
+
+    A = eps sum_j D_j(B(face mean) D_j eta(u)) in flux form, with B read at
+    every face mean, and M = -eps sum_j B(u) (centered gradient)^2 eta''(u),
+    each element in the operation order of
+    ``compactness.decompose_production``; the norms are ``h_minus_one_norm``
+    of A and ``measure_norm`` of M.
+    """
+    grid = traj.grid
+    u = traj.values
+    eta_u = np.asarray(pair.eta(u), dtype=np.float64)
+    eta_ghost = float(np.asarray(pair.eta(0.0)))
+    b_of_u = np.asarray(visc.B(u), dtype=np.float64)
+    A = np.zeros_like(u)
+    M = np.zeros_like(u)
+    for axis, h in enumerate(grid.spacing):
+        ax = axis + 1
+        u_ext = _pad(u, ax, 0.0)
+        eta_ext = _pad(eta_u, ax, eta_ghost)
+        lo, hi = _along(u.ndim, ax, None, -1), _along(u.ndim, ax, 1, None)
+        ul, ur = u_ext[lo], u_ext[hi]
+        el, er = eta_ext[lo], eta_ext[hi]
+        face = np.asarray(visc.B(0.5 * (ul + ur)), dtype=np.float64) * (er - el) / h
+        A += eps * (face[hi] - face[lo]) / h
+        gc = _centered_space(u, ax, h, 0.0)
+        M += b_of_u * gc * gc
+    M *= -eps
+    M *= np.asarray(pair.etapp(u), dtype=np.float64)
+    fa = SpaceTimeField(grid, traj.times, A)
+    fm = SpaceTimeField(grid, traj.times, M)
+    return EntropyProductionSplit(eps, fa, fm, h_minus_one_norm(fa),
+                                  measure_norm(fm))
 
 
 def total_variation(field: Field) -> float:

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import entropy_production_total
+from oracles import entropy_production_total, split_production
 from visclab import compactness
 from visclab.compactness import (attach_c_field, build_compensated_quad,
                                  choose_c, compensated_D_field,
@@ -12,8 +13,8 @@ from visclab.compactness import (attach_c_field, build_compensated_quad,
                                  div_curl_test, flux_identity_gap,
                                  time_derivative_l1, young_histograms,
                                  young_w1_distance)
-from visclab.domain import FieldTrajectory, Grid, make_entropy_pair, \
-    make_flux, make_viscosity
+from visclab.domain import FieldTrajectory, Grid, kruzkov_ladder, \
+    make_entropy_pair, make_flux, make_viscosity
 from visclab.norms import SpaceTimeField, measure_norm
 from visclab.tables import interp
 from visclab.viscous import integrate, snapshot_times
@@ -81,7 +82,7 @@ def test_split_consistency_on_heat_oracle(bconst):
         vals = np.exp(-eps * math.pi**2 * t)[:, None] * np.sin(math.pi * x)[None, :]
         traj = FieldTrajectory(g, t, vals, eps, dt=0.5 / (nt - 1))
         total = entropy_production_total(traj, pair)
-        split = decompose_production(traj, pair, bconst, eps)
+        split = split_production(traj, pair, bconst, eps)
         gap = SpaceTimeField(g, t, total.values - split.divergence_part.values
                              - split.dissipation_part.values)
         gaps.append(measure_norm(gap))
@@ -91,7 +92,7 @@ def test_split_consistency_on_heat_oracle(bconst):
 def test_split_constant_trajectory(bconst, burgers):
     pair = make_entropy_pair("square", burgers, 1e-8)
     traj = make_traj(np.tile(0.3 * np.ones(24), (5, 1)))
-    split = decompose_production(traj, pair, bconst, 0.1)
+    split = split_production(traj, pair, bconst, 0.1)
     assert np.max(np.abs(split.divergence_part.values[:, 1:-1])) < 1e-12
     assert np.max(np.abs(split.dissipation_part.values[:, 1:-1])) < 1e-12
 
@@ -105,7 +106,7 @@ def test_dissipation_part_nonpositive(entropy, burgers):
     u0 = np.where(np.abs(x - 0.5) < 0.25, (1 - ((x - 0.5) / 0.25) ** 2) ** 3, 0.0)
     traj = integrate(g, u0, burgers, visc, 0.05, 0.4, snapshot_times(0.2, 8),
                      sup_bound=1.0)
-    split = decompose_production(traj, pair, visc, 0.05)
+    split = split_production(traj, pair, visc, 0.05)
     assert np.max(split.dissipation_part.values) <= 0.0
 
 
@@ -118,8 +119,9 @@ def test_measure_part_uniform_bound(burgers, bconst):
     for eps in (0.1, 0.05, 0.025):
         traj = integrate(g, u0, burgers, bconst, eps, 0.4, snapshot_times(0.2, 8),
                          sup_bound=1.0)
-        split = decompose_production(traj, pair, bconst, eps)
-        assert split.measure_norm_M <= bound
+        [(_h1_norm_A, measure_norm_M)] = decompose_production(
+            traj, [pair], bconst, eps)
+        assert measure_norm_M <= bound
 
 
 def test_time_derivative_heat_oracle():
@@ -365,6 +367,22 @@ def _random_traj(nt, nx, ny, seed):
     return make_traj(0.8 * np.sin(rng.uniform(0.0, 6.0, (nt, nx, ny))), T=0.5)
 
 
+def _member_pairs(flux):
+    """The six entropy pairs of a member, as ``build_runtime`` makes them:
+    the square entropy and five Kruzkov k across the flux interval."""
+    return ([make_entropy_pair("square", flux, 1e-8)]
+            + kruzkov_ladder(flux, 5, 1e-3, 1e-8))
+
+
+def _assert_split_matches_oracle(traj, pairs, visc, eps):
+    got = decompose_production(traj, pairs, visc, eps)
+    assert len(got) == len(pairs)
+    for pair, (h1_norm_A, measure_norm_M) in zip(pairs, got):
+        want = split_production(traj, pair, visc, eps)
+        assert h1_norm_A.hex() == want.h1_norm_A.hex(), pair.name
+        assert measure_norm_M.hex() == want.measure_norm_M.hex(), pair.name
+
+
 @pytest.mark.parametrize("snaps_per_block", [1, 3])
 @pytest.mark.parametrize("entropy", ["square", "kruzkov"])
 def test_blocked_instruments_bit_identical(monkeypatch, flux2d, entropy,
@@ -376,11 +394,8 @@ def test_blocked_instruments_bit_identical(monkeypatch, flux2d, entropy,
     quad = build_compensated_quad(flux2d, 1e-10)
 
     def outputs():
-        split = decompose_production(traj, pair, visc, 0.05)
         q = attach_c_field(quad, traj, (3, 5, 6))
-        return (split.divergence_part.values, split.dissipation_part.values,
-                np.array([split.h1_norm_A, split.measure_norm_M]),
-                q.f11_bar, q.c_field, compensated_D_field(traj, q).values)
+        return q.f11_bar, q.c_field, compensated_D_field(traj, q).values
 
     monkeypatch.setattr(compactness, "BLOCK_BYTES", traj.values.nbytes)
     assert len(compactness._snapshot_blocks(traj.values)) == 1
@@ -389,20 +404,55 @@ def test_blocked_instruments_bit_identical(monkeypatch, flux2d, entropy,
                         snaps_per_block * traj.values[0].nbytes)
     assert len(compactness._snapshot_blocks(traj.values)) == \
         -(-11 // snaps_per_block)
+    # the split's norms against the oracle's whole-field split
+    _assert_split_matches_oracle(traj, [pair], visc, 0.05)
     blocked = outputs()
     for a, b in zip(whole, blocked):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("snaps_per_block", [None, 3])
+@pytest.mark.parametrize("visc_name", ["constant", "quadratic"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_member_split_matches_oracle_bit_for_bit(monkeypatch, dim, visc_name,
+                                                 snaps_per_block):
+    # every pair of a member in one call: the shared dissipation field, the
+    # scalar face B of constant viscosity, one A buffer across pairs and
+    # per-block snapshot sums give the norms of the whole-field split;
+    # ragged blocks when 3 snapshots make a block of 11
+    rng = np.random.default_rng(11 + dim)
+    shape = (11, 40) if dim == 1 else (11, 24, 20)
+    traj = make_traj(0.8 * np.sin(rng.uniform(0.0, 6.0, shape)), T=0.5)
+    names = ("burgers",) if dim == 1 else ("burgers", "linear")
+    flux = make_flux(names, (-1.0, 1.0), 1e-8, {"a": 1.0})
+    visc = make_viscosity(visc_name, (-1.0, 1.0), {"b": 0.7})
+    if snaps_per_block is not None:
+        monkeypatch.setattr(compactness, "BLOCK_BYTES",
+                            snaps_per_block * traj.values[0].nbytes)
+        assert len(compactness._snapshot_blocks(traj.values)) == 4
+    _assert_split_matches_oracle(traj, _member_pairs(flux), visc, 0.05)
+
+
+def test_split_rejects_non_finite_dissipation(burgers, bconst):
+    # eta'' that overflows leaves M non-finite, as the whole-field check found
+    pair = make_entropy_pair("square", burgers, 1e-8)
+    bad = dataclasses.replace(pair, etapp=lambda u: np.full_like(u, np.inf))
+    traj = make_traj(np.tile(np.linspace(-0.5, 0.5, 24), (5, 1)))
+    with pytest.raises(ValueError, match="non-finite"):
+        decompose_production(traj, [pair, bad], bconst, 0.1)
+
+
 def test_split_transient_peak_is_a_few_fields(flux2d):
-    # unblocked, the split holds about 12 copies of the field at once
+    # a member's six pairs in one call; unblocked, one pair's split held
+    # about 12 copies of the field at once
     traj = _random_traj(33, 64, 64, seed=5)
-    pair = make_entropy_pair("kruzkov", flux2d, 1e-8, k=0.2, delta=1e-3)
+    pairs = _member_pairs(flux2d)
+    assert len(pairs) == 6
     visc = make_viscosity("quadratic", (-1.0, 1.0))
-    decompose_production(traj, pair, visc, 0.05)  # transform set-up
+    decompose_production(traj, pairs, visc, 0.05)  # transform set-up
     tracemalloc.start()
     try:
-        decompose_production(traj, pair, visc, 0.05)
+        decompose_production(traj, pairs, visc, 0.05)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -71,6 +71,15 @@ def test_round_trip():
     assert render_config(again) == render_config(cfg)
 
 
+def test_percent_in_value_round_trips():
+    text = MINIMAL.replace("directory = runs/x", "directory = runs/50%")
+    cfg = build_scenario(text)
+    assert cfg.outdir == "runs/50%"
+    rendered = render_config(cfg)
+    assert "directory = runs/50%\n" in rendered
+    assert build_scenario(rendered) == cfg
+
+
 def test_hash_changes_with_any_byte():
     assert config_hash(MINIMAL) != config_hash(MINIMAL + " ")
 

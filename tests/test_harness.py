@@ -3,6 +3,7 @@ import csv
 import importlib.util
 import json
 import pathlib
+import re
 import sys
 import time
 from collections import Counter
@@ -13,6 +14,7 @@ import pytest
 from conftest import SCENARIOS, scipy_modules_loaded, small_config
 from visclab import harness
 from visclab.cli import main as cli_main
+from visclab.config import build_scenario
 from visclab.harness import emit_plotdata, run_ladder, verify_run
 from visclab.io import CorruptSnapshotError
 from visclab.report import ESTIMATE_IDS
@@ -251,7 +253,6 @@ def test_zero_data_trivially_passes(tmp_path):
                        young_window_snaps=5, young_window_cells=6)
     import dataclasses
     text = cfg.raw_text.replace("amplitude = 1.0", "amplitude = 0.0")
-    from visclab.config import build_scenario
     zero_cfg = build_scenario(text)
     res = run_ladder(zero_cfg, outdir=tmp_path / "zero")
     assert res.exit_code == 0
@@ -277,6 +278,21 @@ def test_cli_presets_and_run(tmp_path, capsys):
     assert "max_principle" in out
     assert cli_main(["verify", str(tmp_path / "cli_run")]) == code
     assert cli_main(["plotdata", str(tmp_path / "cli_run")]) == 0
+
+
+def test_cli_run_with_percent_in_directory(tmp_path):
+    # a '%' in a value is text, not an interpolation
+    outdir = tmp_path / "runs" / "50%"
+    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
+                       young_window_snaps=5, young_window_cells=6,
+                       outdir=str(outdir))
+    assert cfg.outdir == str(outdir)
+    cfgfile = tmp_path / "scenario.cfg"
+    cfgfile.write_text(cfg.raw_text)
+    code = cli_main(["run", "--config", str(cfgfile)])
+    assert code in (0, 1)
+    assert (outdir / "manifest.json").is_file()
+    assert cli_main(["verify", str(outdir)]) == code
 
 
 def test_cli_has_no_backend_option(tmp_path):
@@ -428,13 +444,18 @@ def test_package_imports_only_stdlib_numpy_and_itself():
     assert not offenders
 
 
-def _load_probe():
-    """The benchmark's tracing probe, imported from its file, unmodified."""
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "probe.py"
-    spec = importlib.util.spec_from_file_location("perfbench_probe", path)
+def _load_script(directory, name):
+    """A script of the repository, imported from its file, unmodified."""
+    path = pathlib.Path(__file__).resolve().parent.parent / directory / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{directory}_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_probe():
+    """The benchmark's tracing probe."""
+    return _load_script("perfbench", "probe")
 
 
 def test_benchmark_trace_probe_sees_every_layer(tmp_path):
@@ -459,6 +480,12 @@ def test_benchmark_trace_probe_sees_every_layer(tmp_path):
     calls = Counter(span[0] for span in traced["spans"])
     assert calls["kernels.visc_step_1d"] == counters["viscous.steps"]
     assert calls["kernels.godunov_step_1d"] == counters["reference.steps"]
+    # one split per member, one dual norm per member and entropy pair
+    members = len(cfg.ladder)
+    pairs = len(harness.build_runtime(cfg).pairs)
+    assert members == 2 and pairs == 1 + cfg.kruzkov_count
+    assert calls["compactness.decompose_production"] == members
+    assert calls["norms.h_minus_one_norm"] == members * pairs
 
 
 def test_benchmark_trace_probe_counts_2d_kernels_by_name(tmp_path):
@@ -481,6 +508,23 @@ def test_benchmark_trace_probe_counts_2d_kernels_by_name(tmp_path):
     assert calls["kernels.visc_step_2d"] == counters["viscous.steps"]
     assert calls["kernels.godunov_step_1d"] == 0
     assert calls["kernels.visc_step_1d"] == 0
+
+
+def test_bench_diagnostics_runs_on_stored_runs(tiny_run, tmp_path, capsys):
+    # every table of the diagnostics benchmark, on a stored 1-D and 2-D run
+    cfg, one = tiny_run
+    two = run_ladder(build_scenario(tiny_2d_text()), outdir=tmp_path / "two")
+    _load_script("benchmarks", "bench_diagnostics").main(
+        [str(one.outdir), str(two.outdir)])
+    out = capsys.readouterr().out
+    assert f"{one.outdir}: 3 members" in out
+    assert f"{two.outdir}: 2 members" in out
+    # one split per member with all of its pairs, then each pair's dual norm
+    assert len(re.findall(r"^  decompose_production\s+1\s", out, re.M)) == 2
+    assert out.count("  attach_c_field ") == 1
+    for pair in harness.build_runtime(cfg).pairs:
+        assert out.count(f"  {pair.name} ") == 2
+    assert out.count("  mollify kernel ") == 2
 
 
 def test_benchmark_setup_probe_records_numpy_kernels(tiny_run, tmp_path,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,47 @@ def test_space_time_norm_orders_axes_time_first(cells):
                                 ("cell",) * len(cells) + ("node",))
     assert h_minus_one_norm(SpaceTimeField(grid, times, v)) == pytest.approx(
         expected, rel=1e-12, abs=0.0)
+
+
+def test_shared_buffers_give_each_norm_bit_for_bit():
+    # one set of buffers across arrays of one shape, then of others, a node
+    # axis that is not first among them: each norm is that of fresh buffers,
+    # and the node product written into a buffer is tensordot's
+    rng = np.random.default_rng(3)
+    work = norms.DualNormBuffers()
+    cases = ([(("node", "cell", "cell"), (9, 32, 32))] * 3
+             + [(("node", "cell"), (9, 12))] * 2
+             + [(("cell", "node"), (12, 9)), (("node",), (8,))])
+    for kinds, shape in cases:
+        g = rng.standard_normal(shape)
+        spacings = tuple(rng.uniform(0.01, 0.5, size=len(shape)))
+        shared = dirichlet_dual_norm(g, spacings, kinds, work)
+        assert shared.hex() == dirichlet_dual_norm(g, spacings, kinds).hex()
+        if kinds[0] == "node":
+            into, _ = norms._node_coefficients(g, 0, work)
+            fresh, _ = norms._node_coefficients(g, 0)
+            assert into.tobytes() == fresh.tobytes()
+
+
+def test_shared_buffers_are_not_allocated_again():
+    # a later call with the buffers of an earlier one allocates neither of
+    # its two arrays of the size of g
+    g = np.random.default_rng(4).standard_normal((9, 32, 32))
+    spacings, kinds = (0.1, 0.03, 0.03), ("node", "cell", "cell")
+    work = norms.DualNormBuffers()
+    dirichlet_dual_norm(g, spacings, kinds, work)
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    fresh = peak(lambda: dirichlet_dual_norm(g, spacings, kinds))
+    shared = peak(lambda: dirichlet_dual_norm(g, spacings, kinds, work))
+    assert shared <= fresh - 1.9 * g.nbytes
 
 
 def test_dual_norm_mesh_consistency():
