@@ -4,15 +4,22 @@
 Each run directory given (written by ``visclab run``, for example of
 scenarios/burgers1d.cfg and scenarios/burgers2d.cfg) is loaded the way
 ``visclab verify`` loads it.  Every instrument then runs once untraced, for
-its wall time and the minor page faults of the process during the call, and
-once under ``tracemalloc``, for the peak of memory it allocates above what
-was live before the call.  The peak is printed in MB and in copies of one
-space-time field (snapshots x cells x 8 bytes), which is the unit the
-per-snapshot blocking of ``compactness`` is judged in.
+its wall time and the minor page faults of the process during the call.
+The run is then loaded again with ``tracemalloc`` on from the start, and
+every instrument runs once more, for the peak of memory it allocates above
+what was live before the call, and for that live memory plus the peak: the
+high-water mark of traced memory during the call, with the loaded run and
+every member's diagnostics held, as ``visclab verify`` holds them.  The
+row with the largest live + peak names the stage that sets the script's
+high-water mark.  Peaks are printed in MB and in copies of one space-time
+field (snapshots x cells x 8 bytes), which is the unit the per-snapshot
+blocking of ``compactness`` is judged in.
 
 The instruments run on the finest member (``decompose_production`` with all
-of its entropy pairs in one call, as ``member_diagnostics`` calls it), and
-``assess`` on the whole ladder and the reference.
+of its entropy pairs in one call, as ``member_diagnostics`` calls it,
+``grad_energy_lhs``), on the run's lattice (``synthetic_divcurl``), and on
+the whole ladder and the reference (``build_convergence_report``,
+``assess``).
 
 A second table times ``h_minus_one_norm`` alone on the divergence part ``A``
 of each entropy pair of the finest member, as ``decompose_production`` hands
@@ -38,7 +45,10 @@ from visclab import compactness, harness
 from visclab.compactness import (attach_c_field, build_compensated_quad,
                                  compensated_D_field, decompose_production,
                                  time_derivative_l1)
+from visclab.convergence import build_convergence_report
 from visclab.mollify import make_kernel, mollify
+from visclab.report import grad_energy_lhs, synthetic_divcurl
+from visclab.viscous import snapshot_times
 
 MB = 1024.0 * 1024.0
 
@@ -47,14 +57,18 @@ def minor_faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def measure(fn):
-    """(seconds and minor faults of one untraced call, traced peak in bytes
-    of another)."""
+def timed(fn):
+    """Seconds and minor faults of one untraced call."""
     faults = minor_faults()
     t0 = time.perf_counter()
     fn()
-    seconds = time.perf_counter() - t0
-    faults = minor_faults() - faults
+    return time.perf_counter() - t0, minor_faults() - faults
+
+
+def measure(fn):
+    """(seconds and minor faults of one untraced call, traced peak in bytes
+    of another)."""
+    seconds, faults = timed(fn)
     tracemalloc.start()
     try:
         fn()
@@ -64,26 +78,42 @@ def measure(fn):
     return seconds, faults, peak
 
 
+def live_and_peak(fn):
+    """(traced bytes live before the call, traced high-water mark during
+    it) of one call, with ``tracemalloc`` already running."""
+    live = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    fn()
+    return live, tracemalloc.get_traced_memory()[1]
+
+
 def instruments(cfg, specs, trajs, reference):
-    """``(name, [calls])``; a row reports the slowest call and largest peak."""
+    """``(name, [calls])`` in the order ``visclab verify`` runs them; a row
+    reports the slowest call and the largest peaks."""
     finest = trajs[-1]
+    window = harness._weak_window(cfg)
+    times = snapshot_times(cfg.time_horizon, cfg.snapshots)
+    members = [harness.member_diagnostics(cfg, specs, t) for t in trajs]
     rows = [("decompose_production",
              [lambda: decompose_production(finest, specs.pairs, specs.visc,
                                            finest.epsilon)]),
             ("time_derivative_l1", [lambda: time_derivative_l1(finest)]),
             ("young_histograms",
-             [lambda: harness._young_histograms(cfg, specs, finest)])]
+             [lambda: harness._young_histograms(cfg, specs, finest)]),
+            ("grad_energy_lhs", [lambda: grad_energy_lhs(finest)]),
+            ("member_diagnostics",
+             [lambda: harness.member_diagnostics(cfg, specs, finest)])]
     if cfg.dim == 2:
         bare = build_compensated_quad(specs.flux, cfg.quadrature_tol)
-        window = harness._weak_window(cfg)
         quad = attach_c_field(bare, finest, window)
         rows.append(("attach_c_field",
                      [lambda: attach_c_field(bare, finest, window)]))
         rows.append(("compensated_D_field",
                      [lambda: compensated_D_field(finest, quad)]))
-    rows.append(("member_diagnostics",
-                 [lambda: harness.member_diagnostics(cfg, specs, finest)]))
-    members = [harness.member_diagnostics(cfg, specs, t) for t in trajs]
+    rows.append(("build_convergence_report",
+                 [lambda: build_convergence_report(trajs, reference)]))
+    rows.append(("synthetic_divcurl",
+                 [lambda: synthetic_divcurl(specs.grid, times, window)]))
     rows.append(("assess",
                  [lambda: harness.assess(cfg, specs, members, trajs,
                                          reference)]))
@@ -142,15 +172,30 @@ def main(argv=None):
         print(f"{rundir}: {len(trajs)} members, field "
               f"{'x'.join(map(str, trajs[-1].values.shape))} = "
               f"{field / MB:.2f} MB")
-        print(f"  {'instrument':<22} {'calls':>5} {'s (max)':>9} "
-              f"{'faults':>7} {'peak MB':>9} {'fields':>7}")
-        for name, calls in instruments(cfg, specs, trajs, reference):
-            results = [measure(fn) for fn in calls]
-            seconds = max(s for s, _f, _p in results)
-            faults = max(f for _s, f, _p in results)
-            peak = max(p for _s, _f, p in results)
-            print(f"  {name:<22} {len(calls):>5} {seconds:>9.4f} "
-                  f"{faults:>7} {peak / MB:>9.2f} {peak / field:>7.2f}")
+        rows = instruments(cfg, specs, trajs, reference)
+        times = [[timed(fn) for fn in calls] for _name, calls in rows]
+        tracemalloc.start()
+        try:
+            rows = instruments(*harness._load_run(rundir)[1:])
+            traced = [[live_and_peak(fn) for fn in calls]
+                      for _name, calls in rows]
+        finally:
+            tracemalloc.stop()
+        print(f"  {'instrument':<24} {'calls':>5} {'s (max)':>9} "
+              f"{'faults':>7} {'peak MB':>9} {'fields':>7} "
+              f"{'live+peak MB':>13}")
+        marks = []
+        for (name, calls), timings, spans in zip(rows, times, traced):
+            seconds = max(s for s, _f in timings)
+            faults = max(f for _s, f in timings)
+            peak = max(high - live for live, high in spans)
+            high = max(high for _live, high in spans)
+            marks.append((high, name))
+            print(f"  {name:<24} {len(calls):>5} {seconds:>9.4f} "
+                  f"{faults:>7} {peak / MB:>9.2f} {peak / field:>7.2f} "
+                  f"{high / MB:>13.2f}")
+        high, name = max(marks)
+        print(f"  high-water mark: {name}, live + peak {high / MB:.2f} MB")
         print(f"  {'h_minus_one_norm of A':<22} {'best ms':>9} {'med ms':>7} "
               f"{'faults':>7} {'peak MB':>9} {'fields':>7}")
         for name, best, median, faults, peak in dual_norm_rows(specs,

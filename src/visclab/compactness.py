@@ -19,8 +19,9 @@ import numpy as np
 
 from . import tables
 from .domain import EntropyPair, FieldTrajectory, FluxSpec, ViscositySpec
-from .norms import (DualNormBuffers, SpaceTimeField, h_minus_one_norm,
-                    mass_of_snapshots, snapshot_l1)
+from .norms import (BLOCK_BYTES, DualNormBuffers, SpaceTimeField,
+                    h_minus_one_norm, mass_of_snapshots, snapshot_blocks,
+                    snapshot_l1, time_weights)
 # bound here, though no longer called here, for the benchmark's trace probe
 # (perfbench/probe.py), which wraps compactness.measure_norm by name
 from .norms import measure_norm  # noqa: F401
@@ -31,22 +32,12 @@ from .tables import TableLattice
 # snapshot blocks
 
 
-# Per-snapshot work (elementwise maps and stencils inside one snapshot) runs
-# on blocks of whole snapshots of about this many bytes, written into
-# preallocated full-size outputs, so only one block's temporaries are live at
-# a time.  Reductions and transforms still run on the full arrays, so every
-# value is the one a single block gives.  At 256 KB a block's dozen or so
-# temporaries stay small enough for the heap to reuse their pages, where 1 MB
-# blocks had them faulted in afresh (verify of the 2-D scenario: about 100k
-# against 225k minor faults), and a 65 x 400 1-D field is still one block.
-BLOCK_BYTES = 1 << 18
-
-
+# The split and the c-field cut fields into blocks of whole snapshots of
+# BLOCK_BYTES (see norms), written into preallocated outputs or reduced to
+# per-snapshot sums block by block.
 def _snapshot_blocks(values: np.ndarray) -> list[slice]:
     """Consecutive slices of whole snapshots, each about BLOCK_BYTES."""
-    n = values.shape[0]
-    per = max(1, BLOCK_BYTES // max(1, values[0].nbytes))
-    return [slice(a, min(a + per, n)) for a in range(0, n, per)]
+    return snapshot_blocks(values, BLOCK_BYTES)
 
 
 # ---------------------------------------------------------------------------
@@ -104,41 +95,46 @@ def decompose_production(traj: FieldTrajectory, pairs: list[EntropyPair],
     entropy because B has a positive floor.  Returns ``(h1_norm_A,
     measure_norm_M)`` of each pair, in the order of ``pairs``.
 
-    What no entropy enters is computed once for all pairs: the field
-    ``-eps sum_j B(u) (centered gradient)^2``, and B at the face means when
-    B is constant (other presets evaluate it per block and pair, so no face
-    field is held).  One A buffer and one set of dual-norm buffers serve
-    every pair; M is reduced block by block to its per-snapshot sums and
-    never held whole.
+    What no entropy enters is computed once for all pairs: B at the face
+    means when B is constant (other presets evaluate it per block and pair,
+    so no face field is held), and, one block of snapshots at a time, the
+    block's ``-eps sum_j B(u) (centered gradient)^2``, from which every
+    pair's M of the block is formed and reduced to its per-snapshot sums, so
+    neither it nor M is ever held whole.  A then goes pair by pair, in one
+    A buffer, and one set of dual-norm buffers serves every pair.
     """
     if eps <= 0:
         raise ValueError("the split is defined for positive viscosity")
     grid = traj.grid
     u = traj.values
     blocks = _snapshot_blocks(u)
-    mneg = np.zeros_like(u)
+    sums = np.empty((len(pairs), u.shape[0]))
+    mneg = np.empty((blocks[0].stop,) + u.shape[1:])
     for blk in blocks:
-        _dissipation_block(u[blk], visc, eps, grid.spacing, mneg[blk])
-    b_face = float(visc.B(0.0)) if visc.name == "constant" else None
-    A = np.empty_like(u)
-    sums = np.empty(u.shape[0])
-    work = DualNormBuffers()
-    norms = []
-    for pair in pairs:
-        eta_ghost = float(np.asarray(pair.eta(0.0)))
-        for blk in blocks:
-            ub = u[blk]
-            A[blk] = 0.0
-            _divergence_block(ub, pair, visc, b_face, eps, grid.spacing,
-                              eta_ghost, A[blk])
-            M = mneg[blk] * np.asarray(pair.etapp(ub), dtype=np.float64)
+        ub = u[blk]
+        mneg_blk = mneg[:ub.shape[0]]
+        mneg_blk.fill(0.0)
+        _dissipation_block(ub, visc, eps, grid.spacing, mneg_blk)
+        for i, pair in enumerate(pairs):
+            M = mneg_blk * np.asarray(pair.etapp(ub), dtype=np.float64)
             if not np.all(np.isfinite(M)):
                 raise ValueError("space-time field has non-finite entries")
-            sums[blk] = snapshot_l1(M)
-        fa = SpaceTimeField(grid, traj.times, A)
-        norms.append((h_minus_one_norm(fa, work),
-                      mass_of_snapshots(sums, grid.cell_volume,
-                                        fa.time_weights())))
+            sums[i, blk] = snapshot_l1(M)
+    del mneg
+    weights = time_weights(traj.times)
+    b_face = float(visc.B(0.0)) if visc.name == "constant" else None
+    A = np.empty_like(u)
+    work = DualNormBuffers()
+    norms = []
+    for i, pair in enumerate(pairs):
+        eta_ghost = float(np.asarray(pair.eta(0.0)))
+        for blk in blocks:
+            A[blk] = 0.0
+            _divergence_block(u[blk], pair, visc, b_face, eps, grid.spacing,
+                              eta_ghost, A[blk])
+        norms.append((h_minus_one_norm(SpaceTimeField(grid, traj.times, A),
+                                       work),
+                      mass_of_snapshots(sums[i], grid.cell_volume, weights)))
     return norms
 
 
@@ -168,14 +164,18 @@ def _axis_divergence(u: np.ndarray, eta_u: np.ndarray, ax: int, h: float,
                      visc: ViscositySpec, b_face: float | None,
                      eta_ghost: float, eps: float) -> np.ndarray:
     """eps * (face after - face before) / h along ``ax`` of the face values
-    B(face mean) * (eta right - eta left) / h.  Its temporaries go on
+    B(face mean) * (eta right - eta left) / h.  Each temporary goes once it
+    is read, the face B before the difference is formed, and the rest on
     return, before the next axis allocates its own."""
     b = b_face
     if b is None:
-        b = np.asarray(visc.B(_faces(np.add, u, ax, 0.0) * 0.5),
-                       dtype=np.float64)
+        mean = _faces(np.add, u, ax, 0.0)
+        mean *= 0.5
+        b = np.asarray(visc.B(mean), dtype=np.float64)
+        del mean
     face = _faces(np.subtract, eta_u, ax, eta_ghost)
     face *= b
+    del b
     face /= h
     div = np.subtract(face[_along(u.ndim, ax, 1, None)],
                       face[_along(u.ndim, ax, None, -1)])

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import FieldTrajectory
-from .norms import SpaceTimeField, measure_norm
+from .norms import (BLOCK_BYTES, mass_of_snapshots, snapshot_blocks,
+                    snapshot_l1, time_weights)
 
 
 def l1_distance(a: FieldTrajectory, b: FieldTrajectory) -> float:
@@ -17,8 +18,15 @@ def l1_distance(a: FieldTrajectory, b: FieldTrajectory) -> float:
         raise ValueError("trajectories live on different grids")
     if a.times.shape != b.times.shape or not np.array_equal(a.times, b.times):
         raise ValueError("trajectories have different snapshot times")
-    diff = SpaceTimeField(a.grid, a.times, a.values - b.values)
-    return measure_norm(diff)
+    # per-snapshot sums of |a - b| block by block, so the difference is
+    # never held whole: the value measure_norm gives on the whole of it
+    sums = np.empty(a.times.size)
+    for blk in snapshot_blocks(a.values, BLOCK_BYTES):
+        diff = a.values[blk] - b.values[blk]
+        if not np.all(np.isfinite(diff)):
+            raise ValueError("space-time field has non-finite entries")
+        sums[blk] = snapshot_l1(diff)
+    return mass_of_snapshots(sums, a.grid.cell_volume, time_weights(a.times))
 
 
 @dataclass(frozen=True)

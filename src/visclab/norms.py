@@ -24,6 +24,7 @@ energy up to rounding (below 1e-13 relative on the shipped scenarios).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,11 +52,37 @@ class SpaceTimeField:
 
     def time_weights(self) -> np.ndarray:
         """Trapezoid weights over the snapshot times (they sum to T)."""
-        t = self.times
-        w = np.zeros_like(t)
-        w[:-1] += 0.5 * np.diff(t)
-        w[1:] += 0.5 * np.diff(t)
-        return w
+        return time_weights(self.times)
+
+
+def time_weights(times: np.ndarray) -> np.ndarray:
+    """Trapezoid weights over the snapshot times ``times`` (they sum to T)."""
+    t = np.asarray(times, dtype=np.float64)
+    w = np.zeros_like(t)
+    w[:-1] += 0.5 * np.diff(t)
+    w[1:] += 0.5 * np.diff(t)
+    return w
+
+
+# Per-snapshot work (elementwise maps and stencils inside one snapshot, and
+# the dual norm's transforms along the axes after the first) runs on blocks
+# of whole snapshots of about this many bytes, so only one block's
+# temporaries are live at a time.  Reductions across snapshots and the
+# transform along the first axis still run on the full arrays, so every
+# value is the one a single block gives.  At 256 KB a block's dozen or so
+# temporaries stay small enough for the heap to reuse their pages, where
+# 1 MB blocks had them faulted in afresh (verify of the 2-D scenario: about
+# 100k against 225k minor faults), and a 65 x 400 1-D field is still one
+# block.
+BLOCK_BYTES = 1 << 18
+
+
+def snapshot_blocks(values: np.ndarray, block_bytes: int) -> list[slice]:
+    """Consecutive slices of whole snapshots (rows of axis 0) of ``values``,
+    each about ``block_bytes``."""
+    n = values.shape[0]
+    per = max(1, block_bytes // max(1, values[0].nbytes))
+    return [slice(a, min(a + per, n)) for a in range(0, n, per)]
 
 
 def measure_norm(stf: SpaceTimeField) -> float:
@@ -97,50 +124,70 @@ def _eigenvalues(n: int, h: float, kind: str) -> np.ndarray:
 
 
 class DualNormBuffers:
-    """The two real arrays that the dual norms of many arrays of one shape
-    write their coefficients and final quotient into, in turn.
+    """Named buffers that arrays of many calls are taken from in turn.
 
-    Inside the entropy-production split, fresh arrays had every call fault
-    its pages in again (about 2,950 minor faults a call on the 2-D
-    scenario's 31 x 128 x 128 interior): freed together, they left a heap
-    top above glibc's trim threshold.
+    A dual norm takes its field buffer, which holds the coefficients and
+    then the quotient, from the ``work`` it is given, so the norms of many
+    arrays of one shape share it.  Inside the entropy-production split,
+    fresh field arrays had every call fault their pages in again (about
+    2,950 minor faults a call on the 2-D scenario's 31 x 128 x 128
+    interior): freed, they left a heap top above glibc's trim threshold.
+    The two slab buffers of about BLOCK_BYTES that the transforms after the
+    first axis work in (the reordered sequences, then the eigenvalue sums,
+    and the spectra) serve the slabs of one call only: held between the
+    split's norms, they sat on top of its divergence pass and raised its
+    peak by half a field copy on a 33 x 64 x 64 field.
     """
 
     def __init__(self):
-        self._real = (np.empty(0), np.empty(0))
+        self._buffers: dict[str, np.ndarray] = {}
 
-    def out_for(self, x: np.ndarray) -> np.ndarray:
-        """A buffer of the shape of ``x`` that is not ``x``."""
-        a, b = self._real
-        if a.shape != x.shape:
-            a, b = self._real = np.empty(x.shape), np.empty(x.shape)
-        return b if x is a else a
+    def take(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """An array of ``shape`` on the front of buffer ``name``, which is
+        made anew only when it is too small; a ragged last slab takes a
+        shorter front of the same buffer."""
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
 def _node_coefficients(x: np.ndarray, axis: int,
-                       work: DualNormBuffers | None = None):
+                       work: DualNormBuffers | None = None, out=None):
     """Orthonormal DST-I along ``axis``: one product with the sine matrix.
 
     Node axes are time axes, a few dozen samples long, so the dense matrix is
     small.  Its arguments are reduced modulo 2(n+1) as integers, so every
     sine is evaluated on [0, 2 pi).  Returns the coefficients and their mode
-    numbers; on axis 0 they are written into a buffer of ``work``, by the
-    product ``tensordot`` would form.
+    numbers.  They go into ``out`` (which may be ``x``) when it is given, and
+    into a new array otherwise; on axis 0 ``np.dot`` writes them into a
+    separate ``out`` directly, the product ``tensordot`` would form.  The
+    product needs none of the buffers of ``work``.
     """
     n = x.shape[axis]
     k = np.arange(1, n + 1)
     turns = np.outer(k, k) % (2 * (n + 1))
     sines = np.sqrt(2.0 / (n + 1)) * np.sin(turns * (np.pi / (n + 1)))
-    if work is not None and axis == 0:
-        coef = work.out_for(x)
-        np.dot(sines, x.reshape(n, -1), out=coef.reshape(n, -1))
-        return coef, k
+    if out is not None and out is not x and axis == 0:
+        np.dot(sines, x.reshape(n, -1), out=out.reshape(n, -1))
+        return out, k
     coef = np.moveaxis(np.tensordot(sines, x, axes=(1, axis)), 0, axis)
-    return coef, k
+    if out is None:
+        return coef, k
+    out[...] = coef
+    return out, k
+
+
+def _cell_modes(n: int) -> np.ndarray:
+    """Mode numbers of the DST-II coefficients in the order
+    ``_cell_coefficients`` leaves them: n, n-1, ..., n - n//2, then 1, 2,
+    ..., (n-1)//2."""
+    return np.concatenate((n - np.arange(n // 2 + 1), np.arange(1, (n + 1) // 2)))
 
 
 def _cell_coefficients(x: np.ndarray, axis: int,
-                       work: DualNormBuffers | None = None):
+                       work: DualNormBuffers | None = None, out=None):
     """Orthonormal DST-II along ``axis`` by Makhoul's algorithm.
 
     The DST-II of ``x`` is the DCT-II of ``(-1)^j x_j`` in reverse order.
@@ -149,27 +196,37 @@ def _cell_coefficients(x: np.ndarray, axis: int,
     into the pair (DCT-II ``m``, minus DCT-II ``n - m``), i.e. the DST-II
     coefficients of modes ``n - m`` and ``m``, up to sign.  Returns the real
     parts (modes n, n-1, ..., n - n//2), then the imaginary parts of bins
-    1..(n-1)//2 (modes 1, 2, ...), and their mode numbers.  The coefficients
-    overwrite the reordered sequence, so a call holds at most one real and
-    one complex array of the size of ``x`` besides ``x``; with ``work`` the
-    real one is its buffer.
+    1..(n-1)//2 (modes 1, 2, ...), and their mode numbers.
+
+    The coefficients go into ``out`` (which may be ``x``) when it is given,
+    and into a new array otherwise.  The reordered sequence goes into
+    ``out`` too, or into the slab buffer of ``work`` when ``out`` is ``x``;
+    the spectrum goes into the spectrum buffer of ``work`` when it is
+    given, and into a new array otherwise.
     """
     n = x.shape[axis]
     half = (n + 1) // 2
     bins = np.arange(n // 2 + 1)
-    v = np.empty_like(x) if work is None else work.out_for(x)
+    out = np.empty(x.shape) if out is None else out
+    v = work.take("slab", x.shape) if out is x else out
+    spectrum = None
+    if work is not None:
+        spectrum = work.take("spectrum", x.shape[:axis] + (bins.size,)
+                             + x.shape[axis + 1:], np.complex128)
     xl, vl = np.moveaxis(x, axis, -1), np.moveaxis(v, axis, -1)
     vl[..., :half] = xl[..., 0::2]
     np.negative(xl[..., 1::2][..., ::-1], out=vl[..., half:])
-    zl = np.moveaxis(np.fft.rfft(v, axis=axis), axis, -1)
+    zl = np.moveaxis(np.fft.rfft(v, axis=axis, out=spectrum), axis, -1)
     zl *= (np.sqrt(np.where(bins == 0, 1.0, 2.0) / n)
            * np.exp(-0.5j * np.pi / n * bins))
-    vl[..., :bins.size] = zl.real
-    vl[..., bins.size:] = zl.imag[..., 1:half]
-    return v, np.concatenate((n - bins, np.arange(1, half)))
+    ol = np.moveaxis(out, axis, -1)
+    ol[..., :bins.size] = zl.real
+    ol[..., bins.size:] = zl.imag[..., 1:half]
+    return out, _cell_modes(n)
 
 
 _COEFFICIENTS = {"cell": _cell_coefficients, "node": _node_coefficients}
+_MODES = {"cell": _cell_modes, "node": lambda n: np.arange(1, n + 1)}
 
 
 def dirichlet_dual_norm(g: np.ndarray, spacings, kinds,
@@ -179,31 +236,46 @@ def dirichlet_dual_norm(g: np.ndarray, spacings, kinds,
     ``kinds[j]`` is 'cell' for cell-centered axes (zero at the half-spacing
     face) or 'node' for node axes (zero one spacing beyond the end samples).
     Returns ``sqrt(cellvol * sum(ghat**2 / Lambda))`` over the orthonormal
-    sine coefficients ``ghat`` (see the module docstring).  The transforms
-    run in the buffers of ``work``, fresh ones when it is not given.
+    sine coefficients ``ghat`` (see the module docstring).
+
+    The transform along axis 0 mixes every row, so it runs on the whole
+    array, into the field buffer of ``work`` (fresh buffers when it is not
+    given).  The other axes' transforms and the quotient ``ghat**2 /
+    Lambda`` then run on slabs of rows of about BLOCK_BYTES, in place in
+    that buffer, and one sum over the whole buffer ends the norm.  Each
+    line's transform and each element's quotient do not depend on the other
+    rows, so the slabs give the values of the whole-array transforms.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != len(spacings) or g.ndim != len(kinds):
         raise ValueError("spacings/kinds arity must match array rank")
-    evs = [_eigenvalues(n, h, kind)
-           for n, h, kind in zip(g.shape, spacings, kinds)]
-    work = DualNormBuffers() if work is None else work
-    coef = g
-    for axis, kind in enumerate(kinds):
-        coef, modes = _COEFFICIENTS[kind](coef, axis, work)
+    # each axis's eigenvalues in the order its transform leaves the modes,
+    # shaped to broadcast along that axis
+    evs = []
+    for axis, (n, h, kind) in enumerate(zip(g.shape, spacings, kinds)):
         shape = [1] * g.ndim
         shape[axis] = -1
-        evs[axis] = evs[axis][modes - 1].reshape(shape)
-    # Lambda summed over the axes in order, the last sum written into the
-    # buffer that does not hold the coefficients, where ghat**2 / Lambda
-    # is then formed as (ghat / Lambda) * ghat
-    lam = 0.0
-    for ev in evs[:-1]:
-        lam = lam + ev
-    q = np.add(lam, evs[-1], out=work.out_for(coef))
-    np.divide(coef, q, out=q)
-    q *= coef
-    return float(np.sqrt(q.sum() * float(np.prod(spacings))))
+        ev = _eigenvalues(n, h, kind)
+        evs.append(ev[_MODES[kind](n) - 1].reshape(shape))
+    work = DualNormBuffers() if work is None else work
+    coef, _ = _COEFFICIENTS[kinds[0]](g, 0,
+                                      out=work.take("field", g.shape))
+    slabs = DualNormBuffers()
+    for rows in snapshot_blocks(coef, BLOCK_BYTES):
+        x = coef[rows]
+        for axis in range(1, g.ndim):
+            _COEFFICIENTS[kinds[axis]](x, axis, slabs, x)
+        # Lambda summed over the axes in order, the last sum written into
+        # the slab buffer, where ghat**2 / Lambda is then formed as
+        # (ghat / Lambda) * ghat and written back over ghat
+        slab_evs = [evs[0][rows]] + evs[1:]
+        lam = 0.0
+        for ev in slab_evs[:-1]:
+            lam = lam + ev
+        q = np.add(lam, slab_evs[-1], out=slabs.take("slab", x.shape))
+        np.divide(x, q, out=q)
+        np.multiply(q, x, out=x)
+    return float(np.sqrt(coef.sum() * float(np.prod(spacings))))
 
 
 def h_minus_one_norm(stf: SpaceTimeField,

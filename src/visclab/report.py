@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compactness import YoungHistogramSet, _centered_space, div_curl_test
+from .compactness import (YoungHistogramSet, _centered_space,
+                          _snapshot_blocks, div_curl_test)
 from .convergence import ConvergenceReport, RateFit
 from .domain import FieldTrajectory
-from .norms import SpaceTimeField
+from .norms import time_weights
 
 ESTIMATE_IDS = ("max_principle", "energy", "h1_decay", "measure_bound",
                 "ut_l1", "dirac", "divcurl", "d2_quad", "convergence")
@@ -69,16 +70,24 @@ class EstimateRow:
 
 
 def grad_energy_lhs(traj: FieldTrajectory) -> float:
-    """sum_j eps * ||d_j u||^2 over the cylinder, centered differences."""
-    stf = SpaceTimeField(traj.grid, traj.times, traj.values)
-    w = stf.time_weights()
+    """sum_j eps * ||d_j u||^2 over the cylinder, centered differences.
+
+    Each snapshot's sum of squares is taken block by block, so only one
+    block's gradient is held; a snapshot's sum does not depend on the
+    others, so the sums are those of the whole field."""
+    u = traj.values
+    if not np.all(np.isfinite(u)):
+        raise ValueError("space-time field has non-finite entries")
+    w = time_weights(traj.times)
     grid = traj.grid
     cell = grid.cell_volume
+    per_snap = np.empty(u.shape[0])
     total = 0.0
     for axis in range(grid.dim):
-        g = _centered_space(traj.values, axis + 1, grid.spacing[axis], 0.0)
-        per_snap = np.sum(g * g, axis=tuple(range(1, g.ndim))) * cell
-        total += float(np.sum(per_snap * w))
+        for blk in _snapshot_blocks(u):
+            g = _centered_space(u[blk], axis + 1, grid.spacing[axis], 0.0)
+            per_snap[blk] = np.sum(g * g, axis=tuple(range(1, g.ndim)))
+        total += float(np.sum(per_snap * cell * w))
     return traj.epsilon * total
 
 
@@ -102,9 +111,10 @@ def synthetic_divcurl(grid, times, window) -> tuple[float, float]:
     x = grid.centers(0)
     s1 = np.sin(2.0 * np.pi * mode * x)
     shape = (times.size,) + grid.cells
-    s = np.broadcast_to(
-        s1.reshape((1, nx) + (1,) * (grid.dim - 1)), shape).copy()
-    zero = np.zeros(shape)
+    # read-only views: the pair is constant in time and in y, and no
+    # space-time array of it is ever stored
+    s = np.broadcast_to(s1.reshape((1, nx) + (1,) * (grid.dim - 1)), shape)
+    zero = np.broadcast_to(0.0, shape)
     compact = div_curl_test((s, zero), (zero, s), window)
     violation = div_curl_test((s, zero), (s, zero), window)
     return compact, violation

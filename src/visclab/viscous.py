@@ -68,7 +68,8 @@ def march(grid: Grid, u0: np.ndarray, times: np.ndarray, advance,
     exactly on each snapshot time; fails hard once |u| exceeds ``sup_bound``."""
     u = np.array(u0, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
-    snaps = [u.copy()]
+    snaps = np.empty((times.size,) + u.shape)
+    snaps[0] = u
     t = 0.0
     steps = 0
     limit = sup_bound + MAX_PRINCIPLE_HARD
@@ -78,7 +79,7 @@ def march(grid: Grid, u0: np.ndarray, times: np.ndarray, advance,
     if not max_seen <= limit:
         raise _violation(max_seen, sup_bound, steps, t)
     # Python floats: numpy scalars would slow every step of the loop
-    for target in times[1:].tolist():
+    for k, target in enumerate(times[1:].tolist(), 1):
         while t < target - 1e-13 * max(1.0, target):
             dt = min(dt_base, target - t)
             u = advance(u, dt)
@@ -90,8 +91,8 @@ def march(grid: Grid, u0: np.ndarray, times: np.ndarray, advance,
             if m > max_seen:
                 max_seen = m
         t = target
-        snaps.append(u.copy())
-    return FieldTrajectory(grid, times, np.stack(snaps), epsilon=eps,
+        snaps[k] = u
+    return FieldTrajectory(grid, times, snaps, epsilon=eps,
                            dt=dt_base, steps_taken=steps,
                            max_abs_seen=max_seen)
 

@@ -18,7 +18,13 @@ production ``d/dt eta(u) + div q(u)`` that the package's split A + M must
 approach (``entropy_production_total``), one pair's split with both parts
 held whole, whose norms the package's per-member split must match bit for
 bit (``split_production``), and the total variation of a field
-(``total_variation``).  Imported by the tests as ``oracles``, like
+(``total_variation``).
+
+Last come the whole-array forms of what the package computes slab by slab
+or block by block, which it must match bit for bit: the dual norm with
+every sine transform and the quotient on the whole array
+(``dual_norm_whole``) and the gradient energy from whole-field gradients
+(``grad_energy_whole``).  Imported by the tests as ``oracles``, like
 ``conftest``.
 """
 
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from visclab import tables
+from visclab import norms, tables
 from visclab.compactness import _along, _centered_space, _pad
 from visclab.domain import (EntropyPair, Field, FieldTrajectory, FluxSpec,
                             Grid, ViscositySpec)
@@ -330,3 +336,68 @@ def total_variation(field: Field) -> float:
         d = np.abs(np.diff(v, axis=axis))
         tv += float(np.sum(d)) * cell / grid.spacing[axis]
     return tv
+
+
+def _node_whole(x: np.ndarray, axis: int):
+    """Orthonormal DST-I along ``axis`` of the whole array: one product
+    with the sine matrix, arguments reduced modulo 2(n+1)."""
+    n = x.shape[axis]
+    k = np.arange(1, n + 1)
+    turns = np.outer(k, k) % (2 * (n + 1))
+    sines = np.sqrt(2.0 / (n + 1)) * np.sin(turns * (np.pi / (n + 1)))
+    return np.moveaxis(np.tensordot(sines, x, axes=(1, axis)), 0, axis), k
+
+
+def _cell_whole(x: np.ndarray, axis: int):
+    """Orthonormal DST-II along ``axis`` of the whole array by Makhoul's
+    algorithm: the reordered sequence, one ``rfft``, one twiddle, real parts
+    then imaginary parts, written over the reordered sequence."""
+    n = x.shape[axis]
+    half = (n + 1) // 2
+    bins = np.arange(n // 2 + 1)
+    v = np.empty_like(x)
+    xl, vl = np.moveaxis(x, axis, -1), np.moveaxis(v, axis, -1)
+    vl[..., :half] = xl[..., 0::2]
+    np.negative(xl[..., 1::2][..., ::-1], out=vl[..., half:])
+    zl = np.moveaxis(np.fft.rfft(v, axis=axis), axis, -1)
+    zl *= (np.sqrt(np.where(bins == 0, 1.0, 2.0) / n)
+           * np.exp(-0.5j * np.pi / n * bins))
+    vl[..., :bins.size] = zl.real
+    vl[..., bins.size:] = zl.imag[..., 1:half]
+    return v, np.concatenate((n - bins, np.arange(1, half)))
+
+
+def dual_norm_whole(g: np.ndarray, spacings, kinds) -> float:
+    """``norms.dirichlet_dual_norm`` with each axis's transform run on the
+    whole array into a new one, in axis order, then Lambda summed over the
+    axes in order, ``(ghat / Lambda) * ghat`` on the whole array and one
+    sum."""
+    g = np.asarray(g, dtype=np.float64)
+    evs = [norms._eigenvalues(n, h, kind)
+           for n, h, kind in zip(g.shape, spacings, kinds)]
+    coef = g
+    for axis, kind in enumerate(kinds):
+        coef, modes = {"cell": _cell_whole, "node": _node_whole}[kind](coef,
+                                                                       axis)
+        shape = [1] * g.ndim
+        shape[axis] = -1
+        evs[axis] = evs[axis][modes - 1].reshape(shape)
+    lam = 0.0
+    for ev in evs[:-1]:
+        lam = lam + ev
+    q = lam + evs[-1]
+    np.divide(coef, q, out=q)
+    q *= coef
+    return float(np.sqrt(q.sum() * float(np.prod(spacings))))
+
+
+def grad_energy_whole(traj: FieldTrajectory) -> float:
+    """``report.grad_energy_lhs`` from whole-field centered gradients."""
+    w = SpaceTimeField(traj.grid, traj.times, traj.values).time_weights()
+    grid = traj.grid
+    total = 0.0
+    for axis in range(grid.dim):
+        g = _centered_space(traj.values, axis + 1, grid.spacing[axis], 0.0)
+        per_snap = np.sum(g * g, axis=tuple(range(1, g.ndim))) * grid.cell_volume
+        total += float(np.sum(per_snap * w))
+    return traj.epsilon * total

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import entropy_production_total, split_production
+from oracles import entropy_production_total, grad_energy_whole, \
+    split_production
 from visclab import compactness
 from visclab.compactness import (attach_c_field, build_compensated_quad,
                                  choose_c, compensated_D_field,
@@ -16,6 +17,7 @@ from visclab.compactness import (attach_c_field, build_compensated_quad,
 from visclab.domain import FieldTrajectory, Grid, kruzkov_ladder, \
     make_entropy_pair, make_flux, make_viscosity
 from visclab.norms import SpaceTimeField, measure_norm
+from visclab.report import grad_energy_lhs, synthetic_divcurl
 from visclab.tables import interp
 from visclab.viscous import integrate, snapshot_times
 
@@ -285,6 +287,43 @@ def test_divcurl_transient_peak_below_one_field():
     assert peak < g1.nbytes
 
 
+@pytest.mark.parametrize("cells, horizon, snaps, window, want", [
+    ((400,), 0.5, 64, (8, 8), (0.0, 0.5000000000000311)),
+    ((128, 128), 0.25, 32, (8, 8, 8), (0.0, 0.5000000000000009)),
+])
+def test_synthetic_divcurl_views_match_materialized_pairs(cells, horizon,
+                                                          snaps, window, want):
+    # the shipped grids and windows: read-only broadcast views give the
+    # deviations of the pair held as full space-time arrays
+    dim = len(cells)
+    grid = Grid(cells, (0.0,) * dim, (1.0,) * dim, horizon)
+    times = snapshot_times(horizon, snaps)
+    got = synthetic_divcurl(grid, times, window)
+    nx = cells[0]
+    s1 = np.sin(2.0 * np.pi * max(nx // 4, 1) * grid.centers(0))
+    s = np.broadcast_to(s1.reshape((1, nx) + (1,) * (dim - 1)),
+                        (times.size,) + cells).copy()
+    z = np.zeros_like(s)
+    whole = (div_curl_test((s, z), (z, s), window),
+             div_curl_test((s, z), (s, z), window))
+    assert [v.hex() for v in got] == [v.hex() for v in whole]
+    assert got == want
+
+
+def test_synthetic_divcurl_peak_below_one_field():
+    # the materialized pair took two space-time fields before any product
+    grid = Grid((128, 128), (0.0, 0.0), (1.0, 1.0), 0.25)
+    times = snapshot_times(0.25, 32)
+    synthetic_divcurl(grid, times, (8, 8, 8))
+    tracemalloc.start()
+    try:
+        synthetic_divcurl(grid, times, (8, 8, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < times.size * 128 * 128 * 8
+
+
 def test_divcurl_lattice_mismatch():
     a = np.zeros((4, 16))
     b = np.zeros((4, 8))
@@ -444,7 +483,9 @@ def test_split_rejects_non_finite_dissipation(burgers, bconst):
 
 def test_split_transient_peak_is_a_few_fields(flux2d):
     # a member's six pairs in one call; unblocked, one pair's split held
-    # about 12 copies of the field at once
+    # about 12 copies of the field at once, and with the whole dissipation
+    # field and whole-array transforms about 4.7: now A, the dual norm's
+    # field buffer and block temporaries
     traj = _random_traj(33, 64, 64, seed=5)
     pairs = _member_pairs(flux2d)
     assert len(pairs) == 6
@@ -456,7 +497,44 @@ def test_split_transient_peak_is_a_few_fields(flux2d):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * traj.values.nbytes
+    assert peak <= 3.5 * traj.values.nbytes
+
+
+@pytest.mark.parametrize("snaps_per_block", [None, 1, 3])
+@pytest.mark.parametrize("shape", [(11, 40), (11, 24, 20)])
+def test_grad_energy_blocked_matches_whole_field(monkeypatch, shape,
+                                                 snaps_per_block):
+    # per-snapshot sums of the squared gradient, block by block (ragged
+    # blocks of 3 snapshots), give the whole-field energy bit for bit
+    rng = np.random.default_rng(len(shape))
+    traj = make_traj(0.8 * np.sin(rng.uniform(0.0, 6.0, shape)), T=0.5)
+    if snaps_per_block is not None:
+        monkeypatch.setattr(compactness, "BLOCK_BYTES",
+                            snaps_per_block * traj.values[0].nbytes)
+        assert len(compactness._snapshot_blocks(traj.values)) == \
+            -(-11 // snaps_per_block)
+    assert grad_energy_lhs(traj).hex() == grad_energy_whole(traj).hex()
+
+
+def test_grad_energy_rejects_non_finite_values():
+    v = np.zeros((5, 12))
+    v[2, 3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        grad_energy_lhs(make_traj(v))
+
+
+def test_grad_energy_transient_peak_below_one_field():
+    # whole-field gradients held the padded copy, the gradient and its
+    # square, about three fields
+    traj = _random_traj(33, 64, 64, seed=9)
+    grad_energy_lhs(traj)
+    tracemalloc.start()
+    try:
+        grad_energy_lhs(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < traj.values.nbytes
 
 
 def _young_whole_field(traj, lo, hi, window_cells, window_snaps, bins):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from visclab import convergence
 from visclab.convergence import fit_rate, l1_distance
 from visclab.domain import FieldTrajectory, Grid
+from visclab.norms import SpaceTimeField, measure_norm
 
 
 def traj(values, eps=0.1, T=1.0):
@@ -31,6 +33,28 @@ def test_l1_symmetric():
     a = traj(rng.normal(size=(5, 20)))
     b = traj(rng.normal(size=(5, 20)))
     assert l1_distance(a, b) == l1_distance(b, a)
+
+
+@pytest.mark.parametrize("snaps_per_block", [None, 1, 3])
+def test_l1_blocked_matches_measure_norm_bit_for_bit(monkeypatch,
+                                                     snaps_per_block):
+    # per-snapshot sums of |a - b| block by block (ragged blocks of 3 of 11
+    # snapshots) give measure_norm of the whole difference
+    rng = np.random.default_rng(2)
+    a = traj(rng.normal(size=(11, 12, 10)))
+    b = traj(rng.normal(size=(11, 12, 10)))
+    if snaps_per_block is not None:
+        monkeypatch.setattr(convergence, "BLOCK_BYTES",
+                            snaps_per_block * a.values[0].nbytes)
+    want = measure_norm(SpaceTimeField(a.grid, a.times, a.values - b.values))
+    assert l1_distance(a, b).hex() == want.hex()
+
+
+def test_l1_rejects_non_finite_difference():
+    v = np.zeros((5, 20))
+    v[3, 4] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        l1_distance(traj(np.zeros((5, 20))), traj(v))
 
 
 def test_l1_lattice_mismatch():

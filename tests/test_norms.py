@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.fft import dst, idst
 
-from oracles import total_variation
+from oracles import dual_norm_whole, total_variation
 from visclab import norms
 from visclab.domain import Field, Grid
 from visclab.mollify import make_initial_data, make_kernel, mollify
@@ -286,30 +286,74 @@ def test_shared_buffers_give_each_norm_bit_for_bit():
         shared = dirichlet_dual_norm(g, spacings, kinds, work)
         assert shared.hex() == dirichlet_dual_norm(g, spacings, kinds).hex()
         if kinds[0] == "node":
-            into, _ = norms._node_coefficients(g, 0, work)
+            into, _ = norms._node_coefficients(g, 0, out=np.empty(shape))
             fresh, _ = norms._node_coefficients(g, 0)
             assert into.tobytes() == fresh.tobytes()
 
 
 def test_shared_buffers_are_not_allocated_again():
-    # a later call with the buffers of an earlier one allocates neither of
-    # its two arrays of the size of g
-    g = np.random.default_rng(4).standard_normal((9, 32, 32))
-    spacings, kinds = (0.1, 0.03, 0.03), ("node", "cell", "cell")
+    # on the 2-D scenario's interior shape, a later call with the buffers of
+    # an earlier one allocates no array of the size of g: only its slab
+    # buffers of about BLOCK_BYTES and numpy's iterator buffers
+    g = np.random.default_rng(4).standard_normal((31, 128, 128))
+    spacings, kinds = (0.1, 1 / 128, 1 / 128), ("node", "cell", "cell")
     work = norms.DualNormBuffers()
     dirichlet_dual_norm(g, spacings, kinds, work)
+    tracemalloc.start()
+    try:
+        dirichlet_dual_norm(g, spacings, kinds, work)
+        shared = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shared < 0.25 * g.nbytes
 
-    def peak(call):
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    fresh = peak(lambda: dirichlet_dual_norm(g, spacings, kinds))
-    shared = peak(lambda: dirichlet_dual_norm(g, spacings, kinds, work))
-    assert shared <= fresh - 1.9 * g.nbytes
+SLAB_CASES = [
+    (("node", "cell"), (63, 400)),  # the 1-D scenario's interior block
+    (("node", "cell"), (9, 12)), (("node", "cell"), (2, 1)),
+    (("node", "cell", "cell"), (31, 64, 64)),
+    (("node", "cell", "cell"), (11, 24, 20)),
+    (("node", "cell", "cell"), (7, 9, 8)),
+    (("node", "cell", "node"), (5, 7, 6)),
+    (("cell", "node"), (12, 9)), (("cell", "cell"), (10, 7)),
+    (("cell",), (40,)), (("node",), (9,)),
+]
+
+
+@pytest.mark.parametrize("rows_per_slab", [None, 1, 3])
+@pytest.mark.parametrize("kinds,shape", SLAB_CASES)
+def test_slab_wise_norm_matches_whole_array_bit_for_bit(monkeypatch, kinds,
+                                                        shape, rows_per_slab):
+    # the axes after the first and the quotient run slab by slab, in place
+    # in the field buffer; one slab, one row a slab, and ragged slabs of 3
+    # rows all give the bytes of every transform on the whole array, with
+    # fresh buffers and with buffers shared across calls
+    rng = np.random.default_rng(sum(shape) + len(kinds))
+    g = rng.standard_normal(shape)
+    spacings = tuple(rng.uniform(0.01, 0.5, size=len(shape)))
+    if rows_per_slab is not None:
+        monkeypatch.setattr(norms, "BLOCK_BYTES",
+                            rows_per_slab * g[0].nbytes)
+        assert len(norms.snapshot_blocks(g, norms.BLOCK_BYTES)) == \
+            -(-shape[0] // rows_per_slab)
+    want = dual_norm_whole(g, spacings, kinds).hex()
+    assert dirichlet_dual_norm(g, spacings, kinds).hex() == want
+    work = norms.DualNormBuffers()
+    for _ in range(2):
+        assert dirichlet_dual_norm(g, spacings, kinds, work).hex() == want
+
+
+def test_space_time_norm_matches_whole_array_on_a_scenario_shape():
+    # h_minus_one_norm as the split calls it, on the 2-D scenario's shape
+    grid = Grid((128, 128), (0.0, 0.0), (1.0, 1.0), 0.25)
+    times = np.linspace(0.0, 0.25, 33)
+    v = np.random.default_rng(12).standard_normal((33, 128, 128))
+    want = dual_norm_whole(v[1:-1], (float(np.diff(times)[0]), 1 / 128,
+                                     1 / 128), ("node", "cell", "cell"))
+    work = norms.DualNormBuffers()
+    for _ in range(2):
+        got = h_minus_one_norm(SpaceTimeField(grid, times, v), work)
+        assert got.hex() == want.hex()
 
 
 def test_dual_norm_mesh_consistency():

@@ -219,6 +219,21 @@ def test_trajectory_equals_fresh_array_stepping(dim, integrator, visc):
     assert got.max_abs_seen == want.max_abs_seen
 
 
+def test_march_stores_each_snapshot_of_a_state_updated_in_place():
+    # snapshots are written into one preallocated array: an update that
+    # changes the state in place leaves the snapshots stored before it alone
+    g = Grid((6,), (0.0,), (1.0,), 1.0)
+
+    def halve(u, dt):
+        u *= 0.5
+        return u
+
+    traj = march(g, np.full(6, 0.8), snapshot_times(1.0, 4), halve, 0.25,
+                 0.1, 1.0)
+    assert traj.values[:, 0].tolist() == [0.8, 0.4, 0.2, 0.1, 0.05]
+    assert traj.values.flags.c_contiguous and traj.steps_taken == 4
+
+
 def test_heat_decay_oracle():
     # f = 0, B = 1: closed-form decay exp(-eps pi^2 t) of the sine mode
     n, eps, T = 200, 0.1, 1.0
