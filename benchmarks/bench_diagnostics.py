@@ -23,8 +23,9 @@ the whole ladder and the reference (``build_convergence_report``,
 
 A second table times ``h_minus_one_norm`` alone on the divergence part ``A``
 of each entropy pair of the finest member, as ``decompose_production`` hands
-it over: the best and the median of 20 calls in ms, the minor faults per
-call over those calls, and one traced peak.
+it over with the coefficient array its pairs share: the best and the median
+of 20 calls in ms, the minor faults per call over those calls, and one
+traced peak.
 
 A last table times ``mollify`` of the run's initial data with the kernel of
 each mollifier width of the ladder: the best of 5 calls in ms, and the traced
@@ -126,23 +127,23 @@ def dual_norm_rows(specs, finest, calls=20):
 
     The split reuses one A buffer across the pairs, so each pair's A is
     timed when the split hands it to the norm, in pair order, with the
-    split's dual-norm buffers.
+    coefficient array ``out`` the split shares across its pairs.
     """
     h_minus_one_norm = compactness.h_minus_one_norm
     rows = []
 
-    def timed(fa, work):
+    def timed(fa, out):
         seconds = []
         faults = minor_faults()
         for _ in range(calls):
             t0 = time.perf_counter()
-            h_minus_one_norm(fa, work)
+            h_minus_one_norm(fa, out)
             seconds.append(time.perf_counter() - t0)
         faults = (minor_faults() - faults) / calls
-        peak = measure(lambda: h_minus_one_norm(fa, work))[2]
+        peak = measure(lambda: h_minus_one_norm(fa, out))[2]
         rows.append((1e3 * min(seconds), 1e3 * statistics.median(seconds),
                      faults, peak))
-        return h_minus_one_norm(fa, work)
+        return h_minus_one_norm(fa, out)
 
     with mock.patch.object(compactness, "h_minus_one_norm", timed):
         decompose_production(finest, specs.pairs, specs.visc, finest.epsilon)

@@ -19,25 +19,12 @@ import numpy as np
 
 from . import tables
 from .domain import EntropyPair, FieldTrajectory, FluxSpec, ViscositySpec
-from .norms import (BLOCK_BYTES, DualNormBuffers, SpaceTimeField,
-                    h_minus_one_norm, mass_of_snapshots, snapshot_blocks,
-                    snapshot_l1, time_weights)
+from .norms import (SpaceTimeField, h_minus_one_norm, mass_of_snapshots,
+                    snapshot_blocks, snapshot_l1, time_weights)
 # bound here, though no longer called here, for the benchmark's trace probe
 # (perfbench/probe.py), which wraps compactness.measure_norm by name
 from .norms import measure_norm  # noqa: F401
 from .tables import TableLattice
-
-
-# ---------------------------------------------------------------------------
-# snapshot blocks
-
-
-# The split and the c-field cut fields into blocks of whole snapshots of
-# BLOCK_BYTES (see norms), written into preallocated outputs or reduced to
-# per-snapshot sums block by block.
-def _snapshot_blocks(values: np.ndarray) -> list[slice]:
-    """Consecutive slices of whole snapshots, each about BLOCK_BYTES."""
-    return snapshot_blocks(values, BLOCK_BYTES)
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +88,14 @@ def decompose_production(traj: FieldTrajectory, pairs: list[EntropyPair],
     block's ``-eps sum_j B(u) (centered gradient)^2``, from which every
     pair's M of the block is formed and reduced to its per-snapshot sums, so
     neither it nor M is ever held whole.  A then goes pair by pair, in one
-    A buffer, and one set of dual-norm buffers serves every pair.
+    A buffer, and one coefficient array of the interior's shape serves
+    every pair's dual norm.
     """
     if eps <= 0:
         raise ValueError("the split is defined for positive viscosity")
     grid = traj.grid
     u = traj.values
-    blocks = _snapshot_blocks(u)
+    blocks = snapshot_blocks(u)
     sums = np.empty((len(pairs), u.shape[0]))
     mneg = np.empty((blocks[0].stop,) + u.shape[1:])
     for blk in blocks:
@@ -124,7 +112,12 @@ def decompose_production(traj: FieldTrajectory, pairs: list[EntropyPair],
     weights = time_weights(traj.times)
     b_face = float(visc.B(0.0)) if visc.name == "constant" else None
     A = np.empty_like(u)
-    work = DualNormBuffers()
+    # one coefficient array for every pair's dual norm: a fresh one a call
+    # faulted its pages in again (about 2,950 minor faults a call on the
+    # 2-D scenario), as freed it left a heap top above glibc's trim
+    # threshold.  Shaped from a slice, so a trajectory too short for the
+    # norm still reaches h_minus_one_norm's own check
+    coef = np.empty_like(A[1:-1])
     norms = []
     for i, pair in enumerate(pairs):
         eta_ghost = float(np.asarray(pair.eta(0.0)))
@@ -133,7 +126,7 @@ def decompose_production(traj: FieldTrajectory, pairs: list[EntropyPair],
             _divergence_block(u[blk], pair, visc, b_face, eps, grid.spacing,
                               eta_ghost, A[blk])
         norms.append((h_minus_one_norm(SpaceTimeField(grid, traj.times, A),
-                                       work),
+                                       coef),
                       mass_of_snapshots(sums[i], grid.cell_volume, weights)))
     return norms
 
@@ -188,8 +181,8 @@ def time_derivative_l1(traj: FieldTrajectory) -> float:
     """L1 norm over the cylinder of the forward-difference time derivative."""
     if traj.num_snapshots < 2:
         raise ValueError("need at least 2 snapshots")
-    diffs = np.abs(np.diff(traj.values, axis=0))
-    return float(np.sum(diffs)) * traj.grid.cell_volume
+    d = np.diff(traj.values, axis=0)
+    return float(np.sum(np.abs(d, out=d))) * traj.grid.cell_volume
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +441,7 @@ def attach_c_field(quad: CompensatedQuad, finest: FieldTrajectory,
     """Fix the comparison field c from coarse-window averages of the finest member."""
     u = finest.values
     f11_u = np.empty_like(u)
-    for blk in _snapshot_blocks(u):
+    for blk in snapshot_blocks(u):
         f11_u[blk] = tables.interp(quad.lattice, quad.F11, u[blk])
     f11_bar = _block_means(f11_u, window)
     c_field, clamped = choose_c(f11_bar, quad)
@@ -474,7 +467,7 @@ def compensated_D_field(traj: FieldTrajectory, quad: CompensatedQuad) -> SpaceTi
     f22_c = tables.interp(lat, quad.F22, c)
     f12_c = tables.interp(lat, quad.F12, c)
     D = np.empty_like(u)
-    for blk in _snapshot_blocks(u):
+    for blk in snapshot_blocks(u):
         ub = u[blk]
         rows = np.arange(blk.start, blk.stop) // w
         d11 = tables.interp(lat, quad.F11, ub) - f11_c[rows]

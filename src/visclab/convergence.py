@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import FieldTrajectory
-from .norms import (BLOCK_BYTES, mass_of_snapshots, snapshot_blocks,
-                    snapshot_l1, time_weights)
+from .norms import (mass_of_snapshots, snapshot_blocks, snapshot_l1,
+                    time_weights)
 
 
 def l1_distance(a: FieldTrajectory, b: FieldTrajectory) -> float:
@@ -21,7 +21,7 @@ def l1_distance(a: FieldTrajectory, b: FieldTrajectory) -> float:
     # per-snapshot sums of |a - b| block by block, so the difference is
     # never held whole: the value measure_norm gives on the whole of it
     sums = np.empty(a.times.size)
-    for blk in snapshot_blocks(a.values, BLOCK_BYTES):
+    for blk in snapshot_blocks(a.values):
         diff = a.values[blk] - b.values[blk]
         if not np.all(np.isfinite(diff)):
             raise ValueError("space-time field has non-finite entries")

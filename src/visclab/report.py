@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compactness import (YoungHistogramSet, _centered_space,
-                          _snapshot_blocks, div_curl_test)
+from .compactness import YoungHistogramSet, _centered_space, div_curl_test
 from .convergence import ConvergenceReport, RateFit
 from .domain import FieldTrajectory
-from .norms import time_weights
+from .norms import mass_of_snapshots, snapshot_blocks, time_weights
 
 ESTIMATE_IDS = ("max_principle", "energy", "h1_decay", "measure_bound",
                 "ut_l1", "dirac", "divcurl", "d2_quad", "convergence")
@@ -80,14 +79,13 @@ def grad_energy_lhs(traj: FieldTrajectory) -> float:
         raise ValueError("space-time field has non-finite entries")
     w = time_weights(traj.times)
     grid = traj.grid
-    cell = grid.cell_volume
     per_snap = np.empty(u.shape[0])
     total = 0.0
     for axis in range(grid.dim):
-        for blk in _snapshot_blocks(u):
+        for blk in snapshot_blocks(u):
             g = _centered_space(u[blk], axis + 1, grid.spacing[axis], 0.0)
             per_snap[blk] = np.sum(g * g, axis=tuple(range(1, g.ndim)))
-        total += float(np.sum(per_snap * cell * w))
+        total += mass_of_snapshots(per_snap, grid.cell_volume, w)
     return traj.epsilon * total
 
 

@@ -373,15 +373,18 @@ def dual_norm_whole(g: np.ndarray, spacings, kinds) -> float:
     axes in order, ``(ghat / Lambda) * ghat`` on the whole array and one
     sum."""
     g = np.asarray(g, dtype=np.float64)
-    evs = [norms._eigenvalues(n, h, kind)
-           for n, h, kind in zip(g.shape, spacings, kinds)]
-    coef = g
-    for axis, kind in enumerate(kinds):
+    coef, evs = g, []
+    for axis, (n, h, kind) in enumerate(zip(g.shape, spacings, kinds)):
+        # stencil eigenvalues of modes 1..n, 4 sin^2(theta/2) / h^2, with
+        # the zero face at sample n of a cell axis and n + 1 of a node axis
+        m = n if kind == "cell" else n + 1
+        k = np.arange(1, n + 1, dtype=np.float64)
+        ev = (2.0 * np.sin(k * (0.5 * np.pi / m)) / h) ** 2
         coef, modes = {"cell": _cell_whole, "node": _node_whole}[kind](coef,
                                                                        axis)
         shape = [1] * g.ndim
         shape[axis] = -1
-        evs[axis] = evs[axis][modes - 1].reshape(shape)
+        evs.append(ev[modes - 1].reshape(shape))
     lam = 0.0
     for ev in evs[:-1]:
         lam = lam + ev
@@ -393,7 +396,7 @@ def dual_norm_whole(g: np.ndarray, spacings, kinds) -> float:
 
 def grad_energy_whole(traj: FieldTrajectory) -> float:
     """``report.grad_energy_lhs`` from whole-field centered gradients."""
-    w = SpaceTimeField(traj.grid, traj.times, traj.values).time_weights()
+    w = norms.time_weights(traj.times)
     grid = traj.grid
     total = 0.0
     for axis in range(grid.dim):

@@ -14,7 +14,7 @@ from oracles import shock_position, total_variation
 from visclab.domain import Grid, make_flux, make_viscosity
 from visclab.mollify import make_initial_data, make_kernel, mollify
 from visclab.convergence import fit_rate
-from visclab.norms import dirichlet_dual_norm
+from visclab.norms import SpaceTimeField, h_minus_one_norm
 from visclab.reference import solve_reference
 from visclab.viscous import integrate, snapshot_times
 
@@ -165,11 +165,14 @@ def test_c10a_heat_decay():
 
 
 def test_c10b_dual_norm_oracle():
-    n = 200
-    h = 1.0 / n
-    x = (np.arange(n) + 0.5) * h
-    val = dirichlet_dual_norm(np.sin(np.pi * x), (h,), ("cell",))
-    expect = 1.0 / (math.sqrt(2.0) * math.pi)
+    # g = sin(pi t / T) sin(pi x) is the first eigenfunction of the
+    # space-time cylinder, so |g|_{-1}^2 = |g|_2^2 / Lambda = T / (4 Lambda)
+    n, T = 200, 1.0
+    grid = Grid((n,), (0.0,), (1.0,), T)
+    times = snapshot_times(T, 64)
+    g = np.outer(np.sin(np.pi * times / T), np.sin(np.pi * grid.centers(0)))
+    val = h_minus_one_norm(SpaceTimeField(grid, times, g))
+    expect = math.sqrt(T / (4.0 * ((math.pi / T) ** 2 + math.pi**2)))
     rel = abs(val - expect) / expect
     assert report(10, "dual-norm unit solve", rel < 0.01,
                   f"relative error {rel:.6f} < 0.01")

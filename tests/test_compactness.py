@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,13 +8,14 @@ import pytest
 
 from oracles import entropy_production_total, grad_energy_whole, \
     split_production
-from visclab import compactness
+from visclab import compactness, convergence, norms, report
 from visclab.compactness import (attach_c_field, build_compensated_quad,
                                  choose_c, compensated_D_field,
                                  decompose_production, dirac_concentration,
                                  div_curl_test, flux_identity_gap,
                                  time_derivative_l1, young_histograms,
                                  young_w1_distance)
+from visclab.convergence import l1_distance
 from visclab.domain import FieldTrajectory, Grid, kruzkov_ladder, \
     make_entropy_pair, make_flux, make_viscosity
 from visclab.norms import SpaceTimeField, measure_norm
@@ -56,7 +58,7 @@ def test_production_vanishes_on_smooth_translation():
     # exact traveling profile of the linear equation: eta_t + q_x = 0
     spec = make_flux(("linear",), (-1.0, 1.0), 1e-8, {"a": 0.5})
     pair = make_entropy_pair("square", spec, 1e-8)
-    norms = []
+    values = []
     for n, nt in ((100, 26), (200, 51), (400, 101)):
         g = Grid((n,), (0.0,), (1.0,), 0.4)
         t = np.linspace(0, 0.4, nt)
@@ -66,8 +68,8 @@ def test_production_vanishes_on_smooth_translation():
             r = (x - 0.3 - 0.5 * tk) / 0.15
             vals[k] = np.where(np.abs(r) < 1, (1 - np.minimum(np.abs(r), 1) ** 2) ** 3, 0.0)
         traj = FieldTrajectory(g, t, vals, 0.0, dt=0.4 / (nt - 1))
-        norms.append(measure_norm(entropy_production_total(traj, pair)))
-    assert norms[0] > norms[1] > norms[2]
+        values.append(measure_norm(entropy_production_total(traj, pair)))
+    assert values[0] > values[1] > values[2]
 
 
 def test_split_consistency_on_heat_oracle(bconst):
@@ -141,6 +143,19 @@ def test_time_derivative_heat_oracle():
 def test_time_derivative_steady():
     traj = make_traj(np.tile(np.linspace(-0.5, 0.5, 20), (4, 1)))
     assert time_derivative_l1(traj) == 0.0
+
+
+def test_time_derivative_transient_peak_one_field():
+    # the differences are made absolute in place, so the one difference
+    # array (32 of 33 snapshots) is all the call holds
+    traj = make_traj(np.random.default_rng(7).standard_normal((33, 64, 64)))
+    tracemalloc.start()
+    try:
+        time_derivative_l1(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * traj.values.nbytes
 
 
 # --- windowed value distributions --------------------------------------------
@@ -436,12 +451,12 @@ def test_blocked_instruments_bit_identical(monkeypatch, flux2d, entropy,
         q = attach_c_field(quad, traj, (3, 5, 6))
         return q.f11_bar, q.c_field, compensated_D_field(traj, q).values
 
-    monkeypatch.setattr(compactness, "BLOCK_BYTES", traj.values.nbytes)
-    assert len(compactness._snapshot_blocks(traj.values)) == 1
+    monkeypatch.setattr(norms, "BLOCK_BYTES", traj.values.nbytes)
+    assert len(norms.snapshot_blocks(traj.values)) == 1
     whole = outputs()
-    monkeypatch.setattr(compactness, "BLOCK_BYTES",
+    monkeypatch.setattr(norms, "BLOCK_BYTES",
                         snaps_per_block * traj.values[0].nbytes)
-    assert len(compactness._snapshot_blocks(traj.values)) == \
+    assert len(norms.snapshot_blocks(traj.values)) == \
         -(-11 // snaps_per_block)
     # the split's norms against the oracle's whole-field split
     _assert_split_matches_oracle(traj, [pair], visc, 0.05)
@@ -466,9 +481,9 @@ def test_member_split_matches_oracle_bit_for_bit(monkeypatch, dim, visc_name,
     flux = make_flux(names, (-1.0, 1.0), 1e-8, {"a": 1.0})
     visc = make_viscosity(visc_name, (-1.0, 1.0), {"b": 0.7})
     if snaps_per_block is not None:
-        monkeypatch.setattr(compactness, "BLOCK_BYTES",
+        monkeypatch.setattr(norms, "BLOCK_BYTES",
                             snaps_per_block * traj.values[0].nbytes)
-        assert len(compactness._snapshot_blocks(traj.values)) == 4
+        assert len(norms.snapshot_blocks(traj.values)) == 4
     _assert_split_matches_oracle(traj, _member_pairs(flux), visc, 0.05)
 
 
@@ -479,6 +494,45 @@ def test_split_rejects_non_finite_dissipation(burgers, bconst):
     traj = make_traj(np.tile(np.linspace(-0.5, 0.5, 24), (5, 1)))
     with pytest.raises(ValueError, match="non-finite"):
         decompose_production(traj, [pair, bad], bconst, 0.1)
+
+
+def test_split_needs_three_snapshots(burgers, bconst):
+    # the split makes the dual norm's coefficient array of the interior's
+    # shape itself; a trajectory too short for the norm still ends in the
+    # norm's own error
+    pair = make_entropy_pair("square", burgers, 1e-8)
+    traj = make_traj(np.tile(np.linspace(-0.5, 0.5, 24), (2, 1)))
+    with pytest.raises(ValueError, match="need at least 3 snapshots"):
+        decompose_production(traj, [pair], bconst, 0.1)
+
+
+def test_one_patch_sets_every_consumers_blocks(monkeypatch, flux2d):
+    # norms.BLOCK_BYTES is read when the blocks are cut, so patching it
+    # alone gives every consumer one block per snapshot (per interior
+    # snapshot for the dual norm's slabs)
+    real = norms.snapshot_blocks
+    seen = {}
+
+    def spy(values):
+        blocks = real(values)
+        seen[sys._getframe(1).f_code.co_name] = (len(blocks), len(values))
+        return blocks
+
+    for module in (norms, compactness, convergence, report):
+        monkeypatch.setattr(module, "snapshot_blocks", spy)
+    traj = _random_traj(7, 12, 10, seed=6)
+    monkeypatch.setattr(norms, "BLOCK_BYTES", traj.values[0].nbytes)
+    decompose_production(traj, [make_entropy_pair("square", flux2d, 1e-8)],
+                         make_viscosity("constant", (-1.0, 1.0)), 0.05)
+    l1_distance(traj, traj)
+    grad_energy_lhs(traj)
+    quad = attach_c_field(build_compensated_quad(flux2d, 1e-10), traj,
+                          (1, 4, 5))
+    compensated_D_field(traj, quad)
+    for caller in ("decompose_production", "l1_distance", "grad_energy_lhs",
+                   "attach_c_field", "compensated_D_field"):
+        assert seen.get(caller) == (7, 7), caller
+    assert seen.get("dirichlet_dual_norm") == (5, 5)
 
 
 def test_split_transient_peak_is_a_few_fields(flux2d):
@@ -509,9 +563,9 @@ def test_grad_energy_blocked_matches_whole_field(monkeypatch, shape,
     rng = np.random.default_rng(len(shape))
     traj = make_traj(0.8 * np.sin(rng.uniform(0.0, 6.0, shape)), T=0.5)
     if snaps_per_block is not None:
-        monkeypatch.setattr(compactness, "BLOCK_BYTES",
+        monkeypatch.setattr(norms, "BLOCK_BYTES",
                             snaps_per_block * traj.values[0].nbytes)
-        assert len(compactness._snapshot_blocks(traj.values)) == \
+        assert len(norms.snapshot_blocks(traj.values)) == \
             -(-11 // snaps_per_block)
     assert grad_energy_lhs(traj).hex() == grad_energy_whole(traj).hex()
 

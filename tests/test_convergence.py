@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from visclab import convergence
+from visclab import norms
 from visclab.convergence import fit_rate, l1_distance
 from visclab.domain import FieldTrajectory, Grid
 from visclab.norms import SpaceTimeField, measure_norm
@@ -44,7 +44,7 @@ def test_l1_blocked_matches_measure_norm_bit_for_bit(monkeypatch,
     a = traj(rng.normal(size=(11, 12, 10)))
     b = traj(rng.normal(size=(11, 12, 10)))
     if snaps_per_block is not None:
-        monkeypatch.setattr(convergence, "BLOCK_BYTES",
+        monkeypatch.setattr(norms, "BLOCK_BYTES",
                             snaps_per_block * a.values[0].nbytes)
     want = measure_norm(SpaceTimeField(a.grid, a.times, a.values - b.values))
     assert l1_distance(a, b).hex() == want.hex()

@@ -46,7 +46,8 @@ def test_measure_norm_nonpositive_field():
     rng = np.random.default_rng(4)
     v = -np.abs(rng.normal(size=(9, 40)))
     s = stf_unit_box(9, 40, v)
-    integral = float(np.sum(v * s.time_weights()[:, None])) * s.grid.cell_volume
+    integral = (float(np.sum(v * norms.time_weights(s.times)[:, None]))
+                * s.grid.cell_volume)
     assert measure_norm(s) == pytest.approx(-integral, rel=1e-12)
 
 
@@ -86,12 +87,16 @@ def test_dual_norm_zero():
 
 
 def test_dual_norm_sine_oracle():
-    # pure spatial problem: g = sin(pi x) on (0,1) gives 1/(sqrt(2) pi)
-    n = 200
-    h = 1.0 / n
-    x = (np.arange(n) + 0.5) * h
-    val = dirichlet_dual_norm(np.sin(np.pi * x), (h,), ("cell",))
-    assert val == pytest.approx(1.0 / (math.sqrt(2.0) * math.pi), rel=0.01)
+    # g = sin(pi t / T) sin(pi x) sin(pi y) on (0, T) x (0, 1)^2 is the first
+    # eigenfunction, so |g|_{-1}^2 = |g|_2^2 / Lambda = (T / 8) / Lambda
+    T = 0.5
+    grid = Grid((40, 40), (0.0, 0.0), (1.0, 1.0), T)
+    times = np.linspace(0.0, T, 33)
+    s = np.sin(np.pi * grid.centers(0))
+    g = np.multiply.outer(np.sin(np.pi * times / T), np.outer(s, s))
+    lam = (math.pi / T) ** 2 + 2.0 * math.pi**2
+    val = h_minus_one_norm(SpaceTimeField(grid, times, g))
+    assert val == pytest.approx(math.sqrt(T / (8.0 * lam)), rel=0.01)
 
 
 def test_dual_norm_linearity_exact():
@@ -176,13 +181,17 @@ def test_energy_identity_and_duality():
         assert pairing <= bound * (1.0 + 1e-6)
 
 
+# the oracle's lattices, all on the layout the dual norm serves: the time
+# (node) axis first, then cell axes; a short time axis carries cell axes of
+# the lengths the transform must handle
 SPECTRAL_CASES = [
-    (("cell",), (1,)), (("cell",), (2,)), (("cell",), (7,)),
-    (("cell",), (8,)), (("cell",), (400,)),
+    (("node", "cell"), (3, 1)), (("node", "cell"), (3, 2)),
+    (("node", "cell"), (3, 7)), (("node", "cell"), (3, 8)),
+    (("node", "cell"), (3, 400)),
     (("node",), (1,)), (("node",), (2,)), (("node",), (7,)),
     (("node",), (62,)),
-    (("cell", "node"), (1, 2)), (("cell", "node"), (2, 1)),
-    (("cell", "node"), (12, 9)), (("cell", "node"), (7, 8)),
+    (("node", "cell"), (2, 1)), (("node", "cell"), (1, 2)),
+    (("node", "cell"), (9, 12)), (("node", "cell"), (8, 7)),
     (("node", "cell"), (63, 400)),  # the 1-D scenario's interior block
     (("node", "cell", "cell"), (1, 1, 1)), (("node", "cell", "cell"), (2, 3, 2)),
     (("node", "cell", "cell"), (3, 1, 2)), (("node", "cell", "cell"), (5, 2, 7)),
@@ -196,7 +205,7 @@ def test_dual_norm_matches_poisson_solve(kinds, shape):
     g = rng.standard_normal(shape)
     spacings = tuple(rng.uniform(0.01, 0.5, size=len(shape)))
     expected = oracle_dual_norm(g, spacings, kinds)
-    assert dirichlet_dual_norm(g, spacings, kinds) == pytest.approx(
+    assert dirichlet_dual_norm(g, spacings) == pytest.approx(
         expected, rel=1e-12, abs=0.0)
 
 
@@ -209,9 +218,11 @@ def sine_mode(n, k, kind):
 
 
 @pytest.mark.parametrize("kinds,shape,modes", [
-    (("cell",), (5,), (1,)), (("cell",), (8,), (8,)), (("cell",), (400,), (1,)),
-    (("cell",), (400,), (237,)), (("node",), (6,), (1,)), (("node",), (62,), (62,)),
-    (("cell", "node"), (9, 4), (5, 2)),
+    (("node", "cell"), (1, 5), (1, 1)), (("node", "cell"), (1, 8), (1, 8)),
+    (("node", "cell"), (1, 400), (1, 1)),
+    (("node", "cell"), (1, 400), (1, 237)),
+    (("node",), (6,), (1,)), (("node",), (62,), (62,)),
+    (("node", "cell"), (4, 9), (2, 5)),
     (("node", "cell", "cell"), (31, 64, 64), (1, 1, 1)),
     (("node", "cell", "cell"), (31, 64, 64), (17, 64, 33)),
 ])
@@ -224,7 +235,7 @@ def test_dual_norm_of_sine_eigenmode(kinds, shape, modes):
         m = n if kind == "cell" else n + 1
         lam += (2.0 * math.sin(k * math.pi / (2 * m)) / h) ** 2
     expected = math.sqrt(math.prod(spacings) / lam) * float(np.sqrt(np.sum(g * g)))
-    assert dirichlet_dual_norm(g, spacings, kinds) == pytest.approx(
+    assert dirichlet_dual_norm(g, spacings) == pytest.approx(
         expected, rel=1e-14, abs=0.0)
 
 
@@ -234,26 +245,28 @@ def test_sine_coefficient_maps_are_orthonormal(kind, n):
     # the coefficients of the identity are the transform matrix; its rows
     # are orthonormal and carry each mode number once (node sines taken of
     # unreduced arguments, up to n^2 pi / (n + 1), miss by 2e-14 at n = 400)
-    coef, modes = norms._COEFFICIENTS[kind](np.eye(n), 0)
+    if kind == "node":
+        coef = norms._node_coefficients(np.eye(n), np.empty((n, n)))
+        modes = np.arange(1, n + 1)
+    else:
+        coef = np.eye(n)
+        norms._cell_coefficients(coef, 1, np.empty(n * n),
+                                 np.empty(n * (n // 2 + 1), np.complex128))
+        modes = norms._cell_modes(n)
     assert np.abs(coef @ coef.T - np.eye(n)).max() <= 5e-15
     assert sorted(modes.tolist()) == list(range(1, n + 1))
 
 
-@pytest.mark.parametrize("shape,spacings,kinds", [
-    ((4, 5), (0.1, 0.1), ("cell", "edge")),
-    ((4, 5), (0.1, 0.1), ("node", "Cell")),
-    ((4, 5), (0.1,), ("cell", "cell")),
-    ((4, 5), (0.1, 0.1), ("cell",)),
-    ((4,), (0.1, 0.1), ("cell", "cell")),
+@pytest.mark.parametrize("shape,spacings", [
+    ((4, 5), (0.1,)), ((4,), (0.1, 0.1)),
 ])
 def test_dual_norm_rejects_bad_axes_before_transforming(
-        monkeypatch, shape, spacings, kinds):
+        monkeypatch, shape, spacings):
     def no_transform(*_args):
         raise AssertionError("transformed before the axes were checked")
-    monkeypatch.setattr(norms, "_COEFFICIENTS",
-                        {"cell": no_transform, "node": no_transform})
-    with pytest.raises(ValueError, match="axis kind|arity"):
-        dirichlet_dual_norm(np.ones(shape), spacings, kinds)
+    monkeypatch.setattr(norms, "_node_coefficients", no_transform)
+    with pytest.raises(ValueError, match="arity"):
+        dirichlet_dual_norm(np.ones(shape), spacings)
 
 
 @pytest.mark.parametrize("cells", [(40,), (12, 10)])
@@ -271,37 +284,43 @@ def test_space_time_norm_orders_axes_time_first(cells):
         expected, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("out", [
+    np.zeros((9, 12, 10), order="F"), np.zeros((9, 12, 20))[:, :, ::2],
+    np.zeros((9, 12, 11)), np.zeros((9, 12, 10), np.float32),
+])
+def test_dual_norm_rejects_an_unusable_out(out):
+    # unchecked, a Fortran-ordered out gives a norm of 0.0: the product
+    # goes into a reshaped copy of it
+    g = np.random.default_rng(1).standard_normal((9, 12, 10))
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        dirichlet_dual_norm(g, (0.1, 0.1, 0.1), out)
+
+
 def test_shared_buffers_give_each_norm_bit_for_bit():
-    # one set of buffers across arrays of one shape, then of others, a node
-    # axis that is not first among them: each norm is that of fresh buffers,
-    # and the node product written into a buffer is tensordot's
+    # one coefficient array across the arrays of one shape, then another for
+    # those of the next: each norm is that of a fresh array
     rng = np.random.default_rng(3)
-    work = norms.DualNormBuffers()
-    cases = ([(("node", "cell", "cell"), (9, 32, 32))] * 3
-             + [(("node", "cell"), (9, 12))] * 2
-             + [(("cell", "node"), (12, 9)), (("node",), (8,))])
-    for kinds, shape in cases:
+    out = None
+    for shape in [(9, 32, 32)] * 3 + [(9, 12)] * 2 + [(8,)]:
         g = rng.standard_normal(shape)
         spacings = tuple(rng.uniform(0.01, 0.5, size=len(shape)))
-        shared = dirichlet_dual_norm(g, spacings, kinds, work)
-        assert shared.hex() == dirichlet_dual_norm(g, spacings, kinds).hex()
-        if kinds[0] == "node":
-            into, _ = norms._node_coefficients(g, 0, out=np.empty(shape))
-            fresh, _ = norms._node_coefficients(g, 0)
-            assert into.tobytes() == fresh.tobytes()
+        if out is None or out.shape != shape:
+            out = np.empty(shape)
+        shared = dirichlet_dual_norm(g, spacings, out)
+        assert shared.hex() == dirichlet_dual_norm(g, spacings).hex()
 
 
 def test_shared_buffers_are_not_allocated_again():
-    # on the 2-D scenario's interior shape, a later call with the buffers of
-    # an earlier one allocates no array of the size of g: only its slab
-    # buffers of about BLOCK_BYTES and numpy's iterator buffers
+    # on the 2-D scenario's interior shape, a call given its coefficient
+    # array allocates no array of the size of g: only its slab buffers of
+    # about BLOCK_BYTES and numpy's iterator buffers
     g = np.random.default_rng(4).standard_normal((31, 128, 128))
-    spacings, kinds = (0.1, 1 / 128, 1 / 128), ("node", "cell", "cell")
-    work = norms.DualNormBuffers()
-    dirichlet_dual_norm(g, spacings, kinds, work)
+    spacings = (0.1, 1 / 128, 1 / 128)
+    out = np.empty(g.shape)
+    dirichlet_dual_norm(g, spacings, out)  # transform set-up
     tracemalloc.start()
     try:
-        dirichlet_dual_norm(g, spacings, kinds, work)
+        dirichlet_dual_norm(g, spacings, out)
         shared = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -314,9 +333,9 @@ SLAB_CASES = [
     (("node", "cell", "cell"), (31, 64, 64)),
     (("node", "cell", "cell"), (11, 24, 20)),
     (("node", "cell", "cell"), (7, 9, 8)),
-    (("node", "cell", "node"), (5, 7, 6)),
-    (("cell", "node"), (12, 9)), (("cell", "cell"), (10, 7)),
-    (("cell",), (40,)), (("node",), (9,)),
+    (("node", "cell", "cell"), (5, 7, 6)),
+    (("node", "cell"), (12, 9)), (("node", "cell"), (10, 7)),
+    (("node",), (40,)), (("node",), (9,)),
 ]
 
 
@@ -325,22 +344,21 @@ SLAB_CASES = [
 def test_slab_wise_norm_matches_whole_array_bit_for_bit(monkeypatch, kinds,
                                                         shape, rows_per_slab):
     # the axes after the first and the quotient run slab by slab, in place
-    # in the field buffer; one slab, one row a slab, and ragged slabs of 3
-    # rows all give the bytes of every transform on the whole array, with
-    # fresh buffers and with buffers shared across calls
+    # in the coefficient array; one slab, one row a slab, and ragged slabs
+    # of 3 rows all give the bytes of every transform on the whole array,
+    # with a fresh array and with one shared across calls
     rng = np.random.default_rng(sum(shape) + len(kinds))
     g = rng.standard_normal(shape)
     spacings = tuple(rng.uniform(0.01, 0.5, size=len(shape)))
     if rows_per_slab is not None:
         monkeypatch.setattr(norms, "BLOCK_BYTES",
                             rows_per_slab * g[0].nbytes)
-        assert len(norms.snapshot_blocks(g, norms.BLOCK_BYTES)) == \
-            -(-shape[0] // rows_per_slab)
+        assert len(norms.snapshot_blocks(g)) == -(-shape[0] // rows_per_slab)
     want = dual_norm_whole(g, spacings, kinds).hex()
-    assert dirichlet_dual_norm(g, spacings, kinds).hex() == want
-    work = norms.DualNormBuffers()
+    assert dirichlet_dual_norm(g, spacings).hex() == want
+    out = np.empty(shape)
     for _ in range(2):
-        assert dirichlet_dual_norm(g, spacings, kinds, work).hex() == want
+        assert dirichlet_dual_norm(g, spacings, out).hex() == want
 
 
 def test_space_time_norm_matches_whole_array_on_a_scenario_shape():
@@ -350,20 +368,23 @@ def test_space_time_norm_matches_whole_array_on_a_scenario_shape():
     v = np.random.default_rng(12).standard_normal((33, 128, 128))
     want = dual_norm_whole(v[1:-1], (float(np.diff(times)[0]), 1 / 128,
                                      1 / 128), ("node", "cell", "cell"))
-    work = norms.DualNormBuffers()
+    out = np.empty((31, 128, 128))
     for _ in range(2):
-        got = h_minus_one_norm(SpaceTimeField(grid, times, v), work)
+        got = h_minus_one_norm(SpaceTimeField(grid, times, v), out)
         assert got.hex() == want.hex()
 
 
 def test_dual_norm_mesh_consistency():
-    # a fixed smooth source changes by under 2% when the grid is refined 2x
+    # a fixed smooth source changes by under 2% when the space grid is
+    # refined 2x
+    times = np.linspace(0.0, 1.0, 33)
     vals = []
     for n in (100, 200):
-        h = 1.0 / n
-        x = (np.arange(n) + 0.5) * h
-        vals.append(dirichlet_dual_norm(np.sin(2 * np.pi * x) + 0.3 * x * (1 - x),
-                                        (h,), ("cell",)))
+        grid = Grid((n,), (0.0,), (1.0,), 1.0)
+        x = grid.centers(0)
+        g = np.multiply.outer(np.sin(np.pi * times),
+                              np.sin(2 * np.pi * x) + 0.3 * x * (1 - x))
+        vals.append(h_minus_one_norm(SpaceTimeField(grid, times, g)))
     assert abs(vals[1] - vals[0]) / vals[0] < 0.02
 
 
