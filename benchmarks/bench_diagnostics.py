@@ -105,7 +105,8 @@ def instruments(cfg, specs, trajs, reference):
             ("member_diagnostics",
              [lambda: harness.member_diagnostics(cfg, specs, finest)])]
     if cfg.dim == 2:
-        bare = build_compensated_quad(specs.flux, cfg.quadrature_tol)
+        bare = build_compensated_quad(specs.flux, cfg.quadrature_tol,
+                                      specs.tartar)
         quad = attach_c_field(bare, finest, window)
         rows.append(("attach_c_field",
                      [lambda: attach_c_field(bare, finest, window)]))

@@ -14,6 +14,13 @@ viscous kernel is timed twice: with its own constant B (column ``B/axis``:
 ``constant``) and with a gaussian B on the same lattice, which reads the
 table at every face midpoint.
 
+Only the viscous plan holds buffers, so only the viscous rows should show
+no allocation: a run makes tens of thousands of viscous steps and a few
+hundred Godunov steps, and the Godunov step allocates its temporaries (its
+peak is about five state sizes).  Its rows here are that step in isolation,
+taken in turn with the other rows; inside the reference's own march the
+same step pays no more page faults than the buffered one it replaced.
+
 Each of ``--rounds`` rounds times every row for ``--steps`` calls, the rows
 taken in turn so that drift of the machine's speed reaches all of them; the
 table gives the median µs per step over the rounds and its interquartile
@@ -63,8 +70,8 @@ def scenario_calls(name):
     dt0 = stable_dt(grid, flux, specs.visc, 0.0, cfg.cfl)
     kname = "godunov_step_1d" if grid.dim == 1 else "godunov_sweep_2d"
     for axis, (h, tab) in enumerate(zip(grid.spacing, flux.tables)):
-        rows.append((kname, "xy"[axis], u, dt0, kernels.godunov_plan(
-            grid.cells, h, lat, tab, axis)))
+        rows.append((kname, "xy"[axis], u, dt0,
+                     kernels.godunov_plan(h, lat, tab, axis)))
     return rows
 
 

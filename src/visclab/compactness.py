@@ -383,14 +383,17 @@ def tartar_pair_table(flux: FluxSpec, tol: float) -> np.ndarray:
                                    flux.lattice, tol)
 
 
-def build_compensated_quad(flux: FluxSpec, tol: float) -> CompensatedQuad:
+def build_compensated_quad(flux: FluxSpec, tol: float,
+                           f11: np.ndarray) -> CompensatedQuad:
+    """The compensated quadratic's tables; ``f11`` is ``tartar_pair_table(
+    flux, tol)``, which the runtime already holds."""
     # in 1-D the second component is the first
     c1, c2 = flux.components[0], flux.components[-1]
     lat = flux.lattice
     F12 = tables.cumulative_table(
         lambda s: np.asarray(c1.fp(s)) * np.asarray(c2.fp(s)), lat, tol)
     F22 = tables.cumulative_table(lambda s: np.asarray(c2.fp(s)) ** 2, lat, tol)
-    return CompensatedQuad(lat, tartar_pair_table(flux, tol), F12, F22)
+    return CompensatedQuad(lat, f11, F12, F22)
 
 
 def _invert_increasing(lattice: TableLattice, values: np.ndarray,

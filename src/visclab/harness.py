@@ -89,7 +89,6 @@ def member_diagnostics(cfg: ScenarioConfig, specs: RuntimeSpecs,
     m.ut_l1 = time_derivative_l1(traj)
     m.young = _young_histograms(cfg, specs, traj)
     m.dirac = dirac_concentration(m.young)
-    m.flux_identity = flux_identity_gap(m.young, specs.flux)
     if specs.grid.dim == 1:
         comp = specs.flux.components[0]
         f_u = np.asarray(comp.f(traj.values), dtype=np.float64)
@@ -158,7 +157,8 @@ def assess(cfg: ScenarioConfig, specs: RuntimeSpecs,
     and the estimate rows.
     """
     if cfg.dim == 2 and trajs:
-        quad = build_compensated_quad(specs.flux, cfg.quadrature_tol)
+        quad = build_compensated_quad(specs.flux, cfg.quadrature_tol,
+                                      specs.tartar)
         quad = attach_c_field(quad, trajs[-1], _weak_window(cfg))
         for m, traj in zip(members, trajs):
             dfield = compensated_D_field(traj, quad)
@@ -426,7 +426,7 @@ def emit_plotdata(outdir: str | Path, profile_times=None) -> list[Path]:
         vals["dirac_metric"] = m.dirac
         vals["young_w1"] = m.young_w1
         vals["divcurl_dev"] = m.divcurl_dev
-        vals["flux_identity_gap"] = m.flux_identity
+        vals["flux_identity_gap"] = flux_identity_gap(m.young, specs.flux)
         vals["D_mean"] = m.d_mean
         vals["snapshot_sup"] = m.snapshot_sup
         vals["energy"] = m.energy

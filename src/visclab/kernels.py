@@ -15,15 +15,26 @@ place that holds a step's tables and constants: the tables and their slope
 tables ``tab[1:] - tab[:-1]``, the lattice (``lo``, ``inv`` and the last
 panel ``top``), the spacing ``h``, ``eps / h``, the flat-B product ``b * eps
 / h`` and the Godunov flux's critical nodes.  A kernel takes no table
-argument, so it reads only the tables its plan was built for.  The plan also
-holds every buffer a step writes (the zero-bordered copy of the state, whose
-ghost cells stay 0 because only its interior is written; the location of the
-state and of the face midpoints; the table reads; the face fluxes and the
-cell differences) and every view the step reads (the interior of the state,
-the state and the table reads on either side of each face, the fluxes after
-and before each cell).  So a step is one fixed sequence of ufunc calls with
-``out=`` into the plan: it allocates nothing and slices nothing.  A plan
-holds only arrays, tuples, numbers and None.
+argument, so it reads only the tables its plan was built for.  A plan holds
+only arrays, tuples, numbers and None.
+
+Only the viscous plan also holds buffers, because only the viscous step is
+called often enough for them to pay: every member of a run marches with it
+(75,136 steps in the shipped 1-D run, 9,600 in the 2-D run), while the
+reference makes a few hundred Godunov steps (512 in 1-D, 384 sweeps in 2-D).
+The viscous plan holds every buffer a step writes (the zero-bordered copy of
+the state, whose ghost cells stay 0 because only its interior is written;
+the location of the state and of the face midpoints; the table reads; the
+face fluxes and the cell differences) and every view the step reads (the
+interior of the state, the state and the table reads on either side of each
+face, the fluxes after and before each cell).  So a viscous step is one
+fixed sequence of ufunc calls with ``out=`` into the plan: it allocates
+nothing and slices nothing.  The Godunov plan holds no buffer and no view: a
+Godunov step moves its axis first, pads that axis with a zero ghost cell at
+either end, and allocates its temporaries, so the faces of every line are
+the leading-axis slices ``[:-1]`` and ``[1:]`` of the padded state.  Each
+face and cell gets the same ufuncs in the same order as the loop twin's
+arithmetic.
 
 Reading a table: every table of a plan lies on the same lattice, so one
 ``tables.locate`` of a state array serves them all, and each read is
@@ -40,29 +51,29 @@ the lookup gives ``t0 + frac * (t1 - t0) = b + frac * 0 = b`` for every
 finite ``frac``, so the loop twins' face term ``(eps / h * b) * (ur - ul)``
 and the kernel's ``(ur - ul) * (b * eps / h)`` are the same IEEE product.
 
-Flat strides: both kernels run each axis on the raveled zero-bordered state,
-which pads every axis with ghost cells (``_padded`` lays it out for both
-plans).  Axis ``ax`` is one flat offset ``s = ext.strides[ax] // 8``, and face
-``i`` lies between the cells ``i`` and ``i + s``, so the state, the table
-reads and the fluxes on either side of the faces are the 1-D slices ``[:n -
-s]`` and ``[s:]`` of whole buffers, and each op is one contiguous loop
-(views cut to the interior rows and columns would run it row by row, 128
-short loops on a 128x128 state).  The faces between two ghost cells, and in
-2-D the faces that wrap from the end of one row to the start of the next,
-are computed and never read: the cell differences fill a full-size buffer,
-and ``out = u - diff`` reads only its interior.  Each face and cell that is
-read gets the same ufuncs in the same order as the loop twins' arithmetic.
+Flat strides: the viscous step runs each axis on the raveled zero-bordered
+state, which pads every axis with ghost cells.  Axis ``ax`` is one flat
+offset ``s = ext.strides[ax] // 8``, and face ``i`` lies between the cells
+``i`` and ``i + s``, so the state, the table reads and the fluxes on either
+side of the faces are the 1-D slices ``[:n - s]`` and ``[s:]`` of whole
+buffers, and each op is one contiguous loop (views cut to the interior rows
+and columns would run it row by row, 128 short loops on a 128x128 state).
+The faces between two ghost cells, and in 2-D the faces that wrap from the
+end of one row to the start of the next, are computed and never read: the
+cell differences fill a full-size buffer, and ``out = u - diff`` reads only
+its interior.  Each face and cell that is read gets the same ufuncs in the
+same order as the loop twins' arithmetic.
 
-Zero Engquist-Osher tables: the plan also judges each Engquist-Osher table
-once per march.  A table whose every node is +0.0 (f- of ``linear`` with a >
-0, as on the y axis of the 2-D scenario; f+ with a < 0) is never read: its
-read is the scalar 0.0, and the face flux is ``0.0 + qr`` or ``pl + 0.0``.
-That is exact: the lookup gives ``0.0 * frac + 0.0 = +0.0`` for every finite
-``frac`` (+0.0 + -0.0 is +0.0), the loop twins add that +0.0, and IEEE
-addition is commutative, signed zeros included.  A -0.0 node reads as -0.0
-below the lattice, so only +0.0 nodes count.  A value that is not finite
-gives a NaN ``frac``, but the march's guard stops at a non-finite state, so
-no step reads one.
+Zero Engquist-Osher tables: the viscous plan also judges each Engquist-Osher
+table once per march.  A table whose every node is +0.0 (f- of ``linear``
+with a > 0, as on the y axis of the 2-D scenario; f+ with a < 0) is never
+read: its read is the scalar 0.0, and the face flux is ``0.0 + qr`` or ``pl
++ 0.0``.  That is exact: the lookup gives ``0.0 * frac + 0.0 = +0.0`` for
+every finite ``frac`` (+0.0 + -0.0 is +0.0), the loop twins add that +0.0,
+and IEEE addition is commutative, signed zeros included.  A -0.0 node reads
+as -0.0 below the lattice, so only +0.0 nodes count.  A value that is not
+finite gives a NaN ``frac``, but the march's guard stops at a non-finite
+state, so no step reads one.
 
 ``benchmarks/bench_kernels.py`` times the kernels.
 """
@@ -156,62 +167,17 @@ class ViscPlan(NamedTuple):
 
 
 class GodunovPlan(NamedTuple):
-    """Step plan of ``godunov_step`` along one axis of a state.
+    """Step plan of ``godunov_step`` along ``axis`` of a state: constants
+    only.  ``crit`` holds the ``(crit_y, crit_f)`` pairs of ``ftab``."""
 
-    ``crit`` holds the ``(crit_y, crit_f)`` pairs of ``ftab``.  ``ext``,
-    ``flat``, ``inner``, ``loc`` and ``dint`` as in ``ViscPlan``; ``f``
-    receives the ``ftab`` read of ``flat`` (``scratch`` its second gather),
-    ``ul``/``ur`` and ``fl``/``fr`` view ``flat`` and ``f`` on either side of
-    each face.  ``gmin``/``gmax`` are the face candidates, ``gmax`` finally
-    the flux, with ``gr``/``gl`` its views after and before each cell, and
-    ``diff`` the part of the cell differences that receives ``gr - gl``;
-    ``pick`` and ``pick2`` are face masks and ``cand`` a face buffer.
-    """
-
+    axis: int
+    h: float
     lo: float
     inv: float
     top: float
-    h: float
     ftab: np.ndarray
     f_slope: np.ndarray
     crit: tuple
-    ext: np.ndarray
-    flat: np.ndarray
-    inner: np.ndarray
-    loc: tuple
-    f: np.ndarray
-    scratch: np.ndarray
-    ul: np.ndarray
-    ur: np.ndarray
-    fl: np.ndarray
-    fr: np.ndarray
-    gmin: np.ndarray
-    gmax: np.ndarray
-    cand: np.ndarray
-    pick: np.ndarray
-    pick2: np.ndarray
-    gr: np.ndarray
-    gl: np.ndarray
-    diff: np.ndarray
-    dint: np.ndarray
-
-
-def _padded(shape) -> tuple:
-    """The zero-bordered state of a plan and its cell differences: ``(ext,
-    flat, inner, offsets, diff, dint)``.
-
-    ``ext`` pads every axis of ``shape`` with one ghost cell, ``flat`` is the
-    same buffer raveled and ``inner`` its interior; ``offsets[ax]`` is the
-    flat offset ``s`` of axis ``ax``, so face ``i`` of that axis lies between
-    the cells ``i`` and ``i + s`` of ``flat``.  ``diff`` is a buffer of
-    ``flat``'s size for the cell differences and ``dint`` its interior.
-    """
-    ext = np.zeros(tuple(n + 2 for n in shape))
-    diff = np.empty(ext.size)
-    interior = (slice(1, -1),) * len(shape)
-    return (ext, ext.reshape(-1), ext[interior],
-            tuple(st // ext.itemsize for st in ext.strides), diff,
-            diff.reshape(ext.shape)[interior])
 
 
 def _is_zero(tab: np.ndarray) -> bool:
@@ -227,8 +193,11 @@ def visc_plan(shape, spacing, eps: float, lattice, flux_tables,
     tables of ``flux_tables[ax]`` (a ``domain.FluxTables``); ``btab`` is the
     B table, and every table lies on ``lattice``.
     """
-    ext, flat, inner, offsets, diff, dint = _padded(shape)
-    n = flat.size
+    # one ghost cell on either side of every axis
+    ext = np.zeros(tuple(n + 2 for n in shape))
+    flat, n = ext.reshape(-1), ext.size
+    interior = (slice(1, -1),) * len(shape)
+    diff = np.empty(n)  # the cell differences, read in the interior only
     p, q = np.empty(n), np.empty(n)
     # face buffers, as long as the faces of a stride-1 axis; an axis of
     # stride s uses the first n - s
@@ -237,7 +206,8 @@ def visc_plan(shape, spacing, eps: float, lattice, flux_tables,
     bbuf = None if bflat else (*_location(n - 1), np.empty(n - 1),
                                np.empty(n - 1))
     axes = []
-    for s, h, tab in zip(offsets, spacing, flux_tables):
+    for stride, h, tab in zip(ext.strides, spacing, flux_tables):
+        s = stride // ext.itemsize  # the axis's flat offset
         f = n - s  # face i lies between cells i and i + s
         eop = None if _is_zero(tab.eo_plus) else tab.eo_plus
         eom = None if _is_zero(tab.eo_minus) else tab.eo_minus
@@ -251,27 +221,19 @@ def visc_plan(shape, spacing, eps: float, lattice, flux_tables,
             None if bflat else (tuple(b[:f] for b in bbuf[:3]),
                                 bbuf[3][:f], bbuf[4][:f])))
     return ViscPlan(lattice.lo, lattice.inv_spacing, lattice.n - 2.0, ext,
-                    flat, inner, _location(n), p, q, np.empty(n), dint,
-                    tuple(axes), btab, None if bflat else tables.slopes(btab))
+                    flat, ext[interior], _location(n), p, q, np.empty(n),
+                    diff.reshape(ext.shape)[interior], tuple(axes), btab,
+                    None if bflat else tables.slopes(btab))
 
 
-def godunov_plan(shape, h: float, lattice, flux_table,
-                 axis: int) -> GodunovPlan:
-    """The step plan of the Godunov step along ``axis`` of states of
-    ``shape``, with spacing ``h`` and the flux table ``flux_table`` (a
-    ``domain.FluxTables``) on ``lattice``."""
-    ext, flat, inner, offsets, diff, dint = _padded(shape)
-    n, s = flat.size, offsets[axis]
-    f, face = np.empty(n), n - s  # face i lies between cells i and i + s
-    gmax = np.empty(face)
+def godunov_plan(h: float, lattice, flux_table, axis: int) -> GodunovPlan:
+    """The step plan of the Godunov step along ``axis``, with spacing ``h``
+    and the flux table ``flux_table`` (a ``domain.FluxTables``) on
+    ``lattice``."""
     ftab = flux_table.f
-    return GodunovPlan(
-        lattice.lo, lattice.inv_spacing, lattice.n - 2.0, h, ftab,
-        tables.slopes(ftab), tuple(zip(flux_table.crit_y, flux_table.crit_f)),
-        ext, flat, inner, _location(n), f, np.empty(n), flat[:face],
-        flat[s:], f[:face], f[s:], np.empty(face), gmax, np.empty(face),
-        np.empty(face, bool), np.empty(face, bool), gmax[s:], gmax[:face - s],
-        diff[s:face], dint)
+    return GodunovPlan(axis, h, lattice.lo, lattice.inv_spacing,
+                       lattice.n - 2.0, ftab, tables.slopes(ftab),
+                       tuple(zip(flux_table.crit_y, flux_table.crit_f)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,26 +278,22 @@ def godunov_step(u, dt, out, plan: GodunovPlan):
     """Conservative Godunov step along the axis of its plan, zero ghost
     cells: each line along that axis is updated as an independent 1-D
     problem."""
-    ul, ur, gmin, gmax = plan.ul, plan.ur, plan.gmin, plan.gmax
-    cand, pick, pick2 = plan.cand, plan.pick, plan.pick2
-    plan.inner[...] = u
-    loc = tables.locate(plan.lo, plan.inv, plan.top, plan.flat, out=plan.loc)
-    tables.lookup(plan.ftab, plan.f_slope, loc, out=plan.f,
-                  scratch=plan.scratch)
-    np.minimum(plan.fl, plan.fr, out=gmin)
-    np.maximum(plan.fl, plan.fr, out=gmax)
+    lines = np.moveaxis(u, plan.axis, 0)
+    ext = np.zeros((lines.shape[0] + 2, *lines.shape[1:]))
+    ext[1:-1] = lines
+    f = tables.lookup(plan.ftab, plan.f_slope,
+                      tables.locate(plan.lo, plan.inv, plan.top, ext))
+    # face i of each line lies between its cells i and i + 1 of ext
+    ul, ur = ext[:-1], ext[1:]
+    gmin, gmax = np.minimum(f[:-1], f[1:]), np.maximum(f[:-1], f[1:])
     for cy, cf in plan.crit:
-        np.less(ul, cy, out=pick)
-        pick &= np.less(cy, ur, out=pick2)
-        np.copyto(gmin, np.minimum(gmin, cf, out=cand), where=pick)
-        np.less(ur, cy, out=pick)
-        pick &= np.less(cy, ul, out=pick2)
-        np.copyto(gmax, np.maximum(gmax, cf, out=cand), where=pick)
+        np.minimum(gmin, cf, out=gmin, where=(ul < cy) & (cy < ur))
+        np.maximum(gmax, cf, out=gmax, where=(ur < cy) & (cy < ul))
     # the flux: gmin where ul <= ur, else gmax
-    np.copyto(gmax, gmin, where=np.less_equal(ul, ur, out=pick))
-    d = np.subtract(plan.gr, plan.gl, out=plan.diff)
+    np.copyto(gmax, gmin, where=ul <= ur)
+    d = np.subtract(gmax[1:], gmax[:-1], out=gmin[1:])
     d *= dt / plan.h
-    return np.subtract(u, plan.dint, out=out)
+    return np.subtract(u, np.moveaxis(d, 0, plan.axis), out=out)
 
 
 # keyed by ``active_backend()``; ``get_kernel`` looks a kernel up when a

@@ -27,7 +27,7 @@ def solve_reference(grid: Grid, flux: FluxSpec, visc: ViscositySpec,
     """Entropy-solution candidate on the same snapshot lattice, epsilon = 0."""
     step = kernels.get_kernel(KERNEL_NAMES[grid.dim])
     *halves, last = [
-        kernels.godunov_plan(grid.cells, h, flux.lattice, tab, axis)
+        kernels.godunov_plan(h, flux.lattice, tab, axis)
         for axis, (h, tab) in enumerate(zip(grid.spacing, flux.tables))]
     plans = (*halves, last, *halves[::-1])
 

@@ -54,7 +54,6 @@ class MemberDiagnostics:
     d_min: float = float("nan")
     snapshot_sup: float = 0.0
     energy: float = 0.0
-    flux_identity: float = float("nan")
 
 
 @dataclass(frozen=True)

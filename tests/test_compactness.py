@@ -13,8 +13,8 @@ from visclab.compactness import (attach_c_field, build_compensated_quad,
                                  choose_c, compensated_D_field,
                                  decompose_production, dirac_concentration,
                                  div_curl_test, flux_identity_gap,
-                                 time_derivative_l1, young_histograms,
-                                 young_w1_distance)
+                                 tartar_pair_table, time_derivative_l1,
+                                 young_histograms, young_w1_distance)
 from visclab.convergence import l1_distance
 from visclab.domain import FieldTrajectory, Grid, kruzkov_ladder, \
     make_entropy_pair, make_flux, make_viscosity
@@ -353,8 +353,13 @@ def flux2d():
     return make_flux(("burgers", "linear"), (-1.0, 1.0), 1e-8, {"a": 1.0})
 
 
-def test_compensated_tables_symbolic(flux2d):
-    quad = build_compensated_quad(flux2d, 1e-10)
+@pytest.fixture(scope="module")
+def quad(flux2d):
+    return build_compensated_quad(flux2d, 1e-10,
+                                  tartar_pair_table(flux2d, 1e-10))
+
+
+def test_compensated_tables_symbolic(quad):
     lat = quad.lattice
     # F11 = u^3/3, F12 = u^2/2, F22 = u for f1 = u^2/2, f2 = u
     for w in (-0.8, -0.2, 0.5, 1.0):
@@ -368,8 +373,7 @@ def test_compensated_tables_symbolic(flux2d):
     assert d == pytest.approx(1.0 / 12.0, abs=1e-5)
 
 
-def test_cauchy_schwarz_pointwise(flux2d):
-    quad = build_compensated_quad(flux2d, 1e-10)
+def test_cauchy_schwarz_pointwise(quad):
     lat = quad.lattice
     rng = np.random.default_rng(9)
     w = rng.uniform(-1, 1, 500)
@@ -380,8 +384,7 @@ def test_cauchy_schwarz_pointwise(flux2d):
     assert np.min(d11 * d22 - d12**2) >= -1e-12
 
 
-def test_choose_c_inverse(flux2d):
-    quad = build_compensated_quad(flux2d, 1e-10)
+def test_choose_c_inverse(quad):
     c, clamped = choose_c(np.array([1.0 / 3.0]), quad)
     assert c[0] == pytest.approx(1.0, abs=1e-5)
     assert clamped == 0
@@ -397,19 +400,17 @@ def test_choose_c_inverse(flux2d):
     assert clamp2 == 2
 
 
-def test_compensated_D_constant_field(flux2d):
+def test_compensated_D_constant_field(quad):
     vals = np.full((4, 8, 8), 0.4)
     traj = make_traj(vals, T=0.5)
-    quad = build_compensated_quad(flux2d, 1e-10)
     quad = attach_c_field(quad, traj, (2, 4, 4))
     field = compensated_D_field(traj, quad)
     assert np.mean(field.values) == pytest.approx(0.0, abs=1e-10)
     assert np.min(field.values) >= -1e-12
 
 
-def test_compensated_D_requires_2d(flux2d):
+def test_compensated_D_requires_2d(quad):
     traj = make_traj(np.zeros((4, 8)))
-    quad = build_compensated_quad(flux2d, 1e-10)
     with pytest.raises(ValueError, match="d = 2"):
         compensated_D_field(traj, quad)
 
@@ -439,13 +440,12 @@ def _assert_split_matches_oracle(traj, pairs, visc, eps):
 
 @pytest.mark.parametrize("snaps_per_block", [1, 3])
 @pytest.mark.parametrize("entropy", ["square", "kruzkov"])
-def test_blocked_instruments_bit_identical(monkeypatch, flux2d, entropy,
-                                           snaps_per_block):
+def test_blocked_instruments_bit_identical(monkeypatch, flux2d, quad,
+                                           entropy, snaps_per_block):
     # ragged blocks (11 snapshots) and ragged c-field windows on both axes
     traj = _random_traj(11, 24, 20, seed=4)
     pair = make_entropy_pair(entropy, flux2d, 1e-8, k=0.2, delta=1e-3)
     visc = make_viscosity("quadratic", (-1.0, 1.0))
-    quad = build_compensated_quad(flux2d, 1e-10)
 
     def outputs():
         q = attach_c_field(quad, traj, (3, 5, 6))
@@ -506,7 +506,7 @@ def test_split_needs_three_snapshots(burgers, bconst):
         decompose_production(traj, [pair], bconst, 0.1)
 
 
-def test_one_patch_sets_every_consumers_blocks(monkeypatch, flux2d):
+def test_one_patch_sets_every_consumers_blocks(monkeypatch, flux2d, quad):
     # norms.BLOCK_BYTES is read when the blocks are cut, so patching it
     # alone gives every consumer one block per snapshot (per interior
     # snapshot for the dual norm's slabs)
@@ -526,8 +526,7 @@ def test_one_patch_sets_every_consumers_blocks(monkeypatch, flux2d):
                          make_viscosity("constant", (-1.0, 1.0)), 0.05)
     l1_distance(traj, traj)
     grad_energy_lhs(traj)
-    quad = attach_c_field(build_compensated_quad(flux2d, 1e-10), traj,
-                          (1, 4, 5))
+    quad = attach_c_field(quad, traj, (1, 4, 5))
     compensated_D_field(traj, quad)
     for caller in ("decompose_production", "l1_distance", "grad_energy_lhs",
                    "attach_c_field", "compensated_D_field"):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIOS, scipy_modules_loaded, small_config
-from visclab import harness
+from visclab import compactness, harness
 from visclab.cli import main as cli_main
 from visclab.config import build_scenario
 from visclab.harness import emit_plotdata, run_ladder, verify_run
@@ -508,6 +508,29 @@ def test_benchmark_trace_probe_counts_2d_kernels_by_name(tmp_path):
     assert calls["kernels.visc_step_2d"] == counters["viscous.steps"]
     assert calls["kernels.godunov_step_1d"] == 0
     assert calls["kernels.visc_step_1d"] == 0
+    # only plotdata writes the flux identity gap, so a run never computes it
+    assert calls["compactness.flux_identity_gap"] == 0
+
+
+def test_f11_table_built_once_per_runtime(tmp_path, monkeypatch):
+    # build_runtime tabulates F11 for the 1-D div-curl pair; a 2-D assess
+    # hands that table to the compensated quadratic instead of tabulating
+    # it again
+    built = []
+    real = compactness.tartar_pair_table
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(compactness, "tartar_pair_table", counted)
+    monkeypatch.setattr(harness, "tartar_pair_table", counted)
+    out = tmp_path / "two"
+    run_ladder(build_scenario(tiny_2d_text()), outdir=out)
+    assert len(built) == 1
+    verify_run(out)
+    emit_plotdata(out)
+    assert len(built) == 3  # one runtime each
 
 
 def test_bench_diagnostics_runs_on_stored_runs(tiny_run, tmp_path, capsys):
