@@ -2,24 +2,26 @@
 """Time and transient memory of each diagnostic instrument on a stored run.
 
 Each run directory given (written by ``visclab run``, for example of
-scenarios/burgers1d.cfg and scenarios/burgers2d.cfg) is loaded the way
-``visclab verify`` loads it.  Every instrument then runs once untraced, for
-its wall time and the minor page faults of the process during the call.
-The run is then loaded again with ``tracemalloc`` on from the start, and
-every instrument runs once more, for the peak of memory it allocates above
-what was live before the call, and for that live memory plus the peak: the
-high-water mark of traced memory during the call, with the loaded run and
-every member's diagnostics held, as ``visclab verify`` holds them.  The
-row with the largest live + peak names the stage that sets the script's
-high-water mark.  Peaks are printed in MB and in copies of one space-time
-field (snapshots x cells x 8 bytes), which is the unit the per-snapshot
-blocking of ``compactness`` is judged in.
+scenarios/burgers1d.cfg and scenarios/burgers2d.cfg) is opened the way
+``visclab verify`` opens it, and its finest member is loaded.  Every
+instrument then runs once untraced, for its wall time and the minor page
+faults of the process during the call.  The run is then opened again with
+``tracemalloc`` on from the start, and every instrument runs once more, for
+the peak of memory it allocates above what was live before the call, and
+for that live memory plus the peak: the high-water mark of traced memory
+during the call, with the runtime, the finest member and every member's
+diagnostics held.  That is what ``visclab verify`` holds, since it loads
+one member at a time (two, next to the reference, for the distances of the
+convergence report).  The row with the largest live + peak names the stage
+that sets the script's high-water mark.  Peaks are printed in MB and in
+copies of one space-time field (snapshots x cells x 8 bytes), which is the
+unit the per-snapshot blocking of ``compactness`` is judged in.
 
 The instruments run on the finest member (``decompose_production`` with all
 of its entropy pairs in one call, as ``member_diagnostics`` calls it,
 ``grad_energy_lhs``), on the run's lattice (``synthetic_divcurl``), and on
-the whole ladder and the reference (``build_convergence_report``,
-``assess``).
+the stored ladder and reference (``build_convergence_report`` and
+``assess``, whose rows include loading the members they read).
 
 A second table times ``h_minus_one_norm`` alone on the divergence part ``A``
 of each entropy pair of the finest member, as ``decompose_production`` hands
@@ -88,13 +90,19 @@ def live_and_peak(fn):
     return live, tracemalloc.get_traced_memory()[1]
 
 
-def instruments(cfg, specs, trajs, reference):
+def load_stored(rundir):
+    """``(cfg, specs, finest member, member dirs, reference dir)`` of a
+    stored run."""
+    _manifest, cfg, specs, dirs, refdir = harness._load_run(rundir)
+    return cfg, specs, harness._load(cfg, specs, dirs[-1]), dirs, refdir
+
+
+def instruments(cfg, specs, finest, dirs, refdir):
     """``(name, [calls])`` in the order ``visclab verify`` runs them; a row
     reports the slowest call and the largest peaks."""
-    finest = trajs[-1]
     window = harness._weak_window(cfg)
     times = snapshot_times(cfg.time_horizon, cfg.snapshots)
-    members = [harness.member_diagnostics(cfg, specs, t) for t in trajs]
+    members = harness._stored_diagnostics(cfg, specs, dirs)
     rows = [("decompose_production",
              [lambda: decompose_production(finest, specs.pairs, specs.visc,
                                            finest.epsilon)]),
@@ -113,12 +121,13 @@ def instruments(cfg, specs, trajs, reference):
         rows.append(("compensated_D_field",
                      [lambda: compensated_D_field(finest, quad)]))
     rows.append(("build_convergence_report",
-                 [lambda: build_convergence_report(trajs, reference)]))
+                 [lambda: build_convergence_report(
+                     (harness._load(cfg, specs, d) for d in dirs),
+                     harness._load(cfg, specs, refdir))]))
     rows.append(("synthetic_divcurl",
                  [lambda: synthetic_divcurl(specs.grid, times, window)]))
     rows.append(("assess",
-                 [lambda: harness.assess(cfg, specs, members, trajs,
-                                         reference)]))
+                 [lambda: harness.assess(cfg, specs, members, dirs, refdir)]))
     return rows
 
 
@@ -169,16 +178,17 @@ def main(argv=None):
     ap.add_argument("rundirs", nargs="+", type=Path)
     args = ap.parse_args(argv)
     for rundir in args.rundirs:
-        _manifest, cfg, specs, trajs, reference = harness._load_run(rundir)
-        field = trajs[-1].values.nbytes
-        print(f"{rundir}: {len(trajs)} members, field "
-              f"{'x'.join(map(str, trajs[-1].values.shape))} = "
+        stored = load_stored(rundir)
+        cfg, specs, finest, dirs, _refdir = stored
+        field = finest.values.nbytes
+        print(f"{rundir}: {len(dirs)} members, field "
+              f"{'x'.join(map(str, finest.values.shape))} = "
               f"{field / MB:.2f} MB")
-        rows = instruments(cfg, specs, trajs, reference)
+        rows = instruments(*stored)
         times = [[timed(fn) for fn in calls] for _name, calls in rows]
         tracemalloc.start()
         try:
-            rows = instruments(*harness._load_run(rundir)[1:])
+            rows = instruments(*load_stored(rundir))
             traced = [[live_and_peak(fn) for fn in calls]
                       for _name, calls in rows]
         finally:
@@ -201,7 +211,7 @@ def main(argv=None):
         print(f"  {'h_minus_one_norm of A':<22} {'best ms':>9} {'med ms':>7} "
               f"{'faults':>7} {'peak MB':>9} {'fields':>7}")
         for name, best, median, faults, peak in dual_norm_rows(specs,
-                                                               trajs[-1]):
+                                                               finest):
             print(f"  {name:<22} {best:>9.2f} {median:>7.2f} {faults:>7.1f} "
                   f"{peak / MB:>9.2f} {peak / field:>7.2f}")
         state = specs.init_data.field.values.nbytes

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,11 +61,19 @@ class ConvergenceReport:
     cauchy_fit: RateFit | None
 
 
-def build_convergence_report(trajs: list[FieldTrajectory],
+def build_convergence_report(trajs: Iterable[FieldTrajectory],
                              reference: FieldTrajectory) -> ConvergenceReport:
-    eps = tuple(t.epsilon for t in trajs)
-    errors = tuple(l1_distance(t, reference) for t in trajs)
-    cauchy = tuple((trajs[k].epsilon, l1_distance(trajs[k], trajs[k + 1]))
-                   for k in range(len(trajs) - 1))
-    cauchy_fit = fit_rate(list(cauchy)) if len(cauchy) >= 3 else None
-    return ConvergenceReport(eps, errors, cauchy, cauchy_fit)
+    """Distances of the ladder ``trajs`` to the reference and between
+    neighbours, taking the members in turn: an iterator that loads each one
+    keeps at most two of them alive."""
+    eps, errors, cauchy = [], [], []
+    prev = None
+    for traj in trajs:
+        eps.append(traj.epsilon)
+        errors.append(l1_distance(traj, reference))
+        if prev is not None:
+            cauchy.append((prev.epsilon, l1_distance(prev, traj)))
+        prev = traj
+    cauchy_fit = fit_rate(cauchy) if len(cauchy) >= 3 else None
+    return ConvergenceReport(tuple(eps), tuple(errors), tuple(cauchy),
+                             cauchy_fit)

@@ -107,30 +107,42 @@ def _stage(name: str, exc: Exception | None = None) -> dict:
     return {"name": name, "status": "failed", "error": str(exc)}
 
 
-def _solve_and_diagnose(cfg: ScenarioConfig, specs: RuntimeSpecs, eps: float,
-                        width: float):
-    """Solve one member, then diagnose it, each as a stage of its own.
+def _member_dir(outdir: Path, eps: float) -> Path:
+    return outdir / f"eps_{eps_label(eps)}"
 
-    Returns ``(member, stages)``: ``member`` is ``(traj, diag)``, or None
-    when either stage failed; a failed solve leaves no diagnose stage.
+
+def _load(cfg: ScenarioConfig, specs: RuntimeSpecs,
+          dirpath: Path) -> FieldTrajectory:
+    return io.load_trajectory(dirpath, specs.grid, cfg.snapshots)
+
+
+def _solve_and_diagnose(cfg: ScenarioConfig, specs: RuntimeSpecs,
+                        outdir: Path, eps: float, width: float):
+    """Solve one member and diagnose it, each as a stage of its own, then
+    save it; its values are dropped on return.
+
+    Returns ``(diag, stages, files)``: ``diag`` is None, and nothing is
+    saved, when either stage failed; a failed solve leaves no diagnose stage.
     """
     label = eps_label(eps)
     solve, diagnose = f"solve eps={label}", f"diagnose eps={label}"
     try:
         traj = solve_member(cfg, specs, eps, width)
     except Exception as exc:
-        return None, [_stage(solve, exc)]
+        return None, [_stage(solve, exc)], []
     try:
         diag = member_diagnostics(cfg, specs, traj)
     except Exception as exc:
-        return None, [_stage(solve), _stage(diagnose, exc)]
-    return (traj, diag), [_stage(solve), _stage(diagnose)]
+        return None, [_stage(solve), _stage(diagnose, exc)], []
+    files = io.save_trajectory(_member_dir(outdir, eps), traj)
+    return diag, [_stage(solve), _stage(diagnose)], files
 
 
 def _member_worker(args):
-    """One member in a pool process, which builds its own runtime."""
-    cfg, eps, width = args
-    return _solve_and_diagnose(cfg, build_runtime(cfg), eps, width)
+    """One member in a pool process, which builds its own runtime and saves
+    the member itself, so only its diagnostics come back."""
+    cfg, outdir, eps, width = args
+    return _solve_and_diagnose(cfg, build_runtime(cfg), outdir, eps, width)
 
 
 @dataclass
@@ -146,32 +158,38 @@ def _weak_window(cfg: ScenarioConfig) -> tuple[int, ...]:
 
 
 def assess(cfg: ScenarioConfig, specs: RuntimeSpecs,
-           members: list[MemberDiagnostics], trajs: list[FieldTrajectory],
-           reference: FieldTrajectory | None):
+           members: list[MemberDiagnostics], dirs: list[Path],
+           refdir: Path | None):
     """Ladder-wide diagnostics and the estimate table, shared by run, verify
     and plotdata.
 
-    ``members`` are the per-member diagnostics of ``trajs``, in ladder order;
-    each gains its 2-D compensated quadratic and its W1 distance to the
-    reference.  Returns the convergence report (None without a reference)
-    and the estimate rows.
+    ``members`` are the per-member diagnostics of the members stored in
+    ``dirs``, in ladder order; each gains its 2-D compensated quadratic and
+    its W1 distance to the reference stored in ``refdir``.  Members are
+    loaded one at a time, and two at once only for the distance between
+    neighbours, next to the reference.  Returns the convergence report
+    (None without a reference) and the estimate rows.
     """
-    if cfg.dim == 2 and trajs:
+    if cfg.dim == 2 and dirs:
         quad = build_compensated_quad(specs.flux, cfg.quadrature_tol,
                                       specs.tartar)
-        quad = attach_c_field(quad, trajs[-1], _weak_window(cfg))
-        for m, traj in zip(members, trajs):
-            dfield = compensated_D_field(traj, quad)
+        quad = attach_c_field(quad, _load(cfg, specs, dirs[-1]),
+                              _weak_window(cfg))
+        for m, d in zip(members, dirs):
+            dfield = compensated_D_field(_load(cfg, specs, d), quad)
             m.d_mean = float(np.mean(dfield.values))
             m.d_min = float(np.min(dfield.values))
             del dfield
     conv = None
-    if reference is not None:
+    if refdir is not None:
+        reference = _load(cfg, specs, refdir)
         ref_hset = _young_histograms(cfg, specs, reference)
         for m in members:
             m.young_w1 = young_w1_distance(m.young, ref_hset)
-        if trajs:
-            conv = build_convergence_report(trajs, reference)
+        if dirs:
+            conv = build_convergence_report(
+                (_load(cfg, specs, d) for d in dirs), reference)
+        del reference
 
     rate_fits, ut_fit = {}, None
     if len(members) >= 3:
@@ -231,12 +249,12 @@ def run_ladder(cfg: ScenarioConfig, outdir: str | Path | None = None,
     files.append("config.resolved.cfg")
 
     members: list[MemberDiagnostics] = []
-    trajs: dict[float, FieldTrajectory] = {}
+    dirs: list[Path] = []
     failures = 0
     rungs = list(zip(cfg.ladder, cfg.mollifier_widths))
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(_member_worker, (cfg, eps, width)):
+            futures = {pool.submit(_member_worker, (cfg, outdir, eps, width)):
                        eps for eps, width in rungs}
             results = {}
             for fut in concurrent.futures.as_completed(futures):
@@ -246,39 +264,36 @@ def run_ladder(cfg: ScenarioConfig, outdir: str | Path | None = None,
                 except Exception as exc:
                     # the worker itself failed: set-up, pickling or a crash
                     results[eps] = (None, [
-                        _stage(f"solve eps={eps_label(eps)}", exc)])
-        ordered = [(eps, results[eps]) for eps, _w in rungs]
+                        _stage(f"solve eps={eps_label(eps)}", exc)], [])
+        ordered = ((eps, results[eps]) for eps, _w in rungs)
     else:
-        # in process, the members share this run's runtime
-        ordered = [(eps, _solve_and_diagnose(cfg, specs, eps, width))
-                   for eps, width in rungs]
+        # in process, the members share this run's runtime, one at a time
+        ordered = ((eps, _solve_and_diagnose(cfg, specs, outdir, eps, width))
+                   for eps, width in rungs)
 
-    for eps, (member, member_stages) in ordered:
+    for eps, (diag, member_stages, member_files) in ordered:
         stages.extend(member_stages)
-        if member is None:
+        if diag is None:
             failures += 1
             continue
-        traj, diag = member
-        trajs[eps] = traj
         members.append(diag)
-        files.extend(str(Path(p).relative_to(outdir)) for p in
-                     io.save_trajectory(outdir / f"eps_{eps_label(eps)}", traj))
+        dirs.append(_member_dir(outdir, eps))
+        files.extend(str(Path(p).relative_to(outdir)) for p in member_files)
 
-    reference = None
+    refdir = outdir / "reference"
     try:
         u0ref = specs.init_data.field.values
-        reference = solve_reference(specs.grid, specs.flux, specs.visc, u0ref,
-                                    cfg.cfl,
-                                    snapshot_times(cfg.time_horizon, cfg.snapshots))
         files.extend(str(Path(p).relative_to(outdir)) for p in
-                     io.save_trajectory(outdir / "reference", reference))
+                     io.save_trajectory(refdir, solve_reference(
+                         specs.grid, specs.flux, specs.visc, u0ref, cfg.cfl,
+                         snapshot_times(cfg.time_horizon, cfg.snapshots))))
         stages.append(_stage("solve reference"))
     except Exception as exc:
         stages.append(_stage("solve reference", exc))
         failures += 1
+        refdir = None
 
-    ladder_trajs = [trajs[e] for e in cfg.ladder if e in trajs]
-    conv, rows = assess(cfg, specs, members, ladder_trajs, reference)
+    conv, rows = assess(cfg, specs, members, dirs, refdir)
 
     _write_reports(outdir, cfg, members, conv, rows, files)
 
@@ -344,6 +359,9 @@ def _write_reports(outdir: Path, cfg: ScenarioConfig,
 
 
 def _load_run(outdir: Path):
+    """The manifest, config and runtime of a stored run, with the
+    directories of its stored members (in ladder order) and reference (None
+    when absent); no trajectory is loaded."""
     manifest = io.read_manifest(outdir)
     raw = manifest["config_text"]
     if config_hash(raw) != manifest["config_sha256"]:
@@ -353,19 +371,21 @@ def _load_run(outdir: Path):
         if not (outdir / rel).exists():
             raise FileNotFoundError(f"missing run file {outdir / rel}")
     specs = build_runtime(cfg)
-    trajs = []
-    for eps in cfg.ladder:
-        d = outdir / f"eps_{eps_label(eps)}"
-        if d.exists():
-            trajs.append(io.load_trajectory(d, specs.grid))
+    dirs = [d for d in (_member_dir(outdir, eps) for eps in cfg.ladder)
+            if d.exists()]
     refdir = outdir / "reference"
-    reference = io.load_trajectory(refdir, specs.grid) if refdir.exists() else None
-    return manifest, cfg, specs, trajs, reference
+    return manifest, cfg, specs, dirs, refdir if refdir.exists() else None
+
+
+def _stored_diagnostics(cfg: ScenarioConfig, specs: RuntimeSpecs,
+                        dirs: list[Path]) -> list[MemberDiagnostics]:
+    """Each stored member's diagnostics, loading one member at a time."""
+    return [member_diagnostics(cfg, specs, _load(cfg, specs, d)) for d in dirs]
 
 
 def verify_run(outdir: str | Path) -> tuple[list[EstimateRow], int, str]:
     """Re-evaluate all pass flags from persisted data; trajectories are
-    loaded, never re-solved.
+    loaded one member at a time, never re-solved.
 
     Exits 2 when the verdicts differ from the manifest's, or when the
     manifest records a stage that did not finish ok: the saved data then
@@ -373,9 +393,9 @@ def verify_run(outdir: str | Path) -> tuple[list[EstimateRow], int, str]:
     whatever the remaining members show.
     """
     outdir = Path(outdir)
-    manifest, cfg, specs, trajs, reference = _load_run(outdir)
-    members = [member_diagnostics(cfg, specs, t) for t in trajs]
-    _conv, rows = assess(cfg, specs, members, trajs, reference)
+    manifest, cfg, specs, dirs, refdir = _load_run(outdir)
+    members = _stored_diagnostics(cfg, specs, dirs)
+    _conv, rows = assess(cfg, specs, members, dirs, refdir)
     verdicts = overall_verdicts(rows)
     stored = manifest.get("estimates", {})
     mismatch = [k for k, v in verdicts.items() if stored.get(k) != v]
@@ -394,15 +414,17 @@ def verify_run(outdir: str | Path) -> tuple[list[EstimateRow], int, str]:
 def emit_plotdata(outdir: str | Path, profile_times=None) -> list[Path]:
     """Long-format CSVs: solution profiles and one row per (epsilon, metric)."""
     outdir = Path(outdir)
-    manifest, cfg, specs, trajs, reference = _load_run(outdir)
+    manifest, cfg, specs, dirs, refdir = _load_run(outdir)
     plotdir = outdir / "plot"
     plotdir.mkdir(exist_ok=True)
     if profile_times is None:
         T = cfg.time_horizon
         profile_times = [0.0, 0.5 * T, T]
     prof_rows = []
+    members = []
     grid = specs.grid
-    for traj in trajs:
+    for d in dirs:
+        traj = _load(cfg, specs, d)
         for t in profile_times:
             k = int(np.argmin(np.abs(traj.times - t)))
             # one row per cell, in C order: its center's coordinates, then u
@@ -411,11 +433,12 @@ def emit_plotdata(outdir: str | Path, profile_times=None) -> list[Path]:
             label = (eps_label(traj.epsilon), io.fmt(traj.times[k]))
             for x, u in zip(cells, traj.values[k].ravel()):
                 prof_rows.append((*label, *x, io.fmt(u)))
+        members.append(member_diagnostics(cfg, specs, traj))
+        del traj  # before the next member is loaded
     header = ["epsilon", "t", *"xyz"[:grid.dim], "u"]
     io.write_csv(plotdir / "profiles.csv", header, prof_rows)
 
-    members = [member_diagnostics(cfg, specs, t) for t in trajs]
-    conv, _rows = assess(cfg, specs, members, trajs, reference)
+    conv, _rows = assess(cfg, specs, members, dirs, refdir)
     metric_rows = []
     for idx, m in enumerate(members):
         vals = {}

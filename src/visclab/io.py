@@ -55,34 +55,48 @@ class CorruptSnapshotError(RuntimeError):
     pass
 
 
-def load_trajectory(dirpath: Path, grid: Grid) -> FieldTrajectory:
-    """Reload a stored trajectory, validating each snapshot against the index."""
+def load_trajectory(dirpath: Path, grid: Grid, snapshots: int) -> FieldTrajectory:
+    """Reload a stored trajectory of ``snapshots`` time intervals, validating
+    its meta against ``grid`` and each snapshot against the index.
+
+    Every snapshot file is read straight into its row of one preallocated
+    ``(snapshots + 1, *cells)`` array, so a load holds one copy of the field.
+    """
     index = dirpath / "index.csv"
     if not index.exists():
         raise FileNotFoundError(f"missing trajectory index {index}")
-    with open(dirpath / "meta.json") as fh:
+    meta_path = dirpath / "meta.json"
+    with open(meta_path) as fh:
         meta = json.load(fh)
-    times = []
-    snaps = []
-    count = int(np.prod(grid.cells))
+    if meta.get("cells") != list(grid.cells):
+        raise CorruptSnapshotError(
+            f"{meta_path} records cells {meta.get('cells')}, expected "
+            f"{list(grid.cells)}")
     with open(index, newline="") as fh:
-        for row in csv.DictReader(fh):
-            path = dirpath / row["filename"]
-            if not path.exists():
-                raise FileNotFoundError(f"missing snapshot file {path}")
-            arr = np.fromfile(path, dtype=SNAPSHOT_DTYPE)
-            if arr.size != count:
-                raise CorruptSnapshotError(
-                    f"snapshot file {path} has {arr.size} values, expected {count}")
-            arr = arr.reshape(grid.cells)
-            if not np.all(np.isfinite(arr)) or \
-               float(arr.min()) != float(row["min"]) or \
-               float(arr.max()) != float(row["max"]):
-                raise CorruptSnapshotError(
-                    f"snapshot file {path} does not match its index entry")
-            times.append(float(row["time"]))
-            snaps.append(arr.astype(np.float64))
-    return FieldTrajectory(grid, np.array(times), np.stack(snaps),
+        rows = list(csv.DictReader(fh))
+    if len(rows) != snapshots + 1:
+        raise CorruptSnapshotError(
+            f"trajectory index {index} has {len(rows)} rows, expected "
+            f"{snapshots + 1}")
+    values = np.empty((len(rows),) + grid.cells, dtype=SNAPSHOT_DTYPE)
+    nbytes = values[0].nbytes
+    for arr, row in zip(values, rows):
+        path = dirpath / row["filename"]
+        if not path.exists():
+            raise FileNotFoundError(f"missing snapshot file {path}")
+        size = path.stat().st_size
+        if size != nbytes:
+            raise CorruptSnapshotError(
+                f"snapshot file {path} has {size} bytes, expected {nbytes}")
+        with open(path, "rb") as fh:
+            fh.readinto(arr)
+        if not np.all(np.isfinite(arr)) or \
+           float(arr.min()) != float(row["min"]) or \
+           float(arr.max()) != float(row["max"]):
+            raise CorruptSnapshotError(
+                f"snapshot file {path} does not match its index entry")
+    times = np.array([float(row["time"]) for row in rows])
+    return FieldTrajectory(grid, times, values,
                            epsilon=float(meta["epsilon"]), dt=float(meta["dt"]),
                            steps_taken=int(meta["steps_taken"]),
                            max_abs_seen=float(meta["max_abs_seen"]))

@@ -1,18 +1,20 @@
 import ast
 import csv
+import gc
 import importlib.util
 import json
 import pathlib
 import re
 import sys
 import time
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import SCENARIOS, scipy_modules_loaded, small_config
-from visclab import compactness, harness
+from visclab import compactness, convergence, harness, io
 from visclab.cli import main as cli_main
 from visclab.config import build_scenario
 from visclab.harness import emit_plotdata, run_ladder, verify_run
@@ -103,14 +105,42 @@ def test_verify_untouched_run(tiny_run):
 def test_verify_detects_corruption(tiny_run, tmp_path):
     cfg, result = tiny_run
     import shutil
-    clone = tmp_path / "clone"
-    shutil.copytree(result.outdir, clone)
-    victim = clone / "eps_0.05" / "snap_0003.bin"
-    data = np.fromfile(victim, dtype="<f8")
-    data[7] = 9.0  # outside the recorded min/max range
-    data.tofile(victim)
+
+    def corrupted(name, damage):
+        clone = tmp_path / name
+        shutil.copytree(result.outdir, clone)
+        damage(clone / "eps_0.05")
+        return clone
+
+    def out_of_range(member):
+        victim = member / "snap_0003.bin"
+        data = np.fromfile(victim, dtype="<f8")
+        data[7] = 9.0  # outside the recorded min/max range
+        data.tofile(victim)
+
     with pytest.raises(CorruptSnapshotError, match="snap_0003.bin"):
-        verify_run(clone)
+        verify_run(corrupted("range", out_of_range))
+
+    def other_cells(member):
+        # the same bytes, described as another grid: before this was
+        # checked, verify reassessed the member as if it were intact
+        meta = json.loads((member / "meta.json").read_text())
+        meta["cells"] = [50, 2]
+        (member / "meta.json").write_text(json.dumps(meta))
+
+    with pytest.raises(CorruptSnapshotError,
+                       match=r"eps_0.05/meta.json records cells \[50, 2\]"):
+        verify_run(corrupted("cells", other_cells))
+
+    def truncated_index(member):
+        index = member / "index.csv"
+        index.write_text("".join(index.read_text().splitlines(True)[:-1]))
+
+    # before, this failed later, as "last snapshot not within one dt of the
+    # horizon", with no file named
+    with pytest.raises(CorruptSnapshotError,
+                       match=r"eps_0.05/index.csv has 10 rows, expected 11"):
+        verify_run(corrupted("index", truncated_index))
 
 
 def test_verify_missing_manifest(tmp_path):
@@ -144,9 +174,24 @@ def test_parallel_jobs_match_serial(tmp_path):
                        young_window_snaps=5, young_window_cells=6)
     a = run_ladder(cfg, outdir=tmp_path / "serial", jobs=1)
     b = run_ladder(cfg, outdir=tmp_path / "parallel", jobs=2)
-    for name in ("diagnostics.csv", "convergence.csv", "estimates.csv"):
-        assert (tmp_path / "serial" / name).read_bytes() == \
-            (tmp_path / "parallel" / name).read_bytes()
+    # pool workers save their own members: every file of the two run
+    # directories matches, the manifest but for its timestamps
+    files = {p.relative_to(a.outdir) for p in a.outdir.rglob("*")
+             if p.is_file()}
+    assert files == {p.relative_to(b.outdir) for p in b.outdir.rglob("*")
+                     if p.is_file()}
+    assert {str(f) for f in files} == set(a.manifest["files"]) | {
+        "manifest.json"}
+    for rel in sorted(files - {pathlib.Path("manifest.json")}):
+        assert (a.outdir / rel).read_bytes() == (b.outdir / rel).read_bytes(), \
+            rel
+
+    def stamped(outdir):
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        return {k: v for k, v in manifest.items()
+                if k not in ("started", "finished")}
+
+    assert stamped(a.outdir) == stamped(b.outdir)
 
 
 def _broken_diagnostics_run(tmp_path, monkeypatch):
@@ -184,11 +229,16 @@ def test_failed_diagnostics_blamed_on_diagnose_stage(tmp_path, monkeypatch):
     assert not any(f.startswith("eps_0.05/") for f in result.manifest["files"])
     assert {r["epsilon"] for r in read_csv(result.outdir / "diagnostics.csv")} \
         == {"0.1"}
-    # a pool worker runs the same function and returns the same stages
-    member, worker_stages = harness._member_worker((cfg, 0.05, 0.02))
-    assert member is None
+    # a pool worker runs the same function, returns the same stages and
+    # saves nothing either
+    worker_out = tmp_path / "worker"
+    worker_out.mkdir()
+    diag, worker_stages, files = harness._member_worker(
+        (cfg, worker_out, 0.05, 0.02))
+    assert diag is None and files == []
     assert worker_stages == [stages["solve eps=0.05"],
                              stages["diagnose eps=0.05"]]
+    assert not any(worker_out.iterdir())
 
 
 def test_verify_fails_run_with_failed_stage(tmp_path, monkeypatch):
@@ -510,6 +560,53 @@ def test_benchmark_trace_probe_counts_2d_kernels_by_name(tmp_path):
     assert calls["kernels.visc_step_1d"] == 0
     # only plotdata writes the flux identity gap, so a run never computes it
     assert calls["compactness.flux_identity_gap"] == 0
+
+
+def test_commands_hold_one_member_at_a_time(tmp_path, monkeypatch):
+    # every trajectory solved or loaded is registered; when a member is
+    # split or its compensated quadratic evaluated it is the only one alive,
+    # and an L1 distance holds at most two members and the reference (a
+    # trajectory hashes its arrays, so weak references stand in for a WeakSet)
+    refs = []
+    seen = []
+
+    def registering(fn):
+        def registered(*args, **kwargs):
+            traj = fn(*args, **kwargs)
+            refs.append(weakref.ref(traj))
+            return traj
+        return registered
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def count_live(*args, **kwargs):
+            gc.collect()
+            seen.append((name, sum(ref() is not None for ref in refs)))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, count_live)
+
+    for owner, name in ((harness, "integrate"), (harness, "solve_reference"),
+                        (io, "load_trajectory")):
+        monkeypatch.setattr(owner, name, registering(getattr(owner, name)))
+    for owner, name in ((harness, "decompose_production"),
+                        (harness, "compensated_D_field"),
+                        (convergence, "l1_distance")):
+        counted(owner, name)
+    out = tmp_path / "two"
+    cfg = build_scenario(tiny_2d_text())
+    members = len(cfg.ladder)
+    for command in (lambda: run_ladder(cfg, outdir=out, jobs=1),
+                    lambda: verify_run(out), lambda: emit_plotdata(out)):
+        seen.clear()
+        command()
+        calls = Counter(name for name, _n in seen)
+        assert calls == {"decompose_production": members,
+                         "compensated_D_field": members,
+                         "l1_distance": 2 * members - 1}
+        most = {name: max(n for m, n in seen if m == name) for name in calls}
+        assert most == {"decompose_production": 1, "compensated_D_field": 1,
+                        "l1_distance": 3}
 
 
 def test_f11_table_built_once_per_runtime(tmp_path, monkeypatch):
