@@ -142,18 +142,18 @@ def dual_norm_rows(specs, finest, calls=20):
     h_minus_one_norm = compactness.h_minus_one_norm
     rows = []
 
-    def timed(fa, out):
+    def timed(*args):
         seconds = []
         faults = minor_faults()
         for _ in range(calls):
             t0 = time.perf_counter()
-            h_minus_one_norm(fa, out)
+            h_minus_one_norm(*args)
             seconds.append(time.perf_counter() - t0)
         faults = (minor_faults() - faults) / calls
-        peak = measure(lambda: h_minus_one_norm(fa, out))[2]
+        peak = measure(lambda: h_minus_one_norm(*args))[2]
         rows.append((1e3 * min(seconds), 1e3 * statistics.median(seconds),
                      faults, peak))
-        return h_minus_one_norm(fa, out)
+        return h_minus_one_norm(*args)
 
     with mock.patch.object(compactness, "h_minus_one_norm", timed):
         decompose_production(finest, specs.pairs, specs.visc, finest.epsilon)

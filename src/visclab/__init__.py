@@ -9,7 +9,7 @@ from .domain import (EntropyPair, Field, FieldTrajectory, FluxSpec, Grid,
 from .config import ScenarioConfig, build_scenario, render_config
 from .mollify import InitialData, MollifierKernel, make_kernel, \
     make_initial_data, mollify
-from .norms import SpaceTimeField, h_minus_one_norm, measure_norm
+from .norms import h_minus_one_norm, measure_norm
 from .viscous import StepError, integrate, stable_dt
 from .reference import solve_reference
 from .convergence import ConvergenceReport, RateFit, fit_rate, l1_distance

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import tables
 from .domain import EntropyPair, FieldTrajectory, FluxSpec, ViscositySpec
-from .norms import (SpaceTimeField, h_minus_one_norm, mass_of_snapshots,
-                    snapshot_blocks, snapshot_l1, time_weights)
+from .norms import (h_minus_one_norm, mass_of_snapshots, snapshot_blocks,
+                    snapshot_l1, time_weights)
 # bound here, though no longer called here, for the benchmark's trace probe
 # (perfbench/probe.py), which wraps compactness.measure_norm by name
 from .norms import measure_norm  # noqa: F401
@@ -125,8 +125,7 @@ def decompose_production(traj: FieldTrajectory, pairs: list[EntropyPair],
             A[blk] = 0.0
             _divergence_block(u[blk], pair, visc, b_face, eps, grid.spacing,
                               eta_ghost, A[blk])
-        norms.append((h_minus_one_norm(SpaceTimeField(grid, traj.times, A),
-                                       coef),
+        norms.append((h_minus_one_norm(A, traj.times, grid.spacing, coef),
                       mass_of_snapshots(sums[i], grid.cell_volume, weights)))
     return norms
 
@@ -453,7 +452,8 @@ def attach_c_field(quad: CompensatedQuad, finest: FieldTrajectory,
                            clamp_count=clamped)
 
 
-def compensated_D_field(traj: FieldTrajectory, quad: CompensatedQuad) -> SpaceTimeField:
+def compensated_D_field(traj: FieldTrajectory,
+                        quad: CompensatedQuad) -> np.ndarray:
     """Pointwise nonnegative quadratic D(u) against the window c-field."""
     if traj.grid.dim != 2:
         raise ValueError("the compensated quadratic is a d = 2 diagnostic")
@@ -477,5 +477,7 @@ def compensated_D_field(traj: FieldTrajectory, quad: CompensatedQuad) -> SpaceTi
         d22 = tables.interp(lat, quad.F22, ub) - f22_c[rows]
         d12 = tables.interp(lat, quad.F12, ub) - f12_c[rows]
         np.subtract(d11 * d22, d12 * d12, out=D[blk])
-    return SpaceTimeField(traj.grid, traj.times, D)
+    if not np.all(np.isfinite(D)):
+        raise ValueError("space-time field has non-finite entries")
+    return D
 

@@ -100,11 +100,13 @@ def member_diagnostics(cfg: ScenarioConfig, specs: RuntimeSpecs,
     return m
 
 
-def _stage(name: str, exc: Exception | None = None) -> dict:
-    """A manifest stage: ok, or failed with the error it raised."""
-    if exc is None:
-        return {"name": name, "status": "ok"}
-    return {"name": name, "status": "failed", "error": str(exc)}
+def _stages(names: list[str], exc: Exception | None = None) -> list[dict]:
+    """Manifest stages: each of ``names`` ok, or, given ``exc``, the last
+    failed with the error it raised."""
+    stages = [{"name": name, "status": "ok"} for name in names]
+    if exc is not None:
+        stages[-1].update(status="failed", error=str(exc))
+    return stages
 
 
 def _member_dir(outdir: Path, eps: float) -> Path:
@@ -116,33 +118,30 @@ def _load(cfg: ScenarioConfig, specs: RuntimeSpecs,
     return io.load_trajectory(dirpath, specs.grid, cfg.snapshots)
 
 
-def _solve_and_diagnose(cfg: ScenarioConfig, specs: RuntimeSpecs,
+def _solve_and_diagnose(cfg: ScenarioConfig, specs: RuntimeSpecs | None,
                         outdir: Path, eps: float, width: float):
-    """Solve one member and diagnose it, each as a stage of its own, then
-    save it; its values are dropped on return.
+    """Solve, diagnose and save one member, each a stage of its own; its
+    values are dropped on return.  A pool worker passes ``specs`` None and
+    builds its own runtime.
 
-    Returns ``(diag, stages, files)``: ``diag`` is None, and nothing is
-    saved, when either stage failed; a failed solve leaves no diagnose stage.
+    Returns ``(diag, stages)``: the stages up to the first that failed, and
+    ``diag`` None once one has, when nothing of the member is kept.
     """
+    if specs is None:
+        specs = build_runtime(cfg)
     label = eps_label(eps)
-    solve, diagnose = f"solve eps={label}", f"diagnose eps={label}"
+    names = [f"{stage} eps={label}" for stage in ("solve", "diagnose", "save")]
+    done = 1
     try:
         traj = solve_member(cfg, specs, eps, width)
-    except Exception as exc:
-        return None, [_stage(solve, exc)], []
-    try:
+        done = 2
         diag = member_diagnostics(cfg, specs, traj)
+        done = 3
+        io.save_trajectory(_member_dir(outdir, eps), traj)
     except Exception as exc:
-        return None, [_stage(solve), _stage(diagnose, exc)], []
-    files = io.save_trajectory(_member_dir(outdir, eps), traj)
-    return diag, [_stage(solve), _stage(diagnose)], files
-
-
-def _member_worker(args):
-    """One member in a pool process, which builds its own runtime and saves
-    the member itself, so only its diagnostics come back."""
-    cfg, outdir, eps, width = args
-    return _solve_and_diagnose(cfg, build_runtime(cfg), outdir, eps, width)
+        shutil.rmtree(_member_dir(outdir, eps), ignore_errors=True)
+        return None, _stages(names[:done], exc)
+    return diag, _stages(names)
 
 
 @dataclass
@@ -177,8 +176,8 @@ def assess(cfg: ScenarioConfig, specs: RuntimeSpecs,
                               _weak_window(cfg))
         for m, d in zip(members, dirs):
             dfield = compensated_D_field(_load(cfg, specs, d), quad)
-            m.d_mean = float(np.mean(dfield.values))
-            m.d_min = float(np.min(dfield.values))
+            m.d_mean = float(np.mean(dfield))
+            m.d_min = float(np.min(dfield))
             del dfield
     conv = None
     if refdir is not None:
@@ -222,80 +221,70 @@ def run_ladder(cfg: ScenarioConfig, outdir: str | Path | None = None,
     outdir = Path(outdir if outdir is not None else cfg.outdir)
     raw = cfg.raw_text or render_config(cfg)
     digest = config_hash(raw)
-    if outdir.exists():
-        if (outdir / "manifest.json").exists():
-            old = io.read_manifest(outdir)
-            if old.get("config_sha256") != digest and not overwrite:
-                raise RuntimeError(
-                    f"output directory {outdir} holds a run of a different "
-                    f"config (hash {old.get('config_sha256', '?')[:12]} != "
-                    f"{digest[:12]}); pass overwrite to replace it")
-            shutil.rmtree(outdir)
-        elif any(outdir.iterdir()):
-            if not overwrite:
-                raise RuntimeError(f"{outdir} exists and is not a run "
-                                   "directory; pass overwrite to replace it")
-            shutil.rmtree(outdir)
+    if outdir.exists() and any(outdir.iterdir()):
+        # a run of the same config is replaced silently; a run of another
+        # config, or anything that is not a run, only with overwrite
+        old = (io.read_manifest(outdir).get("config_sha256", "?")
+               if (outdir / "manifest.json").exists() else None)
+        if old != digest and not overwrite:
+            raise RuntimeError(
+                (f"{outdir} exists and is not a run directory" if old is None
+                 else f"output directory {outdir} holds a run of a different "
+                 f"config (hash {old[:12]} != {digest[:12]})")
+                + "; pass overwrite to replace it")
+        shutil.rmtree(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    stages = []
-    files = []
     specs = build_runtime(cfg)
-
-    resolved = render_config(cfg)
     with open(outdir / "config.resolved.cfg", "w") as fh:
-        fh.write(resolved)
-    files.append("config.resolved.cfg")
+        fh.write(render_config(cfg))
 
-    members: list[MemberDiagnostics] = []
-    dirs: list[Path] = []
-    failures = 0
     rungs = list(zip(cfg.ladder, cfg.mollifier_widths))
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(_member_worker, (cfg, outdir, eps, width)):
-                       eps for eps, width in rungs}
-            results = {}
-            for fut in concurrent.futures.as_completed(futures):
-                eps = futures[fut]
+            futures = [pool.submit(_solve_and_diagnose, cfg, None, outdir, eps,
+                                   width) for eps, width in rungs]
+            results = []
+            for (eps, _w), fut in zip(rungs, futures):
                 try:
-                    results[eps] = fut.result()
+                    results.append(fut.result())
                 except Exception as exc:
-                    # the worker itself failed: set-up, pickling or a crash
-                    results[eps] = (None, [
-                        _stage(f"solve eps={eps_label(eps)}", exc)], [])
-        ordered = ((eps, results[eps]) for eps, _w in rungs)
+                    # the worker itself failed: a crash or pickling
+                    shutil.rmtree(_member_dir(outdir, eps), ignore_errors=True)
+                    results.append((None, _stages(
+                        [f"solve eps={eps_label(eps)}"], exc)))
     else:
         # in process, the members share this run's runtime, one at a time
-        ordered = ((eps, _solve_and_diagnose(cfg, specs, outdir, eps, width))
+        results = (_solve_and_diagnose(cfg, specs, outdir, eps, width)
                    for eps, width in rungs)
 
-    for eps, (diag, member_stages, member_files) in ordered:
-        stages.extend(member_stages)
-        if diag is None:
-            failures += 1
-            continue
-        members.append(diag)
-        dirs.append(_member_dir(outdir, eps))
-        files.extend(str(Path(p).relative_to(outdir)) for p in member_files)
+    stages, members, dirs = [], [], []
+    for (eps, _w), (diag, member_stages) in zip(rungs, results):
+        stages += member_stages
+        if diag is not None:
+            members.append(diag)
+            dirs.append(_member_dir(outdir, eps))
+    failures = len(rungs) - len(members)
 
     refdir = outdir / "reference"
+    names, done = ["solve reference", "save reference"], 1
     try:
-        u0ref = specs.init_data.field.values
-        files.extend(str(Path(p).relative_to(outdir)) for p in
-                     io.save_trajectory(refdir, solve_reference(
-                         specs.grid, specs.flux, specs.visc, u0ref, cfg.cfl,
-                         snapshot_times(cfg.time_horizon, cfg.snapshots))))
-        stages.append(_stage("solve reference"))
+        reference = solve_reference(
+            specs.grid, specs.flux, specs.visc, specs.init_data.field.values,
+            cfg.cfl, snapshot_times(cfg.time_horizon, cfg.snapshots))
+        done = 2
+        io.save_trajectory(refdir, reference)
+        stages += _stages(names)
     except Exception as exc:
-        stages.append(_stage("solve reference", exc))
+        shutil.rmtree(refdir, ignore_errors=True)
+        stages += _stages(names[:done], exc)
         failures += 1
         refdir = None
+    reference = None  # assess loads it again; held, it would raise the peak
 
     conv, rows = assess(cfg, specs, members, dirs, refdir)
-
-    _write_reports(outdir, cfg, members, conv, rows, files)
+    _write_reports(outdir, cfg, members, conv, rows)
 
     verdicts = overall_verdicts(rows)
     finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -308,7 +297,8 @@ def run_ladder(cfg: ScenarioConfig, outdir: str | Path | None = None,
         "started": started,
         "finished": finished,
         "stages": stages,
-        "files": sorted(files),
+        "files": sorted(str(p.relative_to(outdir))
+                        for p in outdir.rglob("*") if p.is_file()),
         "estimates": {k: bool(v) for k, v in verdicts.items()},
     }
     io.write_manifest(outdir / "manifest.json", manifest)
@@ -322,7 +312,7 @@ def run_ladder(cfg: ScenarioConfig, outdir: str | Path | None = None,
 
 
 def _write_reports(outdir: Path, cfg: ScenarioConfig,
-                   members: list[MemberDiagnostics], conv, rows, files) -> None:
+                   members: list[MemberDiagnostics], conv, rows) -> None:
     diag_rows = []
     for m in members:
         for ent_id, (h1, mnorm) in m.entropy.items():
@@ -333,7 +323,6 @@ def _write_reports(outdir: Path, cfg: ScenarioConfig,
     io.write_csv(outdir / "diagnostics.csv",
                  ["epsilon", "entropy_id", "h1_norm_A", "measure_norm_M",
                   "ut_l1", "dirac_metric", "divcurl_dev", "D_mean"], diag_rows)
-    files.append("diagnostics.csv")
 
     conv_rows = []
     if conv is not None:
@@ -344,14 +333,12 @@ def _write_reports(outdir: Path, cfg: ScenarioConfig,
     io.write_csv(outdir / "convergence.csv",
                  ["epsilon", "l1_error_vs_reference", "cauchy_distance_to_next"],
                  conv_rows)
-    files.append("convergence.csv")
 
     est_rows = [(r.estimate, r.detail, r.epsilon, io.fmt(r.lhs), io.fmt(r.rhs),
                  r.op, str(r.passed)) for r in rows]
     io.write_csv(outdir / "estimates.csv",
                  ["estimate", "detail", "epsilon", "lhs", "rhs", "op", "passed"],
                  est_rows)
-    files.append("estimates.csv")
 
 
 # ---------------------------------------------------------------------------

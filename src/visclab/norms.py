@@ -28,30 +28,7 @@ setting of the block size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .domain import Grid
-
-
-@dataclass(frozen=True)
-class SpaceTimeField:
-    """A scalar field sampled on the snapshot lattice of a trajectory."""
-
-    grid: Grid
-    times: np.ndarray
-    values: np.ndarray  # (num_times, *cells)
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64)
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (t.size,) + self.grid.cells:
-            raise ValueError("space-time field shape mismatch")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("space-time field has non-finite entries")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
 
 
 def time_weights(times: np.ndarray) -> np.ndarray:
@@ -84,11 +61,21 @@ def snapshot_blocks(values: np.ndarray) -> list[slice]:
     return [slice(a, min(a + per, n)) for a in range(0, n, per)]
 
 
-def measure_norm(stf: SpaceTimeField) -> float:
-    """Space-time L1 norm: Riemann sum with cell volumes, trapezoid weights
-    in time.  As a total-mass surrogate it bounds the measure norm."""
-    return mass_of_snapshots(snapshot_l1(stf.values), stf.grid.cell_volume,
-                             time_weights(stf.times))
+def _finite(norm: float) -> float:
+    """``norm``, which any NaN or infinite entry of its field leaves
+    non-finite, once it is checked to be finite."""
+    if not np.isfinite(norm):
+        raise ValueError("space-time field has non-finite entries")
+    return norm
+
+
+def measure_norm(values: np.ndarray, times: np.ndarray,
+                 cell_volume: float) -> float:
+    """Space-time L1 norm of ``values`` (time, cells...): Riemann sum with
+    cell volumes, trapezoid weights over ``times``.  As a total-mass
+    surrogate it bounds the measure norm."""
+    return _finite(mass_of_snapshots(snapshot_l1(values), cell_volume,
+                                     time_weights(times)))
 
 
 def snapshot_l1(values: np.ndarray) -> np.ndarray:
@@ -228,19 +215,23 @@ def dirichlet_dual_norm(g: np.ndarray, spacings, out=None) -> float:
     return float(np.sqrt(coef.sum() * float(np.prod(spacings))))
 
 
-def h_minus_one_norm(stf: SpaceTimeField, out=None) -> float:
-    """Negative-order Sobolev norm of a space-time residual field.
+def h_minus_one_norm(values: np.ndarray, times: np.ndarray, spacing,
+                     out=None) -> float:
+    """Negative-order Sobolev norm of a space-time residual field ``values``
+    (time, cells...), sampled at ``times`` on cells of ``spacing``.
 
     The first and last snapshots lie on the cylinder boundary, where the test
     functions vanish, so only interior time slices enter the norm; they are
-    handed over as the ``(time, cells...)`` block they are stored as.
-    ``out``, an array of that block's shape, receives the coefficients, so
-    the norms of many fields of one shape can share it.
+    handed over as the ``(time, cells...)`` block they are stored as, and a
+    non-finite entry among them is rejected through the norm it leaves
+    non-finite.  ``out``, an array of that block's shape, receives the
+    coefficients, so the norms of many fields of one shape can share it.
     """
-    if stf.times.size < 3:
+    times = np.asarray(times, dtype=np.float64)
+    if times.size < 3:
         raise ValueError("need at least 3 snapshots for the space-time norm")
-    steps = np.diff(stf.times)
+    steps = np.diff(times)
     if not np.allclose(steps, steps[0], rtol=1e-8, atol=1e-14):
         raise ValueError("snapshots must be uniform in time")
-    spacings = (float(steps[0]),) + tuple(stf.grid.spacing)
-    return dirichlet_dual_norm(stf.values[1:-1], spacings, out)
+    spacings = (float(steps[0]),) + tuple(spacing)
+    return _finite(dirichlet_dual_norm(values[1:-1], spacings, out))

@@ -39,7 +39,7 @@ from visclab import norms, tables
 from visclab.compactness import _along, _centered_space, _pad
 from visclab.domain import (EntropyPair, Field, FieldTrajectory, FluxSpec,
                             Grid, ViscositySpec)
-from visclab.norms import SpaceTimeField, h_minus_one_norm, measure_norm
+from visclab.norms import h_minus_one_norm, measure_norm
 
 
 def _interp_scalar(tab, lo, inv, u):
@@ -263,7 +263,7 @@ def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
 
 
 def entropy_production_total(traj: FieldTrajectory,
-                             pair: EntropyPair) -> SpaceTimeField:
+                             pair: EntropyPair) -> np.ndarray:
     """Discrete field d/dt eta(u) + sum_j d/dx_j q_j(u) on the snapshot lattice."""
     if traj.num_snapshots < 3:
         raise ValueError("need at least 3 snapshots for the production field")
@@ -278,14 +278,14 @@ def entropy_production_total(traj: FieldTrajectory,
         q_u = tables.interp(pair.lattice, pair.q[axis], traj.values)
         q_ghost = float(tables.interp(pair.lattice, pair.q[axis], 0.0)[0])
         total += _centered_space(q_u, axis + 1, grid.spacing[axis], q_ghost)
-    return SpaceTimeField(grid, traj.times, total)
+    return total
 
 
 @dataclass(frozen=True)
 class EntropyProductionSplit:
     eps: float
-    divergence_part: SpaceTimeField   # flux-form, vanishes in the dual norm
-    dissipation_part: SpaceTimeField  # signed, bounded in total mass
+    divergence_part: np.ndarray   # flux-form, vanishes in the dual norm
+    dissipation_part: np.ndarray  # signed, bounded in total mass
     h1_norm_A: float
     measure_norm_M: float
 
@@ -320,10 +320,9 @@ def split_production(traj: FieldTrajectory, pair: EntropyPair,
         M += b_of_u * gc * gc
     M *= -eps
     M *= np.asarray(pair.etapp(u), dtype=np.float64)
-    fa = SpaceTimeField(grid, traj.times, A)
-    fm = SpaceTimeField(grid, traj.times, M)
-    return EntropyProductionSplit(eps, fa, fm, h_minus_one_norm(fa),
-                                  measure_norm(fm))
+    return EntropyProductionSplit(
+        eps, A, M, h_minus_one_norm(A, traj.times, grid.spacing),
+        measure_norm(M, traj.times, grid.cell_volume))
 
 
 def total_variation(field: Field) -> float:

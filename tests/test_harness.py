@@ -78,6 +78,21 @@ def test_rerun_same_config_is_idempotent(tmp_path):
     assert second.outdir == first.outdir
 
 
+def test_directory_that_is_not_a_run_requires_overwrite(tmp_path):
+    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
+                       young_window_snaps=5, young_window_cells=6)
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "notes.txt").write_text("not a run\n")
+    with pytest.raises(RuntimeError, match="not a run directory"):
+        run_ladder(cfg, outdir=out)
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    res = run_ladder(cfg, outdir=out, overwrite=True)
+    assert not (out / "notes.txt").exists()
+    assert (out / "manifest.json").exists()
+    assert "notes.txt" not in res.manifest["files"]
+
+
 def test_changed_config_requires_overwrite(tmp_path):
     cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
                        young_window_snaps=5, young_window_cells=6)
@@ -217,28 +232,70 @@ def test_failed_diagnostics_blamed_on_diagnose_stage(tmp_path, monkeypatch):
     cfg, result = _broken_diagnostics_run(tmp_path, monkeypatch)
     stages = {s["name"]: s for s in result.manifest["stages"]}
     assert [s["name"] for s in result.manifest["stages"]] == [
-        "solve eps=0.1", "diagnose eps=0.1", "solve eps=0.05",
-        "diagnose eps=0.05", "solve reference"]
+        "solve eps=0.1", "diagnose eps=0.1", "save eps=0.1", "solve eps=0.05",
+        "diagnose eps=0.05", "solve reference", "save reference"]
     assert stages["solve eps=0.05"]["status"] == "ok"
     assert stages["diagnose eps=0.05"] == {"name": "diagnose eps=0.05",
                                            "status": "failed",
                                            "error": "instrument failed"}
     assert all(stages[n]["status"] == "ok" for n in
-               ("solve eps=0.1", "diagnose eps=0.1", "solve reference"))
+               ("solve eps=0.1", "diagnose eps=0.1", "save eps=0.1",
+                "solve reference", "save reference"))
     assert result.exit_code == 2
     assert not any(f.startswith("eps_0.05/") for f in result.manifest["files"])
+    assert not (result.outdir / "eps_0.05").exists()
     assert {r["epsilon"] for r in read_csv(result.outdir / "diagnostics.csv")} \
         == {"0.1"}
     # a pool worker runs the same function, returns the same stages and
     # saves nothing either
     worker_out = tmp_path / "worker"
     worker_out.mkdir()
-    diag, worker_stages, files = harness._member_worker(
-        (cfg, worker_out, 0.05, 0.02))
-    assert diag is None and files == []
+    diag, worker_stages = harness._solve_and_diagnose(
+        cfg, None, worker_out, 0.05, 0.02)
+    assert diag is None
     assert worker_stages == [stages["solve eps=0.05"],
                              stages["diagnose eps=0.05"]]
     assert not any(worker_out.iterdir())
+
+
+def test_failed_save_blamed_on_save_stage(tmp_path, monkeypatch):
+    # a member whose trajectory cannot be written is recorded against its
+    # own save stage, in process as in a pool worker; nothing of it is kept
+    # and verify of the run names that stage
+    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
+                       young_window_snaps=5, young_window_cells=6)
+    save = io.save_trajectory
+
+    def full_disk_for_finest(dirpath, traj):
+        if traj.epsilon == 0.05:
+            save(dirpath, traj)  # part of it reaches the disk first
+            raise OSError("no space left on device")
+        return save(dirpath, traj)
+
+    monkeypatch.setattr(io, "save_trajectory", full_disk_for_finest)
+    result = run_ladder(cfg, outdir=tmp_path / "run", jobs=1)
+    assert result.exit_code == 2
+    failed = {"name": "save eps=0.05", "status": "failed",
+              "error": "no space left on device"}
+    assert result.manifest["stages"][3:6] == [
+        {"name": "solve eps=0.05", "status": "ok"},
+        {"name": "diagnose eps=0.05", "status": "ok"}, failed]
+    assert not (result.outdir / "eps_0.05").exists()
+    assert not any(f.startswith("eps_0.05/") for f in result.manifest["files"])
+    manifest = json.loads((result.outdir / "manifest.json").read_text())
+    assert manifest["stages"] == result.manifest["stages"]
+    worker_out = tmp_path / "worker"
+    worker_out.mkdir()
+    diag, worker_stages = harness._solve_and_diagnose(
+        cfg, None, worker_out, 0.05, cfg.mollifier_widths[1])
+    assert diag is None
+    assert worker_stages == result.manifest["stages"][3:6]
+    assert not any(worker_out.iterdir())
+    monkeypatch.undo()
+    _rows, code, table = verify_run(result.outdir)
+    assert code == 2
+    assert table.splitlines()[-1] == \
+        "stages that failed in the run: save eps=0.05"
 
 
 def test_verify_fails_run_with_failed_stage(tmp_path, monkeypatch):

@@ -9,28 +9,37 @@ from oracles import dual_norm_whole, total_variation
 from visclab import norms
 from visclab.domain import Field, Grid
 from visclab.mollify import make_initial_data, make_kernel, mollify
-from visclab.norms import (SpaceTimeField, dirichlet_dual_norm,
-                           h_minus_one_norm, measure_norm)
+from visclab.norms import dirichlet_dual_norm, h_minus_one_norm, measure_norm
 
 
-def stf_unit_box(nt=65, nx=200, values=None):
+def unit_box(nt=65, nx=200, values=None):
+    """``(values, times, grid)`` of a field on (0, 1) x (0, 1), ones unless
+    ``values`` are given."""
     g = Grid((nx,), (0.0,), (1.0,), 1.0)
     t = np.linspace(0.0, 1.0, nt)
     v = np.ones((nt, nx)) if values is None else values
-    return SpaceTimeField(g, t, v)
+    return v, t, g
+
+
+def l1_unit_box(*args):
+    v, t, g = unit_box(*args)
+    return measure_norm(v, t, g.cell_volume)
+
+
+def dual_unit_box(*args):
+    v, t, g = unit_box(*args)
+    return h_minus_one_norm(v, t, g.spacing)
 
 
 # --- L1 ---------------------------------------------------------------------
 
 def test_lp_zero_field():
-    s = stf_unit_box(values=np.zeros((65, 200)))
-    assert measure_norm(s) == 0.0
+    assert l1_unit_box(65, 200, np.zeros((65, 200))) == 0.0
 
 
 def test_lp_constant_unit_box():
-    s = stf_unit_box()
     # trapezoid weights in time make the unit box integrate to exactly one
-    assert measure_norm(s) == pytest.approx(1.0, rel=1e-13)
+    assert l1_unit_box() == pytest.approx(1.0, rel=1e-13)
 
 
 def test_lp_sine():
@@ -38,17 +47,18 @@ def test_lp_sine():
     g = Grid((200,), (0.0,), (1.0,), 1.0)
     t = np.linspace(0, 1, 65)
     v = np.broadcast_to(np.sin(np.pi * g.centers(0)), (65, 200)).copy()
-    s = SpaceTimeField(g, t, v)
-    assert measure_norm(s) == pytest.approx(2.0 / math.pi, rel=1e-4)
+    assert measure_norm(v, t, g.cell_volume) == pytest.approx(2.0 / math.pi,
+                                                              rel=1e-4)
 
 
 def test_measure_norm_nonpositive_field():
     rng = np.random.default_rng(4)
     v = -np.abs(rng.normal(size=(9, 40)))
-    s = stf_unit_box(9, 40, v)
-    integral = (float(np.sum(v * norms.time_weights(s.times)[:, None]))
-                * s.grid.cell_volume)
-    assert measure_norm(s) == pytest.approx(-integral, rel=1e-12)
+    _v, t, g = unit_box(9, 40, v)
+    integral = (float(np.sum(v * norms.time_weights(t)[:, None]))
+                * g.cell_volume)
+    assert measure_norm(v, t, g.cell_volume) == pytest.approx(-integral,
+                                                              rel=1e-12)
 
 
 # --- TV ---------------------------------------------------------------------
@@ -82,8 +92,7 @@ def test_tv_2d_anisotropic():
 # --- negative-order norm ----------------------------------------------------
 
 def test_dual_norm_zero():
-    s = stf_unit_box(9, 40, np.zeros((9, 40)))
-    assert h_minus_one_norm(s) == 0.0
+    assert dual_unit_box(9, 40, np.zeros((9, 40))) == 0.0
 
 
 def test_dual_norm_sine_oracle():
@@ -95,28 +104,26 @@ def test_dual_norm_sine_oracle():
     s = np.sin(np.pi * grid.centers(0))
     g = np.multiply.outer(np.sin(np.pi * times / T), np.outer(s, s))
     lam = (math.pi / T) ** 2 + 2.0 * math.pi**2
-    val = h_minus_one_norm(SpaceTimeField(grid, times, g))
+    val = h_minus_one_norm(g, times, grid.spacing)
     assert val == pytest.approx(math.sqrt(T / (8.0 * lam)), rel=0.01)
 
 
 def test_dual_norm_linearity_exact():
     rng = np.random.default_rng(11)
     g = rng.normal(size=(7, 30))
-    s1 = stf_unit_box(7, 30, g)
-    s2 = stf_unit_box(7, 30, 2.0 * g)
-    assert h_minus_one_norm(s2) == pytest.approx(2.0 * h_minus_one_norm(s1),
-                                                 rel=1e-14)
+    assert dual_unit_box(7, 30, 2.0 * g) == pytest.approx(
+        2.0 * dual_unit_box(7, 30, g), rel=1e-14)
 
 
 def test_dual_norm_homogeneity_and_triangle():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(9, 25))
     b = rng.normal(size=(9, 25))
-    na = h_minus_one_norm(stf_unit_box(9, 25, a))
-    nb = h_minus_one_norm(stf_unit_box(9, 25, b))
-    nab = h_minus_one_norm(stf_unit_box(9, 25, a + b))
+    na = dual_unit_box(9, 25, a)
+    nb = dual_unit_box(9, 25, b)
+    nab = dual_unit_box(9, 25, a + b)
     assert nab <= na + nb + 1e-12
-    n3 = h_minus_one_norm(stf_unit_box(9, 25, -3.0 * a))
+    n3 = dual_unit_box(9, 25, -3.0 * a)
     assert n3 == pytest.approx(3.0 * na, rel=1e-12)
 
 
@@ -280,7 +287,7 @@ def test_space_time_norm_orders_axes_time_first(cells):
     interior = np.moveaxis(v[1:-1], 0, -1)
     expected = oracle_dual_norm(interior, tuple(grid.spacing) + (0.3 / 8,),
                                 ("cell",) * len(cells) + ("node",))
-    assert h_minus_one_norm(SpaceTimeField(grid, times, v)) == pytest.approx(
+    assert h_minus_one_norm(v, times, grid.spacing) == pytest.approx(
         expected, rel=1e-12, abs=0.0)
 
 
@@ -370,7 +377,7 @@ def test_space_time_norm_matches_whole_array_on_a_scenario_shape():
                                      1 / 128), ("node", "cell", "cell"))
     out = np.empty((31, 128, 128))
     for _ in range(2):
-        got = h_minus_one_norm(SpaceTimeField(grid, times, v), out)
+        got = h_minus_one_norm(v, times, grid.spacing, out)
         assert got.hex() == want.hex()
 
 
@@ -384,24 +391,29 @@ def test_dual_norm_mesh_consistency():
         x = grid.centers(0)
         g = np.multiply.outer(np.sin(np.pi * times),
                               np.sin(2 * np.pi * x) + 0.3 * x * (1 - x))
-        vals.append(h_minus_one_norm(SpaceTimeField(grid, times, g)))
+        vals.append(h_minus_one_norm(g, times, grid.spacing))
     assert abs(vals[1] - vals[0]) / vals[0] < 0.02
 
 
 def test_dual_norm_needs_three_snapshots():
     with pytest.raises(ValueError, match="3 snapshots"):
-        h_minus_one_norm(stf_unit_box(2, 10, np.ones((2, 10))))
+        dual_unit_box(2, 10, np.ones((2, 10)))
 
 
 def test_dual_norm_needs_uniform_times():
     g = Grid((10,), (0.0,), (1.0,), 1.0)
     times = np.array([0.0, 0.1, 0.3, 0.4])
     with pytest.raises(ValueError, match="uniform"):
-        h_minus_one_norm(SpaceTimeField(g, times, np.ones((4, 10))))
+        h_minus_one_norm(np.ones((4, 10)), times, g.spacing)
 
 
-def test_space_time_field_rejects_non_finite_entries():
-    v = np.ones((4, 10))
-    v[2, 3] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        stf_unit_box(4, 10, v)
+def test_space_time_norms_reject_non_finite_entries():
+    # any NaN or infinite entry of an interior snapshot leaves either norm
+    # non-finite, and the norm is rejected
+    for bad in (np.nan, np.inf, -np.inf):
+        v = np.ones((4, 10))
+        v[2, 3] = bad
+        for norm in (l1_unit_box, dual_unit_box):
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(ValueError, match="non-finite"):
+                norm(4, 10, v)
