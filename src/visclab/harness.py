@@ -5,13 +5,14 @@ from __future__ import annotations
 import concurrent.futures
 import datetime
 import itertools
+import math
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, io, kernels, tables
+from . import __version__, io, kernels, norms, tables
 from .compactness import (attach_c_field, build_compensated_quad,
                           compensated_D_field, decompose_production,
                           dirac_concentration, div_curl_test,
@@ -27,7 +28,9 @@ from .report import (EstimateRow, MemberDiagnostics, evaluate_estimates,
                      format_table, grad_energy_lhs, overall_verdicts,
                      synthetic_divcurl)
 from .reference import solve_reference
-from .viscous import integrate, snapshot_times
+# ``integrate`` marches one member alone: ``perfbench/probe.py`` rebinds it
+# here, though a run marches its members in batches, by ``integrate_batch``
+from .viscous import integrate, integrate_batch, lone, snapshot_times
 
 
 @dataclass
@@ -65,13 +68,43 @@ def build_runtime(cfg: ScenarioConfig) -> RuntimeSpecs:
     return RuntimeSpecs(grid, flux, visc, pairs, init, tartar, cfg.sup_u0)
 
 
+def solve_batch(cfg: ScenarioConfig, specs: RuntimeSpecs,
+                rungs: list[tuple[float, float]]) -> list:
+    """The members ``rungs``, ``(eps, mollifier width)`` pairs of consecutive
+    ladder members, marched in lockstep from their mollified data: each
+    member's ``FieldTrajectory``, or the ``StepError`` it failed with."""
+    u0 = np.stack([mollify(specs.init_data,
+                           make_kernel(width, specs.grid.spacing)).values
+                   for _eps, width in rungs])
+    times = snapshot_times(cfg.time_horizon, cfg.snapshots)
+    return integrate_batch(specs.grid, u0, specs.flux, specs.visc,
+                           [eps for eps, _width in rungs], cfg.cfl, times,
+                           sup_bound=specs.sup_bound)
+
+
 def solve_member(cfg: ScenarioConfig, specs: RuntimeSpecs, eps: float,
                  width: float) -> FieldTrajectory:
-    kern = make_kernel(width, specs.grid.spacing)
-    u0eps = mollify(specs.init_data, kern)
-    times = snapshot_times(cfg.time_horizon, cfg.snapshots)
-    return integrate(specs.grid, u0eps.values, specs.flux, specs.visc, eps,
-                     cfg.cfl, times, sup_bound=specs.sup_bound)
+    """One member alone, a batch of one; raises its ``StepError``."""
+    return lone(solve_batch(cfg, specs, [(eps, width)]))
+
+
+def batches(cfg: ScenarioConfig, jobs: int) -> list[list[tuple[float, float]]]:
+    """The ladder's ``(eps, width)`` members cut into the runs of
+    consecutive members that march together.
+
+    A batch's trajectories fit ``norms.BATCH_BYTES``, and under ``jobs``
+    processes it holds at most ``ceil(members / jobs)`` members, so every
+    process has work.  In a pool the first member marches alone: it has
+    the smallest step, so its march is the longest of the ladder and bounds
+    the run's wall time, and batching it would only lengthen that march.
+    """
+    rungs = list(zip(cfg.ladder, cfg.mollifier_widths))
+    trajectory = 8 * (cfg.snapshots + 1) * math.prod(cfg.cells)
+    size = max(1, min(norms.BATCH_BYTES // trajectory,
+                      -(-len(rungs) // jobs)))
+    first = 1 if jobs > 1 else size
+    return [rungs[:first]] + [rungs[a:a + size]
+                              for a in range(first, len(rungs), size)]
 
 
 def _young_histograms(cfg: ScenarioConfig, specs: RuntimeSpecs,
@@ -119,29 +152,54 @@ def _load(cfg: ScenarioConfig, specs: RuntimeSpecs,
 
 
 def _solve_and_diagnose(cfg: ScenarioConfig, specs: RuntimeSpecs | None,
-                        outdir: Path, eps: float, width: float):
-    """Solve, diagnose and save one member, each a stage of its own; its
-    values are dropped on return.  A pool worker passes ``specs`` None and
-    builds its own runtime.
+                        outdir: Path, rungs: list, batch: int) -> list:
+    """Solve the members ``rungs`` as batch number ``batch``, then diagnose
+    and save each in turn, dropping it once saved.  A pool worker passes
+    ``specs`` None and builds its own runtime.
 
-    Returns ``(diag, stages)``: the stages up to the first that failed, and
-    ``diag`` None once one has, when nothing of the member is kept.
+    Returns ``(diag, stages)`` of each member: its stages up to the first
+    that failed, and ``diag`` None once one has, when nothing of the member
+    is kept.  Each ``solve eps=…`` stage records the batch number, and, when
+    the member was solved, its steps, dt and peak |u|.
     """
     if specs is None:
         specs = build_runtime(cfg)
+    try:
+        solved = solve_batch(cfg, specs, rungs)
+    except Exception as exc:
+        solved = [exc] * len(rungs)
+    results = []
+    for i, (eps, _width) in enumerate(rungs):
+        traj, solved[i] = solved[i], None
+        results.append(_diagnose_and_save(cfg, specs, outdir, eps, traj,
+                                          batch))
+    return results
+
+
+def _diagnose_and_save(cfg: ScenarioConfig, specs: RuntimeSpecs,
+                       outdir: Path, eps: float, traj, batch: int):
+    """The stages of one member of a solved batch; ``traj`` is its
+    trajectory, or the exception its solve failed with."""
     label = eps_label(eps)
     names = [f"{stage} eps={label}" for stage in ("solve", "diagnose", "save")]
+    solve = {"batch": batch}
     done = 1
     try:
-        traj = solve_member(cfg, specs, eps, width)
+        if isinstance(traj, Exception):
+            raise traj
+        solve.update(steps=traj.steps_taken, dt=traj.dt,
+                     max_abs_seen=traj.max_abs_seen)
         done = 2
         diag = member_diagnostics(cfg, specs, traj)
         done = 3
         io.save_trajectory(_member_dir(outdir, eps), traj)
     except Exception as exc:
         shutil.rmtree(_member_dir(outdir, eps), ignore_errors=True)
-        return None, _stages(names[:done], exc)
-    return diag, _stages(names)
+        diag, stages = None, _stages(names[:done], exc)
+    else:
+        stages = _stages(names)
+    stages[0].update(solve)
+    return diag, stages
 
 
 @dataclass
@@ -213,8 +271,8 @@ def run_ladder(cfg: ScenarioConfig, outdir: str | Path | None = None,
     """Full pipeline: mollify, solve the ladder, solve the reference, run all
     diagnostics, evaluate the estimates, and persist everything.
 
-    ``jobs`` members are solved at once, each in a process of its own when
-    it is above 1; it must be at least 1.
+    The ladder is solved in ``batches(cfg, jobs)``, each batch in a process
+    of its own when ``jobs`` is above 1; it must be at least 1.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -240,24 +298,28 @@ def run_ladder(cfg: ScenarioConfig, outdir: str | Path | None = None,
     with open(outdir / "config.resolved.cfg", "w") as fh:
         fh.write(render_config(cfg))
 
-    rungs = list(zip(cfg.ladder, cfg.mollifier_widths))
+    # a batch is the unit of work, in process and in the pool
+    cut = batches(cfg, jobs)
+    rungs = [rung for batch in cut for rung in batch]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_solve_and_diagnose, cfg, None, outdir, eps,
-                                   width) for eps, width in rungs]
+            futures = [pool.submit(_solve_and_diagnose, cfg, None, outdir,
+                                   batch, b) for b, batch in enumerate(cut)]
             results = []
-            for (eps, _w), fut in zip(rungs, futures):
+            for b, (batch, fut) in enumerate(zip(cut, futures)):
                 try:
-                    results.append(fut.result())
+                    results += fut.result()
                 except Exception as exc:
-                    # the worker itself failed: a crash or pickling
-                    shutil.rmtree(_member_dir(outdir, eps), ignore_errors=True)
-                    results.append((None, _stages(
-                        [f"solve eps={eps_label(eps)}"], exc)))
+                    # the worker itself failed, a crash or pickling: a
+                    # failed solve of each of its members
+                    results += [_diagnose_and_save(cfg, specs, outdir, eps,
+                                                   exc, b)
+                                for eps, _w in batch]
     else:
-        # in process, the members share this run's runtime, one at a time
-        results = (_solve_and_diagnose(cfg, specs, outdir, eps, width)
-                   for eps, width in rungs)
+        # in process, the batches share this run's runtime, one at a time
+        results = itertools.chain.from_iterable(
+            _solve_and_diagnose(cfg, specs, outdir, batch, b)
+            for b, batch in enumerate(cut))
 
     stages, members, dirs = [], [], []
     for (eps, _w), (diag, member_stages) in zip(rungs, results):

@@ -1,7 +1,8 @@
 """Hot finite-volume update kernels, one per scheme.
 
 ``visc_step(u, dt, out, plan)`` is the explicit viscous step in one or two
-dimensions: it runs the same face update along each axis of its plan.
+dimensions, for a batch of ladder members at once: it runs the same face
+update along each axis of its plan, on every member's state.
 ``godunov_step(u, dt, out, plan)`` is the Godunov step along the one axis
 its plan was built for, any axis of a state of any dimension; the reference
 composes the axes by Strang splitting.  Each kernel is vectorized numpy.
@@ -13,24 +14,27 @@ Step plans: a kernel's ``plan`` is built once per march by ``visc_plan`` or
 ``godunov_plan`` and passed unchanged on every call.  The plan is the only
 place that holds a step's tables and constants: the tables and their slope
 tables ``tab[1:] - tab[:-1]``, the lattice (``lo``, ``inv`` and the last
-panel ``top``), the spacing ``h``, ``eps / h``, the flat-B product ``b * eps
-/ h`` and the Godunov flux's critical nodes.  A kernel takes no table
-argument, so it reads only the tables its plan was built for.  A plan holds
-only arrays, tuples, numbers and None.
+panel ``top``), the spacing ``h``, each member's ``eps / h`` and flat-B
+product ``b * eps / h``, and the Godunov flux's critical nodes.  A kernel
+takes no table argument, so it reads only the tables its plan was built
+for.  A plan holds only arrays, tuples, numbers and None.
 
 Only the viscous plan also holds buffers, because only the viscous step is
 called often enough for them to pay: every member of a run marches with it
-(75,136 steps in the shipped 1-D run, 9,600 in the 2-D run), while the
-reference makes a few hundred Godunov steps (512 in 1-D, 384 sweeps in 2-D).
+(40,000 batched steps in the shipped 1-D run, 9,600 in the 2-D run), while
+the reference makes a few hundred Godunov steps (512 in 1-D, 384 sweeps in
+2-D).
 The viscous plan holds every buffer a step writes (the zero-bordered copy of
 the state, whose ghost cells stay 0 because only its interior is written;
 the location of the state and of the face midpoints; the table reads; the
 face fluxes and the cell differences) and every view the step reads (the
 interior of the state, the state and the table reads on either side of each
 face, the fluxes after and before each cell).  So a viscous step is one
-fixed sequence of ufunc calls with ``out=`` into the plan: it allocates
-nothing and slices nothing.  The Godunov plan holds no buffer and no view: a
-Godunov step moves its axis first, pads that axis with a zero ghost cell at
+fixed sequence of ufunc calls with ``out=`` into the plan: for one member
+it allocates nothing and slices nothing.  (For more, ``dt / h`` is a new
+column, and numpy buffers the two row-wise ops, the ``dt / h`` product and
+``u - diff``, about one state in all.)  The Godunov plan holds no buffer
+and no view: a Godunov step moves its axis first, pads that axis with a zero ghost cell at
 either end, and allocates its temporaries, so the faces of every line are
 the leading-axis slices ``[:-1]`` and ``[1:]`` of the padded state.  Each
 face and cell gets the same ufuncs in the same order as the loop twin's
@@ -63,6 +67,26 @@ end of one row to the start of the next, are computed and never read: the
 cell differences fill a full-size buffer, and ``out = u - diff`` reads only
 its interior.  Each face and cell that is read gets the same ufuncs in the
 same order as the loop twins' arithmetic.
+
+Batches: the state of a viscous step is ``(k, *cells)``, the leading ``k``
+members of a batch, and the zero-bordered state is ``(k, *cells + 2)``.  The
+member axis has no ghost cells and no faces of its own: raveled, the last
+ghost layer of one member meets the first of the next, and the faces between
+them lie between two ghost cells, computed and never read like the others.
+So every op still runs once over the whole batch.  What differs between
+members is a factor: ``eps / h`` and ``b * eps / h`` of each member's
+viscosity and ``dt / h`` of each member's step.  With one member these are
+floats and the step is the single-member step op for op.  With more, the
+plan holds the viscosity factors face by face, each face its member's (a
+flat product, as cheap as the scalar one), and ``dt / h`` is a column ``(k,
+1, ...)`` that multiplies the cell differences cut into one row per member.
+The ghost layers of a row are multiplied too and never read; the buffers
+are allocated zero, so they hold finite values only.  ``visc_plan`` builds
+one plan per leading count ``k`` on one set of buffers, as long as the whole
+batch's bordered states; the plan of ``k`` members views their first ``k``
+rows.  A member whose state is all zero stays zero: every face then sees two
+zero states, every face flux is the same number and every difference is
+0.
 
 Zero Engquist-Osher tables: the viscous plan also judges each Engquist-Osher
 table once per march.  A table whose every node is +0.0 (f- of ``linear``
@@ -98,30 +122,34 @@ def active_backend() -> str:
 # per-march step plans
 
 
-def _location(shape) -> tuple:
-    """``(k, frac, scratch)``: the ``out`` of ``tables.locate`` for an array
-    of ``shape``."""
-    return np.empty(shape, np.int64), np.empty(shape), np.empty(shape)
+def _location(size: int) -> tuple:
+    """``(k, frac, scratch)``: the ``out`` of ``tables.locate`` for ``size``
+    values."""
+    return np.empty(size, np.int64), np.empty(size), np.empty(size)
 
 
 class Axis(NamedTuple):
     """The faces of one axis of a viscous step, as flat slices.
 
     ``h`` is the spacing, ``eh`` is ``eps / h`` and ``beh`` is ``b * eps /
-    h`` for a flat B table, else None.  ``eop``/``eom`` are that axis's
-    Engquist-Osher tables and ``*_slope`` their slopes; all four are None
+    h`` for a flat B table, else None: floats for one member, else the
+    factor of each face's member, face by face.  ``eop``/``eom`` are that
+    axis's Engquist-Osher tables and ``*_slope`` their slopes; all four are None
     for a table that is never read because every node is +0.0.  ``ul``/``ur``
     view the raveled padded state and ``pl``/``qr`` the ``eop``/``eom`` reads
     on the left and right of each face (the scalar 0.0 for a zero table).
     ``flux`` and ``mid`` are face buffers, ``fr``/``fl`` view ``flux`` after
     and before each cell, and ``diff`` views the part of the plan's cell
-    differences that receives ``fr - fl``.  ``bread`` is the face midpoints'
-    location and the two buffers of the B read; None when B is flat.
+    differences that receives ``fr - fl``, and ``diffs`` what a member's
+    ``dt / h`` multiplies: ``diff`` itself for one member, else the cell
+    differences cut into one row per member.  ``bread`` is the face
+    midpoints' location and the two buffers of the B read; None when B is
+    flat.
     """
 
     h: float
-    eh: float
-    beh: float | None
+    eh: float | np.ndarray
+    beh: float | np.ndarray | None
     eop: np.ndarray | None
     eom: np.ndarray | None
     eop_slope: np.ndarray | None
@@ -135,11 +163,13 @@ class Axis(NamedTuple):
     fr: np.ndarray
     fl: np.ndarray
     diff: np.ndarray
+    diffs: np.ndarray
     bread: tuple | None
 
 
 class ViscPlan(NamedTuple):
-    """Step plan of ``visc_step``.
+    """Step plan of ``visc_step`` for the states ``(k, *cells)`` of ``k``
+    members.
 
     ``ext`` is the zero-bordered state, ``flat`` the same buffer raveled and
     ``inner`` its interior, the only part a step writes, so the ghost cells
@@ -185,45 +215,69 @@ def _is_zero(tab: np.ndarray) -> bool:
     return not (tab.any() or np.signbit(tab).any())
 
 
-def visc_plan(shape, spacing, eps: float, lattice, flux_tables,
-              btab) -> ViscPlan:
-    """The step plan of ``visc_step`` for states of ``shape``.
+def _per_face(factors: list, size: int, faces: int):
+    """Each face's factor: a float for one member; else face ``i`` gets the
+    factor of member ``i // size``, whose bordered state holds ``size``
+    cells."""
+    if len(factors) == 1:
+        return factors[0]
+    return np.repeat(factors, size)[:faces]
+
+
+def visc_plan(cells, spacing, eps, lattice, flux_tables,
+              btab) -> tuple[ViscPlan, ...]:
+    """The step plans of ``visc_step`` for a batch of members on a grid of
+    ``cells``, member ``m`` with viscosity ``eps[m]``: plan ``k - 1`` steps
+    the leading ``k`` members.
 
     Axis ``ax`` has spacing ``spacing[ax]`` and reads the Engquist-Osher
     tables of ``flux_tables[ax]`` (a ``domain.FluxTables``); ``btab`` is the
     B table, and every table lies on ``lattice``.
     """
-    # one ghost cell on either side of every axis
-    ext = np.zeros(tuple(n + 2 for n in shape))
-    flat, n = ext.reshape(-1), ext.size
-    interior = (slice(1, -1),) * len(shape)
-    diff = np.empty(n)  # the cell differences, read in the interior only
-    p, q = np.empty(n), np.empty(n)
-    # face buffers, as long as the faces of a stride-1 axis; an axis of
-    # stride s uses the first n - s
-    flux, mid = np.empty(n - 1), np.empty(n - 1)
+    eps = tuple(eps)
+    dim = len(cells)
+    # one ghost cell on either side of every cell axis, none on the members'
+    ext = np.zeros((len(eps),) + tuple(n + 2 for n in cells))
+    size = ext[0].size  # one member's bordered state
+    # the cell differences are read in the interior only; face buffers as
+    # long as the cells, of which an axis of stride s uses the first n - s
+    diff, mid, flux, p, q, scratch = (np.zeros(ext.size) for _ in range(6))
+    loc = _location(ext.size)
     bflat = bool((btab == btab[0]).all())
-    bbuf = None if bflat else (*_location(n - 1), np.empty(n - 1),
-                               np.empty(n - 1))
-    axes = []
-    for stride, h, tab in zip(ext.strides, spacing, flux_tables):
-        s = stride // ext.itemsize  # the axis's flat offset
-        f = n - s  # face i lies between cells i and i + s
+    bbuf = None if bflat else (*_location(ext.size), np.zeros(ext.size),
+                               np.zeros(ext.size))
+    judged = []
+    for stride, h, tab in zip(ext.strides[1:], spacing, flux_tables):
         eop = None if _is_zero(tab.eo_plus) else tab.eo_plus
         eom = None if _is_zero(tab.eo_minus) else tab.eo_minus
-        eh = eps / h
-        axes.append(Axis(
-            h, eh, float(btab[0]) * eh if bflat else None, eop, eom,
-            None if eop is None else tables.slopes(eop),
-            None if eom is None else tables.slopes(eom), flat[:f], flat[s:],
-            0.0 if eop is None else p[:f], 0.0 if eom is None else q[s:],
-            flux[:f], mid[:f], flux[s:f], flux[:f - s], diff[s:f],
-            None if bflat else (tuple(b[:f] for b in bbuf[:3]),
-                                bbuf[3][:f], bbuf[4][:f])))
-    return ViscPlan(lattice.lo, lattice.inv_spacing, lattice.n - 2.0, ext,
-                    flat, ext[interior], _location(n), p, q, np.empty(n),
-                    diff.reshape(ext.shape)[interior], tuple(axes), btab,
-                    None if bflat else tables.slopes(btab))
+        judged.append((stride // ext.itemsize, h, eop, eom,
+                       None if eop is None else tables.slopes(eop),
+                       None if eom is None else tables.slopes(eom)))
+    interior = (slice(None),) + (slice(1, -1),) * dim
+    plans = []
+    for k in range(1, len(eps) + 1):
+        n, shape = k * size, (k,) + ext.shape[1:]
+        flat = ext.reshape(-1)[:n]
+        axes = []
+        for s, h, eop, eom, eop_slope, eom_slope in judged:
+            f = n - s  # face i lies between cells i and i + s
+            eh = [e / h for e in eps[:k]]
+            axes.append(Axis(
+                h, _per_face(eh, size, f),
+                _per_face([float(btab[0]) * x for x in eh], size, f)
+                if bflat else None,
+                eop, eom, eop_slope, eom_slope, flat[:f], flat[s:],
+                0.0 if eop is None else p[:f], 0.0 if eom is None else q[s:n],
+                flux[:f], mid[:f], flux[s:f], flux[:f - s], diff[s:f],
+                diff[s:f] if k == 1 else diff[:n].reshape(shape),
+                None if bflat else (tuple(b[:f] for b in bbuf[:3]),
+                                    bbuf[3][:f], bbuf[4][:f])))
+        plans.append(ViscPlan(
+            lattice.lo, lattice.inv_spacing, lattice.n - 2.0, ext[:k], flat,
+            ext[:k][interior], tuple(b[:n] for b in loc), p[:n], q[:n],
+            scratch[:n], diff[:n].reshape(shape)[interior], tuple(axes),
+            btab, None if bflat else tables.slopes(btab)))
+    return tuple(plans)
 
 
 def godunov_plan(h: float, lattice, flux_table, axis: int) -> GodunovPlan:
@@ -241,8 +295,14 @@ def godunov_plan(h: float, lattice, flux_table, axis: int) -> GodunovPlan:
 
 
 def visc_step(u, dt, out, plan: ViscPlan):
-    """One forward-Euler step of the viscous balance, zero ghost cells:
-    ``out = u - diff_x``, then ``out -= diff_y`` in 2-D."""
+    """One forward-Euler step of the viscous balance for each member of
+    ``u``, ``(k, *cells)``, zero ghost cells: ``out = u - diff_x``, then
+    ``out -= diff_y`` in 2-D.
+
+    ``dt`` is a float for one member, else a column ``(k, 1, ...)`` of each
+    member's step.  ``out`` may be ``u``: the step reads ``u`` into its
+    plan's bordered state before it writes.
+    """
     plan.inner[...] = u
     loc = tables.locate(plan.lo, plan.inv, plan.top, plan.flat, out=plan.loc)
     src = u
@@ -268,7 +328,8 @@ def visc_step(u, dt, out, plan: ViscPlan):
             bm *= a.eh
             bm *= np.subtract(a.ur, a.ul, out=mid)
             flux -= bm
-        d = np.subtract(a.fr, a.fl, out=a.diff)
+        np.subtract(a.fr, a.fl, out=a.diff)
+        d = a.diffs
         d *= dt / a.h
         src = np.subtract(src, plan.dint, out=out)
     return out

@@ -52,6 +52,14 @@ def time_weights(times: np.ndarray) -> np.ndarray:
 # block.
 BLOCK_BYTES = 1 << 18
 
+# The trajectories of the ladder members that march together, in bytes (see
+# ``harness.batches``).  A batch's step spreads each numpy call over all its
+# members, which pays while the step is bound by call overhead: the shipped
+# 1-D ladder (4 x 208 KB) is one batch.  A 128x128 member (4.3 MB) is a batch
+# of one: there the step is bound by memory traffic, and a step of three
+# 128x128 members took 1.80 ms against 1.74 ms for three lone steps.
+BATCH_BYTES = 1 << 20
+
 
 def snapshot_blocks(values: np.ndarray) -> list[slice]:
     """Consecutive slices of whole snapshots (rows of axis 0) of ``values``,

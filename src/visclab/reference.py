@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .domain import FieldTrajectory, FluxSpec, Grid, ViscositySpec
-from .viscous import march, stable_dt
+from .viscous import lone, march, stable_dt
 
 # the name the step is looked up under, one per dimension
 KERNEL_NAMES = {1: "godunov_step_1d", 2: "godunov_sweep_2d"}
@@ -24,19 +24,22 @@ KERNEL_NAMES = {1: "godunov_step_1d", 2: "godunov_sweep_2d"}
 def solve_reference(grid: Grid, flux: FluxSpec, visc: ViscositySpec,
                     u0: np.ndarray, cfl: float,
                     snapshot_times: np.ndarray) -> FieldTrajectory:
-    """Entropy-solution candidate on the same snapshot lattice, epsilon = 0."""
+    """Entropy-solution candidate on the same snapshot lattice, epsilon = 0,
+    marched as a batch of one."""
     step = kernels.get_kernel(KERNEL_NAMES[grid.dim])
+    # axis 0 of the march's state is the batch's
     *halves, last = [
-        kernels.godunov_plan(h, flux.lattice, tab, axis)
+        kernels.godunov_plan(h, flux.lattice, tab, axis + 1)
         for axis, (h, tab) in enumerate(zip(grid.spacing, flux.tables))]
     plans = (*halves, last, *halves[::-1])
 
     def advance(u, dt):
+        # in place: a step reads the state into its padded copy first
         half = 0.5 * dt
         for plan in plans:
-            u = step(u, dt if plan is last else half, np.empty_like(u), plan)
+            step(u, dt if plan is last else half, u, plan)
         return u
 
-    return march(grid, u0, snapshot_times, advance,
-                 stable_dt(grid, flux, visc, eps=0.0, cfl=cfl), 0.0,
-                 float(np.max(np.abs(u0))))
+    return lone(march(grid, np.asarray(u0)[None], snapshot_times, advance,
+                      (stable_dt(grid, flux, visc, eps=0.0, cfl=cfl),),
+                      (0.0,), float(np.max(np.abs(u0)))))

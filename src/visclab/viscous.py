@@ -5,6 +5,12 @@ with the face viscosity evaluated at the arithmetic mean of the adjacent
 cells.  Both ingredients are monotone under the time-step bound below, which
 is what gives the discrete maximum principle.  Boundary faces see a ghost
 value of zero for both fluxes (homogeneous Dirichlet).
+
+The members of a ladder march in batches (``integrate_batch``): one
+batched step per time step for every member still short of the next
+snapshot, each member with its own step, so that each gets the values of
+its lone march (``integrate``) bit for bit.  The reference marches through
+the same loop as a batch of one.
 """
 
 from __future__ import annotations
@@ -42,59 +48,142 @@ def stable_dt(grid: Grid, flux: FluxSpec, visc: ViscositySpec, eps: float,
     return cfl * min(candidates)
 
 
-def _make_advance(grid: Grid, flux: FluxSpec, visc: ViscositySpec,
-                  eps: float):
-    """The member's forward-Euler update ``advance(u, dt) -> new u``, set up
-    once per march together with the kernel's step plan, which tabulates the
-    slopes of the tables and judges once whether the B table is flat (then
-    every step reads B as one scalar)."""
-    kernel = kernels.get_kernel(f"visc_step_{grid.dim}d")
-    plan = kernels.visc_plan(grid.cells, grid.spacing, eps, flux.lattice,
-                             flux.tables, visc.table)
+def _make_advance(grid: Grid, flux: FluxSpec, visc: ViscositySpec, eps):
+    """The forward-Euler update ``advance(u, dt)`` of the batch of members
+    with viscosities ``eps``, set up once per march together with the
+    kernel's step plans, which tabulate the slopes of the tables and judge
+    once whether the B table is flat (then every step reads B as one scalar).
 
-    # two output buffers per march, taken in turn: a step never writes into
-    # the state it reads, and march keeps only copies of the states it stores
-    outs = (np.empty(grid.cells), np.empty(grid.cells))
+    ``u`` holds the states of the batch's leading members and is updated in
+    place: the kernel reads it into its plan's bordered state first.
+    """
+    kernel = kernels.get_kernel(f"visc_step_{grid.dim}d")
+    plans = kernels.visc_plan(grid.cells, grid.spacing, eps, flux.lattice,
+                              flux.tables, visc.table)
 
     def euler(u, dt):
-        return kernel(u, dt, outs[0] if u is not outs[0] else outs[1], plan)
+        return kernel(u, dt, u, plans[len(u) - 1])
 
     return euler
 
 
-def march(grid: Grid, u0: np.ndarray, times: np.ndarray, advance,
-          dt_base: float, eps: float, sup_bound: float) -> FieldTrajectory:
-    """Apply ``advance(u, dt)`` in steps of at most ``dt_base``, landing
-    exactly on each snapshot time; fails hard once |u| exceeds ``sup_bound``."""
+def _steps(t: float, target: float, dt_base: float) -> list[float]:
+    """The steps from ``t`` to the snapshot time ``target``: each
+    ``min(dt_base, target - t)``, until ``t`` is within 1e-13 (relative) of
+    ``target``.  Only the last can be shorter than ``dt_base``: it lands on
+    ``target``."""
+    short = target - 1e-13 * max(1.0, target)
+    steps = []
+    while t < short:
+        dt = min(dt_base, target - t)
+        t += dt
+        steps.append(dt)
+    return steps
+
+
+def _clock(t: float, steps: list[float]) -> float:
+    """``t`` after ``steps``, added one at a time as a march adds them."""
+    for dt in steps:
+        t += dt
+    return t
+
+
+def _column(dts: list[float], ndim: int):
+    """``dt`` of the members stepping: a float for one, else a column."""
+    if len(dts) == 1:
+        return dts[0]
+    return np.array(dts).reshape((-1,) + (1,) * ndim)
+
+
+def march(grid: Grid, u0: np.ndarray, times: np.ndarray, advance, dt_base,
+          eps, sup_bound: float) -> list:
+    """March a batch of members in lockstep, landing each exactly on every
+    snapshot time; a member fails once its |u| exceeds ``sup_bound``.
+
+    ``u0`` stacks the members' initial states, ``(members, *cells)``; member
+    ``m`` steps by at most ``dt_base[m]``, which must not fall along the
+    batch.  ``advance(u, dt)`` steps the leading ``k`` members, ``u`` their
+    states ``(k, *cells)`` and ``dt`` a float for one member, else a column
+    ``(k, 1, ...)`` of each member's step; it updates ``u`` in place or
+    returns the new states.
+
+    Each member takes the steps its lone march would take, so its values,
+    step count and peak |u| are those of marching it alone.  Within each
+    snapshot interval the members still short of the snapshot are a leading
+    run of the batch: a larger step reaches the snapshot in no more steps
+    (IEEE addition is monotone), so only the leading members step.  A member
+    that fails stops with its lone march's ``StepError``; its state is set
+    to zero, which every step leaves zero, and the others march on.
+
+    Returns each member's ``FieldTrajectory``, or its ``StepError``.
+    """
     u = np.array(u0, dtype=np.float64)
+    dt_base = [float(d) for d in dt_base]
+    if any(b < a for a, b in zip(dt_base, dt_base[1:])):
+        raise ValueError("a batch's steps must not fall along it")
     times = np.asarray(times, dtype=np.float64)
-    snaps = np.empty((times.size,) + u.shape)
-    snaps[0] = u
-    t = 0.0
-    steps = 0
+    members, ndim = u.shape[0], u.ndim - 1
+    snaps = [np.empty((times.size,) + u.shape[1:]) for _ in range(members)]
     limit = sup_bound + MAX_PRINCIPLE_HARD
+    axes = tuple(range(1, u.ndim))
     absu = np.empty_like(u)  # the guard's |u|, written in place every step
-    max_seen = float(np.maximum.reduce(np.abs(u, out=absu), axis=None))
+    lead = [u[:k] for k in range(members + 1)]  # the leading k members
+    full = [_column(dt_base[:k], ndim) for k in range(1, members + 1)]
+    done = [0] * members  # steps before the current interval
+    outcome = [None] * members
+    t = 0.0
+
+    def fail(m, peak, taken, at):
+        outcome[m] = _violation(peak, sup_bound, taken, at)
+        u[m] = 0.0
+
     # written so that a NaN maximum fails too, the initial state's included
-    if not max_seen <= limit:
-        raise _violation(max_seen, sup_bound, steps, t)
+    seen = np.maximum.reduce(np.abs(u, out=absu), axis=axes).tolist()
+    for m, peak in enumerate(seen):
+        snaps[m][0] = u[m]
+        if not peak <= limit:
+            fail(m, peak, 0, t)
     # Python floats: numpy scalars would slow every step of the loop
-    for k, target in enumerate(times[1:].tolist(), 1):
-        while t < target - 1e-13 * max(1.0, target):
-            dt = min(dt_base, target - t)
-            u = advance(u, dt)
-            t += dt
-            steps += 1
-            m = float(np.maximum.reduce(np.abs(u, out=absu), axis=None))
-            if not m <= limit:
-                raise _violation(m, sup_bound, steps, t)
-            if m > max_seen:
-                max_seen = m
+    for snap, target in enumerate(times[1:].tolist(), 1):
+        sizes = [_steps(t, target, d) if outcome[m] is None else []
+                 for m, d in enumerate(dt_base)]
+        count = [len(s) for s in sizes]
+        i = 0
+        while True:
+            k = next((m + 1 for m in reversed(range(members))
+                      if count[m] > i), 0)
+            if not k:
+                break
+            # steps i .. land - 1 are full steps of every member stepping;
+            # at step land one or more members land on the snapshot
+            land = min(c for c in count[:k] if c > i) - 1
+            rows, work, base = lead[k], absu[:k], full[k - 1]
+            for i in range(i, land + 1):
+                dt = base if i < land else _column(
+                    [s[i] if i < len(s) else d
+                     for s, d in zip(sizes, dt_base[:k])], ndim)
+                new = advance(rows, dt)
+                if new is not rows:
+                    rows[...] = new
+                peaks = np.maximum.reduce(np.abs(rows, out=work),
+                                          axis=axes).tolist()
+                for m, peak in enumerate(peaks):
+                    if not peak <= limit:
+                        fail(m, peak, done[m] + i + 1,
+                             _clock(t, sizes[m][:i + 1]))
+                        count[m] = 0
+                    elif peak > seen[m]:
+                        seen[m] = peak
+            i = land + 1
         t = target
-        snaps[k] = u
-    return FieldTrajectory(grid, times, snaps, epsilon=eps,
-                           dt=dt_base, steps_taken=steps,
-                           max_abs_seen=max_seen)
+        for m in range(members):
+            if outcome[m] is None:
+                done[m] += len(sizes[m])
+                snaps[m][snap] = u[m]
+    return [out if out is not None else FieldTrajectory(
+        grid, times, snaps[m], epsilon=eps[m], dt=dt_base[m],
+        steps_taken=done[m], max_abs_seen=seen[m])
+        for m, out in enumerate(outcome)]
 
 
 def _violation(m: float, sup_bound: float, step: int, t: float) -> StepError:
@@ -102,14 +191,34 @@ def _violation(m: float, sup_bound: float, step: int, t: float) -> StepError:
                      f"{sup_bound} at step {step}, t = {t}", step=step, time=t)
 
 
+def lone(outcomes: list) -> FieldTrajectory:
+    """The trajectory of a batch of one; raises its ``StepError``."""
+    (out,) = outcomes
+    if isinstance(out, StepError):
+        raise out
+    return out
+
+
+def integrate_batch(grid: Grid, u0: np.ndarray, flux: FluxSpec,
+                    visc: ViscositySpec, eps, cfl: float,
+                    snapshot_times: np.ndarray, *, sup_bound: float) -> list:
+    """March the members with the strictly decreasing viscosities ``eps``
+    from their initial states ``u0``, ``(members, *cells)``, to the horizon
+    with forward Euler, in lockstep (see ``march``)."""
+    return march(grid, u0, snapshot_times,
+                 _make_advance(grid, flux, visc, eps),
+                 [stable_dt(grid, flux, visc, e, cfl) for e in eps], eps,
+                 sup_bound)
+
+
 def integrate(grid: Grid, u0: np.ndarray, flux: FluxSpec, visc: ViscositySpec,
               eps: float, cfl: float, snapshot_times: np.ndarray, *,
               sup_bound: float) -> FieldTrajectory:
-    """March to the horizon with forward Euler, landing exactly on each
-    snapshot time; fails hard once |u| exceeds ``sup_bound``."""
-    return march(grid, u0, snapshot_times,
-                 _make_advance(grid, flux, visc, eps),
-                 stable_dt(grid, flux, visc, eps, cfl), eps, sup_bound)
+    """March one member to the horizon with forward Euler, landing exactly on
+    each snapshot time; fails hard once |u| exceeds ``sup_bound``."""
+    return lone(integrate_batch(grid, np.asarray(u0)[None], flux, visc,
+                                (eps,), cfl, snapshot_times,
+                                sup_bound=sup_bound))
 
 
 def snapshot_times(time_horizon: float, intervals: int) -> np.ndarray:

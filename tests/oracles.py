@@ -12,6 +12,9 @@ with one scalar face function, ``_visc_face_scalar`` or
 monotonicity, boundary mass balance) run on those two, so they test the
 face arithmetic the kernels run.
 
+``march_alone`` marches one member with a plain time loop, step by step,
+the reference a batched march must match for each of its members.
+
 Below them sit the oracles for what no command computes: the exact Riemann
 solution of a convex flux preset (``riemann_exact``), the whole entropy
 production ``d/dt eta(u) + div q(u)`` that the package's split A + M must
@@ -40,6 +43,7 @@ from visclab.compactness import _along, _centered_space, _pad
 from visclab.domain import (EntropyPair, Field, FieldTrajectory, FluxSpec,
                             Grid, ViscositySpec)
 from visclab.norms import h_minus_one_norm, measure_norm
+from visclab.viscous import StepError
 
 
 def _interp_scalar(tab, lo, inv, u):
@@ -174,6 +178,41 @@ LOOPS = {
     "godunov_step_1d": _godunov_step_1d_loops,
     "godunov_sweep_2d": _godunov_sweep_2d_loops,
 }
+
+
+def march_alone(u0, times, advance, dt_base, sup_bound):
+    """One member's march as a plain loop: steps of ``min(dt_base, target -
+    t)`` until ``t`` is within 1e-13 (relative) of each snapshot time, and
+    the guard ``max |u| <= sup_bound + 1e-8`` before the first step and
+    after every step.  ``advance(u, dt)`` returns the new state, which may
+    be ``u`` updated in place.
+
+    Returns ``(snapshots, steps, max_abs_seen)``, or raises ``StepError``
+    with the failing step and time.
+    """
+    u = np.array(u0, dtype=np.float64)
+    snaps, t, steps = [u.copy()], 0.0, 0
+    limit = sup_bound + 1e-8
+
+    def guard(u):
+        m = float(np.max(np.abs(u)))
+        if not m <= limit:
+            raise StepError(f"discrete maximum principle violated: |u| = {m}"
+                            f" > {sup_bound} at step {steps}, t = {t}",
+                            step=steps, time=t)
+        return m
+
+    seen = guard(u)
+    for target in np.asarray(times, dtype=np.float64)[1:].tolist():
+        while t < target - 1e-13 * max(1.0, target):
+            dt = min(dt_base, target - t)
+            u = advance(u, dt)
+            t += dt
+            steps += 1
+            seen = max(seen, guard(u))
+        t = target
+        snaps.append(u.copy())
+    return np.stack(snaps), steps, seen
 
 
 def shock_position(field_values: np.ndarray, grid: Grid, level: float) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIOS, scipy_modules_loaded, small_config
-from visclab import compactness, convergence, harness, io
+from visclab import compactness, convergence, harness, io, norms
 from visclab.cli import main as cli_main
 from visclab.config import build_scenario
 from visclab.harness import emit_plotdata, run_ladder, verify_run
@@ -46,6 +46,27 @@ def test_manifest_counts(tiny_run):
     for f in man["files"]:
         assert (result.outdir / f).exists(), f
     assert all(s["status"] == "ok" for s in man["stages"])
+
+
+def test_solve_stages_record_each_members_march(tiny_run):
+    # a member's solve stage records its batch number and the steps, dt and
+    # peak |u| of its march, the values its meta.json stores
+    cfg, result = tiny_run
+    [batch] = harness.batches(cfg, 1)
+    assert [eps for eps, _w in batch] == list(cfg.ladder)
+    solves = [s for s in result.manifest["stages"]
+              if s["name"].startswith("solve eps=")]
+    assert len(solves) == len(cfg.ladder) == 3
+    for eps, stage in zip(cfg.ladder, solves):
+        label = harness.eps_label(eps)
+        meta = json.loads((result.outdir / f"eps_{label}" / "meta.json")
+                          .read_text())
+        assert stage == {"name": f"solve eps={label}", "status": "ok",
+                         "batch": 0, "steps": meta["steps_taken"],
+                         "dt": meta["dt"],
+                         "max_abs_seen": meta["max_abs_seen"]}
+    assert [s["steps"] for s in solves] == sorted(
+        (s["steps"] for s in solves), reverse=True)
 
 
 def test_diagnostics_columns(tiny_run):
@@ -184,29 +205,46 @@ def test_plotdata_counts(tiny_run):
     assert paths[1].read_bytes() == again[1].read_bytes()
 
 
-def test_parallel_jobs_match_serial(tmp_path):
-    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
-                       young_window_snaps=5, young_window_cells=6)
-    a = run_ladder(cfg, outdir=tmp_path / "serial", jobs=1)
-    b = run_ladder(cfg, outdir=tmp_path / "parallel", jobs=2)
-    # pool workers save their own members: every file of the two run
-    # directories matches, the manifest but for its timestamps
-    files = {p.relative_to(a.outdir) for p in a.outdir.rglob("*")
-             if p.is_file()}
-    assert files == {p.relative_to(b.outdir) for p in b.outdir.rglob("*")
-                     if p.is_file()}
-    assert {str(f) for f in files} == set(a.manifest["files"]) | {
-        "manifest.json"}
-    for rel in sorted(files - {pathlib.Path("manifest.json")}):
-        assert (a.outdir / rel).read_bytes() == (b.outdir / rel).read_bytes(), \
-            rel
-
+def test_parallel_jobs_match_serial(tmp_path, monkeypatch):
+    # a two-member ladder, one batch in process and two in the pool; then a
+    # three-member ladder that a budget of two trajectories cuts into two
+    # batches in process, and the pool into two others
     def stamped(outdir):
+        # the batches differ by jobs, so each solve stage's batch number
         manifest = json.loads((outdir / "manifest.json").read_text())
+        for stage in manifest["stages"]:
+            stage.pop("batch", None)
         return {k: v for k, v in manifest.items()
                 if k not in ("started", "finished")}
 
-    assert stamped(a.outdir) == stamped(b.outdir)
+    two = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
+                       young_window_snaps=5, young_window_cells=6)
+    three = small_config(cells=60, snapshots=4, epsilons="0.1,0.05,0.025",
+                         young_window_snaps=5, young_window_cells=6)
+    cuts = {(1, 2): [[0.1, 0.05]], (2, 2): [[0.1], [0.05]],
+            (1, 3): [[0.1, 0.05], [0.025]], (2, 3): [[0.1], [0.05, 0.025]]}
+    for cfg in (two, three):
+        if cfg is three:
+            monkeypatch.setattr(norms, "BATCH_BYTES", 2 * 8 * 5 * 60)
+        runs = []
+        for jobs in (1, 2):
+            assert [[eps for eps, _w in batch] for batch in
+                    harness.batches(cfg, jobs)] == cuts[jobs, len(cfg.ladder)]
+            runs.append(run_ladder(cfg, outdir=tmp_path / f"{len(cfg.ladder)}"
+                                   f"-{jobs}", jobs=jobs))
+        a, b = runs
+        # pool workers save their own members: every file of the two run
+        # directories matches, the manifest but for its timestamps
+        files = {p.relative_to(a.outdir) for p in a.outdir.rglob("*")
+                 if p.is_file()}
+        assert files == {p.relative_to(b.outdir) for p in b.outdir.rglob("*")
+                         if p.is_file()}
+        assert {str(f) for f in files} == set(a.manifest["files"]) | {
+            "manifest.json"}
+        for rel in sorted(files - {pathlib.Path("manifest.json")}):
+            assert (a.outdir / rel).read_bytes() == \
+                (b.outdir / rel).read_bytes(), rel
+        assert stamped(a.outdir) == stamped(b.outdir)
 
 
 def _broken_diagnostics_run(tmp_path, monkeypatch):
@@ -250,8 +288,8 @@ def test_failed_diagnostics_blamed_on_diagnose_stage(tmp_path, monkeypatch):
     # saves nothing either
     worker_out = tmp_path / "worker"
     worker_out.mkdir()
-    diag, worker_stages = harness._solve_and_diagnose(
-        cfg, None, worker_out, 0.05, 0.02)
+    [(diag, worker_stages)] = harness._solve_and_diagnose(
+        cfg, None, worker_out, [(0.05, 0.02)], 0)
     assert diag is None
     assert worker_stages == [stages["solve eps=0.05"],
                              stages["diagnose eps=0.05"]]
@@ -277,17 +315,17 @@ def test_failed_save_blamed_on_save_stage(tmp_path, monkeypatch):
     assert result.exit_code == 2
     failed = {"name": "save eps=0.05", "status": "failed",
               "error": "no space left on device"}
-    assert result.manifest["stages"][3:6] == [
-        {"name": "solve eps=0.05", "status": "ok"},
-        {"name": "diagnose eps=0.05", "status": "ok"}, failed]
+    solve, *rest = result.manifest["stages"][3:6]
+    assert (solve["name"], solve["status"]) == ("solve eps=0.05", "ok")
+    assert rest == [{"name": "diagnose eps=0.05", "status": "ok"}, failed]
     assert not (result.outdir / "eps_0.05").exists()
     assert not any(f.startswith("eps_0.05/") for f in result.manifest["files"])
     manifest = json.loads((result.outdir / "manifest.json").read_text())
     assert manifest["stages"] == result.manifest["stages"]
     worker_out = tmp_path / "worker"
     worker_out.mkdir()
-    diag, worker_stages = harness._solve_and_diagnose(
-        cfg, None, worker_out, 0.05, cfg.mollifier_widths[1])
+    [(diag, worker_stages)] = harness._solve_and_diagnose(
+        cfg, None, worker_out, [(0.05, cfg.mollifier_widths[1])], 0)
     assert diag is None
     assert worker_stages == result.manifest["stages"][3:6]
     assert not any(worker_out.iterdir())
@@ -565,6 +603,22 @@ def _load_probe():
     return _load_script("perfbench", "probe")
 
 
+def _batched_steps(outdir):
+    """One viscous kernel call per batched step: the sum over a run's
+    batches of the largest ``steps_taken`` among the batch's members, read
+    from their ``meta.json`` and the batch numbers of their solve stages."""
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    most = Counter()
+    for stage in manifest["stages"]:
+        if stage["name"].startswith("solve eps="):
+            label = stage["name"].removeprefix("solve eps=")
+            meta = json.loads((outdir / f"eps_{label}" / "meta.json")
+                              .read_text())
+            most[stage["batch"]] = max(most[stage["batch"]],
+                                       meta["steps_taken"])
+    return sum(most.values())
+
+
 def test_benchmark_trace_probe_sees_every_layer(tmp_path):
     # the traced benchmark rebinds harness globals; a harness that stops
     # calling through them would leave these counters at zero
@@ -580,12 +634,14 @@ def test_benchmark_trace_probe_sees_every_layer(tmp_path):
     traced = json.loads(spans.read_text())
     assert traced["restored"] is True
     counters = traced["counters"]
-    assert counters.get("viscous.steps", 0) > 0
     assert counters.get("reference.steps", 0) > 0
-    # one kernel call per explicit step, each looked up through KERNELS (the
-    # scenario integrates with euler)
+    # one kernel call per batched explicit step, each looked up through
+    # KERNELS (the scenario integrates with euler).  The probe counts
+    # ``viscous.steps`` through ``harness.integrate``, which a batched solve
+    # does not call, so the steps come from the run directory
     calls = Counter(span[0] for span in traced["spans"])
-    assert calls["kernels.visc_step_1d"] == counters["viscous.steps"]
+    assert calls["kernels.visc_step_1d"] == _batched_steps(tmp_path / "run") \
+        > 0
     assert calls["kernels.godunov_step_1d"] == counters["reference.steps"]
     # one split per member, one dual norm per member and entropy pair
     members = len(cfg.ladder)
@@ -610,9 +666,10 @@ def test_benchmark_trace_probe_counts_2d_kernels_by_name(tmp_path):
     assert traced["restored"] is True
     counters = traced["counters"]
     calls = Counter(span[0] for span in traced["spans"])
-    assert counters["reference.steps"] > 0 and counters["viscous.steps"] > 0
+    assert counters["reference.steps"] > 0
     assert calls["kernels.godunov_sweep_2d"] == 3 * counters["reference.steps"]
-    assert calls["kernels.visc_step_2d"] == counters["viscous.steps"]
+    assert calls["kernels.visc_step_2d"] == _batched_steps(tmp_path / "run") \
+        > 0
     assert calls["kernels.godunov_step_1d"] == 0
     assert calls["kernels.visc_step_1d"] == 0
     # only plotdata writes the flux identity gap, so a run never computes it
@@ -620,18 +677,24 @@ def test_benchmark_trace_probe_counts_2d_kernels_by_name(tmp_path):
 
 
 def test_commands_hold_one_member_at_a_time(tmp_path, monkeypatch):
-    # every trajectory solved or loaded is registered; when a member is
-    # split or its compensated quadratic evaluated it is the only one alive,
-    # and an L1 distance holds at most two members and the reference (a
-    # trajectory hashes its arrays, so weak references stand in for a WeakSet)
+    # every trajectory solved or loaded is registered.  When ``run`` splits
+    # a member, the live ones are the members of its batch not yet saved,
+    # within the batch budget; when ``verify`` or ``plotdata`` splits one,
+    # or any command evaluates a compensated quadratic, it is the only one
+    # alive, and an L1 distance holds at most two members and the reference
+    # (a trajectory hashes its arrays, so weak references stand in for a
+    # WeakSet)
     refs = []
     seen = []
 
-    def registering(fn):
+    def register(traj):
+        refs.append(weakref.ref(traj))
+        return traj
+
+    def registering(fn, batch=False):
         def registered(*args, **kwargs):
-            traj = fn(*args, **kwargs)
-            refs.append(weakref.ref(traj))
-            return traj
+            got = fn(*args, **kwargs)
+            return [register(t) for t in got] if batch else register(got)
         return registered
 
     def counted(owner, name):
@@ -639,12 +702,16 @@ def test_commands_hold_one_member_at_a_time(tmp_path, monkeypatch):
 
         def count_live(*args, **kwargs):
             gc.collect()
-            seen.append((name, sum(ref() is not None for ref in refs)))
+            live = [ref() for ref in refs if ref() is not None]
+            seen.append((name, [t.epsilon for t in live],
+                         sum(t.values.nbytes for t in live)))
+            del live
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, count_live)
 
-    for owner, name in ((harness, "integrate"), (harness, "solve_reference"),
-                        (io, "load_trajectory")):
+    monkeypatch.setattr(harness, "solve_batch",
+                        registering(harness.solve_batch, batch=True))
+    for owner, name in ((harness, "solve_reference"), (io, "load_trajectory")):
         monkeypatch.setattr(owner, name, registering(getattr(owner, name)))
     for owner, name in ((harness, "decompose_production"),
                         (harness, "compensated_D_field"),
@@ -653,17 +720,28 @@ def test_commands_hold_one_member_at_a_time(tmp_path, monkeypatch):
     out = tmp_path / "two"
     cfg = build_scenario(tiny_2d_text())
     members = len(cfg.ladder)
-    for command in (lambda: run_ladder(cfg, outdir=out, jobs=1),
-                    lambda: verify_run(out), lambda: emit_plotdata(out)):
+    [batch] = [[eps for eps, _w in b] for b in harness.batches(cfg, 1)]
+    assert len(batch) == members == 2
+    for command in ("run", "verify", "plotdata"):
         seen.clear()
-        command()
-        calls = Counter(name for name, _n in seen)
+        {"run": lambda: run_ladder(cfg, outdir=out, jobs=1),
+         "verify": lambda: verify_run(out),
+         "plotdata": lambda: emit_plotdata(out)}[command]()
+        calls = Counter(name for name, _e, _b in seen)
         assert calls == {"decompose_production": members,
                          "compensated_D_field": members,
                          "l1_distance": 2 * members - 1}
-        most = {name: max(n for m, n in seen if m == name) for name in calls}
-        assert most == {"decompose_production": 1, "compensated_D_field": 1,
-                        "l1_distance": 3}
+        most = {name: max(len(e) for m, e, _b in seen if m == name)
+                for name in calls}
+        split = [(e, b) for m, e, b in seen if m == "decompose_production"]
+        if command == "run":
+            # the batch's members, each dropped once saved
+            assert [e for e, _b in split] == [batch, batch[1:]]
+            assert all(b <= norms.BATCH_BYTES for _e, b in split)
+            assert most["decompose_production"] == 2
+        else:
+            assert most["decompose_production"] == 1
+        assert (most["compensated_D_field"], most["l1_distance"]) == (1, 3)
 
 
 def test_f11_table_built_once_per_runtime(tmp_path, monkeypatch):

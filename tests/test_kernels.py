@@ -12,7 +12,9 @@ from visclab.domain import make_flux, make_viscosity
 # The kernels are checked bit for bit against the explicit-loop twins of
 # ``oracles``, called with their own signatures and handed the tables each
 # kernel's plan is built from.  The one-valued ``oracle`` parameter is that
-# table of twins; its ``loops`` id keeps the test ids stable.
+# table of twins; its ``loops`` id keeps the test ids stable.  The viscous
+# kernel steps a batch of members, states ``(k, *cells)``; a single state
+# is a batch of one.
 ORACLE = pytest.mark.parametrize("oracle", [LOOPS], ids=["loops"])
 
 
@@ -47,9 +49,9 @@ def test_visc_1d_backends_bit_identical(setup, oracle):
     t0 = flux.tables[0]
     u = rng.uniform(-0.99, 0.99, 200)
     dt, h, eps = 0.4 * (1 / 200) ** 2 / 0.4, 1 / 200, 0.05
-    plan = kernels.visc_plan(u.shape, (h,), eps, flux.lattice, flux.tables,
-                             visc.table)
-    a = kernels.visc_step(u, dt, np.empty_like(u), plan)
+    (plan,) = kernels.visc_plan(u.shape, (h,), (eps,), flux.lattice,
+                                flux.tables, visc.table)
+    a = kernels.visc_step(u[None], dt, np.empty((1,) + u.shape), plan)[0]
     b = oracle["visc_step_1d"](u, dt, h, eps, *_lattice(flux), t0.eo_plus,
                                t0.eo_minus, visc.table, np.empty_like(u),
                                None)
@@ -63,9 +65,9 @@ def test_visc_2d_backends_bit_identical(setup, oracle):
     u = rng.uniform(-0.99, 0.99, (24, 40))
     hx, hy = 1 / 24, 1 / 40
     dt, eps = 0.1 * hy * hy, 0.03
-    plan = kernels.visc_plan(u.shape, (hx, hy), eps, flux.lattice,
-                             flux.tables, visc.table)
-    a = kernels.visc_step(u, dt, np.empty_like(u), plan)
+    (plan,) = kernels.visc_plan(u.shape, (hx, hy), (eps,), flux.lattice,
+                                flux.tables, visc.table)
+    a = kernels.visc_step(u[None], dt, np.empty((1,) + u.shape), plan)[0]
     b = oracle["visc_step_2d"](u, dt, hx, hy, eps, *_lattice(flux),
                                t0.eo_plus, t0.eo_minus, t1.eo_plus,
                                t1.eo_minus, visc.table, np.empty_like(u),
@@ -121,8 +123,9 @@ def _case(oracle, name, flux, btab, shape):
 
     ``new_plan()`` builds a step plan, ``step(u, plan)`` runs the kernel on
     it and ``expect(u)`` runs the loop twin, handed the tables the plan is
-    built from (``btab`` is the B table of the viscous kernel).  The 2-D
-    Godunov sweep runs x then y, on a pair of plans.
+    built from (``btab`` is the B table of the viscous kernel, which steps
+    ``u`` as a batch of one).  The 2-D Godunov sweep runs x then y, on a
+    pair of plans.
     """
     lat = flux.lattice
     t0, t1 = flux.tables
@@ -133,9 +136,9 @@ def _case(oracle, name, flux, btab, shape):
         dt, eps = (h * h, 0.05) if dim == 1 else (0.1 * h * h, 0.03)
         spacing = (h,) * dim
         eo = (t0.eo_plus, t0.eo_minus, t1.eo_plus, t1.eo_minus)[:2 * dim]
-        return (lambda: kernels.visc_plan(shape, spacing, eps, lat,
-                                          flux.tables, btab),
-                lambda u, plan: kernel(u, dt, new(u), plan),
+        return (lambda: kernels.visc_plan(shape, spacing, (eps,), lat,
+                                          flux.tables, btab)[0],
+                lambda u, plan: kernel(u[None], dt, new(u)[None], plan)[0],
                 lambda u: twin(u, dt, *spacing, eps, *_lattice(flux), *eo,
                                btab, new(u), None))
     dt, f = 0.2 * h, (t0.f, t0.crit_y, t0.crit_f)
@@ -184,9 +187,9 @@ def _check_reuse(oracle, name, flux, btab):
             got = step(states[key], plan)
             assert np.array_equal(got, want[key]), (order, key)
         if name.startswith("visc"):
-            # the viscous plan pads every axis
+            # the viscous plan pads every cell axis
             for ax in range(len(shape)):
-                assert not plan.ext.take([0, -1], axis=ax).any()
+                assert not plan.ext.take([0, -1], axis=ax + 1).any()
             continue
         # the 2-D sweep runs on a pair of Godunov plans
         if name == "godunov_step_1d":
@@ -315,9 +318,10 @@ def test_visc_step_table_path_allocation_peak(setup, flat_tables, name,
     shape = (400,) if name == "visc_step_1d" else (128, 128)
     u = rng.uniform(-0.99, 0.99, shape)
     h = 1 / shape[-1]
-    plan = kernels.visc_plan(shape, (h,) * len(shape), 0.05, flux.lattice,
-                             flux.tables, btab)
+    (plan,) = kernels.visc_plan(shape, (h,) * len(shape), (0.05,),
+                                flux.lattice, flux.tables, btab)
     fn = kernels.get_kernel(name)
+    u = u[None]
     out = np.empty_like(u)
     fn(u, 0.1 * h * h, out, plan)
     tracemalloc.start()
@@ -327,6 +331,38 @@ def test_visc_step_table_path_allocation_peak(setup, flat_tables, name,
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * u.nbytes, peak / u.nbytes
+
+
+@ORACLE
+@pytest.mark.parametrize("name", VISC)
+@pytest.mark.parametrize("table", ["gaussian", "constant"])
+def test_batched_visc_step_matches_loops_row_by_row(setup, flat_tables,
+                                                    table, name, oracle):
+    """Each member of a batch gets its loop twin's step with its own eps and
+    dt, on the B lookup path (gaussian) and the flat-B path: all three
+    members step, the last landing with a shorter dt, then the leading two
+    alone on the same buffers, and then the three again."""
+    flux, visc, rng = setup
+    btab = visc.table if table == "gaussian" else flat_tables["constant"]
+    shape = _shape(name)
+    spacing = (1 / shape[-1],) * len(shape)
+    h = spacing[0]
+    eps, dts = (0.05, 0.03, 0.02), (0.1 * h * h, 0.15 * h * h, 0.07 * h * h)
+    t0, t1 = flux.tables
+    eo = (t0.eo_plus, t0.eo_minus, t1.eo_plus, t1.eo_minus)[:2 * len(shape)]
+    plans = kernels.visc_plan(shape, spacing, eps, flux.lattice, flux.tables,
+                              btab)
+    assert len(plans) == 3
+    u = rng.uniform(-0.99, 0.99, (3,) + shape)
+    kernel = kernels.get_kernel(name)
+    for k in (3, 2, 3):
+        column = np.array(dts[:k]).reshape((k,) + (1,) * len(shape))
+        got = kernel(u[:k], column, np.empty_like(u[:k]), plans[k - 1])
+        for m in range(k):
+            want = oracle[name](u[m], dts[m], *spacing, eps[m],
+                                *_lattice(flux), *eo, btab,
+                                np.empty(shape), None)
+            assert np.array_equal(got[m], want), (k, m)
 
 
 def test_interp_clamps_at_table_ends(setup):

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import _visc_face_scalar
+from oracles import _visc_face_scalar, march_alone
 from visclab import kernels
 from visclab.convergence import fit_rate
 from visclab.domain import Grid, make_flux, make_viscosity
-from visclab.viscous import (StepError, _make_advance, integrate, march,
-                             snapshot_times, stable_dt)
+from visclab.viscous import (StepError, _column, _make_advance, integrate,
+                             integrate_batch, lone, march, snapshot_times,
+                             stable_dt)
 
 
 def specs_1d(flux_name="burgers", interval=(-1.0, 1.0), a=1.0, visc="constant",
@@ -126,23 +127,25 @@ def test_max_principle_hard_failure():
     x = g.centers(0)
     u = np.sin(np.pi * x)
     # grossly unstable step must trip the failure
-    advance = _make_advance(g, f, v, 0.5)
+    advance = _make_advance(g, f, v, (0.5,))
     with pytest.raises(StepError, match="maximum principle"):
-        march(g, u, snapshot_times(2.5, 50), advance, 0.05, 0.5, 1.0)
+        lone(march(g, u[None], snapshot_times(2.5, 50), advance, (0.05,),
+                   (0.5,), 1.0))
 
 
 def test_max_principle_guard_rejects_nan():
     # a NaN maximum compares False with the bound; the guard must still fail
     g = Grid((16,), (0.0,), (1.0,), 1.0)
-    u = np.zeros(16)
+    u = np.zeros((1, 16))
 
     def advance(u, dt):
         out = u.copy()
-        out[3] = np.nan
+        out[0, 3] = np.nan
         return out
 
     with pytest.raises(StepError, match="maximum principle") as info:
-        march(g, u, snapshot_times(1.0, 10), advance, 0.1, 0.1, 1.0)
+        lone(march(g, u, snapshot_times(1.0, 10), advance, (0.1,), (0.1,),
+                   1.0))
     assert info.value.step == 1
 
 
@@ -178,30 +181,37 @@ def _buffer_case(dim, visc):
 
 
 def _fresh_euler(g, f, v, eps):
-    """The forward-Euler member update with a new output array on every
+    """The forward-Euler update of a batch with a new output array on every
     kernel call."""
     kernel = kernels.get_kernel(f"visc_step_{g.dim}d")
-    plan = kernels.visc_plan(g.cells, g.spacing, eps, f.lattice, f.tables,
-                             v.table)
-    return lambda u, dt: kernel(u, dt, np.empty_like(u), plan)
+    plans = kernels.visc_plan(g.cells, g.spacing, eps, f.lattice, f.tables,
+                              v.table)
+    return lambda u, dt: kernel(u, dt, np.empty_like(u), plans[len(u) - 1])
 
 
-# per value that ``scheme.integrator`` accepts: the member update a march
+# per value that ``scheme.integrator`` accepts: the batch update a march
 # takes, and its twin that allocates a new output array on every step
 UPDATES = {"euler": (_make_advance, _fresh_euler)}
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("integrator", list(UPDATES))
-def test_advance_never_writes_into_its_input(dim, integrator):
-    g, f, v, u, dt = _buffer_case(dim, "constant")
-    advance = UPDATES[integrator][0](g, f, v, 0.05)
-    for _ in range(5):
+def test_advance_steps_only_the_members_it_is_handed(dim, integrator):
+    # a march hands the update the rows of its leading members; the update
+    # writes their new states into those rows, the same bytes as a step
+    # into a fresh array, and leaves the other rows alone
+    g, f, v, u0, dt = _buffer_case(dim, "constant")
+    eps = (0.05, 0.04, 0.03)
+    advance, fresh = (make(g, f, v, eps) for make in UPDATES[integrator])
+    u = np.stack([u0, 0.5 * u0, -u0])
+    for k in (3, 2, 1, 2):
         before = u.copy()
-        new = advance(u, dt)
-        assert not np.shares_memory(new, u)
-        assert u.tobytes() == before.tobytes()
-        u = new
+        step = _column([dt, 1.1 * dt, 0.9 * dt][:k], dim)
+        rows = u[:k]
+        assert advance(rows, step) is rows
+        assert u.tobytes() != before.tobytes()
+        assert u[k:].tobytes() == before[k:].tobytes()
+        assert rows.tobytes() == fresh(before[:k], step).tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -212,8 +222,9 @@ def test_trajectory_equals_fresh_array_stepping(dim, integrator, visc):
     g, f, v, u0, dt = _buffer_case(dim, visc)
     times = snapshot_times(g.time_horizon, 5)
     advance, fresh = UPDATES[integrator]
-    got = march(g, u0, times, advance(g, f, v, 0.05), dt, 0.05, 1.0)
-    want = march(g, u0, times, fresh(g, f, v, 0.05), dt, 0.05, 1.0)
+    got, want = (lone(march(g, u0[None], times, make(g, f, v, (0.05,)),
+                            (dt,), (0.05,), 1.0))
+                 for make in (advance, fresh))
     assert got.steps_taken == want.steps_taken > 5
     assert got.values.tobytes() == want.values.tobytes()
     assert got.max_abs_seen == want.max_abs_seen
@@ -228,8 +239,8 @@ def test_march_stores_each_snapshot_of_a_state_updated_in_place():
         u *= 0.5
         return u
 
-    traj = march(g, np.full(6, 0.8), snapshot_times(1.0, 4), halve, 0.25,
-                 0.1, 1.0)
+    traj = lone(march(g, np.full((1, 6), 0.8), snapshot_times(1.0, 4), halve,
+                      (0.25,), (0.1,), 1.0))
     assert traj.values[:, 0].tolist() == [0.8, 0.4, 0.2, 0.1, 0.05]
     assert traj.values.flags.c_contiguous and traj.steps_taken == 4
 
@@ -335,3 +346,96 @@ def test_energy_bound_small_ladder():
             bound = 1.05 * 1.0 * 1.0 / (2.0 * v.lower_bound)
             assert grad_energy_lhs(traj) <= bound
             assert traj.max_abs_seen <= 1.0 + 1e-10
+
+
+# --- batches -------------------------------------------------------------------
+# a batch marches its members in lockstep; each must be its lone march, bit
+# for bit, and the march of a plain time loop
+
+
+def _bits(traj):
+    return (traj.values.view(np.int64).tobytes(), traj.steps_taken, traj.dt,
+            traj.max_abs_seen)
+
+
+def _looped(g, f, v, u0, eps, dt, times, sup_bound=1.0):
+    """``march_alone`` of one member, as the bits ``_bits`` compares."""
+    values, steps, seen = march_alone(u0[None], times,
+                                      _make_advance(g, f, v, (eps,)), dt,
+                                      sup_bound)
+    return values[:, 0].view(np.int64).tobytes(), steps, dt, seen
+
+
+def _batch_case(dim):
+    """A grid, specs and the initial states of three members: the bump of
+    ``_buffer_case``, scaled."""
+    g, f, v, u0, _dt = _buffer_case(dim, "constant")
+    return g, f, v, np.stack([u0, 0.7 * u0, -0.9 * u0])
+
+
+@pytest.mark.parametrize("dim, eps", [(1, (0.1, 0.05, 0.02)),
+                                      (2, (0.08, 0.04, 0.03)),
+                                      (1, (0.05, 0.001, 0.0005))],
+                         ids=["1d", "2d", "cfl-limited"])
+def test_batch_members_equal_their_lone_marches(dim, eps):
+    g, f, v, u0 = _batch_case(dim)
+    times = snapshot_times(g.time_horizon, 5)
+    batch = integrate_batch(g, u0, f, v, eps, 0.4, times, sup_bound=1.0)
+    alone = [integrate(g, u, f, v, e, 0.4, times, sup_bound=1.0)
+             for u, e in zip(u0, eps)]
+    for u, e, got, want in zip(u0, eps, batch, alone):
+        assert got.epsilon == want.epsilon == e
+        assert _bits(got) == _bits(want) == _looped(g, f, v, u, e, got.dt,
+                                                    times)
+    steps = [traj.steps_taken for traj in alone]
+    assert steps == sorted(steps, reverse=True) and steps[-1] > 5
+    if eps[-1] < 0.01:
+        # the two smallest viscosities take the convective step: equal dt,
+        # equal step counts, landing together on every snapshot
+        assert alone[1].dt == alone[2].dt and steps[1] == steps[2]
+    else:
+        assert len(set(steps)) == 3
+
+
+def test_member_failing_in_a_batch_fails_alone():
+    # the middle member marches with 3x its stable step and breaks the
+    # maximum principle: it raises its lone march's error, at the same step
+    # and time, while the others march on to the same bytes as alone
+    g, f, v, u0 = _batch_case(1)
+    g = Grid(g.cells, g.lo, g.hi, 0.2)
+    times = snapshot_times(g.time_horizon, 5)
+    eps = (0.1, 0.05, 0.0125)
+    dts = [stable_dt(g, f, v, e, 0.4) for e in eps]
+    dts[1] *= 3.0
+    assert dts == sorted(dts)
+
+    def lone_march(m):
+        one = slice(m, m + 1)
+        return march(g, u0[one], times, _make_advance(g, f, v, eps[one]),
+                     dts[one], eps[one], 1.0)
+
+    batch = march(g, u0, times, _make_advance(g, f, v, eps), dts, eps, 1.0)
+    with pytest.raises(StepError, match="maximum principle") as info:
+        lone(lone_march(1))
+    with pytest.raises(StepError) as looped:
+        _looped(g, f, v, u0[1], eps[1], dts[1], times)
+    failed = batch[1]
+    assert isinstance(failed, StepError)
+    assert str(failed) == str(info.value) == str(looped.value)
+    assert (failed.step, failed.time) == (info.value.step, info.value.time) \
+        == (looped.value.step, looped.value.time)
+    assert 0 < failed.step < lone(lone_march(0)).steps_taken
+    for m in (0, 2):
+        assert _bits(batch[m]) == _bits(lone(lone_march(m))) == _looped(
+            g, f, v, u0[m], eps[m], dts[m], times)
+
+
+def test_batch_steps_must_not_fall():
+    # the leading members are the ones still short of a snapshot only while
+    # the steps grow along the batch
+    g, f, v, u0 = _batch_case(1)
+    eps = (0.05, 0.1)
+    with pytest.raises(ValueError, match="fall"):
+        march(g, u0[:2], snapshot_times(g.time_horizon, 5),
+              _make_advance(g, f, v, eps),
+              [stable_dt(g, f, v, e, 0.4) for e in eps], eps, 1.0)
