@@ -11,10 +11,16 @@ reproduces an identical config.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import io
 import math
 from dataclasses import dataclass, field, fields
+
+try:
+    # CPython's own SHA-256, the one hashlib falls back to; importing
+    # hashlib would load OpenSSL for one digest of a small config
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from . import mollify
 from .domain import FLUX_PRESETS, VISCOSITY_PRESETS, Grid
@@ -303,4 +309,4 @@ def render_config(cfg: ScenarioConfig) -> str:
 
 
 def config_hash(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return sha256(text.encode("utf-8")).hexdigest()

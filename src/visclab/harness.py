@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import datetime
 import itertools
 import math
@@ -302,6 +301,8 @@ def run_ladder(cfg: ScenarioConfig, outdir: str | Path | None = None,
     cut = batches(cfg, jobs)
     rungs = [rung for batch in cut for rung in batch]
     if jobs > 1:
+        import concurrent.futures  # only a pooled run loads the pool
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_solve_and_diagnose, cfg, None, outdir,
                                    batch, b) for b, batch in enumerate(cut)]

@@ -16,7 +16,15 @@ import numpy as np
 
 TABLE_NODES = 4096
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+# the 8-node Gauss-Legendre rule on [-1, 1]: the bits of
+# numpy.polynomial.legendre.leggauss(8), written out so that no command
+# loads numpy.polynomial
+_GL_X = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                  -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                  0.7966664774136267, 0.9602898564975362])
+_GL_W = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                  0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                  0.22238103445337443, 0.10122853629037706])
 
 _MAX_REFINE = 48
 

@@ -11,11 +11,26 @@ from visclab.harness import run_ladder
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def scipy_modules_loaded(code):
-    """The ``scipy*`` modules loaded after running ``code`` in a fresh
-    interpreter, sorted."""
+try:
+    import _sha256  # noqa: F401
+    _HASHLIB = ("_hashlib",)
+except ImportError:
+    # without CPython's own SHA-256, config_hash falls back to hashlib
+    _HASHLIB = ()
+
+# what no --jobs 1 run, verify or bare import needs: scipy is a test
+# dependency only, OpenSSL's _hashlib would serve one config digest, the
+# process pool serves --jobs > 1, and numpy.polynomial would serve only the
+# Gauss-Legendre rule that tables writes out
+UNNEEDED = ("scipy", *_HASHLIB, "concurrent.futures", "numpy.polynomial")
+
+
+def modules_loaded(code, prefixes):
+    """The modules whose names start with one of ``prefixes``, loaded after
+    running ``code`` in a fresh interpreter, sorted."""
     probe = (code + "\nimport sys\n"
-             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+             "print(sorted(m for m in sys.modules"
+             f" if m.startswith({tuple(prefixes)!r})))")
     out = subprocess.run([sys.executable, "-c", probe],
                          capture_output=True, text=True, check=True)
     return ast.literal_eval(out.stdout.strip().splitlines()[-1])

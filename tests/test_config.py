@@ -1,4 +1,5 @@
 import configparser
+import hashlib
 import io
 import re
 
@@ -82,6 +83,12 @@ def test_percent_in_value_round_trips():
 
 def test_hash_changes_with_any_byte():
     assert config_hash(MINIMAL) != config_hash(MINIMAL + " ")
+
+
+@pytest.mark.parametrize("text", [MINIMAL, MINIMAL + "# ε → 0, Größe\n"])
+def test_hash_is_sha256_of_utf8(text):
+    # manifests store it as config_sha256, and verify compares against it
+    assert config_hash(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_2d_broadcasting():

@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import SCENARIOS, scipy_modules_loaded, small_config
+from conftest import SCENARIOS, UNNEEDED, modules_loaded, small_config
 from visclab import compactness, convergence, harness, io, norms
 from visclab.cli import main as cli_main
 from visclab.config import build_scenario
@@ -555,7 +555,8 @@ def tiny_2d_text():
 
 
 def test_cli_run_and_verify_load_no_scipy(tmp_path):
-    # scipy is a test dependency only: no command may load any scipy module
+    # scipy is a test dependency only: no command may load any scipy module,
+    # and a --jobs 1 run and verify load none of the other unneeded modules
     one = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
                        young_window_snaps=5, young_window_cells=6).raw_text
     cli = "from visclab.cli import main\nmain({!r})"
@@ -563,10 +564,10 @@ def test_cli_run_and_verify_load_no_scipy(tmp_path):
         cfgfile = tmp_path / f"{name}.cfg"
         cfgfile.write_text(text)
         argv = ["run", "--config", str(cfgfile), "--out", str(tmp_path / name)]
-        assert scipy_modules_loaded(cli.format(argv)) == []
+        assert modules_loaded(cli.format(argv), UNNEEDED) == []
         assert (tmp_path / name / "estimates.csv").exists()
-    assert scipy_modules_loaded(cli.format(["verify",
-                                            str(tmp_path / "two")])) == []
+    assert modules_loaded(cli.format(["verify", str(tmp_path / "two")]),
+                          UNNEEDED) == []
 
 
 def test_package_imports_only_stdlib_numpy_and_itself():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.signal import convolve2d
 
-from conftest import scipy_modules_loaded
+from conftest import UNNEEDED, modules_loaded
 from oracles import total_variation
 from visclab.config import build_scenario
 from visclab.convergence import fit_rate
@@ -155,17 +155,17 @@ def test_convolve_same_2d_bytes_equal_on_signed_data(shape):
 
 def test_cli_import_leaves_scipy_signal_unloaded():
     # no module of visclab imports scipy.signal (or any other scipy module),
-    # which is slow to load
-    assert scipy_modules_loaded("import visclab.cli") == []
+    # which is slow to load, nor any other module no command needs
+    assert modules_loaded("import visclab.cli", UNNEEDED) == []
 
 
 def test_2d_mollify_leaves_scipy_signal_unloaded():
-    assert scipy_modules_loaded(
+    assert modules_loaded(
         "from visclab.domain import Grid\n"
         "from visclab.mollify import make_initial_data, make_kernel, mollify\n"
         "g = Grid((32, 32), (0.0, 0.0), (1.0, 1.0), 1.0)\n"
         "d = make_initial_data(g, 'bump', (0.5, 0.5), 0.25, 1.0)\n"
-        "mollify(d, make_kernel(0.1, g.spacing))") == []
+        "mollify(d, make_kernel(0.1, g.spacing))", ["scipy"]) == []
 
 
 @pytest.mark.parametrize("preset", DATA_PRESETS)

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
+from visclab import tables
 from visclab.tables import (TableLattice, adaptive_panel_integrals,
                             critical_nodes, cumulative_table, interp, locate,
                             lookup, monotone_envelope, slopes)
+
+
+def test_gauss_legendre_rule_is_numpys():
+    # the written-out nodes and weights are numpy's, bit for bit, so every
+    # table they fill is unchanged
+    x, w = np.polynomial.legendre.leggauss(8)
+    assert tables._GL_X.tobytes() == x.tobytes()
+    assert tables._GL_W.tobytes() == w.tobytes()
 
 
 def test_cumulative_matches_cubic():
