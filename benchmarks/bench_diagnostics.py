@@ -11,21 +11,27 @@ the peak of memory it allocates above what was live before the call, and
 for that live memory plus the peak: the high-water mark of traced memory
 during the call, with the runtime, the finest member and every member's
 diagnostics held.  That is what ``visclab verify`` holds, since it loads
-one member at a time (two, next to the reference, for the distances of the
-convergence report).  The row with the largest live + peak names the stage
-that sets the script's high-water mark.  Peaks are printed in MB and in
-copies of one space-time field (snapshots x cells x 8 bytes), which is the
-unit the per-snapshot blocking of ``compactness`` is judged in.
+one member at a time (the convergence report reads the members in blocks
+of snapshots, next to the reference).  The row with the largest live +
+peak names the stage that sets the script's high-water mark.  Peaks are
+printed in MB and in copies of one space-time field (snapshots x cells x 8
+bytes), which is the unit the per-snapshot blocking of ``compactness`` is
+judged in.  The last column is the process's peak resident set
+(``ru_maxrss``) after the row's untraced calls: it only grows, so the rows
+that raise it are those that set the process's peak, which tracemalloc
+alone does not show when several stages tie.
 
 The instruments run on the finest member (``decompose_production`` with all
 of its entropy pairs in one call, as ``member_diagnostics`` calls it,
 ``grad_energy_lhs``), on the run's lattice (``synthetic_divcurl``), and on
-the stored ladder and reference (``build_convergence_report`` and
-``assess``, whose rows include loading the members they read).
+the stored ladder and reference (``attach_c_field``,
+``compensated_D_field``, ``build_convergence_report`` and ``assess``,
+whose rows make the calls ``assess`` makes, loading the members they
+read).
 
 A second table times ``h_minus_one_norm`` alone on the divergence part ``A``
 of each entropy pair of the finest member, as ``decompose_production`` hands
-it over with the coefficient array its pairs share: the best and the median
+it over, in place, with the buffers its pairs share: the best and the median
 of 20 calls in ms, the minor faults per call over those calls, and one
 traced peak.
 
@@ -44,7 +50,9 @@ import tracemalloc
 from pathlib import Path
 from unittest import mock
 
-from visclab import compactness, harness
+import numpy as np
+
+from visclab import compactness, harness, io
 from visclab.compactness import (attach_c_field, build_compensated_quad,
                                  compensated_D_field, decompose_production,
                                  time_derivative_l1)
@@ -58,6 +66,11 @@ MB = 1024.0 * 1024.0
 
 def minor_faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def maxrss_mb():
+    """Peak resident set of the process so far, in MB (Linux: KB units)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def timed(fn):
@@ -112,18 +125,24 @@ def instruments(cfg, specs, finest, dirs, refdir):
             ("grad_energy_lhs", [lambda: grad_energy_lhs(finest)]),
             ("member_diagnostics",
              [lambda: harness.member_diagnostics(cfg, specs, finest)])]
+    load = lambda d: harness._load(cfg, specs, d)
     if cfg.dim == 2:
         bare = build_compensated_quad(specs.flux, cfg.quadrature_tol,
                                       specs.tartar)
         quad = attach_c_field(bare, finest, window)
+
+        def d_field(d):
+            traj = load(d)
+            compensated_D_field(traj, quad, traj.values)
+
         rows.append(("attach_c_field",
-                     [lambda: attach_c_field(bare, finest, window)]))
+                     [lambda: attach_c_field(bare, load(dirs[-1]), window)]))
         rows.append(("compensated_D_field",
-                     [lambda: compensated_D_field(finest, quad)]))
+                     [lambda d=d: d_field(d) for d in dirs]))
     rows.append(("build_convergence_report",
                  [lambda: build_convergence_report(
-                     (harness._load(cfg, specs, d) for d in dirs),
-                     harness._load(cfg, specs, refdir))]))
+                     (io.StoredTrajectory(d, specs.grid, cfg.snapshots)
+                      for d in dirs), load(refdir))]))
     rows.append(("synthetic_divcurl",
                  [lambda: synthetic_divcurl(specs.grid, times, window)]))
     rows.append(("assess",
@@ -137,22 +156,28 @@ def dual_norm_rows(specs, finest, calls=20):
 
     The split reuses one A buffer across the pairs, so each pair's A is
     timed when the split hands it to the norm, in pair order, with the
-    coefficient array ``out`` the split shares across its pairs.
+    arguments the split passes: A's interior as ``out``, which the norm
+    transforms in place, and the buffer list its pairs share.  Each call
+    starts from a copy of the A handed over, restored outside the timing.
     """
     h_minus_one_norm = compactness.h_minus_one_norm
     rows = []
 
     def timed(*args):
+        A, handed = args[0], args[0].copy()
         seconds = []
         faults = minor_faults()
         for _ in range(calls):
+            np.copyto(A, handed)
             t0 = time.perf_counter()
             h_minus_one_norm(*args)
             seconds.append(time.perf_counter() - t0)
         faults = (minor_faults() - faults) / calls
-        peak = measure(lambda: h_minus_one_norm(*args))[2]
+        peak = measure(lambda: (np.copyto(A, handed),
+                                h_minus_one_norm(*args)))[2]
         rows.append((1e3 * min(seconds), 1e3 * statistics.median(seconds),
                      faults, peak))
+        np.copyto(A, handed)
         return h_minus_one_norm(*args)
 
     with mock.patch.object(compactness, "h_minus_one_norm", timed):
@@ -185,7 +210,11 @@ def main(argv=None):
               f"{'x'.join(map(str, finest.values.shape))} = "
               f"{field / MB:.2f} MB")
         rows = instruments(*stored)
-        times = [[timed(fn) for fn in calls] for _name, calls in rows]
+        print(f"  maxrss before the rows: {maxrss_mb():.2f} MB")
+        times, rss = [], []
+        for _name, calls in rows:
+            times.append([timed(fn) for fn in calls])
+            rss.append(maxrss_mb())
         tracemalloc.start()
         try:
             rows = instruments(*load_stored(rundir))
@@ -195,9 +224,10 @@ def main(argv=None):
             tracemalloc.stop()
         print(f"  {'instrument':<24} {'calls':>5} {'s (max)':>9} "
               f"{'faults':>7} {'peak MB':>9} {'fields':>7} "
-              f"{'live+peak MB':>13}")
+              f"{'live+peak MB':>13} {'maxrss MB':>10}")
         marks = []
-        for (name, calls), timings, spans in zip(rows, times, traced):
+        for (name, calls), timings, spans, after in zip(rows, times, traced,
+                                                         rss):
             seconds = max(s for s, _f in timings)
             faults = max(f for _s, f in timings)
             peak = max(high - live for live, high in spans)
@@ -205,7 +235,7 @@ def main(argv=None):
             marks.append((high, name))
             print(f"  {name:<24} {len(calls):>5} {seconds:>9.4f} "
                   f"{faults:>7} {peak / MB:>9.2f} {peak / field:>7.2f} "
-                  f"{high / MB:>13.2f}")
+                  f"{high / MB:>13.2f} {after:>10.2f}")
         high, name = max(marks)
         print(f"  high-water mark: {name}, live + peak {high / MB:.2f} MB")
         print(f"  {'h_minus_one_norm of A':<22} {'best ms':>9} {'med ms':>7} "

@@ -88,8 +88,8 @@ def decompose_production(traj: FieldTrajectory, pairs: list[EntropyPair],
     block's ``-eps sum_j B(u) (centered gradient)^2``, from which every
     pair's M of the block is formed and reduced to its per-snapshot sums, so
     neither it nor M is ever held whole.  A then goes pair by pair, in one
-    A buffer, and one coefficient array of the interior's shape serves
-    every pair's dual norm.
+    A buffer, whose interior each pair's dual norm transforms in place,
+    through two block-sized buffers made once for every pair.
     """
     if eps <= 0:
         raise ValueError("the split is defined for positive viscosity")
@@ -108,24 +108,23 @@ def decompose_production(traj: FieldTrajectory, pairs: list[EntropyPair],
             if not np.all(np.isfinite(M)):
                 raise ValueError("space-time field has non-finite entries")
             sums[i, blk] = snapshot_l1(M)
-    del mneg
+    # the block buffer (which its view mneg_blk would keep) and the last M
+    # go before A is made, or they would stay live through the A pass
+    mneg = mneg_blk = M = None
     weights = time_weights(traj.times)
     b_face = float(visc.B(0.0)) if visc.name == "constant" else None
     A = np.empty_like(u)
-    # one coefficient array for every pair's dual norm: a fresh one a call
-    # faulted its pages in again (about 2,950 minor faults a call on the
-    # 2-D scenario), as freed it left a heap top above glibc's trim
-    # threshold.  Shaped from a slice, so a trajectory too short for the
-    # norm still reaches h_minus_one_norm's own check
-    coef = np.empty_like(A[1:-1])
+    # the norm's buffers, shared by every pair: made afresh by each call,
+    # they cost a 1-D norm about 100 minor faults
+    work = []
     norms = []
     for i, pair in enumerate(pairs):
         eta_ghost = float(np.asarray(pair.eta(0.0)))
         for blk in blocks:
-            A[blk] = 0.0
             _divergence_block(u[blk], pair, visc, b_face, eps, grid.spacing,
                               eta_ghost, A[blk])
-        norms.append((h_minus_one_norm(A, traj.times, grid.spacing, coef),
+        norms.append((h_minus_one_norm(A, traj.times, grid.spacing, A[1:-1],
+                                       work),
                       mass_of_snapshots(sums[i], grid.cell_volume, weights)))
     return norms
 
@@ -144,21 +143,27 @@ def _dissipation_block(u: np.ndarray, visc: ViscositySpec, eps: float,
 def _divergence_block(u: np.ndarray, pair: EntropyPair, visc: ViscositySpec,
                       b_face: float | None, eps: float, spacing,
                       eta_ghost: float, A: np.ndarray) -> None:
-    """A of the snapshots ``u``, accumulated into the zeroed ``A``; B at the
-    face means is ``b_face`` when given."""
+    """A of the snapshots ``u``, written into ``A``: the first axis's term
+    straight into it and each later one added, so A holds the sum a zeroed
+    A accumulates (up to the sign of a zero, which no norm of it sees); B
+    at the face means is ``b_face`` when given."""
     eta_u = np.asarray(pair.eta(u), dtype=np.float64)
     for axis, h in enumerate(spacing):
-        A += _axis_divergence(u, eta_u, axis + 1, h, visc, b_face,
-                              eta_ghost, eps)
+        div = _axis_divergence(u, eta_u, axis + 1, h, visc, b_face,
+                               eta_ghost, eps, None if axis else A)
+        if axis:
+            A += div
 
 
 def _axis_divergence(u: np.ndarray, eta_u: np.ndarray, ax: int, h: float,
                      visc: ViscositySpec, b_face: float | None,
-                     eta_ghost: float, eps: float) -> np.ndarray:
+                     eta_ghost: float, eps: float,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """eps * (face after - face before) / h along ``ax`` of the face values
-    B(face mean) * (eta right - eta left) / h.  Each temporary goes once it
-    is read, the face B before the difference is formed, and the rest on
-    return, before the next axis allocates its own."""
+    B(face mean) * (eta right - eta left) / h, written into ``out`` when
+    given.  Each temporary goes once it is read, the face B before the
+    difference is formed, and the rest on return, before the next axis
+    allocates its own."""
     b = b_face
     if b is None:
         mean = _faces(np.add, u, ax, 0.0)
@@ -170,7 +175,7 @@ def _axis_divergence(u: np.ndarray, eta_u: np.ndarray, ax: int, h: float,
     del b
     face /= h
     div = np.subtract(face[_along(u.ndim, ax, 1, None)],
-                      face[_along(u.ndim, ax, None, -1)])
+                      face[_along(u.ndim, ax, None, -1)], out=out)
     div *= eps
     div /= h
     return div
@@ -440,44 +445,50 @@ def choose_c(f11_bar: np.ndarray, quad: CompensatedQuad) -> tuple[np.ndarray, in
 
 def attach_c_field(quad: CompensatedQuad, finest: FieldTrajectory,
                    window: tuple[int, ...]) -> CompensatedQuad:
-    """Fix the comparison field c from coarse-window averages of the finest member."""
+    """Fix the comparison field c from coarse-window averages of the finest member.
+
+    F11(u) is formed one coarse time window at a time and reduced to its
+    time mean at once: those are the means ``_block_means`` takes first, of
+    the whole field's slices, so the window averages are the same doubles.
+    """
     u = finest.values
-    f11_u = np.empty_like(u)
-    for blk in snapshot_blocks(u):
-        f11_u[blk] = tables.interp(quad.lattice, quad.F11, u[blk])
-    f11_bar = _block_means(f11_u, window)
+    f11_bar = np.concatenate([
+        tables.interp(quad.lattice, quad.F11, u[a:b]).mean(0, keepdims=True)
+        for a, b in _segments(u.shape[0], window[0])])
+    f11_bar = _block_means(f11_bar, (1,) + tuple(window[1:]))
     c_field, clamped = choose_c(f11_bar, quad)
     return CompensatedQuad(quad.lattice, quad.F11, quad.F12, quad.F22,
                            window=window, c_field=c_field, f11_bar=f11_bar,
                            clamp_count=clamped)
 
 
-def compensated_D_field(traj: FieldTrajectory,
-                        quad: CompensatedQuad) -> np.ndarray:
-    """Pointwise nonnegative quadratic D(u) against the window c-field."""
+def compensated_D_field(traj: FieldTrajectory, quad: CompensatedQuad,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise nonnegative quadratic D(u) against the window c-field,
+    written into ``out`` (a new array when not given).  ``out`` may be
+    ``traj.values``: each block of snapshots is read before its D is
+    written over it."""
     if traj.grid.dim != 2:
         raise ValueError("the compensated quadratic is a d = 2 diagnostic")
     if quad.c_field is None or quad.window is None:
         raise ValueError("attach_c_field must run before evaluating D")
     lat = quad.lattice
     u = traj.values
-    # F(c) on the coarse time lattice, expanded in space only; the snapshot
-    # t of u lies in coarse time window t // w
-    w = quad.window[0]
-    coarse = (quad.c_field.shape[0],) + u.shape[1:]
-    c = _block_expand(quad.c_field, (1,) + quad.window[1:], coarse)
-    f11_c = tables.interp(lat, quad.F11, c)
-    f22_c = tables.interp(lat, quad.F22, c)
-    f12_c = tables.interp(lat, quad.F12, c)
-    D = np.empty_like(u)
+    D = np.empty_like(u) if out is None else out
+    # F(c) on the coarse c-field itself, expanded per block onto the cells
+    # of the block's snapshots, whose snapshot t lies in coarse time window
+    # t // window[0].  Table reads are elementwise, so the values are those
+    # of reading F on the expanded c
+    f_c = [tables.interp(lat, tab, quad.c_field)
+           for tab in (quad.F11, quad.F22, quad.F12)]
     for blk in snapshot_blocks(u):
         ub = u[blk]
-        rows = np.arange(blk.start, blk.stop) // w
-        d11 = tables.interp(lat, quad.F11, ub) - f11_c[rows]
-        d22 = tables.interp(lat, quad.F22, ub) - f22_c[rows]
-        d12 = tables.interp(lat, quad.F12, ub) - f12_c[rows]
+        rows = np.arange(blk.start, blk.stop) // quad.window[0]
+        d11, d22, d12 = (
+            tables.interp(lat, tab, ub)
+            - _block_expand(fc[rows], (1,) + quad.window[1:], ub.shape)
+            for tab, fc in zip((quad.F11, quad.F22, quad.F12), f_c))
         np.subtract(d11 * d22, d12 * d12, out=D[blk])
-    if not np.all(np.isfinite(D)):
-        raise ValueError("space-time field has non-finite entries")
+        if not np.all(np.isfinite(D[blk])):
+            raise ValueError("space-time field has non-finite entries")
     return D
-

@@ -9,24 +9,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import FieldTrajectory
-from .norms import (mass_of_snapshots, snapshot_blocks, snapshot_l1,
-                    time_weights)
+from .norms import mass_of_snapshots, snapshot_blocks, time_weights
 
 
-def l1_distance(a: FieldTrajectory, b: FieldTrajectory) -> float:
-    """Space-time L1 norm of the difference of two matched trajectories."""
+def _check_matched(a: FieldTrajectory, b: FieldTrajectory) -> None:
     if a.grid != b.grid:
         raise ValueError("trajectories live on different grids")
     if a.times.shape != b.times.shape or not np.array_equal(a.times, b.times):
         raise ValueError("trajectories have different snapshot times")
-    # per-snapshot sums of |a - b| block by block, so the difference is
-    # never held whole: the value measure_norm gives on the whole of it
+
+
+def _l1_sums(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """Per-snapshot sums of ``|a - b|`` over the cells of a block of
+    snapshots, ``snapshot_l1`` of the difference; ``|a - b|`` is formed in
+    ``out`` (which may be ``a``) when given.  A snapshot's sum does not
+    depend on the block, so sums taken block by block are those of the
+    whole difference."""
+    diff = np.subtract(a, b, out=out)
+    if not np.all(np.isfinite(diff)):
+        raise ValueError("space-time field has non-finite entries")
+    return np.sum(np.abs(diff, out=diff), axis=tuple(range(1, diff.ndim)))
+
+
+def l1_distance(a: FieldTrajectory, b: FieldTrajectory) -> float:
+    """Space-time L1 norm of the difference of two matched trajectories."""
+    _check_matched(a, b)
+    # block by block, so the difference is never held whole: the value
+    # measure_norm gives on the whole of it
     sums = np.empty(a.times.size)
     for blk in snapshot_blocks(a.values):
-        diff = a.values[blk] - b.values[blk]
-        if not np.all(np.isfinite(diff)):
-            raise ValueError("space-time field has non-finite entries")
-        sums[blk] = snapshot_l1(diff)
+        sums[blk] = _l1_sums(a.values[blk], b.values[blk])
     return mass_of_snapshots(sums, a.grid.cell_volume, time_weights(a.times))
 
 
@@ -61,19 +73,39 @@ class ConvergenceReport:
     cauchy_fit: RateFit | None
 
 
-def build_convergence_report(trajs: Iterable[FieldTrajectory],
+def build_convergence_report(members: Iterable,
                              reference: FieldTrajectory) -> ConvergenceReport:
-    """Distances of the ladder ``trajs`` to the reference and between
-    neighbours, taking the members in turn: an iterator that loads each one
-    keeps at most two of them alive."""
-    eps, errors, cauchy = [], [], []
+    """Distances of the ladder ``members`` (each an ``io.StoredTrajectory``,
+    in ladder order) to the reference and between neighbours: for each, its
+    ``l1_distance`` to the reference and to the member before it.
+
+    The members are read in blocks of whole snapshots, a member's next to
+    the same block of the member before it (read again), into two buffers
+    of the rows of one block, where each difference is then formed: the
+    walk holds the reference and one block of each of two members.
+    Per-snapshot sums do not depend on the block, so every distance is that
+    of the whole trajectories.
+    """
+    blocks = snapshot_blocks(reference.values)
+    bufs = [np.empty((blocks[0].stop,) + reference.grid.cells) for _ in "ab"]
+    # the cell volume and time weights of the space-time integral
+    measure = (reference.grid.cell_volume, time_weights(reference.times))
+    eps, errors, gaps = [], [], []
     prev = None
-    for traj in trajs:
-        eps.append(traj.epsilon)
-        errors.append(l1_distance(traj, reference))
-        if prev is not None:
-            cauchy.append((prev.epsilon, l1_distance(prev, traj)))
-        prev = traj
+    for member in members:
+        _check_matched(member.header, reference)
+        sums = np.zeros((2, reference.times.size))
+        for blk in blocks:
+            cur = member.read(blk, bufs[0])
+            if prev is not None:
+                old = prev.read(blk, bufs[1])
+                sums[1, blk] = _l1_sums(old, cur, old)
+            sums[0, blk] = _l1_sums(cur, reference.values[blk], cur)
+        eps.append(member.header.epsilon)
+        errors.append(mass_of_snapshots(sums[0], *measure))
+        gaps.append(mass_of_snapshots(sums[1], *measure))
+        prev = member
+    cauchy = list(zip(eps, gaps[1:]))
     cauchy_fit = fit_rate(cauchy) if len(cauchy) >= 3 else None
     return ConvergenceReport(tuple(eps), tuple(errors), tuple(cauchy),
                              cauchy_fit)

@@ -222,9 +222,10 @@ def assess(cfg: ScenarioConfig, specs: RuntimeSpecs,
     ``members`` are the per-member diagnostics of the members stored in
     ``dirs``, in ladder order; each gains its 2-D compensated quadratic and
     its W1 distance to the reference stored in ``refdir``.  Members are
-    loaded one at a time, and two at once only for the distance between
-    neighbours, next to the reference.  Returns the convergence report
-    (None without a reference) and the estimate rows.
+    loaded one at a time, each member's ``D`` written over its own loaded
+    values; the convergence report reads them in blocks of snapshots, next
+    to the reference.  Returns the convergence report (None without a
+    reference) and the estimate rows.
     """
     if cfg.dim == 2 and dirs:
         quad = build_compensated_quad(specs.flux, cfg.quadrature_tol,
@@ -232,10 +233,11 @@ def assess(cfg: ScenarioConfig, specs: RuntimeSpecs,
         quad = attach_c_field(quad, _load(cfg, specs, dirs[-1]),
                               _weak_window(cfg))
         for m, d in zip(members, dirs):
-            dfield = compensated_D_field(_load(cfg, specs, d), quad)
+            traj = _load(cfg, specs, d)
+            dfield = compensated_D_field(traj, quad, traj.values)
             m.d_mean = float(np.mean(dfield))
             m.d_min = float(np.min(dfield))
-            del dfield
+            del traj, dfield
     conv = None
     if refdir is not None:
         reference = _load(cfg, specs, refdir)
@@ -244,7 +246,8 @@ def assess(cfg: ScenarioConfig, specs: RuntimeSpecs,
             m.young_w1 = young_w1_distance(m.young, ref_hset)
         if dirs:
             conv = build_convergence_report(
-                (_load(cfg, specs, d) for d in dirs), reference)
+                (io.StoredTrajectory(d, specs.grid, cfg.snapshots)
+                 for d in dirs), reference)
         del reference
 
     rate_fits, ut_fit = {}, None

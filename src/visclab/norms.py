@@ -43,9 +43,10 @@ def time_weights(times: np.ndarray) -> np.ndarray:
 # Per-snapshot work (elementwise maps and stencils inside one snapshot, and
 # the dual norm's transforms along the axes after the first) runs on blocks
 # of whole snapshots of about this many bytes, so only one block's
-# temporaries are live at a time.  Reductions across snapshots and the
-# transform along the first axis still run on the full arrays, so every
-# value is the one a single block gives.  At 256 KB a block's dozen or so
+# temporaries are live at a time; the dual norm's transform along the first
+# axis runs on blocks of columns of about this size.  Reductions across
+# snapshots still run on the full arrays, so every value is the one a
+# single block gives.  At 256 KB a block's dozen or so
 # temporaries stay small enough for the heap to reuse their pages, where
 # 1 MB blocks had them faulted in afresh (verify of the 2-D scenario: about
 # 100k against 225k minor faults), and a 65 x 400 1-D field is still one
@@ -112,9 +113,27 @@ def _eigenvalues(modes: np.ndarray, m: int, h: float) -> np.ndarray:
     return (2.0 * np.sin(modes * (0.5 * np.pi / m)) / h) ** 2
 
 
-def _node_coefficients(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I along axis 0, written into ``out``: one product
-    with the sine matrix, of modes 1..n in order.
+def _column_blocks(n: int, cols: int) -> list[tuple[int, int]]:
+    """Consecutive ``(start, stop)`` column blocks of a ``(n, cols)`` array
+    for the DST-I along time: a multiple of 64 columns of about BLOCK_BYTES,
+    the columns left over joined to the last block, so none is narrower than
+    64 columns unless the array is.  On OpenBLAS 0.3.31 a product over
+    blocks whose widths are multiples of 8 gives the bytes of the
+    whole-array product (every shipped grid has a multiple of 8 cells); the
+    columns past a multiple of 8 can come out an ulp apart, and blocks of 1
+    or 7 columns differ by up to 2.2e-15."""
+    width = 64 * max(1, BLOCK_BYTES // (512 * n))
+    return [(a, a + width if a + 2 * width <= cols else cols)
+            for a in range(0, max(cols - width, 0) + 1, width)]
+
+
+def _node_coefficients(x: np.ndarray, out: np.ndarray,
+                       buf: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I along axis 0, written into ``out``, which may be
+    ``x`` itself: one product with the sine matrix, of modes 1..n in order,
+    per block of columns, through the front of the flat buffer ``buf``.  A
+    block's product reads only its own columns, so it is written back over
+    them.
 
     The time axis is a few dozen samples long, so the dense matrix is small.
     Its arguments are reduced modulo 2(n+1) as integers, so every sine is
@@ -124,7 +143,11 @@ def _node_coefficients(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     k = np.arange(1, n + 1)
     turns = np.outer(k, k) % (2 * (n + 1))
     sines = np.sqrt(2.0 / (n + 1)) * np.sin(turns * (np.pi / (n + 1)))
-    np.dot(sines, x.reshape(n, -1), out=out.reshape(n, -1))
+    x2, out2 = x.reshape(n, -1), out.reshape(n, -1)
+    for a, b in _column_blocks(n, x2.shape[1]):
+        part = buf[:n * (b - a)].reshape(n, b - a)
+        np.dot(sines, x2[:, a:b], out=part)
+        out2[:, a:b] = part
     return out
 
 
@@ -164,24 +187,29 @@ def _cell_coefficients(x: np.ndarray, axis: int, seq: np.ndarray,
     xl[..., bins.size:] = zl.imag[..., 1:half]
 
 
-def dirichlet_dual_norm(g: np.ndarray, spacings, out=None) -> float:
+def dirichlet_dual_norm(g: np.ndarray, spacings, out=None,
+                        work: list | None = None) -> float:
     """Dual norm of ``g`` against the discrete H1_0 energy on the space-time
     lattice: axis 0 a node (time) axis, zero one spacing beyond its end
     samples, and every other axis a cell axis, zero at the half-spacing
     face.  Returns ``sqrt(cellvol * sum(ghat**2 / Lambda))`` over the
     orthonormal sine coefficients ``ghat`` (see the module docstring).
 
-    The transform along axis 0 mixes every row, so it runs on the whole
-    array, into ``out`` (a C-contiguous array of ``g``'s shape, or a new
-    one).  The cell axes' transforms and the quotient ``ghat**2 / Lambda``
-    then run on slabs of rows of about BLOCK_BYTES, in place in ``out``,
-    and one sum over it ends the norm.  Each line's transform and each
-    element's quotient do not depend on the other rows, so the slabs give
-    the values of the whole-array transforms.  The slabs' reordered
-    sequences and spectra take the fronts of two flat buffers made once per
-    call, for its first (largest) slab; held across the split's calls, they
-    sat on top of its divergence pass and raised its peak by half a field
-    copy on a 33 x 64 x 64 field.
+    The coefficients go into ``out``: a C-contiguous array of ``g``'s shape,
+    a new one when not given, or ``g`` itself, which is then transformed in
+    place.  The transform along axis 0 runs on column blocks of about
+    BLOCK_BYTES (see ``_column_blocks``); the cell axes' transforms and the
+    quotient ``ghat**2 / Lambda`` then run on slabs of rows of about
+    BLOCK_BYTES, in place in ``out``, and one sum over it ends the norm.
+    Each column's and each line's transform and each element's quotient do
+    not depend on the others, so the blocks give the values of the
+    whole-array transforms.  The blocks' products and the slabs' reordered
+    sequences and spectra take the fronts of two flat buffers, which the
+    first call given an empty list ``work`` makes and keeps in it: a caller
+    that hands one list to the norms of many arrays of one shape has them
+    made once (on an array of a larger shape, their fronts are too short
+    to reshape and the call fails), and without one each call makes its
+    own.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != len(spacings):
@@ -202,14 +230,18 @@ def dirichlet_dual_norm(g: np.ndarray, spacings, out=None) -> float:
         # np.dot would write into a reshaped copy of any other array
         raise ValueError("out must be a C-contiguous float64 array of "
                          "g's shape")
-    coef = _node_coefficients(g, out)
-    blocks = snapshot_blocks(coef)
-    size = coef[blocks[0]].size
-    seq = np.empty(size)
-    spectrum = np.empty(max((size // n * (n // 2 + 1) for n in g.shape[1:]),
-                            default=0), np.complex128)
+    a, b = _column_blocks(len(g), out.size // len(g))[-1]
+    blocks = snapshot_blocks(out)
+    size = out[blocks[0]].size
+    work = [] if work is None else work
+    if not work:
+        work += [np.empty(max(size, len(g) * (b - a))),
+                 np.empty(max((size // n * (n // 2 + 1) for n in g.shape[1:]),
+                              default=0), np.complex128)]
+    seq, spectrum = work
+    _node_coefficients(g, out, seq)
     for rows in blocks:
-        x = coef[rows]
+        x = out[rows]
         for axis in range(1, g.ndim):
             _cell_coefficients(x, axis, seq, spectrum)
         # Lambda summed over the axes in order, the last sum written into
@@ -220,11 +252,11 @@ def dirichlet_dual_norm(g: np.ndarray, spacings, out=None) -> float:
                    out=seq[:x.size].reshape(x.shape))
         np.divide(x, q, out=q)
         np.multiply(q, x, out=x)
-    return float(np.sqrt(coef.sum() * float(np.prod(spacings))))
+    return float(np.sqrt(out.sum() * float(np.prod(spacings))))
 
 
 def h_minus_one_norm(values: np.ndarray, times: np.ndarray, spacing,
-                     out=None) -> float:
+                     out=None, work: list | None = None) -> float:
     """Negative-order Sobolev norm of a space-time residual field ``values``
     (time, cells...), sampled at ``times`` on cells of ``spacing``.
 
@@ -233,7 +265,9 @@ def h_minus_one_norm(values: np.ndarray, times: np.ndarray, spacing,
     handed over as the ``(time, cells...)`` block they are stored as, and a
     non-finite entry among them is rejected through the norm it leaves
     non-finite.  ``out``, an array of that block's shape, receives the
-    coefficients, so the norms of many fields of one shape can share it.
+    coefficients, so the norms of many fields of one shape can share it;
+    it may be the block itself, ``values[1:-1]``, which the norm then
+    overwrites.  ``work`` is ``dirichlet_dual_norm``'s list of buffers.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.size < 3:
@@ -242,4 +276,4 @@ def h_minus_one_norm(values: np.ndarray, times: np.ndarray, spacing,
     if not np.allclose(steps, steps[0], rtol=1e-8, atol=1e-14):
         raise ValueError("snapshots must be uniform in time")
     spacings = (float(steps[0]),) + tuple(spacing)
-    return _finite(dirichlet_dual_norm(values[1:-1], spacings, out))
+    return _finite(dirichlet_dual_norm(values[1:-1], spacings, out, work))

@@ -409,6 +409,30 @@ def test_compensated_D_constant_field(quad):
     assert np.min(field) >= -1e-12
 
 
+@pytest.mark.parametrize("window", [(3, 5, 6), (1, 4, 5), (11, 24, 20),
+                                    (4, 7, 3)])
+def test_c_field_window_means_match_whole_field(quad, window):
+    # F11(u) formed one coarse time window at a time gives the window means
+    # of the whole F11 field bit for bit, ragged windows included
+    traj = _random_traj(11, 24, 20, seed=8)
+    whole = compactness._block_means(
+        interp(quad.lattice, quad.F11, traj.values), window)
+    got = attach_c_field(quad, traj, window).f11_bar
+    assert got.shape == whole.shape and got.tobytes() == whole.tobytes()
+
+
+def test_compensated_D_written_over_the_handed_buffer(quad):
+    # D written into the trajectory's own values equals a fresh D; without
+    # an out the trajectory is left as it was
+    traj = _random_traj(11, 24, 20, seed=9)
+    quad = attach_c_field(quad, traj, (3, 5, 6))
+    before = traj.values.copy()
+    fresh = compensated_D_field(traj, quad)
+    assert traj.values.tobytes() == before.tobytes()
+    got = compensated_D_field(traj, quad, traj.values)
+    assert got is traj.values and got.tobytes() == fresh.tobytes()
+
+
 def test_compensated_D_requires_2d(quad):
     traj = make_traj(np.zeros((4, 8)))
     with pytest.raises(ValueError, match="d = 2"):
@@ -509,7 +533,9 @@ def test_split_needs_three_snapshots(burgers, bconst):
 def test_one_patch_sets_every_consumers_blocks(monkeypatch, flux2d, quad):
     # norms.BLOCK_BYTES is read when the blocks are cut, so patching it
     # alone gives every consumer one block per snapshot (per interior
-    # snapshot for the dual norm's slabs)
+    # snapshot for the dual norm's slabs); attach_c_field works one coarse
+    # time window at a time instead (see
+    # test_c_field_window_means_match_whole_field)
     real = norms.snapshot_blocks
     seen = {}
 
@@ -529,7 +555,7 @@ def test_one_patch_sets_every_consumers_blocks(monkeypatch, flux2d, quad):
     quad = attach_c_field(quad, traj, (1, 4, 5))
     compensated_D_field(traj, quad)
     for caller in ("decompose_production", "l1_distance", "grad_energy_lhs",
-                   "attach_c_field", "compensated_D_field"):
+                   "compensated_D_field"):
         assert seen.get(caller) == (7, 7), caller
     assert seen.get("dirichlet_dual_norm") == (5, 5)
 

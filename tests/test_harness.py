@@ -178,6 +178,25 @@ def test_verify_detects_corruption(tiny_run, tmp_path):
                        match=r"eps_0.05/index.csv has 10 rows, expected 11"):
         verify_run(corrupted("index", truncated_index))
 
+    def other_file(member):
+        # row 3 names snapshot 2's file, with its min and max: before the
+        # names were checked, verify read snap_0002.bin twice and exited as
+        # on the intact run, never reading snapshot 3
+        index = member / "index.csv"
+        rows = read_csv(index)
+        rows[3].update(filename="snap_0002.bin", min=rows[2]["min"],
+                       max=rows[2]["max"])
+        with open(index, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+
+    clone = corrupted("names", other_file)
+    with pytest.raises(CorruptSnapshotError,
+                       match=r"eps_0.05/snap_0003.bin does not match"):
+        verify_run(clone)
+    assert cli_main(["verify", str(clone)]) == 2
+
 
 def test_verify_missing_manifest(tmp_path):
     empty = tmp_path / "empty"
@@ -682,9 +701,9 @@ def test_commands_hold_one_member_at_a_time(tmp_path, monkeypatch):
     # a member, the live ones are the members of its batch not yet saved,
     # within the batch budget; when ``verify`` or ``plotdata`` splits one,
     # or any command evaluates a compensated quadratic, it is the only one
-    # alive, and an L1 distance holds at most two members and the reference
-    # (a trajectory hashes its arrays, so weak references stand in for a
-    # WeakSet)
+    # alive, and the convergence walk, which reads the members in blocks of
+    # snapshots, holds no whole trajectory but the reference (a trajectory
+    # hashes its arrays, so weak references stand in for a WeakSet)
     refs = []
     seen = []
 
@@ -716,7 +735,7 @@ def test_commands_hold_one_member_at_a_time(tmp_path, monkeypatch):
         monkeypatch.setattr(owner, name, registering(getattr(owner, name)))
     for owner, name in ((harness, "decompose_production"),
                         (harness, "compensated_D_field"),
-                        (convergence, "l1_distance")):
+                        (convergence, "_l1_sums")):
         counted(owner, name)
     out = tmp_path / "two"
     cfg = build_scenario(tiny_2d_text())
@@ -729,9 +748,11 @@ def test_commands_hold_one_member_at_a_time(tmp_path, monkeypatch):
          "verify": lambda: verify_run(out),
          "plotdata": lambda: emit_plotdata(out)}[command]()
         calls = Counter(name for name, _e, _b in seen)
+        # one block of snapshots: a distance to the reference per member
+        # and one between the neighbours
         assert calls == {"decompose_production": members,
                          "compensated_D_field": members,
-                         "l1_distance": 2 * members - 1}
+                         "_l1_sums": 2 * members - 1}
         most = {name: max(len(e) for m, e, _b in seen if m == name)
                 for name in calls}
         split = [(e, b) for m, e, b in seen if m == "decompose_production"]
@@ -742,7 +763,81 @@ def test_commands_hold_one_member_at_a_time(tmp_path, monkeypatch):
             assert most["decompose_production"] == 2
         else:
             assert most["decompose_production"] == 1
-        assert (most["compensated_D_field"], most["l1_distance"]) == (1, 3)
+        assert most["compensated_D_field"] == 1
+        assert {tuple(e) for m, e, _b in seen if m == "_l1_sums"} == {(0.0,)}
+
+
+def test_walk_distances_match_whole_trajectories(tmp_path, monkeypatch):
+    # the convergence walk reads the members in blocks of snapshots (one
+    # snapshot, ragged blocks of 4 of 11, one block): every distance is the
+    # l1_distance of the whole loaded trajectories, bit for bit
+    out = tmp_path / "two"
+    cfg = build_scenario(tiny_2d_text())
+    run_ladder(cfg, outdir=out)
+    specs = harness.build_runtime(cfg)
+    dirs = [out / f"eps_{harness.eps_label(e)}" for e in cfg.ladder]
+    trajs = [harness._load(cfg, specs, d) for d in dirs]
+    reference = harness._load(cfg, specs, out / "reference")
+    snapshot = reference.values[0].nbytes
+    for per in (1, 4, 11):
+        monkeypatch.setattr(norms, "BLOCK_BYTES", per * snapshot)
+        assert len(norms.snapshot_blocks(reference.values)) == -(-11 // per)
+        conv = convergence.build_convergence_report(
+            (io.StoredTrajectory(d, specs.grid, cfg.snapshots) for d in dirs),
+            reference)
+        assert [e.hex() for e in conv.errors_vs_reference] == \
+            [convergence.l1_distance(t, reference).hex() for t in trajs]
+        assert [(e, d.hex()) for e, d in conv.cauchy_pairs] == \
+            [(a.epsilon, convergence.l1_distance(a, b).hex())
+             for a, b in zip(trajs, trajs[1:])]
+
+
+def test_verify_2d_instruments_hold_a_member_and_a_work_field(tmp_path,
+                                                              monkeypatch):
+    # in verify of a 48 x 48 run of 33 snapshots, with blocks of one
+    # snapshot, the split, each compensated quadratic and the convergence
+    # walk allocate at most 1.5 fields above what was live when they were
+    # called, which holds the member they read (the reference, for the
+    # walk): before, the split held A and the norm's coefficient array, D a
+    # field of its own, and the walk two whole members.  (On a 16 x 16 run
+    # of 11 snapshots numpy's fixed-size allocations alone are a field.)
+    import tracemalloc
+
+    out = tmp_path / "two"
+    text = tiny_2d_text()
+    for old, new in (("cells = 16,16", "cells = 48,48"),
+                     ("snapshots = 10", "snapshots = 32")):
+        text = text.replace(old, new)
+    cfg = build_scenario(text)
+    run_ladder(cfg, outdir=out)
+    field = 8 * 33 * 48 * 48
+    monkeypatch.setattr(norms, "BLOCK_BYTES", field // 33)
+    peaks = []
+
+    def traced(owner, name):
+        fn = getattr(owner, name)
+
+        def peak_of(*args, **kwargs):
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = fn(*args, **kwargs)
+            peaks.append((name, tracemalloc.get_traced_memory()[1] - live))
+            return got
+        monkeypatch.setattr(owner, name, peak_of)
+
+    for name in ("decompose_production", "compensated_D_field",
+                 "build_convergence_report"):
+        traced(harness, name)
+    tracemalloc.start()
+    try:
+        verify_run(out)
+    finally:
+        tracemalloc.stop()
+    assert Counter(name for name, _p in peaks) == {
+        "decompose_production": 2, "compensated_D_field": 2,
+        "build_convergence_report": 1}
+    for name, peak in peaks:
+        assert peak <= 1.5 * field, (name, peak / field)
 
 
 def test_f11_table_built_once_per_runtime(tmp_path, monkeypatch):

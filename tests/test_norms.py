@@ -253,7 +253,8 @@ def test_sine_coefficient_maps_are_orthonormal(kind, n):
     # are orthonormal and carry each mode number once (node sines taken of
     # unreduced arguments, up to n^2 pi / (n + 1), miss by 2e-14 at n = 400)
     if kind == "node":
-        coef = norms._node_coefficients(np.eye(n), np.empty((n, n)))
+        coef = norms._node_coefficients(np.eye(n), np.empty((n, n)),
+                                         np.empty(n * n))
         modes = np.arange(1, n + 1)
     else:
         coef = np.eye(n)
@@ -332,6 +333,46 @@ def test_shared_buffers_are_not_allocated_again():
     finally:
         tracemalloc.stop()
     assert shared < 0.25 * g.nbytes
+
+
+@pytest.mark.parametrize("shape", [(31, 128, 128), (63, 400), (31, 24, 76)])
+def test_in_place_time_transform_matches_whole_array_product(monkeypatch,
+                                                             shape):
+    # the DST-I along time over column blocks, written back over its input,
+    # gives the bytes of one product over the whole array: on the 2-D and
+    # 1-D scenarios' interiors, and with 64-column blocks on 1,824 columns,
+    # whose last block takes the 32 left over
+    if shape == (31, 24, 76):
+        monkeypatch.setattr(norms, "BLOCK_BYTES", 1)
+        assert [b - a for a, b in norms._column_blocks(31, 24 * 76)][-2:] \
+            == [64, 96]
+    n = shape[0]
+    g = np.random.default_rng(n).standard_normal(shape)
+    k = np.arange(1, n + 1)
+    sines = np.sqrt(2.0 / (n + 1)) * np.sin(
+        np.outer(k, k) % (2 * (n + 1)) * (np.pi / (n + 1)))
+    want = np.dot(sines, g.reshape(n, -1)).reshape(shape)
+    x = g.copy()
+    got = norms._node_coefficients(x, x, np.empty(x.size))
+    assert got is x and x.tobytes() == want.tobytes()
+
+
+def test_dual_norm_in_place_and_shared_work_bit_for_bit():
+    # out may be g itself, and one work list may serve many calls of one
+    # shape: each norm is that of a fresh call, and g is overwritten only
+    # when it is handed over as out
+    rng = np.random.default_rng(5)
+    spacings = (0.1, 1 / 24, 1 / 20)
+    work = []
+    for _ in range(3):
+        g = rng.standard_normal((9, 24, 20))
+        want = dirichlet_dual_norm(g, spacings)
+        kept = g.copy()
+        assert dirichlet_dual_norm(g, spacings, None, work).hex() == \
+            want.hex()
+        assert g.tobytes() == kept.tobytes()
+        assert dirichlet_dual_norm(g, spacings, g, work).hex() == want.hex()
+    assert len(work) == 2
 
 
 SLAB_CASES = [
