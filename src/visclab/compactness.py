@@ -19,8 +19,8 @@ import numpy as np
 
 from . import tables
 from .domain import EntropyPair, FieldTrajectory, FluxSpec, ViscositySpec
-from .norms import (h_minus_one_norm, mass_of_snapshots, snapshot_blocks,
-                    snapshot_l1, time_weights)
+from .norms import (blocks_of, h_minus_one_norm, mass_of_snapshots,
+                    snapshot_blocks, snapshot_l1, time_weights)
 # bound here, though no longer called here, for the benchmark's trace probe
 # (perfbench/probe.py), which wraps compactness.measure_norm by name
 from .norms import measure_norm  # noqa: F401
@@ -309,22 +309,13 @@ def flux_identity_gap(hset: YoungHistogramSet, flux: FluxSpec,
 # div-curl deviation
 
 
-def _segments(n: int, w: int) -> list[tuple[int, int]]:
-    """Consecutive ``(start, stop)`` blocks of ``w`` along ``n``; a trailing
-    ragged block keeps what is left."""
-    stops = list(range(w, n + 1, w))
-    if not stops or stops[-1] != n:
-        stops.append(n)
-    return list(zip([0] + stops[:-1], stops))
-
-
 def _block_means(arr: np.ndarray, window: tuple[int, ...]) -> np.ndarray:
     """Mean over coarse blocks; trailing ragged blocks keep their own mean."""
     out = arr
     for axis, w in enumerate(window):
-        segs = [out[(slice(None),) * axis + (slice(a, b),)].mean(axis=axis,
-                                                                  keepdims=True)
-                for a, b in _segments(out.shape[axis], w)]
+        segs = [out[(slice(None),) * axis + (blk,)].mean(axis=axis,
+                                                         keepdims=True)
+                for blk in blocks_of(out.shape[axis], w)]
         out = np.concatenate(segs, axis=axis)
     return out
 
@@ -353,8 +344,8 @@ def div_curl_test(G: tuple[np.ndarray, np.ndarray],
     # is never held whole: each is the mean _block_means takes of the whole
     # product's slice, and a window of one snapshot passes them through
     avg_dot = np.concatenate([
-        (g1[a:b] * h1[a:b] + g2[a:b] * h2[a:b]).mean(axis=0, keepdims=True)
-        for a, b in _segments(g1.shape[0], window[0])])
+        (g1[blk] * h1[blk] + g2[blk] * h2[blk]).mean(axis=0, keepdims=True)
+        for blk in blocks_of(g1.shape[0], window[0])])
     avg_dot = _block_means(avg_dot, (1,) + tuple(window[1:]))
     avg = lambda f: _block_means(f, window)
     prod = avg(g1) * avg(h1) + avg(g2) * avg(h2)
@@ -453,8 +444,8 @@ def attach_c_field(quad: CompensatedQuad, finest: FieldTrajectory,
     """
     u = finest.values
     f11_bar = np.concatenate([
-        tables.interp(quad.lattice, quad.F11, u[a:b]).mean(0, keepdims=True)
-        for a, b in _segments(u.shape[0], window[0])])
+        tables.interp(quad.lattice, quad.F11, u[blk]).mean(0, keepdims=True)
+        for blk in blocks_of(u.shape[0], window[0])])
     f11_bar = _block_means(f11_bar, (1,) + tuple(window[1:]))
     c_field, clamped = choose_c(f11_bar, quad)
     return CompensatedQuad(quad.lattice, quad.F11, quad.F12, quad.F22,

@@ -205,12 +205,14 @@ def make_flux(names: tuple[str, ...] | list[str], interval: tuple[float, float],
 
 @dataclass(frozen=True)
 class ViscositySpec:
+    """B, its bounds on I, and its node values on the flux lattice of I,
+    which the kernels read at face means."""
+
     name: str
     B: object
     lower_bound: float
     upper_bound: float
-    lattice: TableLattice
-    table: np.ndarray = field(repr=False, default=None)
+    table: np.ndarray = field(repr=False)
 
 
 VISCOSITY_PRESETS = ("constant", "quadratic", "gaussian")
@@ -220,31 +222,29 @@ def make_viscosity(name: str, interval: tuple[float, float],
                    params: dict | None = None) -> ViscositySpec:
     params = params or {}
     lo, hi = float(interval[0]), float(interval[1])
-    lattice = TableLattice(lo, hi, TABLE_NODES)
     m = max(abs(lo), abs(hi))
     if name == "constant":
         b = float(params.get("b", 1.0))
         if b <= 0:
             raise ValueError("constant viscosity must be positive")
         B = lambda u: np.full_like(np.asarray(u, dtype=np.float64), b)
-        spec = ViscositySpec("constant", B, b, b, lattice)
+        bounds = (b, b)
     elif name == "quadratic":
         # 1 + u^2 with the argument truncated to I so B stays bounded globally
         def B(u, m=m):
             c = np.clip(np.asarray(u, dtype=np.float64), -m, m)
             return 1.0 + c * c
-        spec = ViscositySpec("quadratic", B, 1.0, 1.0 + m * m, lattice)
+        bounds = (1.0, 1.0 + m * m)
     elif name == "gaussian":
         r = float(params.get("r", 1.0))
         if r <= 0:
             raise ValueError("gaussian viscosity floor r must be positive")
         B = lambda u, r=r: r + np.exp(-np.asarray(u, dtype=np.float64) ** 2)
-        spec = ViscositySpec("gaussian", B, r, r + 1.0, lattice)
+        bounds = (r, r + 1.0)
     else:
         raise ValueError(f"unknown viscosity preset {name!r}")
-    table = np.asarray(spec.B(lattice.nodes()), dtype=np.float64)
-    object.__setattr__(spec, "table", table)
-    return spec
+    table = tables.sample_table(B, TableLattice(lo, hi, TABLE_NODES))
+    return ViscositySpec(name, B, *bounds, table)
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +253,18 @@ def make_viscosity(name: str, interval: tuple[float, float],
 
 @dataclass(frozen=True)
 class EntropyPair:
-    """Convex entropy with tabulated companion fluxes q_j' = eta' f_j'."""
+    """Convex entropy eta with its first and second derivatives.
+
+    The split of the viscous entropy production reads eta, eta'' and
+    ``etapp_sup``, the supremum of eta'' on the invariant interval; eta'
+    stays a function, for whoever tabulates the companion fluxes
+    q_j' = eta' f_j' (the tests' oracle does).
+    """
 
     name: str
     eta: object
+    etap: object
     etapp: object
-    lattice: TableLattice
-    q: tuple[np.ndarray, ...]
-    ode_residual: float
-    ode_allowance: float
     etapp_sup: float
 
 
@@ -294,30 +297,10 @@ def entropy_pair_from_functions(name: str, eta, etap, etapp, flux: FluxSpec,
     """Generic constructor; rejects entropies that fail the convexity check."""
     if tol <= 0:
         raise ValueError("quadrature tolerance must be positive")
-    lattice = flux.lattice
-    nodes = lattice.nodes()
-    curv = np.asarray(etapp(nodes), dtype=np.float64)
+    curv = np.asarray(etapp(flux.lattice.nodes()), dtype=np.float64)
     if np.min(curv) < -tol:
         raise ValueError(f"entropy {name!r} is not convex on the invariant interval")
-    qs = []
-    worst_res = 0.0
-    worst_allow = 0.0
-    du = lattice.spacing
-    for comp in flux.components:
-        integrand = lambda s, c=comp: np.asarray(etap(s)) * np.asarray(c.fp(s))
-        q = tables.cumulative_table(integrand, lattice, tol)
-        qs.append(q)
-        # centered-difference check of q' = eta' f'; the tolerance has to
-        # include the finite-difference truncation of the table itself
-        w = np.asarray(integrand(nodes), dtype=np.float64)
-        qprime = (q[2:] - q[:-2]) / (2.0 * du)
-        res = float(np.max(np.abs(qprime - w[1:-1])))
-        d2w = np.abs(w[2:] - 2.0 * w[1:-1] + w[:-2])
-        allow = tol + 0.5 * float(np.max(d2w)) if d2w.size else tol
-        worst_res = max(worst_res, res)
-        worst_allow = max(worst_allow, allow)
-    return EntropyPair(name, eta, etapp, lattice, tuple(qs), worst_res,
-                       worst_allow, etapp_sup=float(np.max(curv)))
+    return EntropyPair(name, eta, etap, etapp, etapp_sup=float(np.max(curv)))
 
 
 def make_entropy_pair(preset: str, flux: FluxSpec, tol: float,

@@ -127,7 +127,9 @@ def member_diagnostics(cfg: ScenarioConfig, specs: RuntimeSpecs,
         g_u = tables.interp(specs.flux.lattice, specs.tartar, traj.values)
         window = (cfg.weak_window_snaps, cfg.weak_window_cells)
         m.divcurl_dev = div_curl_test((traj.values, f_u), (f_u, g_u), window)
-    m.snapshot_sup = float(np.max(np.abs(traj.values)))
+    # max |u| without a field of |u|: negation is exact, and abs turns the
+    # -0.0 of an all-zero field into the 0.0 that np.abs gives
+    m.snapshot_sup = abs(float(max(traj.values.max(), -traj.values.min())))
     m.energy = grad_energy_lhs(traj)
     return m
 

@@ -62,12 +62,17 @@ BLOCK_BYTES = 1 << 18
 BATCH_BYTES = 1 << 20
 
 
+def blocks_of(n: int, width: int) -> list[slice]:
+    """Consecutive slices of ``width`` of ``range(n)``; a ragged last block
+    keeps what is left."""
+    return [slice(a, min(a + width, n)) for a in range(0, n, width)]
+
+
 def snapshot_blocks(values: np.ndarray) -> list[slice]:
     """Consecutive slices of whole snapshots (rows of axis 0) of ``values``,
     each about BLOCK_BYTES, as it reads when called."""
-    n = values.shape[0]
-    per = max(1, BLOCK_BYTES // max(1, values[0].nbytes))
-    return [slice(a, min(a + per, n)) for a in range(0, n, per)]
+    return blocks_of(values.shape[0],
+                     max(1, BLOCK_BYTES // max(1, values[0].nbytes)))
 
 
 def _finite(norm: float) -> float:

@@ -170,9 +170,10 @@ def evaluate_estimates(scenario, members: list[MemberDiagnostics],
         for a, b in zip(members, members[1:]):
             _check(rows, "d2_quad", f"mean D decrease {a.eps_label}->{b.eps_label}",
                    b.eps_label, b.d_mean, a.d_mean, "<")
-        dmin = min(m.d_min for m in members)
-        _check(rows, "d2_quad", "pointwise floor", "all", -dmin,
-               -D2_POINTWISE_FLOOR, "<=")
+        # with no member stored, the row is "not evaluated" like the others
+        if members:
+            _check(rows, "d2_quad", "pointwise floor", "all",
+                   -min(m.d_min for m in members), -D2_POINTWISE_FLOOR, "<=")
     else:
         rows.append(EstimateRow("d2_quad", "not applicable (d=1)", "-",
                                 0.0, 0.0, "<=", True))

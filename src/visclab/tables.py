@@ -1,7 +1,7 @@
 """Uniform value tables over the invariant interval and the quadrature that fills them.
 
-Every nonlinear scalar function the solvers touch per cell per step (numerical
-flux integrals, face viscosity, entropy fluxes, the compensated quadratic
+Every nonlinear scalar function the solvers and instruments read per cell
+(the Engquist-Osher flux integrals, face viscosity, the compensated quadratic
 integrals) is tabulated once on a shared uniform lattice and evaluated by
 linear interpolation afterwards.  Cumulative integrals are computed by an
 adaptive composite Gauss-Legendre rule so that every node value carries an

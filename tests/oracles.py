@@ -16,12 +16,13 @@ face arithmetic the kernels run.
 the reference a batched march must match for each of its members.
 
 Below them sit the oracles for what no command computes: the exact Riemann
-solution of a convex flux preset (``riemann_exact``), the whole entropy
-production ``d/dt eta(u) + div q(u)`` that the package's split A + M must
-approach (``entropy_production_total``), one pair's split with both parts
-held whole, whose norms the package's per-member split must match bit for
-bit (``split_production``), and the total variation of a field
-(``total_variation``).
+solution of a convex flux preset (``riemann_exact``), the companion entropy
+fluxes q tabulated with their ODE self-check (``entropy_flux_tables``), the
+whole entropy production ``d/dt eta(u) + div q(u)`` that the package's split
+A + M must approach (``entropy_production_total``), one pair's split with
+both parts held whole, whose norms the package's per-member split must
+match bit for bit (``split_production``), and the total variation of a
+field (``total_variation``).
 
 Last come the whole-array forms of what the package computes slab by slab
 or block by block, which it must match bit for bit: the dual norm with
@@ -301,9 +302,38 @@ def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def entropy_production_total(traj: FieldTrajectory,
-                             pair: EntropyPair) -> np.ndarray:
-    """Discrete field d/dt eta(u) + sum_j d/dx_j q_j(u) on the snapshot lattice."""
+def entropy_flux_tables(pair: EntropyPair, flux: FluxSpec,
+                        tol: float) -> tuple[tuple[np.ndarray, ...], float, float]:
+    """The companion fluxes q_j' = eta' f_j' of ``pair``, tabulated on
+    ``flux.lattice`` and anchored at q_j(0) = 0, with the worst residual of
+    their ODE check across the components and its allowance:
+    ``(q, residual, allowance)``."""
+    lattice = flux.lattice
+    nodes = lattice.nodes()
+    qs = []
+    worst_res = 0.0
+    worst_allow = 0.0
+    du = lattice.spacing
+    for comp in flux.components:
+        integrand = lambda s, c=comp: np.asarray(pair.etap(s)) * np.asarray(c.fp(s))
+        q = tables.cumulative_table(integrand, lattice, tol)
+        qs.append(q)
+        # centered-difference check of q' = eta' f'; the tolerance has to
+        # include the finite-difference truncation of the table itself
+        w = np.asarray(integrand(nodes), dtype=np.float64)
+        qprime = (q[2:] - q[:-2]) / (2.0 * du)
+        res = float(np.max(np.abs(qprime - w[1:-1])))
+        d2w = np.abs(w[2:] - 2.0 * w[1:-1] + w[:-2])
+        allow = tol + 0.5 * float(np.max(d2w)) if d2w.size else tol
+        worst_res = max(worst_res, res)
+        worst_allow = max(worst_allow, allow)
+    return tuple(qs), worst_res, worst_allow
+
+
+def entropy_production_total(traj: FieldTrajectory, pair: EntropyPair,
+                             flux: FluxSpec, tol: float) -> np.ndarray:
+    """Discrete field d/dt eta(u) + sum_j d/dx_j q_j(u) on the snapshot
+    lattice, with q from ``entropy_flux_tables(pair, flux, tol)``."""
     if traj.num_snapshots < 3:
         raise ValueError("need at least 3 snapshots for the production field")
     steps = np.diff(traj.times)
@@ -313,9 +343,10 @@ def entropy_production_total(traj: FieldTrajectory,
     grid = traj.grid
     eta_u = np.asarray(pair.eta(traj.values), dtype=np.float64)
     total = _time_derivative(eta_u, dt)
+    qs, _res, _allow = entropy_flux_tables(pair, flux, tol)
     for axis in range(grid.dim):
-        q_u = tables.interp(pair.lattice, pair.q[axis], traj.values)
-        q_ghost = float(tables.interp(pair.lattice, pair.q[axis], 0.0)[0])
+        q_u = tables.interp(flux.lattice, qs[axis], traj.values)
+        q_ghost = float(tables.interp(flux.lattice, qs[axis], 0.0)[0])
         total += _centered_space(q_u, axis + 1, grid.spacing[axis], q_ghost)
     return total
 

@@ -49,7 +49,7 @@ def test_production_zero_for_steady_zero_flux(burgers, bconst):
     spec = make_flux(("linear",), (-1.0, 1.0), 1e-8, {"a": 0.0})
     pair = make_entropy_pair("square", spec, 1e-8)
     traj = make_traj(np.tile(0.4 * np.ones(32), (5, 1)))
-    field = entropy_production_total(traj, pair)
+    field = entropy_production_total(traj, pair, spec, 1e-8)
     # interior cells: steady in time and constant in space
     assert np.max(np.abs(field[:, 1:-1])) < 1e-14
 
@@ -68,7 +68,7 @@ def test_production_vanishes_on_smooth_translation():
             r = (x - 0.3 - 0.5 * tk) / 0.15
             vals[k] = np.where(np.abs(r) < 1, (1 - np.minimum(np.abs(r), 1) ** 2) ** 3, 0.0)
         traj = FieldTrajectory(g, t, vals, 0.0, dt=0.4 / (nt - 1))
-        values.append(measure_norm(entropy_production_total(traj, pair), t,
+        values.append(measure_norm(entropy_production_total(traj, pair, spec, 1e-8), t,
                                    g.cell_volume))
     assert values[0] > values[1] > values[2]
 
@@ -86,7 +86,7 @@ def test_split_consistency_on_heat_oracle(bconst):
         x = g.centers(0)
         vals = np.exp(-eps * math.pi**2 * t)[:, None] * np.sin(math.pi * x)[None, :]
         traj = FieldTrajectory(g, t, vals, eps, dt=0.5 / (nt - 1))
-        total = entropy_production_total(traj, pair)
+        total = entropy_production_total(traj, pair, spec, 1e-8)
         split = split_production(traj, pair, bconst, eps)
         gap = total - split.divergence_part - split.dissipation_part
         gaps.append(measure_norm(gap, t, g.cell_volume))

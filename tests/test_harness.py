@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIOS, UNNEEDED, modules_loaded, small_config
-from visclab import compactness, convergence, harness, io, norms
+from visclab import compactness, convergence, harness, io, norms, tables
 from visclab.cli import main as cli_main
 from visclab.config import build_scenario
 from visclab.harness import emit_plotdata, run_ladder, verify_run
@@ -366,6 +366,32 @@ def test_verify_fails_run_with_failed_stage(tmp_path, monkeypatch):
     assert "verdict mismatch" not in table
     assert table.splitlines()[-1] == \
         "stages that failed in the run: diagnose eps=0.05"
+
+
+def test_2d_run_whose_every_member_fails_writes_its_manifest(
+        tmp_path, monkeypatch, capsys):
+    # with no member stored, d2_quad reads "not evaluated" instead of
+    # taking the pointwise floor of no member; the run still writes its
+    # manifest, and it and verify of its directory exit 2
+    def broken(*_args):
+        raise RuntimeError("march failed")
+
+    monkeypatch.setattr(harness, "solve_batch", broken)
+    cfgfile = tmp_path / "scenario.cfg"
+    cfgfile.write_text(tiny_2d_text())
+    out = tmp_path / "run"
+    assert cli_main(["run", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert "run failed" not in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    failed = [{"name": f"solve eps={eps}", "status": "failed",
+               "error": "march failed", "batch": 0} for eps in ("0.2", "0.1")]
+    assert [s for s in manifest["stages"] if s["status"] != "ok"] == failed
+    assert [r["detail"] for r in read_csv(out / "estimates.csv")
+            if r["estimate"] == "d2_quad"] == ["not evaluated (ladder too short)"]
+    monkeypatch.undo()
+    assert cli_main(["verify", str(out)]) == 2
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "stages that failed in the run: solve eps=0.2, solve eps=0.1"
 
 
 def test_jobs_below_one_rejected_before_compute(tmp_path):
@@ -861,6 +887,27 @@ def test_f11_table_built_once_per_runtime(tmp_path, monkeypatch):
     assert len(built) == 3  # one runtime each
 
 
+@pytest.mark.parametrize("text, tabulated", [
+    (lambda: small_config().raw_text, 3),  # Engquist-Osher +/- and F11
+    (tiny_2d_text, 5),                     # the same with two axes' +/-
+])
+def test_runtime_tabulates_only_what_commands_read(monkeypatch, text,
+                                                   tabulated):
+    # entropy pairs tabulate no companion flux q: nothing a command runs
+    # reads one
+    built = []
+    real = tables.cumulative_table
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tables, "cumulative_table", counted)
+    specs = harness.build_runtime(build_scenario(text()))
+    assert len(specs.pairs) > 1
+    assert len(built) == tabulated
+
+
 def test_bench_diagnostics_runs_on_stored_runs(tiny_run, tmp_path, capsys):
     # every table of the diagnostics benchmark, on a stored 1-D and 2-D run
     cfg, one = tiny_run
@@ -876,6 +923,28 @@ def test_bench_diagnostics_runs_on_stored_runs(tiny_run, tmp_path, capsys):
     for pair in harness.build_runtime(cfg).pairs:
         assert out.count(f"  {pair.name} ") == 2
     assert out.count("  mollify kernel ") == 2
+
+
+def test_same_bytes_compares_run_directories(tmp_path, capsys):
+    # two runs of one config are the same bytes but for the manifest's
+    # clock times; one flipped CSV byte is named with its row
+    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
+                       young_window_snaps=5, young_window_cells=6)
+    a, b = tmp_path / "a", tmp_path / "b"
+    run_ladder(cfg, outdir=a)
+    run_ladder(cfg, outdir=b)
+    same_bytes = _load_script("benchmarks", "same_bytes").main
+    assert same_bytes([str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "same bytes\n"
+    path = b / "eps_0.05" / "index.csv"
+    data = bytearray(path.read_bytes())
+    row = data.index(b"\n") + 1
+    data[row] ^= 1
+    path.write_bytes(bytes(data))
+    assert same_bytes([str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("eps_0.05/index.csv: row 2: ")
+    assert lines[1:] == ["1 file(s) differ"]
 
 
 def test_benchmark_setup_probe_records_numpy_kernels(tiny_run, tmp_path,
