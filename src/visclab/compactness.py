@@ -13,13 +13,13 @@ sizes are configuration knobs and are reported with the outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tables
 from .domain import EntropyPair, FieldTrajectory, FluxSpec, ViscositySpec
-from .norms import (blocks_of, h_minus_one_norm, mass_of_snapshots,
+from .norms import (blocks_of, finite, h_minus_one_norm, mass_of_snapshots,
                     snapshot_blocks, snapshot_l1, time_weights)
 # bound here, though no longer called here, for the benchmark's trace probe
 # (perfbench/probe.py), which wraps compactness.measure_norm by name
@@ -88,8 +88,7 @@ def decompose_production(traj: FieldTrajectory, pairs: list[EntropyPair],
     block's ``-eps sum_j B(u) (centered gradient)^2``, from which every
     pair's M of the block is formed and reduced to its per-snapshot sums, so
     neither it nor M is ever held whole.  A then goes pair by pair, in one
-    A buffer, whose interior each pair's dual norm transforms in place,
-    through two block-sized buffers made once for every pair.
+    A buffer, whose interior each pair's dual norm transforms in place.
     """
     if eps <= 0:
         raise ValueError("the split is defined for positive viscosity")
@@ -105,26 +104,20 @@ def decompose_production(traj: FieldTrajectory, pairs: list[EntropyPair],
         _dissipation_block(ub, visc, eps, grid.spacing, mneg_blk)
         for i, pair in enumerate(pairs):
             M = mneg_blk * np.asarray(pair.etapp(ub), dtype=np.float64)
-            if not np.all(np.isfinite(M)):
-                raise ValueError("space-time field has non-finite entries")
-            sums[i, blk] = snapshot_l1(M)
+            sums[i, blk] = snapshot_l1(finite(M))
     # the block buffer (which its view mneg_blk would keep) and the last M
     # go before A is made, or they would stay live through the A pass
     mneg = mneg_blk = M = None
     weights = time_weights(traj.times)
     b_face = float(visc.B(0.0)) if visc.name == "constant" else None
     A = np.empty_like(u)
-    # the norm's buffers, shared by every pair: made afresh by each call,
-    # they cost a 1-D norm about 100 minor faults
-    work = []
     norms = []
     for i, pair in enumerate(pairs):
         eta_ghost = float(np.asarray(pair.eta(0.0)))
         for blk in blocks:
             _divergence_block(u[blk], pair, visc, b_face, eps, grid.spacing,
                               eta_ghost, A[blk])
-        norms.append((h_minus_one_norm(A, traj.times, grid.spacing, A[1:-1],
-                                       work),
+        norms.append((h_minus_one_norm(A, traj.times, grid.spacing, A[1:-1]),
                       mass_of_snapshots(sums[i], grid.cell_volume, weights)))
     return norms
 
@@ -309,14 +302,19 @@ def flux_identity_gap(hset: YoungHistogramSet, flux: FluxSpec,
 # div-curl deviation
 
 
-def _block_means(arr: np.ndarray, window: tuple[int, ...]) -> np.ndarray:
-    """Mean over coarse blocks; trailing ragged blocks keep their own mean."""
-    out = arr
-    for axis, w in enumerate(window):
-        segs = [out[(slice(None),) * axis + (blk,)].mean(axis=axis,
-                                                         keepdims=True)
-                for blk in blocks_of(out.shape[axis], w)]
-        out = np.concatenate(segs, axis=axis)
+def _window_means(of_block, snaps: int,
+                  window: tuple[int, ...]) -> np.ndarray:
+    """Means over the coarse space-time windows ``window`` of a field of
+    ``snaps`` snapshots, whose snapshots ``blk`` ``of_block(blk)`` gives;
+    trailing ragged windows keep their own mean.  The field is read one
+    coarse time window at a time and reduced to its time mean at once, so
+    it is never held whole; the means over each cell axis follow."""
+    out = np.concatenate([of_block(blk).mean(axis=0, keepdims=True)
+                          for blk in blocks_of(snaps, window[0])])
+    for axis, w in enumerate(window[1:], 1):
+        out = np.concatenate(
+            [out[(slice(None),) * axis + (blk,)].mean(axis=axis, keepdims=True)
+             for blk in blocks_of(out.shape[axis], w)], axis=axis)
     return out
 
 
@@ -325,10 +323,7 @@ def _block_expand(coarse: np.ndarray, window: tuple[int, ...],
     """Broadcast coarse block values back onto the fine lattice."""
     out = coarse
     for axis, (w, n) in enumerate(zip(window, shape)):
-        reps = np.full(out.shape[axis], w, dtype=np.int64)
-        pad = n - int(reps[:-1].sum())
-        reps[-1] = pad
-        out = np.repeat(out, reps, axis=axis)
+        out = np.repeat(out, w, axis=axis)[_along(out.ndim, axis, 0, n)]
     return out
 
 
@@ -340,14 +335,11 @@ def div_curl_test(G: tuple[np.ndarray, np.ndarray],
     h1, h2 = H
     if any(f.shape != g1.shape for f in (g2, h1, h2)):
         raise ValueError("div-curl fields must share one lattice")
-    # the time means of G.H one coarse time window at a time, so the product
-    # is never held whole: each is the mean _block_means takes of the whole
-    # product's slice, and a window of one snapshot passes them through
-    avg_dot = np.concatenate([
-        (g1[blk] * h1[blk] + g2[blk] * h2[blk]).mean(axis=0, keepdims=True)
-        for blk in blocks_of(g1.shape[0], window[0])])
-    avg_dot = _block_means(avg_dot, (1,) + tuple(window[1:]))
-    avg = lambda f: _block_means(f, window)
+    nt = len(g1)
+    # G.H one coarse time window at a time, so it is never held whole
+    avg_dot = _window_means(lambda blk: g1[blk] * h1[blk] + g2[blk] * h2[blk],
+                            nt, window)
+    avg = lambda f: _window_means(f.__getitem__, nt, window)
     prod = avg(g1) * avg(h1) + avg(g2) * avg(h2)
     return float(np.max(np.abs(avg_dot - prod)))
 
@@ -436,21 +428,15 @@ def choose_c(f11_bar: np.ndarray, quad: CompensatedQuad) -> tuple[np.ndarray, in
 
 def attach_c_field(quad: CompensatedQuad, finest: FieldTrajectory,
                    window: tuple[int, ...]) -> CompensatedQuad:
-    """Fix the comparison field c from coarse-window averages of the finest member.
-
-    F11(u) is formed one coarse time window at a time and reduced to its
-    time mean at once: those are the means ``_block_means`` takes first, of
-    the whole field's slices, so the window averages are the same doubles.
-    """
+    """Fix the comparison field c from coarse-window averages of the finest
+    member, F11(u) formed one coarse time window at a time."""
     u = finest.values
-    f11_bar = np.concatenate([
-        tables.interp(quad.lattice, quad.F11, u[blk]).mean(0, keepdims=True)
-        for blk in blocks_of(u.shape[0], window[0])])
-    f11_bar = _block_means(f11_bar, (1,) + tuple(window[1:]))
+    f11_bar = _window_means(
+        lambda blk: tables.interp(quad.lattice, quad.F11, u[blk]), len(u),
+        window)
     c_field, clamped = choose_c(f11_bar, quad)
-    return CompensatedQuad(quad.lattice, quad.F11, quad.F12, quad.F22,
-                           window=window, c_field=c_field, f11_bar=f11_bar,
-                           clamp_count=clamped)
+    return replace(quad, window=window, c_field=c_field, f11_bar=f11_bar,
+                   clamp_count=clamped)
 
 
 def compensated_D_field(traj: FieldTrajectory, quad: CompensatedQuad,
@@ -479,7 +465,5 @@ def compensated_D_field(traj: FieldTrajectory, quad: CompensatedQuad,
             tables.interp(lat, tab, ub)
             - _block_expand(fc[rows], (1,) + quad.window[1:], ub.shape)
             for tab, fc in zip((quad.F11, quad.F22, quad.F12), f_c))
-        np.subtract(d11 * d22, d12 * d12, out=D[blk])
-        if not np.all(np.isfinite(D[blk])):
-            raise ValueError("space-time field has non-finite entries")
+        finite(np.subtract(d11 * d22, d12 * d12, out=D[blk]))
     return D

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import FieldTrajectory
-from .norms import mass_of_snapshots, snapshot_blocks, time_weights
+from .norms import finite, mass_of_snapshots, snapshot_blocks, time_weights
 
 
 def _check_matched(a: FieldTrajectory, b: FieldTrajectory) -> None:
@@ -25,9 +25,7 @@ def _l1_sums(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     ``out`` (which may be ``a``) when given.  A snapshot's sum does not
     depend on the block, so sums taken block by block are those of the
     whole difference."""
-    diff = np.subtract(a, b, out=out)
-    if not np.all(np.isfinite(diff)):
-        raise ValueError("space-time field has non-finite entries")
+    diff = finite(np.subtract(a, b, out=out))
     return np.sum(np.abs(diff, out=diff), axis=tuple(range(1, diff.ndim)))
 
 

@@ -40,7 +40,6 @@ class RuntimeSpecs:
     pairs: list
     init_data: object
     tartar: np.ndarray
-    sup_bound: float
 
 
 def eps_label(eps: float) -> str:
@@ -64,7 +63,7 @@ def build_runtime(cfg: ScenarioConfig) -> RuntimeSpecs:
                              cfg.init_width, cfg.init_amplitude,
                              cfg.init_amplitude2, cfg.init_separation)
     tartar = tartar_pair_table(flux, cfg.quadrature_tol)
-    return RuntimeSpecs(grid, flux, visc, pairs, init, tartar, cfg.sup_u0)
+    return RuntimeSpecs(grid, flux, visc, pairs, init, tartar)
 
 
 def solve_batch(cfg: ScenarioConfig, specs: RuntimeSpecs,
@@ -78,7 +77,7 @@ def solve_batch(cfg: ScenarioConfig, specs: RuntimeSpecs,
     times = snapshot_times(cfg.time_horizon, cfg.snapshots)
     return integrate_batch(specs.grid, u0, specs.flux, specs.visc,
                            [eps for eps, _width in rungs], cfg.cfl, times,
-                           sup_bound=specs.sup_bound)
+                           sup_bound=cfg.sup_u0)
 
 
 def solve_member(cfg: ScenarioConfig, specs: RuntimeSpecs, eps: float,
@@ -125,8 +124,8 @@ def member_diagnostics(cfg: ScenarioConfig, specs: RuntimeSpecs,
         comp = specs.flux.components[0]
         f_u = np.asarray(comp.f(traj.values), dtype=np.float64)
         g_u = tables.interp(specs.flux.lattice, specs.tartar, traj.values)
-        window = (cfg.weak_window_snaps, cfg.weak_window_cells)
-        m.divcurl_dev = div_curl_test((traj.values, f_u), (f_u, g_u), window)
+        m.divcurl_dev = div_curl_test((traj.values, f_u), (f_u, g_u),
+                                      _weak_window(cfg))
     # max |u| without a field of |u|: negation is exact, and abs turns the
     # -0.0 of an all-zero field into the 0.0 that np.abs gives
     m.snapshot_sup = abs(float(max(traj.values.max(), -traj.values.min())))
@@ -263,7 +262,7 @@ def assess(cfg: ScenarioConfig, specs: RuntimeSpecs,
     dc_compact, dc_violation = synthetic_divcurl(specs.grid, times,
                                                  _weak_window(cfg))
     etapp_sup = {p.name: p.etapp_sup for p in specs.pairs}
-    rows = evaluate_estimates(cfg, members, conv, specs.sup_bound,
+    rows = evaluate_estimates(cfg, members, conv, cfg.sup_u0,
                               specs.visc.lower_bound, specs.visc.upper_bound,
                               specs.grid.volume, etapp_sup,
                               dc_compact, dc_violation, rate_fits, ut_fit)
@@ -276,7 +275,8 @@ def run_ladder(cfg: ScenarioConfig, outdir: str | Path | None = None,
     diagnostics, evaluate the estimates, and persist everything.
 
     The ladder is solved in ``batches(cfg, jobs)``, each batch in a process
-    of its own when ``jobs`` is above 1; it must be at least 1.
+    of its own when ``jobs`` is above 1, in a pool of at most one worker
+    per batch; ``jobs`` must be at least 1.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -308,7 +308,8 @@ def run_ladder(cfg: ScenarioConfig, outdir: str | Path | None = None,
     if jobs > 1:
         import concurrent.futures  # only a pooled run loads the pool
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(jobs, len(cut))) as pool:
             futures = [pool.submit(_solve_and_diagnose, cfg, None, outdir,
                                    batch, b) for b, batch in enumerate(cut)]
             results = []

@@ -75,12 +75,12 @@ def snapshot_blocks(values: np.ndarray) -> list[slice]:
                      max(1, BLOCK_BYTES // max(1, values[0].nbytes)))
 
 
-def _finite(norm: float) -> float:
-    """``norm``, which any NaN or infinite entry of its field leaves
-    non-finite, once it is checked to be finite."""
-    if not np.isfinite(norm):
+def finite(x):
+    """``x``, a field or a norm (which any NaN or infinite entry of its
+    field leaves non-finite), once every entry is checked to be finite."""
+    if not np.all(np.isfinite(x)):
         raise ValueError("space-time field has non-finite entries")
-    return norm
+    return x
 
 
 def measure_norm(values: np.ndarray, times: np.ndarray,
@@ -88,8 +88,8 @@ def measure_norm(values: np.ndarray, times: np.ndarray,
     """Space-time L1 norm of ``values`` (time, cells...): Riemann sum with
     cell volumes, trapezoid weights over ``times``.  As a total-mass
     surrogate it bounds the measure norm."""
-    return _finite(mass_of_snapshots(snapshot_l1(values), cell_volume,
-                                     time_weights(times)))
+    return finite(mass_of_snapshots(snapshot_l1(values), cell_volume,
+                                    time_weights(times)))
 
 
 def snapshot_l1(values: np.ndarray) -> np.ndarray:
@@ -192,8 +192,7 @@ def _cell_coefficients(x: np.ndarray, axis: int, seq: np.ndarray,
     xl[..., bins.size:] = zl.imag[..., 1:half]
 
 
-def dirichlet_dual_norm(g: np.ndarray, spacings, out=None,
-                        work: list | None = None) -> float:
+def dirichlet_dual_norm(g: np.ndarray, spacings, out=None) -> float:
     """Dual norm of ``g`` against the discrete H1_0 energy on the space-time
     lattice: axis 0 a node (time) axis, zero one spacing beyond its end
     samples, and every other axis a cell axis, zero at the half-spacing
@@ -209,12 +208,8 @@ def dirichlet_dual_norm(g: np.ndarray, spacings, out=None,
     Each column's and each line's transform and each element's quotient do
     not depend on the others, so the blocks give the values of the
     whole-array transforms.  The blocks' products and the slabs' reordered
-    sequences and spectra take the fronts of two flat buffers, which the
-    first call given an empty list ``work`` makes and keeps in it: a caller
-    that hands one list to the norms of many arrays of one shape has them
-    made once (on an array of a larger shape, their fronts are too short
-    to reshape and the call fails), and without one each call makes its
-    own.
+    sequences and spectra take the fronts of two flat buffers, which each
+    call makes.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != len(spacings):
@@ -238,12 +233,9 @@ def dirichlet_dual_norm(g: np.ndarray, spacings, out=None,
     a, b = _column_blocks(len(g), out.size // len(g))[-1]
     blocks = snapshot_blocks(out)
     size = out[blocks[0]].size
-    work = [] if work is None else work
-    if not work:
-        work += [np.empty(max(size, len(g) * (b - a))),
-                 np.empty(max((size // n * (n // 2 + 1) for n in g.shape[1:]),
-                              default=0), np.complex128)]
-    seq, spectrum = work
+    seq = np.empty(max(size, len(g) * (b - a)))
+    spectrum = np.empty(max((size // n * (n // 2 + 1) for n in g.shape[1:]),
+                            default=0), np.complex128)
     _node_coefficients(g, out, seq)
     for rows in blocks:
         x = out[rows]
@@ -261,7 +253,7 @@ def dirichlet_dual_norm(g: np.ndarray, spacings, out=None,
 
 
 def h_minus_one_norm(values: np.ndarray, times: np.ndarray, spacing,
-                     out=None, work: list | None = None) -> float:
+                     out=None) -> float:
     """Negative-order Sobolev norm of a space-time residual field ``values``
     (time, cells...), sampled at ``times`` on cells of ``spacing``.
 
@@ -272,7 +264,7 @@ def h_minus_one_norm(values: np.ndarray, times: np.ndarray, spacing,
     non-finite.  ``out``, an array of that block's shape, receives the
     coefficients, so the norms of many fields of one shape can share it;
     it may be the block itself, ``values[1:-1]``, which the norm then
-    overwrites.  ``work`` is ``dirichlet_dual_norm``'s list of buffers.
+    overwrites.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.size < 3:
@@ -281,4 +273,4 @@ def h_minus_one_norm(values: np.ndarray, times: np.ndarray, spacing,
     if not np.allclose(steps, steps[0], rtol=1e-8, atol=1e-14):
         raise ValueError("snapshots must be uniform in time")
     spacings = (float(steps[0]),) + tuple(spacing)
-    return _finite(dirichlet_dual_norm(values[1:-1], spacings, out, work))
+    return finite(dirichlet_dual_norm(values[1:-1], spacings, out))

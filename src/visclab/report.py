@@ -16,6 +16,7 @@ toward zero; it stays a reported diagnostic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .compactness import YoungHistogramSet, _centered_space, div_curl_test
 from .convergence import ConvergenceReport, RateFit
 from .domain import FieldTrajectory
-from .norms import mass_of_snapshots, snapshot_blocks, time_weights
+from .norms import finite, mass_of_snapshots, snapshot_blocks, time_weights
 
 ESTIMATE_IDS = ("max_principle", "energy", "h1_decay", "measure_bound",
                 "ut_l1", "dirac", "divcurl", "d2_quad", "convergence")
@@ -73,9 +74,7 @@ def grad_energy_lhs(traj: FieldTrajectory) -> float:
     Each snapshot's sum of squares is taken block by block, so only one
     block's gradient is held; a snapshot's sum does not depend on the
     others, so the sums are those of the whole field."""
-    u = traj.values
-    if not np.all(np.isfinite(u)):
-        raise ValueError("space-time field has non-finite entries")
+    u = finite(traj.values)
     w = time_weights(traj.times)
     grid = traj.grid
     per_snap = np.empty(u.shape[0])
@@ -88,15 +87,14 @@ def grad_energy_lhs(traj: FieldTrajectory) -> float:
     return traj.epsilon * total
 
 
-def _check(rows, estimate, detail, eps_label, lhs, rhs, op):
-    if op == "<=":
-        ok = lhs <= rhs
-    elif op == ">=":
-        ok = lhs >= rhs
-    elif op == "<":
-        ok = lhs < rhs
-    else:
-        raise ValueError(op)
+_OPS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt}
+
+
+def _check(rows, estimate, detail, eps_label, lhs, rhs, op, ok=None):
+    """Append the row of ``lhs op rhs``, which passes when the comparison
+    holds, or, given ``ok``, when ``ok`` does."""
+    if ok is None:
+        ok = _OPS[op](lhs, rhs)
     rows.append(EstimateRow(estimate, detail, eps_label, float(lhs),
                             float(rhs), op, bool(ok)))
 
@@ -175,29 +173,27 @@ def evaluate_estimates(scenario, members: list[MemberDiagnostics],
             _check(rows, "d2_quad", "pointwise floor", "all",
                    -min(m.d_min for m in members), -D2_POINTWISE_FLOOR, "<=")
     else:
-        rows.append(EstimateRow("d2_quad", "not applicable (d=1)", "-",
-                                0.0, 0.0, "<=", True))
+        _check(rows, "d2_quad", "not applicable (d=1)", "-", 0.0, 0.0, "<=")
 
     if conv is not None:
         for (ea, eb), (err_a, err_b) in zip(
                 zip(conv.epsilons, conv.epsilons[1:]),
                 zip(conv.errors_vs_reference, conv.errors_vs_reference[1:])):
-            ok = err_b < err_a or (err_a == 0.0 and err_b == 0.0)
-            rows.append(EstimateRow("convergence",
-                                    f"error decrease {ea:g}->{eb:g}",
-                                    f"{eb:g}", err_b, err_a, "<", ok))
+            _check(rows, "convergence", f"error decrease {ea:g}->{eb:g}",
+                   f"{eb:g}", err_b, err_a, "<",
+                   err_b < err_a or (err_a == 0.0 and err_b == 0.0))
         if conv.cauchy_fit is not None:
             _check(rows, "convergence", "cauchy rate", "all",
                    conv.cauchy_fit.rate, CAUCHY_RATE_MIN, ">=")
         else:
-            rows.append(EstimateRow("convergence", "cauchy rate (ladder too "
-                                    "short for a fit)", "-", 0.0, 0.0, "<=", True))
+            _check(rows, "convergence", "cauchy rate (ladder too short for "
+                   "a fit)", "-", 0.0, 0.0, "<=")
 
     present = {r.estimate for r in rows}
     for eid in ESTIMATE_IDS:
         if eid not in present:
-            rows.append(EstimateRow(eid, "not evaluated (ladder too short)",
-                                    "-", 0.0, 0.0, "<=", True))
+            _check(rows, eid, "not evaluated (ladder too short)", "-", 0.0,
+                   0.0, "<=")
     rows.sort(key=lambda r: ESTIMATE_IDS.index(r.estimate))
     return rows
 

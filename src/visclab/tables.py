@@ -185,22 +185,24 @@ def sample_table(f, lattice: TableLattice) -> np.ndarray:
 
 def critical_nodes(lattice: TableLattice, fprime_values: np.ndarray,
                    f_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Table nodes adjacent to a sign change of f', with their f values.
+    """Table nodes adjacent to a sign change of f', and the end nodes of
+    each run of nodes where f' is zero, with their f values.
 
     These are the only interior candidates for the extremum of the
-    piecewise-linear interpolant of f over a state interval.
+    piecewise-linear interpolant of f over a state interval.  A node inside
+    a run of zeros is none: f is constant along the run, so its ends carry
+    the run's value.
     """
     s = np.sign(fprime_values)
     change = s[:-1] * s[1:] < 0
     zero = s == 0
-    idx = set(np.nonzero(change)[0].tolist())
-    idx |= set((np.nonzero(change)[0] + 1).tolist())
-    idx |= set(np.nonzero(zero)[0].tolist())
-    order = sorted(idx)
-    nodes = lattice.nodes()
-    crit_y = np.array([nodes[i] for i in order], dtype=np.float64)
-    crit_f = np.array([f_values[i] for i in order], dtype=np.float64)
-    return crit_y, crit_f
+    keep = zero.copy()
+    keep[1:-1] &= ~(zero[:-2] & zero[2:])
+    keep[:-1] |= change
+    keep[1:] |= change
+    idx = np.flatnonzero(keep)
+    return (lattice.nodes()[idx],
+            np.asarray(f_values, dtype=np.float64)[idx])
 
 
 def monotone_envelope(values: np.ndarray, increasing: bool) -> np.ndarray:

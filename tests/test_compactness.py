@@ -284,7 +284,7 @@ def test_divcurl_windowed_product_bit_identical(shape, window):
     # G.H is formed one time window at a time (ragged windows in the first
     # case); the deviation is the one the whole product gives
     g1, g2, h1, h2 = np.random.default_rng(7).standard_normal((4,) + shape)
-    avg = lambda f: compactness._block_means(f, window)
+    avg = lambda f: compactness._window_means(f.__getitem__, shape[0], window)
     whole = float(np.max(np.abs(avg(g1 * h1 + g2 * h2)
                                 - (avg(g1) * avg(h1) + avg(g2) * avg(h2)))))
     assert div_curl_test((g1, g2), (h1, h2), window) == whole
@@ -415,8 +415,8 @@ def test_c_field_window_means_match_whole_field(quad, window):
     # F11(u) formed one coarse time window at a time gives the window means
     # of the whole F11 field bit for bit, ragged windows included
     traj = _random_traj(11, 24, 20, seed=8)
-    whole = compactness._block_means(
-        interp(quad.lattice, quad.F11, traj.values), window)
+    f11 = interp(quad.lattice, quad.F11, traj.values)
+    whole = compactness._window_means(f11.__getitem__, len(f11), window)
     got = attach_c_field(quad, traj, window).f11_bar
     assert got.shape == whole.shape and got.tobytes() == whole.tobytes()
 
@@ -431,6 +431,17 @@ def test_compensated_D_written_over_the_handed_buffer(quad):
     assert traj.values.tobytes() == before.tobytes()
     got = compensated_D_field(traj, quad, traj.values)
     assert got is traj.values and got.tobytes() == fresh.tobytes()
+
+
+def test_compensated_D_rejects_non_finite_values(quad):
+    # the c-field of a finite member, then a member holding a NaN, whose D
+    # is NaN where it is
+    quad = attach_c_field(quad, _random_traj(5, 8, 8, seed=3), (2, 4, 4))
+    bad = _random_traj(5, 8, 8, seed=4)
+    bad.values[3, 2, 5] = np.nan
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match="non-finite"):
+        compensated_D_field(bad, quad)
 
 
 def test_compensated_D_requires_2d(quad):

@@ -394,6 +394,37 @@ def test_2d_run_whose_every_member_fails_writes_its_manifest(
         "stages that failed in the run: solve eps=0.2, solve eps=0.1"
 
 
+def test_pool_has_one_worker_per_batch(tmp_path, monkeypatch):
+    # an in-process stand-in for the pool records the workers asked for and
+    # runs each batch at submit, so no process is started
+    import concurrent.futures
+
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
+                       young_window_snaps=5, young_window_cells=6)
+    result = run_ladder(cfg, outdir=tmp_path / "run", jobs=16)
+    assert asked == [len(harness.batches(cfg, 16))] == [2]
+    assert result.exit_code in (0, 1)
+
+
 def test_jobs_below_one_rejected_before_compute(tmp_path):
     cfgfile = tmp_path / "scenario.cfg"
     cfg = small_config()
@@ -945,6 +976,32 @@ def test_same_bytes_compares_run_directories(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("eps_0.05/index.csv: row 2: ")
     assert lines[1:] == ["1 file(s) differ"]
+
+
+def test_same_bytes_runs_the_commands_of_a_tree(tmp_path):
+    # the revision mode's command half, on the working tree twice: run
+    # --jobs 1 and 2, each followed by verify and plotdata, compare equal
+    cfgfile = tmp_path / "tiny.cfg"
+    cfgfile.write_text(small_config(cells=60, snapshots=4,
+                                    epsilons="0.1,0.05", young_window_snaps=5,
+                                    young_window_cells=6).raw_text)
+    tool = _load_script("benchmarks", "same_bytes")
+    a, b = (tool.run_commands(tool.ROOT, cfgfile, tmp_path / side)
+            for side in "ab")
+    assert list(a) == ["tiny_jobs1", "tiny_jobs2"]
+    for rundir, commands in a.values():
+        assert [cmd for cmd, _code, _out in commands] == \
+            ["run", "verify", "plotdata"]
+        assert (rundir / "plot" / "metrics.csv").is_file()
+        assert "run directory: RUNS/" in commands[0][2]
+    assert tool.compare_runs(a, b) == []
+    # an exit code and a stdout that differ are named with their command
+    commands = b["tiny_jobs2"][1]
+    cmd, code, out = commands[1]
+    commands[1] = (cmd, code + 1, out + "!")
+    assert tool.compare_runs(a, b) == [
+        f"tiny_jobs2 verify: exit {code} | {code + 1}",
+        "tiny_jobs2 verify: stdout differs"]
 
 
 def test_benchmark_setup_probe_records_numpy_kernels(tiny_run, tmp_path,

@@ -358,21 +358,17 @@ def test_in_place_time_transform_matches_whole_array_product(monkeypatch,
 
 
 def test_dual_norm_in_place_and_shared_work_bit_for_bit():
-    # out may be g itself, and one work list may serve many calls of one
-    # shape: each norm is that of a fresh call, and g is overwritten only
-    # when it is handed over as out
+    # out may be g itself: each norm is that of a fresh call, and g is
+    # overwritten only when it is handed over as out
     rng = np.random.default_rng(5)
     spacings = (0.1, 1 / 24, 1 / 20)
-    work = []
     for _ in range(3):
         g = rng.standard_normal((9, 24, 20))
         want = dirichlet_dual_norm(g, spacings)
         kept = g.copy()
-        assert dirichlet_dual_norm(g, spacings, None, work).hex() == \
-            want.hex()
+        assert dirichlet_dual_norm(g, spacings, None).hex() == want.hex()
         assert g.tobytes() == kept.tobytes()
-        assert dirichlet_dual_norm(g, spacings, g, work).hex() == want.hex()
-    assert len(work) == 2
+        assert dirichlet_dual_norm(g, spacings, g).hex() == want.hex()
 
 
 SLAB_CASES = [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from visclab import tables
+from visclab.domain import _flux_component, make_flux
 from visclab.tables import (TableLattice, adaptive_panel_integrals,
                             critical_nodes, cumulative_table, interp, locate,
                             lookup, monotone_envelope, slopes)
@@ -64,6 +65,38 @@ def test_critical_nodes_burgers():
     assert 1 <= crit_y.size <= 2
     assert np.all(np.abs(crit_y) < 1e-3)
     assert np.all(crit_f < 1e-6)
+
+
+def _critical_rule(fprime):
+    """Nodes next to a sign change of f' and every node where f' is zero."""
+    s = np.sign(fprime)
+    change = np.flatnonzero(s[:-1] * s[1:] < 0)
+    return sorted(set(change) | set(change + 1) | set(np.flatnonzero(s == 0)))
+
+
+def test_critical_nodes_zero_speed_keeps_the_run_ends():
+    # f' = 0 on every node: a zero inside the run is no candidate, so only
+    # the two end nodes remain of 4,096
+    flux = make_flux(("linear",), (-1.0, 1.0), 1e-8, {"a": 0.0})
+    crit_y = flux.tables[0].crit_y
+    assert crit_y.tolist() == [-1.0, 1.0]
+    assert flux.tables[0].crit_f.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("nodes", [4096, 4097])  # 4,097 put a node on 0
+@pytest.mark.parametrize("interval", [(-1.0, 1.0), (-0.7, 0.7), (-1.0, 0.5)])
+@pytest.mark.parametrize("name", ["burgers", "arctan", "linear"])
+def test_critical_nodes_without_zero_runs_unchanged(name, interval, nodes):
+    # with no run of three zeros, the critical nodes are those of the rule
+    # that counts every zero of f'
+    lat = TableLattice(*interval, nodes)
+    comp = _flux_component(name, {"a": -0.5}, 1.0)
+    fp = np.asarray(comp.fp(lat.nodes()), dtype=np.float64)
+    fv = tables.sample_table(comp.f, lat)
+    crit_y, crit_f = critical_nodes(lat, fp, fv)
+    idx = _critical_rule(fp)
+    assert crit_y.tobytes() == lat.nodes()[idx].tobytes()
+    assert crit_f.tobytes() == fv[idx].tobytes()
 
 
 def test_locate_into_buffers_matches_allocating():
