@@ -38,28 +38,23 @@ def _along(ndim: int, axis: int, lo, hi) -> tuple:
     return tuple(sl)
 
 
-def _pad(values: np.ndarray, axis: int, ghost: float) -> np.ndarray:
-    """``values`` with a ghost cell of value ``ghost`` at either end of
-    ``axis``."""
-    ext_shape = list(values.shape)
-    ext_shape[axis] += 2
-    ext = np.full(ext_shape, ghost, dtype=np.float64)
-    ext[_along(values.ndim, axis, 1, -1)] = values
-    return ext
-
-
-def _faces(op, values: np.ndarray, axis: int, ghost: float) -> np.ndarray:
-    """``op(right, left)`` of the cells on either side of every face along
-    ``axis``, with ``ghost`` beyond either end: what ``op`` gives on the
-    sides of ``_pad``, without the padded copy."""
+def _faces(op, values: np.ndarray, axis: int, ghost: float,
+           reach: int = 1) -> np.ndarray:
+    """``op(v[i + reach], v[i])`` along ``axis`` of ``values`` bordered by
+    one ghost cell of value ``ghost`` at either end, without the bordered
+    copy: with ``reach`` 1 the two cells on either side of every face, with
+    ``reach`` 2 the two neighbours of every cell, of which ``values`` holds
+    at least ``reach`` along ``axis``."""
     nd = values.ndim
     shape = list(values.shape)
-    shape[axis] += 1
+    shape[axis] += 2 - reach
     out = np.empty(shape)
-    op(values[_along(nd, axis, 1, None)], values[_along(nd, axis, None, -1)],
+    op(values[_along(nd, axis, reach, None)],
+       values[_along(nd, axis, None, -reach)],
        out=out[_along(nd, axis, 1, -1)])
-    op(values[_along(nd, axis, 0, 1)], ghost, out=out[_along(nd, axis, 0, 1)])
-    op(ghost, values[_along(nd, axis, -1, None)],
+    op(values[_along(nd, axis, reach - 1, reach)], ghost,
+       out=out[_along(nd, axis, 0, 1)])
+    op(ghost, values[_along(nd, axis, -reach, 1 - reach or None)],
        out=out[_along(nd, axis, -1, None)])
     return out
 
@@ -67,9 +62,9 @@ def _faces(op, values: np.ndarray, axis: int, ghost: float) -> np.ndarray:
 def _centered_space(values: np.ndarray, axis: int, h: float,
                     boundary_value: float) -> np.ndarray:
     """(v_{i+1} - v_{i-1}) / 2h with Dirichlet ghost values outside."""
-    ext = _pad(values, axis, boundary_value)
-    return (ext[_along(values.ndim, axis, 2, None)]
-            - ext[_along(values.ndim, axis, None, -2)]) / (2.0 * h)
+    out = _faces(np.subtract, values, axis, boundary_value, reach=2)
+    out /= 2.0 * h
+    return out
 
 
 def decompose_production(traj: FieldTrajectory, pairs: list[EntropyPair],

@@ -269,11 +269,13 @@ class EntropyPair:
 
 
 def _entropy_functions(preset: str, params: dict):
+    """``(name, eta, eta', eta'', sup eta'')`` of a preset; the supremum is
+    None where the lattice's maximum of eta'' serves."""
     if preset == "square":
         return ("square",
                 lambda u: 0.5 * np.asarray(u, dtype=np.float64) ** 2,
                 lambda u: np.asarray(u, dtype=np.float64) + 0.0,
-                lambda u: np.ones_like(np.asarray(u, dtype=np.float64)))
+                lambda u: np.ones_like(np.asarray(u, dtype=np.float64)), None)
     if preset == "kruzkov":
         k = float(params.get("k", 0.0))
         delta = float(params.get("delta", 1e-3))
@@ -288,30 +290,32 @@ def _entropy_functions(preset: str, params: dict):
         def etapp(u, k=k, d=delta):
             x = np.asarray(u, dtype=np.float64) - k
             return d * d / np.sqrt(x * x + d * d) ** 3
-        return (f"kruzkov[k={k:+.2f}]", eta, etap, etapp)
+        # the analytic supremum 1/delta, attained at u = k, which a lattice
+        # node need not hit
+        return (f"kruzkov[k={k:+.2f}]", eta, etap, etapp, 1.0 / delta)
     raise ValueError(f"unknown entropy preset {preset!r}")
 
 
 def entropy_pair_from_functions(name: str, eta, etap, etapp, flux: FluxSpec,
-                                tol: float) -> EntropyPair:
-    """Generic constructor; rejects entropies that fail the convexity check."""
+                                tol: float,
+                                etapp_sup: float | None = None) -> EntropyPair:
+    """Generic constructor; rejects entropies that fail the convexity check.
+    ``etapp_sup`` defaults to the maximum of eta'' on the table lattice."""
     if tol <= 0:
         raise ValueError("quadrature tolerance must be positive")
     curv = np.asarray(etapp(flux.lattice.nodes()), dtype=np.float64)
     if np.min(curv) < -tol:
         raise ValueError(f"entropy {name!r} is not convex on the invariant interval")
-    return EntropyPair(name, eta, etap, etapp, etapp_sup=float(np.max(curv)))
+    if etapp_sup is None:
+        etapp_sup = float(np.max(curv))
+    return EntropyPair(name, eta, etap, etapp, etapp_sup)
 
 
 def make_entropy_pair(preset: str, flux: FluxSpec, tol: float,
                       **params) -> EntropyPair:
-    name, eta, etap, etapp = _entropy_functions(preset, params)
-    pair = entropy_pair_from_functions(name, eta, etap, etapp, flux, tol)
-    if preset == "kruzkov":
-        # the analytic supremum 1/delta is attained at u = k
-        delta = float(params.get("delta", 1e-3))
-        object.__setattr__(pair, "etapp_sup", 1.0 / delta)
-    return pair
+    name, eta, etap, etapp, etapp_sup = _entropy_functions(preset, params)
+    return entropy_pair_from_functions(name, eta, etap, etapp, flux, tol,
+                                       etapp_sup)
 
 
 def kruzkov_ladder(flux: FluxSpec, count: int, delta: float,

@@ -259,13 +259,9 @@ def assess(cfg: ScenarioConfig, specs: RuntimeSpecs,
         ut_fit = fit_rate([(m.eps, m.ut_l1) for m in members])
 
     times = snapshot_times(cfg.time_horizon, cfg.snapshots)
-    dc_compact, dc_violation = synthetic_divcurl(specs.grid, times,
-                                                 _weak_window(cfg))
-    etapp_sup = {p.name: p.etapp_sup for p in specs.pairs}
-    rows = evaluate_estimates(cfg, members, conv, cfg.sup_u0,
-                              specs.visc.lower_bound, specs.visc.upper_bound,
-                              specs.grid.volume, etapp_sup,
-                              dc_compact, dc_violation, rate_fits, ut_fit)
+    divcurl = synthetic_divcurl(specs.grid, times, _weak_window(cfg))
+    rows = evaluate_estimates(cfg, specs, members, conv, divcurl, rate_fits,
+                              ut_fit)
     return conv, rows
 
 

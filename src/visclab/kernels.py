@@ -273,10 +273,10 @@ def visc_plan(cells, spacing, eps, lattice, flux_tables,
                 None if bflat else (tuple(b[:f] for b in bbuf[:3]),
                                     bbuf[3][:f], bbuf[4][:f])))
         plans.append(ViscPlan(
-            lattice.lo, lattice.inv_spacing, lattice.n - 2.0, ext[:k], flat,
-            ext[:k][interior], tuple(b[:n] for b in loc), p[:n], q[:n],
-            scratch[:n], diff[:n].reshape(shape)[interior], tuple(axes),
-            btab, None if bflat else tables.slopes(btab)))
+            *lattice.panels, ext[:k], flat, ext[:k][interior],
+            tuple(b[:n] for b in loc), p[:n], q[:n], scratch[:n],
+            diff[:n].reshape(shape)[interior], tuple(axes), btab,
+            None if bflat else tables.slopes(btab)))
     return tuple(plans)
 
 
@@ -285,8 +285,7 @@ def godunov_plan(h: float, lattice, flux_table, axis: int) -> GodunovPlan:
     and the flux table ``flux_table`` (a ``domain.FluxTables``) on
     ``lattice``."""
     ftab = flux_table.f
-    return GodunovPlan(axis, h, lattice.lo, lattice.inv_spacing,
-                       lattice.n - 2.0, ftab, tables.slopes(ftab),
+    return GodunovPlan(axis, h, *lattice.panels, ftab, tables.slopes(ftab),
                        tuple(zip(flux_table.crit_y, flux_table.crit_f)))
 
 

@@ -115,20 +115,23 @@ def synthetic_divcurl(grid, times, window) -> tuple[float, float]:
     return compact, violation
 
 
-def evaluate_estimates(scenario, members: list[MemberDiagnostics],
+def evaluate_estimates(cfg, specs, members: list[MemberDiagnostics],
                        conv: ConvergenceReport | None,
-                       sup0: float, r_floor: float, b_sup: float,
-                       volume: float, etapp_sup: dict,
-                       divcurl_compact: float, divcurl_violation: float,
-                       rate_fits: dict, ut_fit: RateFit | None) -> list[EstimateRow]:
+                       divcurl: tuple[float, float], rate_fits: dict,
+                       ut_fit: RateFit | None) -> list[EstimateRow]:
     """Assemble the full estimate table for one run.
 
-    ``rate_fits`` maps each entropy to the fit of its ``h1_norm_A`` over the
-    ladder, ``ut_fit`` is the fit of ``ut_l1``; both are absent (empty,
-    None) on a ladder too short to fit.
+    The bounds come from the config ``cfg`` (sup|u0|, the dimension) and
+    the runtime ``specs`` (the viscosity bounds, |Omega| and each pair's
+    sup eta'').  ``divcurl`` is ``synthetic_divcurl``'s compact and
+    violating deviations.  ``rate_fits`` maps each entropy to the fit of
+    its ``h1_norm_A`` over the ladder, ``ut_fit`` is the fit of ``ut_l1``;
+    both are absent (empty, None) on a ladder too short to fit.
     """
     rows: list[EstimateRow] = []
-    dim = scenario.dim
+    sup0, volume = cfg.sup_u0, specs.grid.volume
+    r_floor, b_sup = specs.visc.lower_bound, specs.visc.upper_bound
+    etapp_sup = {p.name: p.etapp_sup for p in specs.pairs}
 
     for m in members:
         _check(rows, "max_principle", "snapshot sup", m.eps_label,
@@ -159,12 +162,13 @@ def evaluate_estimates(scenario, members: list[MemberDiagnostics],
                members[-1].eps_label, members[-1].young_w1,
                DIRAC_FACTOR * members[0].young_w1, "<=")
 
-    _check(rows, "divcurl", "compact synthetic", "-", divcurl_compact,
+    compact, violation = divcurl
+    _check(rows, "divcurl", "compact synthetic", "-", compact,
            DIVCURL_COMPACT_MAX, "<=")
-    _check(rows, "divcurl", "violation synthetic", "-", divcurl_violation,
+    _check(rows, "divcurl", "violation synthetic", "-", violation,
            DIVCURL_VIOLATION_MIN, ">=")
 
-    if dim == 2:
+    if cfg.dim == 2:
         for a, b in zip(members, members[1:]):
             _check(rows, "d2_quad", f"mean D decrease {a.eps_label}->{b.eps_label}",
                    b.eps_label, b.d_mean, a.d_mean, "<")

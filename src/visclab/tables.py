@@ -45,6 +45,12 @@ class TableLattice:
     def inv_spacing(self) -> float:
         return (self.n - 1) / (self.hi - self.lo)
 
+    @property
+    def panels(self) -> tuple[float, float, float]:
+        """``(lo, inv, top)`` of ``locate``: the last panel's first node is
+        nodes - 2."""
+        return self.lo, self.inv_spacing, self.n - 2.0
+
     def nodes(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.n)
 
@@ -52,10 +58,11 @@ class TableLattice:
 def locate(lo: float, inv: float, top: float, u: np.ndarray, out=None):
     """Table panel of each value of ``u``: ``(k, frac)``.
 
-    ``k`` is the panel's first node and ``top`` the last such index
-    (nodes - 2); values outside [lo, hi] fall in the end panels.  One location
-    serves every table on the same lattice, so callers locate a state once
-    and ``lookup`` many tables.  ``out``, when given, is ``(k, frac, scratch)``
+    ``k`` is the panel's first node and ``top`` the last such index;
+    ``TableLattice.panels`` gives a lattice's ``(lo, inv, top)``.  Values
+    outside [lo, hi] fall in the end panels.  One location serves every
+    table on the same lattice, so callers locate a state once and
+    ``lookup`` many tables.  ``out``, when given, is ``(k, frac, scratch)``
     of ``u``'s shape (int64, float64, float64) and receives the result;
     ``scratch`` holds the clipped float panel index.
 
@@ -115,8 +122,7 @@ def interp(lattice: TableLattice, values: np.ndarray, u) -> np.ndarray:
     bit.  A scalar ``u`` reads as an array of one value.
     """
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    return lookup(values, slopes(values),
-                  locate(lattice.lo, lattice.inv_spacing, lattice.n - 2.0, u))
+    return lookup(values, slopes(values), locate(*lattice.panels, u))
 
 
 def _gl_panel(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:

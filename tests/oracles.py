@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from visclab import norms, tables
-from visclab.compactness import _along, _centered_space, _pad
+from visclab.compactness import _along
 from visclab.domain import (EntropyPair, Field, FieldTrajectory, FluxSpec,
                             Grid, ViscositySpec)
 from visclab.norms import h_minus_one_norm, measure_norm
@@ -328,6 +328,25 @@ def entropy_flux_tables(pair: EntropyPair, flux: FluxSpec,
         worst_res = max(worst_res, res)
         worst_allow = max(worst_allow, allow)
     return tuple(qs), worst_res, worst_allow
+
+
+def _pad(values: np.ndarray, axis: int, ghost: float) -> np.ndarray:
+    """``values`` with a ghost cell of value ``ghost`` at either end of
+    ``axis``."""
+    ext_shape = list(values.shape)
+    ext_shape[axis] += 2
+    ext = np.full(ext_shape, ghost, dtype=np.float64)
+    ext[_along(values.ndim, axis, 1, -1)] = values
+    return ext
+
+
+def _centered_space(values: np.ndarray, axis: int, h: float,
+                    ghost: float) -> np.ndarray:
+    """(v_{i+1} - v_{i-1}) / 2h on the padded copy of ``values``: the
+    stencil the package forms without one, in the same operation order."""
+    ext = _pad(values, axis, ghost)
+    return (ext[_along(values.ndim, axis, 2, None)]
+            - ext[_along(values.ndim, axis, None, -2)]) / (2.0 * h)
 
 
 def entropy_production_total(traj: FieldTrajectory, pair: EntropyPair,

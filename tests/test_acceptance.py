@@ -11,7 +11,11 @@ import numpy as np
 import pytest
 
 from oracles import shock_position, total_variation
+from visclab import io
+from visclab.compactness import (attach_c_field, build_compensated_quad,
+                                 compensated_D_field)
 from visclab.domain import Grid, make_flux, make_viscosity
+from visclab.harness import build_runtime
 from visclab.mollify import make_initial_data, make_kernel, mollify
 from visclab.convergence import fit_rate
 from visclab.norms import h_minus_one_norm
@@ -147,6 +151,37 @@ def test_c09_2d_known_reds(run2d):
     assert set(failing) == slopes | {("ut_l1", "slope")}, reason
     assert result.exit_code == 1, reason
     report(9, "2-D reds pinned (h1_decay, ut_l1)", True, reason)
+
+
+def test_c09_mean_d_ordering_depends_on_the_anchor(run2d):
+    # The c-field stands in for the weak limit by window averages of one
+    # trajectory, the anchor.  The shipped anchor, the finest member, and
+    # the Godunov reference both give a mean D that falls along the ladder;
+    # the coarsest member gives one that rises, so the d2_quad decrease
+    # rows measure the distance to the anchor as much as compactness.
+    cfg, result = run2d
+    estimates = (result.outdir / "estimates.csv").read_bytes()
+    specs = build_runtime(cfg)
+    load = lambda d: io.load_trajectory(d, specs.grid, cfg.snapshots)
+    dirs = [result.outdir / f"eps_{eps:g}" for eps in cfg.ladder]
+    quad = build_compensated_quad(specs.flux, cfg.quadrature_tol,
+                                  specs.tartar)
+    window = (cfg.weak_window_snaps,) + (cfg.weak_window_cells,) * cfg.dim
+    means = {}
+    for anchor, d in (("finest", dirs[-1]), ("coarsest", dirs[0]),
+                      ("reference", result.outdir / "reference")):
+        q = attach_c_field(quad, load(d), window)
+        means[anchor] = [float(np.mean(compensated_D_field(load(m), q)))
+                         for m in dirs]
+    rows = [r for r in rows_for(result, "d2_quad") if "decrease" in r.detail]
+    assert means["finest"] == [rows[0].rhs] + [r.lhs for r in rows]
+    falls = lambda v: all(a > b for a, b in zip(v, v[1:]))
+    assert falls(means["finest"]) and falls(means["reference"])
+    assert falls(means["coarsest"][::-1])
+    assert (result.outdir / "estimates.csv").read_bytes() == estimates
+    report(9, "mean D by anchor", True, "; ".join(
+        f"{k}: " + ", ".join(f"{v:.3g}" for v in vals)
+        for k, vals in means.items()))
 
 
 # --- criterion 10: solver oracles --------------------------------------------

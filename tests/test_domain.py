@@ -101,6 +101,21 @@ def test_kruzkov_closure(burgers1):
     assert pair.etapp_sup == pytest.approx(1e3)
 
 
+def test_given_curvature_bound_is_kept_and_convexity_still_checked(burgers1):
+    # k = 0.3 falls between lattice nodes, where the lattice's largest
+    # eta'' stays below the analytic 1/delta the pair carries
+    pair = make_entropy_pair("kruzkov", burgers1, 1e-8, k=0.3, delta=1e-3)
+    nodes = burgers1.lattice.nodes()
+    assert np.max(np.asarray(pair.etapp(nodes))) < 1e3
+    assert pair.etapp_sup == 1.0 / 1e-3
+    with pytest.raises(ValueError, match="not convex"):
+        entropy_pair_from_functions(
+            "bad", lambda u: -np.asarray(u, float) ** 2,
+            lambda u: -2.0 * np.asarray(u, float),
+            lambda u: np.full_like(np.asarray(u, float), -2.0),
+            burgers1, 1e-8, etapp_sup=1.0)
+
+
 def test_kruzkov_ladder_spacing(burgers1):
     pairs = kruzkov_ladder(burgers1, 5, 1e-3, 1e-8)
     assert len(pairs) == 5

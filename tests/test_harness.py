@@ -3,8 +3,11 @@ import csv
 import gc
 import importlib.util
 import json
+import os
 import pathlib
 import re
+import shutil
+import subprocess
 import sys
 import time
 import weakref
@@ -1028,3 +1031,23 @@ def test_plotdata_metrics_match_run_diagnostics(run2d):
     for r in diag:
         assert plotted[(r["epsilon"], "D_mean")] == r["D_mean"]
         assert plotted[(r["epsilon"], "dirac_metric")] == r["dirac_metric"]
+
+
+def test_blas_threads_move_no_output_byte(run1d, tmp_path):
+    # plotdata's h1_norm_A values go through the dual norm's 63x63 matrix
+    # products over 400 columns, which OpenBLAS splits between threads when
+    # it may; the bytes must not depend on how many it may use
+    _cfg, result = run1d
+    src = str(pathlib.Path(harness.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    metrics = []
+    for threads in ("1", "2"):
+        rundir = tmp_path / f"threads_{threads}"
+        shutil.copytree(result.outdir, rundir,
+                        ignore=shutil.ignore_patterns("plot"))
+        subprocess.run([sys.executable, "-m", "visclab", "plotdata",
+                        str(rundir)], check=True, capture_output=True,
+                       env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                                PYTHONPATH=path))
+        metrics.append((rundir / "plot" / "metrics.csv").read_bytes())
+    assert metrics[0] == metrics[1]

@@ -104,7 +104,8 @@ def test_locate_into_buffers_matches_allocating():
     lat = TableLattice(-1.0, 1.0, 64)
     u = np.array([[-1.5, -1.0, -0.3], [0.0, 0.7, 1.0], [1.2, 0.999, 3.0]])
     top = lat.n - 2.0
-    k, frac = locate(lat.lo, lat.inv_spacing, top, u)
+    assert lat.panels == (lat.lo, lat.inv_spacing, top)
+    k, frac = locate(*lat.panels, u)
     buf = (np.full(u.shape, -7, np.int64), np.full(u.shape, np.nan),
            np.full(u.shape, np.nan))
     kb, fb = locate(lat.lo, lat.inv_spacing, top, u, out=buf)
