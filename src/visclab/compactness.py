@@ -378,47 +378,41 @@ def build_compensated_quad(flux: FluxSpec, tol: float,
     return CompensatedQuad(lat, f11, F12, F22)
 
 
-def _invert_increasing(lattice: TableLattice, values: np.ndarray,
-                       targets: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, int]:
-    """Bisection inverse of a monotone table interpolant at every target.
+# bisection stops once a target's own bracket is at most this wide
+C_TOL = 1e-10
 
-    Each target is bisected until its own bracket is at most ``tol`` wide.
-    Targets outside the table range are clamped to the interval ends; the
-    count returned is of those beyond the range by more than 1e-15.
+
+def choose_c(f11_bar: np.ndarray, quad: CompensatedQuad) -> tuple[np.ndarray, int]:
+    """Per window, c with F11(c) equal to the window average of F11(u), by
+    bisection of the table interpolant.
+
+    Requires F11 strictly increasing on I, i.e. f1' nonzero almost everywhere
+    (the genuine-nonlinearity condition).  Targets outside the table range
+    are clamped to the interval ends; the count returned is of those beyond
+    it by more than 1e-15, more than discretization noise.
     """
+    lattice, values = quad.lattice, quad.F11
+    if np.min(np.diff(values)) < 0 or float(values[-1] - values[0]) <= 0:
+        raise ValueError("F11 must be strictly increasing on I to pick c")
+    targets = f11_bar.ravel()
     vlo, vhi = float(values[0]), float(values[-1])
     below = targets <= vlo
     above = ~below & (targets >= vhi)
     a = np.full(targets.shape, lattice.lo)
     b = np.full(targets.shape, lattice.hi)
-    active = ~(below | above) & (b - a > tol)
+    active = ~(below | above) & (b - a > C_TOL)
     while active.any():
         mid = 0.5 * (a + b)
         lower = tables.interp(lattice, values, mid) < targets
         a = np.where(active & lower, mid, a)
         b = np.where(active & ~lower, mid, b)
-        active &= b - a > tol
+        active &= b - a > C_TOL
     c = 0.5 * (a + b)
     c[below] = lattice.lo
     c[above] = lattice.hi
     clamped = (np.count_nonzero(targets[below] < vlo - 1e-15)
                + np.count_nonzero(targets[above] > vhi + 1e-15))
-    return c, int(clamped)
-
-
-def choose_c(f11_bar: np.ndarray, quad: CompensatedQuad) -> tuple[np.ndarray, int]:
-    """Per window, c with F11(c) equal to the window average of F11(u).
-
-    Requires F11 strictly increasing on I, i.e. f1' nonzero almost everywhere
-    (the genuine-nonlinearity condition).  Targets that fall outside the
-    table range by discretization noise are clamped to the endpoint and
-    counted.
-    """
-    dF = np.diff(quad.F11)
-    if np.min(dF) < 0 or float(quad.F11[-1] - quad.F11[0]) <= 0:
-        raise ValueError("F11 must be strictly increasing on I to pick c")
-    c, clamped = _invert_increasing(quad.lattice, quad.F11, f11_bar.ravel())
-    return c.reshape(f11_bar.shape), clamped
+    return c.reshape(f11_bar.shape), int(clamped)
 
 
 def attach_c_field(quad: CompensatedQuad, finest: FieldTrajectory,

@@ -208,6 +208,11 @@ def build_scenario(config_text: str) -> ScenarioConfig:
     for name in v["flux_names"]:
         if name not in FLUX_PRESETS:
             raise ConfigError(f"unknown flux.preset {name!r}")
+    # the 2-D c-field inverts F11 = integral of f1'^2, constant when f1' = 0
+    if dim == 2 and v["flux_names"][0] == "linear" and v["flux_a"] == 0:
+        raise ConfigError("flux.preset linear on the first axis with flux.a = "
+                          "0 is constant; the 2-D compensated quadratic needs "
+                          "f1' nonzero almost everywhere")
 
     visc_name = v["visc_name"]
     if visc_name not in VISCOSITY_PRESETS:

@@ -38,10 +38,6 @@ class TableLattice:
     n: int = TABLE_NODES
 
     @property
-    def spacing(self) -> float:
-        return (self.hi - self.lo) / (self.n - 1)
-
-    @property
     def inv_spacing(self) -> float:
         return (self.n - 1) / (self.hi - self.lo)
 

@@ -2,10 +2,13 @@ import ast
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from visclab.config import build_scenario
+from visclab.domain import FieldTrajectory, Grid
 from visclab.harness import run_ladder
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -76,6 +79,33 @@ weak_window_snaps = 4
 directory = {overrides.get('outdir', 'runs/small')}
 """
     return build_scenario(text)
+
+
+def tiny_config(**overrides):
+    """``small_config`` at 60 cells, 4 snapshots and two members, with Young
+    windows that divide them."""
+    return small_config(**{"cells": 60, "snapshots": 4, "epsilons": "0.1,0.05",
+                           "young_window_snaps": 5, "young_window_cells": 6,
+                           **overrides})
+
+
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def make_traj(values, T=1.0):
+    """The epsilon = 0.1 trajectory of ``values`` (time first) on the unit
+    cell, sampled evenly over [0, T]."""
+    nt, cells = values.shape[0], values.shape[1:]
+    g = Grid(cells, (0.0,) * len(cells), (1.0,) * len(cells), T)
+    return FieldTrajectory(g, np.linspace(0, T, nt), values, 0.1,
+                           dt=T / (nt - 1))
 
 
 @pytest.fixture(scope="session")

@@ -16,13 +16,15 @@ face arithmetic the kernels run.
 the reference a batched march must match for each of its members.
 
 Below them sit the oracles for what no command computes: the exact Riemann
-solution of a convex flux preset (``riemann_exact``), the companion entropy
-fluxes q tabulated with their ODE self-check (``entropy_flux_tables``), the
-whole entropy production ``d/dt eta(u) + div q(u)`` that the package's split
-A + M must approach (``entropy_production_total``), one pair's split with
-both parts held whole, whose norms the package's per-member split must
-match bit for bit (``split_production``), and the total variation of a
-field (``total_variation``).
+solution of a convex flux preset (``riemann_exact``), the error of a
+marched Gaussian against its free-space solution (``gaussian_error``), the
+companion entropy fluxes q tabulated with their ODE self-check
+(``entropy_flux_tables``), the whole entropy production
+``d/dt eta(u) + div q(u)`` that the package's split A + M must approach
+(``entropy_production_total``), one pair's split with both parts held
+whole, whose norms the package's per-member split must match bit for bit
+(``split_production``), and the total variation of a field
+(``total_variation``).
 
 Last come the whole-array forms of what the package computes slab by slab
 or block by block, which it must match bit for bit: the dual norm with
@@ -42,9 +44,9 @@ import numpy as np
 from visclab import norms, tables
 from visclab.compactness import _along
 from visclab.domain import (EntropyPair, Field, FieldTrajectory, FluxSpec,
-                            Grid, ViscositySpec)
+                            Grid, ViscositySpec, make_flux, make_viscosity)
 from visclab.norms import h_minus_one_norm, measure_norm
-from visclab.viscous import StepError
+from visclab.viscous import StepError, integrate, snapshot_times
 
 
 def _interp_scalar(tab, lo, inv, u):
@@ -289,6 +291,24 @@ def riemann_exact(uL: float, uR: float, flux: FluxSpec,
                           fp=fp, fp_inv=_FP_INVERSES[comp.name])
 
 
+def gaussian_error(n: int, a: float, eps: float, T: float, sigma0: float,
+                   c: float) -> float:
+    """Max error at ``T`` of the march on ``n`` cells of [0, 1] of a Gaussian
+    of width ``sigma0`` at ``c``, under the flux ``a u`` and constant B,
+    against its free-space solution; the boundary stays far enough away for
+    its influence to be negligible."""
+    g = Grid((n,), (0.0,), (1.0,), T)
+    f = make_flux(("linear",), (-1.0, 1.0), 1e-8, {"a": a})
+    v = make_viscosity("constant", (-1.0, 1.0))
+    x = g.centers(0)
+    u0 = np.exp(-((x - c) ** 2) / (2 * sigma0**2))
+    traj = integrate(g, u0, f, v, eps, 0.4, snapshot_times(T, 2),
+                     sup_bound=1.0)
+    s2 = sigma0**2 + 2 * eps * T
+    exact = sigma0 / math.sqrt(s2) * np.exp(-((x - c - a * T) ** 2) / (2 * s2))
+    return float(np.abs(traj.values[-1] - exact).max())
+
+
 # ---------------------------------------------------------------------------
 # entropy production and total variation
 
@@ -313,7 +333,7 @@ def entropy_flux_tables(pair: EntropyPair, flux: FluxSpec,
     qs = []
     worst_res = 0.0
     worst_allow = 0.0
-    du = lattice.spacing
+    du = (lattice.hi - lattice.lo) / (lattice.n - 1)
     for comp in flux.components:
         integrand = lambda s, c=comp: np.asarray(pair.etap(s)) * np.asarray(c.fp(s))
         q = tables.cumulative_table(integrand, lattice, tol)

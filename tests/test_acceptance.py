@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import shock_position, total_variation
+from oracles import gaussian_error, shock_position, total_variation
 from visclab import io
 from visclab.compactness import (attach_c_field, build_compensated_quad,
                                  compensated_D_field)
@@ -226,19 +226,9 @@ def test_c10c_shock_position():
 
 
 def test_c10d_diffusion_order():
-    eps, T, sigma0, c = 0.02, 0.1, 0.09, 0.5
-    errs = []
-    for n in (32, 64, 128):
-        g = Grid((n,), (0.0,), (1.0,), T)
-        f = make_flux(("linear",), (-1.0, 1.0), 1e-8, {"a": 0.0})
-        v = make_viscosity("constant", (-1.0, 1.0))
-        x = g.centers(0)
-        u0 = np.exp(-((x - c) ** 2) / (2 * sigma0**2))
-        traj = integrate(g, u0, f, v, eps, 0.4, snapshot_times(T, 2),
-                         sup_bound=1.0)
-        s2 = sigma0**2 + 2 * eps * T
-        exact = sigma0 / math.sqrt(s2) * np.exp(-((x - c) ** 2) / (2 * s2))
-        errs.append((1.0 / n, float(np.abs(traj.values[-1] - exact).max())))
+    # a Gaussian under pure diffusion
+    errs = [(1.0 / n, gaussian_error(n, 0.0, 0.02, 0.1, 0.09, 0.5))
+            for n in (32, 64, 128)]
     rate = fit_rate(errs).rate
     assert report(10, "pure-diffusion spatial order", rate >= 1.8,
                   f"order {rate:.2f} >= 1.8")

@@ -1,11 +1,11 @@
 import dataclasses
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import make_traj, traced_peak
 from oracles import entropy_production_total, grad_energy_whole, \
     split_production
 from visclab import compactness, convergence, norms, report
@@ -22,15 +22,6 @@ from visclab.norms import measure_norm
 from visclab.report import grad_energy_lhs, synthetic_divcurl
 from visclab.tables import interp
 from visclab.viscous import integrate, snapshot_times
-
-
-def make_traj(values, T=1.0, eps=0.1, extent=1.0):
-    nt = values.shape[0]
-    cells = values.shape[1:]
-    lo = (0.0,) * len(cells)
-    hi = (extent,) * len(cells)
-    g = Grid(cells, lo, hi, T)
-    return FieldTrajectory(g, np.linspace(0, T, nt), values, eps, dt=T / (nt - 1))
 
 
 @pytest.fixture(scope="module")
@@ -149,12 +140,7 @@ def test_time_derivative_transient_peak_one_field():
     # the differences are made absolute in place, so the one difference
     # array (32 of 33 snapshots) is all the call holds
     traj = make_traj(np.random.default_rng(7).standard_normal((33, 64, 64)))
-    tracemalloc.start()
-    try:
-        time_derivative_l1(traj)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: time_derivative_l1(traj))
     assert peak <= 1.1 * traj.values.nbytes
 
 
@@ -293,12 +279,7 @@ def test_divcurl_windowed_product_bit_identical(shape, window):
 def test_divcurl_transient_peak_below_one_field():
     # the whole product G.H would take three fields at once
     g1, g2, h1, h2 = np.random.default_rng(8).standard_normal((4, 33, 64, 64))
-    tracemalloc.start()
-    try:
-        div_curl_test((g1, g2), (h1, h2), (8, 8, 8))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: div_curl_test((g1, g2), (h1, h2), (8, 8, 8)))
     assert peak < g1.nbytes
 
 
@@ -330,12 +311,7 @@ def test_synthetic_divcurl_peak_below_one_field():
     grid = Grid((128, 128), (0.0, 0.0), (1.0, 1.0), 0.25)
     times = snapshot_times(0.25, 32)
     synthetic_divcurl(grid, times, (8, 8, 8))
-    tracemalloc.start()
-    try:
-        synthetic_divcurl(grid, times, (8, 8, 8))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: synthetic_divcurl(grid, times, (8, 8, 8)))
     assert peak < times.size * 128 * 128 * 8
 
 
@@ -581,12 +557,7 @@ def test_split_transient_peak_is_a_few_fields(flux2d):
     assert len(pairs) == 6
     visc = make_viscosity("quadratic", (-1.0, 1.0))
     decompose_production(traj, pairs, visc, 0.05)  # transform set-up
-    tracemalloc.start()
-    try:
-        decompose_production(traj, pairs, visc, 0.05)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: decompose_production(traj, pairs, visc, 0.05))
     assert peak <= 3.5 * traj.values.nbytes
 
 
@@ -618,12 +589,7 @@ def test_grad_energy_transient_peak_below_one_field():
     # square, about three fields
     traj = _random_traj(33, 64, 64, seed=9)
     grad_energy_lhs(traj)
-    tracemalloc.start()
-    try:
-        grad_energy_lhs(traj)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: grad_energy_lhs(traj))
     assert peak < traj.values.nbytes
 
 
@@ -670,10 +636,5 @@ def test_young_transient_peak_below_two_fields():
     # whole-field binning holds about four copies of the field at once
     traj = _random_traj(33, 64, 64, seed=6)
     young_histograms(traj, (-1.0, 1.0), 8, 11, 64)
-    tracemalloc.start()
-    try:
-        young_histograms(traj, (-1.0, 1.0), 8, 11, 64)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: young_histograms(traj, (-1.0, 1.0), 8, 11, 64))
     assert peak < 2 * traj.values.nbytes

@@ -148,6 +148,19 @@ def with_key(section, key, value, base=MINIMAL):
     return buf.getvalue()
 
 
+def test_constant_first_flux_rejected_only_in_2d():
+    # 2-D runs pick c by inverting the first axis's F11 = integral of f1'^2;
+    # the other axis and 1-D runs never invert a flux integral
+    shipped = (SCENARIOS / "burgers2d.cfg").read_text()
+    still = with_key("flux", "a", "0", shipped)
+    with pytest.raises(ConfigError, match=r"flux\.preset linear on the first "
+                                          r"axis with flux\.a = 0"):
+        build_scenario(with_key("flux", "preset", "linear,burgers", still))
+    assert build_scenario(still).flux_names == ("burgers", "linear")
+    one_d = with_key("flux", "preset", "linear", with_key("flux", "a", "0"))
+    assert build_scenario(one_d).flux_a == 0.0
+
+
 @pytest.mark.parametrize("section, key", [
     ("grid", "time_horizon"), ("grid", "extent"), ("grid", "cells"),
     ("flux", "a"), ("viscosity", "b"), ("viscosity", "r"),

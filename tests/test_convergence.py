@@ -3,35 +3,28 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_traj
 from visclab import norms
 from visclab.convergence import fit_rate, l1_distance
-from visclab.domain import FieldTrajectory, Grid
 from visclab.norms import measure_norm
 
 
-def traj(values, eps=0.1, T=1.0):
-    nt = values.shape[0]
-    g = Grid(values.shape[1:], (0.0,) * (values.ndim - 1),
-             (1.0,) * (values.ndim - 1), T)
-    return FieldTrajectory(g, np.linspace(0, T, nt), values, eps, dt=T / (nt - 1))
-
-
 def test_l1_identical_is_zero():
-    a = traj(np.random.default_rng(0).normal(size=(5, 20)))
+    a = make_traj(np.random.default_rng(0).normal(size=(5, 20)))
     assert l1_distance(a, a) == 0.0
 
 
 def test_l1_constant_offset():
     base = np.zeros((5, 20))
-    a = traj(base)
-    b = traj(base + 0.1)
+    a = make_traj(base)
+    b = make_traj(base + 0.1)
     assert l1_distance(a, b) == pytest.approx(0.1, rel=1e-12)
 
 
 def test_l1_symmetric():
     rng = np.random.default_rng(1)
-    a = traj(rng.normal(size=(5, 20)))
-    b = traj(rng.normal(size=(5, 20)))
+    a = make_traj(rng.normal(size=(5, 20)))
+    b = make_traj(rng.normal(size=(5, 20)))
     assert l1_distance(a, b) == l1_distance(b, a)
 
 
@@ -41,8 +34,8 @@ def test_l1_blocked_matches_measure_norm_bit_for_bit(monkeypatch,
     # per-snapshot sums of |a - b| block by block (ragged blocks of 3 of 11
     # snapshots) give measure_norm of the whole difference
     rng = np.random.default_rng(2)
-    a = traj(rng.normal(size=(11, 12, 10)))
-    b = traj(rng.normal(size=(11, 12, 10)))
+    a = make_traj(rng.normal(size=(11, 12, 10)))
+    b = make_traj(rng.normal(size=(11, 12, 10)))
     if snaps_per_block is not None:
         monkeypatch.setattr(norms, "BLOCK_BYTES",
                             snaps_per_block * a.values[0].nbytes)
@@ -54,15 +47,15 @@ def test_l1_rejects_non_finite_difference():
     v = np.zeros((5, 20))
     v[3, 4] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
-        l1_distance(traj(np.zeros((5, 20))), traj(v))
+        l1_distance(make_traj(np.zeros((5, 20))), make_traj(v))
 
 
 def test_l1_lattice_mismatch():
-    a = traj(np.zeros((5, 20)))
-    b = traj(np.zeros((5, 10)))
+    a = make_traj(np.zeros((5, 20)))
+    b = make_traj(np.zeros((5, 10)))
     with pytest.raises(ValueError):
         l1_distance(a, b)
-    c = traj(np.zeros((6, 20)))
+    c = make_traj(np.zeros((6, 20)))
     with pytest.raises(ValueError):
         l1_distance(a, c)
 

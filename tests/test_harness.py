@@ -16,7 +16,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import SCENARIOS, UNNEEDED, modules_loaded, small_config
+from conftest import SCENARIOS, UNNEEDED, modules_loaded, small_config, \
+    tiny_config
 from visclab import compactness, convergence, harness, io, norms, tables
 from visclab.cli import main as cli_main
 from visclab.config import build_scenario
@@ -27,7 +28,7 @@ from visclab.report import ESTIMATE_IDS
 
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
-    cfg = small_config(cells=100, snapshots=10, epsilons="0.1,0.05,0.025")
+    cfg = small_config()
     out = tmp_path_factory.mktemp("tiny") / "run"
     result = run_ladder(cfg, outdir=out)
     return cfg, result
@@ -94,8 +95,7 @@ def test_determinism_byte_identical(tiny_run, tmp_path):
 
 
 def test_rerun_same_config_is_idempotent(tmp_path):
-    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
-                       young_window_snaps=5, young_window_cells=6)
+    cfg = tiny_config()
     out = tmp_path / "run"
     first = run_ladder(cfg, outdir=out)
     second = run_ladder(cfg, outdir=out)  # same hash: overwrite silently
@@ -103,8 +103,7 @@ def test_rerun_same_config_is_idempotent(tmp_path):
 
 
 def test_directory_that_is_not_a_run_requires_overwrite(tmp_path):
-    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
-                       young_window_snaps=5, young_window_cells=6)
+    cfg = tiny_config()
     out = tmp_path / "run"
     out.mkdir()
     (out / "notes.txt").write_text("not a run\n")
@@ -118,8 +117,7 @@ def test_directory_that_is_not_a_run_requires_overwrite(tmp_path):
 
 
 def test_changed_config_requires_overwrite(tmp_path):
-    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
-                       young_window_snaps=5, young_window_cells=6)
+    cfg = tiny_config()
     out = tmp_path / "run"
     run_ladder(cfg, outdir=out)
     import dataclasses
@@ -239,10 +237,8 @@ def test_parallel_jobs_match_serial(tmp_path, monkeypatch):
         return {k: v for k, v in manifest.items()
                 if k not in ("started", "finished")}
 
-    two = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
-                       young_window_snaps=5, young_window_cells=6)
-    three = small_config(cells=60, snapshots=4, epsilons="0.1,0.05,0.025",
-                         young_window_snaps=5, young_window_cells=6)
+    two = tiny_config()
+    three = tiny_config(epsilons="0.1,0.05,0.025")
     cuts = {(1, 2): [[0.1, 0.05]], (2, 2): [[0.1], [0.05]],
             (1, 3): [[0.1, 0.05], [0.025]], (2, 3): [[0.1], [0.05, 0.025]]}
     for cfg in (two, three):
@@ -272,8 +268,7 @@ def test_parallel_jobs_match_serial(tmp_path, monkeypatch):
 def _broken_diagnostics_run(tmp_path, monkeypatch):
     """A two-member run whose eps = 0.05 diagnostics raise: ``(cfg,
     result)``; ``harness.member_diagnostics`` stays patched."""
-    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
-                       young_window_snaps=5, young_window_cells=6)
+    cfg = tiny_config()
     diagnose = harness.member_diagnostics
 
     def broken_for_finest(cfg, specs, traj):
@@ -322,8 +317,7 @@ def test_failed_save_blamed_on_save_stage(tmp_path, monkeypatch):
     # a member whose trajectory cannot be written is recorded against its
     # own save stage, in process as in a pool worker; nothing of it is kept
     # and verify of the run names that stage
-    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
-                       young_window_snaps=5, young_window_cells=6)
+    cfg = tiny_config()
     save = io.save_trajectory
 
     def full_disk_for_finest(dirpath, traj):
@@ -421,8 +415,7 @@ def test_pool_has_one_worker_per_batch(tmp_path, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         InProcessPool)
-    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
-                       young_window_snaps=5, young_window_cells=6)
+    cfg = tiny_config()
     result = run_ladder(cfg, outdir=tmp_path / "run", jobs=16)
     assert asked == [len(harness.batches(cfg, 16))] == [2]
     assert result.exit_code in (0, 1)
@@ -445,9 +438,7 @@ def test_jobs_below_one_rejected_before_compute(tmp_path):
 def _quadratic_config():
     """A non-flat B table, so the march reads B at every face midpoint; the
     shipped scenarios and the other run-level tests take the flat-table path."""
-    return small_config(viscosity="quadratic", cells=60, snapshots=4,
-                        epsilons="0.1,0.05", young_window_snaps=5,
-                        young_window_cells=6)
+    return tiny_config(viscosity="quadratic")
 
 
 def _same_outputs(a, b, members=("eps_0.1", "eps_0.05")):
@@ -473,8 +464,7 @@ def test_parallel_jobs_match_serial_quadratic_viscosity(tmp_path):
 
 
 def test_zero_data_trivially_passes(tmp_path):
-    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
-                       young_window_snaps=5, young_window_cells=6)
+    cfg = tiny_config()
     import dataclasses
     text = cfg.raw_text.replace("amplitude = 1.0", "amplitude = 0.0")
     zero_cfg = build_scenario(text)
@@ -491,8 +481,7 @@ def test_cli_presets_and_run(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "burgers" in out and "constant" in out and "bump" in out
 
-    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
-                       young_window_snaps=5, young_window_cells=6)
+    cfg = tiny_config()
     cfgfile = tmp_path / "scenario.cfg"
     cfgfile.write_text(cfg.raw_text)
     code = cli_main(["run", "--config", str(cfgfile), "--out",
@@ -507,9 +496,7 @@ def test_cli_presets_and_run(tmp_path, capsys):
 def test_cli_run_with_percent_in_directory(tmp_path):
     # a '%' in a value is text, not an interpolation
     outdir = tmp_path / "runs" / "50%"
-    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
-                       young_window_snaps=5, young_window_cells=6,
-                       outdir=str(outdir))
+    cfg = tiny_config(outdir=str(outdir))
     assert cfg.outdir == str(outdir)
     cfgfile = tmp_path / "scenario.cfg"
     cfgfile.write_text(cfg.raw_text)
@@ -537,61 +524,31 @@ def test_cli_bad_config(tmp_path, capsys):
     assert "rejected" in err or "missing" in err
 
 
-def test_cli_bad_young_window_rejected_before_solving(tmp_path, capsys):
-    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
-                       young_window_snaps=5, young_window_cells=6)
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(cfg.raw_text.replace("young_window_snaps = 5",
-                                        "young_window_snaps = 3"))
-    out = tmp_path / "never"
-    assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 2
-    assert "config rejected" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_cli_zero_weak_window_rejected_before_solving(tmp_path, capsys):
-    # before it was rejected, this config ran every solve and then failed
-    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
-                       young_window_snaps=5, young_window_cells=6)
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(cfg.raw_text.replace("weak_window_cells = 5",
-                                        "weak_window_cells = 0"))
-    out = tmp_path / "never"
-    assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 2
-    assert "config rejected" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_cli_nan_amplitude_rejected_before_solving(tmp_path, capsys):
-    # before it was rejected, this config made a run directory and failed
-    # in the first solve
-    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
-                       young_window_snaps=5, young_window_cells=6)
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(cfg.raw_text.replace("amplitude = 1.0", "amplitude = nan"))
-    out = tmp_path / "never"
-    assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 2
-    assert "config rejected" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("old, new", [
     ("cells = 60", "cells = 60.9"), ("snapshots = 4", "snapshots = abc"),
     ("\nb = 1.0", "\nb = 0"),
     ("young_bins = 32", "young_bins = 32\nkruzkov_delta = 0"),
     ("young_bins = 32", "young_bins = 32\nkruzkov_count = -1"),
     ("mollifier_width = 0.02", "mollifier_width = 0.0125"),
-    ("cfl = 0.4", "clf = 0.1"), ("[scheme]", "[schem]")])
+    ("cfl = 0.4", "clf = 0.1"), ("[scheme]", "[schem]"),
+    ("young_window_snaps = 5", "young_window_snaps = 3"),
+    ("weak_window_cells = 5", "weak_window_cells = 0"),
+    ("amplitude = 1.0", "amplitude = nan"),
+    ("burgers,linear\na = 1.0", "linear,burgers\na = 0.0")])
 def test_cli_bad_count_or_bound_rejected_before_solving(tmp_path, capsys, old,
                                                         new):
     # before, 60.9 cells ran as 60 and `abc` ended in a traceback with exit 1;
     # the bounds passed the config and failed in a run directory made for them;
-    # a width of 0.0125 on 60 cells (a one-node kernel) ran unmollified
-    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
-                       young_window_snaps=5, young_window_cells=6)
-    assert old in cfg.raw_text
+    # a width of 0.0125 on 60 cells (a one-node kernel) ran unmollified; the
+    # empty weak window ran every solve and then failed, and the nan amplitude
+    # failed in the first solve; a constant first flux on the 2-D config
+    # solved every member and the reference, then failed to pick c and left
+    # a run directory without a manifest.  Each case edits the 1-D tiny
+    # config, or the 2-D one where only that holds ``old``.
+    text = next(t for t in (tiny_config().raw_text, tiny_2d_text())
+                if old in t)
     bad = tmp_path / "bad.cfg"
-    bad.write_text(cfg.raw_text.replace(old, new))
+    bad.write_text(text.replace(old, new))
     out = tmp_path / "never"
     assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 2
     assert "config rejected" in capsys.readouterr().err
@@ -636,8 +593,7 @@ def tiny_2d_text():
 def test_cli_run_and_verify_load_no_scipy(tmp_path):
     # scipy is a test dependency only: no command may load any scipy module,
     # and a --jobs 1 run and verify load none of the other unneeded modules
-    one = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
-                       young_window_snaps=5, young_window_cells=6).raw_text
+    one = tiny_config().raw_text
     cli = "from visclab.cli import main\nmain({!r})"
     for name, text in (("one", one), ("two", tiny_2d_text())):
         cfgfile = tmp_path / f"{name}.cfg"
@@ -647,6 +603,11 @@ def test_cli_run_and_verify_load_no_scipy(tmp_path):
         assert (tmp_path / name / "estimates.csv").exists()
     assert modules_loaded(cli.format(["verify", str(tmp_path / "two")]),
                           UNNEEDED) == []
+
+
+def test_package_import_loads_no_module():
+    # the package re-exports nothing: each caller imports the module it uses
+    assert modules_loaded("import visclab", ["visclab."]) == []
 
 
 def test_package_imports_only_stdlib_numpy_and_itself():
@@ -702,8 +663,7 @@ def _batched_steps(outdir):
 def test_benchmark_trace_probe_sees_every_layer(tmp_path):
     # the traced benchmark rebinds harness globals; a harness that stops
     # calling through them would leave these counters at zero
-    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
-                       young_window_snaps=5, young_window_cells=6)
+    cfg = tiny_config()
     cfgfile = tmp_path / "scenario.cfg"
     cfgfile.write_text(cfg.raw_text)
     spans = tmp_path / "spans.json"
@@ -962,8 +922,7 @@ def test_bench_diagnostics_runs_on_stored_runs(tiny_run, tmp_path, capsys):
 def test_same_bytes_compares_run_directories(tmp_path, capsys):
     # two runs of one config are the same bytes but for the manifest's
     # clock times; one flipped CSV byte is named with its row
-    cfg = small_config(cells=60, snapshots=4, epsilons="0.1,0.05",
-                       young_window_snaps=5, young_window_cells=6)
+    cfg = tiny_config()
     a, b = tmp_path / "a", tmp_path / "b"
     run_ladder(cfg, outdir=a)
     run_ladder(cfg, outdir=b)
@@ -985,9 +944,7 @@ def test_same_bytes_runs_the_commands_of_a_tree(tmp_path):
     # the revision mode's command half, on the working tree twice: run
     # --jobs 1 and 2, each followed by verify and plotdata, compare equal
     cfgfile = tmp_path / "tiny.cfg"
-    cfgfile.write_text(small_config(cells=60, snapshots=4,
-                                    epsilons="0.1,0.05", young_window_snaps=5,
-                                    young_window_cells=6).raw_text)
+    cfgfile.write_text(tiny_config().raw_text)
     tool = _load_script("benchmarks", "same_bytes")
     a, b = (tool.run_commands(tool.ROOT, cfgfile, tmp_path / side)
             for side in "ab")

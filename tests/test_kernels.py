@@ -1,10 +1,10 @@
 import copy
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from oracles import LOOPS
 from visclab import kernels
 from visclab.domain import make_flux, make_viscosity
@@ -324,12 +324,7 @@ def test_visc_step_table_path_allocation_peak(setup, flat_tables, name,
     u = u[None]
     out = np.empty_like(u)
     fn(u, 0.1 * h * h, out, plan)
-    tracemalloc.start()
-    try:
-        fn(u, 0.1 * h * h, out, plan)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: fn(u, 0.1 * h * h, out, plan))
     assert peak <= 1.5 * u.nbytes, peak / u.nbytes
 
 

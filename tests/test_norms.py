@@ -1,10 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.fft import dst, idst
 
+from conftest import traced_peak
 from oracles import dual_norm_whole, total_variation
 from visclab import norms
 from visclab.domain import Field, Grid
@@ -326,12 +326,7 @@ def test_shared_buffers_are_not_allocated_again():
     spacings = (0.1, 1 / 128, 1 / 128)
     out = np.empty(g.shape)
     dirichlet_dual_norm(g, spacings, out)  # transform set-up
-    tracemalloc.start()
-    try:
-        dirichlet_dual_norm(g, spacings, out)
-        shared = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    shared = traced_peak(lambda: dirichlet_dual_norm(g, spacings, out))
     assert shared < 0.25 * g.nbytes
 
 
