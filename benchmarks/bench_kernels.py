@@ -12,7 +12,11 @@ The viscous step marches a batch of members.  The shipped 1-D ladder is one
 batch of four, and its step runs here with 4, 3, 2 and 1 members still
 stepping (column ``members``), the leading members of the batch with each
 member's own stable dt, as a march calls it between two snapshots; every
-128x128 member is a batch of one.  Each is timed with the scenario's own
+128x128 member is a batch of one.  A step of several members runs in both
+forms a march calls (column ``dt``): a full step, whose ``dt`` is the
+march's tuple of full steps and which multiplies by the plan's flat ``dt /
+h``, and a landing step, whose ``dt`` is a column; one member's ``dt`` is a
+float.  Each is timed with the scenario's own
 constant B (column ``B/axis``: ``constant``) and with a gaussian B on the
 same lattice, which reads the table at every face midpoint.  ``visc_step``
 and ``godunov_step`` run under their per-dimension names, the Godunov step
@@ -53,10 +57,11 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def scenario_calls(name):
-    """``(kernel name, B preset or axis, members, state, dt, step plan)``
-    rows: the viscous step of the scenario's ladder as one batch (a batch of
-    one per member when the state is 2-D) at each count of members still
-    stepping, then the Godunov step along each axis."""
+    """``(kernel name, B preset or axis, members, dt form, state, dt, step
+    plan)`` rows: the viscous step of the scenario's ladder as one batch (a
+    batch of one per member when the state is 2-D) at each count of members
+    still stepping, in each form of ``dt``, then the Godunov step along each
+    axis."""
     cfg = build_scenario((SCENARIOS / name).read_text())
     specs = build_runtime(cfg)
     grid, flux = specs.grid, specs.flux
@@ -74,12 +79,16 @@ def scenario_calls(name):
                                   flux.tables, visc.table)
         dts = [stable_dt(grid, flux, visc, e, cfg.cfl) for e in eps]
         for k in range(members, 0, -1):
-            rows.append((f"visc_step_{grid.dim}d", visc.name, k, u[:k],
-                         _column(dts[:k], grid.dim), plans[k - 1]))
+            forms = ({"float": dts[0]} if k == 1 else
+                     {"full": tuple(dts[:k]),
+                      "landing": _column(dts[:k], grid.dim)})
+            for form, dt in forms.items():
+                rows.append((f"visc_step_{grid.dim}d", visc.name, k, form,
+                             u[:k], dt, plans[k - 1]))
     dt0 = stable_dt(grid, flux, specs.visc, 0.0, cfg.cfl)
     kname = "godunov_step_1d" if grid.dim == 1 else "godunov_sweep_2d"
     for axis, (h, tab) in enumerate(zip(grid.spacing, flux.tables)):
-        rows.append((kname, "xy"[axis], 1, u[0], dt0,
+        rows.append((kname, "xy"[axis], 1, "float", u[0], dt0,
                      kernels.godunov_plan(h, lat, tab, axis)))
     return rows
 
@@ -117,32 +126,33 @@ def main():
 
     cases = []
     for scenario in ("burgers1d.cfg", "burgers2d.cfg"):
-        for kname, preset, k, u, dt, plan in scenario_calls(scenario):
+        for kname, preset, k, form, u, dt, plan in scenario_calls(scenario):
             fn = kernels.get_kernel(kname)
             fn(u.copy(), dt, np.empty_like(u), plan)  # first touch
-            cases.append((kname, preset, k, u, dt, plan, fn))
+            cases.append((kname, preset, k, form, u, dt, plan, fn))
             if (kname, preset, k) == ("visc_step_1d", "constant", 1):
                 twin = len(cases) - 1
-                cases.append((kname, "control", k, u, dt, plan, fn))
+                cases.append((kname, "control", k, form, u, dt, plan, fn))
     samples = [[] for _ in cases]
     for _ in range(args.rounds):
         for case, got in zip(cases, samples):
-            _n, _p, _k, u, dt, plan, fn = case
+            *_, u, dt, plan, fn = case
             got.append(bench(fn, u, dt, plan, args.steps))
 
-    print(f"{'kernel':<18} {'B/axis':<9} {'members':>7} {'cells':>8} "
-          f"{'median (us)':>12} {'IQR (us)':>9} {'us/member':>10} "
-          f"{'faults/call':>12} {'peak (states)':>14}")
+    print(f"{'kernel':<18} {'B/axis':<9} {'members':>7} {'dt':<7} "
+          f"{'cells':>8} {'median (us)':>12} {'IQR (us)':>9} "
+          f"{'us/member':>10} {'faults/call':>12} {'peak (states)':>14}")
     medians = []
-    for (kname, preset, k, u, dt, plan, fn), got in zip(cases, samples):
+    for (kname, preset, k, form, u, dt, plan, fn), got in zip(cases,
+                                                              samples):
         us = np.array([t for t, _ in got]) * 1e6
         q1, med, q3 = np.percentile(us, [25, 50, 75])
         medians.append(med)
         faults = float(np.median([f for _, f in got]))
         # a viscous step's state has the member axis first
         cells = "x".join(map(str, u.shape[kname.startswith("visc"):]))
-        print(f"{kname:<18} {preset:<9} {k:>7} {cells:>8} {med:12.1f} "
-              f"{q3 - q1:9.1f} {med / k:10.1f} {faults:12.1f} "
+        print(f"{kname:<18} {preset:<9} {k:>7} {form:<7} {cells:>8} "
+              f"{med:12.1f} {q3 - q1:9.1f} {med / k:10.1f} {faults:12.1f} "
               f"{peak_states(fn, u, dt, plan):14.2f}")
     floor = abs(medians[twin + 1] / medians[twin] - 1.0)
     print(f"\nnoise floor: the control row's median is {floor:.1%} from its "

@@ -348,25 +348,34 @@ def run_ladder(cfg: ScenarioConfig, outdir: str | Path | None = None,
         refdir = None
     reference = None  # assess loads it again; held, it would raise the peak
 
-    conv, rows = assess(cfg, specs, members, dirs, refdir)
-    _write_reports(outdir, cfg, members, conv, rows)
+    def write_manifest(stages, verdicts):
+        manifest = {
+            "tool": "visclab",
+            "version": __version__,
+            "backend": kernels.active_backend(),
+            "config_sha256": digest,
+            "config_text": raw,
+            "started": started,
+            "finished": datetime.datetime.now(
+                datetime.timezone.utc).isoformat(),
+            "stages": stages,
+            "files": sorted(str(p.relative_to(outdir))
+                            for p in outdir.rglob("*") if p.is_file()),
+            "estimates": {k: bool(v) for k, v in verdicts.items()},
+        }
+        io.write_manifest(outdir / "manifest.json", manifest)
+        return manifest
 
+    try:
+        conv, rows = assess(cfg, specs, members, dirs, refdir)
+        _write_reports(outdir, cfg, members, conv, rows)
+    except Exception as exc:
+        # the run directory keeps the stages recorded so far, so verify
+        # names the failure and a new run of this config replaces it
+        write_manifest(stages + _stages(["assess"], exc), {})
+        raise
     verdicts = overall_verdicts(rows)
-    finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    manifest = {
-        "tool": "visclab",
-        "version": __version__,
-        "backend": kernels.active_backend(),
-        "config_sha256": digest,
-        "config_text": raw,
-        "started": started,
-        "finished": finished,
-        "stages": stages,
-        "files": sorted(str(p.relative_to(outdir))
-                        for p in outdir.rglob("*") if p.is_file()),
-        "estimates": {k: bool(v) for k, v in verdicts.items()},
-    }
-    io.write_manifest(outdir / "manifest.json", manifest)
+    manifest = write_manifest(stages, verdicts)
     if failures:
         code = 2
     elif not all(verdicts.values()):

@@ -17,7 +17,9 @@ tables ``tab[1:] - tab[:-1]``, the lattice (``lo``, ``inv`` and the last
 panel ``top``), the spacing ``h``, each member's ``eps / h`` and flat-B
 product ``b * eps / h``, and the Godunov flux's critical nodes.  A kernel
 takes no table argument, so it reads only the tables its plan was built
-for.  A plan holds only arrays, tuples, numbers and None.
+for.  A plan holds only arrays, tuples, numbers and None, but for the
+viscous plan's one list, which keeps the factor of a march's full steps
+(see Batches).
 
 Only the viscous plan also holds buffers, because only the viscous step is
 called often enough for them to pay: every member of a run marches with it
@@ -30,13 +32,14 @@ the location of the state and of the face midpoints; the table reads; the
 face fluxes and the cell differences) and every view the step reads (the
 interior of the state, the state and the table reads on either side of each
 face, the fluxes after and before each cell).  So a viscous step is one
-fixed sequence of ufunc calls with ``out=`` into the plan: for one member
-it allocates nothing and slices nothing.  (For more, ``dt / h`` is a new
-column, and numpy buffers the two row-wise ops, the ``dt / h`` product and
-``u - diff``, about one state in all.)  The Godunov plan holds no buffer
-and no view: a Godunov step moves its axis first, pads that axis with a zero ghost cell at
-either end, and allocates its temporaries, so the faces of every line are
-the leading-axis slices ``[:-1]`` and ``[1:]`` of the padded state.  Each
+fixed sequence of ufunc calls writing into the plan: for one member it
+allocates nothing and slices nothing.  (For more, ``u - diff`` is a
+row-wise op that numpy buffers, about one state, and so is a landing
+step's product with its ``dt / h`` column.)  The Godunov plan holds no
+buffer and no view: a Godunov step moves its axis first, pads that axis
+with a zero ghost cell at either end, and allocates its temporaries, so
+the faces of every line are the leading-axis slices ``[:-1]`` and ``[1:]``
+of the padded state.  Each
 face and cell gets the same ufuncs in the same order as the loop twin's
 arithmetic.
 
@@ -78,10 +81,17 @@ members is a factor: ``eps / h`` and ``b * eps / h`` of each member's
 viscosity and ``dt / h`` of each member's step.  With one member these are
 floats and the step is the single-member step op for op.  With more, the
 plan holds the viscosity factors face by face, each face its member's (a
-flat product, as cheap as the scalar one), and ``dt / h`` is a column ``(k,
-1, ...)`` that multiplies the cell differences cut into one row per member.
-The ghost layers of a row are multiplied too and never read; the buffers
-are allocated zero, so they hold finite values only.  ``visc_plan`` builds
+flat product, as cheap as the scalar one).  ``dt / h`` comes in one of two
+forms.  A march's full steps come as one tuple of floats, the same tuple
+on every full step: the first call with it makes each axis's ``dt / h``
+cell by cell, each cell its member's, keeps it in the plan's ``full`` list
+with the tuple, and every later call with that tuple multiplies the cell
+differences by it, one flat product.  Any other step, such as a landing on
+a snapshot time, comes as a column ``(k, 1, ...)`` that multiplies the cell
+differences cut into one row per member; the ghost layers of a row are
+multiplied too and never read, and the buffers are allocated zero, so they
+hold finite values only.  Either way each cell's difference meets its
+member's ``dt / h``, the same IEEE product.  ``visc_plan`` builds
 one plan per leading count ``k`` on one set of buffers, as long as the whole
 batch's bordered states; the plan of ``k`` members views their first ``k``
 rows.  A member whose state is all zero stays zero: every face then sees two
@@ -95,9 +105,17 @@ read: its read is the scalar 0.0, and the face flux is ``0.0 + qr`` or ``pl
 + 0.0``.  That is exact: the lookup gives ``0.0 * frac + 0.0 = +0.0`` for
 every finite ``frac`` (+0.0 + -0.0 is +0.0), the loop twins add that +0.0,
 and IEEE addition is commutative, signed zeros included.  A -0.0 node reads
-as -0.0 below the lattice, so only +0.0 nodes count.  A value that is not
-finite gives a NaN ``frac``, but the march's guard stops at a non-finite
-state, so no step reads one.
+as -0.0 below the lattice, so only +0.0 nodes count.
+
+States that are not finite: a march checks its bound once per snapshot
+interval, so a member that breaks it may step on, up to inf or NaN, to the
+end of the interval.  Such a step stays in bounds: a NaN value gives a
+NaN ``frac`` and an int64 panel index of no meaning (an infinite one, an
+infinite ``frac``), and the ``mode="clip"`` gathers clamp any index into
+the table, so the step reads only table entries and writes garbage into
+that member's cells alone, since no face joins two members.  The march then marches the interval again from its
+start, stopping the member at the first step that breaks the bound, so no
+value a march keeps comes from such a step.
 
 ``benchmarks/bench_kernels.py`` times the kernels.
 """
@@ -140,9 +158,10 @@ class Axis(NamedTuple):
     on the left and right of each face (the scalar 0.0 for a zero table).
     ``flux`` and ``mid`` are face buffers, ``fr``/``fl`` view ``flux`` after
     and before each cell, and ``diff`` views the part of the plan's cell
-    differences that receives ``fr - fl``, and ``diffs`` what a member's
-    ``dt / h`` multiplies: ``diff`` itself for one member, else the cell
-    differences cut into one row per member.  ``bread`` is the face
+    differences that receives ``fr - fl``, which a tuple's flat ``dt / h``
+    multiplies, and ``diffs`` what a float or a column ``dt / h``
+    multiplies: ``diff`` itself for one member, else the cell differences
+    cut into one row per member.  ``bread`` is the face
     midpoints' location and the two buffers of the B read; None when B is
     flat.
     """
@@ -177,7 +196,9 @@ class ViscPlan(NamedTuple):
     ``scratch`` receive the table reads there, one axis after the other.
     ``dint`` is the interior of the full-size cell differences that each
     axis's ``diff`` writes in turn.  ``b_slope`` holds the slopes of
-    ``btab``; None when it is flat.
+    ``btab``; None when it is flat.  ``full`` is ``[steps, factors]``: the
+    last tuple of the members' steps that a step was called with, and each
+    axis's ``dt / h`` of it, as ``diff`` lays out the cells.
     """
 
     lo: float
@@ -194,6 +215,7 @@ class ViscPlan(NamedTuple):
     axes: tuple
     btab: np.ndarray
     b_slope: np.ndarray | None
+    full: list
 
 
 class GodunovPlan(NamedTuple):
@@ -276,8 +298,21 @@ def visc_plan(cells, spacing, eps, lattice, flux_tables,
             *lattice.panels, ext[:k], flat, ext[:k][interior],
             tuple(b[:n] for b in loc), p[:n], q[:n], scratch[:n],
             diff[:n].reshape(shape)[interior], tuple(axes), btab,
-            None if bflat else tables.slopes(btab)))
+            None if bflat else tables.slopes(btab), [None, None]))
     return tuple(plans)
+
+
+def _step_factors(n: int, axes: tuple, steps: tuple) -> tuple:
+    """Each axis's ``dt / h`` of the cells its ``diff`` views, for the
+    members' ``steps`` on ``n`` bordered cells: a float for one member, else
+    each cell its member's."""
+    size = n // len(steps)
+    factors = []
+    for a in axes:
+        s = n - a.ul.size  # the axis's stride: diff views cells s .. n - s
+        per = _per_face([d / a.h for d in steps], size, n - s)
+        factors.append(per if len(steps) == 1 else per[s:])
+    return tuple(factors)
 
 
 def godunov_plan(h: float, lattice, flux_table, axis: int) -> GodunovPlan:
@@ -298,39 +333,49 @@ def visc_step(u, dt, out, plan: ViscPlan):
     ``u``, ``(k, *cells)``, zero ghost cells: ``out = u - diff_x``, then
     ``out -= diff_y`` in 2-D.
 
-    ``dt`` is a float for one member, else a column ``(k, 1, ...)`` of each
-    member's step.  ``out`` may be ``u``: the step reads ``u`` into its
-    plan's bordered state before it writes.
+    ``dt`` is a float for one member, else each member's step: a tuple of
+    floats, whose ``dt / h`` the plan keeps for as long as calls pass that
+    same tuple, or a column ``(k, 1, ...)``.  ``out`` may be ``u``: the step
+    reads ``u`` into its plan's bordered state before it writes.
     """
-    plan.inner[...] = u
-    loc = tables.locate(plan.lo, plan.inv, plan.top, plan.flat, out=plan.loc)
+    # the plan and its axes unpacked once: locals are the cheapest reads
+    lo, inv, top, _ext, flat, inner, loc, p, q, scratch, dint, axes, btab, \
+        b_slope, full = plan
+    inner[...] = u
+    loc = tables.locate(lo, inv, top, flat, out=loc)
+    steps = type(dt) is tuple
+    if steps:
+        if full[0] is not dt:
+            full[:] = dt, _step_factors(flat.size, axes, dt)
+        factors = full[1]
     src = u
-    for a in plan.axes:
-        if a.eop is not None:
-            tables.lookup(a.eop, a.eop_slope, loc, out=plan.p,
-                          scratch=plan.scratch)
-        if a.eom is not None:
-            tables.lookup(a.eom, a.eom_slope, loc, out=plan.q,
-                          scratch=plan.scratch)
-        flux = np.add(a.pl, a.qr, out=a.flux)
-        if a.bread is None:
-            du = np.subtract(a.ur, a.ul, out=a.mid)
-            du *= a.beh
-            flux -= du
+    for ax, (h, eh, beh, eop, eom, eop_slope, eom_slope, ul, ur, pl, qr, flux,
+             mid, fr, fl, diff, diffs, bread) in enumerate(axes):
+        if eop is not None:
+            tables.lookup(eop, eop_slope, loc, out=p, scratch=scratch)
+        if eom is not None:
+            tables.lookup(eom, eom_slope, loc, out=q, scratch=scratch)
+        np.add(pl, qr, flux)
+        if bread is None:
+            np.subtract(ur, ul, mid)
+            mid *= beh
+            flux -= mid
         else:
-            mid = np.add(a.ul, a.ur, out=a.mid)
+            np.add(ul, ur, mid)
             mid *= 0.5
-            mloc, bm, bs = a.bread
-            tables.lookup(plan.btab, plan.b_slope,
-                          tables.locate(plan.lo, plan.inv, plan.top, mid,
-                                        out=mloc), out=bm, scratch=bs)
-            bm *= a.eh
-            bm *= np.subtract(a.ur, a.ul, out=mid)
+            mloc, bm, bs = bread
+            tables.lookup(btab, b_slope,
+                          tables.locate(lo, inv, top, mid, out=mloc),
+                          out=bm, scratch=bs)
+            bm *= eh
+            bm *= np.subtract(ur, ul, mid)
             flux -= bm
-        np.subtract(a.fr, a.fl, out=a.diff)
-        d = a.diffs
-        d *= dt / a.h
-        src = np.subtract(src, plan.dint, out=out)
+        np.subtract(fr, fl, diff)
+        if steps:
+            diff *= factors[ax]
+        else:
+            diffs *= dt / h
+        src = np.subtract(src, dint, out)
     return out
 
 

@@ -183,6 +183,21 @@ LOOPS = {
 }
 
 
+def steps_loop(t, target, dt_base):
+    """The steps of one snapshot interval as a plain loop: each
+    ``min(dt_base, target - t)``, added to ``t`` one at a time until ``t``
+    is within 1e-13 (relative) of ``target``.  Returns ``(clock, steps)``:
+    ``t`` before the first step and after each, and the steps."""
+    short = target - 1e-13 * max(1.0, target)
+    clock, steps = [t], []
+    while t < short:
+        dt = min(dt_base, target - t)
+        t += dt
+        clock.append(t)
+        steps.append(dt)
+    return clock, steps
+
+
 def march_alone(u0, times, advance, dt_base, sup_bound):
     """One member's march as a plain loop: steps of ``min(dt_base, target -
     t)`` until ``t`` is within 1e-13 (relative) of each snapshot time, and

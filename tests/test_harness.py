@@ -391,6 +391,42 @@ def test_2d_run_whose_every_member_fails_writes_its_manifest(
         "stages that failed in the run: solve eps=0.2, solve eps=0.1"
 
 
+def test_failed_assessment_writes_its_manifest(tmp_path, monkeypatch,
+                                               capsys):
+    # an instrument that raises in the ladder-wide assessment fails the run
+    # (exit 2), but the run directory keeps a manifest: the stages recorded
+    # before it and one failed assess stage; verify names that stage, and a
+    # second run of the config replaces the directory without --overwrite
+    def broken(*_args):
+        raise FloatingPointError("instrument failed")
+
+    monkeypatch.setattr(harness, "synthetic_divcurl", broken)
+    cfgfile = tmp_path / "scenario.cfg"
+    cfgfile.write_text(tiny_config().raw_text)
+    out = tmp_path / "run"
+    assert cli_main(["run", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "run failed: instrument failed\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    *recorded, failed = manifest["stages"]
+    assert [s["name"] for s in recorded] == [
+        "solve eps=0.1", "diagnose eps=0.1", "save eps=0.1", "solve eps=0.05",
+        "diagnose eps=0.05", "save eps=0.05", "solve reference",
+        "save reference"]
+    assert all(s["status"] == "ok" for s in recorded)
+    assert failed == {"name": "assess", "status": "failed",
+                      "error": "instrument failed"}
+    assert manifest["estimates"] == {}
+    monkeypatch.undo()
+    assert cli_main(["verify", str(out)]) == 2
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "stages that failed in the run: assess"
+    assert cli_main(["run", "--config", str(cfgfile), "--out", str(out)]) \
+        in (0, 1)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert all(s["status"] == "ok" for s in manifest["stages"])
+    assert "assess" not in {s["name"] for s in manifest["stages"]}
+
+
 def test_pool_has_one_worker_per_batch(tmp_path, monkeypatch):
     # an in-process stand-in for the pool records the workers asked for and
     # runs each batch at submit, so no process is started

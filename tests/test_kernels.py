@@ -360,6 +360,41 @@ def test_batched_visc_step_matches_loops_row_by_row(setup, flat_tables,
             assert np.array_equal(got[m], want), (k, m)
 
 
+@ORACLE
+@pytest.mark.parametrize("name", VISC)
+@pytest.mark.parametrize("table", ["gaussian", "constant"])
+def test_batched_visc_step_takes_full_steps_as_a_tuple(setup, flat_tables,
+                                                       table, name, oracle):
+    """A tuple of the members' steps, the form of a march's full steps, gives
+    each member its loop twin's step, as a column does: the plan keeps the
+    flat ``dt / h`` of the tuple while the same tuple comes back, and makes
+    it again for another tuple."""
+    flux, visc, rng = setup
+    btab = visc.table if table == "gaussian" else flat_tables["constant"]
+    shape = _shape(name)
+    spacing = (1 / shape[-1],) * len(shape)
+    h = spacing[0]
+    eps = (0.05, 0.03, 0.02)
+    t0, t1 = flux.tables
+    eo = (t0.eo_plus, t0.eo_minus, t1.eo_plus, t1.eo_minus)[:2 * len(shape)]
+    plans = kernels.visc_plan(shape, spacing, eps, flux.lattice, flux.tables,
+                              btab)
+    kernel = kernels.get_kernel(name)
+    a = (0.1 * h * h, 0.15 * h * h, 0.17 * h * h)
+    b = (0.05 * h * h, 0.06 * h * h, 0.07 * h * h)
+    a2 = a[:2]
+    for dts in (a, a, b, a, a2, a2):
+        k = len(dts)
+        u = rng.uniform(-0.99, 0.99, (k,) + shape)
+        got = kernel(u, dts, np.empty_like(u), plans[k - 1])
+        assert plans[k - 1].full[0] is dts
+        for m in range(k):
+            want = oracle[name](u[m], dts[m], *spacing, eps[m],
+                                *_lattice(flux), *eo, btab,
+                                np.empty(shape), None)
+            assert np.array_equal(got[m], want), (dts, m)
+
+
 def test_interp_clamps_at_table_ends(setup):
     flux, _, _ = setup
     lat = flux.lattice

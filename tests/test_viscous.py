@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import _visc_face_scalar, gaussian_error, march_alone
+from oracles import (_visc_face_scalar, gaussian_error, march_alone,
+                     steps_loop)
 from visclab import kernels
 from visclab.convergence import fit_rate
 from visclab.domain import Grid, make_flux, make_viscosity
-from visclab.viscous import (StepError, _column, _make_advance, integrate,
-                             integrate_batch, lone, march, snapshot_times,
-                             stable_dt)
+from visclab.viscous import (StepError, _column, _make_advance, _steps,
+                             integrate, integrate_batch, lone, march,
+                             snapshot_times, stable_dt)
 
 
 def specs_1d(flux_name="burgers", interval=(-1.0, 1.0), a=1.0, visc="constant",
@@ -150,8 +151,9 @@ def test_max_principle_guard_rejects_nan():
 
 
 def test_max_principle_guard_rejects_nan_initial_state():
-    # the guard sees u0 before the first step; without it the NaN reaches
-    # the table lookup and fails there with an IndexError
+    # the guard sees u0 before the first step; without it the NaN would be
+    # stepped: its clipped table gathers return values (numpy warns of an
+    # invalid value in the cast to a panel index), and no error is raised
     g = Grid((16,), (0.0,), (1.0,), 1.0)
     f, v = specs_1d()
     u0 = np.zeros(16)
@@ -411,3 +413,110 @@ def test_batch_steps_must_not_fall():
         march(g, u0[:2], snapshot_times(g.time_horizon, 5),
               _make_advance(g, f, v, eps),
               [stable_dt(g, f, v, e, 0.4) for e in eps], eps, 1.0)
+
+
+def _failing_batch(horizon, snapshots, who):
+    """The three members of ``_batch_case(1)`` on ``[0, horizon]`` with
+    ``snapshots`` intervals, member ``who`` marching with three times its
+    stable step: ``(g, f, v, u0, times, eps, dts)``."""
+    g, f, v, u0 = _batch_case(1)
+    g = Grid(g.cells, g.lo, g.hi, horizon)
+    eps = (0.1, 0.05, 0.0125)
+    dts = [stable_dt(g, f, v, e, 0.4) for e in eps]
+    dts[who] *= 3.0
+    assert dts == sorted(dts)
+    return g, f, v, u0, snapshot_times(horizon, snapshots), eps, dts
+
+
+def test_member_failing_in_a_later_interval_fails_alone():
+    # the bound is checked once per snapshot interval; the last member
+    # breaks it in the last of ten intervals, which sends the batch back to
+    # that interval's start, and the checked replay fails it at its lone
+    # march's step and time, while the others keep the bytes of their lone
+    # marches
+    g, f, v, u0, times, eps, dts = _failing_batch(0.5, 10, 2)
+    batch = march(g, u0, times, _make_advance(g, f, v, eps), dts, eps, 1.0)
+    with pytest.raises(StepError) as looped:
+        _looped(g, f, v, u0[2], eps[2], dts[2], times)
+    failed = batch[2]
+    assert isinstance(failed, StepError)
+    assert (str(failed), failed.step, failed.time) == (
+        str(looped.value), looped.value.step, looped.value.time)
+    assert failed.time > times[-2]
+    for m in (0, 1):
+        assert _bits(batch[m]) == _looped(g, f, v, u0[m], eps[m], dts[m],
+                                          times)
+
+
+@pytest.mark.filterwarnings("error")
+def test_member_blowing_up_raises_no_warning():
+    # in one long snapshot interval the failing member steps on, unchecked,
+    # to inf and NaN before the interval's end sends the batch back; numpy's
+    # overflow and invalid-value warnings stay silent, and the member still
+    # gets its lone march's error
+    g, f, v, u0, times, eps, dts = _failing_batch(5.0, 1, 1)
+    advance, blown = _make_advance(g, f, v, eps), []
+
+    def watched(u, dt):
+        new = advance(u, dt)
+        blown.append(not np.isfinite(new).all())
+        return new
+
+    batch = march(g, u0, times, watched, dts, eps, 1.0)
+    assert any(blown)
+    with pytest.raises(StepError) as looped:
+        _looped(g, f, v, u0[1], eps[1], dts[1], times)
+    assert str(batch[1]) == str(looped.value)
+    assert _bits(batch[0]) == _looped(g, f, v, u0[0], eps[0], dts[0], times)
+
+
+def test_healthy_batch_calls_the_kernel_once_per_batched_step(monkeypatch):
+    # a march whose members keep the bound marches no interval twice: the
+    # kernel, wrapped in KERNELS as the benchmark's probe wraps it, runs once
+    # per batched step, as often as the first member steps (it has the
+    # smallest step, so it steps every time); a member that fails makes the
+    # batch march its interval again
+    calls = []
+    kernel = kernels.KERNELS["numpy"]["visc_step_1d"]
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return kernel(*args)
+
+    monkeypatch.setitem(kernels.KERNELS["numpy"], "visc_step_1d", counted)
+    g, f, v, u0 = _batch_case(1)
+    times = snapshot_times(g.time_horizon, 5)
+    batch = integrate_batch(g, u0, f, v, (0.1, 0.05, 0.02), 0.4, times,
+                            sup_bound=1.0)
+    steps = [traj.steps_taken for traj in batch]
+    assert len(calls) == steps[0] > steps[1] > steps[2]
+    assert sum(calls) == sum(steps)
+    calls.clear()
+    g, f, v, u0, times, eps, dts = _failing_batch(0.2, 5, 1)
+    batch = march(g, u0, times, _make_advance(g, f, v, eps), dts, eps, 1.0)
+    assert isinstance(batch[1], StepError)
+    assert len(calls) > batch[0].steps_taken
+
+
+def test_step_planner_matches_the_loop():
+    # a snapshot interval's steps come from one np.add.accumulate: the same
+    # clock and last step as the loop that adds one step at a time, and only
+    # the last step is shorter than dt_base
+    rng = np.random.default_rng(11)
+    cases = [(0.0, 1.0, 0.25),  # lands exactly on full steps
+             (0.0, 1.0, 0.1),  # the rounded tenth full step lands
+             (0.3, 0.3 + 3 * 0.07 + 1e-12, 0.07),  # a tiny last step
+             (0.0, 0.05, 1.0),  # one landing step
+             (0.2, 0.9, 1.0),  # one landing step, 0.2 + 0.7 != 0.9
+             (1.0 - 1e-14, 1.0, 0.1),  # already within 1e-13: no step
+             (0.0, 0.5 / 64, 2.0**-13)]  # a shipped 1-D interval
+    for _ in range(200):
+        t = rng.uniform(0.0, 2.0)
+        cases.append((t, t + rng.uniform(0.0, 1.0),
+                      10.0 ** rng.uniform(-3, 0)))
+    for t, target, dt in cases:
+        clock, last = _steps(t, target, dt)
+        want_clock, want_steps = steps_loop(t, target, dt)
+        assert clock.tolist() == want_clock, (t, target, dt)
+        assert last == (want_steps[-1] if want_steps else dt)
+        assert all(s == dt for s in want_steps[:-1])
