@@ -12,16 +12,17 @@ The viscous step marches a batch of members.  The shipped 1-D ladder is one
 batch of four, and its step runs here with 4, 3, 2 and 1 members still
 stepping (column ``members``), the leading members of the batch with each
 member's own stable dt, as a march calls it between two snapshots; every
-128x128 member is a batch of one.  A step of several members runs in both
-forms a march calls (column ``dt``): a full step, whose ``dt`` is the
-march's tuple of full steps and which multiplies by the plan's flat ``dt /
-h``, and a landing step, whose ``dt`` is a column; one member's ``dt`` is a
-float.  Each is timed with the scenario's own
-constant B (column ``B/axis``: ``constant``) and with a gaussian B on the
-same lattice, which reads the table at every face midpoint.  ``visc_step``
-and ``godunov_step`` run under their per-dimension names, the Godunov step
-once along each axis of the state (``B/axis``: ``x``, and in 2-D also
-``y``, the sweeps of a Strang step).
+128x128 member is a batch of one.  ``dt`` is the tuple of the members'
+steps, and each count of members runs in both kinds of step a march makes
+(column ``dt``): a full step, whose tuple is the plan's own steps, so it
+multiplies by the plan's ``dt / h``, and a landing step, whose tuple is
+another (the last member's step halved), so it makes its ``dt / h`` on the
+call.  Each is timed with the scenario's own constant B (column
+``B/axis``: ``constant``) and with a gaussian B on the same lattice, which
+reads the table at every face midpoint.  ``visc_step`` and
+``godunov_step`` run under their per-dimension names, the Godunov step,
+whose ``dt`` is a float, once along each axis of the state (``B/axis``:
+``x``, and in 2-D also ``y``, the sweeps of a Strang step).
 
 Each of ``--rounds`` rounds times every row for ``--steps`` calls, the rows
 taken in turn so that drift of the machine's speed reaches all of them; the
@@ -30,7 +31,7 @@ range, and the median µs per member-step (a call divided by its members).
 Next to it: the minor page faults per call (``resource.getrusage``) and the
 tracemalloc peak of one call, in state sizes (what a step allocates beyond
 its plan).  The ``control`` row runs the same code as the 1-D one-member
-constant-B row, in every round next to it; the gap between their medians is
+constant-B full step, in every round next to it; the gap between their medians is
 this machine's noise floor, printed below the table: a difference between
 two rows smaller than that floor is not resolved.
 
@@ -51,7 +52,7 @@ from visclab.config import build_scenario
 from visclab.domain import make_viscosity
 from visclab.harness import build_runtime
 from visclab.mollify import make_kernel, mollify
-from visclab.viscous import _column, stable_dt
+from visclab.viscous import stable_dt
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -60,8 +61,8 @@ def scenario_calls(name):
     """``(kernel name, B preset or axis, members, dt form, state, dt, step
     plan)`` rows: the viscous step of the scenario's ladder as one batch (a
     batch of one per member when the state is 2-D) at each count of members
-    still stepping, in each form of ``dt``, then the Godunov step along each
-    axis."""
+    still stepping, as a full and as a landing step, then the Godunov step
+    along each axis."""
     cfg = build_scenario((SCENARIOS / name).read_text())
     specs = build_runtime(cfg)
     grid, flux = specs.grid, specs.flux
@@ -75,13 +76,12 @@ def scenario_calls(name):
     gauss = make_viscosity("gaussian", (lat.lo, lat.hi), {"r": 1.0})
     rows = []
     for visc in (specs.visc, gauss):
-        plans = kernels.visc_plan(grid.cells, grid.spacing, eps, lat,
-                                  flux.tables, visc.table)
         dts = [stable_dt(grid, flux, visc, e, cfg.cfl) for e in eps]
+        plans = kernels.visc_plan(grid.cells, grid.spacing, eps, dts, lat,
+                                  flux.tables, visc.table)
         for k in range(members, 0, -1):
-            forms = ({"float": dts[0]} if k == 1 else
-                     {"full": tuple(dts[:k]),
-                      "landing": _column(dts[:k], grid.dim)})
+            forms = {"full": tuple(dts[:k]),
+                     "landing": (*dts[:k - 1], 0.5 * dts[k - 1])}
             for form, dt in forms.items():
                 rows.append((f"visc_step_{grid.dim}d", visc.name, k, form,
                              u[:k], dt, plans[k - 1]))
@@ -118,11 +118,11 @@ def peak_states(fn, u, dt, plan):
     return peak / u.nbytes
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--steps", type=int, default=300)
     ap.add_argument("--rounds", type=int, default=5)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     cases = []
     for scenario in ("burgers1d.cfg", "burgers2d.cfg"):
@@ -130,7 +130,8 @@ def main():
             fn = kernels.get_kernel(kname)
             fn(u.copy(), dt, np.empty_like(u), plan)  # first touch
             cases.append((kname, preset, k, form, u, dt, plan, fn))
-            if (kname, preset, k) == ("visc_step_1d", "constant", 1):
+            if (kname, preset, k, form) == ("visc_step_1d", "constant", 1,
+                                            "full"):
                 twin = len(cases) - 1
                 cases.append((kname, "control", k, form, u, dt, plan, fn))
     samples = [[] for _ in cases]

@@ -17,9 +17,7 @@ tables ``tab[1:] - tab[:-1]``, the lattice (``lo``, ``inv`` and the last
 panel ``top``), the spacing ``h``, each member's ``eps / h`` and flat-B
 product ``b * eps / h``, and the Godunov flux's critical nodes.  A kernel
 takes no table argument, so it reads only the tables its plan was built
-for.  A plan holds only arrays, tuples, numbers and None, but for the
-viscous plan's one list, which keeps the factor of a march's full steps
-(see Batches).
+for.  A plan holds only arrays, tuples, numbers and None.
 
 Only the viscous plan also holds buffers, because only the viscous step is
 called often enough for them to pay: every member of a run marches with it
@@ -34,14 +32,13 @@ interior of the state, the state and the table reads on either side of each
 face, the fluxes after and before each cell).  So a viscous step is one
 fixed sequence of ufunc calls writing into the plan: for one member it
 allocates nothing and slices nothing.  (For more, ``u - diff`` is a
-row-wise op that numpy buffers, about one state, and so is a landing
-step's product with its ``dt / h`` column.)  The Godunov plan holds no
-buffer and no view: a Godunov step moves its axis first, pads that axis
-with a zero ghost cell at either end, and allocates its temporaries, so
-the faces of every line are the leading-axis slices ``[:-1]`` and ``[1:]``
-of the padded state.  Each
-face and cell gets the same ufuncs in the same order as the loop twin's
-arithmetic.
+row-wise op that numpy buffers, about one state, and a landing step makes
+its ``dt / h`` cell by cell.)  The Godunov plan holds no buffer and no
+view: a Godunov step moves its axis first, pads that axis with a zero ghost
+cell at either end, and allocates its temporaries, so the faces of every
+line are the leading-axis slices ``[:-1]`` and ``[1:]`` of the padded
+state.  Each face and cell gets the same ufuncs in the same order as the
+loop twin's arithmetic.
 
 Reading a table: every table of a plan lies on the same lattice, so one
 ``tables.locate`` of a state array serves them all, and each read is
@@ -80,23 +77,19 @@ So every op still runs once over the whole batch.  What differs between
 members is a factor: ``eps / h`` and ``b * eps / h`` of each member's
 viscosity and ``dt / h`` of each member's step.  With one member these are
 floats and the step is the single-member step op for op.  With more, the
-plan holds the viscosity factors face by face, each face its member's (a
-flat product, as cheap as the scalar one).  ``dt / h`` comes in one of two
-forms.  A march's full steps come as one tuple of floats, the same tuple
-on every full step: the first call with it makes each axis's ``dt / h``
-cell by cell, each cell its member's, keeps it in the plan's ``full`` list
-with the tuple, and every later call with that tuple multiplies the cell
-differences by it, one flat product.  Any other step, such as a landing on
-a snapshot time, comes as a column ``(k, 1, ...)`` that multiplies the cell
-differences cut into one row per member; the ghost layers of a row are
-multiplied too and never read, and the buffers are allocated zero, so they
-hold finite values only.  Either way each cell's difference meets its
-member's ``dt / h``, the same IEEE product.  ``visc_plan`` builds
-one plan per leading count ``k`` on one set of buffers, as long as the whole
-batch's bordered states; the plan of ``k`` members views their first ``k``
-rows.  A member whose state is all zero stays zero: every face then sees two
-zero states, every face flux is the same number and every difference is
-0.
+plan holds the viscosity factors face by face and ``dt / h`` cell by cell,
+each its member's (a flat product, as cheap as the scalar one).  ``dt`` is
+the tuple of the members' steps.  The plan holds the members' full steps
+and each axis's ``dt / h`` of them, made once per march, and a step handed
+a tuple equal to them in value multiplies the cell differences by those.
+Any other tuple, such as a landing on a snapshot time, has its ``dt / h``
+made on the call by the same divisions, so either way each cell's
+difference meets its member's ``dt / h``, the same IEEE product.
+``visc_plan`` builds one plan per leading count ``k`` on one set of
+buffers, as long as the whole batch's bordered states; the plan of ``k``
+members views their first ``k`` rows.  A member whose state is all zero
+stays zero: every face then sees two zero states, every face flux is the
+same number and every difference is 0.
 
 Zero Engquist-Osher tables: the viscous plan also judges each Engquist-Osher
 table once per march.  A table whose every node is +0.0 (f- of ``linear``
@@ -113,9 +106,10 @@ end of the interval.  Such a step stays in bounds: a NaN value gives a
 NaN ``frac`` and an int64 panel index of no meaning (an infinite one, an
 infinite ``frac``), and the ``mode="clip"`` gathers clamp any index into
 the table, so the step reads only table entries and writes garbage into
-that member's cells alone, since no face joins two members.  The march then marches the interval again from its
-start, stopping the member at the first step that breaks the bound, so no
-value a march keeps comes from such a step.
+that member's cells alone, since no face joins two members.  The march
+then marches the interval again from its start, stopping the member at the
+first step that breaks the bound, so no value a march keeps comes from such
+a step.
 
 ``benchmarks/bench_kernels.py`` times the kernels.
 """
@@ -158,12 +152,9 @@ class Axis(NamedTuple):
     on the left and right of each face (the scalar 0.0 for a zero table).
     ``flux`` and ``mid`` are face buffers, ``fr``/``fl`` view ``flux`` after
     and before each cell, and ``diff`` views the part of the plan's cell
-    differences that receives ``fr - fl``, which a tuple's flat ``dt / h``
-    multiplies, and ``diffs`` what a float or a column ``dt / h``
-    multiplies: ``diff`` itself for one member, else the cell differences
-    cut into one row per member.  ``bread`` is the face
-    midpoints' location and the two buffers of the B read; None when B is
-    flat.
+    differences that receives ``fr - fl`` and is multiplied by ``dt / h``.
+    ``bread`` is the face midpoints' location and the two buffers of the B
+    read; None when B is flat.
     """
 
     h: float
@@ -182,7 +173,6 @@ class Axis(NamedTuple):
     fr: np.ndarray
     fl: np.ndarray
     diff: np.ndarray
-    diffs: np.ndarray
     bread: tuple | None
 
 
@@ -196,9 +186,9 @@ class ViscPlan(NamedTuple):
     ``scratch`` receive the table reads there, one axis after the other.
     ``dint`` is the interior of the full-size cell differences that each
     axis's ``diff`` writes in turn.  ``b_slope`` holds the slopes of
-    ``btab``; None when it is flat.  ``full`` is ``[steps, factors]``: the
-    last tuple of the members' steps that a step was called with, and each
-    axis's ``dt / h`` of it, as ``diff`` lays out the cells.
+    ``btab``; None when it is flat.  ``steps`` holds the members' full
+    steps and ``factors`` each axis's ``dt / h`` of them, as the axis's
+    ``diff`` lays out the cells.
     """
 
     lo: float
@@ -215,7 +205,8 @@ class ViscPlan(NamedTuple):
     axes: tuple
     btab: np.ndarray
     b_slope: np.ndarray | None
-    full: list
+    steps: tuple
+    factors: tuple
 
 
 class GodunovPlan(NamedTuple):
@@ -246,17 +237,17 @@ def _per_face(factors: list, size: int, faces: int):
     return np.repeat(factors, size)[:faces]
 
 
-def visc_plan(cells, spacing, eps, lattice, flux_tables,
+def visc_plan(cells, spacing, eps, steps, lattice, flux_tables,
               btab) -> tuple[ViscPlan, ...]:
     """The step plans of ``visc_step`` for a batch of members on a grid of
-    ``cells``, member ``m`` with viscosity ``eps[m]``: plan ``k - 1`` steps
-    the leading ``k`` members.
+    ``cells``, member ``m`` with viscosity ``eps[m]`` and full step
+    ``steps[m]``: plan ``k - 1`` steps the leading ``k`` members.
 
     Axis ``ax`` has spacing ``spacing[ax]`` and reads the Engquist-Osher
     tables of ``flux_tables[ax]`` (a ``domain.FluxTables``); ``btab`` is the
     B table, and every table lies on ``lattice``.
     """
-    eps = tuple(eps)
+    eps, steps = tuple(eps), tuple(map(float, steps))
     dim = len(cells)
     # one ghost cell on either side of every cell axis, none on the members'
     ext = np.zeros((len(eps),) + tuple(n + 2 for n in cells))
@@ -291,20 +282,21 @@ def visc_plan(cells, spacing, eps, lattice, flux_tables,
                 eop, eom, eop_slope, eom_slope, flat[:f], flat[s:],
                 0.0 if eop is None else p[:f], 0.0 if eom is None else q[s:n],
                 flux[:f], mid[:f], flux[s:f], flux[:f - s], diff[s:f],
-                diff[s:f] if k == 1 else diff[:n].reshape(shape),
                 None if bflat else (tuple(b[:f] for b in bbuf[:3]),
                                     bbuf[3][:f], bbuf[4][:f])))
+        axes = tuple(axes)
         plans.append(ViscPlan(
             *lattice.panels, ext[:k], flat, ext[:k][interior],
             tuple(b[:n] for b in loc), p[:n], q[:n], scratch[:n],
-            diff[:n].reshape(shape)[interior], tuple(axes), btab,
-            None if bflat else tables.slopes(btab), [None, None]))
+            diff[:n].reshape(shape)[interior], axes, btab,
+            None if bflat else tables.slopes(btab), steps[:k],
+            _step_factors(n, axes, steps[:k])))
     return tuple(plans)
 
 
 def _step_factors(n: int, axes: tuple, steps: tuple) -> tuple:
-    """Each axis's ``dt / h`` of the cells its ``diff`` views, for the
-    members' ``steps`` on ``n`` bordered cells: a float for one member, else
+    """Each axis's ``dt / h`` of the members' ``steps`` on ``n`` bordered
+    cells, as its ``diff`` lays out the cells: a float for one member, else
     each cell its member's."""
     size = n // len(steps)
     factors = []
@@ -333,24 +325,21 @@ def visc_step(u, dt, out, plan: ViscPlan):
     ``u``, ``(k, *cells)``, zero ghost cells: ``out = u - diff_x``, then
     ``out -= diff_y`` in 2-D.
 
-    ``dt`` is a float for one member, else each member's step: a tuple of
-    floats, whose ``dt / h`` the plan keeps for as long as calls pass that
-    same tuple, or a column ``(k, 1, ...)``.  ``out`` may be ``u``: the step
-    reads ``u`` into its plan's bordered state before it writes.
+    ``dt`` is the tuple of the members' steps.  One equal to the plan's
+    ``steps`` multiplies by the plan's ``dt / h``; any other has its own
+    made on the call.  ``out`` may be ``u``: the step reads ``u`` into its
+    plan's bordered state before it writes.
     """
     # the plan and its axes unpacked once: locals are the cheapest reads
     lo, inv, top, _ext, flat, inner, loc, p, q, scratch, dint, axes, btab, \
-        b_slope, full = plan
+        b_slope, steps, factors = plan
     inner[...] = u
     loc = tables.locate(lo, inv, top, flat, out=loc)
-    steps = type(dt) is tuple
-    if steps:
-        if full[0] is not dt:
-            full[:] = dt, _step_factors(flat.size, axes, dt)
-        factors = full[1]
+    if dt != steps:
+        factors = _step_factors(flat.size, axes, dt)
     src = u
-    for ax, (h, eh, beh, eop, eom, eop_slope, eom_slope, ul, ur, pl, qr, flux,
-             mid, fr, fl, diff, diffs, bread) in enumerate(axes):
+    for (_h, eh, beh, eop, eom, eop_slope, eom_slope, ul, ur, pl, qr, flux,
+         mid, fr, fl, diff, bread), factor in zip(axes, factors):
         if eop is not None:
             tables.lookup(eop, eop_slope, loc, out=p, scratch=scratch)
         if eom is not None:
@@ -371,10 +360,7 @@ def visc_step(u, dt, out, plan: ViscPlan):
             bm *= np.subtract(ur, ul, mid)
             flux -= bm
         np.subtract(fr, fl, diff)
-        if steps:
-            diff *= factors[ax]
-        else:
-            diffs *= dt / h
+        diff *= factor
         src = np.subtract(src, dint, out)
     return out
 

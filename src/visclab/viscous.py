@@ -48,18 +48,21 @@ def stable_dt(grid: Grid, flux: FluxSpec, visc: ViscositySpec, eps: float,
     return cfl * min(candidates)
 
 
-def _make_advance(grid: Grid, flux: FluxSpec, visc: ViscositySpec, eps):
+def _make_advance(grid: Grid, flux: FluxSpec, visc: ViscositySpec, eps,
+                  steps):
     """The forward-Euler update ``advance(u, dt)`` of the batch of members
-    with viscosities ``eps``, set up once per march together with the
-    kernel's step plans, which tabulate the slopes of the tables and judge
-    once whether the B table is flat (then every step reads B as one scalar).
+    with viscosities ``eps`` and full steps ``steps``, set up once per march
+    together with the kernel's step plans, which tabulate the slopes of the
+    tables and the full steps' ``dt / h``, and judge once whether the B
+    table is flat (then every step reads B as one scalar).
 
     ``u`` holds the states of the batch's leading members and is updated in
-    place: the kernel reads it into its plan's bordered state first.
+    place: the kernel reads it into its plan's bordered state first.  ``dt``
+    is the tuple of their steps.
     """
     kernel = kernels.get_kernel(f"visc_step_{grid.dim}d")
-    plans = kernels.visc_plan(grid.cells, grid.spacing, eps, flux.lattice,
-                              flux.tables, visc.table)
+    plans = kernels.visc_plan(grid.cells, grid.spacing, eps, steps,
+                              flux.lattice, flux.tables, visc.table)
 
     def euler(u, dt):
         return kernel(u, dt, u, plans[len(u) - 1])
@@ -101,13 +104,6 @@ def _steps(t: float, target: float, dt_base: float):
     return clock[:j + 1], last
 
 
-def _column(dts: list[float], ndim: int):
-    """``dt`` of the members stepping: a float for one, else a column."""
-    if len(dts) == 1:
-        return dts[0]
-    return np.array(dts).reshape((-1,) + (1,) * ndim)
-
-
 def march(grid: Grid, u0: np.ndarray, times: np.ndarray, advance, dt_base,
           eps, sup_bound: float) -> list:
     """March a batch of members in lockstep, landing each exactly on every
@@ -115,12 +111,11 @@ def march(grid: Grid, u0: np.ndarray, times: np.ndarray, advance, dt_base,
 
     ``u0`` stacks the members' initial states, ``(members, *cells)``; member
     ``m`` steps by at most ``dt_base[m]``, which must not fall along the
-    batch.  ``advance(u, dt)`` steps the leading ``k`` members, ``u`` their
-    states ``(k, *cells)`` and ``dt`` a float for one member, else each
-    member's step: the tuple ``dt_base[:k]``, the same tuple object on every
-    full step of ``k`` members, or a column ``(k, 1, ...)`` on a landing
-    step.  It updates ``u`` in place or returns the new states, and it
-    leaves a member whose state is all zero at zero.
+    batch.  ``advance(u, dt)`` steps the leading ``k`` members in place,
+    ``u`` their states ``(k, *cells)`` and ``dt`` the tuple of their steps:
+    ``dt_base[:k]`` on a full step, and on a landing step the same but for
+    the members that land, each with its last step.  It leaves a member
+    whose state is all zero at zero.
 
     Each member takes the steps its lone march would take, so its values,
     step count and peak |u| are those of marching it alone.  Within each
@@ -145,14 +140,14 @@ def march(grid: Grid, u0: np.ndarray, times: np.ndarray, advance, dt_base,
     if any(b < a for a, b in zip(dt_base, dt_base[1:])):
         raise ValueError("a batch's steps must not fall along it")
     times = np.asarray(times, dtype=np.float64)
-    members, ndim = u.shape[0], u.ndim - 1
+    members = u.shape[0]
     snaps = [np.empty((times.size,) + u.shape[1:]) for _ in range(members)]
     limit = sup_bound + MAX_PRINCIPLE_HARD
     axes = tuple(range(1, u.ndim))
     absu = np.empty_like(u)  # |u|, written in place every step
     high = np.empty_like(u)  # the largest |u| of each cell in the interval
     lead = [u[:k] for k in range(members + 1)]  # the leading k members
-    full = [dt_base[0]] + [tuple(dt_base[:k]) for k in range(2, members + 1)]
+    full = [tuple(dt_base[:k]) for k in range(1, members + 1)]
     done = [0] * members  # steps before the current interval
     outcome = [None] * members
     t = 0.0
@@ -178,12 +173,9 @@ def march(grid: Grid, u0: np.ndarray, times: np.ndarray, advance, dt_base,
             land = min(c for c in count[:k] if c > i) - 1
             rows, work, top, base = lead[k], absu[:k], high[:k], full[k - 1]
             for i in range(i, land + 1):
-                dt = base if i < land else _column(
-                    [last[m] if i == sizes[m] - 1 else d
-                     for m, d in enumerate(dt_base[:k])], ndim)
-                new = advance(rows, dt)
-                if new is not rows:
-                    rows[...] = new
+                advance(rows, base if i < land else tuple(
+                    last[m] if i == sizes[m] - 1 else d
+                    for m, d in enumerate(dt_base[:k])))
                 np.abs(rows, work)
                 if not checked:
                     np.maximum(top, work, out=top)
@@ -251,9 +243,9 @@ def integrate_batch(grid: Grid, u0: np.ndarray, flux: FluxSpec,
     """March the members with the strictly decreasing viscosities ``eps``
     from their initial states ``u0``, ``(members, *cells)``, to the horizon
     with forward Euler, in lockstep (see ``march``)."""
+    steps = [stable_dt(grid, flux, visc, e, cfl) for e in eps]
     return march(grid, u0, snapshot_times,
-                 _make_advance(grid, flux, visc, eps),
-                 [stable_dt(grid, flux, visc, e, cfl) for e in eps], eps,
+                 _make_advance(grid, flux, visc, eps, steps), steps, eps,
                  sup_bound)
 
 

@@ -202,8 +202,8 @@ def march_alone(u0, times, advance, dt_base, sup_bound):
     """One member's march as a plain loop: steps of ``min(dt_base, target -
     t)`` until ``t`` is within 1e-13 (relative) of each snapshot time, and
     the guard ``max |u| <= sup_bound + 1e-8`` before the first step and
-    after every step.  ``advance(u, dt)`` returns the new state, which may
-    be ``u`` updated in place.
+    after every step.  ``advance(u, (dt,))`` steps ``u``, a batch of one,
+    in place.
 
     Returns ``(snapshots, steps, max_abs_seen)``, or raises ``StepError``
     with the failing step and time.
@@ -224,7 +224,7 @@ def march_alone(u0, times, advance, dt_base, sup_bound):
     for target in np.asarray(times, dtype=np.float64)[1:].tolist():
         while t < target - 1e-13 * max(1.0, target):
             dt = min(dt_base, target - t)
-            u = advance(u, dt)
+            advance(u, (dt,))
             t += dt
             steps += 1
             seen = max(seen, guard(u))

@@ -955,6 +955,23 @@ def test_bench_diagnostics_runs_on_stored_runs(tiny_run, tmp_path, capsys):
     assert out.count("  mollify kernel ") == 2
 
 
+def test_bench_kernels_runs(capsys):
+    # every row of the kernel benchmark, one call each: a full and a landing
+    # step per count of members still stepping, on both shipped scenarios
+    _load_script("benchmarks", "bench_kernels").main(["--steps", "1",
+                                                      "--rounds", "1"])
+    out = capsys.readouterr().out
+    for preset in ("constant", "gaussian"):
+        for k in range(1, 5):
+            for form in ("full", "landing"):
+                assert re.search(rf"^visc_step_1d\s+{preset}\s+{k} {form} ",
+                                 out, re.M)
+        for form in ("full", "landing"):
+            assert re.search(rf"^visc_step_2d\s+{preset}\s+1 {form} ", out,
+                             re.M)
+    assert "noise floor" in out
+
+
 def test_same_bytes_compares_run_directories(tmp_path, capsys):
     # two runs of one config are the same bytes but for the manifest's
     # clock times; one flipped CSV byte is named with its row

@@ -49,9 +49,9 @@ def test_visc_1d_backends_bit_identical(setup, oracle):
     t0 = flux.tables[0]
     u = rng.uniform(-0.99, 0.99, 200)
     dt, h, eps = 0.4 * (1 / 200) ** 2 / 0.4, 1 / 200, 0.05
-    (plan,) = kernels.visc_plan(u.shape, (h,), (eps,), flux.lattice,
+    (plan,) = kernels.visc_plan(u.shape, (h,), (eps,), (dt,), flux.lattice,
                                 flux.tables, visc.table)
-    a = kernels.visc_step(u[None], dt, np.empty((1,) + u.shape), plan)[0]
+    a = kernels.visc_step(u[None], (dt,), np.empty((1,) + u.shape), plan)[0]
     b = oracle["visc_step_1d"](u, dt, h, eps, *_lattice(flux), t0.eo_plus,
                                t0.eo_minus, visc.table, np.empty_like(u),
                                None)
@@ -65,9 +65,9 @@ def test_visc_2d_backends_bit_identical(setup, oracle):
     u = rng.uniform(-0.99, 0.99, (24, 40))
     hx, hy = 1 / 24, 1 / 40
     dt, eps = 0.1 * hy * hy, 0.03
-    (plan,) = kernels.visc_plan(u.shape, (hx, hy), (eps,), flux.lattice,
-                                flux.tables, visc.table)
-    a = kernels.visc_step(u[None], dt, np.empty((1,) + u.shape), plan)[0]
+    (plan,) = kernels.visc_plan(u.shape, (hx, hy), (eps,), (dt,),
+                                flux.lattice, flux.tables, visc.table)
+    a = kernels.visc_step(u[None], (dt,), np.empty((1,) + u.shape), plan)[0]
     b = oracle["visc_step_2d"](u, dt, hx, hy, eps, *_lattice(flux),
                                t0.eo_plus, t0.eo_minus, t1.eo_plus,
                                t1.eo_minus, visc.table, np.empty_like(u),
@@ -124,8 +124,10 @@ def _case(oracle, name, flux, btab, shape):
     ``new_plan()`` builds a step plan, ``step(u, plan)`` runs the kernel on
     it and ``expect(u)`` runs the loop twin, handed the tables the plan is
     built from (``btab`` is the B table of the viscous kernel, which steps
-    ``u`` as a batch of one).  The 2-D Godunov sweep runs x then y, on a
-    pair of plans.
+    ``u`` as a batch of one).  The viscous plan is built for the step
+    ``dt``; its ``step`` and ``expect`` take a last argument ``scale``, and
+    step by ``scale * dt``, a landing when ``scale`` is not 1.  The 2-D
+    Godunov sweep runs x then y, on a pair of plans.
     """
     lat = flux.lattice
     t0, t1 = flux.tables
@@ -136,11 +138,13 @@ def _case(oracle, name, flux, btab, shape):
         dt, eps = (h * h, 0.05) if dim == 1 else (0.1 * h * h, 0.03)
         spacing = (h,) * dim
         eo = (t0.eo_plus, t0.eo_minus, t1.eo_plus, t1.eo_minus)[:2 * dim]
-        return (lambda: kernels.visc_plan(shape, spacing, (eps,), lat,
+        return (lambda: kernels.visc_plan(shape, spacing, (eps,), (dt,), lat,
                                           flux.tables, btab)[0],
-                lambda u, plan: kernel(u[None], dt, new(u)[None], plan)[0],
-                lambda u: twin(u, dt, *spacing, eps, *_lattice(flux), *eo,
-                               btab, new(u), None))
+                lambda u, plan, scale=1.0: kernel(
+                    u[None], (scale * dt,), new(u)[None], plan)[0],
+                lambda u, scale=1.0: twin(u, scale * dt, *spacing, eps,
+                                          *_lattice(flux), *eo, btab, new(u),
+                                          None))
     dt, f = 0.2 * h, (t0.f, t0.crit_y, t0.crit_f)
     if name == "godunov_step_1d":
         return (lambda: kernels.godunov_plan(h, lat, t0, 0),
@@ -162,11 +166,29 @@ def _shape(name):
     return (300,) if name.endswith("1d") else (24, 40)
 
 
+def _constants(plan):
+    """What a viscous plan holds that no step may change: the members' full
+    steps, their ``dt / h``, and each axis's ``eh``, ``beh`` and slopes."""
+    return (plan.steps, plan.factors, plan.b_slope,
+            *((a.eh, a.beh, a.eop_slope, a.eom_slope) for a in plan.axes))
+
+
+def _same(x, y):
+    """``x`` and ``y`` hold the same values: arrays element by element,
+    tuples and lists item by item, anything else by ``==``."""
+    if isinstance(x, (tuple, list)):
+        return len(x) == len(y) and all(map(_same, x, y))
+    if isinstance(x, np.ndarray):
+        return np.array_equal(x, y)
+    return type(x) is type(y) and x == y
+
+
 def _check_reuse(oracle, name, flux, btab):
     """One plan, reused over states in either order, gives what a fresh one
-    and the loop twin give.  A viscous plan's ghost border stays 0; a
-    Godunov plan holds only constants, and no step changes one of its
-    arrays."""
+    and the loop twin give, and a viscous plan also on a landing step.  A
+    viscous plan's ghost border stays 0 and its constants (``_constants``)
+    stay as built; a Godunov plan holds only constants, and no step changes
+    one of them."""
     shape = _shape(name)
     new_plan, step, expect = _case(oracle, name, flux, btab, shape)
     rng = np.random.default_rng(7)
@@ -187,17 +209,17 @@ def _check_reuse(oracle, name, flux, btab):
             got = step(states[key], plan)
             assert np.array_equal(got, want[key]), (order, key)
         if name.startswith("visc"):
+            # a landing: another tuple of steps than the plan's own
+            assert np.array_equal(step(a, plan, 0.5), expect(a, 0.5))
             # the viscous plan pads every cell axis
             for ax in range(len(shape)):
                 assert not plan.ext.take([0, -1], axis=ax + 1).any()
+            assert _same(_constants(plan), _constants(kept))
             continue
         # the 2-D sweep runs on a pair of Godunov plans
         if name == "godunov_step_1d":
             plan, kept = (plan,), (kept,)
-        for now, before in zip(plan, kept):
-            for x, y in zip(now, before):
-                if isinstance(x, np.ndarray):
-                    assert np.array_equal(x, y)
+        assert _same(tuple(plan), tuple(kept))
 
 
 @ORACLE
@@ -318,13 +340,14 @@ def test_visc_step_table_path_allocation_peak(setup, flat_tables, name,
     shape = (400,) if name == "visc_step_1d" else (128, 128)
     u = rng.uniform(-0.99, 0.99, shape)
     h = 1 / shape[-1]
-    (plan,) = kernels.visc_plan(shape, (h,) * len(shape), (0.05,),
+    dt = (0.1 * h * h,)
+    (plan,) = kernels.visc_plan(shape, (h,) * len(shape), (0.05,), dt,
                                 flux.lattice, flux.tables, btab)
     fn = kernels.get_kernel(name)
     u = u[None]
     out = np.empty_like(u)
-    fn(u, 0.1 * h * h, out, plan)
-    peak = traced_peak(lambda: fn(u, 0.1 * h * h, out, plan))
+    fn(u, dt, out, plan)
+    peak = traced_peak(lambda: fn(u, dt, out, plan))
     assert peak <= 1.5 * u.nbytes, peak / u.nbytes
 
 
@@ -334,65 +357,38 @@ def test_visc_step_table_path_allocation_peak(setup, flat_tables, name,
 def test_batched_visc_step_matches_loops_row_by_row(setup, flat_tables,
                                                     table, name, oracle):
     """Each member of a batch gets its loop twin's step with its own eps and
-    dt, on the B lookup path (gaussian) and the flat-B path: all three
-    members step, the last landing with a shorter dt, then the leading two
-    alone on the same buffers, and then the three again."""
-    flux, visc, rng = setup
-    btab = visc.table if table == "gaussian" else flat_tables["constant"]
-    shape = _shape(name)
-    spacing = (1 / shape[-1],) * len(shape)
-    h = spacing[0]
-    eps, dts = (0.05, 0.03, 0.02), (0.1 * h * h, 0.15 * h * h, 0.07 * h * h)
-    t0, t1 = flux.tables
-    eo = (t0.eo_plus, t0.eo_minus, t1.eo_plus, t1.eo_minus)[:2 * len(shape)]
-    plans = kernels.visc_plan(shape, spacing, eps, flux.lattice, flux.tables,
-                              btab)
-    assert len(plans) == 3
-    u = rng.uniform(-0.99, 0.99, (3,) + shape)
-    kernel = kernels.get_kernel(name)
-    for k in (3, 2, 3):
-        column = np.array(dts[:k]).reshape((k,) + (1,) * len(shape))
-        got = kernel(u[:k], column, np.empty_like(u[:k]), plans[k - 1])
-        for m in range(k):
-            want = oracle[name](u[m], dts[m], *spacing, eps[m],
-                                *_lattice(flux), *eo, btab,
-                                np.empty(shape), None)
-            assert np.array_equal(got[m], want), (k, m)
-
-
-@ORACLE
-@pytest.mark.parametrize("name", VISC)
-@pytest.mark.parametrize("table", ["gaussian", "constant"])
-def test_batched_visc_step_takes_full_steps_as_a_tuple(setup, flat_tables,
-                                                       table, name, oracle):
-    """A tuple of the members' steps, the form of a march's full steps, gives
-    each member its loop twin's step, as a column does: the plan keeps the
-    flat ``dt / h`` of the tuple while the same tuple comes back, and makes
-    it again for another tuple."""
+    dt, on the B lookup path (gaussian) and the flat-B path, whatever tuple
+    of steps it is handed: the plan's own, one equal to it in value but
+    another object, another (a landing), and the leading two of the plan's
+    own on the plan of two, on the same buffers.  No step changes the plans'
+    constants."""
     flux, visc, rng = setup
     btab = visc.table if table == "gaussian" else flat_tables["constant"]
     shape = _shape(name)
     spacing = (1 / shape[-1],) * len(shape)
     h = spacing[0]
     eps = (0.05, 0.03, 0.02)
+    a = (0.1 * h * h, 0.15 * h * h, 0.17 * h * h)
+    b = (0.05 * h * h, 0.06 * h * h, 0.17 * h * h)
     t0, t1 = flux.tables
     eo = (t0.eo_plus, t0.eo_minus, t1.eo_plus, t1.eo_minus)[:2 * len(shape)]
-    plans = kernels.visc_plan(shape, spacing, eps, flux.lattice, flux.tables,
-                              btab)
+    plans = kernels.visc_plan(shape, spacing, eps, a, flux.lattice,
+                              flux.tables, btab)
+    assert len(plans) == 3
+    kept = copy.deepcopy([_constants(plan) for plan in plans])
     kernel = kernels.get_kernel(name)
-    a = (0.1 * h * h, 0.15 * h * h, 0.17 * h * h)
-    b = (0.05 * h * h, 0.06 * h * h, 0.07 * h * h)
-    a2 = a[:2]
-    for dts in (a, a, b, a, a2, a2):
+    equal = tuple(1.0 * d for d in a)
+    assert equal == a and equal is not a
+    for dts in (a, equal, b, a[:2], a):
         k = len(dts)
         u = rng.uniform(-0.99, 0.99, (k,) + shape)
         got = kernel(u, dts, np.empty_like(u), plans[k - 1])
-        assert plans[k - 1].full[0] is dts
         for m in range(k):
             want = oracle[name](u[m], dts[m], *spacing, eps[m],
                                 *_lattice(flux), *eo, btab,
                                 np.empty(shape), None)
             assert np.array_equal(got[m], want), (dts, m)
+    assert _same([_constants(plan) for plan in plans], kept)
 
 
 def test_interp_clamps_at_table_ends(setup):

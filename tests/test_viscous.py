@@ -8,9 +8,9 @@ from oracles import (_visc_face_scalar, gaussian_error, march_alone,
 from visclab import kernels
 from visclab.convergence import fit_rate
 from visclab.domain import Grid, make_flux, make_viscosity
-from visclab.viscous import (StepError, _column, _make_advance, _steps,
-                             integrate, integrate_batch, lone, march,
-                             snapshot_times, stable_dt)
+from visclab.viscous import (StepError, _make_advance, _steps, integrate,
+                             integrate_batch, lone, march, snapshot_times,
+                             stable_dt)
 
 
 def specs_1d(flux_name="burgers", interval=(-1.0, 1.0), a=1.0, visc="constant",
@@ -128,7 +128,7 @@ def test_max_principle_hard_failure():
     x = g.centers(0)
     u = np.sin(np.pi * x)
     # grossly unstable step must trip the failure
-    advance = _make_advance(g, f, v, (0.5,))
+    advance = _make_advance(g, f, v, (0.5,), (0.05,))
     with pytest.raises(StepError, match="maximum principle"):
         lone(march(g, u[None], snapshot_times(2.5, 50), advance, (0.05,),
                    (0.5,), 1.0))
@@ -140,9 +140,7 @@ def test_max_principle_guard_rejects_nan():
     u = np.zeros((1, 16))
 
     def advance(u, dt):
-        out = u.copy()
-        out[0, 3] = np.nan
-        return out
+        u[0, 3] = np.nan
 
     with pytest.raises(StepError, match="maximum principle") as info:
         lone(march(g, u, snapshot_times(1.0, 10), advance, (0.1,), (0.1,),
@@ -182,51 +180,55 @@ def _buffer_case(dim, visc):
     return g, f, v, u0, stable_dt(g, f, v, 0.05, 0.4)
 
 
-def _fresh_euler(g, f, v, eps):
+def _fresh_euler(g, f, v, eps, steps):
     """The forward-Euler update of a batch with a new output array on every
-    kernel call."""
+    kernel call, copied into the states it steps."""
     kernel = kernels.get_kernel(f"visc_step_{g.dim}d")
-    plans = kernels.visc_plan(g.cells, g.spacing, eps, f.lattice, f.tables,
-                              v.table)
-    return lambda u, dt: kernel(u, dt, np.empty_like(u), plans[len(u) - 1])
+    plans = kernels.visc_plan(g.cells, g.spacing, eps, steps, f.lattice,
+                              f.tables, v.table)
+
+    def euler(u, dt):
+        u[...] = kernel(u, dt, np.empty_like(u), plans[len(u) - 1])
+
+    return euler
 
 
-# per value that ``scheme.integrator`` accepts: the batch update a march
-# takes, and its twin that allocates a new output array on every step
-UPDATES = {"euler": (_make_advance, _fresh_euler)}
+# ``scheme.integrator`` accepts the one value ``euler``, whose id the tests
+# of the update keep in their names
+INTEGRATOR = pytest.mark.parametrize("integrator", ["euler"])
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("integrator", list(UPDATES))
+@INTEGRATOR
 def test_advance_steps_only_the_members_it_is_handed(dim, integrator):
     # a march hands the update the rows of its leading members; the update
     # writes their new states into those rows, the same bytes as a step
     # into a fresh array, and leaves the other rows alone
     g, f, v, u0, dt = _buffer_case(dim, "constant")
-    eps = (0.05, 0.04, 0.03)
-    advance, fresh = (make(g, f, v, eps) for make in UPDATES[integrator])
+    eps, steps = (0.05, 0.04, 0.03), (dt, 1.1 * dt, 1.2 * dt)
+    advance, fresh = (make(g, f, v, eps, steps)
+                      for make in (_make_advance, _fresh_euler))
     u = np.stack([u0, 0.5 * u0, -u0])
     for k in (3, 2, 1, 2):
         before = u.copy()
-        step = _column([dt, 1.1 * dt, 0.9 * dt][:k], dim)
-        rows = u[:k]
-        assert advance(rows, step) is rows
+        rows, twin = u[:k], before[:k].copy()
+        advance(rows, steps[:k])
+        fresh(twin, steps[:k])
         assert u.tobytes() != before.tobytes()
         assert u[k:].tobytes() == before[k:].tobytes()
-        assert rows.tobytes() == fresh(before[:k], step).tobytes()
+        assert rows.tobytes() == twin.tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("integrator", list(UPDATES))
+@INTEGRATOR
 @pytest.mark.parametrize("visc", ["constant", "quadratic"])
 def test_trajectory_equals_fresh_array_stepping(dim, integrator, visc):
     # the reused output buffers and guard buffer change no byte of a march
     g, f, v, u0, dt = _buffer_case(dim, visc)
     times = snapshot_times(g.time_horizon, 5)
-    advance, fresh = UPDATES[integrator]
-    got, want = (lone(march(g, u0[None], times, make(g, f, v, (0.05,)),
+    got, want = (lone(march(g, u0[None], times, make(g, f, v, (0.05,), (dt,)),
                             (dt,), (0.05,), 1.0))
-                 for make in (advance, fresh))
+                 for make in (_make_advance, _fresh_euler))
     assert got.steps_taken == want.steps_taken > 5
     assert got.values.tobytes() == want.values.tobytes()
     assert got.max_abs_seen == want.max_abs_seen
@@ -239,7 +241,6 @@ def test_march_stores_each_snapshot_of_a_state_updated_in_place():
 
     def halve(u, dt):
         u *= 0.5
-        return u
 
     traj = lone(march(g, np.full((1, 6), 0.8), snapshot_times(1.0, 4), halve,
                       (0.25,), (0.1,), 1.0))
@@ -335,7 +336,8 @@ def _bits(traj):
 def _looped(g, f, v, u0, eps, dt, times, sup_bound=1.0):
     """``march_alone`` of one member, as the bits ``_bits`` compares."""
     values, steps, seen = march_alone(u0[None], times,
-                                      _make_advance(g, f, v, (eps,)), dt,
+                                      _make_advance(g, f, v, (eps,), (dt,)),
+                                      dt,
                                       sup_bound)
     return values[:, 0].view(np.int64).tobytes(), steps, dt, seen
 
@@ -385,10 +387,12 @@ def test_member_failing_in_a_batch_fails_alone():
 
     def lone_march(m):
         one = slice(m, m + 1)
-        return march(g, u0[one], times, _make_advance(g, f, v, eps[one]),
-                     dts[one], eps[one], 1.0)
+        return march(g, u0[one], times,
+                     _make_advance(g, f, v, eps[one], dts[one]), dts[one],
+                     eps[one], 1.0)
 
-    batch = march(g, u0, times, _make_advance(g, f, v, eps), dts, eps, 1.0)
+    batch = march(g, u0, times, _make_advance(g, f, v, eps, dts), dts, eps,
+                  1.0)
     with pytest.raises(StepError, match="maximum principle") as info:
         lone(lone_march(1))
     with pytest.raises(StepError) as looped:
@@ -409,10 +413,10 @@ def test_batch_steps_must_not_fall():
     # the steps grow along the batch
     g, f, v, u0 = _batch_case(1)
     eps = (0.05, 0.1)
+    dts = [stable_dt(g, f, v, e, 0.4) for e in eps]
     with pytest.raises(ValueError, match="fall"):
         march(g, u0[:2], snapshot_times(g.time_horizon, 5),
-              _make_advance(g, f, v, eps),
-              [stable_dt(g, f, v, e, 0.4) for e in eps], eps, 1.0)
+              _make_advance(g, f, v, eps, dts), dts, eps, 1.0)
 
 
 def _failing_batch(horizon, snapshots, who):
@@ -435,7 +439,8 @@ def test_member_failing_in_a_later_interval_fails_alone():
     # march's step and time, while the others keep the bytes of their lone
     # marches
     g, f, v, u0, times, eps, dts = _failing_batch(0.5, 10, 2)
-    batch = march(g, u0, times, _make_advance(g, f, v, eps), dts, eps, 1.0)
+    batch = march(g, u0, times, _make_advance(g, f, v, eps, dts), dts, eps,
+                  1.0)
     with pytest.raises(StepError) as looped:
         _looped(g, f, v, u0[2], eps[2], dts[2], times)
     failed = batch[2]
@@ -455,12 +460,11 @@ def test_member_blowing_up_raises_no_warning():
     # overflow and invalid-value warnings stay silent, and the member still
     # gets its lone march's error
     g, f, v, u0, times, eps, dts = _failing_batch(5.0, 1, 1)
-    advance, blown = _make_advance(g, f, v, eps), []
+    advance, blown = _make_advance(g, f, v, eps, dts), []
 
     def watched(u, dt):
-        new = advance(u, dt)
-        blown.append(not np.isfinite(new).all())
-        return new
+        advance(u, dt)
+        blown.append(not np.isfinite(u).all())
 
     batch = march(g, u0, times, watched, dts, eps, 1.0)
     assert any(blown)
@@ -493,7 +497,8 @@ def test_healthy_batch_calls_the_kernel_once_per_batched_step(monkeypatch):
     assert sum(calls) == sum(steps)
     calls.clear()
     g, f, v, u0, times, eps, dts = _failing_batch(0.2, 5, 1)
-    batch = march(g, u0, times, _make_advance(g, f, v, eps), dts, eps, 1.0)
+    batch = march(g, u0, times, _make_advance(g, f, v, eps, dts), dts, eps,
+                  1.0)
     assert isinstance(batch[1], StepError)
     assert len(calls) > batch[0].steps_taken
 
