@@ -351,17 +351,12 @@ def test_visc_step_table_path_allocation_peak(setup, flat_tables, name,
     assert peak <= 1.5 * u.nbytes, peak / u.nbytes
 
 
-@ORACLE
-@pytest.mark.parametrize("name", VISC)
-@pytest.mark.parametrize("table", ["gaussian", "constant"])
-def test_batched_visc_step_matches_loops_row_by_row(setup, flat_tables,
-                                                    table, name, oracle):
-    """Each member of a batch gets its loop twin's step with its own eps and
-    dt, on the B lookup path (gaussian) and the flat-B path, whatever tuple
-    of steps it is handed: the plan's own, one equal to it in value but
-    another object, another (a landing), and the leading two of the plan's
-    own on the plan of two, on the same buffers.  No step changes the plans'
-    constants."""
+def _check_batched_visc(setup, flat_tables, table, name, oracle, runs):
+    """Steps a batch of up to three members, each with its own eps, on the
+    plans built for the full steps ``a``, by each tuple of steps that
+    ``runs(a)`` gives, a fresh state of ``len(dts)`` members each time: each
+    member gets its loop twin's step, on the B lookup path (gaussian) and
+    the flat-B path, and no step changes the plans' constants."""
     flux, visc, rng = setup
     btab = visc.table if table == "gaussian" else flat_tables["constant"]
     shape = _shape(name)
@@ -369,7 +364,6 @@ def test_batched_visc_step_matches_loops_row_by_row(setup, flat_tables,
     h = spacing[0]
     eps = (0.05, 0.03, 0.02)
     a = (0.1 * h * h, 0.15 * h * h, 0.17 * h * h)
-    b = (0.05 * h * h, 0.06 * h * h, 0.17 * h * h)
     t0, t1 = flux.tables
     eo = (t0.eo_plus, t0.eo_minus, t1.eo_plus, t1.eo_minus)[:2 * len(shape)]
     plans = kernels.visc_plan(shape, spacing, eps, a, flux.lattice,
@@ -377,9 +371,7 @@ def test_batched_visc_step_matches_loops_row_by_row(setup, flat_tables,
     assert len(plans) == 3
     kept = copy.deepcopy([_constants(plan) for plan in plans])
     kernel = kernels.get_kernel(name)
-    equal = tuple(1.0 * d for d in a)
-    assert equal == a and equal is not a
-    for dts in (a, equal, b, a[:2], a):
+    for dts in runs(a):
         k = len(dts)
         u = rng.uniform(-0.99, 0.99, (k,) + shape)
         got = kernel(u, dts, np.empty_like(u), plans[k - 1])
@@ -389,6 +381,39 @@ def test_batched_visc_step_matches_loops_row_by_row(setup, flat_tables,
                                 np.empty(shape), None)
             assert np.array_equal(got[m], want), (dts, m)
     assert _same([_constants(plan) for plan in plans], kept)
+
+
+@ORACLE
+@pytest.mark.parametrize("name", VISC)
+@pytest.mark.parametrize("table", ["gaussian", "constant"])
+def test_batched_visc_step_matches_loops_row_by_row(setup, flat_tables,
+                                                    table, name, oracle):
+    """All three members step, the last landing with a shorter dt than its
+    full step, then the leading two alone on the plan of two, and then the
+    three again."""
+    def runs(a):
+        landing = a[:2] + (0.4 * a[2],)
+        return (landing, a[:2], landing)
+
+    _check_batched_visc(setup, flat_tables, table, name, oracle, runs)
+
+
+@ORACLE
+@pytest.mark.parametrize("name", VISC)
+@pytest.mark.parametrize("table", ["gaussian", "constant"])
+def test_batched_visc_step_takes_full_steps_as_a_tuple(setup, flat_tables,
+                                                       table, name, oracle):
+    """The tuple of the members' full steps, the form of a march's full
+    steps, gives each member its loop twin's step whether it is the plan's
+    own tuple or another one equal to it in value, before and after another
+    tuple of steps, and so do the leading two of it on the plan of two."""
+    def runs(a):
+        equal = tuple(1.0 * d for d in a)
+        assert equal == a and equal is not a
+        other = tuple(0.5 * d for d in a)
+        return (a, equal, other, a, a[:2], a[:2])
+
+    _check_batched_visc(setup, flat_tables, table, name, oracle, runs)
 
 
 def test_interp_clamps_at_table_ends(setup):
