@@ -55,10 +55,10 @@ import numpy as np
 from visclab import compactness, harness, io
 from visclab.compactness import (attach_c_field, build_compensated_quad,
                                  compensated_D_field, decompose_production,
-                                 time_derivative_l1)
+                                 grad_energy_lhs, time_derivative_l1)
 from visclab.convergence import build_convergence_report
 from visclab.mollify import make_kernel, mollify
-from visclab.report import grad_energy_lhs, synthetic_divcurl
+from visclab.report import synthetic_divcurl
 from visclab.viscous import snapshot_times
 
 MB = 1024.0 * 1024.0

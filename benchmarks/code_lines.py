@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
-"""Count the code lines of each module in one or more directories.
+"""Count the code lines of each module in one or more directories or files.
 
 A code line is a line that holds at least one token other than a comment,
 a newline or an indentation change (``tokenize``), and that is not part of
 a docstring (``ast``: a string-constant expression that opens a module,
 class or function body).  Blank lines, comment lines and docstring lines do
-not count.  For each directory, in the order given, it prints the
-directory, then every module in name order, then the directory's total.
+not count.  For each path, in the order given, it prints the path, then
+every module of a directory in name order (a file is one module), then the
+path's total.  A path that is neither a file nor a directory is an error
+(exit status 2), named before anything is counted.
 
-Usage: python benchmarks/code_lines.py [DIR ...]   (default: src/visclab)
+Usage: python benchmarks/code_lines.py [PATH ...]   (default: src/visclab)
 """
 
 import argparse
 import ast
+import sys
 import tokenize
 from pathlib import Path
 
@@ -43,20 +46,26 @@ def code_lines(path: Path) -> int:
     return len(lines - docstring_lines(ast.parse(path.read_bytes())))
 
 
-def main() -> None:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("dirs", nargs="*", metavar="DIR",
+    parser.add_argument("paths", nargs="*", metavar="PATH",
                         default=[str(Path(__file__).resolve().parent.parent
                                      / "src" / "visclab")])
-    args = parser.parse_args()
-    for i, d in enumerate(args.dirs):
-        counts = {p.name: code_lines(p) for p in sorted(Path(d).glob("*.py"))}
+    args = parser.parse_args(argv)
+    paths = [Path(p) for p in args.paths]
+    missing = [str(p) for p in paths if not (p.is_file() or p.is_dir())]
+    if missing:
+        parser.error(f"neither a file nor a directory: {', '.join(missing)}")
+    for i, path in enumerate(paths):
+        modules = sorted(path.glob("*.py")) if path.is_dir() else [path]
+        counts = {p.name: code_lines(p) for p in modules}
         width = max(map(len, counts), default=5)
-        print(("\n" if i else "") + f"{d}:")
+        print(("\n" if i else "") + f"{path}:")
         for name, n in counts.items():
             print(f"{name:<{width}}  {n:5d}")
         print(f"{'total':<{width}}  {sum(counts.values()):5d}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

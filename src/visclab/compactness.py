@@ -1,10 +1,11 @@
 """Diagnostics for the compactness program.
 
-Instruments: the split of the entropy production into a divergence part
-(measured in the negative-order norm) and a signed dissipation part
-(measured in the total-mass norm), the time-derivative bound, windowed value
-histograms standing in for the parametrized limit measures, a div-curl
-deviation test, and the two-dimensional compensated quadratic.
+Instruments: the weighted gradient energy of the energy estimate, the split
+of the entropy production into a divergence part (measured in the
+negative-order norm) and a signed dissipation part (measured in the
+total-mass norm), the time-derivative bound, windowed value histograms
+standing in for the parametrized limit measures, a div-curl deviation test,
+and the two-dimensional compensated quadratic.
 
 Weak limits have no finite-data counterpart, so coarse space-time window
 averages of the finest ladder member stand in for them throughout; window
@@ -67,6 +68,25 @@ def _centered_space(values: np.ndarray, axis: int, h: float,
     return out
 
 
+def grad_energy_lhs(traj: FieldTrajectory) -> float:
+    """sum_j eps * ||d_j u||^2 over the cylinder, centered differences.
+
+    Each snapshot's sum of squares is taken block by block, so only one
+    block's gradient is held; a snapshot's sum does not depend on the
+    others, so the sums are those of the whole field."""
+    u = finite(traj.values)
+    w = time_weights(traj.times)
+    grid = traj.grid
+    per_snap = np.empty(u.shape[0])
+    total = 0.0
+    for axis in range(grid.dim):
+        for blk in snapshot_blocks(u):
+            g = _centered_space(u[blk], axis + 1, grid.spacing[axis], 0.0)
+            per_snap[blk] = np.sum(g * g, axis=tuple(range(1, g.ndim)))
+        total += mass_of_snapshots(per_snap, grid.cell_volume, w)
+    return traj.epsilon * total
+
+
 def decompose_production(traj: FieldTrajectory, pairs: list[EntropyPair],
                          visc: ViscositySpec,
                          eps: float) -> list[tuple[float, float]]:
@@ -78,12 +98,13 @@ def decompose_production(traj: FieldTrajectory, pairs: list[EntropyPair],
     measure_norm_M)`` of each pair, in the order of ``pairs``.
 
     What no entropy enters is computed once for all pairs: B at the face
-    means when B is constant (other presets evaluate it per block and pair,
-    so no face field is held), and, one block of snapshots at a time, the
-    block's ``-eps sum_j B(u) (centered gradient)^2``, from which every
-    pair's M of the block is formed and reduced to its per-snapshot sums, so
-    neither it nor M is ever held whole.  A then goes pair by pair, in one
-    A buffer, whose interior each pair's dual norm transforms in place.
+    means when its table is flat (``tables.flat_value``; other presets
+    evaluate it per block and pair, so no face field is held), and, one
+    block of snapshots at a time, the block's ``-eps sum_j B(u) (centered
+    gradient)^2``, from which every pair's M of the block is formed and
+    reduced to its per-snapshot sums, so neither it nor M is ever held
+    whole.  A then goes pair by pair, in one A buffer, whose interior each
+    pair's dual norm transforms in place.
     """
     if eps <= 0:
         raise ValueError("the split is defined for positive viscosity")
@@ -104,7 +125,7 @@ def decompose_production(traj: FieldTrajectory, pairs: list[EntropyPair],
     # go before A is made, or they would stay live through the A pass
     mneg = mneg_blk = M = None
     weights = time_weights(traj.times)
-    b_face = float(visc.B(0.0)) if visc.name == "constant" else None
+    b_face = tables.flat_value(visc.table)
     A = np.empty_like(u)
     norms = []
     for i, pair in enumerate(pairs):

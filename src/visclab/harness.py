@@ -15,17 +15,16 @@ from . import __version__, io, kernels, norms, tables
 from .compactness import (attach_c_field, build_compensated_quad,
                           compensated_D_field, decompose_production,
                           dirac_concentration, div_curl_test,
-                          flux_identity_gap, tartar_pair_table,
-                          time_derivative_l1, young_histograms,
-                          young_w1_distance)
+                          flux_identity_gap, grad_energy_lhs,
+                          tartar_pair_table, time_derivative_l1,
+                          young_histograms, young_w1_distance)
 from .config import ScenarioConfig, build_scenario, config_hash, render_config
 from .convergence import build_convergence_report, fit_rate
 from .domain import FieldTrajectory, Grid, kruzkov_ladder, make_entropy_pair, \
     make_flux, make_viscosity
 from .mollify import make_initial_data, make_kernel, mollify
 from .report import (EstimateRow, MemberDiagnostics, evaluate_estimates,
-                     format_table, grad_energy_lhs, overall_verdicts,
-                     synthetic_divcurl)
+                     format_table, overall_verdicts, synthetic_divcurl)
 from .reference import solve_reference
 # ``integrate`` marches one member alone: ``perfbench/probe.py`` rebinds it
 # here, though a run marches its members in batches, by ``integrate_batch``

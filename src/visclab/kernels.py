@@ -1,14 +1,16 @@
 """Hot finite-volume update kernels, one per scheme.
 
-``visc_step(u, dt, out, plan)`` is the explicit viscous step in one or two
-dimensions, for a batch of ladder members at once: it runs the same face
+``visc_step(u, dt, out, plan)`` is the explicit viscous step of a state of
+any dimension, for a batch of ladder members at once: it runs the same face
 update along each axis of its plan, on every member's state.
 ``godunov_step(u, dt, out, plan)`` is the Godunov step along the one axis
 its plan was built for, any axis of a state of any dimension; the reference
 composes the axes by Strang splitting.  Each kernel is vectorized numpy.
-The tests check every kernel bit for bit against an explicit-loop twin in
-``tests/oracles.py``, which interpolates each table value by value with the
-same scalar arithmetic (same interpolation formula, same operation order).
+The tests check each kernel bit for bit, on states of one, two and three
+dimensions, against its explicit-loop twin in ``tests/oracles.py``, one per
+scheme for a state of any dimension, which steps line by line and face by
+face and interpolates each table value by value with the same scalar
+arithmetic (same interpolation formula, same operation order).
 
 Step plans: a kernel's ``plan`` is built once per march by ``visc_plan`` or
 ``godunov_plan`` and passed unchanged on every call.  The plan is the only
@@ -48,12 +50,13 @@ subtraction of the same two nodes, made once per march instead of on every
 read.
 
 Flat viscosity table: the plan judges the B table once per march; when every
-node equals node 0 (``B == b``, the semilinear case) it records ``b * eps /
-h`` of each axis, and a viscous step multiplies ``ur - ul`` by that scalar
-instead of locating the face midpoints and reading B there.  That is exact:
-the lookup gives ``t0 + frac * (t1 - t0) = b + frac * 0 = b`` for every
-finite ``frac``, so the loop twins' face term ``(eps / h * b) * (ur - ul)``
-and the kernel's ``(ur - ul) * (b * eps / h)`` are the same IEEE product.
+node equals node 0 (``tables.flat_value``: ``B == b``, the semilinear case)
+it records ``b * eps / h`` of each axis, and a viscous step multiplies ``ur
+- ul`` by that scalar instead of locating the face midpoints and reading B
+there.  That is exact: the lookup gives ``t0 + frac * (t1 - t0) = b + frac
+* 0 = b`` for every finite ``frac``, so the loop twins' face term ``(eps /
+h * b) * (ur - ul)`` and the kernel's ``(ur - ul) * (b * eps / h)`` are the
+same IEEE product.
 
 Flat strides: the viscous step runs each axis on the raveled zero-bordered
 state, which pads every axis with ghost cells.  Axis ``ax`` is one flat
@@ -256,9 +259,9 @@ def visc_plan(cells, spacing, eps, steps, lattice, flux_tables,
     # long as the cells, of which an axis of stride s uses the first n - s
     diff, mid, flux, p, q, scratch = (np.zeros(ext.size) for _ in range(6))
     loc = _location(ext.size)
-    bflat = bool((btab == btab[0]).all())
-    bbuf = None if bflat else (*_location(ext.size), np.zeros(ext.size),
-                               np.zeros(ext.size))
+    b = tables.flat_value(btab)  # None unless every B node is the same
+    bbuf = (*_location(ext.size), np.zeros(ext.size),
+            np.zeros(ext.size)) if b is None else None
     judged = []
     for stride, h, tab in zip(ext.strides[1:], spacing, flux_tables):
         eop = None if _is_zero(tab.eo_plus) else tab.eo_plus
@@ -277,19 +280,19 @@ def visc_plan(cells, spacing, eps, steps, lattice, flux_tables,
             eh = [e / h for e in eps[:k]]
             axes.append(Axis(
                 h, _per_face(eh, size, f),
-                _per_face([float(btab[0]) * x for x in eh], size, f)
-                if bflat else None,
+                None if b is None else _per_face([b * x for x in eh], size,
+                                                  f),
                 eop, eom, eop_slope, eom_slope, flat[:f], flat[s:],
                 0.0 if eop is None else p[:f], 0.0 if eom is None else q[s:n],
                 flux[:f], mid[:f], flux[s:f], flux[:f - s], diff[s:f],
-                None if bflat else (tuple(b[:f] for b in bbuf[:3]),
-                                    bbuf[3][:f], bbuf[4][:f])))
+                (tuple(x[:f] for x in bbuf[:3]), bbuf[3][:f], bbuf[4][:f])
+                if b is None else None))
         axes = tuple(axes)
         plans.append(ViscPlan(
             *lattice.panels, ext[:k], flat, ext[:k][interior],
-            tuple(b[:n] for b in loc), p[:n], q[:n], scratch[:n],
+            tuple(x[:n] for x in loc), p[:n], q[:n], scratch[:n],
             diff[:n].reshape(shape)[interior], axes, btab,
-            None if bflat else tables.slopes(btab), steps[:k],
+            tables.slopes(btab) if b is None else None, steps[:k],
             _step_factors(n, axes, steps[:k])))
     return tuple(plans)
 
@@ -322,8 +325,8 @@ def godunov_plan(h: float, lattice, flux_table, axis: int) -> GodunovPlan:
 
 def visc_step(u, dt, out, plan: ViscPlan):
     """One forward-Euler step of the viscous balance for each member of
-    ``u``, ``(k, *cells)``, zero ghost cells: ``out = u - diff_x``, then
-    ``out -= diff_y`` in 2-D.
+    ``u``, ``(k, *cells)``, zero ghost cells: ``out = u - diff`` of axis 0,
+    then ``out -= diff`` of each later axis.
 
     ``dt`` is the tuple of the members' steps.  One equal to the plan's
     ``steps`` multiplies by the plan's ``dt / h``; any other has its own

@@ -108,13 +108,15 @@ def make_initial_data(grid: Grid, name: str, center: tuple[float, ...],
     """Initial-data presets: C2 'bump', indicator 'box', and 'twobump'."""
     mesh = grid.meshgrid()
 
-    def radial(c):
-        r2 = sum(((x - cj) / width) ** 2 for x, cj in zip(mesh, c))
-        return np.sqrt(r2)
+    def bump(c, amp):
+        """``amp * (1 - rho^2)^3`` where ``rho``, the distance to ``c`` in
+        units of ``width``, is below 1; else 0."""
+        rho = np.sqrt(sum(((x - cj) / width) ** 2 for x, cj in zip(mesh, c)))
+        return np.where(rho < 1.0, amp * (1.0 - np.minimum(rho, 1.0) ** 2) ** 3,
+                        0.0)
 
     if name == "bump":
-        rho = radial(center)
-        vals = np.where(rho < 1.0, amplitude * (1.0 - np.minimum(rho, 1.0) ** 2) ** 3, 0.0)
+        vals = bump(center, amplitude)
     elif name == "box":
         inside = np.ones_like(mesh[0], dtype=bool)
         for x, cj in zip(mesh, center):
@@ -123,10 +125,7 @@ def make_initial_data(grid: Grid, name: str, center: tuple[float, ...],
     elif name == "twobump":
         c1 = (center[0] - separation,) + tuple(center[1:])
         c2 = (center[0] + separation,) + tuple(center[1:])
-        r1 = radial(c1)
-        r2 = radial(c2)
-        vals = (np.where(r1 < 1.0, amplitude * (1.0 - np.minimum(r1, 1.0) ** 2) ** 3, 0.0)
-                + np.where(r2 < 1.0, amplitude2 * (1.0 - np.minimum(r2, 1.0) ** 2) ** 3, 0.0))
+        vals = bump(c1, amplitude) + bump(c2, amplitude2)
     else:
         raise ValueError(f"unknown initial-data preset {name!r}")
 

@@ -21,10 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compactness import YoungHistogramSet, _centered_space, div_curl_test
+from .compactness import YoungHistogramSet, div_curl_test
 from .convergence import ConvergenceReport, RateFit
-from .domain import FieldTrajectory
-from .norms import finite, mass_of_snapshots, snapshot_blocks, time_weights
 
 ESTIMATE_IDS = ("max_principle", "energy", "h1_decay", "measure_bound",
                 "ut_l1", "dirac", "divcurl", "d2_quad", "convergence")
@@ -66,25 +64,6 @@ class EstimateRow:
     rhs: float
     op: str
     passed: bool
-
-
-def grad_energy_lhs(traj: FieldTrajectory) -> float:
-    """sum_j eps * ||d_j u||^2 over the cylinder, centered differences.
-
-    Each snapshot's sum of squares is taken block by block, so only one
-    block's gradient is held; a snapshot's sum does not depend on the
-    others, so the sums are those of the whole field."""
-    u = finite(traj.values)
-    w = time_weights(traj.times)
-    grid = traj.grid
-    per_snap = np.empty(u.shape[0])
-    total = 0.0
-    for axis in range(grid.dim):
-        for blk in snapshot_blocks(u):
-            g = _centered_space(u[blk], axis + 1, grid.spacing[axis], 0.0)
-            per_snap[blk] = np.sum(g * g, axis=tuple(range(1, g.ndim)))
-        total += mass_of_snapshots(per_snap, grid.cell_volume, w)
-    return traj.epsilon * total
 
 
 _OPS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt}

@@ -92,6 +92,12 @@ def slopes(tab: np.ndarray) -> np.ndarray:
     return tab[1:] - tab[:-1]
 
 
+def flat_value(tab: np.ndarray) -> float | None:
+    """Node 0 of ``tab`` when every node equals it (a flat table, such as
+    the B table of a constant viscosity), else None."""
+    return float(tab[0]) if (tab == tab[0]).all() else None
+
+
 def lookup(tab: np.ndarray, slope: np.ndarray, loc, out=None,
            scratch=None) -> np.ndarray:
     """``slope[k] * frac + tab[k]``, i.e. ``t0 + frac * (t1 - t0)``, at a

@@ -1,16 +1,18 @@
 """Test oracles: scalar re-implementations and reference computations the
 tests compare the package against.
 
-The loop twins update one face at a time and interpolate each table value
-by value (``_interp_scalar``: floor, clip, ``t0 + frac * (t1 - t0)``), the
-scalar arithmetic of ``tables.locate``/``tables.lookup`` in the same
-operation order, so the numpy kernels in ``visclab.kernels`` must match
-them bit for bit.  They take the tables as arguments, and a trailing
-``work`` argument that they ignore.  Each twin computes its face fluxes
-with one scalar face function, ``_visc_face_scalar`` or
-``_godunov_face_scalar``; the flux property tests (consistency,
-monotonicity, boundary mass balance) run on those two, so they test the
-face arithmetic the kernels run.
+The loop twins, one per scheme like the kernels in ``visclab.kernels``,
+step a state of any dimension line by line and face by face
+(``_sweep``), and interpolate each table value by value
+(``_interp_scalar``: floor, clip, ``t0 + frac * (t1 - t0)``), the scalar
+arithmetic of ``tables.locate``/``tables.lookup`` in the same operation
+order, so the kernels must match them bit for bit:
+``_visc_step_loops`` steps every axis of one member's state,
+``_godunov_step_loops`` one axis.  They take the tables as arguments.
+Each twin computes its face fluxes with one scalar face function,
+``_visc_face_scalar`` or ``_godunov_face_scalar``; the flux property tests
+(consistency, monotonicity, boundary mass balance) run on those two, so
+they test the face arithmetic the kernels run.
 
 ``march_alone`` marches one member with a plain time loop, step by step,
 the reference a batched march must match for each of its members.
@@ -69,49 +71,6 @@ def _visc_face_scalar(ul, ur, eh, lo, inv, eop, eom, btab):
     return conv - eh * bm * (ur - ul)
 
 
-def _visc_step_1d_loops(u, dt, h, eps, lo, inv, eop, eom, btab, out, work):
-    n = u.shape[0]
-    epsh = eps / h
-    lam = dt / h
-    fprev = 0.0
-    for i in range(n + 1):
-        ul = u[i - 1] if i > 0 else 0.0
-        ur = u[i] if i < n else 0.0
-        f = _visc_face_scalar(ul, ur, epsh, lo, inv, eop, eom, btab)
-        if i > 0:
-            out[i - 1] = u[i - 1] - lam * (f - fprev)
-        fprev = f
-    return out
-
-
-def _visc_step_2d_loops(u, dt, hx, hy, eps, lo, inv,
-                        eopx, eomx, eopy, eomy, btab, out, work):
-    nx, ny = u.shape
-    lamx = dt / hx
-    lamy = dt / hy
-    ehx = eps / hx
-    ehy = eps / hy
-    for j in range(ny):
-        fprev = 0.0
-        for i in range(nx + 1):
-            ul = u[i - 1, j] if i > 0 else 0.0
-            ur = u[i, j] if i < nx else 0.0
-            f = _visc_face_scalar(ul, ur, ehx, lo, inv, eopx, eomx, btab)
-            if i > 0:
-                out[i - 1, j] = u[i - 1, j] - lamx * (f - fprev)
-            fprev = f
-    for i in range(nx):
-        fprev = 0.0
-        for j in range(ny + 1):
-            ul = u[i, j - 1] if j > 0 else 0.0
-            ur = u[i, j] if j < ny else 0.0
-            f = _visc_face_scalar(ul, ur, ehy, lo, inv, eopy, eomy, btab)
-            if j > 0:
-                out[i, j - 1] = out[i, j - 1] - lamy * (f - fprev)
-            fprev = f
-    return out
-
-
 def _godunov_face_scalar(ul, ur, lo, inv, ftab, crit_y, crit_f):
     fl = _interp_scalar(ftab, lo, inv, ul)
     fr = _interp_scalar(ftab, lo, inv, ur)
@@ -134,53 +93,41 @@ def _godunov_face_scalar(ul, ur, lo, inv, ftab, crit_y, crit_f):
     return g
 
 
-def _godunov_step_1d_loops(u, dt, h, lo, inv, ftab, crit_y, crit_f, out, work):
-    n = u.shape[0]
-    lam = dt / h
-    fprev = 0.0
-    for i in range(n + 1):
-        ul = u[i - 1] if i > 0 else 0.0
-        ur = u[i] if i < n else 0.0
-        f = _godunov_face_scalar(ul, ur, lo, inv, ftab, crit_y, crit_f)
-        if i > 0:
-            out[i - 1] = u[i - 1] - lam * (f - fprev)
-        fprev = f
+def _sweep(u, base, out, axis, lam, face):
+    """``out = base - lam * (F_right - F_left)`` cell by cell along every
+    line of ``axis``, with the face flux ``F = face(ul, ur)`` of the cells of
+    ``u`` on either side and a zero ghost cell at either end of each line."""
+    u, base, out = (np.moveaxis(a, axis, -1) for a in (u, base, out))
+    n = u.shape[-1]
+    for idx in np.ndindex(u.shape[:-1]):
+        line, prev, new = u[idx], base[idx], out[idx]
+        fprev = 0.0
+        for i in range(n + 1):
+            f = face(line[i - 1] if i > 0 else 0.0, line[i] if i < n else 0.0)
+            if i > 0:
+                new[i - 1] = prev[i - 1] - lam * (f - fprev)
+            fprev = f
+
+
+def _visc_step_loops(u, dt, spacing, eps, lo, inv, eo, btab, out):
+    """The viscous step of a state of any dimension: axis 0 from ``u`` into
+    ``out``, then each later axis from ``out``, every face flux from ``u``.
+    Axis ``ax`` has spacing ``spacing[ax]`` and Engquist-Osher tables
+    ``eo[ax] = (eop, eom)``."""
+    base = u
+    for axis, (h, (eop, eom)) in enumerate(zip(spacing, eo)):
+        eh = eps / h
+        _sweep(u, base, out, axis, dt / h, lambda ul, ur: _visc_face_scalar(
+            ul, ur, eh, lo, inv, eop, eom, btab))
+        base = out
     return out
 
 
-def _godunov_sweep_2d_loops(u, dt, h, axis, lo, inv, ftab, crit_y, crit_f,
-                            out, work):
-    nx, ny = u.shape
-    lam = dt / h
-    if axis == 0:
-        for j in range(ny):
-            fprev = 0.0
-            for i in range(nx + 1):
-                ul = u[i - 1, j] if i > 0 else 0.0
-                ur = u[i, j] if i < nx else 0.0
-                f = _godunov_face_scalar(ul, ur, lo, inv, ftab, crit_y, crit_f)
-                if i > 0:
-                    out[i - 1, j] = u[i - 1, j] - lam * (f - fprev)
-                fprev = f
-    else:
-        for i in range(nx):
-            fprev = 0.0
-            for j in range(ny + 1):
-                ul = u[i, j - 1] if j > 0 else 0.0
-                ur = u[i, j] if j < ny else 0.0
-                f = _godunov_face_scalar(ul, ur, lo, inv, ftab, crit_y, crit_f)
-                if j > 0:
-                    out[i, j - 1] = u[i, j - 1] - lam * (f - fprev)
-                fprev = f
+def _godunov_step_loops(u, dt, h, axis, lo, inv, ftab, crit_y, crit_f, out):
+    """The Godunov step along ``axis`` of a state of any dimension."""
+    _sweep(u, u, out, axis, dt / h, lambda ul, ur: _godunov_face_scalar(
+        ul, ur, lo, inv, ftab, crit_y, crit_f))
     return out
-
-
-LOOPS = {
-    "visc_step_1d": _visc_step_1d_loops,
-    "visc_step_2d": _visc_step_2d_loops,
-    "godunov_step_1d": _godunov_step_1d_loops,
-    "godunov_sweep_2d": _godunov_sweep_2d_loops,
-}
 
 
 def steps_loop(t, target, dt_base):
@@ -518,7 +465,7 @@ def dual_norm_whole(g: np.ndarray, spacings, kinds) -> float:
 
 
 def grad_energy_whole(traj: FieldTrajectory) -> float:
-    """``report.grad_energy_lhs`` from whole-field centered gradients."""
+    """``compactness.grad_energy_lhs`` from whole-field centered gradients."""
     w = norms.time_weights(traj.times)
     grid = traj.grid
     total = 0.0

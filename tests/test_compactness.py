@@ -8,18 +8,19 @@ import pytest
 from conftest import make_traj, traced_peak
 from oracles import entropy_production_total, grad_energy_whole, \
     split_production
-from visclab import compactness, convergence, norms, report
+from visclab import compactness, convergence, norms
 from visclab.compactness import (attach_c_field, build_compensated_quad,
                                  choose_c, compensated_D_field,
                                  decompose_production, dirac_concentration,
                                  div_curl_test, flux_identity_gap,
-                                 tartar_pair_table, time_derivative_l1,
-                                 young_histograms, young_w1_distance)
+                                 grad_energy_lhs, tartar_pair_table,
+                                 time_derivative_l1, young_histograms,
+                                 young_w1_distance)
 from visclab.convergence import l1_distance
 from visclab.domain import FieldTrajectory, Grid, kruzkov_ladder, \
     make_entropy_pair, make_flux, make_viscosity
 from visclab.norms import measure_norm
-from visclab.report import grad_energy_lhs, synthetic_divcurl
+from visclab.report import synthetic_divcurl
 from visclab.tables import interp
 from visclab.viscous import integrate, snapshot_times
 
@@ -531,7 +532,7 @@ def test_one_patch_sets_every_consumers_blocks(monkeypatch, flux2d, quad):
         seen[sys._getframe(1).f_code.co_name] = (len(blocks), len(values))
         return blocks
 
-    for module in (norms, compactness, convergence, report):
+    for module in (norms, compactness, convergence):
         monkeypatch.setattr(module, "snapshot_blocks", spy)
     traj = _random_traj(7, 12, 10, seed=6)
     monkeypatch.setattr(norms, "BLOCK_BYTES", traj.values[0].nbytes)

@@ -972,6 +972,23 @@ def test_bench_kernels_runs(capsys):
     assert "noise floor" in out
 
 
+def test_code_lines_counts_only_code(tmp_path, capsys):
+    # a docstring, a comment line and a blank line do not count; a statement
+    # over two lines counts twice, in a directory or given as a file
+    module = tmp_path / "mod.py"
+    module.write_text('"""A docstring\nover two lines."""\n# a comment\n\n'
+                      'x = (1 +\n     2)\n')
+    main = _load_script("benchmarks", "code_lines").main
+    assert main([str(tmp_path), str(module)]) == 0
+    out = capsys.readouterr().out
+    assert re.findall(r"^(\S+)\s+(\d+)$", out, re.M) == [
+        ("mod.py", "2"), ("total", "2")] * 2
+    with pytest.raises(SystemExit) as exit_:
+        main([str(module), str(tmp_path / "nosuch")])
+    assert exit_.value.code != 0
+    assert "nosuch" in capsys.readouterr().err
+
+
 def test_same_bytes_compares_run_directories(tmp_path, capsys):
     # two runs of one config are the same bytes but for the manifest's
     # clock times; one flipped CSV byte is named with its row

@@ -5,22 +5,28 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from oracles import LOOPS
+from oracles import _godunov_step_loops, _visc_step_loops
 from visclab import kernels
 from visclab.domain import make_flux, make_viscosity
 
 # The kernels are checked bit for bit against the explicit-loop twins of
-# ``oracles``, called with their own signatures and handed the tables each
-# kernel's plan is built from.  The one-valued ``oracle`` parameter is that
-# table of twins; its ``loops`` id keeps the test ids stable.  The viscous
-# kernel steps a batch of members, states ``(k, *cells)``; a single state
-# is a batch of one.
-ORACLE = pytest.mark.parametrize("oracle", [LOOPS], ids=["loops"])
+# ``oracles``, one per scheme for a state of any dimension, handed the tables
+# each kernel's plan is built from.  The viscous kernel steps a batch of
+# members, states ``(k, *cells)``; a single state is a batch of one.  The
+# cases are states of one, two and three dimensions, axis ``ax`` with
+# spacing ``1 / shape[ax]``.  Their ids are kept stable: each names the
+# scheme's step in the case's dimension (the names of ``kernels.KERNELS``,
+# and ``3d`` beyond them) and the oracle, ``loops``.
+SHAPES = ((300,), (24, 40), (6, 7, 8))
+VISC = [pytest.param(s, id=f"visc_step_{len(s)}d-loops") for s in SHAPES]
+GODUNOV = [pytest.param(s, id=f"godunov_{'step' if len(s) == 1 else 'sweep'}"
+                                 f"_{len(s)}d-loops") for s in SHAPES]
 
 
 @pytest.fixture(scope="module")
 def setup():
-    flux = make_flux(("burgers", "linear"), (-1.0, 1.0), 1e-8, {"a": 0.7})
+    flux = make_flux(("burgers", "linear", "burgers"), (-1.0, 1.0), 1e-8,
+                     {"a": 0.7})
     visc = make_viscosity("gaussian", (-1.0, 1.0), {"r": 1.0})
     rng = np.random.default_rng(123)
     return flux, visc, rng
@@ -43,127 +49,87 @@ def _lattice(flux):
     return flux.lattice.lo, flux.lattice.inv_spacing
 
 
-@ORACLE
-def test_visc_1d_backends_bit_identical(setup, oracle):
-    flux, visc, rng = setup
-    t0 = flux.tables[0]
-    u = rng.uniform(-0.99, 0.99, 200)
-    dt, h, eps = 0.4 * (1 / 200) ** 2 / 0.4, 1 / 200, 0.05
-    (plan,) = kernels.visc_plan(u.shape, (h,), (eps,), (dt,), flux.lattice,
-                                flux.tables, visc.table)
-    a = kernels.visc_step(u[None], (dt,), np.empty((1,) + u.shape), plan)[0]
-    b = oracle["visc_step_1d"](u, dt, h, eps, *_lattice(flux), t0.eo_plus,
-                               t0.eo_minus, visc.table, np.empty_like(u),
-                               None)
-    assert np.array_equal(a, b)
+def _eo(flux, dim):
+    """The Engquist-Osher tables of the first ``dim`` axes, per axis."""
+    return tuple((t.eo_plus, t.eo_minus) for t in flux.tables[:dim])
 
 
-@ORACLE
-def test_visc_2d_backends_bit_identical(setup, oracle):
-    flux, visc, rng = setup
-    t0, t1 = flux.tables
-    u = rng.uniform(-0.99, 0.99, (24, 40))
-    hx, hy = 1 / 24, 1 / 40
-    dt, eps = 0.1 * hy * hy, 0.03
-    (plan,) = kernels.visc_plan(u.shape, (hx, hy), (eps,), (dt,),
-                                flux.lattice, flux.tables, visc.table)
-    a = kernels.visc_step(u[None], (dt,), np.empty((1,) + u.shape), plan)[0]
-    b = oracle["visc_step_2d"](u, dt, hx, hy, eps, *_lattice(flux),
-                               t0.eo_plus, t0.eo_minus, t1.eo_plus,
-                               t1.eo_minus, visc.table, np.empty_like(u),
-                               None)
-    assert np.array_equal(a, b)
-
-
-@ORACLE
-def test_godunov_backends_bit_identical(setup, oracle):
-    flux, visc, rng = setup
-    tab = flux.tables[0]
-    f = (tab.f, tab.crit_y, tab.crit_f)
-    u = rng.uniform(-0.99, 0.99, 300)
-    dt, h = 0.2 / 300, 1 / 300
-    plan = kernels.godunov_plan(h, flux.lattice, tab, 0)
-    a = kernels.godunov_step(u, dt, np.empty_like(u), plan)
-    b = oracle["godunov_step_1d"](u, dt, h, *_lattice(flux), *f,
-                                  np.empty_like(u), None)
-    assert np.array_equal(a, b)
-    u2 = rng.uniform(-0.99, 0.99, (20, 30))
-    for axis, h in ((0, 1 / 20), (1, 1 / 30)):
-        plan = kernels.godunov_plan(h, flux.lattice, tab, axis)
-        a2 = kernels.godunov_step(u2, 0.1 * h, np.empty_like(u2), plan)
-        b2 = oracle["godunov_sweep_2d"](u2, 0.1 * h, h, axis,
-                                        *_lattice(flux), *f,
-                                        np.empty_like(u2), None)
-        assert np.array_equal(a2, b2)
-
-
-@ORACLE
-@pytest.mark.parametrize("axis", [0, 1, 2])
-def test_godunov_step_3d_matches_loops_on_every_line(setup, oracle, axis):
-    """Along each axis of a 3-D state the Godunov step is the 1-D loop twin
-    on every line along that axis, bit for bit."""
-    flux, _, rng = setup
-    tab = flux.tables[0]
-    u = rng.uniform(-0.99, 0.99, (6, 7, 8))
-    h = 1 / u.shape[axis]
-    dt = 0.2 * h
-    plan = kernels.godunov_plan(h, flux.lattice, tab, axis)
-    got = kernels.godunov_step(u, dt, np.empty_like(u), plan)
-    lines, want = np.moveaxis(u, axis, -1), np.empty_like(u)
-    want_lines = np.moveaxis(want, axis, -1)
-    for idx in np.ndindex(lines.shape[:-1]):
-        oracle["godunov_step_1d"](lines[idx], dt, h, *_lattice(flux), tab.f,
-                                  tab.crit_y, tab.crit_f, want_lines[idx],
-                                  None)
-    assert np.array_equal(got, want)
-
-
-def _case(oracle, name, flux, btab, shape):
-    """Kernel ``name`` on states of ``shape``: ``(new_plan, step, expect)``.
+def _case(scheme, flux, btab, shape):
+    """The step of ``scheme`` on states of ``shape``: ``(new_plan, step,
+    expect)``.
 
     ``new_plan()`` builds a step plan, ``step(u, plan)`` runs the kernel on
     it and ``expect(u)`` runs the loop twin, handed the tables the plan is
-    built from (``btab`` is the B table of the viscous kernel, which steps
+    built from (``btab`` is the B table of the viscous step, which steps
     ``u`` as a batch of one).  The viscous plan is built for the step
     ``dt``; its ``step`` and ``expect`` take a last argument ``scale``, and
-    step by ``scale * dt``, a landing when ``scale`` is not 1.  The 2-D
-    Godunov sweep runs x then y, on a pair of plans.
+    step by ``scale * dt``, a landing when ``scale`` is not 1.  The Godunov
+    case steps along every axis in turn, on a tuple of plans, each reading
+    the first axis's flux.
     """
-    lat = flux.lattice
-    t0, t1 = flux.tables
-    h = 1 / shape[-1]
-    twin, kernel, new = oracle[name], kernels.get_kernel(name), np.empty_like
-    if name.startswith("visc"):
-        dim = len(shape)
-        dt, eps = (h * h, 0.05) if dim == 1 else (0.1 * h * h, 0.03)
-        spacing = (h,) * dim
-        eo = (t0.eo_plus, t0.eo_minus, t1.eo_plus, t1.eo_minus)[:2 * dim]
+    lat, lo_inv = flux.lattice, _lattice(flux)
+    spacing = tuple(1 / n for n in shape)
+    h = min(spacing)
+    if scheme == "visc":
+        dt, eps, eo = 0.1 * h * h, 0.03, _eo(flux, len(shape))
         return (lambda: kernels.visc_plan(shape, spacing, (eps,), (dt,), lat,
                                           flux.tables, btab)[0],
-                lambda u, plan, scale=1.0: kernel(
-                    u[None], (scale * dt,), new(u)[None], plan)[0],
-                lambda u, scale=1.0: twin(u, scale * dt, *spacing, eps,
-                                          *_lattice(flux), *eo, btab, new(u),
-                                          None))
-    dt, f = 0.2 * h, (t0.f, t0.crit_y, t0.crit_f)
-    if name == "godunov_step_1d":
-        return (lambda: kernels.godunov_plan(h, lat, t0, 0),
-                lambda u, plan: kernel(u, dt, new(u), plan),
-                lambda u: twin(u, dt, h, *_lattice(flux), *f, new(u), None))
+                lambda u, plan, scale=1.0: kernels.visc_step(
+                    u[None], (scale * dt,), np.empty((1,) + shape), plan)[0],
+                lambda u, scale=1.0: _visc_step_loops(
+                    u, scale * dt, spacing, eps, *lo_inv, eo, btab,
+                    np.empty(shape)))
+    dt, t0 = 0.2 * h, flux.tables[0]
+
+    def step(u, plans):
+        for plan in plans:
+            u = kernels.godunov_step(u, dt, np.empty(shape), plan)
+        return u
 
     def expect(u):
-        mid = twin(u, dt, h, 0, *_lattice(flux), *f, new(u), None)
-        return twin(mid, dt, h, 1, *_lattice(flux), *f, new(u), None)
+        for axis, hx in enumerate(spacing):
+            u = _godunov_step_loops(u, dt, hx, axis, *lo_inv, t0.f,
+                                    t0.crit_y, t0.crit_f, np.empty(shape))
+        return u
 
-    return (lambda: tuple(kernels.godunov_plan(h, lat, t0, axis)
-                          for axis in (0, 1)),
-            lambda u, plans: kernel(kernel(u, dt, new(u), plans[0]), dt,
-                                    new(u), plans[1]),
-            expect)
+    return (lambda: tuple(kernels.godunov_plan(hx, lat, t0, axis)
+                          for axis, hx in enumerate(spacing)),
+            step, expect)
 
 
-def _shape(name):
-    return (300,) if name.endswith("1d") else (24, 40)
+@pytest.mark.parametrize("shape", VISC)
+def test_visc_backends_bit_identical(setup, shape):
+    flux, visc, rng = setup
+    u = rng.uniform(-0.99, 0.99, shape)
+    new_plan, step, expect = _case("visc", flux, visc.table, shape)
+    assert np.array_equal(step(u, new_plan()), expect(u))
+
+
+def _godunov_axis(setup, shape, axis):
+    """The Godunov step along ``axis`` of a random state of ``shape``, by the
+    kernel on a fresh plan and by the loop twin."""
+    flux, _, rng = setup
+    tab = flux.tables[0]
+    u = rng.uniform(-0.99, 0.99, shape)
+    h = 1 / shape[axis]
+    dt = 0.2 * h
+    plan = kernels.godunov_plan(h, flux.lattice, tab, axis)
+    return (kernels.godunov_step(u, dt, np.empty_like(u), plan),
+            _godunov_step_loops(u, dt, h, axis, *_lattice(flux), tab.f,
+                                tab.crit_y, tab.crit_f, np.empty_like(u)))
+
+
+@pytest.mark.parametrize("shape", GODUNOV[:2])
+def test_godunov_backends_bit_identical(setup, shape):
+    """Along each axis of a 1-D and a 2-D state; the 3-D state has a case
+    per axis below."""
+    for axis in range(len(shape)):
+        assert np.array_equal(*_godunov_axis(setup, shape, axis))
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2], ids=lambda axis: f"{axis}-loops")
+def test_godunov_step_3d_matches_loops_on_every_line(setup, axis):
+    assert np.array_equal(*_godunov_axis(setup, SHAPES[2], axis))
 
 
 def _constants(plan):
@@ -183,14 +149,13 @@ def _same(x, y):
     return type(x) is type(y) and x == y
 
 
-def _check_reuse(oracle, name, flux, btab):
+def _check_reuse(scheme, shape, flux, btab):
     """One plan, reused over states in either order, gives what a fresh one
     and the loop twin give, and a viscous plan also on a landing step.  A
     viscous plan's ghost border stays 0 and its constants (``_constants``)
     stay as built; a Godunov plan holds only constants, and no step changes
     one of them."""
-    shape = _shape(name)
-    new_plan, step, expect = _case(oracle, name, flux, btab, shape)
+    new_plan, step, expect = _case(scheme, flux, btab, shape)
     rng = np.random.default_rng(7)
     # a and b vanish near the boundary, like the solvers' states; c does not
     inner = tuple(slice(2, -2) for _ in shape)
@@ -208,50 +173,44 @@ def _check_reuse(oracle, name, flux, btab):
         for key in order:
             got = step(states[key], plan)
             assert np.array_equal(got, want[key]), (order, key)
-        if name.startswith("visc"):
-            # a landing: another tuple of steps than the plan's own
-            assert np.array_equal(step(a, plan, 0.5), expect(a, 0.5))
-            # the viscous plan pads every cell axis
-            for ax in range(len(shape)):
-                assert not plan.ext.take([0, -1], axis=ax + 1).any()
-            assert _same(_constants(plan), _constants(kept))
+        if scheme == "godunov":
+            assert _same(plan, kept)
             continue
-        # the 2-D sweep runs on a pair of Godunov plans
-        if name == "godunov_step_1d":
-            plan, kept = (plan,), (kept,)
-        assert _same(tuple(plan), tuple(kept))
+        # a landing: another tuple of steps than the plan's own
+        assert np.array_equal(step(a, plan, 0.5), expect(a, 0.5))
+        # the viscous plan pads every cell axis
+        for ax in range(len(shape)):
+            assert not plan.ext.take([0, -1], axis=ax + 1).any()
+        assert _same(_constants(plan), _constants(kept))
 
 
-@ORACLE
-@pytest.mark.parametrize("name", list(LOOPS))
-def test_reused_workspace_holds_no_stale_state(setup, oracle, name):
+@pytest.mark.parametrize("scheme, shape", [
+    pytest.param(scheme, *case.values, id=case.id)
+    for scheme, cases in (("godunov", GODUNOV), ("visc", VISC))
+    for case in cases])
+def test_reused_workspace_holds_no_stale_state(setup, scheme, shape):
     flux, visc, _ = setup
-    _check_reuse(oracle, name, flux, visc.table)
+    _check_reuse(scheme, shape, flux, visc.table)
 
 
-VISC = ["visc_step_1d", "visc_step_2d"]
-
-
-@ORACLE
-@pytest.mark.parametrize("name", VISC)
+@pytest.mark.parametrize("shape", VISC)
 @pytest.mark.parametrize("table", FLAT_TABLES)
 def test_reused_workspace_holds_no_stale_state_flat_tables(
-        setup, flat_tables, table, name, oracle):
+        setup, flat_tables, table, shape):
     flux, _, _ = setup
-    _check_reuse(oracle, name, flux, flat_tables[table])
+    _check_reuse("visc", shape, flux, flat_tables[table])
 
 
-@ORACLE
-@pytest.mark.parametrize("name", VISC)
+@pytest.mark.parametrize("shape", VISC)
 @pytest.mark.parametrize("table", FLAT_TABLES)
 def test_visc_backends_bit_identical_flat_tables(setup, flat_tables, table,
-                                                 name, oracle):
+                                                 shape):
     """A flat table takes the scalar path, one changed node the lookup; both
-    match the loop twins, which interpolate the table at every face."""
+    match the loop twin, which interpolates the table at every face."""
     flux, _, rng = setup
     btab = flat_tables[table]
-    u = rng.uniform(-0.99, 0.99, _shape(name))
-    new_plan, step, expect = _case(oracle, name, flux, btab, u.shape)
+    u = rng.uniform(-0.99, 0.99, shape)
+    new_plan, step, expect = _case("visc", flux, btab, shape)
     plan = new_plan()
     flat = table == "constant"
     assert (plan.b_slope is None) == flat
@@ -269,29 +228,29 @@ ZERO_EO = {"a>0": {"eom"}, "a<0": {"eop"}, "a=0": {"eop", "eom"}}
 
 @pytest.fixture(scope="module")
 def linear_fluxes():
-    """Per sign of ``a``, a linear flux on the x axis or on the y axis, the
-    other axis Burgers; on the lattice of ``setup``."""
-    names = {0: ("linear", "burgers"), 1: ("burgers", "linear")}
-    return {(sign, axis): make_flux(names[axis], (-1.0, 1.0), 1e-8,
-                                    {"a": a})
-            for sign, a in LINEAR_A.items() for axis in names}
+    """Per sign of ``a`` and per axis of a 3-D state, a linear flux on that
+    axis and Burgers on the others, on the lattice of ``setup``; a state of
+    fewer dimensions reads the leading axes'."""
+    return {(sign, axis): make_flux(
+                tuple("linear" if ax == axis else "burgers" for ax in range(3)),
+                (-1.0, 1.0), 1e-8, {"a": a})
+            for sign, a in LINEAR_A.items() for axis in range(3)}
 
 
-@ORACLE
-@pytest.mark.parametrize("name, axis", [("visc_step_1d", 0),
-                                        ("visc_step_2d", 0),
-                                        ("visc_step_2d", 1)])
+@pytest.mark.parametrize("shape, axis", [
+    pytest.param(s, axis, id=f"visc_step_{len(s)}d-{axis}-loops")
+    for s in SHAPES for axis in range(len(s))])
 @pytest.mark.parametrize("sign", list(LINEAR_A))
-def test_visc_zero_eo_tables_never_read(setup, linear_fluxes, sign, name,
-                                        axis, oracle):
+def test_visc_zero_eo_tables_never_read(setup, linear_fluxes, sign, shape,
+                                        axis):
     """The plan skips exactly the zero Engquist-Osher tables, the linear
     axis's, and reads each of them as the scalar 0.0; the step matches the
-    loop twins, which read those tables at every face, on fresh and on
+    loop twin, which reads those tables at every face, on fresh and on
     reused plans."""
     _, visc, rng = setup
     flux = linear_fluxes[sign, axis]
-    u = rng.uniform(-0.99, 0.99, _shape(name))
-    new_plan, step, expect = _case(oracle, name, flux, visc.table, u.shape)
+    u = rng.uniform(-0.99, 0.99, shape)
+    new_plan, step, expect = _case("visc", flux, visc.table, shape)
     plan = new_plan()
     for ax, a in enumerate(plan.axes):
         zero = ZERO_EO[sign] if ax == axis else set()
@@ -304,13 +263,11 @@ def test_visc_zero_eo_tables_never_read(setup, linear_fluxes, sign, name,
             else:
                 assert read.shape == a.flux.shape
     assert np.array_equal(step(u, plan), expect(u))
-    _check_reuse(oracle, name, flux, visc.table)
+    _check_reuse("visc", shape, flux, visc.table)
 
 
-@ORACLE
-@pytest.mark.parametrize("name", VISC)
-def test_visc_negative_zero_eo_table_is_read(setup, linear_fluxes, name,
-                                             oracle):
+@pytest.mark.parametrize("shape", VISC)
+def test_visc_negative_zero_eo_table_is_read(setup, linear_fluxes, shape):
     """Only +0.0 nodes make a zero table: an f- of -0.0 nodes reads as -0.0
     below the lattice (``0.0 * frac + -0.0`` with ``frac < 0``), so the plan
     reads it like any other table."""
@@ -319,39 +276,38 @@ def test_visc_negative_zero_eo_table_is_read(setup, linear_fluxes, name,
     t0 = flux.tables[0]
     negzero = replace(t0, eo_minus=np.full_like(t0.eo_minus, -0.0))
     flux = replace(flux, tables=(negzero,) + flux.tables[1:])
-    u = rng.uniform(-0.99, 0.99, _shape(name))
-    new_plan, step, expect = _case(oracle, name, flux, visc.table, u.shape)
+    u = rng.uniform(-0.99, 0.99, shape)
+    new_plan, step, expect = _case("visc", flux, visc.table, shape)
     plan = new_plan()
     assert plan.axes[0].eom is negzero.eo_minus
     assert np.array_equal(step(u, plan), expect(u))
 
 
 @pytest.mark.parametrize("table", ["gaussian", "constant"])
-@pytest.mark.parametrize("name", VISC)
-def test_visc_step_table_path_allocation_peak(setup, flat_tables, name,
+@pytest.mark.parametrize("shape", [(400,), (128, 128)],
+                         ids=["visc_step_1d", "visc_step_2d"])
+def test_visc_step_table_path_allocation_peak(setup, flat_tables, shape,
                                               table):
     """A step writes only into its plan and ``out``: on the B lookup path
     (gaussian) and on the flat-B path alike, its transient peak stays within
     1.5 state sizes (allocating the table reads and the face location per
     call gave 6.4 in 1-D and 7.1 in 2-D, the workspace of face buffers 3.3
-    and 5.1)."""
+    and 5.1), on the states of the shipped 1-D and 2-D runs."""
     flux, visc, rng = setup
     btab = visc.table if table == "gaussian" else flat_tables["constant"]
-    shape = (400,) if name == "visc_step_1d" else (128, 128)
     u = rng.uniform(-0.99, 0.99, shape)
     h = 1 / shape[-1]
     dt = (0.1 * h * h,)
     (plan,) = kernels.visc_plan(shape, (h,) * len(shape), (0.05,), dt,
                                 flux.lattice, flux.tables, btab)
-    fn = kernels.get_kernel(name)
     u = u[None]
     out = np.empty_like(u)
-    fn(u, dt, out, plan)
-    peak = traced_peak(lambda: fn(u, dt, out, plan))
+    kernels.visc_step(u, dt, out, plan)
+    peak = traced_peak(lambda: kernels.visc_step(u, dt, out, plan))
     assert peak <= 1.5 * u.nbytes, peak / u.nbytes
 
 
-def _check_batched_visc(setup, flat_tables, table, name, oracle, runs):
+def _check_batched_visc(setup, flat_tables, table, shape, runs):
     """Steps a batch of up to three members, each with its own eps, on the
     plans built for the full steps ``a``, by each tuple of steps that
     ``runs(a)`` gives, a fresh state of ``len(dts)`` members each time: each
@@ -359,35 +315,31 @@ def _check_batched_visc(setup, flat_tables, table, name, oracle, runs):
     the flat-B path, and no step changes the plans' constants."""
     flux, visc, rng = setup
     btab = visc.table if table == "gaussian" else flat_tables["constant"]
-    shape = _shape(name)
-    spacing = (1 / shape[-1],) * len(shape)
-    h = spacing[0]
+    spacing = tuple(1 / n for n in shape)
+    h = min(spacing)
     eps = (0.05, 0.03, 0.02)
     a = (0.1 * h * h, 0.15 * h * h, 0.17 * h * h)
-    t0, t1 = flux.tables
-    eo = (t0.eo_plus, t0.eo_minus, t1.eo_plus, t1.eo_minus)[:2 * len(shape)]
+    eo = _eo(flux, len(shape))
     plans = kernels.visc_plan(shape, spacing, eps, a, flux.lattice,
                               flux.tables, btab)
     assert len(plans) == 3
     kept = copy.deepcopy([_constants(plan) for plan in plans])
-    kernel = kernels.get_kernel(name)
     for dts in runs(a):
         k = len(dts)
         u = rng.uniform(-0.99, 0.99, (k,) + shape)
-        got = kernel(u, dts, np.empty_like(u), plans[k - 1])
+        got = kernels.visc_step(u, dts, np.empty_like(u), plans[k - 1])
         for m in range(k):
-            want = oracle[name](u[m], dts[m], *spacing, eps[m],
-                                *_lattice(flux), *eo, btab,
-                                np.empty(shape), None)
+            want = _visc_step_loops(u[m], dts[m], spacing, eps[m],
+                                    *_lattice(flux), eo, btab,
+                                    np.empty(shape))
             assert np.array_equal(got[m], want), (dts, m)
     assert _same([_constants(plan) for plan in plans], kept)
 
 
-@ORACLE
-@pytest.mark.parametrize("name", VISC)
+@pytest.mark.parametrize("shape", VISC)
 @pytest.mark.parametrize("table", ["gaussian", "constant"])
 def test_batched_visc_step_matches_loops_row_by_row(setup, flat_tables,
-                                                    table, name, oracle):
+                                                    table, shape):
     """All three members step, the last landing with a shorter dt than its
     full step, then the leading two alone on the plan of two, and then the
     three again."""
@@ -395,14 +347,13 @@ def test_batched_visc_step_matches_loops_row_by_row(setup, flat_tables,
         landing = a[:2] + (0.4 * a[2],)
         return (landing, a[:2], landing)
 
-    _check_batched_visc(setup, flat_tables, table, name, oracle, runs)
+    _check_batched_visc(setup, flat_tables, table, shape, runs)
 
 
-@ORACLE
-@pytest.mark.parametrize("name", VISC)
+@pytest.mark.parametrize("shape", VISC)
 @pytest.mark.parametrize("table", ["gaussian", "constant"])
 def test_batched_visc_step_takes_full_steps_as_a_tuple(setup, flat_tables,
-                                                       table, name, oracle):
+                                                       table, shape):
     """The tuple of the members' full steps, the form of a march's full
     steps, gives each member its loop twin's step whether it is the plan's
     own tuple or another one equal to it in value, before and after another
@@ -413,7 +364,7 @@ def test_batched_visc_step_takes_full_steps_as_a_tuple(setup, flat_tables,
         other = tuple(0.5 * d for d in a)
         return (a, equal, other, a, a[:2], a[:2])
 
-    _check_batched_visc(setup, flat_tables, table, name, oracle, runs)
+    _check_batched_visc(setup, flat_tables, table, shape, runs)
 
 
 def test_interp_clamps_at_table_ends(setup):

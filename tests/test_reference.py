@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import (_godunov_face_scalar, _godunov_sweep_2d_loops,
+from oracles import (_godunov_face_scalar, _godunov_step_loops,
                      riemann_exact, shock_position)
 from visclab.domain import Grid, make_flux, make_viscosity
 from visclab.reference import solve_reference
@@ -140,10 +140,10 @@ def test_2d_step_is_strang_x_half_y_full_x_half():
 
     def sweep(u, tau, axis):
         t = spec.tables[axis]
-        return _godunov_sweep_2d_loops(
+        return _godunov_step_loops(
             u, tau, g.spacing[axis], axis, spec.lattice.lo,
             spec.lattice.inv_spacing, t.f, t.crit_y, t.crit_f,
-            np.empty_like(u), None)
+            np.empty_like(u))
 
     want = sweep(sweep(sweep(u0, 0.5 * dt, 0), dt, 1), 0.5 * dt, 0)
     assert traj.values[1].tobytes() == want.tobytes()

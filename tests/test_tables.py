@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from visclab import tables
-from visclab.domain import _flux_component, make_flux
+from visclab.domain import _flux_component, make_flux, make_viscosity
 from visclab.tables import (TableLattice, adaptive_panel_integrals,
-                            critical_nodes, cumulative_table, interp, locate,
-                            lookup, monotone_envelope, slopes)
+                            critical_nodes, cumulative_table, flat_value,
+                            interp, locate, lookup, monotone_envelope, slopes)
 
 
 def test_gauss_legendre_rule_is_numpys():
@@ -47,6 +47,19 @@ def test_interp_exact_at_nodes_and_ends():
     for k in (0, 7, 16, 32):
         assert interp(lat, vals, nodes[k])[0] == pytest.approx(vals[k], abs=1e-15)
     assert interp(lat, vals, 2.0)[0] == pytest.approx(vals[-1], abs=1e-15)
+
+
+def test_flat_value_of_flat_tables_only():
+    # the one judgement of whether B is one number, read by the viscous
+    # step's plan and by the entropy split: node 0 of a flat table, which
+    # for the constant preset is B(0); None once any node differs
+    for b in (1.0, 0.7):
+        visc = make_viscosity("constant", (-1.0, 1.0), {"b": b})
+        assert flat_value(visc.table) == float(visc.B(0.0)) == b
+    kinked = np.full(9, 0.7)
+    kinked[4] += 0.25
+    assert flat_value(kinked) is None
+    assert flat_value(make_viscosity("gaussian", (-1.0, 1.0)).table) is None
 
 
 def test_monotone_envelope():
