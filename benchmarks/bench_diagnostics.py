@@ -127,16 +127,16 @@ def instruments(cfg, specs, finest, dirs, refdir):
              [lambda: harness.member_diagnostics(cfg, specs, finest)])]
     load = lambda d: harness._load(cfg, specs, d)
     if cfg.dim == 2:
-        bare = build_compensated_quad(specs.flux, cfg.quadrature_tol,
+        quad = build_compensated_quad(specs.flux, cfg.quadrature_tol,
                                       specs.tartar)
-        quad = attach_c_field(bare, finest, window)
+        c_field = attach_c_field(quad, finest, window)
 
         def d_field(d):
             traj = load(d)
-            compensated_D_field(traj, quad, traj.values)
+            compensated_D_field(traj, quad, c_field, window, traj.values)
 
         rows.append(("attach_c_field",
-                     [lambda: attach_c_field(bare, load(dirs[-1]), window)]))
+                     [lambda: attach_c_field(quad, load(dirs[-1]), window)]))
         rows.append(("compensated_D_field",
                      [lambda d=d: d_field(d) for d in dirs]))
     rows.append(("build_convergence_report",
@@ -192,7 +192,7 @@ def mollify_rows(cfg, specs):
         kernel = make_kernel(width, specs.grid.spacing)
         results = [measure(lambda: mollify(specs.init_data, kernel))
                    for _ in range(5)]
-        rows.append(("x".join(map(str, kernel.weights.shape)),
+        rows.append(("x".join(map(str, kernel.shape)),
                      1e3 * min(s for s, _f, _p in results),
                      max(p for _s, _f, p in results)))
     return rows
@@ -244,7 +244,7 @@ def main(argv=None):
                                                                finest):
             print(f"  {name:<22} {best:>9.2f} {median:>7.2f} {faults:>7.1f} "
                   f"{peak / MB:>9.2f} {peak / field:>7.2f}")
-        state = specs.init_data.field.values.nbytes
+        state = specs.init_data.nbytes
         print(f"  {'mollify kernel':<22} {'ms':>15} {'peak MB':>9} "
               f"{'states':>7}")
         for shape, ms, peak in mollify_rows(cfg, specs):

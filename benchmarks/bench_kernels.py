@@ -68,8 +68,7 @@ def scenario_calls(name):
     grid, flux = specs.grid, specs.flux
     members = len(cfg.ladder) if grid.dim == 1 else 1
     rungs = list(zip(cfg.ladder, cfg.mollifier_widths))[:members]
-    u = np.stack([mollify(specs.init_data,
-                          make_kernel(width, grid.spacing)).values
+    u = np.stack([mollify(specs.init_data, make_kernel(width, grid.spacing))
                   for _eps, width in rungs])
     eps = [e for e, _w in rungs]
     lat = flux.lattice

@@ -12,7 +12,10 @@ values differ.
 Revision mode: the committed files of REV are extracted (``git archive``)
 into a temporary directory, and on REV and on the working tree, each
 config is run with ``run --jobs 1`` and ``run --jobs 2``, each run followed
-by ``verify`` and ``plotdata``.  The commands of one tree and config run as
+by ``verify`` and ``plotdata``.  The default configs are the shipped
+scenarios and the two variants under ``benchmarks/variants``, which run
+what the scenarios do not: the non-flat B paths and the box and twobump
+data.  The commands of one tree and config run as
 ``visclab.cli.main`` in one interpreter with that tree's ``src`` on
 ``PYTHONPATH``.  The run directories are compared as in directory mode,
 and each command's stdout (its run-directory paths normalized) and exit
@@ -39,7 +42,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = (ROOT / "scenarios" / "burgers1d.cfg",
-             ROOT / "scenarios" / "burgers2d.cfg")
+             ROOT / "scenarios" / "burgers2d.cfg",
+             ROOT / "benchmarks" / "variants" / "twobump1d_gaussian.cfg",
+             ROOT / "benchmarks" / "variants" / "box2d_64.cfg")
 CLOCK = ("started", "finished")
 JOBS = (1, 2)
 
@@ -170,7 +175,7 @@ def main(argv=None) -> int:
                         "working tree's runs with")
     parser.add_argument("--config", type=Path, action="append",
                         help="a config to run in revision mode (repeatable; "
-                        "default: the shipped scenarios)")
+                        "default: the shipped scenarios and the variants)")
     args = parser.parse_args(argv)
     if args.rev is not None:
         if args.dirs:

@@ -10,11 +10,17 @@ and the two-dimensional compensated quadratic.
 Weak limits have no finite-data counterpart, so coarse space-time window
 averages of the finest ladder member stand in for them throughout; window
 sizes are configuration knobs and are reported with the outputs.
+
+The compensated quadratic keeps its three flux tables in ``CompensatedQuad``.
+Its comparison field c is a plain array on the coarse window lattice:
+``attach_c_field`` fixes it from one anchor trajectory, and
+``compensated_D_field`` takes it, with its window, next to the tables, so one
+set of tables serves any anchor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -366,16 +372,12 @@ def div_curl_test(G: tuple[np.ndarray, np.ndarray],
 
 @dataclass(frozen=True)
 class CompensatedQuad:
-    """Tabulated integrals of (f1')^2, f1'f2', (f2')^2 and the window c-field."""
+    """Tabulated integrals of (f1')^2, f1'f2' and (f2')^2 on the lattice."""
 
     lattice: TableLattice
     F11: np.ndarray
     F12: np.ndarray
     F22: np.ndarray
-    window: tuple[int, ...] | None = None
-    c_field: np.ndarray | None = None       # coarse window lattice
-    f11_bar: np.ndarray | None = None
-    clamp_count: int = 0
 
 
 def tartar_pair_table(flux: FluxSpec, tol: float) -> np.ndarray:
@@ -436,29 +438,28 @@ def choose_c(f11_bar: np.ndarray, quad: CompensatedQuad) -> tuple[np.ndarray, in
     return c.reshape(f11_bar.shape), int(clamped)
 
 
-def attach_c_field(quad: CompensatedQuad, finest: FieldTrajectory,
-                   window: tuple[int, ...]) -> CompensatedQuad:
-    """Fix the comparison field c from coarse-window averages of the finest
-    member, F11(u) formed one coarse time window at a time."""
-    u = finest.values
+def attach_c_field(quad: CompensatedQuad, anchor: FieldTrajectory,
+                   window: tuple[int, ...]) -> np.ndarray:
+    """The comparison field c on the coarse lattice of ``window``, from the
+    window averages of F11 over the anchor member, F11(u) formed one coarse
+    time window at a time."""
+    u = anchor.values
     f11_bar = _window_means(
         lambda blk: tables.interp(quad.lattice, quad.F11, u[blk]), len(u),
         window)
-    c_field, clamped = choose_c(f11_bar, quad)
-    return replace(quad, window=window, c_field=c_field, f11_bar=f11_bar,
-                   clamp_count=clamped)
+    return choose_c(f11_bar, quad)[0]
 
 
 def compensated_D_field(traj: FieldTrajectory, quad: CompensatedQuad,
+                        c_field: np.ndarray, window: tuple[int, ...],
                         out: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise nonnegative quadratic D(u) against the window c-field,
+    """Pointwise nonnegative quadratic D(u) against ``c_field``, the
+    c-field ``attach_c_field`` fixed on the coarse lattice of ``window``,
     written into ``out`` (a new array when not given).  ``out`` may be
     ``traj.values``: each block of snapshots is read before its D is
     written over it."""
     if traj.grid.dim != 2:
         raise ValueError("the compensated quadratic is a d = 2 diagnostic")
-    if quad.c_field is None or quad.window is None:
-        raise ValueError("attach_c_field must run before evaluating D")
     lat = quad.lattice
     u = traj.values
     D = np.empty_like(u) if out is None else out
@@ -466,14 +467,14 @@ def compensated_D_field(traj: FieldTrajectory, quad: CompensatedQuad,
     # of the block's snapshots, whose snapshot t lies in coarse time window
     # t // window[0].  Table reads are elementwise, so the values are those
     # of reading F on the expanded c
-    f_c = [tables.interp(lat, tab, quad.c_field)
+    f_c = [tables.interp(lat, tab, c_field)
            for tab in (quad.F11, quad.F22, quad.F12)]
     for blk in snapshot_blocks(u):
         ub = u[blk]
-        rows = np.arange(blk.start, blk.stop) // quad.window[0]
+        rows = np.arange(blk.start, blk.stop) // window[0]
         d11, d22, d12 = (
             tables.interp(lat, tab, ub)
-            - _block_expand(fc[rows], (1,) + quad.window[1:], ub.shape)
+            - _block_expand(fc[rows], (1,) + window[1:], ub.shape)
             for tab, fc in zip((quad.F11, quad.F22, quad.F12), f_c))
         finite(np.subtract(d11 * d22, d12 * d12, out=D[blk]))
     return D

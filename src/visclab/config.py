@@ -26,11 +26,17 @@ from . import mollify
 from .domain import FLUX_PRESETS, VISCOSITY_PRESETS, Grid
 
 __all__ = ["ScenarioConfig", "ConfigError", "build_scenario", "render_config",
-           "config_hash"]
+           "config_hash", "eps_label"]
 
 
 class ConfigError(ValueError):
     pass
+
+
+def eps_label(eps: float) -> str:
+    """A ladder member's label: its rows in every CSV carry it, and it saves
+    into ``eps_<label>``."""
+    return f"{eps:g}"
 
 
 # A parser reads ``parse(text, name, got)``: the key's text, its
@@ -159,10 +165,18 @@ class ScenarioConfig:
 
     @property
     def support_margin(self) -> float:
-        """Distance from the initial-data support to the domain boundary."""
-        return mollify.support_margin(self.init_name, self.init_center,
-                                      self.init_width, self.init_separation,
-                                      self.extent_lo, self.extent_hi)
+        """Distance from the initial-data support to the domain boundary.
+        The support lies in the box of half-width ``init_width`` around
+        ``init_center``; for ``twobump`` that box reaches ``init_separation``
+        further along axis 0 on either side."""
+        center, width = self.init_center, self.init_width
+        lo_edge = [c - width for c in center]
+        hi_edge = [c + width for c in center]
+        if self.init_name == "twobump":
+            lo_edge[0] = center[0] - self.init_separation - width
+            hi_edge[0] = center[0] + self.init_separation + width
+        return min(min(le - a for le, a in zip(lo_edge, self.extent_lo)),
+                   min(b - he for he, b in zip(hi_edge, self.extent_hi)))
 
 
 # (field, section, key, parse, default) of every key a scenario may set, in
@@ -234,6 +248,13 @@ def build_scenario(config_text: str) -> ScenarioConfig:
         raise ConfigError("ladder.epsilons must be positive")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigError("epsilon ladder must be strictly decreasing")
+    # labels round to 6 digits, monotonically, so only neighbours can share
+    for a, b in zip(ladder, ladder[1:]):
+        if eps_label(a) == eps_label(b):
+            raise ConfigError(
+                f"ladder.epsilons {a!r} and {b!r} share the label "
+                f"{eps_label(a)}; both members would save into "
+                f"eps_{eps_label(a)}")
     if len(widths) != len(ladder) or any(w <= 0 for w in widths):
         raise ConfigError("ladder.mollifier_width must be 'match', one "
                           "positive value, or one per epsilon")

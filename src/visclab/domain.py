@@ -1,4 +1,4 @@
-"""Grids, fields and the flux / viscosity / entropy abstractions.
+"""Grids, trajectories and the flux / viscosity / entropy abstractions.
 
 The invariant interval I = [-sup|u0|, sup|u0|] is fixed when a flux is built;
 the discrete maximum principle keeps every solver state inside it, so all
@@ -7,6 +7,7 @@ tabulated functions only ever need to be accurate there.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ from .tables import TableLattice, TABLE_NODES
 
 
 # ---------------------------------------------------------------------------
-# grid and fields
+# grid and trajectories
 
 
 @dataclass(frozen=True)
@@ -61,20 +62,6 @@ class Grid:
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         axes = [self.centers(j) for j in range(self.dim)]
         return tuple(np.meshgrid(*axes, indexing="ij"))
-
-
-@dataclass(frozen=True)
-class Field:
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != self.grid.cells:
-            raise ValueError(f"field shape {v.shape} != grid cells {self.grid.cells}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite values")
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
@@ -292,7 +279,8 @@ def _entropy_functions(preset: str, params: dict):
             return d * d / np.sqrt(x * x + d * d) ** 3
         # the analytic supremum 1/delta, attained at u = k, which a lattice
         # node need not hit
-        return (f"kruzkov[k={k:+.2f}]", eta, etap, etapp, 1.0 / delta)
+        digits = int(params.get("digits", 2))
+        return (f"kruzkov[k={k:+.{digits}f}]", eta, etap, etapp, 1.0 / delta)
     raise ValueError(f"unknown entropy preset {preset!r}")
 
 
@@ -320,8 +308,13 @@ def make_entropy_pair(preset: str, flux: FluxSpec, tol: float,
 
 def kruzkov_ladder(flux: FluxSpec, count: int, delta: float,
                    tol: float) -> list[EntropyPair]:
-    """Smoothed |u - k| entropies for k uniformly spaced over I."""
+    """Smoothed |u - k| entropies for k uniformly spaced over I, each named
+    by its k with the fewest decimals, at least 2, that keep the names
+    distinct."""
     lo, hi = flux.interval
     ks = np.linspace(lo, hi, count)
-    return [make_entropy_pair("kruzkov", flux, tol, k=float(k), delta=delta)
+    digits = next(d for d in itertools.count(2)
+                  if len({f"{k:+.{d}f}" for k in ks}) == ks.size)
+    return [make_entropy_pair("kruzkov", flux, tol, k=float(k), delta=delta,
+                              digits=digits)
             for k in ks]

@@ -18,7 +18,8 @@ from .compactness import (attach_c_field, build_compensated_quad,
                           flux_identity_gap, grad_energy_lhs,
                           tartar_pair_table, time_derivative_l1,
                           young_histograms, young_w1_distance)
-from .config import ScenarioConfig, build_scenario, config_hash, render_config
+from .config import (ScenarioConfig, build_scenario, config_hash, eps_label,
+                     render_config)
 from .convergence import build_convergence_report, fit_rate
 from .domain import FieldTrajectory, Grid, kruzkov_ladder, make_entropy_pair, \
     make_flux, make_viscosity
@@ -37,12 +38,8 @@ class RuntimeSpecs:
     flux: object
     visc: object
     pairs: list
-    init_data: object
+    init_data: np.ndarray  # the cell values of the unmollified data
     tartar: np.ndarray
-
-
-def eps_label(eps: float) -> str:
-    return f"{eps:g}"
 
 
 def build_runtime(cfg: ScenarioConfig) -> RuntimeSpecs:
@@ -71,7 +68,7 @@ def solve_batch(cfg: ScenarioConfig, specs: RuntimeSpecs,
     ladder members, marched in lockstep from their mollified data: each
     member's ``FieldTrajectory``, or the ``StepError`` it failed with."""
     u0 = np.stack([mollify(specs.init_data,
-                           make_kernel(width, specs.grid.spacing)).values
+                           make_kernel(width, specs.grid.spacing))
                    for _eps, width in rungs])
     times = snapshot_times(cfg.time_horizon, cfg.snapshots)
     return integrate_batch(specs.grid, u0, specs.flux, specs.visc,
@@ -230,11 +227,12 @@ def assess(cfg: ScenarioConfig, specs: RuntimeSpecs,
     if cfg.dim == 2 and dirs:
         quad = build_compensated_quad(specs.flux, cfg.quadrature_tol,
                                       specs.tartar)
-        quad = attach_c_field(quad, _load(cfg, specs, dirs[-1]),
-                              _weak_window(cfg))
+        window = _weak_window(cfg)
+        c_field = attach_c_field(quad, _load(cfg, specs, dirs[-1]), window)
         for m, d in zip(members, dirs):
             traj = _load(cfg, specs, d)
-            dfield = compensated_D_field(traj, quad, traj.values)
+            dfield = compensated_D_field(traj, quad, c_field, window,
+                                         traj.values)
             m.d_mean = float(np.mean(dfield))
             m.d_min = float(np.min(dfield))
             del traj, dfield
@@ -335,7 +333,7 @@ def run_ladder(cfg: ScenarioConfig, outdir: str | Path | None = None,
     names, done = ["solve reference", "save reference"], 1
     try:
         reference = solve_reference(
-            specs.grid, specs.flux, specs.visc, specs.init_data.field.values,
+            specs.grid, specs.flux, specs.visc, specs.init_data,
             cfg.cfl, snapshot_times(cfg.time_horizon, cfg.snapshots))
         done = 2
         io.save_trajectory(refdir, reference)

@@ -1,16 +1,22 @@
 """Regularization of compactly supported initial data by mollification.
 
 The initial-data presets are declared here, once: ``DATA_PRESETS`` names
-them and ``support_margin`` gives the distance from a preset's support to
-the boundary.  ``within_one_cell`` tells a mollifier width of at most one
-cell, whose kernel would have a single node.  The config checks both before
-any run.
+them.  ``within_one_cell`` tells a mollifier width of at most one cell,
+whose kernel would have a single node.  The config checks it before any
+run, together with the support margin, the distance from a preset's
+support to the boundary, which the config alone computes.
+
+Data, kernel and result are plain arrays: ``make_initial_data`` gives the
+cell values, ``make_kernel`` the weights, and ``mollify`` the convolution
+of the one with the other, by ``np.convolve`` for 1-D data and by
+``_convolve_same_2d`` for 2-D data.
 
 The kernel is the standard bump exp(-1/(1-|z|^2)) scaled to a given width and
-normalized so its discrete integral is exactly one.  Because the kernel is
-required to be narrower than the distance from the data support to the
-boundary, the convolution never needs a boundary extension rule and the sup
-and total-variation bounds hold without correction terms.
+normalized so its discrete integral is exactly one.  Because the config
+requires every mollifier width to be smaller than the support margin, the
+convolution never needs a boundary extension rule, the mollified data vanish
+on the boundary cells, and the sup and total-variation bounds hold without
+correction terms.
 
 The 2-D convolution is numpy only and gives the same doubles as
 ``scipy.signal.convolve2d(u, w, mode="same", boundary="fill")``, so the 2-D
@@ -29,20 +35,11 @@ products; a plain term-by-term sum differs from it in the last bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .domain import Field, Grid
+from .domain import Grid
 
 DATA_PRESETS = ("bump", "box", "twobump")
-
-
-@dataclass(frozen=True)
-class MollifierKernel:
-    width: float
-    spacing: tuple[float, ...]
-    weights: np.ndarray  # dimensionless, sums to 1
 
 
 def _bump_profile(z2: np.ndarray) -> np.ndarray:
@@ -65,7 +62,9 @@ def within_one_cell(width: float, spacing: tuple[float, ...]) -> bool:
     return min(_kernel_radii(width, spacing)) == 0
 
 
-def make_kernel(width: float, spacing: tuple[float, ...]) -> MollifierKernel:
+def make_kernel(width: float, spacing: tuple[float, ...]) -> np.ndarray:
+    """The kernel's weights on the grid of ``spacing``: dimensionless, one
+    axis per grid axis, summing to 1."""
     if width <= 0:
         raise ValueError("mollifier width must be positive")
     if within_one_cell(width, spacing):
@@ -76,36 +75,15 @@ def make_kernel(width: float, spacing: tuple[float, ...]) -> MollifierKernel:
                for k, h in zip(_kernel_radii(width, spacing), spacing)]
     z2 = sum((o / width) ** 2 for o in np.meshgrid(*offsets, indexing="ij"))
     prof = _bump_profile(z2)
-    return MollifierKernel(width, tuple(spacing), prof / prof.sum())
-
-
-@dataclass(frozen=True)
-class InitialData:
-    field: Field
-    support_margin: float
-
-
-def support_margin(name: str, center: tuple[float, ...], width: float,
-                   separation: float, lo: tuple[float, ...],
-                   hi: tuple[float, ...]) -> float:
-    """Distance from the support of data preset ``name`` to the boundary of
-    the box ``[lo, hi]``.  The support lies in the box of half-width
-    ``width`` around ``center``; for ``twobump`` that box reaches
-    ``separation`` further along axis 0 on either side."""
-    lo_edge = [c - width for c in center]
-    hi_edge = [c + width for c in center]
-    if name == "twobump":
-        lo_edge[0] = center[0] - separation - width
-        hi_edge[0] = center[0] + separation + width
-    return min(min(le - a for le, a in zip(lo_edge, lo)),
-               min(b - he for he, b in zip(hi_edge, hi)))
+    return prof / prof.sum()
 
 
 def make_initial_data(grid: Grid, name: str, center: tuple[float, ...],
                       width: float, amplitude: float,
                       amplitude2: float = 0.0,
-                      separation: float = 0.0) -> InitialData:
-    """Initial-data presets: C2 'bump', indicator 'box', and 'twobump'."""
+                      separation: float = 0.0) -> np.ndarray:
+    """The cell values of the initial-data presets: C2 'bump', indicator
+    'box', and 'twobump'."""
     mesh = grid.meshgrid()
 
     def bump(c, amp):
@@ -128,31 +106,15 @@ def make_initial_data(grid: Grid, name: str, center: tuple[float, ...],
         vals = bump(c1, amplitude) + bump(c2, amplitude2)
     else:
         raise ValueError(f"unknown initial-data preset {name!r}")
-
-    margin = support_margin(name, center, width, separation, grid.lo, grid.hi)
-    return InitialData(Field(grid, vals), float(margin))
+    return vals
 
 
-def mollify(data: InitialData, kernel: MollifierKernel) -> Field:
-    """Discrete convolution of the data with the kernel.
-
-    Rejected when the kernel is at least as wide as the support margin, since
-    that would smear mass onto the boundary and break compatibility with the
-    homogeneous Dirichlet condition.
-    """
-    if kernel.width >= data.support_margin:
-        raise ValueError(
-            f"mollifier width {kernel.width:g} must be smaller than the "
-            f"data support margin {data.support_margin:g}")
-    grid = data.field.grid
-    if tuple(kernel.spacing) != grid.spacing:
-        raise ValueError("kernel was built for a different grid spacing")
-    u = data.field.values
-    if grid.dim == 1:
-        out = np.convolve(u, kernel.weights, mode="same")
-    else:
-        out = _convolve_same_2d(u, kernel.weights)
-    return Field(grid, out)
+def mollify(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Zero-filled 'same' convolution of the cell values ``u`` with the
+    kernel ``weights`` of ``make_kernel`` on the same grid."""
+    if u.ndim == 1:
+        return np.convolve(u, weights, mode="same")
+    return _convolve_same_2d(u, weights)
 
 
 def _convolve_same_2d(u: np.ndarray, w: np.ndarray) -> np.ndarray:

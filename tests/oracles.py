@@ -25,8 +25,8 @@ companion entropy fluxes q tabulated with their ODE self-check
 ``d/dt eta(u) + div q(u)`` that the package's split A + M must approach
 (``entropy_production_total``), one pair's split with both parts held
 whole, whose norms the package's per-member split must match bit for bit
-(``split_production``), and the total variation of a field
-(``total_variation``).
+(``split_production``), and the total variation of an array of cell
+values (``total_variation``).
 
 Last come the whole-array forms of what the package computes slab by slab
 or block by block, which it must match bit for bit: the dual norm with
@@ -45,8 +45,8 @@ import numpy as np
 
 from visclab import norms, tables
 from visclab.compactness import _along
-from visclab.domain import (EntropyPair, Field, FieldTrajectory, FluxSpec,
-                            Grid, ViscositySpec, make_flux, make_viscosity)
+from visclab.domain import (EntropyPair, FieldTrajectory, FluxSpec, Grid,
+                            ViscositySpec, make_flux, make_viscosity)
 from visclab.norms import h_minus_one_norm, measure_norm
 from visclab.viscous import StepError, integrate, snapshot_times
 
@@ -396,15 +396,14 @@ def split_production(traj: FieldTrajectory, pair: EntropyPair,
         measure_norm(M, traj.times, grid.cell_volume))
 
 
-def total_variation(field: Field) -> float:
-    """Sum over axes of |one-sided differences| * cell volume / spacing."""
-    v = field.values
-    grid = field.grid
-    cell = grid.cell_volume
+def total_variation(values: np.ndarray, spacing: tuple[float, ...]) -> float:
+    """Sum over axes of |one-sided differences| * cell volume / spacing of
+    the cell values ``values`` on a grid of ``spacing``."""
+    cell = math.prod(spacing)
     tv = 0.0
-    for axis in range(grid.dim):
-        d = np.abs(np.diff(v, axis=axis))
-        tv += float(np.sum(d)) * cell / grid.spacing[axis]
+    for axis, h in enumerate(spacing):
+        d = np.abs(np.diff(values, axis=axis))
+        tv += float(np.sum(d)) * cell / h
     return tv
 
 

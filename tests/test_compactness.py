@@ -380,8 +380,8 @@ def test_choose_c_inverse(quad):
 def test_compensated_D_constant_field(quad):
     vals = np.full((4, 8, 8), 0.4)
     traj = make_traj(vals, T=0.5)
-    quad = attach_c_field(quad, traj, (2, 4, 4))
-    field = compensated_D_field(traj, quad)
+    c_field = attach_c_field(quad, traj, (2, 4, 4))
+    field = compensated_D_field(traj, quad, c_field, (2, 4, 4))
     assert np.mean(field) == pytest.approx(0.0, abs=1e-10)
     assert np.min(field) >= -1e-12
 
@@ -389,42 +389,48 @@ def test_compensated_D_constant_field(quad):
 @pytest.mark.parametrize("window", [(3, 5, 6), (1, 4, 5), (11, 24, 20),
                                     (4, 7, 3)])
 def test_c_field_window_means_match_whole_field(quad, window):
-    # F11(u) formed one coarse time window at a time gives the window means
-    # of the whole F11 field bit for bit, ragged windows included
+    # F11(u) formed one coarse time window at a time, as attach_c_field
+    # forms it, gives the window means of the whole F11 field bit for bit,
+    # ragged windows included, and so the c-field of those means
     traj = _random_traj(11, 24, 20, seed=8)
-    f11 = interp(quad.lattice, quad.F11, traj.values)
+    u = traj.values
+    f11 = interp(quad.lattice, quad.F11, u)
     whole = compactness._window_means(f11.__getitem__, len(f11), window)
-    got = attach_c_field(quad, traj, window).f11_bar
+    got = compactness._window_means(
+        lambda blk: interp(quad.lattice, quad.F11, u[blk]), len(u), window)
     assert got.shape == whole.shape and got.tobytes() == whole.tobytes()
+    assert (attach_c_field(quad, traj, window).tobytes()
+            == choose_c(whole, quad)[0].tobytes())
 
 
 def test_compensated_D_written_over_the_handed_buffer(quad):
     # D written into the trajectory's own values equals a fresh D; without
     # an out the trajectory is left as it was
     traj = _random_traj(11, 24, 20, seed=9)
-    quad = attach_c_field(quad, traj, (3, 5, 6))
+    window = (3, 5, 6)
+    c_field = attach_c_field(quad, traj, window)
     before = traj.values.copy()
-    fresh = compensated_D_field(traj, quad)
+    fresh = compensated_D_field(traj, quad, c_field, window)
     assert traj.values.tobytes() == before.tobytes()
-    got = compensated_D_field(traj, quad, traj.values)
+    got = compensated_D_field(traj, quad, c_field, window, traj.values)
     assert got is traj.values and got.tobytes() == fresh.tobytes()
 
 
 def test_compensated_D_rejects_non_finite_values(quad):
     # the c-field of a finite member, then a member holding a NaN, whose D
     # is NaN where it is
-    quad = attach_c_field(quad, _random_traj(5, 8, 8, seed=3), (2, 4, 4))
+    c_field = attach_c_field(quad, _random_traj(5, 8, 8, seed=3), (2, 4, 4))
     bad = _random_traj(5, 8, 8, seed=4)
     bad.values[3, 2, 5] = np.nan
     with np.errstate(invalid="ignore"), \
             pytest.raises(ValueError, match="non-finite"):
-        compensated_D_field(bad, quad)
+        compensated_D_field(bad, quad, c_field, (2, 4, 4))
 
 
 def test_compensated_D_requires_2d(quad):
     traj = make_traj(np.zeros((4, 8)))
     with pytest.raises(ValueError, match="d = 2"):
-        compensated_D_field(traj, quad)
+        compensated_D_field(traj, quad, np.zeros((2, 2)), (2, 4))
 
 
 # --- snapshot blocking -----------------------------------------------------------
@@ -460,8 +466,9 @@ def test_blocked_instruments_bit_identical(monkeypatch, flux2d, quad,
     visc = make_viscosity("quadratic", (-1.0, 1.0))
 
     def outputs():
-        q = attach_c_field(quad, traj, (3, 5, 6))
-        return q.f11_bar, q.c_field, compensated_D_field(traj, q)
+        window = (3, 5, 6)
+        c_field = attach_c_field(quad, traj, window)
+        return c_field, compensated_D_field(traj, quad, c_field, window)
 
     monkeypatch.setattr(norms, "BLOCK_BYTES", traj.values.nbytes)
     assert len(norms.snapshot_blocks(traj.values)) == 1
@@ -540,8 +547,8 @@ def test_one_patch_sets_every_consumers_blocks(monkeypatch, flux2d, quad):
                          make_viscosity("constant", (-1.0, 1.0)), 0.05)
     l1_distance(traj, traj)
     grad_energy_lhs(traj)
-    quad = attach_c_field(quad, traj, (1, 4, 5))
-    compensated_D_field(traj, quad)
+    compensated_D_field(traj, quad, attach_c_field(quad, traj, (1, 4, 5)),
+                        (1, 4, 5))
     for caller in ("decompose_production", "l1_distance", "grad_energy_lhs",
                    "compensated_D_field"):
         assert seen.get(caller) == (7, 7), caller

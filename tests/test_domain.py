@@ -123,6 +123,22 @@ def test_kruzkov_ladder_spacing(burgers1):
     assert names[0] == "kruzkov[k=-1.00]" and names[-1] == "kruzkov[k=+1.00]"
 
 
+@pytest.mark.parametrize("sup, count, names", [
+    (0.01, 5, ["-0.010", "-0.005", "+0.000", "+0.005", "+0.010"]),
+    (1.0, 401, None), (1e-7, 3, ["-0.0000001", "+0.0000000", "+0.0000001"])])
+def test_kruzkov_ids_stay_distinct(sup, count, names):
+    # each ladder prints its k with the fewest decimals, at least 2, that
+    # keep the ids distinct; at two decimals, amplitude 0.01 and five k
+    # printed as three ids, and the diagnostics of two entropies were lost
+    flux = make_flux(("burgers",), (-sup, sup), 1e-8)
+    ids = [p.name for p in kruzkov_ladder(flux, count, 1e-3 * sup, 1e-8)]
+    assert len(set(ids)) == count
+    if names is None:  # a k step of 0.005 needs three decimals
+        assert ids[1] == "kruzkov[k=-0.995]"
+    else:
+        assert ids == [f"kruzkov[k={k}]" for k in names]
+
+
 def test_viscosity_presets_bounds():
     i = (-1.0, 1.0)
     const = make_viscosity("constant", i, {"b": 2.0})

@@ -591,6 +591,34 @@ def test_cli_bad_count_or_bound_rejected_before_solving(tmp_path, capsys, old,
     assert not out.exists()
 
 
+def test_cli_ladder_labels_that_collide_rejected(tmp_path, capsys):
+    # 0.0250000001 and 0.025 both label as 0.025: before, the second member
+    # saved over the first in eps_0.025, and convergence.csv listed 0.025
+    # twice with a Cauchy distance of 0
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(tiny_config().raw_text.replace(
+        "epsilons = 0.1,0.05", "epsilons = 0.1,0.0250000001,0.025"))
+    out = tmp_path / "never"
+    assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config rejected" in err
+    assert "ladder.epsilons 0.0250000001 and 0.025 share the label 0.025" in err
+    assert not out.exists()
+
+
+def test_small_amplitude_keeps_every_kruzkov_row(tmp_path):
+    # at amplitude 0.01 the five Kruzkov k are 0.005 apart: each keeps an id
+    # of its own, so every member has its six diagnostics rows
+    cfg = build_scenario(tiny_config().raw_text.replace(
+        "amplitude = 1.0", "amplitude = 0.01"))
+    result = run_ladder(cfg, outdir=tmp_path / "run")
+    rows = read_csv(result.outdir / "diagnostics.csv")
+    assert Counter(r["epsilon"] for r in rows) == {"0.1": 6, "0.05": 6}
+    assert [r["entropy_id"] for r in rows[:6]] == ["square"] + [
+        f"kruzkov[k={k}]" for k in ("-0.010", "-0.005", "+0.000", "+0.005",
+                                    "+0.010")]
+
+
 def test_cli_config_not_utf8_rejected(tmp_path, capsys):
     # before, the UnicodeDecodeError ended in a traceback with exit 1
     bad = tmp_path / "bad.cfg"

@@ -175,11 +175,12 @@ def test_d2_floor_holds_inside_the_interval(rt2):
     rng = np.random.default_rng(11)
     field = lambda: FieldTrajectory(
         grid, times, rng.uniform(lo, hi, (times.size, 16, 16)), 0.1)
-    quad = attach_c_field(build_compensated_quad(specs.flux,
-                                                 cfg.quadrature_tol,
-                                                 specs.tartar),
-                          field(), (2, 4, 4))
-    d_min = [float(np.min(compensated_D_field(field(), quad)))
+    quad = build_compensated_quad(specs.flux, cfg.quadrature_tol,
+                                  specs.tartar)
+    window = (2, 4, 4)
+    c_field = attach_c_field(quad, field(), window)
+    d_min = [float(np.min(compensated_D_field(field(), quad, c_field,
+                                              window)))
              for _ in range(3)]
     assert min(d_min) >= D2_POINTWISE_FLOOR
     inputs = baseline(cfg, specs)

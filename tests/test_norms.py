@@ -7,7 +7,7 @@ from scipy.fft import dst, idst
 from conftest import traced_peak
 from oracles import dual_norm_whole, total_variation
 from visclab import norms
-from visclab.domain import Field, Grid
+from visclab.domain import Grid
 from visclab.mollify import make_initial_data, make_kernel, mollify
 from visclab.norms import dirichlet_dual_norm, h_minus_one_norm, measure_norm
 
@@ -65,28 +65,28 @@ def test_measure_norm_nonpositive_field():
 
 def test_tv_constant():
     g = Grid((50,), (0.0,), (1.0,), 1.0)
-    assert total_variation(Field(g, np.full(50, 0.7))) == 0.0
+    assert total_variation(np.full(50, 0.7), g.spacing) == 0.0
 
 
 def test_tv_single_step():
     g = Grid((50,), (0.0,), (1.0,), 1.0)
     v = np.where(g.centers(0) < 0.5, 0.0, 1.0)
-    assert total_variation(Field(g, v)) == pytest.approx(1.0)
+    assert total_variation(v, g.spacing) == pytest.approx(1.0)
 
 
 def test_tv_mollified_step():
     g = Grid((400,), (0.0,), (1.0,), 1.0)
     data = make_initial_data(g, "box", (0.5,), 0.2, 1.0)
     out = mollify(data, make_kernel(0.03, g.spacing))
-    assert total_variation(out) <= (total_variation(data.field)
-                                    * (1 + 10.0 * g.spacing[0]))
+    assert total_variation(out, g.spacing) <= (
+        total_variation(data, g.spacing) * (1 + 10.0 * g.spacing[0]))
 
 
 def test_tv_2d_anisotropic():
     g = Grid((4, 4), (0.0, 0.0), (1.0, 1.0), 1.0)
     v = np.zeros((4, 4))
     v[2:, :] = 1.0  # one jump along x across every y-line
-    assert total_variation(Field(g, v)) == pytest.approx(1.0)
+    assert total_variation(v, g.spacing) == pytest.approx(1.0)
 
 
 # --- negative-order norm ----------------------------------------------------
