@@ -35,66 +35,107 @@ constant-B full step, in every round next to it; the gap between their medians i
 this machine's noise floor, printed below the table: a difference between
 two rows smaller than that floor is not resolved.
 
+Revision mode (``--rev REV``): the committed ``src/visclab`` of REV is
+extracted (``git archive``) into a temporary directory and imported under
+another name, next to the working tree's package, in one interpreter.
+Each side builds its own runtime and step plans of the full viscous steps
+above (both B tables, every count of members), and each round times, in an
+order that rotates from round to round, a block of ``--steps`` calls of
+REV's ``visc_step``, of the working tree's, and of the working tree's again
+on plans of its own (the control), each from the same mollified state.  The
+table gives each side's median µs per call with its quartiles, the ratio of
+the medians and how many rounds each side won; the control's ratio and
+wins are the noise floor of the comparison.  Every block's stepped states
+must be the same bytes on all three sides; the mode exits 1 when any
+differ, else 0.
+
 Usage:
     PYTHONPATH=src python benchmarks/bench_kernels.py [--steps K] [--rounds N]
+    PYTHONPATH=src python benchmarks/bench_kernels.py --rev REV [--steps K]
+        [--rounds N]
 """
 
 import argparse
+import importlib
+import importlib.util
+import io
 import resource
+import subprocess
+import sys
+import tarfile
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from visclab import kernels
-from visclab.config import build_scenario
-from visclab.domain import make_viscosity
-from visclab.harness import build_runtime
-from visclab.mollify import make_kernel, mollify
-from visclab.viscous import stable_dt
-
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+MODULES = ("config", "domain", "harness", "kernels", "mollify", "viscous")
 
 
-def scenario_calls(name):
+def package_modules(name="visclab"):
+    """The modules of the package ``name`` that the benchmark calls."""
+    return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}")
+                              for m in MODULES})
+
+
+def load_package(src: Path, name: str):
+    """The ``visclab`` package under the source directory ``src``, imported
+    as ``name``; its modules import each other relatively, so they load from
+    ``src`` too."""
+    init = src / "visclab" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    return package_modules(name)
+
+
+def scenario_calls(name, v=None):
     """``(kernel name, B preset or axis, members, dt form, state, dt, step
     plan)`` rows: the viscous step of the scenario's ladder as one batch (a
     batch of one per member when the state is 2-D) at each count of members
     still stepping, as a full and as a landing step, then the Godunov step
-    along each axis."""
-    cfg = build_scenario((SCENARIOS / name).read_text())
-    specs = build_runtime(cfg)
+    along each axis.  ``v`` holds the modules that build them
+    (``package_modules``; the working tree's when not given)."""
+    v = v or package_modules()
+    cfg = v.config.build_scenario((SCENARIOS / name).read_text())
+    specs = v.harness.build_runtime(cfg)
     grid, flux = specs.grid, specs.flux
     members = len(cfg.ladder) if grid.dim == 1 else 1
     rungs = list(zip(cfg.ladder, cfg.mollifier_widths))[:members]
-    u = np.stack([mollify(specs.init_data, make_kernel(width, grid.spacing))
+    u = np.stack([v.mollify.mollify(specs.init_data,
+                                    v.mollify.make_kernel(width, grid.spacing))
                   for _eps, width in rungs])
     eps = [e for e, _w in rungs]
     lat = flux.lattice
-    gauss = make_viscosity("gaussian", (lat.lo, lat.hi), {"r": 1.0})
+    gauss = v.domain.make_viscosity("gaussian", (lat.lo, lat.hi), {"r": 1.0})
     rows = []
     for visc in (specs.visc, gauss):
-        dts = [stable_dt(grid, flux, visc, e, cfg.cfl) for e in eps]
-        plans = kernels.visc_plan(grid.cells, grid.spacing, eps, dts, lat,
-                                  flux.tables, visc.table)
+        dts = [v.viscous.stable_dt(grid, flux, visc, e, cfg.cfl) for e in eps]
+        plans = v.kernels.visc_plan(grid.cells, grid.spacing, eps, dts, lat,
+                                    flux.tables, visc.table)
         for k in range(members, 0, -1):
             forms = {"full": tuple(dts[:k]),
                      "landing": (*dts[:k - 1], 0.5 * dts[k - 1])}
             for form, dt in forms.items():
                 rows.append((f"visc_step_{grid.dim}d", visc.name, k, form,
                              u[:k], dt, plans[k - 1]))
-    dt0 = stable_dt(grid, flux, specs.visc, 0.0, cfg.cfl)
+    dt0 = v.viscous.stable_dt(grid, flux, specs.visc, 0.0, cfg.cfl)
     kname = "godunov_step_1d" if grid.dim == 1 else "godunov_sweep_2d"
     for axis, (h, tab) in enumerate(zip(grid.spacing, flux.tables)):
         rows.append((kname, "xy"[axis], 1, "float", u[0], dt0,
-                     kernels.godunov_plan(h, lat, tab, axis)))
+                     v.kernels.godunov_plan(h, lat, tab, axis)))
     return rows
 
 
 def bench(fn, u, dt, plan, steps):
     """(seconds, minor page faults) per call, stepping a copy of ``u`` in
-    place as a march does."""
+    place as a march does, and the stepped copy."""
     u = u.copy()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
@@ -102,7 +143,7 @@ def bench(fn, u, dt, plan, steps):
         fn(u, dt, u, plan)
     elapsed = time.perf_counter() - t0
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    return elapsed / steps, faults / steps
+    return elapsed / steps, faults / steps, u
 
 
 def peak_states(fn, u, dt, plan):
@@ -117,12 +158,86 @@ def peak_states(fn, u, dt, plan):
     return peak / u.nbytes
 
 
+def extract(rev: str, dest: Path) -> Path:
+    """The committed ``src`` of ``rev``, extracted under ``dest``."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev, "src/visclab"], cwd=ROOT,
+        capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def visc_full_steps(v):
+    """``(row label, state, dt, plan, visc_step)`` of every full viscous
+    step of ``scenario_calls`` on both shipped scenarios, built by the
+    modules ``v``."""
+    return [(f"{kname} {preset} {k}", u, dt, plan, v.kernels.visc_step)
+            for scenario in ("burgers1d.cfg", "burgers2d.cfg")
+            for kname, preset, k, form, u, dt, plan
+            in scenario_calls(scenario, v)
+            if kname.startswith("visc") and form == "full"]
+
+
+def compare_trees(rev_src: Path, steps: int, rounds: int) -> int:
+    """Interleaved blocks of the full viscous steps of the package under
+    ``rev_src`` (``rev``), of the working tree's (``work``) and of the
+    working tree's on plans of its own (``control``); prints the table and
+    returns 1 when any block's stepped states differ between the sides,
+    else 0."""
+    sides = {"rev": visc_full_steps(load_package(rev_src, "visclab_rev")),
+             "work": visc_full_steps(package_modules()),
+             "control": visc_full_steps(package_modules())}
+    names = list(sides)
+    times = {side: [[] for _ in sides[side]] for side in names}
+    differ = set()
+    for r in range(rounds):
+        order = names[r % 3:] + names[:r % 3]
+        for i in range(len(sides["work"])):
+            states = {}
+            for side in order:
+                _label, u, dt, plan, fn = sides[side][i]
+                t, _faults, states[side] = bench(fn, u, dt, plan, steps)
+                times[side][i].append(t * 1e6)
+            if len({states[side].tobytes() for side in names}) > 1:
+                differ.add(i)
+
+    def stats(us):
+        return np.percentile(us, [50, 25, 75])
+
+    print(f"{'kernel, B, members':<28} {'rev (us) [q1, q3]':>24} "
+          f"{'work (us) [q1, q3]':>24} {'work/rev':>8} {'work won':>8} "
+          f"{'control/work':>12} {'control won':>11} {'bytes':>6}")
+    for i, (label, *_rest) in enumerate(sides["work"]):
+        rev, work, ctrl = (np.array(times[side][i]) for side in names)
+        (mr, r1, r3), (mw, w1, w3) = stats(rev), stats(work)
+        print(f"{label:<28} {mr:9.1f} [{r1:6.1f}, {r3:6.1f}] "
+              f"{mw:9.1f} [{w1:6.1f}, {w3:6.1f}] {mw / mr:8.3f} "
+              f"{int((work < rev).sum()):>5}/{rounds:<2} "
+              f"{stats(ctrl)[0] / mw:12.3f} "
+              f"{int((ctrl < work).sum()):>8}/{rounds:<2} "
+              f"{'DIFFER' if i in differ else 'same':>6}")
+    print(f"\n{len(differ)} of {len(sides['work'])} rows step to states "
+          f"that differ" if differ else "\nsame bytes: every block's "
+          f"stepped states are equal on all three sides")
+    return 1 if differ else 0
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--steps", type=int, default=300)
-    ap.add_argument("--rounds", type=int, default=5)
+    ap.add_argument("--rounds", type=int,
+                    help="rounds of blocks (default 5, or 20 with --rev)")
+    ap.add_argument("--rev", help="a git revision whose viscous step to "
+                    "time against the working tree's")
     args = ap.parse_args(argv)
+    if args.rev is not None:
+        with tempfile.TemporaryDirectory(prefix="bench_kernels_") as tmp:
+            return compare_trees(extract(args.rev, Path(tmp)), args.steps,
+                                 args.rounds or 20)
+    rounds = args.rounds or 5
 
+    kernels = package_modules().kernels
     cases = []
     for scenario in ("burgers1d.cfg", "burgers2d.cfg"):
         for kname, preset, k, form, u, dt, plan in scenario_calls(scenario):
@@ -134,10 +249,10 @@ def main(argv=None):
                 twin = len(cases) - 1
                 cases.append((kname, "control", k, form, u, dt, plan, fn))
     samples = [[] for _ in cases]
-    for _ in range(args.rounds):
+    for _ in range(rounds):
         for case, got in zip(cases, samples):
             *_, u, dt, plan, fn = case
-            got.append(bench(fn, u, dt, plan, args.steps))
+            got.append(bench(fn, u, dt, plan, args.steps)[:2])
 
     print(f"{'kernel':<18} {'B/axis':<9} {'members':>7} {'dt':<7} "
           f"{'cells':>8} {'median (us)':>12} {'IQR (us)':>9} "
@@ -161,4 +276,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

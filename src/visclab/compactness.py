@@ -460,21 +460,20 @@ def compensated_D_field(traj: FieldTrajectory, quad: CompensatedQuad,
     written over it."""
     if traj.grid.dim != 2:
         raise ValueError("the compensated quadratic is a d = 2 diagnostic")
-    lat = quad.lattice
     u = traj.values
     D = np.empty_like(u) if out is None else out
-    # F(c) on the coarse c-field itself, expanded per block onto the cells
-    # of the block's snapshots, whose snapshot t lies in coarse time window
-    # t // window[0].  Table reads are elementwise, so the values are those
-    # of reading F on the expanded c
-    f_c = [tables.interp(lat, tab, c_field)
-           for tab in (quad.F11, quad.F22, quad.F12)]
+    # F11, F22 and F12 as one stack, each block located once; F(c) on the
+    # coarse c-field itself, expanded per block onto the cells of the
+    # block's snapshots, whose snapshot t lies in coarse time window t //
+    # window[0].  Table reads are elementwise, so the values are those of
+    # reading F on the expanded c
+    stack = np.stack((quad.F11, quad.F22, quad.F12))
+    f_c = tables.interp(quad.lattice, stack, c_field)
     for blk in snapshot_blocks(u):
         ub = u[blk]
         rows = np.arange(blk.start, blk.stop) // window[0]
-        d11, d22, d12 = (
-            tables.interp(lat, tab, ub)
-            - _block_expand(fc[rows], (1,) + window[1:], ub.shape)
-            for tab, fc in zip((quad.F11, quad.F22, quad.F12), f_c))
+        d11, d22, d12 = reads = tables.interp(quad.lattice, stack, ub)
+        for read, fc in zip(reads, f_c):
+            read -= _block_expand(fc[rows], (1,) + window[1:], ub.shape)
         finite(np.subtract(d11 * d22, d12 * d12, out=D[blk]))
     return D

@@ -15,11 +15,15 @@ arithmetic (same interpolation formula, same operation order).
 Step plans: a kernel's ``plan`` is built once per march by ``visc_plan`` or
 ``godunov_plan`` and passed unchanged on every call.  The plan is the only
 place that holds a step's tables and constants: the tables and their slope
-tables ``tab[1:] - tab[:-1]``, the lattice (``lo``, ``inv`` and the last
-panel ``top``), the spacing ``h``, each member's ``eps / h`` and flat-B
-product ``b * eps / h``, and the Godunov flux's critical nodes.  A kernel
-takes no table argument, so it reads only the tables its plan was built
-for.  A plan holds only arrays, tuples, numbers and None.
+tables ``tab[1:] - tab[:-1]``, the lattice's ``panels`` (``lo``, ``inv``
+and the last panel ``top``), the spacing ``h``, each member's ``eps / h``
+and flat-B product ``b * eps / h``, and the Godunov flux's critical nodes.
+A kernel takes no table argument, so it reads only the tables its plan was
+built for.  A plan holds only arrays, tuples, numbers and None.  Every
+scalar operand a viscous step hands a ufunc is a 0-d float64 array (the
+lattice's ``panels``, a zero table's read, one member's ``eps / h``, ``b *
+eps / h`` and ``dt / h``): a ufunc takes it as it is, where it would
+convert a Python float on every call, and the doubles are the same.
 
 Only the viscous plan also holds buffers, because only the viscous step is
 called often enough for them to pay: every member of a run marches with it
@@ -28,26 +32,32 @@ the reference makes a few hundred Godunov steps (512 in 1-D, 384 sweeps in
 2-D).
 The viscous plan holds every buffer a step writes (the zero-bordered copy of
 the state, whose ghost cells stay 0 because only its interior is written;
-the location of the state and of the face midpoints; the table reads; the
-face fluxes and the cell differences) and every view the step reads (the
-interior of the state, the state and the table reads on either side of each
-face, the fluxes after and before each cell).  So a viscous step is one
-fixed sequence of ufunc calls writing into the plan: for one member it
-allocates nothing and slices nothing.  (For more, ``u - diff`` is a
-row-wise op that numpy buffers, about one state, and a landing step makes
-its ``dt / h`` cell by cell.)  The Godunov plan holds no buffer and no
-view: a Godunov step moves its axis first, pads that axis with a zero ghost
-cell at either end, and allocates its temporaries, so the faces of every
-line are the leading-axis slices ``[:-1]`` and ``[1:]`` of the padded
-state.  Each face and cell gets the same ufuncs in the same order as the
-loop twin's arithmetic.
+the location of the state and of the face midpoints; ``reads``, one row per
+Engquist-Osher table, and the B read; the face fluxes and the cell
+differences, which also serve as the scratch of the table reads, since
+their values are dead until the step writes them) and every view the step
+reads (the interior of the state, the state and the rows of ``reads`` on
+either side of each face, the fluxes after and before each cell).  So a
+viscous step is one fixed sequence of ufunc calls writing into the plan:
+for one member it allocates nothing and slices nothing.  (For more, ``u -
+diff`` is a row-wise op that numpy buffers, about one state, and a landing
+step makes its ``dt / h`` cell by cell.)  The Godunov plan holds no buffer
+and no view: a Godunov step moves its axis first, pads that axis with a
+zero ghost cell at either end, and allocates its temporaries, so the faces
+of every line are the leading-axis slices ``[:-1]`` and ``[1:]`` of the
+padded state.  Each face and cell gets the same ufuncs in the same order
+as the loop twin's arithmetic.
 
 Reading a table: every table of a plan lies on the same lattice, so one
-``tables.locate`` of a state array serves them all, and each read is
+``tables.locate`` of a state array serves them all, and a read is
 ``tables.lookup`` from that location, ``slope[k] * frac + tab[k]``: the same
 doubles as ``t0 + frac * (t1 - t0)``, since the slope is the same
 subtraction of the same two nodes, made once per march instead of on every
-read.
+read.  The viscous plan stacks the Engquist-Osher tables of every axis
+into one array ``eo``, so a step reads all of them with one ``locate`` of
+the bordered state and one ``lookup`` into ``reads``, which gives each
+table's row the doubles of its own read.  Under a non-flat B each axis
+then locates its face midpoints and reads B there, a second pair.
 
 Flat viscosity table: the plan judges the B table once per march; when every
 node equals node 0 (``tables.flat_value``: ``B == b``, the semilinear case)
@@ -79,7 +89,7 @@ them lie between two ghost cells, computed and never read like the others.
 So every op still runs once over the whole batch.  What differs between
 members is a factor: ``eps / h`` and ``b * eps / h`` of each member's
 viscosity and ``dt / h`` of each member's step.  With one member these are
-floats and the step is the single-member step op for op.  With more, the
+0-d arrays and the step is the single-member step op for op.  With more, the
 plan holds the viscosity factors face by face and ``dt / h`` cell by cell,
 each its member's (a flat product, as cheap as the scalar one).  ``dt`` is
 the tuple of the members' steps.  The plan holds the members' full steps
@@ -96,12 +106,13 @@ same number and every difference is 0.
 
 Zero Engquist-Osher tables: the viscous plan also judges each Engquist-Osher
 table once per march.  A table whose every node is +0.0 (f- of ``linear``
-with a > 0, as on the y axis of the 2-D scenario; f+ with a < 0) is never
-read: its read is the scalar 0.0, and the face flux is ``0.0 + qr`` or ``pl
-+ 0.0``.  That is exact: the lookup gives ``0.0 * frac + 0.0 = +0.0`` for
-every finite ``frac`` (+0.0 + -0.0 is +0.0), the loop twins add that +0.0,
-and IEEE addition is commutative, signed zeros included.  A -0.0 node reads
-as -0.0 below the lattice, so only +0.0 nodes count.
+with a > 0, as on the y axis of the 2-D scenario; f+ with a < 0) has no
+row in ``eo`` and is never read: its read is a 0-d 0.0, and the face flux
+is ``0.0 + qr`` or ``pl + 0.0``.  That is exact: the lookup gives ``0.0 *
+frac + 0.0 = +0.0`` for every finite ``frac`` (+0.0 + -0.0 is +0.0), the
+loop twins add that +0.0, and IEEE addition is commutative, signed zeros
+included.  A -0.0 node reads as -0.0 below the lattice, so only +0.0 nodes
+count.
 
 States that are not finite: a march checks its bound once per snapshot
 interval, so a member that breaks it may step on, up to inf or NaN, to the
@@ -119,6 +130,7 @@ a step.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -143,34 +155,35 @@ def _location(size: int) -> tuple:
     return np.empty(size, np.int64), np.empty(size), np.empty(size)
 
 
+# the read of a zero Engquist-Osher table, a 0-d float64 array, as every
+# scalar operand of a step is: a ufunc takes it without converting
+_ZERO_READ = np.zeros(())
+_ZERO_READ.flags.writeable = False
+
+
 class Axis(NamedTuple):
     """The faces of one axis of a viscous step, as flat slices.
 
     ``h`` is the spacing, ``eh`` is ``eps / h`` and ``beh`` is ``b * eps /
-    h`` for a flat B table, else None: floats for one member, else the
-    factor of each face's member, face by face.  ``eop``/``eom`` are that
-    axis's Engquist-Osher tables and ``*_slope`` their slopes; all four are None
-    for a table that is never read because every node is +0.0.  ``ul``/``ur``
-    view the raveled padded state and ``pl``/``qr`` the ``eop``/``eom`` reads
-    on the left and right of each face (the scalar 0.0 for a zero table).
-    ``flux`` and ``mid`` are face buffers, ``fr``/``fl`` view ``flux`` after
-    and before each cell, and ``diff`` views the part of the plan's cell
-    differences that receives ``fr - fl`` and is multiplied by ``dt / h``.
-    ``bread`` is the face midpoints' location and the two buffers of the B
-    read; None when B is flat.
+    h`` for a flat B table, else None: 0-d arrays for one member, else the
+    factor of each face's member, face by face.  ``ul``/``ur`` view the
+    raveled padded state and ``pl``/``qr`` the rows of the plan's ``reads``
+    that hold that axis's f+ and f- on the left and right of each face
+    (``_ZERO_READ`` for a table that is never read because every node is
+    +0.0).  ``flux`` and ``mid`` are face buffers, ``fr``/``fl`` view
+    ``flux`` after and before each cell, and ``diff`` views the part of the
+    plan's cell differences that receives ``fr - fl`` and is multiplied by
+    ``dt / h``.  ``bread`` is the face midpoints' location and the two
+    buffers of the B read; None when B is flat.
     """
 
     h: float
-    eh: float | np.ndarray
-    beh: float | np.ndarray | None
-    eop: np.ndarray | None
-    eom: np.ndarray | None
-    eop_slope: np.ndarray | None
-    eom_slope: np.ndarray | None
+    eh: np.ndarray
+    beh: np.ndarray | None
     ul: np.ndarray
     ur: np.ndarray
-    pl: np.ndarray | float
-    qr: np.ndarray | float
+    pl: np.ndarray
+    qr: np.ndarray
     flux: np.ndarray
     mid: np.ndarray
     fr: np.ndarray
@@ -183,26 +196,29 @@ class ViscPlan(NamedTuple):
     """Step plan of ``visc_step`` for the states ``(k, *cells)`` of ``k``
     members.
 
+    ``panels`` is the lattice's ``(lo, inv, top)`` (``TableLattice.panels``).
     ``ext`` is the zero-bordered state, ``flat`` the same buffer raveled and
     ``inner`` its interior, the only part a step writes, so the ghost cells
-    stay 0.  ``loc`` is the location of ``flat``; ``p``, ``q`` and
-    ``scratch`` receive the table reads there, one axis after the other.
-    ``dint`` is the interior of the full-size cell differences that each
-    axis's ``diff`` writes in turn.  ``b_slope`` holds the slopes of
-    ``btab``; None when it is flat.  ``steps`` holds the members' full
+    stay 0.  ``loc`` is the location of ``flat``.  ``eo`` stacks every
+    Engquist-Osher table with a nonzero node, axis by axis, f+ before f-,
+    and ``eo_slope`` their slopes; ``reads`` holds one row of ``flat``'s
+    size per table and receives their reads at ``loc``, and ``scratch``, of
+    the same shape, the lookup's gather, over buffers that the step writes
+    only later.  ``dint`` is the interior of the full-size cell differences
+    that each axis's ``diff`` writes in turn.  ``b_slope`` holds the slopes
+    of ``btab``; None when it is flat.  ``steps`` holds the members' full
     steps and ``factors`` each axis's ``dt / h`` of them, as the axis's
     ``diff`` lays out the cells.
     """
 
-    lo: float
-    inv: float
-    top: float
+    panels: tuple
     ext: np.ndarray
     flat: np.ndarray
     inner: np.ndarray
     loc: tuple
-    p: np.ndarray
-    q: np.ndarray
+    eo: np.ndarray
+    eo_slope: np.ndarray
+    reads: np.ndarray
     scratch: np.ndarray
     dint: np.ndarray
     axes: tuple
@@ -214,13 +230,12 @@ class ViscPlan(NamedTuple):
 
 class GodunovPlan(NamedTuple):
     """Step plan of ``godunov_step`` along ``axis`` of a state: constants
-    only.  ``crit`` holds the ``(crit_y, crit_f)`` pairs of ``ftab``."""
+    only.  ``panels`` is the lattice's ``(lo, inv, top)`` and ``crit`` holds
+    the ``(crit_y, crit_f)`` pairs of ``ftab``."""
 
     axis: int
     h: float
-    lo: float
-    inv: float
-    top: float
+    panels: tuple
     ftab: np.ndarray
     f_slope: np.ndarray
     crit: tuple
@@ -231,13 +246,12 @@ def _is_zero(tab: np.ndarray) -> bool:
     return not (tab.any() or np.signbit(tab).any())
 
 
-def _per_face(factors: list, size: int, faces: int):
-    """Each face's factor: a float for one member; else face ``i`` gets the
-    factor of member ``i // size``, whose bordered state holds ``size``
+def _per_face(factors: list, size: int, faces: int) -> np.ndarray:
+    """Each face's factor: a 0-d array for one member; else face ``i`` gets
+    the factor of member ``i // size``, whose bordered state holds ``size``
     cells."""
-    if len(factors) == 1:
-        return factors[0]
-    return np.repeat(factors, size)[:faces]
+    return (np.array(factors[0]) if len(factors) == 1
+            else np.repeat(factors, size)[:faces])
 
 
 def visc_plan(cells, spacing, eps, steps, lattice, flux_tables,
@@ -255,42 +269,51 @@ def visc_plan(cells, spacing, eps, steps, lattice, flux_tables,
     # one ghost cell on either side of every cell axis, none on the members'
     ext = np.zeros((len(eps),) + tuple(n + 2 for n in cells))
     size = ext[0].size  # one member's bordered state
-    # the cell differences are read in the interior only; face buffers as
-    # long as the cells, of which an axis of stride s uses the first n - s
-    diff, mid, flux, p, q, scratch = (np.zeros(ext.size) for _ in range(6))
     loc = _location(ext.size)
     b = tables.flat_value(btab)  # None unless every B node is the same
     bbuf = (*_location(ext.size), np.zeros(ext.size),
             np.zeros(ext.size)) if b is None else None
-    judged = []
-    for stride, h, tab in zip(ext.strides[1:], spacing, flux_tables):
-        eop = None if _is_zero(tab.eo_plus) else tab.eo_plus
-        eom = None if _is_zero(tab.eo_minus) else tab.eo_minus
-        judged.append((stride // ext.itemsize, h, eop, eom,
-                       None if eop is None else tables.slopes(eop),
-                       None if eom is None else tables.slopes(eom)))
+    # each axis's f+ and f-, and their rows of the stack: None for a zero
+    # table, which is never read
+    eos = [t for tab in flux_tables[:dim] for t in (tab.eo_plus, tab.eo_minus)]
+    eo = np.array([t for t in eos if not _is_zero(t)]).reshape(-1, lattice.n)
+    count = itertools.count()
+    rows = [None if _is_zero(t) else next(count) for t in eos]
+    reads = np.zeros(len(eo) * ext.size)
+    # the cell differences are read in the interior only; face buffers as
+    # long as the cells, of which an axis of stride s uses the first n - s.
+    # A step writes them before it reads them, so the stack's lookup scratch
+    # lies over them and the step touches no buffer for it alone
+    work = np.zeros(max(len(eo), 3) * ext.size)
+    diff, mid, flux = work[:3 * ext.size].reshape(3, -1)
     interior = (slice(None),) + (slice(1, -1),) * dim
     plans = []
     for k in range(1, len(eps) + 1):
         n, shape = k * size, (k,) + ext.shape[1:]
         flat = ext.reshape(-1)[:n]
+        # the plan of k members reads into the leading rows' first n values
+        read_k = reads[:len(eo) * n].reshape(len(eo), n)
         axes = []
-        for s, h, eop, eom, eop_slope, eom_slope in judged:
+        for ax, (stride, h) in enumerate(zip(ext.strides[1:], spacing)):
+            s = stride // ext.itemsize
             f = n - s  # face i lies between cells i and i + s
+            p, q = rows[2 * ax:2 * ax + 2]
             eh = [e / h for e in eps[:k]]
             axes.append(Axis(
                 h, _per_face(eh, size, f),
                 None if b is None else _per_face([b * x for x in eh], size,
                                                   f),
-                eop, eom, eop_slope, eom_slope, flat[:f], flat[s:],
-                0.0 if eop is None else p[:f], 0.0 if eom is None else q[s:n],
+                flat[:f], flat[s:],
+                _ZERO_READ if p is None else read_k[p, :f],
+                _ZERO_READ if q is None else read_k[q, s:],
                 flux[:f], mid[:f], flux[s:f], flux[:f - s], diff[s:f],
                 (tuple(x[:f] for x in bbuf[:3]), bbuf[3][:f], bbuf[4][:f])
                 if b is None else None))
         axes = tuple(axes)
         plans.append(ViscPlan(
-            *lattice.panels, ext[:k], flat, ext[:k][interior],
-            tuple(x[:n] for x in loc), p[:n], q[:n], scratch[:n],
+            lattice.panels, ext[:k], flat, ext[:k][interior],
+            tuple(x[:n] for x in loc), eo, tables.slopes(eo), read_k,
+            work[:len(eo) * n].reshape(len(eo), n),
             diff[:n].reshape(shape)[interior], axes, btab,
             tables.slopes(btab) if b is None else None, steps[:k],
             _step_factors(n, axes, steps[:k])))
@@ -299,8 +322,8 @@ def visc_plan(cells, spacing, eps, steps, lattice, flux_tables,
 
 def _step_factors(n: int, axes: tuple, steps: tuple) -> tuple:
     """Each axis's ``dt / h`` of the members' ``steps`` on ``n`` bordered
-    cells, as its ``diff`` lays out the cells: a float for one member, else
-    each cell its member's."""
+    cells, as its ``diff`` lays out the cells: a 0-d array for one member,
+    else each cell its member's."""
     size = n // len(steps)
     factors = []
     for a in axes:
@@ -315,7 +338,7 @@ def godunov_plan(h: float, lattice, flux_table, axis: int) -> GodunovPlan:
     and the flux table ``flux_table`` (a ``domain.FluxTables``) on
     ``lattice``."""
     ftab = flux_table.f
-    return GodunovPlan(axis, h, *lattice.panels, ftab, tables.slopes(ftab),
+    return GodunovPlan(axis, h, lattice.panels, ftab, tables.slopes(ftab),
                        tuple(zip(flux_table.crit_y, flux_table.crit_f)))
 
 
@@ -334,19 +357,16 @@ def visc_step(u, dt, out, plan: ViscPlan):
     plan's bordered state before it writes.
     """
     # the plan and its axes unpacked once: locals are the cheapest reads
-    lo, inv, top, _ext, flat, inner, loc, p, q, scratch, dint, axes, btab, \
-        b_slope, steps, factors = plan
+    panels, _ext, flat, inner, loc, eo, eo_slope, reads, scratch, dint, \
+        axes, btab, b_slope, steps, factors = plan
     inner[...] = u
-    loc = tables.locate(lo, inv, top, flat, out=loc)
+    loc = tables.locate(*panels, flat, out=loc)
+    tables.lookup(eo, eo_slope, loc, out=reads, scratch=scratch)
     if dt != steps:
         factors = _step_factors(flat.size, axes, dt)
     src = u
-    for (_h, eh, beh, eop, eom, eop_slope, eom_slope, ul, ur, pl, qr, flux,
-         mid, fr, fl, diff, bread), factor in zip(axes, factors):
-        if eop is not None:
-            tables.lookup(eop, eop_slope, loc, out=p, scratch=scratch)
-        if eom is not None:
-            tables.lookup(eom, eom_slope, loc, out=q, scratch=scratch)
+    for (_h, eh, beh, ul, ur, pl, qr, flux, mid, fr, fl, diff, bread), \
+            factor in zip(axes, factors):
         np.add(pl, qr, flux)
         if bread is None:
             np.subtract(ur, ul, mid)
@@ -357,7 +377,7 @@ def visc_step(u, dt, out, plan: ViscPlan):
             mid *= 0.5
             mloc, bm, bs = bread
             tables.lookup(btab, b_slope,
-                          tables.locate(lo, inv, top, mid, out=mloc),
+                          tables.locate(*panels, mid, out=mloc),
                           out=bm, scratch=bs)
             bm *= eh
             bm *= np.subtract(ur, ul, mid)
@@ -375,8 +395,8 @@ def godunov_step(u, dt, out, plan: GodunovPlan):
     lines = np.moveaxis(u, plan.axis, 0)
     ext = np.zeros((lines.shape[0] + 2, *lines.shape[1:]))
     ext[1:-1] = lines
-    f = tables.lookup(plan.ftab, plan.f_slope,
-                      tables.locate(plan.lo, plan.inv, plan.top, ext))
+    loc = tables.locate(*plan.panels, ext)
+    f = tables.lookup(plan.ftab, plan.f_slope, loc)
     # face i of each line lies between its cells i and i + 1 of ext
     ul, ur = ext[:-1], ext[1:]
     gmin, gmax = np.minimum(f[:-1], f[1:]), np.maximum(f[:-1], f[1:])

@@ -175,8 +175,11 @@ def evaluate_estimates(cfg, specs, members: list[MemberDiagnostics],
     present = {r.estimate for r in rows}
     for eid in ESTIMATE_IDS:
         if eid not in present:
-            _check(rows, eid, "not evaluated (ladder too short)", "-", 0.0,
-                   0.0, "<=")
+            # conv is None with members stored only when the reference is
+            # missing, and dirac and convergence read the reference
+            why = ("no reference" if conv is None and members
+                   and eid in ("dirac", "convergence") else "ladder too short")
+            _check(rows, eid, f"not evaluated ({why})", "-", 0.0, 0.0, "<=")
     rows.sort(key=lambda r: ESTIMATE_IDS.index(r.estimate))
     return rows
 

@@ -16,6 +16,10 @@ import numpy as np
 
 TABLE_NODES = 4096
 
+# ``locate``'s clip floor, a 0-d float64 array: a ufunc takes it as it is,
+# where it would convert a Python float on every call
+_FLOOR = np.zeros(())
+
 # the 8-node Gauss-Legendre rule on [-1, 1]: the bits of
 # numpy.polynomial.legendre.leggauss(8), written out so that no command
 # loads numpy.polynomial
@@ -42,10 +46,12 @@ class TableLattice:
         return (self.n - 1) / (self.hi - self.lo)
 
     @property
-    def panels(self) -> tuple[float, float, float]:
-        """``(lo, inv, top)`` of ``locate``: the last panel's first node is
+    def panels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(lo, inv, top)`` of ``locate``, as 0-d float64 arrays that the
+        ufuncs take without converting: the last panel's first node is
         nodes - 2."""
-        return self.lo, self.inv_spacing, self.n - 2.0
+        return (np.array(self.lo), np.array(self.inv_spacing),
+                np.array(self.n - 2.0))
 
     def nodes(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.n)
@@ -75,7 +81,7 @@ def locate(lo: float, inv: float, top: float, u: np.ndarray, out=None):
     s *= inv
     # np.clip, spelled as its two ufuncs: its wrapper dominates on small
     # arrays
-    kf = np.maximum(s, 0.0, out=kf)
+    kf = np.maximum(s, _FLOOR, out=kf)
     np.minimum(kf, top, out=kf)
     np.trunc(kf, out=kf)
     if k is None:
@@ -87,9 +93,10 @@ def locate(lo: float, inv: float, top: float, u: np.ndarray, out=None):
 
 
 def slopes(tab: np.ndarray) -> np.ndarray:
-    """``tab[k + 1] - tab[k]`` of each panel ``k``: tabulated once, the same
-    subtraction ``lookup`` would otherwise make on every read."""
-    return tab[1:] - tab[:-1]
+    """``tab[k + 1] - tab[k]`` of each panel ``k``, along the last axis of a
+    stack of tables: tabulated once, the same subtraction ``lookup`` would
+    otherwise make on every read."""
+    return tab[..., 1:] - tab[..., :-1]
 
 
 def flat_value(tab: np.ndarray) -> float | None:
@@ -103,25 +110,33 @@ def lookup(tab: np.ndarray, slope: np.ndarray, loc, out=None,
     """``slope[k] * frac + tab[k]``, i.e. ``t0 + frac * (t1 - t0)``, at a
     location from ``locate``; ``slope`` is ``slopes(tab)``.
 
+    ``tab`` is one table or a stack of tables along a leading axis, all on
+    one lattice; the result has one row per table, each the location's
+    shape, so one location and one call read every table of the stack.
     ``out`` and ``scratch``, when given, are float64 buffers of the
-    location's shape: ``out`` receives the result and ``scratch`` the
+    result's shape: ``out`` receives the result and ``scratch`` the
     ``tab[k]`` gather.  The gathers use ``mode="clip"``: ``k`` is already in
     range, and with the default ``mode="raise"`` numpy gathers into a buffer
     of its own before copying to ``out``.
     """
     k, frac = loc
-    out = slope.take(k, out=out, mode="clip")
-    out *= frac
-    out += tab.take(k, out=scratch, mode="clip")
+    out = slope.take(k, axis=-1, out=out, mode="clip")
+    # a stack row by row: broadcast over a small stack, the product would
+    # go through a buffer of the stack's size that numpy allocates per call
+    for row in out if tab.ndim > 1 else (out,):
+        row *= frac
+    out += tab.take(k, axis=-1, out=scratch, mode="clip")
     return out
 
 
 def interp(lattice: TableLattice, values: np.ndarray, u) -> np.ndarray:
     """Piecewise-linear table lookup; clamps to the end panels outside [lo, hi].
 
-    The same ``locate``/``lookup`` arithmetic as the kernels in ``kernels``
-    and the loop twins in ``tests/oracles.py``, so all three agree bit for
-    bit.  A scalar ``u`` reads as an array of one value.
+    ``values`` is one table or a stack of tables on ``lattice``, read as
+    ``lookup`` reads them: one row per table.  The same ``locate``/``lookup``
+    arithmetic as the kernels in ``kernels`` and the loop twins in
+    ``tests/oracles.py``, so all three agree bit for bit.  A scalar ``u``
+    reads as an array of one value.
     """
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     return lookup(values, slopes(values), locate(*lattice.panels, u))

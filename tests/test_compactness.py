@@ -8,7 +8,7 @@ import pytest
 from conftest import make_traj, traced_peak
 from oracles import entropy_production_total, grad_energy_whole, \
     split_production
-from visclab import compactness, convergence, norms
+from visclab import compactness, convergence, norms, tables
 from visclab.compactness import (attach_c_field, build_compensated_quad,
                                  choose_c, compensated_D_field,
                                  decompose_production, dirac_concentration,
@@ -414,6 +414,29 @@ def test_compensated_D_written_over_the_handed_buffer(quad):
     assert traj.values.tobytes() == before.tobytes()
     got = compensated_D_field(traj, quad, c_field, window, traj.values)
     assert got is traj.values and got.tobytes() == fresh.tobytes()
+
+
+def test_compensated_D_locates_each_block_once(monkeypatch, quad):
+    # F11, F22 and F12 are read as one stack: one locate of the c-field,
+    # then one per block of snapshots (4 blocks of 11 snapshots), and D is
+    # the per-table reads' D bit for bit
+    traj = _random_traj(11, 24, 20, seed=12)
+    u, window, lat = traj.values, (3, 5, 6), quad.lattice
+    c_field = attach_c_field(quad, traj, window)
+    monkeypatch.setattr(norms, "BLOCK_BYTES", 3 * u[0].nbytes)
+    assert len(norms.snapshot_blocks(u)) == 4
+    located = []
+    real = tables.locate
+    monkeypatch.setattr(tables, "locate",
+                        lambda *args, **kw: located.append(args[-1].shape)
+                        or real(*args, **kw))
+    got = compensated_D_field(traj, quad, c_field, window)
+    assert located == [c_field.shape] + [(n, 24, 20) for n in (3, 3, 3, 2)]
+    rows = np.arange(len(u)) // window[0]
+    d11, d22, d12 = (interp(lat, tab, u) - compactness._block_expand(
+        interp(lat, tab, c_field)[rows], (1,) + window[1:], u.shape)
+        for tab in (quad.F11, quad.F22, quad.F12))
+    assert got.tobytes() == (d11 * d22 - d12 * d12).tobytes()
 
 
 def test_compensated_D_rejects_non_finite_values(quad):

@@ -391,6 +391,27 @@ def test_2d_run_whose_every_member_fails_writes_its_manifest(
         "stages that failed in the run: solve eps=0.2, solve eps=0.1"
 
 
+def test_missing_reference_rows_say_so(tmp_path, monkeypatch):
+    # the reference solve fails on a three-member ladder: the run exits 2,
+    # and the two rows that read the reference, dirac and convergence, are
+    # "not evaluated (no reference)", not "(ladder too short)"; every other
+    # row is evaluated
+    def broken(*_args):
+        raise RuntimeError("reference failed")
+
+    monkeypatch.setattr(harness, "solve_reference", broken)
+    result = run_ladder(small_config(), outdir=tmp_path / "run")
+    assert result.exit_code == 2
+    manifest = json.loads((result.outdir / "manifest.json").read_text())
+    assert [s["name"] for s in manifest["stages"]
+            if s["status"] != "ok"] == ["solve reference"]
+    missing = {r["estimate"]: r["detail"]
+               for r in read_csv(result.outdir / "estimates.csv")
+               if r["detail"].startswith("not evaluated")}
+    assert missing == {"dirac": "not evaluated (no reference)",
+                       "convergence": "not evaluated (no reference)"}
+
+
 def test_failed_assessment_writes_its_manifest(tmp_path, monkeypatch,
                                                capsys):
     # an instrument that raises in the ladder-wide assessment fails the run
@@ -998,6 +1019,44 @@ def test_bench_kernels_runs(capsys):
             assert re.search(rf"^visc_step_2d\s+{preset}\s+1 {form} ", out,
                              re.M)
     assert "noise floor" in out
+
+
+@pytest.mark.parametrize("edit", [None, "doubled"])
+def test_bench_kernels_compares_trees(tmp_path, capsys, edit):
+    # the revision mode's timing half, on a copy of the working tree's
+    # package imported under another name: every full viscous step row of
+    # both shipped scenarios, the same bytes on all three sides; a copy
+    # whose step doubles the cell differences steps to other bytes, and
+    # every row says so
+    tool = _load_script("benchmarks", "bench_kernels")
+    src = tmp_path / "src"
+    shutil.copytree(tool.ROOT / "src" / "visclab", src / "visclab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    if edit:
+        path = src / "visclab" / "kernels.py"
+        text = path.read_text()
+        assert text.count("        diff *= factor\n") == 1
+        path.write_text(text.replace("        diff *= factor\n",
+                                     "        diff *= factor\n"
+                                     "        diff *= 2.0\n"))
+    try:
+        code = tool.compare_trees(src, 1, 1)
+    finally:
+        for name in [m for m in sys.modules
+                     if m.partition(".")[0] == "visclab_rev"]:
+            del sys.modules[name]
+    out = capsys.readouterr().out
+    word = "DIFFER" if edit else "same"
+    assert code == (1 if edit else 0)
+    rows = [(f"visc_step_1d {preset} {k}") for preset in ("constant",
+                                                          "gaussian")
+            for k in range(4, 0, -1)]
+    rows += [f"visc_step_2d {preset} 1" for preset in ("constant",
+                                                       "gaussian")]
+    got = re.findall(r"^(visc_step_\dd \w+ \d)\s.*\s(\w+)$", out, re.M)
+    assert got == [(row, word) for row in rows]
+    assert ("10 of 10 rows step to states that differ" if edit
+            else "same bytes: every block's stepped states") in out
 
 
 def test_code_lines_counts_only_code(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import traced_peak
 from oracles import _godunov_step_loops, _visc_step_loops
-from visclab import kernels
+from visclab import kernels, tables
 from visclab.domain import make_flux, make_viscosity
 
 # The kernels are checked bit for bit against the explicit-loop twins of
@@ -134,9 +134,10 @@ def test_godunov_step_3d_matches_loops_on_every_line(setup, axis):
 
 def _constants(plan):
     """What a viscous plan holds that no step may change: the members' full
-    steps, their ``dt / h``, and each axis's ``eh``, ``beh`` and slopes."""
-    return (plan.steps, plan.factors, plan.b_slope,
-            *((a.eh, a.beh, a.eop_slope, a.eom_slope) for a in plan.axes))
+    steps, their ``dt / h``, the stacked Engquist-Osher tables and the
+    slopes, and each axis's ``eh`` and ``beh``."""
+    return (plan.steps, plan.factors, plan.b_slope, plan.eo, plan.eo_slope,
+            *((a.eh, a.beh) for a in plan.axes))
 
 
 def _same(x, y):
@@ -220,6 +221,29 @@ def test_visc_backends_bit_identical_flat_tables(setup, flat_tables, table,
     assert np.array_equal(step(u, plan), expect(u))
 
 
+@pytest.mark.parametrize("shape", VISC)
+@pytest.mark.parametrize("table", FLAT_TABLES)
+def test_visc_step_locates_and_reads_once(setup, flat_tables, monkeypatch,
+                                          table, shape):
+    """One ``locate`` and one ``lookup`` read every Engquist-Osher table of a
+    step; a non-flat B adds one pair per axis, at the face midpoints."""
+    flux, _, rng = setup
+    u = rng.uniform(-0.99, 0.99, shape)
+    new_plan, step, expect = _case("visc", flux, flat_tables[table], shape)
+    plan = new_plan()
+    calls = []
+    for name in ("locate", "lookup"):
+        real = getattr(tables, name)
+        monkeypatch.setattr(tables, name, lambda *args, _real=real,
+                            _name=name, **kw: calls.append(_name)
+                            or _real(*args, **kw))
+    got = step(u, plan)
+    monkeypatch.undo()
+    pairs = 1 if table == "constant" else 1 + len(shape)
+    assert calls == ["locate", "lookup"] * pairs
+    assert np.array_equal(got, expect(u))
+
+
 # ``f = a u`` has Engquist-Osher tables f+ = max(a, 0) u and f- = min(a, 0)
 # u: f- is +0.0 at every node when a > 0, f+ when a < 0, both when a = 0
 LINEAR_A = {"a>0": 0.7, "a<0": -0.7, "a=0": 0.0}
@@ -243,25 +267,33 @@ def linear_fluxes():
 @pytest.mark.parametrize("sign", list(LINEAR_A))
 def test_visc_zero_eo_tables_never_read(setup, linear_fluxes, sign, shape,
                                         axis):
-    """The plan skips exactly the zero Engquist-Osher tables, the linear
-    axis's, and reads each of them as the scalar 0.0; the step matches the
-    loop twin, which reads those tables at every face, on fresh and on
-    reused plans."""
+    """The plan stacks exactly the nonzero Engquist-Osher tables, axis by
+    axis, and reads each zero one, the linear axis's, as a 0-d 0.0; the step
+    matches the loop twin, which reads those tables at every face, on fresh
+    and on reused plans."""
     _, visc, rng = setup
     flux = linear_fluxes[sign, axis]
     u = rng.uniform(-0.99, 0.99, shape)
     new_plan, step, expect = _case("visc", flux, visc.table, shape)
     plan = new_plan()
+    stacked = []
     for ax, a in enumerate(plan.axes):
         zero = ZERO_EO[sign] if ax == axis else set()
-        for side, read in (("eop", a.pl), ("eom", a.qr)):
-            skipped = side in zero
-            assert (getattr(a, side) is None) == skipped
-            assert (getattr(a, f"{side}_slope") is None) == skipped
-            if skipped:
-                assert type(read) is float and read == 0.0
+        tab = flux.tables[ax]
+        for side, read, t in (("eop", a.pl, tab.eo_plus),
+                              ("eom", a.qr, tab.eo_minus)):
+            if side in zero:
+                assert read is kernels._ZERO_READ
+                assert read.shape == () and read == 0.0
             else:
+                # a view of the row of the plan's reads that holds t
                 assert read.shape == a.flux.shape
+                assert np.shares_memory(read, plan.reads[len(stacked)])
+                stacked.append(t)
+    assert plan.eo.shape == (len(stacked), flux.lattice.n)
+    assert plan.eo.tobytes() == b"".join(t.tobytes() for t in stacked)
+    assert plan.reads.shape == plan.scratch.shape == (len(stacked),
+                                                      plan.flat.size)
     assert np.array_equal(step(u, plan), expect(u))
     _check_reuse("visc", shape, flux, visc.table)
 
@@ -279,7 +311,8 @@ def test_visc_negative_zero_eo_table_is_read(setup, linear_fluxes, shape):
     u = rng.uniform(-0.99, 0.99, shape)
     new_plan, step, expect = _case("visc", flux, visc.table, shape)
     plan = new_plan()
-    assert plan.axes[0].eom is negzero.eo_minus
+    # axis 0's f+ and f- are the stack's first two rows
+    assert plan.eo[1].tobytes() == negzero.eo_minus.tobytes()
     assert np.array_equal(step(u, plan), expect(u))
 
 

@@ -117,7 +117,9 @@ def test_locate_into_buffers_matches_allocating():
     lat = TableLattice(-1.0, 1.0, 64)
     u = np.array([[-1.5, -1.0, -0.3], [0.0, 0.7, 1.0], [1.2, 0.999, 3.0]])
     top = lat.n - 2.0
+    # 0-d float64 arrays, the operands a ufunc takes without converting
     assert lat.panels == (lat.lo, lat.inv_spacing, top)
+    assert all(p.shape == () and p.dtype == np.float64 for p in lat.panels)
     k, frac = locate(*lat.panels, u)
     buf = (np.full(u.shape, -7, np.int64), np.full(u.shape, np.nan),
            np.full(u.shape, np.nan))
@@ -149,6 +151,32 @@ def test_lookup_slopes_bit_identical():
         assert np.array_equal(frac.view(np.int64), (s - kf).view(np.int64))
         got = lookup(tab, slopes(tab), (k, frac))
         assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
+@pytest.mark.parametrize("shape", [(270,), (27, 10)], ids=["1d", "2d"])
+def test_stacked_reads_equal_per_table_reads(shape):
+    # a stack of tables read at one location has one row per table, each
+    # that table's own read bit for bit, by lookup with and without buffers
+    # and by interp: in range, on every node, below lo, above hi, exactly at
+    # hi, and at +0.0 and -0.0; one table of the stack has -0.0 nodes
+    lat = TableLattice(-1.0, 1.0, 64)
+    rng = np.random.default_rng(11)
+    stack = np.cumsum(rng.normal(size=(3, lat.n)), axis=1)
+    stack[1] = -0.0
+    u = np.concatenate([rng.uniform(-1.0, 1.0, 200), lat.nodes(),
+                        [-3.0, -1.0 - 1e-9, 1.0, 1.0 + 1e-9, 0.0, -0.0]])
+    u = u.reshape(shape)
+    loc = locate(*lat.panels, u)
+    assert np.array_equal(slopes(stack), [slopes(t) for t in stack])
+    want = np.stack([lookup(t, slopes(t), loc) for t in stack])
+    assert want.shape == (3,) + shape
+    assert lookup(stack, slopes(stack), loc).tobytes() == want.tobytes()
+    out, scratch = np.empty_like(want), np.empty_like(want)
+    got = lookup(stack, slopes(stack), loc, out=out, scratch=scratch)
+    assert got is out and got.tobytes() == want.tobytes()
+    assert interp(lat, stack, u).tobytes() == want.tobytes()
+    for t, row in zip(stack, want):
+        assert interp(lat, t, u).tobytes() == row.tobytes()
 
 
 def _locate_cast_and_subtract(lo, inv, top, u):
